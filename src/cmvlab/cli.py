@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,7 +102,7 @@ def _sequence_from_config(cfg: dict, seed: int) -> coeffs.CoefficientSequence:
     if not isinstance(d, dict):
         raise ValueError("config field 'sequence' must be an object")
     if d.get("kind") == "random_periodic":
-        q = int(d.get("q", 4))
+        q = _as_int("sequence.q", d.get("q", 4))
         radius = float(d.get("radius", 0.5))
         if not 0.0 <= radius < 1.0:
             raise ValueError(f"sequence.radius must lie in [0, 1), got {radius}")
@@ -113,8 +112,17 @@ def _sequence_from_config(cfg: dict, seed: int) -> coeffs.CoefficientSequence:
     return coeffs.sequence_from_spec(d)
 
 
-def _require_even(name: str, value: int) -> int:
-    value = int(value)
+def _as_int(name: str, value) -> int:
+    """A config integer; lists, dicts, bools and non-integral floats are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"config field '{name}' must be an integer, got {value!r}")
+
+
+def _require_even(name: str, value) -> int:
+    value = _as_int(name, value)
     if value < 2 or value % 2 != 0:
         raise ValueError(f"config field '{name}' must be a positive even integer "
                          f"(got {value})")
@@ -125,13 +133,13 @@ def _require_even(name: str, value: int) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str, threads: int) -> None:
+def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     seq = _sequence_from_config(cfg, manifest.seed)
     q = _require_even("q", cfg.get("q", 2))
-    k_points = int(cfg.get("k_points", 64))
+    k_points = _as_int("k_points", cfg.get("k_points", 64))
     if k_points < 2:
         raise ValueError(f"config field 'k_points' must be >= 2, got {k_points}")
-    resolution = int(cfg.get("resolution", 4096))
+    resolution = _as_int("resolution", cfg.get("resolution", 4096))
 
     # strictly interior k grid (band eigenvalues may degenerate at 0 and pi/q)
     ks = [(j + 0.5) * (math.pi / q) / k_points for j in range(k_points)]
@@ -151,23 +159,12 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str, threads: int) -> 
                [tuple(a) for a in arcs.arcs])
 
 
-def _lyap_sweep(seq, thetas, n_steps, threads):
-    zs = [cmath.exp(1j * t) for t in thetas]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            vals = list(ex.map(lambda z: transfer.lyapunov(seq, z, n_steps), zs))
-    else:
-        vals = [transfer.lyapunov(seq, z, n_steps) for z in zs]
-    return np.array(vals)
-
-
-def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str, threads: int
-                  ) -> None:
+def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     seq = _sequence_from_config(cfg, manifest.seed)
-    grid_size = int(cfg.get("grid_size", 512))
+    grid_size = _as_int("grid_size", cfg.get("grid_size", 512))
     if grid_size < 8:
         raise ValueError(f"config field 'grid_size' must be >= 8, got {grid_size}")
-    n_steps = int(cfg.get("n_steps", 100_000))
+    n_steps = _as_int("n_steps", cfg.get("n_steps", 100_000))
     if n_steps < 1_000:
         raise ValueError(f"config field 'n_steps' must be >= 1000, got {n_steps}")
     eps_L = float(cfg.get("epsilon_L", 1e-2))
@@ -175,7 +172,7 @@ def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str, threads: int
         raise ValueError(f"config field 'epsilon_L' must be positive, got {eps_L}")
 
     thetas = np.arange(grid_size) * (TWO_PI / grid_size)
-    vals = _lyap_sweep(seq, thetas, n_steps, threads)
+    vals = transfer.lyapunov(seq, np.exp(1j * thetas), n_steps)
     _write_csv(manifest, out_dir, "lyapunov.csv",
                ["theta", "L", "N", "epsilon"],
                [(t, v, n_steps, eps_L) for t, v in zip(thetas, vals)])
@@ -193,22 +190,24 @@ def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str, threads: int
                [tuple(a) for a in z_arcs.arcs])
 
 
-def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str, threads: int
-                ) -> None:
+def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     fam_spec = cfg.get("family")
     if not isinstance(fam_spec, dict):
         raise ValueError("config field 'family' must be an object")
     family = coeffs.family_from_spec(fam_spec)
-    grid_size = int(cfg.get("grid_size", 4096))
+    k_index = _as_int("k", cfg.get("k", 0))
+    if not 0 <= k_index < len(family.stages):
+        raise ValueError(f"config field 'k' must lie in 0..{len(family.stages) - 1}, "
+                         f"got {k_index}")
+    grid_size = _as_int("grid_size", cfg.get("grid_size", 4096))
     if grid_size < 8:
         raise ValueError(f"config field 'grid_size' must be >= 8, got {grid_size}")
-    n_steps = int(cfg.get("n_steps", 100_000))
+    n_steps = _as_int("n_steps", cfg.get("n_steps", 100_000))
     eps_L = float(cfg.get("epsilon_L", 1e-2))
-    k_index = int(cfg.get("k", 0))
-    resolution = int(cfg.get("resolution", 4096))
+    resolution = _as_int("resolution", cfg.get("resolution", 4096))
 
     thetas = np.arange(grid_size) * (TWO_PI / grid_size)
-    vals = _lyap_sweep(family.limit, thetas, n_steps, threads)
+    vals = transfer.lyapunov(family.limit, np.exp(1j * thetas), n_steps)
     z_est = transfer.arcs_from_grid(thetas, vals, eps_L)
 
     periods = family.periods()
@@ -290,22 +289,21 @@ def _coin_matrix(m, site: int) -> np.ndarray:
     return q
 
 
-def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str, threads: int
-              ) -> None:
+def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     coins = _coins_from_config(cfg)
-    steps = int(cfg.get("steps", 100))
+    steps = _as_int("steps", cfg.get("steps", 100))
     if steps < 0:
         raise ValueError(f"config field 'steps' must be >= 0, got {steps}")
     init = cfg.get("initial", {"site": 0, "spin": "+"})
-    site = int(init.get("site", 0))
+    site = _as_int("initial.site", init.get("site", 0))
     spin = init.get("spin", "+")
     if spin not in ("+", "-"):
         raise ValueError(f"initial.spin must be '+' or '-', got {spin!r}")
-    J = int(cfg.get("survival_J", 5))
+    J = _as_int("survival_J", cfg.get("survival_J", 5))
     record = cfg.get("record_times")
     if record is None:
         record = sorted({steps // 4, steps // 2, steps}) if steps else [0]
-    record = [int(t) for t in record]
+    record = [_as_int("record_times", t) for t in record]
     if any(t < 0 for t in record):
         raise ValueError("record_times must be nonnegative")
 
@@ -327,10 +325,9 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str, threads: int
     _write_csv(manifest, out_dir, "survival.csv", ["t", "survival"], surv_rows)
 
 
-def _cmd_sieve_check(cfg: dict, manifest: RunManifest, out_dir: str, threads: int
-                     ) -> None:
+def _cmd_sieve_check(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     seq = _sequence_from_config(cfg, manifest.seed)
-    dim = int(cfg.get("dim", 16))
+    dim = _as_int("dim", cfg.get("dim", 16))
     if dim % 4 != 0 or dim <= 0:
         raise ValueError(f"config field 'dim' must be a positive multiple of 4, "
                          f"got {dim}")
@@ -338,12 +335,11 @@ def _cmd_sieve_check(cfg: dict, manifest: RunManifest, out_dir: str, threads: in
     _write_json(manifest, out_dir, "sieve_check.json", {**res, "dim": dim})
 
 
-def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str, threads: int
-                     ) -> None:
+def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     seq = _sequence_from_config(cfg, manifest.seed)
-    k = int(cfg.get("k", 0))
-    samples = int(cfg.get("samples", 32))
-    dim = int(cfg.get("dim", 512))
+    k = _as_int("k", cfg.get("k", 0))
+    samples = _as_int("samples", cfg.get("samples", 32))
+    dim = _as_int("dim", cfg.get("dim", 512))
     r_values = cfg.get("r_values", [0.9, 0.99])
     arcs_cfg = cfg.get("arc_set", "full")
     if arcs_cfg == "full":
@@ -386,7 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=default_threads)
+        p.add_argument("--threads", type=int, default=default_threads,
+                       help="accepted for compatibility (must be >= 1); sweeps "
+                            "run as one batched numpy pass")
         p.add_argument("--set", action="append", default=[], metavar="KEY=JSON",
                        help="override a config field, e.g. --set q=4")
     return parser
@@ -413,7 +411,7 @@ def main(argv=None) -> int:
         )
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
-        _COMMANDS[args.command](cfg, manifest, args.out, args.threads)
+        _COMMANDS[args.command](cfg, manifest, args.out)
         manifest.write(args.out)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,12 +37,15 @@ class CoefficientSequence:
     ``sup_norm_bound`` certifies sup_n |alpha_n| <= sup_norm_bound < 1.
     ``period``, when set, promises fn(n + period) == fn(n) exactly.
     ``spec`` optionally carries a JSON-serializable construction record.
+    ``fn_array``, when set, is fn vectorised over an integer array of sites;
+    ``window`` uses it, and falls back to one fn call per site without it.
     """
 
     fn: Callable[[int], complex]
     sup_norm_bound: float
     period: Optional[int] = None
     spec: Optional[dict] = None
+    fn_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not 0.0 <= self.sup_norm_bound < 1.0:
@@ -62,6 +65,8 @@ class CoefficientSequence:
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """Values alpha_n for n in [lo, hi)."""
+        if self.fn_array is not None:
+            return np.asarray(self.fn_array(np.arange(lo, hi)), dtype=complex)
         return np.array([self.fn(n) for n in range(lo, hi)], dtype=complex)
 
 
@@ -75,6 +80,7 @@ def constant_seq(a: complex) -> CoefficientSequence:
         sup_norm_bound=abs(a),
         period=1,
         spec={"kind": "constant", "value": [a.real, a.imag]},
+        fn_array=lambda n: np.full(n.shape, a),
     )
 
 
@@ -84,8 +90,13 @@ def quasiperiodic_seq(lam: float, beta: float, theta: float) -> CoefficientSeque
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"amplitude must lie in [0, 1), got {lam}")
 
+    b, t = float(beta), float(theta)
+
     def fn(n: int) -> complex:
-        return lam * cmath.exp(2j * math.pi * (n * beta + theta))
+        return lam * cmath.exp(2j * math.pi * (n * b + t))
+
+    def fn_array(n: np.ndarray) -> np.ndarray:
+        return lam * np.exp(2j * np.pi * (n * b + t))
 
     return CoefficientSequence(
         fn=fn,
@@ -93,6 +104,7 @@ def quasiperiodic_seq(lam: float, beta: float, theta: float) -> CoefficientSeque
         period=None,
         spec={"kind": "quasiperiodic", "amplitude": lam, "frequency": beta,
               "phase": theta},
+        fn_array=fn_array,
     )
 
 
@@ -113,6 +125,7 @@ def periodic_table_seq(values: Sequence[complex]) -> CoefficientSequence:
         period=q,
         spec={"kind": "periodic_table",
               "values": [[v.real, v.imag] for v in vals]},
+        fn_array=lambda n: table[n % q],
     )
 
 
@@ -292,10 +305,20 @@ def sequence_to_spec(seq: CoefficientSequence) -> dict:
     return dict(seq.spec)
 
 
+def _field(d: dict, name: str):
+    """d[name], or a ValueError naming the missing field and the spec kind."""
+    try:
+        return d[name]
+    except KeyError:
+        raise ValueError(
+            f"{d.get('kind')!r} spec is missing the field {name!r}"
+        ) from None
+
+
 def family_from_spec(d: dict) -> LimitPeriodicFamily:
     if d.get("kind") != "pt_family":
         raise ValueError(f"expected kind 'pt_family', got {d.get('kind')!r}")
-    base_amp = float(d["base_amp"])
+    base_amp = float(_field(d, "base_amp"))
     q0 = int(d.get("q0", 2))
     levels = int(d.get("levels", 3))
     dspec = d.get("decay")
@@ -314,12 +337,13 @@ def family_from_spec(d: dict) -> LimitPeriodicFamily:
 def sequence_from_spec(d: dict) -> CoefficientSequence:
     kind = d.get("kind")
     if kind == "constant":
-        re, im = d["value"]
+        re, im = _field(d, "value")
         return constant_seq(complex(re, im))
     if kind == "quasiperiodic":
-        return quasiperiodic_seq(d["amplitude"], d["frequency"], d["phase"])
+        return quasiperiodic_seq(_field(d, "amplitude"), _field(d, "frequency"),
+                                 _field(d, "phase"))
     if kind == "periodic_table":
-        return periodic_table_seq([complex(re, im) for re, im in d["values"]])
+        return periodic_table_seq([complex(re, im) for re, im in _field(d, "values")])
     if kind == "pt_family":
         return family_from_spec(d).limit
     raise ValueError(f"unknown sequence kind {kind!r}")

@@ -159,26 +159,40 @@ def band_derivative(
     )
 
 
-def discriminant(seq: CoefficientSequence, q: int, theta: float) -> float:
-    """Real monodromy trace at z = exp(i*theta); imaginary part must vanish."""
-    tr = complex(np.trace(monodromy(seq, q, cmath.exp(1j * theta))))
-    if abs(tr.imag) > 1e-10 * max(1.0, abs(tr.real)):
+def discriminant(seq: CoefficientSequence, q: int, theta) -> float | np.ndarray:
+    """Real monodromy trace at z = exp(i*theta); imaginary part must vanish.
+
+    A scalar theta gives a float, a 1-d array of angles an array.
+    """
+    m = monodromy(seq, q, np.exp(1j * np.asarray(theta, dtype=float)))
+    tr = m[..., 0, 0] + m[..., 1, 1]
+    bad = np.abs(tr.imag) > 1e-10 * np.maximum(1.0, np.abs(tr.real))
+    if np.any(bad):
+        worst = tr.imag[bad][np.argmax(np.abs(tr.imag[bad]))]
         raise NumericalInstabilityError(
-            f"monodromy trace has imaginary part {tr.imag:.2e}"
+            f"monodromy trace has imaginary part {worst:.2e}"
         )
-    return tr.real
+    return float(tr.real) if np.ndim(theta) == 0 else tr.real
 
 
-def _bisect_edge(f, lo: float, hi: float, tol: float) -> float:
-    flo = f(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (flo <= 0) == (fm <= 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect_edges(
+    seq: CoefficientSequence, q: int, lo: np.ndarray, hi: np.ndarray,
+    level: np.ndarray, flo: np.ndarray, tol: float,
+) -> np.ndarray:
+    """Halve every bracket [lo, hi] of discriminant = level in lockstep.
+
+    flo is discriminant - level at lo; each halving is one batched
+    discriminant call over the brackets still wider than tol.
+    """
+    while True:
+        act = np.flatnonzero(hi - lo > tol)
+        if act.size == 0:
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[act] + hi[act])
+        fm = discriminant(seq, q, mid) - level[act]
+        same = (flo[act] <= 0) == (fm <= 0)
+        lo[act[same]], flo[act[same]] = mid[same], fm[same]
+        hi[act[~same]] = mid[~same]
 
 
 def periodic_spectrum(
@@ -200,39 +214,31 @@ def periodic_spectrum(
     if resolution < 8:
         raise ValueError(f"resolution must be at least 8, got {resolution}")
     thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
-    disc = np.array([discriminant(seq, q, t) for t in thetas])
+    disc = discriminant(seq, q, thetas)
 
-    edges = []
+    # grid cells whose ends straddle the level +2 or -2 bracket one edge each
+    brackets = []
     for level in (2.0, -2.0):
         g = disc - level
-        for i in range(resolution):
-            j = (i + 1) % resolution
-            a, b = thetas[i], thetas[i] + (thetas[1] - thetas[0])
-            if (g[i] <= 0) != (g[j] <= 0):
-                edges.append(
-                    _bisect_edge(
-                        lambda t, lv=level: discriminant(seq, q, t) - lv,
-                        a, b, angle_tol,
-                    )
-                    % TWO_PI
-                )
+        below = g <= 0
+        i = np.flatnonzero(below != np.roll(below, -1))
+        brackets.append((thetas[i], np.full(i.size, level), g[i]))
+    lo, level, flo = (np.concatenate(b) for b in zip(*brackets))
+    hi = lo + (thetas[1] - thetas[0])
+    edges = np.sort(_bisect_edges(seq, q, lo, hi, level, flo, angle_tol) % TWO_PI)
+
     # classification slack: keeps hairline cells produced by tangential
     # discriminant touches (closed gaps) inside the band set
     slack = 1e-12
-    if not edges:
+    if edges.size == 0:
         inside = np.abs(disc) <= 2.0 + slack
         result = CircleArcSet.full_circle() if inside.all() else CircleArcSet.empty()
     else:
-        edges = sorted(edges)
-        cells = []
-        m = len(edges)
-        for i in range(m):
-            lo = edges[i]
-            hi = edges[(i + 1) % m] + (TWO_PI if i == m - 1 else 0.0)
-            mid = 0.5 * (lo + hi)
-            if abs(discriminant(seq, q, mid % TWO_PI)) <= 2.0 + slack:
-                cells.append((lo, hi))
-        result = CircleArcSet.from_arcs(cells) if cells else CircleArcSet.empty()
+        cell_lo = edges
+        cell_hi = np.append(edges[1:], edges[0] + TWO_PI)
+        mid = 0.5 * (cell_lo + cell_hi)
+        inside = np.abs(discriminant(seq, q, mid % TWO_PI)) <= 2.0 + slack
+        result = CircleArcSet.from_arcs(np.column_stack([cell_lo, cell_hi])[inside])
 
     if cross_validate:
         other = band_arcs_from_kgrid(seq, q, k_points)

@@ -12,14 +12,16 @@ The Lyapunov exponent is the per-step exponential growth rate of the Szego
 products.  For sequences with period metadata it short-circuits to the exact
 formula log(spectral radius of the monodromy) / period; otherwise a rescaled
 Birkhoff product along the orbit is used.
+
+Every product (Birkhoff sums, monodromies, discriminant scans) runs through
+one kernel that advances the unrolled 2x2 products of a whole 1-d array of
+spectral points z at once, step by step, reading alpha in fixed-size windows.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +30,6 @@ from .coefficients import CoefficientSequence
 from .spectral_sets import CircleArcSet, TWO_PI
 
 __all__ = [
-    "CocycleStep",
     "szego",
     "gz_step",
     "monodromy",
@@ -38,23 +39,10 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CocycleStep:
-    """One labelled step of a transfer cocycle (bookkeeping value)."""
-
-    kind: str  # "szego" | "gz_even" | "gz_odd"
-    matrix: np.ndarray
-    z: complex
-    site: int
-
-    def det_residual(self) -> float:
-        """Deviation of det(matrix) from its contract value."""
-        d = complex(np.linalg.det(self.matrix))
-        if self.kind == "szego":
-            return abs(abs(d) - 1.0)
-        return abs(d + 1.0)
+_BLOCK = 1024  # sites of alpha read per window call of the product kernel
+# points per kernel pass: wider passes hand each 2x2 matmul to multithreaded
+# BLAS, whose thread hand-off costs far more than the work it splits
+_POINTS = 2048
 
 
 def _require_disk(alpha: complex) -> complex:
@@ -90,73 +78,135 @@ def gz_step(seq: CoefficientSequence, n: int, z: complex) -> np.ndarray:
     return m / rho
 
 
-def monodromy(seq: CoefficientSequence, q: int, z: complex) -> np.ndarray:
-    """Ordered product Y(q-1, z) ... Y(0, z) for even q."""
+# ---------------------------------------------------------------------------
+# the product kernel, batched over a 1-d array of spectral points z
+# ---------------------------------------------------------------------------
+
+def _as_points(z) -> np.ndarray:
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise ValueError(f"z must be a scalar or a 1-d array, got shape {zs.shape}")
+    return zs.reshape(-1)
+
+
+def _step_factors(seq: CoefficientSequence, lo: int, hi: int, gz: bool) -> np.ndarray:
+    """The z-free factors C_n of the steps n in [lo, hi), shape (hi - lo, 2, 2).
+
+    Szego:  S(n, z) = C_n diag(z, 1),  C_n = (1/rho) [[1, -conj(a)], [-a, 1]].
+    GZ:     Y(n, z) = C_n for even n,  C_n = (1/rho) [[-a, 1], [1, -conj(a)]];
+            Y(n, z) = diag(1, 1/z) C_n diag(1, z) for odd n,
+                      C_n = (1/rho) [[-conj(a), 1], [1, -a]].
+    """
+    al = seq.window(lo, hi)
+    mod = np.abs(al)
+    if not np.all(mod < 1.0):
+        raise ValueError(f"|alpha| must be < 1, got {np.nanmax(mod)}")
+    r = 1.0 / np.sqrt(1.0 - (al.real * al.real + al.imag * al.imag))
+    c = np.empty((hi - lo, 2, 2), dtype=complex)
+    if gz:
+        even = np.arange(lo, hi) % 2 == 0
+        c[:, 0, 0] = -np.where(even, al, al.conj()) * r
+        c[:, 1, 1] = -np.where(even, al.conj(), al) * r
+        c[:, 0, 1] = c[:, 1, 0] = r
+    else:
+        c[:, 0, 0] = c[:, 1, 1] = r
+        c[:, 0, 1] = -al.conj() * r
+        c[:, 1, 0] = -al * r
+    return c
+
+
+def _product(
+    seq: CoefficientSequence,
+    zs: np.ndarray,
+    n_steps: int,
+    gz: bool = False,
+    scale_every: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered product of the first n_steps Szego (or GZ) steps at every z.
+
+    Returns the products, shape (len(zs), 2, 2), and per point the log of
+    the factors divided out: after every ``scale_every``-th step (0: never)
+    the product is divided by its largest entry unless that entry is 0.
+    Memory is O(len(zs) + _BLOCK): alpha is read one window at a time.
+    """
+    if zs.size > _POINTS:
+        parts = [_product(seq, zs[i:i + _POINTS], n_steps, gz, scale_every)
+                 for i in range(0, zs.size, _POINTS)]
+        return (np.concatenate([m for m, _ in parts]),
+                np.concatenate([s for _, s in parts]))
+    g = zs.size
+    zz = np.concatenate([zs, zs])  # x[r] is row r: column 0, then column 1
+    x = np.zeros((2, 2 * g), dtype=complex)
+    x[0, :g] = x[1, g:] = 1.0
+    y = np.empty_like(x)
+    log_scale = np.zeros(g)
+    for lo in range(0, n_steps, _BLOCK):
+        hi = min(lo + _BLOCK, n_steps)
+        for n, c in zip(range(lo, hi), _step_factors(seq, lo, hi, gz)):
+            odd = n % 2
+            if not gz:
+                x[0] *= zz
+            elif odd:
+                x[1] *= zz
+            np.matmul(c, x, out=y)
+            x, y = y, x
+            if gz and odd:
+                x[1] /= zz
+            if scale_every and (n + 1) % scale_every == 0:
+                s = np.abs(x).reshape(4, g).max(axis=0)
+                s = np.where(s > 0, s, 1.0)
+                x /= np.concatenate([s, s])
+                log_scale += np.log(s)
+    return x.reshape(2, 2, g).transpose(2, 0, 1), log_scale
+
+
+def monodromy(seq: CoefficientSequence, q: int, z) -> np.ndarray:
+    """Ordered product Y(q-1, z) ... Y(0, z) for even q; shape z.shape + (2, 2)."""
     if q < 2 or q % 2 != 0:
         raise ValueError(f"q must be a positive even integer, got {q}")
-    m = np.eye(2, dtype=complex)
-    for n in range(q):
-        m = gz_step(seq, n, z) @ m
-    return m
+    zs = _as_points(z)
+    if np.any(zs == 0):
+        raise ValueError("z must be nonzero")
+    m, _ = _product(seq, zs, q, gz=True)
+    return m[0] if np.ndim(z) == 0 else m
 
 
-def _spectral_radius_2x2(m: np.ndarray) -> float:
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = cmath.sqrt(tr * tr - 4.0 * det)
-    return max(abs((tr + disc) / 2.0), abs((tr - disc) / 2.0))
-
-
-def _exact_periodic_lyapunov(seq: CoefficientSequence, z: complex) -> float:
-    q = seq.period
-    if q % 2:
-        q *= 2
-    rad = _spectral_radius_2x2(monodromy(seq, q, z))
-    return math.log(max(rad, 1.0)) / q
+def _spectral_radius_2x2(m: np.ndarray) -> np.ndarray:
+    tr = m[..., 0, 0] + m[..., 1, 1]
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    disc = np.sqrt(tr * tr - 4.0 * det)
+    return np.maximum(np.abs((tr + disc) / 2.0), np.abs((tr - disc) / 2.0))
 
 
 def lyapunov(
     seq: CoefficientSequence,
-    z: complex,
+    z,
     n_steps: int = 100_000,
     scale_every: int = 16,
-) -> float:
+) -> float | np.ndarray:
     """Per-step growth rate of the Szego cocycle at |z| = 1.
 
     Periodic sequences use the exact monodromy formula (n_steps is then
     irrelevant); otherwise the Birkhoff product over n_steps sites is formed
-    with periodic rescaling by the max-abs entry to avoid overflow.
+    with periodic rescaling by the max-abs entry to avoid overflow.  A scalar
+    z gives a float, a 1-d array of points an array of rates.
     """
-    z = complex(z)
-    if abs(abs(z) - 1.0) > _UNIT_TOL:
-        raise ValueError(f"|z| must be 1, got {abs(z)}")
+    zs = _as_points(z)
+    dev = np.abs(np.abs(zs) - 1.0)
+    if np.any(dev > _UNIT_TOL):
+        raise ValueError(f"|z| must be 1, got {abs(zs[np.argmax(dev)])}")
     if seq.period is not None:
-        return _exact_periodic_lyapunov(seq, z)
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if scale_every < 1:
-        raise ValueError(f"scale_every must be >= 1, got {scale_every}")
-
-    # unrolled 2x2 product: a c / b d columns as scalars
-    a, b, c, d = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    log_scale = 0.0
-    for n in range(n_steps):
-        al = seq(n)
-        rho = math.sqrt(1.0 - (al.real * al.real + al.imag * al.imag))
-        za = z * al
-        a, b, c, d = (
-            (z * a - al.conjugate() * c) / rho,
-            (z * b - al.conjugate() * d) / rho,
-            (-za * a + c) / rho,
-            (-za * b + d) / rho,
-        )
-        if (n + 1) % scale_every == 0:
-            s = max(abs(a), abs(b), abs(c), abs(d))
-            if s > 0:
-                a, b, c, d = a / s, b / s, c / s, d / s
-                log_scale += math.log(s)
-    norm = np.linalg.norm(np.array([[a, b], [c, d]]), 2)
-    return (log_scale + math.log(norm)) / n_steps
+        q = seq.period * (2 if seq.period % 2 else 1)
+        rad = _spectral_radius_2x2(monodromy(seq, q, zs))
+        vals = np.log(np.maximum(rad, 1.0)) / q
+    else:
+        if n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+        if scale_every < 1:
+            raise ValueError(f"scale_every must be >= 1, got {scale_every}")
+        m, log_scale = _product(seq, zs, n_steps, scale_every=scale_every)
+        vals = (log_scale + np.log(np.linalg.norm(m, 2, axis=(1, 2)))) / n_steps
+    return float(vals[0]) if np.ndim(z) == 0 else vals
 
 
 def arcs_from_grid(
@@ -216,7 +266,7 @@ def estimate_Z(
     angles = np.angle(zs) % TWO_PI
     if np.any(np.diff(angles) < 0):
         raise ValueError("grid must be sorted by angle")
-    vals = np.array([lyapunov(seq, z, n_steps) for z in zs])
+    vals = lyapunov(seq, zs, n_steps)
     if np.any(vals < -eps_L / 10.0):
         warnings.warn(
             "Lyapunov estimates below -eps_L/10; increase n_steps",

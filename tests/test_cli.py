@@ -220,3 +220,66 @@ def test_random_periodic_sequence_uses_seed(tmp_path):
         (out2 / "sieve_check.json").read_bytes()
     m1 = json.loads((out1 / "manifest.json").read_text())
     assert m1["seed"] == 7
+
+
+APPROX_SMALL = {
+    "family": {"kind": "pt_family", "base_amp": 0.1, "q0": 2, "levels": 2,
+               "decay": {"form": "geometric", "base": 4.0}},
+    "grid_size": 64, "n_steps": 1000, "epsilon_L": 0.01, "resolution": 64,
+}
+
+
+@pytest.mark.parametrize("k", [3, 10, -1])
+def test_approx_rejects_stage_index_before_any_sweep(tmp_path, capsys, monkeypatch, k):
+    from cmvlab import floquet, transfer
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the stage index must be checked before any sweep")
+
+    monkeypatch.setattr(transfer, "lyapunov", no_compute)
+    monkeypatch.setattr(floquet, "periodic_spectrum", no_compute)
+    cfg = write_config(tmp_path, "a.json", {**APPROX_SMALL, "k": k})
+    assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'k'" in err and "0..2" in err
+
+
+@pytest.mark.parametrize("command, config, override, field", [
+    ("bands", {"sequence": {"kind": "constant", "value": [0.3, 0.0]}, "q": 2},
+     "q=[4]", "q"),
+    ("bands", {"sequence": {"kind": "constant", "value": [0.3, 0.0]}, "q": 2},
+     'resolution={"n": 64}', "resolution"),
+    ("lyapunov", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                  "grid_size": 8, "n_steps": 1000}, "grid_size=8.5", "grid_size"),
+    ("lyapunov", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                  "grid_size": 8, "n_steps": 1000}, "n_steps=true", "n_steps"),
+    ("walk", {"coins": {"kind": "identity"}, "steps": 4}, "record_times=[2, 2.5]",
+     "record_times"),
+])
+def test_non_integer_fields_exit_2(tmp_path, capsys, command, config, override, field):
+    cfg = write_config(tmp_path, "c.json", config)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--set", override])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and "integer" in err
+
+
+def test_integral_float_fields_are_accepted(tmp_path):
+    cfg = write_config(tmp_path, "l.json", {
+        "sequence": {"kind": "constant", "value": [0.0, 0.0]},
+        "grid_size": 8.0, "n_steps": 1000.0,
+    })
+    out = tmp_path / "out"
+    assert main(["lyapunov", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "lyapunov.csv")
+    assert len(rows) == 8 and {r[2] for r in rows} == {"1000"}
+
+
+def test_spec_missing_field_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, "l.json", {
+        "sequence": {"kind": "quasiperiodic", "amplitude": 0.5, "frequency": 0.3},
+        "grid_size": 8, "n_steps": 1000,
+    })
+    assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "quasiperiodic" in err and "'phase'" in err

@@ -213,3 +213,14 @@ def test_family_spec_round_trip():
 def test_sequence_from_spec_rejects_unknown():
     with pytest.raises(ValueError):
         C.sequence_from_spec({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "quasiperiodic", "amplitude": 0.5, "frequency": 0.3}, "phase"),
+    ({"kind": "constant"}, "value"),
+    ({"kind": "periodic_table"}, "values"),
+    ({"kind": "pt_family", "q0": 2}, "base_amp"),
+])
+def test_sequence_from_spec_names_missing_field(spec, field):
+    with pytest.raises(ValueError, match=f"{spec['kind']}.*'{field}'"):
+        C.sequence_from_spec(spec)

@@ -201,7 +201,8 @@ def test_estimate_z_sieved_preimage():
 
 
 def test_estimate_z_warns_on_negative(monkeypatch):
-    monkeypatch.setattr(T, "lyapunov", lambda seq, z, n_steps=0: -1.0)
+    monkeypatch.setattr(T, "lyapunov",
+                        lambda seq, z, n_steps=0: np.full(np.shape(z), -1.0))
     grid = np.exp(1j * np.arange(16) * TWO_PI / 16)
     with pytest.warns(RuntimeWarning, match="n_steps"):
         T.estimate_Z(C.constant_seq(0.0), grid, 1000, 1e-2)
@@ -236,10 +237,10 @@ def test_arcs_from_grid_isolated_point():
     assert arcs.contains(angles[3])
 
 
-def test_cocycle_step_residuals(make_periodic):
+def test_step_determinants(make_periodic, rng):
     s = make_periodic(2)
-    z = unit(0.3)
-    step = T.CocycleStep(kind="szego", matrix=T.szego(s(0), z), z=z, site=0)
-    assert step.det_residual() < 1e-13
-    step2 = T.CocycleStep(kind="gz_odd", matrix=T.gz_step(s, 1, z), z=z, site=1)
-    assert step2.det_residual() < 1e-13
+    for _ in range(50):
+        z = unit(TWO_PI * rng.random())
+        n = int(rng.integers(-6, 7))
+        assert abs(np.linalg.det(T.szego(s(n), z)) - z) < 1e-13
+        assert abs(np.linalg.det(T.gz_step(s, n, z)) + 1.0) < 1e-13
