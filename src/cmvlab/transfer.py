@@ -172,10 +172,14 @@ def monodromy(seq: CoefficientSequence, q: int, z) -> np.ndarray:
 
 
 def _spectral_radius_2x2(m: np.ndarray) -> np.ndarray:
-    tr = m[..., 0, 0] + m[..., 1, 1]
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    disc = np.sqrt(tr * tr - 4.0 * det)
-    return np.maximum(np.abs((tr + disc) / 2.0), np.abs((tr - disc) / 2.0))
+    # eigenvalues mean +- sqrt(((a - d)/2)^2 + bc): tr^2/4 - det cancels
+    # catastrophically near a band edge, where tr ~ 2 hides a growth rate
+    # below machine epsilon
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    mean = (a + d) / 2.0
+    half_gap = (a - d) / 2.0
+    disc = np.sqrt(half_gap * half_gap + b * c)
+    return np.maximum(np.abs(mean + disc), np.abs(mean - disc))
 
 
 def lyapunov(

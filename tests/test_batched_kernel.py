@@ -74,6 +74,8 @@ def test_birkhoff_lyapunov_matches_per_point_products(seq, zs, n):
 
 @settings(max_examples=40, deadline=None)
 @given(seq=tables, zs=grids)
+# a rate far below machine epsilon relative to the trace: tr^2 - 4 det cancels
+@example(seq=C.periodic_table_seq([1e-9 + 0j]), zs=np.array([1.0 + 0j]))
 def test_periodic_lyapunov_matches_monodromy_eigenvalues(seq, zs):
     q = seq.period * (2 if seq.period % 2 else 1)
     got = T.lyapunov(seq, zs)
