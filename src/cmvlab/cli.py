@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import coefficients as coeffs
+from .coefficients import _as_float, _as_int
 from . import floquet, operator, qwalk, transfer, weyl
 from .errors import NumericalInstabilityError
 from .spectral_sets import CircleArcSet, TWO_PI
@@ -103,22 +104,13 @@ def _sequence_from_config(cfg: dict, seed: int) -> coeffs.CoefficientSequence:
         raise ValueError("config field 'sequence' must be an object")
     if d.get("kind") == "random_periodic":
         q = _as_int("sequence.q", d.get("q", 4))
-        radius = float(d.get("radius", 0.5))
+        radius = _as_float("sequence.radius", d.get("radius", 0.5))
         if not 0.0 <= radius < 1.0:
             raise ValueError(f"sequence.radius must lie in [0, 1), got {radius}")
         rng = np.random.default_rng(seed)
         vals = radius * rng.random(q) * np.exp(2j * math.pi * rng.random(q))
         return coeffs.periodic_table_seq(vals)
     return coeffs.sequence_from_spec(d)
-
-
-def _as_int(name: str, value) -> int:
-    """A config integer; lists, dicts, bools and non-integral floats are refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"config field '{name}' must be an integer, got {value!r}")
 
 
 def _require_even(name: str, value) -> int:
@@ -167,7 +159,7 @@ def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     n_steps = _as_int("n_steps", cfg.get("n_steps", 100_000))
     if n_steps < 1_000:
         raise ValueError(f"config field 'n_steps' must be >= 1000, got {n_steps}")
-    eps_L = float(cfg.get("epsilon_L", 1e-2))
+    eps_L = _as_float("epsilon_L", cfg.get("epsilon_L", 1e-2))
     if eps_L <= 0:
         raise ValueError(f"config field 'epsilon_L' must be positive, got {eps_L}")
 
@@ -203,7 +195,7 @@ def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     if grid_size < 8:
         raise ValueError(f"config field 'grid_size' must be >= 8, got {grid_size}")
     n_steps = _as_int("n_steps", cfg.get("n_steps", 100_000))
-    eps_L = float(cfg.get("epsilon_L", 1e-2))
+    eps_L = _as_float("epsilon_L", cfg.get("epsilon_L", 1e-2))
     resolution = _as_int("resolution", cfg.get("resolution", 4096))
 
     thetas = np.arange(grid_size) * (TWO_PI / grid_size)
@@ -307,19 +299,21 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     if any(t < 0 for t in record):
         raise ValueError("record_times must be nonnegative")
 
-    state0 = qwalk.WalkState.delta(site, spin)
-    walk = qwalk.build_walk(coins, (state0.n_lo, state0.n_hi), policy="absorb")
-
+    # one pass: each record time continues from the previous checkpoint
+    state = qwalk.WalkState.delta(site, spin)
+    t_done = 0
     dist_rows = []
     surv_rows = []
     for t in sorted(set(record + [steps])):
-        st = qwalk.evolve(state0, walk, t)
-        for j in range(st.n_lo, st.n_hi + 1):
-            p_plus = abs(st.amplitude(j, "+")) ** 2
-            p_minus = abs(st.amplitude(j, "-")) ** 2
+        walk = qwalk.build_walk(coins, (state.n_lo, state.n_hi), policy="absorb")
+        state = qwalk.evolve(state, walk, t - t_done)
+        t_done = t
+        for j in range(state.n_lo, state.n_hi + 1):
+            p_plus = abs(state.amplitude(j, "+")) ** 2
+            p_minus = abs(state.amplitude(j, "-")) ** 2
             if p_plus > 0 or p_minus > 0:
                 dist_rows.append((t, j, p_plus, p_minus))
-        surv_rows.append((t, qwalk.survival_probability(state0, walk, J, t)))
+        surv_rows.append((t, state.survival(J)))
     _write_csv(manifest, out_dir, "distribution.csv",
                ["t", "n", "p_plus", "p_minus"], dist_rows)
     _write_csv(manifest, out_dir, "survival.csv", ["t", "survival"], surv_rows)
@@ -341,20 +335,21 @@ def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     samples = _as_int("samples", cfg.get("samples", 32))
     dim = _as_int("dim", cfg.get("dim", 512))
     r_values = cfg.get("r_values", [0.9, 0.99])
+    if not isinstance(r_values, list):
+        raise ValueError(f"config field 'r_values' must be a list, got {r_values!r}")
+    r_values = [_as_float("r_values", r) for r in r_values]
     arcs_cfg = cfg.get("arc_set", "full")
     if arcs_cfg == "full":
         S = CircleArcSet.full_circle()
     else:
         S = CircleArcSet.from_arcs([(lo, hi) for lo, hi in arcs_cfg])
 
-    rows = []
     angles = S.sample(samples)
-    for r in r_values:
-        r = float(r)
-        for th in angles:
-            z = r * cmath.exp(1j * th)
-            mp, mm = weyl.M_coefficients(seq, k, z, dim)
-            rows.append((th, r, abs(mp + mm.conjugate())))
+    points = [(th, r) for r in r_values for th in angles]
+    z = np.array([r * cmath.exp(1j * th) for th, r in points])
+    mp, mm = weyl.M_coefficients(seq, k, z, dim)
+    defect = np.abs(mp + mm.conj())
+    rows = [(th, r, d) for (th, r), d in zip(points, defect)]
     _write_csv(manifest, out_dir, "weyl_defect.csv",
                ["theta", "r", "defect"], rows)
 
@@ -376,15 +371,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "limit-periodic reports, quantum walks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_threads = int(os.environ.get("CMVLAB_THREADS", "1"))
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=default_threads,
-                       help="accepted for compatibility (must be >= 1); sweeps "
-                            "run as one batched numpy pass")
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility (must be >= 1; default "
+                            "CMVLAB_THREADS or 1); sweeps run as one batched "
+                            "numpy pass")
         p.add_argument("--set", action="append", default=[], metavar="KEY=JSON",
                        help="override a config field, e.g. --set q=4")
     return parser
@@ -409,8 +404,15 @@ def main(argv=None) -> int:
             parameters=cfg,
             seed=args.seed,
         )
-        if args.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        threads = args.threads
+        if threads is None:
+            env = os.environ.get("CMVLAB_THREADS", "1")
+            try:
+                threads = int(env)
+            except ValueError:
+                raise ValueError(f"CMVLAB_THREADS must be an integer, got {env!r}") from None
+        if threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {threads}")
         _COMMANDS[args.command](cfg, manifest, args.out)
         manifest.write(args.out)
     except (ValueError, KeyError) as exc:

@@ -86,11 +86,11 @@ def constant_seq(a: complex) -> CoefficientSequence:
 
 def quasiperiodic_seq(lam: float, beta: float, theta: float) -> CoefficientSequence:
     """alpha_n = lam * exp(2*pi*i*(n*beta + theta)); no period metadata."""
-    lam = float(lam)
+    lam = _as_float("amplitude", lam)
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"amplitude must lie in [0, 1), got {lam}")
 
-    b, t = float(beta), float(theta)
+    b, t = _as_float("frequency", beta), _as_float("phase", theta)
 
     def fn(n: int) -> complex:
         return lam * cmath.exp(2j * math.pi * (n * b + t))
@@ -305,6 +305,22 @@ def sequence_to_spec(seq: CoefficientSequence) -> dict:
     return dict(seq.spec)
 
 
+def _as_int(name: str, value) -> int:
+    """A config integer; lists, dicts, bools and non-integral floats are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"config field '{name}' must be an integer, got {value!r}")
+
+
+def _as_float(name: str, value) -> float:
+    """A config number; lists, dicts, strings and bools are refused."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"config field '{name}' must be a number, got {value!r}")
+
+
 def _field(d: dict, name: str):
     """d[name], or a ValueError naming the missing field and the spec kind."""
     try:
@@ -318,14 +334,16 @@ def _field(d: dict, name: str):
 def family_from_spec(d: dict) -> LimitPeriodicFamily:
     if d.get("kind") != "pt_family":
         raise ValueError(f"expected kind 'pt_family', got {d.get('kind')!r}")
-    base_amp = float(_field(d, "base_amp"))
-    q0 = int(d.get("q0", 2))
-    levels = int(d.get("levels", 3))
+    base_amp = _as_float("base_amp", _field(d, "base_amp"))
+    q0 = _as_int("q0", d.get("q0", 2))
+    levels = _as_int("levels", d.get("levels", 3))
     dspec = d.get("decay")
+    if dspec is not None and not isinstance(dspec, dict):
+        raise ValueError(f"config field 'decay' must be an object, got {dspec!r}")
     if dspec is None or dspec.get("form") == "gaussian":
         decay = None
     elif dspec.get("form") == "geometric":
-        base = float(dspec.get("base", 4.0))
+        base = _as_float("decay.base", dspec.get("base", 4.0))
         if base <= 1.0:
             raise ValueError(f"geometric decay base must exceed 1, got {base}")
         decay = lambda n: base_amp * base ** (-(q0 * 2 ** (n + 1)))  # noqa: E731

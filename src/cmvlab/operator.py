@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,9 +41,6 @@ __all__ = [
     "norm_diff",
     "cmv_banded",
     "banded_matvec",
-    "matrix_to_json",
-    "matrix_from_json",
-    "nonzero_rows",
 ]
 
 BOUNDARIES = ("periodic_wrap", "half_line_left", "raw_cut")
@@ -159,6 +155,14 @@ def assemble_cmv(
     return BandedUnitary(offset, L.entries @ M.entries, boundary)
 
 
+def _values_at(seq: CoefficientSequence, m: np.ndarray) -> np.ndarray:
+    """seq at an integer array of sites, read through one ``window``."""
+    if m.size == 0:
+        return np.zeros(m.shape, dtype=complex)
+    lo = int(m.min())
+    return seq.window(lo, int(m.max()) + 1)[m - lo]
+
+
 def sieve(seq: CoefficientSequence) -> CoefficientSequence:
     """Interleave zeros: result(2j) = 0 and result(2j-1) = seq(j)."""
     if seq.period is not None:
@@ -170,6 +174,7 @@ def sieve(seq: CoefficientSequence) -> CoefficientSequence:
         sup_norm_bound=seq.sup_norm_bound,
         period=None,
         spec=None,
+        fn_array=lambda m: np.where(m % 2 == 0, 0j, _values_at(seq, (m + 1) // 2)),
     )
 
 
@@ -182,6 +187,7 @@ def shift_seq(seq: CoefficientSequence, by: int) -> CoefficientSequence:
         sup_norm_bound=seq.sup_norm_bound,
         period=None,
         spec=None,
+        fn_array=lambda n: _values_at(seq, n + by),
     )
 
 
@@ -192,34 +198,71 @@ def verify_sieve_square(seq: CoefficientSequence, dim: int) -> dict:
     and {1, 2} invariant; on the first class it acts as the CMV operator of
     the one-step-shifted sequence, and on the second as its transpose.
     Returns the leakage residuals of the two invariant subspaces and the
-    entrywise similarity residual.
+    entrywise similarity residual, computed on periodic-wrap windows in
+    banded form.
     """
     if dim % 4 != 0 or dim <= 0:
         raise ValueError(f"dim must be a positive multiple of 4, got {dim}")
-    hat = assemble_cmv(sieve(seq), 0, dim, "periodic_wrap")
-    W = hat.entries @ hat.entries
+    hat = cmv_banded(sieve(seq).window(0, dim), 0, "periodic_wrap")
+    ref = cmv_banded(shift_seq(seq, 1).window(0, dim // 2), 0, "periodic_wrap")
+    return _square_residuals(hat, ref)
 
-    idx = np.arange(dim)
-    x_mask = (idx % 4 == 0) | (idx % 4 == 3)
-    y_mask = ~x_mask
-    ix = idx[x_mask]
-    iy = idx[y_mask]
 
-    x_res = float(np.max(np.abs(W[np.ix_(iy, ix)])))
-    y_res = float(np.max(np.abs(W[np.ix_(ix, iy)])))
+def _square_residuals(hat: np.ndarray, ref: np.ndarray) -> dict:
+    """Leakage and similarity residuals of W = hat @ hat against ref.
 
-    ref = assemble_cmv(shift_seq(seq, 1), 0, dim // 2, "periodic_wrap").entries
-    wx = W[np.ix_(ix, ix)]
-    wy = W[np.ix_(iy, iy)]
-    sim = max(
-        float(np.max(np.abs(wx - ref))),
-        float(np.max(np.abs(wy.T - ref))),
-    )
+    ``hat`` (dim sites) and ``ref`` (dim / 2 sites) are periodic-wrap
+    windows in the cyclic banded form of ``cmv_banded``.  W is formed as the
+    25 products of hat's diagonals, giving its 9 diagonals.
+    """
+    n = hat.shape[1]
+    w = np.zeros((9, n), dtype=complex)
+    for s1 in range(-2, 3):
+        for s2 in range(-2, 3):
+            # W[j + s1 + s2, j] gains hat[j + s1 + s2, j + s2] * hat[j + s2, j]
+            w[4 + s1 + s2] += _mul(np.roll(hat[2 + s1], -s2), hat[2 + s2])
+    rows, cols, vals = _banded_entries(w)
+    in_x = np.isin(np.arange(n) % 4, (0, 3))
+    x_row, x_col = in_x[rows], in_x[cols]
+    absv = np.abs(vals)
+
+    r_rows, r_cols, r_vals = _banded_entries(ref)
+
+    def similarity(mask: np.ndarray, transpose: bool) -> float:
+        # site i sits at position i // 2 within its index class
+        i, j = rows[mask] // 2, cols[mask] // 2
+        if transpose:
+            i, j = j, i
+        _, _, diff = _coalesce(np.concatenate([i, r_rows]), np.concatenate([j, r_cols]),
+                               np.concatenate([vals[mask], -r_vals]), ref.shape[1])
+        return float(np.max(np.abs(diff), initial=0.0))
+
     return {
-        "X_invariant_residual": x_res,
-        "Y_invariant_residual": y_res,
-        "similarity_residual": sim,
+        "X_invariant_residual": float(np.max(absv[~x_row & x_col], initial=0.0)),
+        "Y_invariant_residual": float(np.max(absv[x_row & ~x_col], initial=0.0)),
+        "similarity_residual": max(similarity(x_row & x_col, False),
+                                   similarity(~x_row & ~x_col, True)),
     }
+
+
+def _banded_entries(ab: np.ndarray):
+    """Coalesced (rows, cols, values) of a cyclic banded matrix.
+
+    Row ``half + s`` of ``ab`` holds the entries (j + s mod n, j); windows
+    narrower than the band map several of them onto one entry.
+    """
+    half, n = ab.shape[0] // 2, ab.shape[1]
+    cols = np.tile(np.arange(n), ab.shape[0])
+    rows = (cols + np.repeat(np.arange(-half, half + 1), n)) % n
+    return _coalesce(rows, cols, ab.ravel(), n)
+
+
+def _coalesce(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    """Sum the values of duplicate (row, col) pairs of an n x n matrix."""
+    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+    out = np.zeros(keys.size, dtype=complex)
+    np.add.at(out, inverse, vals)
+    return keys // n, keys % n, out
 
 
 def norm_diff(
@@ -257,41 +300,74 @@ def norm_diff(
 # direct pentadiagonal construction (banded storage)
 # ---------------------------------------------------------------------------
 
-def cmv_banded(
-    alpha: Callable[[int], complex], lo: int, hi: int
-) -> np.ndarray:
-    """Banded (ab-form) CMV truncation to global indices [lo, hi].
+def _rho(a: np.ndarray) -> np.ndarray:
+    """sqrt(1 - |a|^2), rounded like the scalar ``theta``.
 
-    Entries come straight from the row formulas of the pentadiagonal matrix;
-    couplings across the cuts vanish whenever |alpha(lo-1)| = |alpha(hi)| = 1,
-    which is how the unitary half-line truncations are produced.  Returns the
-    (5, n) diagonal-ordered form used by scipy.linalg.solve_banded with
-    (l, u) = (2, 2): row u + i - j holds entry (i, j).
+    np.abs and x * x round differently from Python's abs() and x ** 2 in the
+    last bit; hypot and float_power call the same libm routines.
     """
-    n = hi - lo + 1
-    if n < 1:
-        raise ValueError("window must contain at least one site")
+    return np.sqrt(np.maximum(0.0, 1.0 - np.float_power(np.hypot(a.real, a.imag), 2.0)))
 
-    a = {m: complex(alpha(m)) for m in range(lo - 2, hi + 3)}
-    r = {m: math.sqrt(max(0.0, 1.0 - abs(v) ** 2)) for m, v in a.items()}
 
-    ab = np.zeros((5, n), dtype=complex)
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Complex product without fused multiply-add, rounded like Python's."""
+    return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
 
-    def put(i: int, j: int, v: complex) -> None:
-        if lo <= j <= hi and v != 0:
-            ab[2 + (i - lo) - (j - lo), j - lo] = v
 
-    for g in range(lo, hi + 1):
-        if g % 2 == 0:
-            put(g, g - 1, a[g].conjugate() * r[g - 1])
-            put(g, g, -a[g].conjugate() * a[g - 1])
-            put(g, g + 1, a[g + 1].conjugate() * r[g])
-            put(g, g + 2, r[g + 1] * r[g])
-        else:
-            put(g, g - 2, r[g - 1] * r[g - 2])
-            put(g, g - 1, -r[g - 1] * a[g - 2])
-            put(g, g, -a[g].conjugate() * a[g - 1])
-            put(g, g + 1, -r[g] * a[g - 1])
+def cmv_banded(alpha: np.ndarray, lo: int, boundary: str = "raw_cut") -> np.ndarray:
+    """Banded (ab-form) CMV window on the global sites [lo, hi].
+
+    ``raw_cut``: ``alpha`` holds alpha_m for m in [lo - 1, hi], and the
+    window is the plain restriction.  No coefficient further outside reaches
+    an entry inside it; setting alpha_{lo-1} = alpha_hi = -1 decouples both
+    cuts, which is how the unitary half-line truncations are produced.
+
+    ``periodic_wrap``: ``alpha`` holds alpha_m for m in [lo, hi] (an even
+    number of sites) and site indices are taken mod n; this is the window
+    ``assemble_cmv`` builds with the same boundary.
+
+    Entries come from the row formulas of the pentadiagonal matrix and are
+    returned in the (5, n) diagonal-ordered form: row 2 + i - j holds entry
+    (i, j), with i taken mod n for ``periodic_wrap``.  For ``raw_cut`` this
+    is the form scipy.linalg.solve_banded takes with (l, u) = (2, 2).
+    """
+    a = np.asarray(alpha, dtype=complex)
+    if boundary == "periodic_wrap":
+        n = a.size
+        if n < 2 or n % 2:
+            raise ValueError(f"periodic_wrap needs a positive even window, got {n} sites")
+        ext = np.concatenate([a[-2:], a, a[:1]])
+    elif boundary == "raw_cut":
+        n = a.size - 1
+        if n < 1:
+            raise ValueError("window must contain at least one site")
+        # alpha_{lo-2} and alpha_{hi+1} only reach entries outside the window
+        ext = np.concatenate([[0j], a, [0j]])
+    else:
+        raise ValueError("cmv_banded needs a periodic_wrap or raw_cut boundary")
+
+    # ext holds alpha over [lo - 2, hi + 1]
+    r = _rho(ext)
+    prev2, prev, cur, nxt = ext[:n], ext[1:n + 1], ext[2:n + 2], ext[3:]
+    r_prev2, r_prev, r_cur, r_nxt = r[:n], r[1:n + 1], r[2:n + 2], r[3:]
+    even = (lo + np.arange(n)) % 2 == 0
+
+    # by_row[2 + d, i] holds entry (i, i + d)
+    by_row = np.array([
+        np.where(even, 0.0, r_prev * r_prev2),
+        np.where(even, cur.conj() * r_prev, -r_prev * prev2),
+        _mul(-cur.conj(), prev),
+        np.where(even, nxt.conj() * r_cur, -r_cur * prev),
+        np.where(even, r_nxt * r_cur, 0.0),
+    ])
+
+    ab = np.empty((5, n), dtype=complex)
+    for d in range(-2, 3):
+        ab[2 - d] = np.roll(by_row[2 + d], d)
+    if boundary == "raw_cut":
+        for d in (1, 2):
+            ab[2 - d, :d] = 0.0
+            ab[2 + d, n - d:] = 0.0
     return ab
 
 
@@ -307,35 +383,3 @@ def banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
         else:
             y[: n + d] += row[-d:] * x[-d:]
     return y
-
-
-# ---------------------------------------------------------------------------
-# import/export
-# ---------------------------------------------------------------------------
-
-def matrix_to_json(U: BandedUnitary) -> dict:
-    return {
-        "offset": U.offset,
-        "dim": U.dim,
-        "boundary": U.boundary,
-        "entries": [[v.real, v.imag] for v in U.entries.ravel()],
-    }
-
-
-def matrix_from_json(d: dict) -> BandedUnitary:
-    dim = int(d["dim"])
-    flat = np.array([complex(re, im) for re, im in d["entries"]], dtype=complex)
-    if flat.size != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {flat.size}")
-    return BandedUnitary(int(d["offset"]), flat.reshape(dim, dim), d["boundary"])
-
-
-def nonzero_rows(U: BandedUnitary, tol: float = 0.0) -> list[tuple[int, int, float, float]]:
-    """Rows (i, j, re, im) of nonzero entries in global indices."""
-    out = []
-    for i in range(U.dim):
-        for j in range(U.dim):
-            v = U.entries[i, j]
-            if abs(v) > tol:
-                out.append((U.offset + i, U.offset + j, v.real, v.imag))
-    return out

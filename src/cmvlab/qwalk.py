@@ -136,6 +136,16 @@ class WalkState:
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
+    def survival(self, J: int) -> float:
+        """Probability of finding the walker in sites |j| <= J."""
+        if J < 0:
+            raise ValueError(f"J must be >= 0, got {J}")
+        total = 0.0
+        for j in range(-J, J + 1):
+            total += abs(self.amplitude(j, "+")) ** 2
+            total += abs(self.amplitude(j, "-")) ** 2
+        return total
+
     def padded(self, extra: int) -> "WalkState":
         W = self.amplitudes.shape[0]
         amp = np.zeros((W + 2 * extra, 2), dtype=complex)
@@ -260,12 +270,7 @@ def survival_probability(
     """Probability of finding the walker in sites |j| <= J at time t."""
     if J < 0:
         raise ValueError(f"J must be >= 0, got {J}")
-    final = evolve(state0, walk, t)
-    total = 0.0
-    for j in range(-J, J + 1):
-        total += abs(final.amplitude(j, "+")) ** 2
-        total += abs(final.amplitude(j, "-")) ** 2
-    return total
+    return evolve(state0, walk, t).survival(J)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +290,6 @@ class CMVRepresentation:
     matrix: np.ndarray
     window: tuple[int, int]
     residual: float
-
-    @staticmethod
-    def flat_index(site: int, spin: str) -> int:
-        if spin == "+":
-            return 2 * site + 1
-        if spin == "-":
-            return 2 * site + 2
-        raise ValueError("spin must be '+' or '-'")
 
 
 def _gauge_gamma(q: np.ndarray, site: int, tol: float = 1e-12) -> complex:

@@ -47,6 +47,16 @@ _STABILITY_TOL = 1e-8
 _SIGN_SLACK = -1e-8
 
 
+def _check_sign(re: np.ndarray, side: str) -> None:
+    """Refuse real parts of the wrong sign for the side (beyond the slack)."""
+    signed = re if side == "plus" else -re
+    bad = signed < _SIGN_SLACK
+    if np.any(bad):
+        raise NumericalInstabilityError(
+            f"Caratheodory sign violated on side {side}: Re = {re[bad][0]:.3e}"
+        )
+
+
 @dataclass(frozen=True)
 class CaratheodoryValue:
     """One evaluated Weyl coefficient with its truncation metadata."""
@@ -58,50 +68,53 @@ class CaratheodoryValue:
     truncation_dim: int
 
     def __post_init__(self):
-        signed = self.value.real if self.side == "plus" else -self.value.real
-        if signed < _SIGN_SLACK:
-            raise NumericalInstabilityError(
-                f"Caratheodory sign violated on side {self.side}: "
-                f"Re = {self.value.real:.3e}"
-            )
+        _check_sign(np.asarray(self.value.real), self.side)
 
 
-def _halfline_value(
-    seq: CoefficientSequence, k: int, z: complex, dim: int, side: str
-) -> complex:
-    """<delta_k, (E + z)(E - z)^{-1} delta_k> on one half-line window."""
+def _halfline_values(
+    seq: CoefficientSequence, k: int, z: np.ndarray, dim: int, side: str
+) -> np.ndarray:
+    """<delta_k, (E + z)(E - z)^{-1} delta_k> on one half-line window.
+
+    The window is built once; each point of the 1-d array z costs one
+    banded solve.
+    """
     if side == "plus":
-        lo, hi, loc = k, k + dim - 1, 0
-        cut_left, cut_right = k - 1, k + dim - 1
+        lo, loc = k, 0
     else:
-        lo, hi, loc = k - dim + 1, k, dim - 1
-        cut_left, cut_right = k - dim, k
-
-    def alpha(m: int) -> complex:
-        if m == cut_left or m == cut_right:
-            return -1.0 + 0j
-        return seq(m)
-
-    ab = cmv_banded(alpha, lo, hi)
-    shifted = ab.copy()
-    shifted[2, :] -= z  # main diagonal of E - z
+        lo, loc = k - dim + 1, dim - 1
+    # alpha over [lo - 1, lo + dim - 1], the two cut sites set to -1
+    ab = cmv_banded(np.concatenate([[-1.0], seq.window(lo, lo + dim - 1), [-1.0]]), lo)
     rhs = np.zeros(dim, dtype=complex)
     rhs[loc] = 1.0
-    x = scipy.linalg.solve_banded((2, 2), shifted, rhs)
-    y = banded_matvec(ab, x) + z * x  # (E + z) x
-    return complex(y[loc])
+    shifted = ab.copy()
+    out = np.empty(z.shape, dtype=complex)
+    for i, zi in enumerate(z):
+        shifted[2] = ab[2] - zi  # main diagonal of E - z
+        x = scipy.linalg.solve_banded((2, 2), shifted, rhs)
+        out[i] = (banded_matvec(ab, x) + zi * x)[loc]  # (E + z) x
+    return out
 
 
-def _certified(seq, k, z, dim, side) -> complex:
-    v1 = _halfline_value(seq, k, z, dim, side)
-    v2 = _halfline_value(seq, k, z, 2 * dim, side)
-    if abs(v1 - v2) >= _STABILITY_TOL:
+def _weyl_values(seq, k, z, dim, side) -> np.ndarray:
+    """Certified m_plus or (sign-flipped) m_minus values at a 1-d array z."""
+    if np.any(np.abs(z) >= 1.0 - _EDGE_MARGIN):
+        raise ValueError(f"|z| must be below 1 - 1e-6, got {np.abs(z).max()}")
+    if dim < 4:
+        raise ValueError(f"dim must be at least 4, got {dim}")
+    v1 = _halfline_values(seq, k, z, dim, side)
+    v2 = _halfline_values(seq, k, z, 2 * dim, side)
+    moved = np.abs(v1 - v2)
+    unstable = moved >= _STABILITY_TOL
+    if np.any(unstable):
         raise TruncationInstabilityError(
-            f"half-line value moved {abs(v1 - v2):.2e} when doubling the "
+            f"half-line value moved {moved[unstable].max():.2e} when doubling the "
             f"window (dim {dim} -> {2 * dim}); move z away from the circle "
             "or enlarge dim"
         )
-    return v1
+    val = -v1 if side == "minus" else v1
+    _check_sign(val.real, side)
+    return val
 
 
 def m_plus(
@@ -109,12 +122,8 @@ def m_plus(
 ) -> CaratheodoryValue:
     """Weyl coefficient of the right half-line based at site k."""
     z = complex(z)
-    if abs(z) >= 1.0 - _EDGE_MARGIN:
-        raise ValueError(f"|z| must be below 1 - 1e-6, got {abs(z)}")
-    if dim < 4:
-        raise ValueError(f"dim must be at least 4, got {dim}")
-    val = _certified(seq, k, z, dim, "plus")
-    return CaratheodoryValue(z=z, value=val, side="plus", base_site=k,
+    val = _weyl_values(seq, k, np.array([z]), dim, "plus")[0]
+    return CaratheodoryValue(z=z, value=complex(val), side="plus", base_site=k,
                              truncation_dim=dim)
 
 
@@ -123,34 +132,40 @@ def m_minus(
 ) -> CaratheodoryValue:
     """Weyl coefficient of the left half-line based at site k (sign-flipped)."""
     z = complex(z)
-    if abs(z) >= 1.0 - _EDGE_MARGIN:
-        raise ValueError(f"|z| must be below 1 - 1e-6, got {abs(z)}")
-    if dim < 4:
-        raise ValueError(f"dim must be at least 4, got {dim}")
-    val = -_certified(seq, k, z, dim, "minus")
-    return CaratheodoryValue(z=z, value=val, side="minus", base_site=k,
+    val = _weyl_values(seq, k, np.array([z]), dim, "minus")[0]
+    return CaratheodoryValue(z=z, value=complex(val), side="minus", base_site=k,
                              truncation_dim=dim)
 
 
-def _m_minus_to_M(alpha_k: complex, m2: complex) -> complex:
+def _m_minus_to_M(alpha_k: complex, m2):
     one_minus = 1.0 - alpha_k.conjugate()
     one_plus = 1.0 + alpha_k.conjugate()
     num = one_minus.real + 1j * one_plus.imag * m2
     den = 1j * one_minus.imag + one_plus.real * m2
-    if abs(den) < 1e-12:
+    small = np.abs(den) < 1e-12
+    if np.any(small):
         raise WeylDenominatorError(
-            f"M_minus denominator is numerically zero (|den| = {abs(den):.2e})"
+            f"M_minus denominator is numerically zero "
+            f"(|den| = {np.abs(den).min():.2e})"
         )
     return num / den
 
 
-def M_coefficients(
-    seq: CoefficientSequence, k: int, z: complex, dim: int = 512
-) -> tuple[complex, complex]:
-    """The pair (M_plus, M_minus) at (z, k)."""
-    mp = m_plus(seq, k - 1, z, dim).value
-    m2 = m_minus(seq, k - 2, z, dim).value
-    return mp, _m_minus_to_M(complex(seq(k)), m2)
+def M_coefficients(seq: CoefficientSequence, k: int, z, dim: int = 512):
+    """The pair (M_plus, M_minus) at (z, k).
+
+    z is a scalar (complex pair out) or a 1-d array (two arrays out); the
+    four half-line windows are built once for all points.
+    """
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise ValueError(f"z must be a scalar or a 1-d array, got shape {zs.shape}")
+    pts = zs.reshape(-1)
+    mp = _weyl_values(seq, k - 1, pts, dim, "plus")
+    mm = _m_minus_to_M(complex(seq(k)), _weyl_values(seq, k - 2, pts, dim, "minus"))
+    if zs.ndim == 0:
+        return complex(mp[0]), complex(mm[0])
+    return mp, mm
 
 
 def reflectionless_defect(
@@ -172,11 +187,6 @@ def reflectionless_defect(
         raise ValueError(f"samples must be at least 16, got {samples}")
     if S.is_empty():
         raise ValueError("sample set is empty")
-    angles = S.sample(samples)
-
-    worst = 0.0
-    for th in angles:
-        z = r * cmath.exp(1j * th)
-        mp, mm = M_coefficients(seq, k, z, dim)
-        worst = max(worst, abs(mp + mm.conjugate()))
-    return worst
+    z = np.array([r * cmath.exp(1j * th) for th in S.sample(samples)])
+    mp, mm = M_coefficients(seq, k, z, dim)
+    return float(np.max(np.abs(mp + mm.conj())))

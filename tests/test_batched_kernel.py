@@ -191,7 +191,11 @@ SEQUENCES = {
     "pt_stage_2": _PT.stages[2],
     "sieve_periodic": O.sieve(C.periodic_table_seq([0.3, -0.2j])),
     "sieve_quasiperiodic": O.sieve(C.quasiperiodic_seq(0.4, 0.2, 0.1)),
+    "shift_quasiperiodic": O.shift_seq(C.quasiperiodic_seq(0.4, 0.2, 0.1), -7),
     "raw_fn": C.CoefficientSequence(fn=_scalar_only, sup_norm_bound=0.3),
+    "sieve_raw_fn": O.sieve(C.CoefficientSequence(fn=_scalar_only, sup_norm_bound=0.3)),
+    "shift_sieve_raw_fn": O.shift_seq(
+        O.sieve(C.CoefficientSequence(fn=_scalar_only, sup_norm_bound=0.3)), 3),
 }
 
 
@@ -200,6 +204,8 @@ SEQUENCES = {
 @given(lo=st.integers(-3000, 3000), length=st.integers(0, 300))
 def test_window_equals_pointwise_values(name, lo, length):
     seq = SEQUENCES[name]
+    # every constructor but a raw scalar fn reads its window in one array call
+    assert (seq.fn_array is None) == (name == "raw_fn")
     got = seq.window(lo, lo + length)
     assert got.dtype == complex and got.shape == (length,)
     np.testing.assert_array_equal(got, [seq(n) for n in range(lo, lo + length)])

@@ -283,3 +283,80 @@ def test_spec_missing_field_is_named(tmp_path, capsys):
     assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "quasiperiodic" in err and "'phase'" in err
+
+
+def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
+    from cmvlab import cli, qwalk
+
+    gammas = [[0.3, 0.4], [-0.5, 0.1], [0.0, 0.7], [0.6, -0.6]]
+    cfg = write_config(tmp_path, "w.json", {
+        "coins": {"kind": "cgmv_table", "gammas": gammas},
+        "initial": {"site": 2, "spin": "-"},
+        "steps": 97, "survival_J": 4, "record_times": [0, 1, 13, 40, 41],
+    })
+    out = tmp_path / "out"
+    assert main(["walk", "--config", cfg, "--out", str(out)]) == 0
+
+    # the reference evolves every record time from t = 0 on its own
+    vals = [complex(re, im) for re, im in gammas]
+    coins = qwalk.cgmv_coins(lambda n: vals[n % 4], period=4)
+    state0 = qwalk.WalkState.delta(2, "-")
+    walk = qwalk.build_walk(coins, (state0.n_lo, state0.n_hi), policy="absorb")
+    dist = ["# manifest: manifest.json", "t,n,p_plus,p_minus"]
+    surv = ["# manifest: manifest.json", "t,survival"]
+    for t in (0, 1, 13, 40, 41, 97):
+        st = qwalk.evolve(state0, walk, t)
+        for j in range(st.n_lo, st.n_hi + 1):
+            pp = abs(st.amplitude(j, "+")) ** 2
+            pm = abs(st.amplitude(j, "-")) ** 2
+            if pp > 0 or pm > 0:
+                dist.append(",".join(cli._fmt(v) for v in (t, j, pp, pm)))
+        surv.append(",".join(cli._fmt(v) for v in
+                             (t, qwalk.survival_probability(state0, walk, 4, t))))
+    assert (out / "distribution.csv").read_text() == "\n".join(dist) + "\n"
+    assert (out / "survival.csv").read_text() == "\n".join(surv) + "\n"
+
+
+@pytest.mark.parametrize("command, config, field", [
+    ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "q0": [2]}}, "q0"),
+    ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "levels": [3]}},
+     "levels"),
+    ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "base_amp": "0.1"}},
+     "base_amp"),
+    ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"],
+                                           "decay": {"form": "geometric", "base": [4]}}},
+     "decay.base"),
+    ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "decay": 4}},
+     "decay"),
+    ("lyapunov", {"sequence": {"kind": "quasiperiodic", "amplitude": 0.5,
+                               "frequency": [0.3], "phase": 0.0},
+                  "grid_size": 8, "n_steps": 1000}, "frequency"),
+    ("lyapunov", {"sequence": {"kind": "quasiperiodic", "amplitude": {"a": 1},
+                               "frequency": 0.3, "phase": 0.0},
+                  "grid_size": 8, "n_steps": 1000}, "amplitude"),
+    ("lyapunov", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                  "grid_size": 8, "n_steps": 1000, "epsilon_L": [0.01]}, "epsilon_L"),
+    ("sieve-check", {"sequence": {"kind": "random_periodic", "q": 4, "radius": [0.5]},
+                     "dim": 16}, "sequence.radius"),
+    ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                     "samples": 16, "dim": 64, "r_values": [[0.9]]}, "r_values"),
+    ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                     "samples": 16, "dim": 64, "r_values": 0.9}, "r_values"),
+])
+def test_non_numeric_spec_fields_exit_2(tmp_path, capsys, command, config, field):
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_threads_env_not_an_integer_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CMVLAB_THREADS", "abc")
+    cfg = write_config(tmp_path, "l.json", {
+        "sequence": {"kind": "constant", "value": [0.0, 0.0]},
+        "grid_size": 8, "n_steps": 1000,
+    })
+    assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "CMVLAB_THREADS" in capsys.readouterr().err
+    # an explicit --threads does not read the variable
+    assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", "2"]) == 0

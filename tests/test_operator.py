@@ -1,8 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmvlab import coefficients as C
 from cmvlab import operator as O
@@ -247,13 +248,10 @@ def test_norm_diff_window_validation():
 
 def test_banded_matches_halfline(make_periodic):
     s = make_periodic(4, radius=0.6)
+    alpha = s.window(-1, 16)  # sites -1..15
+    alpha[0] = alpha[-1] = -1.0  # the cut sites -1 and 15
 
-    def alpha(m):
-        if m in (-1, 15):
-            return -1.0 + 0j
-        return s(m)
-
-    ab = O.cmv_banded(alpha, 0, 15)
+    ab = O.cmv_banded(alpha, 0)
     dense = np.zeros((16, 16), dtype=complex)
     for d in range(-2, 3):
         for j in range(16):
@@ -266,11 +264,10 @@ def test_banded_matches_halfline(make_periodic):
 
 def test_banded_matvec_matches_dense(make_periodic, rng):
     s = make_periodic(3, radius=0.5)
+    alpha = s.window(-1, 12)
+    alpha[0] = alpha[-1] = -1.0
 
-    def alpha(m):
-        return -1.0 + 0j if m in (-1, 11) else s(m)
-
-    ab = O.cmv_banded(alpha, 0, 11)
+    ab = O.cmv_banded(alpha, 0)
     dense = np.zeros((12, 12), dtype=complex)
     for d in range(-2, 3):
         for j in range(12):
@@ -280,24 +277,149 @@ def test_banded_matvec_matches_dense(make_periodic, rng):
     np.testing.assert_allclose(O.banded_matvec(ab, x), dense @ x, atol=1e-14)
 
 
-def test_matrix_json_round_trip(make_periodic):
-    e = O.assemble_cmv(make_periodic(2), 0, 8)
-    back = O.matrix_from_json(json.loads(json.dumps(O.matrix_to_json(e))))
-    assert back.offset == e.offset and back.boundary == e.boundary
-    np.testing.assert_allclose(back.entries, e.entries, atol=0)
-
-
-def test_nonzero_rows_offsets(make_periodic):
-    e = O.assemble_cmv(make_periodic(2), 4, 8)
-    rows = O.nonzero_rows(e)
-    assert rows
-    for i, j, re, im in rows:
-        assert 4 <= i < 12 and 4 <= j < 12
-        assert complex(re, im) == e.entries[i - 4, j - 4]
-
-
 def test_banded_unitary_rejects_off_band():
     bad = np.zeros((8, 8), dtype=complex)
     bad[0, 4] = 1.0
     with pytest.raises(ValueError):
         O.BandedUnitary(0, bad, "raw_cut")
+
+
+# ---------------------------------------------------------------------------
+# banded windows against dense and scalar oracles
+# ---------------------------------------------------------------------------
+
+disk_tables = st.lists(
+    st.builds(lambda r, t: r * np.exp(2j * np.pi * t), st.floats(0.0, 0.95), st.floats(0.0, 1.0)),
+    min_size=1, max_size=8,
+).map(C.periodic_table_seq)
+
+
+def banded_to_dense(ab, wrap):
+    """Entry (i, j) from ab[2 + i - j, j]; wrapped entries add up mod n."""
+    n = ab.shape[1]
+    dense = np.zeros((n, n), dtype=complex)
+    for s in range(-2, 3):
+        for j in range(n):
+            if wrap:
+                dense[(j + s) % n, j] += ab[2 + s, j]
+            elif 0 <= j + s < n:
+                dense[j + s, j] = ab[2 + s, j]
+    return dense
+
+
+def dense_square_residuals(E, ref):
+    """The dense L @ M reference: W = E @ E read through index masks."""
+    W = E @ E
+    idx = np.arange(E.shape[0])
+    x_mask = (idx % 4 == 0) | (idx % 4 == 3)
+    ix, iy = idx[x_mask], idx[~x_mask]
+    return {
+        "X_invariant_residual": float(np.max(np.abs(W[np.ix_(iy, ix)]))),
+        "Y_invariant_residual": float(np.max(np.abs(W[np.ix_(ix, iy)]))),
+        "similarity_residual": max(
+            float(np.max(np.abs(W[np.ix_(ix, ix)] - ref))),
+            float(np.max(np.abs(W[np.ix_(iy, iy)].T - ref))),
+        ),
+    }
+
+
+def dense_sieve_residuals(seq, dim):
+    return dense_square_residuals(
+        O.assemble_cmv(O.sieve(seq), 0, dim, "periodic_wrap").entries,
+        O.assemble_cmv(O.shift_seq(seq, 1), 0, dim // 2, "periodic_wrap").entries,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=disk_tables, lo=st.integers(-9, 9), n=st.integers(1, 20))
+def test_banded_raw_cut_matches_row_formulas_bitwise(seq, lo, n):
+    hi = lo + n - 1
+    ab = O.cmv_banded(seq.window(lo - 1, hi + 1), lo)
+    oracle = np.zeros((n, n), dtype=complex)
+    for g in range(lo, hi + 1):
+        cols, vals = expected_interior_row(seq, g)
+        for c, v in zip(cols, vals):
+            if lo <= c <= hi:
+                oracle[g - lo, c - lo] = v
+    assert np.array_equal(banded_to_dense(ab, wrap=False), oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=disk_tables, offset=st.integers(-9, 9), dim=st.sampled_from([2, 4, 6, 8, 12]))
+def test_banded_periodic_wrap_matches_dense(seq, offset, dim):
+    window = seq.window(offset, offset + dim)
+    got = banded_to_dense(O.cmv_banded(window, offset, "periodic_wrap"), wrap=True)
+    # the row formulas of the window's periodic extension, indices mod dim
+    cyclic = C.periodic_table_seq(np.roll(window, offset))
+    oracle = np.zeros((dim, dim), dtype=complex)
+    for g in range(offset, offset + dim):
+        cols, vals = expected_interior_row(cyclic, g)
+        for c, v in zip(cols, vals):
+            oracle[g - offset, (c - offset) % dim] += v
+    assert np.max(np.abs(got - oracle)) <= 1e-15
+    if offset % 2 == 0:
+        dense = O.assemble_cmv(seq, offset, dim, "periodic_wrap").entries
+        assert np.max(np.abs(got - dense)) <= 1e-15
+
+
+def test_cmv_banded_validations():
+    with pytest.raises(ValueError):
+        O.cmv_banded(np.zeros(3), 0, "periodic_wrap")  # odd window
+    with pytest.raises(ValueError):
+        O.cmv_banded(np.zeros(1), 0)  # raw_cut needs alpha_{lo-1} plus a site
+    with pytest.raises(ValueError):
+        O.cmv_banded(np.zeros(4), 0, "half_line_left")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seq=disk_tables, dim=st.sampled_from([4, 8, 12, 16, 40]))
+def test_banded_sieve_square_matches_dense(seq, dim):
+    got = O.verify_sieve_square(seq, dim)
+    want = dense_sieve_residuals(seq, dim)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-15, key
+
+
+def test_banded_sieve_square_matches_dense_at_2048(make_periodic):
+    s = make_periodic(8, radius=0.8)
+    got = O.verify_sieve_square(s, 2048)
+    want = dense_sieve_residuals(s, 2048)
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-15, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(seq=disk_tables, dim=st.sampled_from([4, 8, 12, 16, 40]))
+def test_square_residuals_of_unsieved_operator_match_dense(seq, dim):
+    # without sieving W leaks between the index classes, so the residuals
+    # are O(1) and a value pinned to 0 would fail
+    shifted = O.shift_seq(seq, 1)
+    got = O._square_residuals(
+        O.cmv_banded(seq.window(0, dim), 0, "periodic_wrap"),
+        O.cmv_banded(shifted.window(0, dim // 2), 0, "periodic_wrap"),
+    )
+    want = dense_square_residuals(
+        O.assemble_cmv(seq, 0, dim, "periodic_wrap").entries,
+        O.assemble_cmv(shifted, 0, dim // 2, "periodic_wrap").entries,
+    )
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-14, key
+
+
+def test_unsieved_leakage_is_nonzero():
+    s = C.periodic_table_seq([0.5, 0.3j, -0.2, 0.4 + 0.1j])
+    got = O._square_residuals(
+        O.cmv_banded(s.window(0, 16), 0, "periodic_wrap"),
+        O.cmv_banded(O.shift_seq(s, 1).window(0, 8), 0, "periodic_wrap"),
+    )
+    assert min(got.values()) > 1e-2
+
+
+def test_verify_sieve_square_builds_no_dense_window(monkeypatch):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("verify_sieve_square must stay banded")
+
+    monkeypatch.setattr(O, "assemble_cmv", no_dense)
+    res = O.verify_sieve_square(C.quasiperiodic_seq(0.6, 0.3, 0.1), 64)
+    assert max(res.values()) < 1e-14

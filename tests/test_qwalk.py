@@ -116,15 +116,6 @@ def test_to_cmv_reports_offending_site():
     assert err.value.site == 3
 
 
-def test_ordering_map():
-    rep = Q.to_cmv(Q.identity_coins(), window=(0, 3))
-    assert rep.flat_index(0, "+") == 1
-    assert rep.flat_index(0, "-") == 2
-    assert rep.flat_index(2, "+") == 5
-    with pytest.raises(ValueError):
-        rep.flat_index(0, "z")
-
-
 def test_scattering_surrogate_decreasing():
     st = Q.WalkState.delta(0, "+")
     walk = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi), policy="absorb")

@@ -118,3 +118,117 @@ def test_caratheodory_value_validation():
     with pytest.raises(NumericalInstabilityError):
         W.CaratheodoryValue(z=0.1, value=-0.5 + 0j, side="plus",
                             base_site=0, truncation_dim=64)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the per-point algorithm
+# ---------------------------------------------------------------------------
+
+def _rho(a):
+    return math.sqrt(max(0.0, 1.0 - abs(a) ** 2))
+
+
+def _halfline_oracle(seq, k, z, dim, side):
+    """One point at a time: the window rebuilt site by site from the row
+    formulas, one banded solve, then (E + z) x read at the base site."""
+    import scipy.linalg
+
+    if side == "plus":
+        lo, hi, loc = k, k + dim - 1, 0
+    else:
+        lo, hi, loc = k - dim + 1, k, dim - 1
+    a = {m: (-1.0 + 0j if m in (lo - 1, hi) else complex(seq(m)))
+         for m in range(lo - 2, hi + 3)}
+    r = {m: _rho(v) for m, v in a.items()}
+    dense = np.zeros((dim, dim), dtype=complex)
+    for g in range(lo, hi + 1):
+        if g % 2 == 0:
+            row = {g - 1: a[g].conjugate() * r[g - 1], g: -a[g].conjugate() * a[g - 1],
+                   g + 1: a[g + 1].conjugate() * r[g], g + 2: r[g + 1] * r[g]}
+        else:
+            row = {g - 2: r[g - 1] * r[g - 2], g - 1: -r[g - 1] * a[g - 2],
+                   g: -a[g].conjugate() * a[g - 1], g + 1: -r[g] * a[g - 1]}
+        for col, v in row.items():
+            if lo <= col <= hi:
+                dense[g - lo, col - lo] = v
+    ab = np.zeros((5, dim), dtype=complex)
+    for d in range(-2, 3):
+        for j in range(dim):
+            if 0 <= j + d < dim:
+                ab[2 + d, j] = dense[j + d, j]
+    shifted = ab.copy()
+    shifted[2] -= z
+    rhs = np.zeros(dim, dtype=complex)
+    rhs[loc] = 1.0
+    x = scipy.linalg.solve_banded((2, 2), shifted, rhs)
+    return complex((dense @ x + z * x)[loc])
+
+
+def _M_oracle(seq, k, z, dim):
+    mp = _halfline_oracle(seq, k - 1, z, dim, "plus")
+    m2 = -_halfline_oracle(seq, k - 2, z, dim, "minus")
+    a = complex(seq(k)).conjugate()
+    num = (1.0 - a).real + 1j * (1.0 + a).imag * m2
+    den = 1j * (1.0 - a).imag + (1.0 + a).real * m2
+    return mp, num / den
+
+
+@pytest.mark.parametrize("k", [0, 3, -2])
+def test_batched_M_coefficients_match_per_point_oracle(rng, k):
+    for q in (1, 3, 4):
+        vals = 0.6 * rng.random(q) * np.exp(2j * math.pi * rng.random(q))
+        s = C.periodic_table_seq(vals)
+        z = 0.8 * rng.random(12) ** 0.5 * np.exp(2j * math.pi * rng.random(12))
+        mp, mm = W.M_coefficients(s, k, z, dim=128)
+        assert mp.shape == mm.shape == (12,)
+        for i, zi in enumerate(z):
+            op, om = _M_oracle(s, k, zi, 128)
+            assert abs(mp[i] - op) <= 1e-14
+            assert abs(mm[i] - om) <= 1e-14 * max(1.0, abs(om))
+
+
+def test_batched_M_coefficients_scalar_in_scalar_out(make_periodic):
+    s = make_periodic(3, radius=0.5)
+    z = 0.4 * cmath.exp(0.3j)
+    mp, mm = W.M_coefficients(s, 1, z, dim=128)
+    assert isinstance(mp, complex) and isinstance(mm, complex)
+    bp, bm = W.M_coefficients(s, 1, np.array([z, -z]), dim=128)
+    assert bp[0] == mp and bm[0] == mm
+
+
+def test_batched_M_coefficients_build_four_windows(monkeypatch, make_periodic):
+    calls = []
+    real = W.cmv_banded
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].size)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(W, "cmv_banded", counting)
+    z = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, 40))
+    W.M_coefficients(make_periodic(2), 0, z, dim=64)
+    # plus and minus half-lines at dim and 2 * dim, each with the cut site
+    assert sorted(calls) == [65, 65, 129, 129]
+
+
+def test_batched_M_coefficients_keep_per_point_checks():
+    good = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, 8))
+    # one point too close to the circle for a 64-site window
+    with pytest.raises(TruncationInstabilityError):
+        W.M_coefficients(FREE, 0, np.append(good, 0.99), dim=64)
+    with pytest.raises(ValueError, match="below 1"):
+        W.M_coefficients(FREE, 0, np.append(good, 1.0), dim=64)
+    with pytest.raises(ValueError, match="dim"):
+        W.M_coefficients(FREE, 0, good, dim=2)
+    with pytest.raises(ValueError, match="1-d"):
+        W.M_coefficients(FREE, 0, good.reshape(2, 4), dim=64)
+    with pytest.raises(WeylDenominatorError):
+        W._m_minus_to_M(0.0 + 0j, np.array([1.0 + 0j, 1e-13 + 0j]))
+
+
+def test_batched_sign_check_names_the_side():
+    from cmvlab.errors import NumericalInstabilityError
+
+    with pytest.raises(NumericalInstabilityError, match="side minus"):
+        W._check_sign(np.array([-1.0, 0.2]), "minus")
+    W._check_sign(np.array([-1.0, -0.2]), "minus")
