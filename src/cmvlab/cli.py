@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import coefficients as coeffs
-from .coefficients import _as_float, _as_int
+from .coefficients import _as_complex, _as_float, _as_int
 from . import floquet, operator, qwalk, transfer, weyl
 from .errors import NumericalInstabilityError
 from .spectral_sets import CircleArcSet, TWO_PI
@@ -257,7 +257,7 @@ def _coins_from_config(cfg: dict) -> qwalk.CoinSequence:
         gs = d.get("gammas")
         if not isinstance(gs, list) or not gs:
             raise ValueError("coins.gammas must be a nonempty list")
-        vals = [complex(re, im) for re, im in gs]
+        vals = [_as_complex("coins.gammas", g) for g in gs]
         p = len(vals)
         return qwalk.cgmv_coins(lambda n: vals[n % p], period=p)
     raise ValueError(f"unknown coins kind {kind!r}")
@@ -287,6 +287,8 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     if steps < 0:
         raise ValueError(f"config field 'steps' must be >= 0, got {steps}")
     init = cfg.get("initial", {"site": 0, "spin": "+"})
+    if not isinstance(init, dict):
+        raise ValueError(f"config field 'initial' must be an object, got {init!r}")
     site = _as_int("initial.site", init.get("site", 0))
     spin = init.get("spin", "+")
     if spin not in ("+", "-"):
@@ -295,6 +297,8 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     record = cfg.get("record_times")
     if record is None:
         record = sorted({steps // 4, steps // 2, steps}) if steps else [0]
+    if not isinstance(record, list):
+        raise ValueError(f"config field 'record_times' must be a list, got {record!r}")
     record = [_as_int("record_times", t) for t in record]
     if any(t < 0 for t in record):
         raise ValueError("record_times must be nonnegative")
@@ -341,8 +345,13 @@ def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     arcs_cfg = cfg.get("arc_set", "full")
     if arcs_cfg == "full":
         S = CircleArcSet.full_circle()
+    elif isinstance(arcs_cfg, list) and all(
+            isinstance(a, list) and len(a) == 2 for a in arcs_cfg):
+        S = CircleArcSet.from_arcs([(_as_float("arc_set", lo), _as_float("arc_set", hi))
+                                    for lo, hi in arcs_cfg])
     else:
-        S = CircleArcSet.from_arcs([(lo, hi) for lo, hi in arcs_cfg])
+        raise ValueError("config field 'arc_set' must be \"full\" or a list of "
+                         f"[lo, hi] pairs, got {arcs_cfg!r}")
 
     angles = S.sample(samples)
     points = [(th, r) for r in r_values for th in angles]

@@ -321,6 +321,13 @@ def _as_float(name: str, value) -> float:
     raise ValueError(f"config field '{name}' must be a number, got {value!r}")
 
 
+def _as_complex(name: str, pair) -> complex:
+    """A config [re, im] pair of numbers."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"config field '{name}' must be an [re, im] pair, got {pair!r}")
+    return complex(_as_float(name, pair[0]), _as_float(name, pair[1]))
+
+
 def _field(d: dict, name: str):
     """d[name], or a ValueError naming the missing field and the spec kind."""
     try:
@@ -355,13 +362,15 @@ def family_from_spec(d: dict) -> LimitPeriodicFamily:
 def sequence_from_spec(d: dict) -> CoefficientSequence:
     kind = d.get("kind")
     if kind == "constant":
-        re, im = _field(d, "value")
-        return constant_seq(complex(re, im))
+        return constant_seq(_as_complex("value", _field(d, "value")))
     if kind == "quasiperiodic":
         return quasiperiodic_seq(_field(d, "amplitude"), _field(d, "frequency"),
                                  _field(d, "phase"))
     if kind == "periodic_table":
-        return periodic_table_seq([complex(re, im) for re, im in _field(d, "values")])
+        values = _field(d, "values")
+        if not isinstance(values, list):
+            raise ValueError(f"config field 'values' must be a list, got {values!r}")
+        return periodic_table_seq([_as_complex("values", v) for v in values])
     if kind == "pt_family":
         return family_from_spec(d).limit
     raise ValueError(f"unknown sequence kind {kind!r}")

@@ -163,6 +163,19 @@ def test_weyl_defect(tmp_path):
     assert max(float(r[2]) for r in rows) < 1e-9
 
 
+def test_weyl_defect_on_listed_arcs(tmp_path):
+    cfg = write_config(tmp_path, "w.json", {
+        "sequence": {"kind": "periodic_table", "values": [[0.3, 0.1], [-0.2, 0.4]]},
+        "k": 1, "samples": 16, "dim": 512, "r_values": [0.9, 0.92],
+        "arc_set": [[0.5, 1.0], [2.0, 2.5]],
+    })
+    out = tmp_path / "out"
+    assert main(["weyl-defect", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "weyl_defect.csv")
+    assert [r[1] for r in rows] == ["0.90000000000000002"] * 16 + ["0.92000000000000004"] * 16
+    assert all(0.5 <= float(r[0]) <= 1.0 or 2.0 <= float(r[0]) <= 2.5 for r in rows)
+
+
 def test_set_override(tmp_path):
     cfg = write_config(tmp_path, "b.json", {
         "sequence": {"kind": "constant", "value": [0.3, 0.0]},
@@ -342,8 +355,25 @@ def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
                      "samples": 16, "dim": 64, "r_values": [[0.9]]}, "r_values"),
     ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
                      "samples": 16, "dim": 64, "r_values": 0.9}, "r_values"),
+    ("sieve-check", {"sequence": {"kind": "constant", "value": ["a", 0]}, "dim": 8},
+     "value"),
+    ("sieve-check", {"sequence": {"kind": "periodic_table", "values": [[0.1, [0]]]},
+                     "dim": 8}, "values"),
+    ("sieve-check", {"sequence": {"kind": "periodic_table", "values": 0.3}, "dim": 8},
+     "values"),
+    ("walk", {"coins": {"kind": "cgmv_table", "gammas": [["x", 0]]}, "steps": 4},
+     "coins.gammas"),
+    ("walk", {"coins": {"kind": "hadamard"}, "steps": 4, "initial": [0]}, "initial"),
+    ("walk", {"coins": {"kind": "hadamard"}, "steps": 4, "record_times": 2},
+     "record_times"),
+    ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                     "samples": 16, "dim": 64, "r_values": [0.9], "arc_set": 5},
+     "arc_set"),
+    ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                     "samples": 16, "dim": 64, "r_values": [0.9],
+                     "arc_set": [[0.0, [1.0]]]}, "arc_set"),
 ])
-def test_non_numeric_spec_fields_exit_2(tmp_path, capsys, command, config, field):
+def test_malformed_config_fields_exit_2(tmp_path, capsys, command, config, field):
     cfg = write_config(tmp_path, "c.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"'{field}'" in capsys.readouterr().err
