@@ -138,12 +138,12 @@ def m_minus(
 
 
 def _m_minus_to_M(alpha_k: complex, m2):
+    """M_minus from the sign-flipped m_minus value(s) m2."""
     one_minus = 1.0 - alpha_k.conjugate()
     one_plus = 1.0 + alpha_k.conjugate()
     num = one_minus.real + 1j * one_plus.imag * m2
     den = 1j * one_minus.imag + one_plus.real * m2
-    small = np.abs(den) < 1e-12
-    if np.any(small):
+    if np.any(np.abs(den) < 1e-12):
         raise WeylDenominatorError(
             f"M_minus denominator is numerically zero "
             f"(|den| = {np.abs(den).min():.2e})"
