@@ -121,6 +121,17 @@ def _require_even(name: str, value) -> int:
     return value
 
 
+def _lyapunov_fields(cfg: dict) -> tuple[int, float]:
+    """Birkhoff length and zero-set threshold of a Lyapunov sweep."""
+    n_steps = _as_int("n_steps", cfg.get("n_steps", 100_000))
+    if n_steps < 1_000:
+        raise ValueError(f"config field 'n_steps' must be >= 1000, got {n_steps}")
+    eps_L = _as_float("epsilon_L", cfg.get("epsilon_L", 1e-2))
+    if eps_L <= 0:
+        raise ValueError(f"config field 'epsilon_L' must be positive, got {eps_L}")
+    return n_steps, eps_L
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -131,7 +142,6 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     k_points = _as_int("k_points", cfg.get("k_points", 64))
     if k_points < 2:
         raise ValueError(f"config field 'k_points' must be >= 2, got {k_points}")
-    resolution = _as_int("resolution", cfg.get("resolution", 4096))
 
     # strictly interior k grid (band eigenvalues may degenerate at 0 and pi/q)
     ks = [(j + 0.5) * (math.pi / q) / k_points for j in range(k_points)]
@@ -144,7 +154,7 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     _write_csv(manifest, out_dir, "bands.csv",
                ["q", "n", "k", "re_z", "im_z", "re_dzdk", "im_dzdk"], rows)
 
-    arcs = floquet.periodic_spectrum(seq, q, resolution=resolution)
+    arcs = floquet.periodic_spectrum(seq, q)
     _write_json(manifest, out_dir, "band_arcs.json",
                 {**arcs.to_json(), "measure": arcs.measure(), "q": q})
     _write_csv(manifest, out_dir, "band_arcs.csv", ["lo", "hi"],
@@ -156,12 +166,7 @@ def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     grid_size = _as_int("grid_size", cfg.get("grid_size", 512))
     if grid_size < 8:
         raise ValueError(f"config field 'grid_size' must be >= 8, got {grid_size}")
-    n_steps = _as_int("n_steps", cfg.get("n_steps", 100_000))
-    if n_steps < 1_000:
-        raise ValueError(f"config field 'n_steps' must be >= 1000, got {n_steps}")
-    eps_L = _as_float("epsilon_L", cfg.get("epsilon_L", 1e-2))
-    if eps_L <= 0:
-        raise ValueError(f"config field 'epsilon_L' must be positive, got {eps_L}")
+    n_steps, eps_L = _lyapunov_fields(cfg)
 
     thetas = np.arange(grid_size) * (TWO_PI / grid_size)
     vals = transfer.lyapunov(seq, np.exp(1j * thetas), n_steps)
@@ -194,9 +199,7 @@ def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     grid_size = _as_int("grid_size", cfg.get("grid_size", 4096))
     if grid_size < 8:
         raise ValueError(f"config field 'grid_size' must be >= 8, got {grid_size}")
-    n_steps = _as_int("n_steps", cfg.get("n_steps", 100_000))
-    eps_L = _as_float("epsilon_L", cfg.get("epsilon_L", 1e-2))
-    resolution = _as_int("resolution", cfg.get("resolution", 4096))
+    n_steps, eps_L = _lyapunov_fields(cfg)
 
     thetas = np.arange(grid_size) * (TWO_PI / grid_size)
     vals = transfer.lyapunov(family.limit, np.exp(1j * thetas), n_steps)
@@ -206,10 +209,10 @@ def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     levels = []
     stage_arcs = []
     for qn, stage in zip(periods, family.stages):
-        arcs_n = floquet.periodic_spectrum(stage, qn, resolution=resolution)
+        arcs_n = floquet.periodic_spectrum(stage, qn)
         stage_arcs.append(arcs_n)
         per2q = coeffs.periodize(family.limit, 2 * qn)
-        sigma_2q = floquet.periodic_spectrum(per2q, 2 * qn, resolution=resolution)
+        sigma_2q = floquet.periodic_spectrum(per2q, 2 * qn)
         levels.append({
             "q": qn,
             "sigma_measure": arcs_n.measure(),
@@ -270,7 +273,7 @@ def _coin_matrix(m, site: int) -> np.ndarray:
              [complex(*m[1][0]), complex(*m[1][1])]],
             dtype=complex,
         )
-    except (TypeError, IndexError, ValueError):
+    except (TypeError, IndexError, KeyError, ValueError):
         raise ValueError(
             f"coin at site {site} is malformed: expected a 2x2 table of "
             "[re, im] pairs"

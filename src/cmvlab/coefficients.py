@@ -170,16 +170,6 @@ class LimitPeriodicFamily:
             ps.append(s.period)
         return tuple(ps)
 
-    def stage_deviations(self, half_width: int) -> list[float]:
-        """sup_{|j| <= half_width} |stage_n(j) - limit(j)| for each stage."""
-        out = []
-        for s in self.stages:
-            dev = max(
-                abs(s(j) - self.limit(j)) for j in range(-half_width, half_width + 1)
-            )
-            out.append(dev)
-        return out
-
 
 def pastur_tkachenko_family(
     base_amp: float,

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .coefficients import CoefficientSequence
 from .errors import DegenerateBandError, NumericalInstabilityError
@@ -44,6 +42,7 @@ __all__ = [
 ]
 
 _GAP_TOL = 1e-8
+_EDGE_TOL = 1e-8  # |discriminant(edge) - level| certificate
 
 
 @dataclass(frozen=True)
@@ -175,81 +174,32 @@ def discriminant(seq: CoefficientSequence, q: int, theta) -> float | np.ndarray:
     return float(tr.real) if np.ndim(theta) == 0 else tr.real
 
 
-def _bisect_edges(
-    seq: CoefficientSequence, q: int, lo: np.ndarray, hi: np.ndarray,
-    level: np.ndarray, flo: np.ndarray, tol: float,
-) -> np.ndarray:
-    """Halve every bracket [lo, hi] of discriminant = level in lockstep.
-
-    flo is discriminant - level at lo; each halving is one batched
-    discriminant call over the brackets still wider than tol.
-    """
-    while True:
-        act = np.flatnonzero(hi - lo > tol)
-        if act.size == 0:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo[act] + hi[act])
-        fm = discriminant(seq, q, mid) - level[act]
-        same = (flo[act] <= 0) == (fm <= 0)
-        lo[act[same]], flo[act[same]] = mid[same], fm[same]
-        hi[act[~same]] = mid[~same]
-
-
-def periodic_spectrum(
-    seq: CoefficientSequence,
-    q: int,
-    resolution: int = 4096,
-    angle_tol: float = 1e-10,
-    cross_validate: bool = True,
-    k_points: int = 129,
-) -> CircleArcSet:
+def periodic_spectrum(seq: CoefficientSequence, q: int) -> CircleArcSet:
     """Band arcs {z on the circle : trace of the monodromy in [-2, 2]}.
 
-    Band edges are located by bisection on the discriminant to ``angle_tol``;
-    the result is cross-validated against the union of twisted-restriction
-    eigenvalues over a k-grid, warning when the two methods drift apart by
-    more than ten grid cells.
+    The 2q band edges are the eigenvalues of E_q(0), where the discriminant
+    is +2, and of E_q(pi/q), where it is -2.  Sorted by angle, a cell between
+    edges of different levels is a band and a cell between edges of the same
+    level is a gap; a closed gap has two equal edges and its neighbouring
+    arcs fuse.  Every edge is certified by one batched discriminant call:
+    NumericalInstabilityError if any edge misses its level by more than 1e-8.
     """
     _check_q(seq, q)
-    if resolution < 8:
-        raise ValueError(f"resolution must be at least 8, got {resolution}")
-    thetas = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
-    disc = discriminant(seq, q, thetas)
-
-    # grid cells whose ends straddle the level +2 or -2 bracket one edge each
-    brackets = []
-    for level in (2.0, -2.0):
-        g = disc - level
-        below = g <= 0
-        i = np.flatnonzero(below != np.roll(below, -1))
-        brackets.append((thetas[i], np.full(i.size, level), g[i]))
-    lo, level, flo = (np.concatenate(b) for b in zip(*brackets))
-    hi = lo + (thetas[1] - thetas[0])
-    edges = np.sort(_bisect_edges(seq, q, lo, hi, level, flo, angle_tol) % TWO_PI)
-
-    # classification slack: keeps hairline cells produced by tangential
-    # discriminant touches (closed gaps) inside the band set
-    slack = 1e-12
-    if edges.size == 0:
-        inside = np.abs(disc) <= 2.0 + slack
-        result = CircleArcSet.full_circle() if inside.all() else CircleArcSet.empty()
-    else:
-        cell_lo = edges
-        cell_hi = np.append(edges[1:], edges[0] + TWO_PI)
-        mid = 0.5 * (cell_lo + cell_hi)
-        inside = np.abs(discriminant(seq, q, mid % TWO_PI)) <= 2.0 + slack
-        result = CircleArcSet.from_arcs(np.column_stack([cell_lo, cell_hi])[inside])
-
-    if cross_validate:
-        other = band_arcs_from_kgrid(seq, q, k_points)
-        dh = result.hausdorff(other)
-        if dh > 10.0 * (TWO_PI / resolution):
-            warnings.warn(
-                f"discriminant and k-grid band sets disagree (Hausdorff {dh:.2e})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return result
+    z = np.concatenate([np.linalg.eigvals(floquet_operator(seq, q, k))
+                        for k in (0.0, math.pi / q)])
+    edges = np.angle(z) % TWO_PI
+    level = np.repeat([2.0, -2.0], q)
+    miss = np.abs(discriminant(seq, q, edges) - level)
+    if miss.max() > _EDGE_TOL:
+        raise NumericalInstabilityError(
+            f"band edge misses its discriminant level by {miss.max():.2e} "
+            f"(tolerance {_EDGE_TOL:.0e})"
+        )
+    order = np.argsort(edges, kind="stable")
+    edges, level = edges[order], level[order]
+    band = level != np.roll(level, -1)
+    hi = np.append(edges[1:], edges[0] + TWO_PI)
+    return CircleArcSet.from_arcs(np.column_stack([edges, hi])[band])
 
 
 def band_arcs_from_kgrid(
@@ -264,6 +214,8 @@ def band_arcs_from_kgrid(
     _check_q(seq, q)
     if k_points < 2:
         raise ValueError(f"k_points must be at least 2, got {k_points}")
+    import scipy.optimize  # test oracle only: keep it off the CLI start-up
+
     ks = np.linspace(0.0, math.pi / q, k_points)
     prev = None
     tracks = None

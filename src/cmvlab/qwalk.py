@@ -21,7 +21,7 @@ fixed and cyclic for spectral checks.  States are immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -155,20 +155,33 @@ class WalkState:
 
 @dataclass(frozen=True)
 class WalkOperator:
-    """U = S Q on a windowed space with a declared boundary policy."""
+    """U = S Q on a windowed space with a declared boundary policy.
+
+    ``table`` holds the (W, 2, 2) coins of the window, read and checked for
+    unitarity once at construction.
+    """
 
     coins: CoinSequence
     n_lo: int
     n_hi: int
     policy: str  # "wrap" | "absorb"
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.policy not in ("wrap", "absorb"):
             raise ValueError("policy must be 'wrap' or 'absorb'")
         if self.n_hi < self.n_lo:
             raise ValueError("window must be nonempty")
-        for n in range(self.n_lo, self.n_hi + 1):
-            self.coins.check_unitary(n)
+        table = np.stack([self.coins(n) for n in range(self.n_lo, self.n_hi + 1)])
+        res = np.max(np.abs(table @ table.conj().swapaxes(1, 2) - np.eye(2)),
+                     axis=(1, 2))
+        bad = np.flatnonzero(res > _UNITARY_TOL)
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(f"coin at site {self.n_lo + j} is not unitary "
+                             f"(residual {res[j]:.2e})")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     @property
     def width(self) -> int:
@@ -178,8 +191,7 @@ class WalkOperator:
         """Dense 2W x 2W matrix, site-major ordering (n,+), (n,-)."""
         W = self.width
         U = np.zeros((2 * W, 2 * W), dtype=complex)
-        for j in range(W):
-            q = self.coins(self.n_lo + j)
+        for j, q in enumerate(self.table):
             for spin_in in (0, 1):
                 col = 2 * j + spin_in
                 up, down = q[0, spin_in], q[1, spin_in]
@@ -193,14 +205,10 @@ class WalkOperator:
                     U[2 * jm + 1, col] += down
         return U
 
-    def step(self, state: WalkState, coin_table: Optional[np.ndarray] = None
-             ) -> WalkState:
+    def step(self, state: WalkState) -> WalkState:
         if state.n_lo != self.n_lo or state.n_hi != self.n_hi:
             raise ValueError("state window must match the operator window")
-        psi = state.amplitudes
-        if coin_table is None:
-            coin_table = self.coin_table()
-        mixed = np.einsum("jab,jb->ja", coin_table, psi)
+        mixed = np.einsum("jab,jb->ja", self.table, state.amplitudes)
         out = np.empty_like(mixed)
         if self.policy == "wrap":
             out[:, 0] = np.roll(mixed[:, 0], 1)
@@ -217,11 +225,6 @@ class WalkOperator:
                     "enlarge the window"
                 )
         return WalkState(n_lo=state.n_lo, amplitudes=out)
-
-    def coin_table(self) -> np.ndarray:
-        return np.stack(
-            [self.coins(n) for n in range(self.n_lo, self.n_hi + 1)], axis=0
-        )
 
 
 def build_walk(
@@ -253,9 +256,8 @@ def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
     else:
         grown = state
         op = walk
-    table = op.coin_table()
     for _ in range(t):
-        grown = op.step(grown, coin_table=table)
+        grown = op.step(grown)
     drift = abs(grown.norm2() - 1.0)
     if drift > 1e-9 * max(t, 1):
         raise NumericalInstabilityError(

@@ -171,8 +171,7 @@ def test_05_discriminant_eigen_consistency():
     for q in (2, 4):
         for _ in range(5):
             s = rand_seq(rng, q, radius=0.6)
-            disc = F.periodic_spectrum(s, q, resolution=4096,
-                                       cross_validate=False)
+            disc = F.periodic_spectrum(s, q)
             kgrid = F.band_arcs_from_kgrid(s, q, 256)
             worst = max(worst, disc.hausdorff(kgrid))
     ok = worst < TWO_PI / 1024
@@ -200,9 +199,8 @@ def test_07_sieving_spectrum():
     for i in range(10):
         q = 2 if i % 2 == 0 else 4
         s = rand_seq(rng, q, radius=0.6)
-        base = F.periodic_spectrum(s, q, resolution=4096, cross_validate=False)
-        hat = F.periodic_spectrum(O.sieve(s), 2 * q, resolution=4096,
-                                  cross_validate=False)
+        base = F.periodic_spectrum(s, q)
+        hat = F.periodic_spectrum(O.sieve(s), 2 * q)
         worst_h = max(worst_h, hat.hausdorff(base.preimage_double()))
         res = O.verify_sieve_square(s, 8 * q)
         worst_res = max(worst_res, max(res.values()))
@@ -245,8 +243,7 @@ def test_09_periodic_approximation_surrogate():
         diffs = []
         for qn in fam.periods():
             per = C.periodize(fam.limit, 2 * qn)
-            sigma = F.periodic_spectrum(per, 2 * qn, resolution=8192,
-                                        cross_validate=False)
+            sigma = F.periodic_spectrum(per, 2 * qn)
             diffs.append(sigma.diff_measure(z_est))
         nonincreasing = all(b <= a + 1e-9 for a, b in zip(diffs, diffs[1:]))
         ok = ok and diffs[-1] < 0.05 and nonincreasing
@@ -259,7 +256,7 @@ def test_10_positive_measure_surrogate():
     fam = C.pastur_tkachenko_family(0.1, q0=2, levels=3)
     periods = fam.periods()
     measures = [
-        F.periodic_spectrum(s, q, resolution=8192, cross_validate=False).measure()
+        F.periodic_spectrum(s, q).measure()
         for s, q in zip(fam.stages, periods)
     ]
     verdict = C.lp_sum_criterion(fam, 0, measures[0])

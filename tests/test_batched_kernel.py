@@ -166,7 +166,7 @@ def test_batched_discriminant_flags_complex_trace(monkeypatch):
 def test_band_edges_are_floquet_eigenvalues(values, half):
     seq = C.periodic_table_seq(values)
     q = 2 * half * seq.period
-    arcs = F.periodic_spectrum(seq, q, resolution=512, cross_validate=False)
+    arcs = F.periodic_spectrum(seq, q)
     if arcs.is_full() or arcs.is_empty():
         return
     # Delta = +-2 exactly at the eigenvalues of E_q(0) and E_q(pi/q)

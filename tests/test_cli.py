@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +29,7 @@ def read_csv(path):
 def test_bands_run(tmp_path, capsys):
     cfg = write_config(tmp_path, "bands.json", {
         "sequence": {"kind": "constant", "value": [0.5, 0.0]},
-        "q": 2, "k_points": 8, "resolution": 1024,
+        "q": 2, "k_points": 8,
     })
     out = tmp_path / "out"
     assert main(["bands", "--config", cfg, "--out", str(out)]) == 0
@@ -99,7 +103,6 @@ def test_approx_report(tmp_path):
         "family": {"kind": "pt_family", "base_amp": 0.1, "q0": 2, "levels": 2,
                    "decay": {"form": "geometric", "base": 4.0}},
         "grid_size": 2048, "n_steps": 5000, "epsilon_L": 0.01, "k": 0,
-        "resolution": 1024,
     })
     out = tmp_path / "out"
     assert main(["approx", "--config", cfg, "--out", str(out)]) == 0
@@ -135,6 +138,27 @@ def test_walk_run_and_malformed_coin(tmp_path, capsys):
     rc = main(["walk", "--config", bad, "--out", str(tmp_path / "o2")])
     assert rc == 2
     assert "site 1" in capsys.readouterr().err
+
+
+def test_walk_coin_given_as_object_is_malformed(tmp_path, capsys):
+    cfg = write_config(tmp_path, "w.json", {
+        "coins": {"kind": "table", "matrices": [{"a": 1}]}, "steps": 4,
+    })
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "coin at site 0 is malformed" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize serves only the k-grid test oracle; importing it costs
+    # every CLI start about 0.2 s
+    import cmvlab
+
+    src = str(Path(cmvlab.__file__).resolve().parents[1])
+    code = "import sys, cmvlab.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_sieve_check(tmp_path):
@@ -179,7 +203,7 @@ def test_weyl_defect_on_listed_arcs(tmp_path):
 def test_set_override(tmp_path):
     cfg = write_config(tmp_path, "b.json", {
         "sequence": {"kind": "constant", "value": [0.3, 0.0]},
-        "q": 2, "k_points": 4, "resolution": 512,
+        "q": 2, "k_points": 4,
     })
     out = tmp_path / "out"
     assert main(["bands", "--config", cfg, "--out", str(out),
@@ -238,7 +262,7 @@ def test_random_periodic_sequence_uses_seed(tmp_path):
 APPROX_SMALL = {
     "family": {"kind": "pt_family", "base_amp": 0.1, "q0": 2, "levels": 2,
                "decay": {"form": "geometric", "base": 4.0}},
-    "grid_size": 64, "n_steps": 1000, "epsilon_L": 0.01, "resolution": 64,
+    "grid_size": 64, "n_steps": 1000, "epsilon_L": 0.01,
 }
 
 
@@ -257,11 +281,33 @@ def test_approx_rejects_stage_index_before_any_sweep(tmp_path, capsys, monkeypat
     assert "'k'" in err and "0..2" in err
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("n_steps", 10, ">= 1000"),
+    ("epsilon_L", -1, "positive"),
+    ("epsilon_L", 0.0, "positive"),
+])
+def test_approx_checks_sweep_fields_like_lyapunov(tmp_path, capsys, monkeypatch,
+                                                  field, value, reason):
+    from cmvlab import floquet, transfer
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("sweep fields must be checked before any sweep")
+
+    monkeypatch.setattr(transfer, "lyapunov", no_compute)
+    monkeypatch.setattr(floquet, "periodic_spectrum", no_compute)
+    bad = {**APPROX_SMALL, "k": 0, field: value}
+    for command in ("approx", "lyapunov"):
+        cfg = write_config(tmp_path, "a.json", {
+            **bad, "sequence": {"kind": "constant", "value": [0.0, 0.0]}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err and reason in err
+
+
 @pytest.mark.parametrize("command, config, override, field", [
     ("bands", {"sequence": {"kind": "constant", "value": [0.3, 0.0]}, "q": 2},
      "q=[4]", "q"),
-    ("bands", {"sequence": {"kind": "constant", "value": [0.3, 0.0]}, "q": 2},
-     'resolution={"n": 64}', "resolution"),
+    ("approx", APPROX_SMALL, "n_steps=[1000]", "n_steps"),
     ("lyapunov", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
                   "grid_size": 8, "n_steps": 1000}, "grid_size=8.5", "grid_size"),
     ("lyapunov", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},

@@ -1,14 +1,17 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmvlab import coefficients as C
 from cmvlab import floquet as F
 from cmvlab import operator as O
-from cmvlab.errors import DegenerateBandError
-from cmvlab.spectral_sets import TWO_PI
+from cmvlab.errors import DegenerateBandError, NumericalInstabilityError
+from cmvlab.spectral_sets import CircleArcSet, TWO_PI
 
 
 def unit(theta):
@@ -143,19 +146,19 @@ def test_band_derivative_fd_sweep(make_periodic):
 
 
 def test_periodic_spectrum_free_full():
-    out = F.periodic_spectrum(C.constant_seq(0.0), 2, resolution=512)
+    out = F.periodic_spectrum(C.constant_seq(0.0), 2)
     assert out.is_full()
 
 
 def test_periodic_spectrum_constant_half_closed_form():
-    out = F.periodic_spectrum(C.constant_seq(0.5), 2, resolution=2048)
+    out = F.periodic_spectrum(C.constant_seq(0.5), 2)
     assert out.arcs.shape == (1, 2)
     assert out.arcs[0][0] == pytest.approx(math.pi / 3, abs=1e-9)
     assert out.arcs[0][1] == pytest.approx(5 * math.pi / 3, abs=1e-9)
 
 
 def test_periodic_spectrum_vs_dense_window():
-    out = F.periodic_spectrum(C.constant_seq(0.5), 2, resolution=2048)
+    out = F.periodic_spectrum(C.constant_seq(0.5), 2)
     e = O.assemble_cmv(C.constant_seq(0.5), 0, 512)
     angles = np.angle(np.linalg.eigvals(e.entries)) % TWO_PI
     inside = np.array([out.contains(a, tol=1e-3) for a in angles])
@@ -167,27 +170,16 @@ def test_periodic_spectrum_vs_dense_window():
 
 def test_periodic_spectrum_sieved_is_preimage(make_periodic):
     for s in (C.constant_seq(0.5), make_periodic(2, radius=0.6)):
-        base = F.periodic_spectrum(s, 2, resolution=4096)
-        hat = F.periodic_spectrum(O.sieve(s), 4, resolution=4096)
+        base = F.periodic_spectrum(s, 2)
+        hat = F.periodic_spectrum(O.sieve(s), 4)
         assert hat.hausdorff(base.preimage_double()) < 1e-8
 
 
 def test_periodic_spectrum_cross_validation_consistency(make_periodic):
     s = make_periodic(4, radius=0.6)
-    disc = F.periodic_spectrum(s, 4, resolution=2048, cross_validate=False)
+    disc = F.periodic_spectrum(s, 4)
     kgrid = F.band_arcs_from_kgrid(s, 4, 129)
     assert disc.hausdorff(kgrid) < TWO_PI / 2048
-
-
-def test_periodic_spectrum_flags_disagreement(monkeypatch):
-    from cmvlab.spectral_sets import CircleArcSet
-
-    monkeypatch.setattr(
-        F, "band_arcs_from_kgrid",
-        lambda seq, q, k_points=129: CircleArcSet.from_arcs([(0.0, 1e-6)]),
-    )
-    with pytest.warns(RuntimeWarning, match="disagree"):
-        F.periodic_spectrum(C.constant_seq(0.5), 2, resolution=512)
 
 
 def test_monodromy_bound_free():
@@ -229,3 +221,101 @@ def test_monodromy_bound_near_edge():
 def test_monodromy_bound_rejects_gap():
     with pytest.raises(ValueError):
         F.monodromy_bound_check(C.constant_seq(0.5), 2, unit(0.0))
+
+
+# ---------------------------------------------------------------------------
+# band edges from E_q(0) and E_q(pi/q): independent oracles
+# ---------------------------------------------------------------------------
+
+README_PT = {"kind": "pt_family", "base_amp": 0.1, "q0": 2, "levels": 3,
+             "decay": {"form": "geometric", "base": 4.0}}
+
+
+def mp_gaps(seq, q, dps=30):
+    """Gaps of sigma(E_q) from dps-digit eigenvalues of E_q(0), E_q(pi/q).
+
+    The blocks repeat the formulas of ``floquet_blocks`` in mpmath; at
+    k = 0 and k = pi/q the corner phases e^{-+ikq} are exactly +1 and -1.
+    Gaps narrower than 1e-12 (the arc merge tolerance) are dropped: the
+    rounding of the coefficients to doubles opens some closed gaps by a few
+    1e-15, below what any double-precision edge can resolve.
+    """
+    with mpmath.workdps(dps):
+        def block(a):
+            a = mpmath.mpc(a)
+            rho = mpmath.sqrt(1 - abs(a) ** 2)
+            return a.conjugate(), rho, -a
+
+        edges = []
+        for phase, level in ((1, 2), (-1, -2)):
+            L, M = mpmath.zeros(q), mpmath.zeros(q)
+            for s in range(q - 1):
+                B = L if s % 2 == 0 else M
+                B[s, s], B[s, s + 1], B[s + 1, s + 1] = block(seq(s))
+                B[s + 1, s] = B[s, s + 1]
+            a_bar, rho, minus_a = block(seq(q - 1))
+            M[0, 0], M[q - 1, q - 1] = minus_a, a_bar
+            M[0, q - 1] = M[q - 1, 0] = phase * rho
+            for z in mpmath.eig(L * M, left=False, right=False):
+                edges.append((mpmath.arg(z) % (2 * mpmath.pi), level))
+        edges.sort()
+        gaps = []
+        for (lo, la), (hi, lb) in zip(edges, edges[1:] + [edges[0]]):
+            if hi < lo:
+                hi += 2 * mpmath.pi
+            if la == lb and hi - lo > 1e-12:
+                gaps.append((float(lo), float(hi)))
+    return CircleArcSet.from_arcs(gaps)
+
+
+def test_readme_family_gaps_match_30_digit_edges():
+    fam = C.family_from_spec(README_PT)
+    measures = []
+    narrowest = math.inf
+    for s, q in zip(fam.stages, fam.periods()):
+        out = F.periodic_spectrum(s, q)
+        want = mp_gaps(s, q)
+        got = out.complement()
+        assert got.arcs.shape == want.arcs.shape
+        np.testing.assert_allclose(got.arcs, want.arcs, rtol=0, atol=1e-12)
+        narrowest = min(narrowest, np.min(np.diff(want.arcs, axis=1)))
+        measures.append(out.measure())
+    assert all(b < a for a, b in zip(measures, measures[1:]))
+    # the finest stages open gaps far below any affordable angle grid
+    assert narrowest < 1e-10
+
+
+disk95 = st.builds(
+    lambda r, t: r * cmath.exp(2j * math.pi * t),
+    st.floats(0.0, 0.95), st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(disk95, min_size=1, max_size=8))
+def test_doubled_period_closes_its_new_gaps(values):
+    # sigma(E_2q) = sigma(E_q): every gap the doubling adds is closed
+    seq = C.periodic_table_seq(values)
+    q = 2 * seq.period
+    assert F.periodic_spectrum(seq, q).hausdorff(F.periodic_spectrum(seq, 2 * q)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(values=st.lists(disk95, min_size=1, max_size=8))
+def test_wrap_window_eigenvalues_lie_in_the_bands(values):
+    seq = C.periodic_table_seq(values)
+    q = 2 * seq.period
+    arcs = F.periodic_spectrum(seq, q)
+    e = O.assemble_cmv(seq, 0, 4 * q, "periodic_wrap")
+    for z in np.linalg.eigvals(e.entries):
+        assert arcs.contains(np.angle(z), tol=1e-10)
+
+
+def test_periodic_spectrum_certifies_every_edge(monkeypatch):
+    s = C.periodize(C.constant_seq(0.5), 4)
+    exact = F.discriminant
+    F.periodic_spectrum(s, 4)
+    monkeypatch.setattr(F, "discriminant",
+                        lambda seq, q, theta: exact(seq, q, theta) + 1e-6)
+    with pytest.raises(NumericalInstabilityError, match="1.00e-06"):
+        F.periodic_spectrum(s, 4)

@@ -45,6 +45,25 @@ def test_build_walk_rejects_non_unitary():
         Q.build_walk(bad, (0, 3))
 
 
+@pytest.mark.parametrize("bad_site, residual", [(3, 1e-12), (-2, 0.5)])
+def test_walk_names_the_first_non_unitary_interior_coin(bad_site, residual):
+    # unitary everywhere but at bad_site (and at a later site), just above
+    # the 1e-13 tolerance in the first case
+    h = Q.hadamard_coins()(0)
+
+    def fn(n):
+        return h * (1.0 + residual) if n in (bad_site, 6) else h
+
+    coins = Q.CoinSequence(fn=fn)
+    with pytest.raises(ValueError, match=f"coin at site {bad_site} is not unitary"):
+        Q.build_walk(coins, (-5, 8), policy="absorb")
+    # a residual of 1e-14 passes, and the stored table is the coins read once
+    ok = Q.CoinSequence(fn=lambda n: h * (1.0 + 5e-15) if n == bad_site else h)
+    walk = Q.build_walk(ok, (-5, 8), policy="wrap")
+    assert walk.table.shape == (14, 2, 2)
+    assert np.array_equal(walk.table[bad_site + 5], ok(bad_site))
+
+
 def test_survival_examples():
     st = Q.WalkState.delta(0, "+")
     shift = Q.build_walk(Q.identity_coins(), (st.n_lo, st.n_hi), policy="absorb")
