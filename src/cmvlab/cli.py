@@ -169,16 +169,27 @@ def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     n_steps, eps_L = _lyapunov_fields(cfg)
 
     thetas = np.arange(grid_size) * (TWO_PI / grid_size)
-    vals = transfer.lyapunov(seq, np.exp(1j * thetas), n_steps)
+    with transfer.half_orbit_estimates() as half:
+        vals = transfer.lyapunov(seq, np.exp(1j * thetas), n_steps)
     _write_csv(manifest, out_dir, "lyapunov.csv",
                ["theta", "L", "N", "epsilon"],
                [(t, v, n_steps, eps_L) for t, v in zip(thetas, vals)])
-    _write_json(manifest, out_dir, "lyapunov.json", {
+    report = {
         "theta": [float(t) for t in thetas],
         "L": [float(v) for v in vals],
         "N": n_steps,
         "epsilon_L": eps_L,
-    })
+    }
+    if half:  # Birkhoff estimates: compare with the same pass at N' < N
+        n_half, half_vals = half[0]
+        delta = np.abs(vals - half_vals)
+        i = int(np.argmax(delta))
+        report["diagnostics"] = {
+            "half_N": n_half,
+            "max_abs_delta": {"value": float(delta[i]), "theta": float(thetas[i])},
+            "zero_set_flips": int(np.sum((vals < eps_L) != (half_vals < eps_L))),
+        }
+    _write_json(manifest, out_dir, "lyapunov.json", report)
     z_arcs = transfer.arcs_from_grid(thetas, vals, eps_L)
     _write_json(manifest, out_dir, "zero_set.json",
                 {**z_arcs.to_json(), "measure": z_arcs.measure(),

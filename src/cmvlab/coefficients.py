@@ -63,11 +63,16 @@ class CoefficientSequence:
         a = self(n)
         return math.sqrt(max(0.0, 1.0 - (a.real * a.real + a.imag * a.imag)))
 
-    def window(self, lo: int, hi: int) -> np.ndarray:
-        """Values alpha_n for n in [lo, hi)."""
+    def window(self, lo, hi: Optional[int] = None) -> np.ndarray:
+        """Values alpha_n for n in [lo, hi), or, without hi, at the integer array lo.
+
+        The result has the shape of the sites read.
+        """
+        sites = np.arange(lo, hi) if hi is not None else np.asarray(lo)
         if self.fn_array is not None:
-            return np.asarray(self.fn_array(np.arange(lo, hi)), dtype=complex)
-        return np.array([self.fn(n) for n in range(lo, hi)], dtype=complex)
+            return np.asarray(self.fn_array(sites), dtype=complex)
+        vals = [self.fn(n) for n in sites.ravel().tolist()]
+        return np.array(vals, dtype=complex).reshape(sites.shape)
 
 
 def constant_seq(a: complex) -> CoefficientSequence:

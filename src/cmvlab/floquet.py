@@ -161,11 +161,14 @@ def band_derivative(
 def discriminant(seq: CoefficientSequence, q: int, theta) -> float | np.ndarray:
     """Real monodromy trace at z = exp(i*theta); imaginary part must vanish.
 
-    A scalar theta gives a float, a 1-d array of angles an array.
+    The imaginary part may not exceed 1e-10 times the size of the product it
+    rounds: max(1, |tr|, max |Phi_ij|).  A scalar theta gives a float, a 1-d
+    array of angles an array.
     """
     m = monodromy(seq, q, np.exp(1j * np.asarray(theta, dtype=float)))
     tr = m[..., 0, 0] + m[..., 1, 1]
-    bad = np.abs(tr.imag) > 1e-10 * np.maximum(1.0, np.abs(tr.real))
+    size = np.maximum(np.abs(tr.real), np.abs(m).max(axis=(-2, -1)))
+    bad = np.abs(tr.imag) > 1e-10 * np.maximum(1.0, size)
     if np.any(bad):
         worst = tr.imag[bad][np.argmax(np.abs(tr.imag[bad]))]
         raise NumericalInstabilityError(

@@ -155,14 +155,6 @@ def assemble_cmv(
     return BandedUnitary(offset, L.entries @ M.entries, boundary)
 
 
-def _values_at(seq: CoefficientSequence, m: np.ndarray) -> np.ndarray:
-    """seq at an integer array of sites, read through one ``window``."""
-    if m.size == 0:
-        return np.zeros(m.shape, dtype=complex)
-    lo = int(m.min())
-    return seq.window(lo, int(m.max()) + 1)[m - lo]
-
-
 def sieve(seq: CoefficientSequence) -> CoefficientSequence:
     """Interleave zeros: result(2j) = 0 and result(2j-1) = seq(j)."""
     if seq.period is not None:
@@ -174,7 +166,7 @@ def sieve(seq: CoefficientSequence) -> CoefficientSequence:
         sup_norm_bound=seq.sup_norm_bound,
         period=None,
         spec=None,
-        fn_array=lambda m: np.where(m % 2 == 0, 0j, _values_at(seq, (m + 1) // 2)),
+        fn_array=lambda m: np.where(m % 2 == 0, 0j, seq.window((m + 1) // 2)),
     )
 
 
@@ -187,7 +179,7 @@ def shift_seq(seq: CoefficientSequence, by: int) -> CoefficientSequence:
         sup_norm_bound=seq.sup_norm_bound,
         period=None,
         spec=None,
-        fn_array=lambda n: _values_at(seq, n + by),
+        fn_array=lambda n: seq.window(n + by),
     )
 
 

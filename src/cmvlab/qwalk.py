@@ -172,14 +172,18 @@ class WalkOperator:
             raise ValueError("policy must be 'wrap' or 'absorb'")
         if self.n_hi < self.n_lo:
             raise ValueError("window must be nonempty")
-        table = np.stack([self.coins(n) for n in range(self.n_lo, self.n_hi + 1)])
-        res = np.max(np.abs(table @ table.conj().swapaxes(1, 2) - np.eye(2)),
+        # a periodic sequence is read over one period from n_lo and tiled
+        W = self.n_hi - self.n_lo + 1
+        p = self.coins.period or W
+        one = np.stack([self.coins(n) for n in range(self.n_lo, self.n_lo + min(p, W))])
+        res = np.max(np.abs(one @ one.conj().swapaxes(1, 2) - np.eye(2)),
                      axis=(1, 2))
         bad = np.flatnonzero(res > _UNITARY_TOL)
         if bad.size:
             j = int(bad[0])
             raise ValueError(f"coin at site {self.n_lo + j} is not unitary "
                              f"(residual {res[j]:.2e})")
+        table = one[np.arange(W) % p]
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 

@@ -15,14 +15,21 @@ Birkhoff product along the orbit is used.
 
 Every product (Birkhoff sums, monodromies, discriminant scans) runs through
 one kernel that advances the unrolled 2x2 products of a whole 1-d array of
-spectral points z at once, step by step, reading alpha in fixed-size windows.
+spectral points z at once, step by step, reading alpha in fixed-size blocks.
+Each numpy call of a step costs microseconds whatever its size, so a Birkhoff
+product over a narrow grid is cut into P consecutive orbit lanes that advance
+together, one batched matmul per step for all P segments at every point; the
+lanes are then joined in site order by P - 1 products.  The first half of the
+lanes gives the estimate at a shorter orbit for free (``half_orbit_estimates``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import warnings
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,12 +41,14 @@ __all__ = [
     "gz_step",
     "monodromy",
     "lyapunov",
+    "half_orbit_estimates",
     "estimate_Z",
     "arcs_from_grid",
 ]
 
 _UNIT_TOL = 1e-9
-_BLOCK = 1024  # sites of alpha read per window call of the product kernel
+_BLOCK = 1024  # steps per window call of the product kernel
+_BLOCK_SITES = 32 * _BLOCK  # at most this many sites per call when lanes share it
 # points per kernel pass: wider passes hand each 2x2 matmul to multithreaded
 # BLAS, whose thread hand-off costs far more than the work it splits
 _POINTS = 2048
@@ -89,30 +98,141 @@ def _as_points(z) -> np.ndarray:
     return zs.reshape(-1)
 
 
-def _step_factors(seq: CoefficientSequence, lo: int, hi: int, gz: bool) -> np.ndarray:
-    """The z-free factors C_n of the steps n in [lo, hi), shape (hi - lo, 2, 2).
+def _step_factors(seq: CoefficientSequence, sites: np.ndarray, gz: bool) -> np.ndarray:
+    """The z-free factors C_n of the steps at an integer array of sites.
 
+    Shape sites.shape + (2, 2).
     Szego:  S(n, z) = C_n diag(z, 1),  C_n = (1/rho) [[1, -conj(a)], [-a, 1]].
     GZ:     Y(n, z) = C_n for even n,  C_n = (1/rho) [[-a, 1], [1, -conj(a)]];
             Y(n, z) = diag(1, 1/z) C_n diag(1, z) for odd n,
                       C_n = (1/rho) [[-conj(a), 1], [1, -a]].
     """
-    al = seq.window(lo, hi)
+    al = seq.window(sites)
     mod = np.abs(al)
     if not np.all(mod < 1.0):
         raise ValueError(f"|alpha| must be < 1, got {np.nanmax(mod)}")
     r = 1.0 / np.sqrt(1.0 - (al.real * al.real + al.imag * al.imag))
-    c = np.empty((hi - lo, 2, 2), dtype=complex)
+    c = np.empty(sites.shape + (2, 2), dtype=complex)
     if gz:
-        even = np.arange(lo, hi) % 2 == 0
-        c[:, 0, 0] = -np.where(even, al, al.conj()) * r
-        c[:, 1, 1] = -np.where(even, al.conj(), al) * r
-        c[:, 0, 1] = c[:, 1, 0] = r
+        even = sites % 2 == 0
+        c[..., 0, 0] = -np.where(even, al, al.conj()) * r
+        c[..., 1, 1] = -np.where(even, al.conj(), al) * r
+        c[..., 0, 1] = c[..., 1, 0] = r
     else:
-        c[:, 0, 0] = c[:, 1, 1] = r
-        c[:, 0, 1] = -al.conj() * r
-        c[:, 1, 0] = -al * r
+        c[..., 0, 0] = c[..., 1, 1] = r
+        c[..., 0, 1] = -al.conj() * r
+        c[..., 1, 0] = -al * r
     return c
+
+
+class _Products(NamedTuple):
+    """Rescaled products at every point, and the same after the first n_half steps."""
+
+    m: np.ndarray          # (g, 2, 2)
+    log_scale: np.ndarray  # (g,) log of the factors divided out of m
+    n_half: int
+    m_half: np.ndarray
+    log_half: np.ndarray
+
+
+def _lane_count(g: int, n_steps: int, gz: bool, scale_every: int) -> int:
+    """Orbit lanes that fill a narrow pass: _POINTS // g, each >= 4 rescalings long.
+
+    GZ monodromies, unscaled products and grids that fill half a pass or
+    more take one lane: two lanes of a half-full pass save next to nothing.
+    """
+    if gz or not scale_every or 2 * g >= _POINTS:
+        return 1
+    return max(1, min(_POINTS // max(g, 1), n_steps // (4 * scale_every)))
+
+
+def _advance(seq, zz, starts, length, gz, scale_every, snap=0):
+    """Lockstep products of ``length`` steps from each site of ``starts``.
+
+    Lane p multiplies the steps at sites starts[p] ... starts[p] + length - 1;
+    GZ products run one lane.  The state x has shape (P, 2, 2g): x[p, r, :g]
+    and x[p, r, g:] are row r of lane p's product in column 0 and column 1 at
+    the g points of zz = [zs, zs].  After every ``scale_every``-th step
+    (0: never) each (lane, point) product is divided by its largest entry
+    unless that entry is 0.  Returns x and the (P, g) log scales, then copies
+    of both after the first ``snap`` steps.
+    """
+    lanes, g = starts.size, zz.size // 2
+    x = np.zeros((lanes, 2, 2 * g), dtype=complex)
+    x[:, 0, :g] = x[:, 1, g:] = 1.0
+    y = np.empty_like(x)
+    log_scale = np.zeros((lanes, g))
+    x_snap, log_snap = x.copy(), log_scale.copy()
+    # one window call per block: a (block, P, 2, 2) factor array of <= 2 MB
+    block = max(1, min(_BLOCK, _BLOCK_SITES // lanes))
+    first = int(starts[0])
+    for lo in range(0, length, block):
+        hi = min(lo + block, length)
+        sites = np.arange(lo, hi)[:, None] + starts
+        for j, c in zip(range(lo, hi), _step_factors(seq, sites, gz)):
+            odd = (first + j) % 2
+            if not gz:
+                x[:, 0] *= zz
+            elif odd:
+                x[:, 1] *= zz
+            np.matmul(c, x, out=y)
+            x, y = y, x
+            if gz and odd:
+                x[:, 1] /= zz
+            if scale_every and (j + 1) % scale_every == 0:
+                s = np.abs(x).reshape(lanes, 4, g).max(axis=1)
+                s = np.where(s > 0, s, 1.0)
+                x /= np.concatenate([s, s], axis=1)[:, None]
+                log_scale += np.log(s)
+            if j + 1 == snap:
+                x_snap, log_snap = x.copy(), log_scale.copy()
+    return x, log_scale, x_snap, log_snap
+
+
+def _matrices(x: np.ndarray) -> np.ndarray:
+    """(P, 2, 2g) lane states as (P, g, 2, 2) matrices."""
+    lanes, _, two_g = x.shape
+    return x.reshape(lanes, 2, 2, two_g // 2).transpose(0, 3, 1, 2)
+
+
+def _join(later, log_later, acc, log_acc):
+    """later @ acc divided by its largest entry per point, and the summed log scales."""
+    m = later @ acc
+    s = np.abs(m).reshape(-1, 4).max(axis=1)
+    s = np.where(s > 0, s, 1.0)
+    return m / s[:, None, None], log_later + log_acc + np.log(s)
+
+
+def _pass(seq, zs, n_steps, gz, scale_every, lanes) -> _Products:
+    """One kernel pass over at most _POINTS points, split into ``lanes`` orbit lanes.
+
+    Lane p multiplies the sites [p L, (p + 1) L), L = n_steps // lanes; the
+    lanes are joined in site order by lanes - 1 products, and the leftover
+    steps [lanes L, n_steps) follow as one more segment.  The half-orbit
+    product is the join of the first lanes // 2 lanes, or, for one lane, a
+    snapshot after n_steps // 2 steps.
+    """
+    zz = np.concatenate([zs, zs])
+    if lanes == 1:
+        half = n_steps // 2
+        x, log_scale, x_half, log_half = _advance(
+            seq, zz, np.zeros(1, dtype=int), n_steps, gz, scale_every, half)
+        return _Products(_matrices(x)[0], log_scale[0], half,
+                         _matrices(x_half)[0], log_half[0])
+    length = n_steps // lanes
+    x, log_scale, _, _ = _advance(seq, zz, np.arange(lanes) * length, length,
+                                  gz, scale_every)
+    m = _matrices(x)
+    acc, log_acc = m[0], log_scale[0]
+    for p in range(1, lanes):
+        if p == lanes // 2:
+            half = acc, log_acc
+        acc, log_acc = _join(m[p], log_scale[p], acc, log_acc)
+    if lanes * length < n_steps:
+        x, log_scale, _, _ = _advance(seq, zz, np.array([lanes * length]),
+                                      n_steps - lanes * length, gz, scale_every)
+        acc, log_acc = _join(_matrices(x)[0], log_scale[0], acc, log_acc)
+    return _Products(acc, log_acc, lanes // 2 * length, *half)
 
 
 def _product(
@@ -121,43 +241,21 @@ def _product(
     n_steps: int,
     gz: bool = False,
     scale_every: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> _Products:
     """Ordered product of the first n_steps Szego (or GZ) steps at every z.
 
-    Returns the products, shape (len(zs), 2, 2), and per point the log of
-    the factors divided out: after every ``scale_every``-th step (0: never)
-    the product is divided by its largest entry unless that entry is 0.
-    Memory is O(len(zs) + _BLOCK): alpha is read one window at a time.
+    Grids are cut into passes of at most _POINTS points; a pass narrower
+    than half of that multiplies P = _lane_count(...) orbit segments at once.
+    Memory is O(_POINTS + block): alpha is read one block of sites at a time.
     """
-    if zs.size > _POINTS:
-        parts = [_product(seq, zs[i:i + _POINTS], n_steps, gz, scale_every)
-                 for i in range(0, zs.size, _POINTS)]
-        return (np.concatenate([m for m, _ in parts]),
-                np.concatenate([s for _, s in parts]))
-    g = zs.size
-    zz = np.concatenate([zs, zs])  # x[r] is row r: column 0, then column 1
-    x = np.zeros((2, 2 * g), dtype=complex)
-    x[0, :g] = x[1, g:] = 1.0
-    y = np.empty_like(x)
-    log_scale = np.zeros(g)
-    for lo in range(0, n_steps, _BLOCK):
-        hi = min(lo + _BLOCK, n_steps)
-        for n, c in zip(range(lo, hi), _step_factors(seq, lo, hi, gz)):
-            odd = n % 2
-            if not gz:
-                x[0] *= zz
-            elif odd:
-                x[1] *= zz
-            np.matmul(c, x, out=y)
-            x, y = y, x
-            if gz and odd:
-                x[1] /= zz
-            if scale_every and (n + 1) % scale_every == 0:
-                s = np.abs(x).reshape(4, g).max(axis=0)
-                s = np.where(s > 0, s, 1.0)
-                x /= np.concatenate([s, s])
-                log_scale += np.log(s)
-    return x.reshape(2, 2, g).transpose(2, 0, 1), log_scale
+    lanes = _lane_count(zs.size, n_steps, gz, scale_every)
+    parts = [_pass(seq, zs[i:i + _POINTS], n_steps, gz, scale_every, lanes)
+             for i in range(0, max(zs.size, 1), _POINTS)]
+    if len(parts) == 1:
+        return parts[0]
+    m, log_scale, n_half, m_half, log_half = zip(*parts)
+    return _Products(np.concatenate(m), np.concatenate(log_scale), n_half[0],
+                     np.concatenate(m_half), np.concatenate(log_half))
 
 
 def monodromy(seq: CoefficientSequence, q: int, z) -> np.ndarray:
@@ -167,7 +265,7 @@ def monodromy(seq: CoefficientSequence, q: int, z) -> np.ndarray:
     zs = _as_points(z)
     if np.any(zs == 0):
         raise ValueError("z must be nonzero")
-    m, _ = _product(seq, zs, q, gz=True)
+    m = _product(seq, zs, q, gz=True).m
     return m[0] if np.ndim(z) == 0 else m
 
 
@@ -208,9 +306,37 @@ def lyapunov(
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
         if scale_every < 1:
             raise ValueError(f"scale_every must be >= 1, got {scale_every}")
-        m, log_scale = _product(seq, zs, n_steps, scale_every=scale_every)
-        vals = (log_scale + np.log(np.linalg.norm(m, 2, axis=(1, 2)))) / n_steps
+        prod = _product(seq, zs, n_steps, scale_every=scale_every)
+        vals = _growth(prod.m, prod.log_scale, n_steps)
+        records = _HALF_ORBIT.get()
+        if records is not None and prod.n_half > 0:
+            half = _growth(prod.m_half, prod.log_half, prod.n_half)
+            records.append((prod.n_half, float(half[0]) if np.ndim(z) == 0 else half))
     return float(vals[0]) if np.ndim(z) == 0 else vals
+
+
+def _growth(m: np.ndarray, log_scale: np.ndarray, n: int) -> np.ndarray:
+    return (log_scale + np.log(np.linalg.norm(m, 2, axis=(1, 2)))) / n
+
+
+_HALF_ORBIT: contextvars.ContextVar = contextvars.ContextVar("half_orbit", default=None)
+
+
+@contextlib.contextmanager
+def half_orbit_estimates():
+    """Collect the half-orbit estimates of the Birkhoff ``lyapunov`` calls in the block.
+
+    Yields a list that receives one (n_half, values) pair per Birkhoff call:
+    the growth rate of the product over the first n_half < n_steps sites,
+    which the same pass forms on the way (the first half of its orbit
+    lanes, or a snapshot at n_steps // 2).  Periodic sequences add nothing.
+    """
+    records: list = []
+    token = _HALF_ORBIT.set(records)
+    try:
+        yield records
+    finally:
+        _HALF_ORBIT.reset(token)
 
 
 def arcs_from_grid(

@@ -11,7 +11,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cmvlab import coefficients as C
@@ -220,3 +220,156 @@ def test_grids_wider_than_one_kernel_pass(make_periodic):
     for i in (0, T._POINTS - 1, T._POINTS, 2 * T._POINTS + 2):
         np.testing.assert_allclose(mono[i], monodromy_oracle(s, 4, zs[i]), rtol=0, atol=1e-12)
         assert abs(lyap[i] - birkhoff_oracle(qp, zs[i], 40)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# orbit lanes: narrow grids advance P segments of the orbit at once
+# ---------------------------------------------------------------------------
+
+def one_lane_reference(seq, zs, n, scale_every=SCALE_EVERY):
+    """Birkhoff estimates from one sequential product per pass of T._POINTS points.
+
+    The steps, the rescaling and the reduction are those of a single orbit
+    lane: the factor of site j multiplies a (2, 2g) state after its first row
+    is scaled by z, and every scale_every-th step divides each point's
+    product by its largest entry.
+    """
+    out = []
+    for i in range(0, zs.size, T._POINTS):
+        part = zs[i:i + T._POINTS]
+        g = part.size
+        zz = np.concatenate([part, part])
+        x = np.zeros((2, 2 * g), dtype=complex)
+        x[0, :g] = x[1, g:] = 1.0
+        y = np.empty_like(x)
+        log_scale = np.zeros(g)
+        for lo in range(0, n, T._BLOCK):
+            al = seq.window(lo, min(lo + T._BLOCK, n))
+            r = 1.0 / np.sqrt(1.0 - (al.real * al.real + al.imag * al.imag))
+            for j, (a, rj) in enumerate(zip(al, r), start=lo):
+                c = np.array([[rj, -a.conjugate() * rj], [-a * rj, rj]])
+                x[0] *= zz
+                np.matmul(c, x, out=y)
+                x, y = y, x
+                if (j + 1) % scale_every == 0:
+                    s = np.abs(x).reshape(4, g).max(axis=0)
+                    s = np.where(s > 0, s, 1.0)
+                    x /= np.concatenate([s, s])
+                    log_scale += np.log(s)
+        m = x.reshape(2, 2, g).transpose(2, 0, 1)
+        out.append((log_scale + np.log(np.linalg.norm(m, 2, axis=(1, 2)))) / n)
+    return np.concatenate(out)
+
+
+def mpmath_lyapunov(seq, z, n, dps=40):
+    with mpmath.workdps(dps):
+        zm = mpmath.mpc(z)
+        m = mpmath.eye(2)
+        for j in range(n):
+            a = mpmath.mpc(seq(j))
+            rho = mpmath.sqrt(1 - abs(a) ** 2)
+            m = mpmath.matrix([[zm, -mpmath.conj(a)], [-zm * a, 1]]) / rho * m
+        return float(mpmath.log(max(mpmath.svd_c(m, compute_uv=False))) / n)
+
+
+lane_grids = st.sampled_from([1, 63, 64, 65, 2047, 2048, 2049])
+lane_steps = st.integers(1, 3 * T._BLOCK).filter(lambda n: n % T._BLOCK and n % SCALE_EVERY)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seq=quasiperiodic, g=lane_grids, n=lane_steps, shift=st.floats(0.0, 1.0),
+       data=st.data())
+@example(seq=C.quasiperiodic_seq(0.7, 0.3, 0.9), g=1, n=4 * SCALE_EVERY - 3, shift=0.2,
+         data=None)
+@example(seq=C.quasiperiodic_seq(0.5, 0.61, 0.4), g=63, n=2 * T._BLOCK + 21, shift=0.7,
+         data=None)
+@example(seq=C.quasiperiodic_seq(0.6, 0.13, 0.0), g=1, n=3 * T._BLOCK - 1, shift=0.0,
+         data=None)
+def test_lanes_match_per_point_and_mpmath_products(seq, g, n, shift, data):
+    lanes = T._lane_count(g, n, False, SCALE_EVERY)
+    assume(lanes == 1 or n % lanes)
+    zs = np.exp(1j * TWO_PI * (np.arange(g) + shift) / g)
+    got = T.lyapunov(seq, zs, n_steps=n, scale_every=SCALE_EVERY)
+    idx = sorted({0, g - 1, g // 2} | ({data.draw(st.integers(0, g - 1))} if data else set()))
+    for i in idx:
+        assert abs(got[i] - birkhoff_oracle(seq, zs[i], n)) < 1e-12
+    assert abs(got[idx[-1]] - mpmath_lyapunov(seq, zs[idx[-1]], n)) < 1e-12
+
+
+def test_lane_count_fills_narrow_passes_only():
+    assert T._lane_count(64, 20_000, False, 16) == T._POINTS // 64
+    assert T._lane_count(1, 20_000, False, 16) == 20_000 // 64
+    assert T._lane_count(1, 4 * 16 - 1, False, 16) == 1
+    assert T._lane_count(T._POINTS // 2 - 1, 20_000, False, 16) == 2
+    for g in (T._POINTS // 2, T._POINTS, 3 * T._POINTS):
+        assert T._lane_count(g, 20_000, False, 16) == 1
+    assert T._lane_count(1, 20_000, True, 0) == 1
+
+
+@pytest.mark.parametrize("g, n", [(T._POINTS // 2, 2 * T._BLOCK + 37),
+                                  (T._POINTS, 333), (T._POINTS + 1, 2 * SCALE_EVERY + 5)])
+def test_wide_grids_equal_the_one_lane_reference_bitwise(g, n):
+    seq = C.quasiperiodic_seq(0.7, 0.3819660112501051, 0.2)
+    zs = np.exp(1j * TWO_PI * (np.arange(g) + 0.25) / g)
+    np.testing.assert_array_equal(T.lyapunov(seq, zs, n_steps=n), one_lane_reference(seq, zs, n))
+
+
+def test_strong_coupling_over_a_long_orbit_stays_finite():
+    seq = C.quasiperiodic_seq(0.99, 0.3819660112501051, 0.1)
+    zs = np.exp(1j * TWO_PI * np.arange(64) / 64)
+    with np.errstate(all="raise"):
+        got = T.lyapunov(seq, zs, n_steps=100_000)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, one_lane_reference(seq, zs, 100_000), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("g, n", [(1, 5000), (64, 20_000 + 7), (65, 999), (1500, 801),
+                                  (T._POINTS + 3, 120)])
+def test_half_orbit_estimates_are_the_shorter_products(g, n):
+    seq = C.quasiperiodic_seq(0.6, 0.3819660112501051, 0.3)
+    zs = np.exp(1j * TWO_PI * (np.arange(g) + 0.5) / g)
+    with T.half_orbit_estimates() as half:
+        full = T.lyapunov(seq, zs, n_steps=n)
+    assert len(half) == 1
+    n_half, vals = half[0]
+    lanes = T._lane_count(g, n, False, SCALE_EVERY)
+    assert n_half == (n // 2 if lanes == 1 else lanes // 2 * (n // lanes))
+    np.testing.assert_allclose(vals, T.lyapunov(seq, zs, n_steps=n_half), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(full, T.lyapunov(seq, zs, n_steps=n), rtol=0, atol=0)
+    # periodic sequences use the exact formula and record nothing
+    with T.half_orbit_estimates() as half:
+        T.lyapunov(C.constant_seq(0.3), zs, n_steps=n)
+    assert half == []
+    with T.half_orbit_estimates() as half:
+        scalar = T.lyapunov(seq, complex(zs[0]), n_steps=n)
+    assert type(half[0][1]) is float and type(scalar) is float
+
+
+def test_lane_blocks_read_alpha_once_per_block():
+    calls = []
+    qp = C.quasiperiodic_seq(0.5, 0.3819660112501051, 0.25)
+
+    def fn_array(n):
+        calls.append(n.shape)
+        return qp.fn_array(n)
+
+    seq = C.CoefficientSequence(fn=qp.fn, sup_norm_bound=0.5, fn_array=fn_array)
+    n = 3 * 20_000 + 7
+    T.lyapunov(seq, np.exp(1j * np.arange(64) * TWO_PI / 64), n_steps=n)
+    lanes = T._POINTS // 64
+    length = n // lanes
+    # one (block, lanes) read per block, then the leftover lane
+    assert all(shape[1] == lanes for shape in calls[:-1])
+    assert sum(shape[0] for shape in calls[:-1]) == length
+    assert calls[-1] == (n - lanes * length, 1)
+    assert max(shape[0] * shape[1] for shape in calls) * 64 <= 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+def test_window_reads_an_array_of_sites(name):
+    seq = SEQUENCES[name]
+    sites = np.array([[-7, 0, 3], [12, -7, 1001]])
+    got = seq.window(sites)
+    assert got.dtype == complex and got.shape == sites.shape
+    np.testing.assert_array_equal(got, [[seq(int(n)) for n in row] for row in sites])
+    assert seq.window(np.arange(5, 5)).shape == (0,)

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -5,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from cmvlab.cli import main
 
@@ -69,6 +72,52 @@ def test_lyapunov_free_full_circle(tmp_path):
     header, rows = read_csv(out / "lyapunov.csv")
     assert header == ["theta", "L", "N", "epsilon"]
     assert len(rows) == 16
+
+
+def test_lyapunov_reports_the_half_orbit_delta(tmp_path):
+    # frequency 0: the constant sequence a = 0.5 e^{0.2 pi i}, given without
+    # period metadata, so the Birkhoff branch runs.  Its N-step estimates lie
+    # in [L, L + bias(N)], bias(N) = log(2 + N |t| / r) / N from the Schur
+    # form [[m1, t], [0, m2]] of the one-step matrix, r = max |m_i|.
+    amp, phase, n_steps, grid = 0.5, 0.1, 4000, 64
+    cfg = write_config(tmp_path, "l.json", {
+        "sequence": {"kind": "quasiperiodic", "amplitude": amp, "frequency": 0.0,
+                     "phase": phase},
+        "grid_size": grid, "n_steps": n_steps, "epsilon_L": 0.01,
+    })
+    out = tmp_path / "out"
+    assert main(["lyapunov", "--config", cfg, "--out", str(out)]) == 0
+    rep = json.loads((out / "lyapunov.json").read_text())
+    diag = rep["diagnostics"]
+    half_n = diag["half_N"]
+    assert 0 < half_n < n_steps
+    a = amp * cmath.exp(2j * math.pi * phase)
+    rho = math.sqrt(1.0 - amp * amp)
+
+    def bias(theta, n):
+        z = cmath.exp(1j * theta)
+        s = np.array([[z, -a.conjugate()], [-z * a, 1.0]]) / rho
+        t, _ = scipy.linalg.schur(s, output="complex")
+        r = max(abs(t[0, 0]), abs(t[1, 1]))
+        return math.log(2.0 + n * abs(t[0, 1]) / r) / n
+
+    worst = diag["max_abs_delta"]
+    assert worst["theta"] in rep["theta"]
+    t = worst["theta"]
+    assert 0.0 < worst["value"] <= max(bias(t, half_n), bias(t, n_steps)) + 1e-12
+    bound = max(max(bias(t, half_n), bias(t, n_steps)) for t in rep["theta"])
+    assert worst["value"] <= bound + 1e-12
+    assert isinstance(diag["zero_set_flips"], int) and diag["zero_set_flips"] >= 0
+
+
+def test_lyapunov_of_a_periodic_sequence_has_no_diagnostics(tmp_path):
+    cfg = write_config(tmp_path, "l.json", {
+        "sequence": {"kind": "constant", "value": [0.5, 0.0]},
+        "grid_size": 16, "n_steps": 2000, "epsilon_L": 0.01,
+    })
+    out = tmp_path / "out"
+    assert main(["lyapunov", "--config", cfg, "--out", str(out)]) == 0
+    assert "diagnostics" not in json.loads((out / "lyapunov.json").read_text())
 
 
 def test_lyapunov_rejects_small_n(tmp_path, capsys):

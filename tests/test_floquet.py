@@ -319,3 +319,93 @@ def test_periodic_spectrum_certifies_every_edge(monkeypatch):
                         lambda seq, q, theta: exact(seq, q, theta) + 1e-6)
     with pytest.raises(NumericalInstabilityError, match="1.00e-06"):
         F.periodic_spectrum(s, 4)
+
+
+def _random_table(seed, q, radius):
+    rng = np.random.default_rng(seed)
+    return C.periodic_table_seq(radius * rng.random(q) * np.exp(2j * math.pi * rng.random(q)))
+
+
+def mp_band_edges(seq, q, starts, levels, dps=30, iters=2):
+    """Roots of Delta(theta) = level at dps digits, by Newton from each start.
+
+    The monodromy trace is formed in mpmath as a Laurent polynomial in z
+    (the GZ steps of ``transfer.gz_step``, degrees -q/2..q/2); it is real on
+    the circle, so c_{-k} = conj(c_k) and Delta = 2 Re sum_{k >= 0} c'_k z^k
+    with c'_0 = c_0 / 2.
+    """
+    h = q // 2
+    with mpmath.workdps(dps):
+        zero = np.array([mpmath.mpc(0)] * (q + 1), dtype=object)
+        m00, m01, m10, m11 = zero.copy(), zero.copy(), zero.copy(), zero.copy()
+        m00[h] = m11[h] = mpmath.mpc(1)
+
+        def up(p):  # z * p
+            return np.concatenate([zero[:1], p[:-1]])
+
+        def down(p):  # p / z
+            return np.concatenate([p[1:], zero[:1]])
+
+        for n in range(q):
+            a = mpmath.mpc(seq(n))
+            r = 1 / mpmath.sqrt(1 - abs(a) ** 2)
+            ar, acr = a * r, a.conjugate() * r
+            # arrays on the left: mpmath would convert a whole array operand
+            if n % 2 == 0:
+                m00, m01, m10, m11 = (m10 * r - m00 * ar, m11 * r - m01 * ar,
+                                      m00 * r - m10 * acr, m01 * r - m11 * acr)
+            else:
+                m00, m01, m10, m11 = (up(m10) * r - m00 * acr, up(m11) * r - m01 * acr,
+                                      down(m00) * r - m10 * ar, down(m01) * r - m11 * ar)
+        upper = list(m00[h:] + m11[h:])
+        upper[0] /= 2
+        upper = upper[::-1]
+        edges = []
+        for th, level in zip(starts, levels):
+            th = mpmath.mpf(float(th))
+            for _ in range(iters):
+                w = mpmath.expj(th)
+                p, dp = mpmath.polyval(upper, w, derivative=True)
+                th -= (2 * p.real - level) / (2 * (1j * w * dp).real)
+            edges.append(float(th % (2 * mpmath.pi)))
+    return np.array(edges)
+
+
+def test_long_table_with_large_monodromy_is_accepted():
+    # refused by an imaginary-trace tolerance relative to |tr| alone
+    # (imaginary part 4.0e-10 at a trace of order 1, entries of order 1e1)
+    q = 128
+    seq = _random_table(0, q, 0.5)
+    arcs = F.periodic_spectrum(seq, q)
+    assert arcs.arcs.shape == (q, 2)
+    starts = np.concatenate([np.linalg.eigvals(F.floquet_operator(seq, q, k))
+                             for k in (0.0, math.pi / q)])
+    want = mp_band_edges(seq, q, np.angle(starts) % TWO_PI, np.repeat([2.0, -2.0], q))
+    got = arcs.arcs.ravel() % TWO_PI
+    dist = np.abs((got[:, None] - want[None, :] + math.pi) % TWO_PI - math.pi)
+    assert dist.min(axis=1).max() < 1e-9
+    assert dist.min(axis=0).max() < 1e-9
+
+
+def test_discriminant_tolerance_scales_with_the_product(monkeypatch):
+    # trace 2 with an entry of 1e6: the tolerance is 1e-10 * 1e6
+    size = 1e6
+
+    def fake(imag):
+        def monodromy(seq, q, z):
+            m = np.array([[1.0 + 1j * imag, size], [0.0, 1.0]])
+            return np.broadcast_to(m, np.shape(z) + (2, 2))
+        return monodromy
+
+    monkeypatch.setattr(F, "monodromy", fake(1e-6 * size))
+    with pytest.raises(NumericalInstabilityError, match="imaginary part 1.00e\\+00"):
+        F.discriminant(C.constant_seq(0.2), 2, np.linspace(0.0, 1.0, 3))
+    monkeypatch.setattr(F, "monodromy", fake(1e-11 * size))
+    np.testing.assert_array_equal(F.discriminant(C.constant_seq(0.2), 2, [0.1, 0.2]),
+                                  [2.0, 2.0])
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_strong_long_tables_are_still_refused(seed):
+    with pytest.raises(NumericalInstabilityError):
+        F.periodic_spectrum(_random_table(seed, 64, 0.95), 64)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -62,6 +63,44 @@ def test_walk_names_the_first_non_unitary_interior_coin(bad_site, residual):
     walk = Q.build_walk(ok, (-5, 8), policy="wrap")
     assert walk.table.shape == (14, 2, 2)
     assert np.array_equal(walk.table[bad_site + 5], ok(bad_site))
+
+
+def _cgmv_period(p):
+    gammas = [0.7 * cmath.exp(2j * math.pi * (0.37 * k + 0.1)) * (k + 1) / (p + 1)
+              for k in range(p)]
+    return gammas, Q.cgmv_coins(lambda n: gammas[n % p], period=p)
+
+
+@pytest.mark.parametrize("window", [(-7, 9), (-11, 3), (-3, -2), (4, 4), (-2, 0)])
+@pytest.mark.parametrize("period", [1, 3, 4, 5])
+def test_coin_table_tiles_one_period(window, period):
+    # odd and even widths, negative n_lo, windows narrower than one period
+    gammas, coins = _cgmv_period(period)
+    reads = []
+
+    def fn(n):
+        reads.append(n)
+        return coins(n)
+
+    n_lo, n_hi = window
+    per_site = np.stack([coins(n) for n in range(n_lo, n_hi + 1)])
+    walk = Q.build_walk(Q.CoinSequence(fn=fn, period=period), window)
+    np.testing.assert_array_equal(walk.table, per_site)
+    assert reads == list(range(n_lo, n_lo + min(period, n_hi - n_lo + 1)))
+    # without period metadata every site is read
+    reads.clear()
+    walk = Q.build_walk(Q.CoinSequence(fn=fn), window)
+    np.testing.assert_array_equal(walk.table, per_site)
+    assert reads == list(range(n_lo, n_hi + 1))
+
+
+@pytest.mark.parametrize("n_lo", [-9, -4, 0, 2])
+def test_periodic_coins_name_the_first_bad_site_in_the_window(n_lo):
+    h = Q.hadamard_coins()(0)
+    coins = Q.CoinSequence(fn=lambda n: h * 1.5 if n % 4 == 1 else h, period=4)
+    first = next(n for n in range(n_lo, n_lo + 4) if n % 4 == 1)
+    with pytest.raises(ValueError, match=f"coin at site {first} is not unitary"):
+        Q.build_walk(coins, (n_lo, n_lo + 10))
 
 
 def test_survival_examples():
