@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from cmvlab import coefficients as C
+from cmvlab import transfer as T
 from cmvlab.cli import main
 
 
@@ -80,16 +82,27 @@ def test_lyapunov_reports_the_half_orbit_delta(tmp_path):
     # in [L, L + bias(N)], bias(N) = log(2 + N |t| / r) / N from the Schur
     # form [[m1, t], [0, m2]] of the one-step matrix, r = max |m_i|.
     amp, phase, n_steps, grid = 0.5, 0.1, 4000, 64
+    thetas = np.arange(grid) * (2 * math.pi / grid)
+    with T.half_orbit_estimates() as half:
+        vals = T.lyapunov(C.quasiperiodic_seq(amp, 0.0, phase), np.exp(1j * thetas), n_steps)
+    half_n, half_vals = half[0]
+    delta = np.abs(vals - half_vals)
+    i = int(np.argmax(delta))
+    # a threshold between the two estimates at the worst point flips it
+    eps = float(vals[i] + half_vals[i]) / 2
+    flips = int(np.sum((vals < eps) != (half_vals < eps)))
+    assert flips >= 1
     cfg = write_config(tmp_path, "l.json", {
         "sequence": {"kind": "quasiperiodic", "amplitude": amp, "frequency": 0.0,
                      "phase": phase},
-        "grid_size": grid, "n_steps": n_steps, "epsilon_L": 0.01,
+        "grid_size": grid, "n_steps": n_steps, "epsilon_L": eps,
     })
     out = tmp_path / "out"
     assert main(["lyapunov", "--config", cfg, "--out", str(out)]) == 0
-    rep = json.loads((out / "lyapunov.json").read_text())
-    diag = rep["diagnostics"]
-    half_n = diag["half_N"]
+    diag = json.loads((out / "lyapunov.json").read_text())["diagnostics"]
+    assert diag == {"half_N": half_n,
+                    "max_abs_delta": {"value": float(delta[i]), "theta": float(thetas[i])},
+                    "zero_set_flips": flips}
     assert 0 < half_n < n_steps
     a = amp * cmath.exp(2j * math.pi * phase)
     rho = math.sqrt(1.0 - amp * amp)
@@ -101,13 +114,8 @@ def test_lyapunov_reports_the_half_orbit_delta(tmp_path):
         r = max(abs(t[0, 0]), abs(t[1, 1]))
         return math.log(2.0 + n * abs(t[0, 1]) / r) / n
 
-    worst = diag["max_abs_delta"]
-    assert worst["theta"] in rep["theta"]
-    t = worst["theta"]
-    assert 0.0 < worst["value"] <= max(bias(t, half_n), bias(t, n_steps)) + 1e-12
-    bound = max(max(bias(t, half_n), bias(t, n_steps)) for t in rep["theta"])
-    assert worst["value"] <= bound + 1e-12
-    assert isinstance(diag["zero_set_flips"], int) and diag["zero_set_flips"] >= 0
+    worst = max(bias(thetas[i], half_n), bias(thetas[i], n_steps))
+    assert 0.0 < delta[i] <= worst + 1e-12
 
 
 def test_lyapunov_of_a_periodic_sequence_has_no_diagnostics(tmp_path):
