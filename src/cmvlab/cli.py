@@ -104,6 +104,8 @@ def _sequence_from_config(cfg: dict, seed: int) -> coeffs.CoefficientSequence:
         raise ValueError("config field 'sequence' must be an object")
     if d.get("kind") == "random_periodic":
         q = _as_int("sequence.q", d.get("q", 4))
+        if q < 1:
+            raise ValueError(f"config field 'sequence.q' must be >= 1, got {q}")
         radius = _as_float("sequence.radius", d.get("radius", 0.5))
         if not 0.0 <= radius < 1.0:
             raise ValueError(f"sequence.radius must lie in [0, 1), got {radius}")
@@ -308,6 +310,8 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     if spin not in ("+", "-"):
         raise ValueError(f"initial.spin must be '+' or '-', got {spin!r}")
     J = _as_int("survival_J", cfg.get("survival_J", 5))
+    if J < 0:
+        raise ValueError(f"config field 'survival_J' must be >= 0, got {J}")
     record = cfg.get("record_times")
     if record is None:
         record = sorted({steps // 4, steps // 2, steps}) if steps else [0]
@@ -356,6 +360,8 @@ def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     if not isinstance(r_values, list):
         raise ValueError(f"config field 'r_values' must be a list, got {r_values!r}")
     r_values = [_as_float("r_values", r) for r in r_values]
+    if any(r < 0 for r in r_values):
+        raise ValueError(f"config field 'r_values' must be >= 0, got {r_values}")
     arcs_cfg = cfg.get("arc_set", "full")
     if arcs_cfg == "full":
         S = CircleArcSet.full_circle()
@@ -399,10 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
-                       help="accepted for compatibility (must be >= 1; default "
-                            "CMVLAB_THREADS or 1); sweeps run as one batched "
-                            "numpy pass")
         p.add_argument("--set", action="append", default=[], metavar="KEY=JSON",
                        help="override a config field, e.g. --set q=4")
     return parser
@@ -427,15 +429,6 @@ def main(argv=None) -> int:
             parameters=cfg,
             seed=args.seed,
         )
-        threads = args.threads
-        if threads is None:
-            env = os.environ.get("CMVLAB_THREADS", "1")
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ValueError(f"CMVLAB_THREADS must be an integer, got {env!r}") from None
-        if threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {threads}")
         _COMMANDS[args.command](cfg, manifest, args.out)
         manifest.write(args.out)
     except (ValueError, KeyError) as exc:

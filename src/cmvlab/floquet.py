@@ -26,6 +26,7 @@ import scipy.linalg
 
 from .coefficients import CoefficientSequence
 from .errors import DegenerateBandError, NumericalInstabilityError
+from .operator import _check_disk, _lm_entries
 from .spectral_sets import CircleArcSet, TWO_PI
 from .transfer import monodromy
 
@@ -69,31 +70,15 @@ def _check_q(seq: CoefficientSequence, q: int) -> None:
 def floquet_blocks(
     seq: CoefficientSequence, q: int, k: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The q x q factors L_q and M_q(k)."""
+    """The q x q factors L_q and M_q(k): the wrap window over one period
+    with the Floquet phases e^{-+ikq} in M's corners."""
     _check_q(seq, q)
     k = float(k)
-    L = np.zeros((q, q), dtype=complex)
-    M = np.zeros((q, q), dtype=complex)
-    for s in range(0, q, 2):
-        a = complex(seq(s))
-        rho = math.sqrt(1.0 - abs(a) ** 2)
-        L[s, s] = a.conjugate()
-        L[s, s + 1] = rho
-        L[s + 1, s] = rho
-        L[s + 1, s + 1] = -a
-    for s in range(1, q - 1, 2):
-        a = complex(seq(s))
-        rho = math.sqrt(1.0 - abs(a) ** 2)
-        M[s, s] = a.conjugate()
-        M[s, s + 1] = rho
-        M[s + 1, s] = rho
-        M[s + 1, s + 1] = -a
-    a = complex(seq(q - 1))
-    rho = math.sqrt(1.0 - abs(a) ** 2)
-    M[0, 0] = -a
-    M[0, q - 1] = rho * cmath.exp(-1j * k * q)
-    M[q - 1, 0] = rho * cmath.exp(1j * k * q)
-    M[q - 1, q - 1] = a.conjugate()
+    a = seq.window(0, q)
+    _check_disk(a)
+    L, M = _lm_entries(a)
+    M[0, q - 1] *= cmath.exp(-1j * k * q)
+    M[q - 1, 0] *= cmath.exp(1j * k * q)
     return L, M
 
 

@@ -11,9 +11,10 @@ in M.  Finite windows use one of three boundary conventions:
 * ``periodic_wrap``   - the block at the last odd index wraps around; the
                         window is unitary and equals the twisted restriction
                         at Floquet phase k = 0.
-* ``half_line_left``  - offset 0 with alpha_{-1} = -1; the coefficient at the
-                        right cut is also set to -1 so the window stays
-                        unitary.
+* ``half_line_left``  - the wrap window at offset 0 with alpha_{dim-1} = -1:
+                        Theta(-1) = diag(-1, 1) decouples both cuts, which
+                        is alpha_{-1} = -1 on the left, and the window
+                        stays unitary.
 * ``raw_cut``         - plain entrywise restriction, generally not unitary;
                         used for resolvent experiments only.
 
@@ -86,12 +87,38 @@ class BandedUnitary:
 
 
 def theta(alpha: complex) -> np.ndarray:
-    """The 2x2 unitary symmetric block [[conj(a), rho], [rho, -a]]."""
-    alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
-        raise ValueError(f"|alpha| must be < 1, got {abs(alpha)}")
-    rho = math.sqrt(1.0 - abs(alpha) ** 2)
-    return np.array([[alpha.conjugate(), rho], [rho, -alpha]], dtype=complex)
+    """The 2x2 unitary symmetric block [[conj(a), rho], [rho, -a]]; the
+    scalar view of ``_theta_blocks``."""
+    a = np.array([complex(alpha)])
+    _check_disk(a)
+    return _theta_blocks(a)[0]
+
+
+def _check_disk(a: np.ndarray) -> None:
+    big = np.max(np.abs(a), initial=0.0)
+    if big >= 1.0:
+        raise ValueError(f"|alpha| must be < 1, got {big}")
+
+
+def _theta_blocks(alpha: np.ndarray) -> np.ndarray:
+    """The (n, 2, 2) blocks Theta(alpha_j) of an alpha array."""
+    a = np.asarray(alpha, dtype=complex)
+    r = _rho(a)
+    return np.stack([a.conj(), r, r, -a], axis=-1).reshape(a.shape + (2, 2))
+
+
+def _lm_entries(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense L and M of the wrap window over alpha (an even number of sites).
+
+    Block j sits on coordinates (j, j + 1 mod n): even j in L, odd j in M,
+    so the wrap corner is the block of the last odd site.
+    """
+    n = len(alpha)
+    j = np.arange(n)
+    site = np.stack([j, (j + 1) % n], axis=-1)
+    lm = np.zeros((2, n, n), dtype=complex)
+    lm[(j % 2)[:, None, None], site[:, :, None], site[:, None, :]] = _theta_blocks(alpha)
+    return lm[0], lm[1]
 
 
 def _check_window(offset: int, dim: int, boundary: str) -> None:
@@ -113,34 +140,16 @@ def assemble_lm(
     """The factors L (blocks at even sites) and M (blocks at odd sites).
 
     With ``periodic_wrap`` the block for the last odd site wraps its corner
-    entries around; with ``half_line_left`` the coefficients just outside both
-    cuts are taken to be -1, which turns the straddling blocks into diagonal
-    unimodular entries.
+    entries around; ``half_line_left`` is the same window with that site's
+    coefficient set to -1, which turns the straddling block into the
+    diagonal unimodular entries M[0, 0] = 1 and M[-1, -1] = -1.
     """
     _check_window(offset, dim, boundary)
-    L = np.zeros((dim, dim), dtype=complex)
-    M = np.zeros((dim, dim), dtype=complex)
-
-    for s in range(offset, offset + dim, 2):
-        i = s - offset
-        L[i : i + 2, i : i + 2] = theta(seq(s))
-
-    for s in range(offset + 1, offset + dim - 1, 2):
-        i = s - offset
-        M[i : i + 2, i : i + 2] = theta(seq(s))
-
-    last = offset + dim - 1  # odd
-    if boundary == "periodic_wrap":
-        a = complex(seq(last))
-        rho = math.sqrt(1.0 - abs(a) ** 2)
-        M[dim - 1, dim - 1] = a.conjugate()
-        M[dim - 1, 0] = rho
-        M[0, dim - 1] = rho
-        M[0, 0] = -a
-    else:  # half_line_left: alpha_{-1} = alpha_{dim-1} = -1
-        M[0, 0] = 1.0
-        M[dim - 1, dim - 1] = -1.0
-
+    a = seq.window(offset, offset + dim)
+    _check_disk(a)
+    if boundary == "half_line_left":
+        a = np.append(a[:-1], -1.0)
+    L, M = _lm_entries(a)
     return (
         BandedUnitary(offset, L, boundary),
         BandedUnitary(offset, M, boundary),

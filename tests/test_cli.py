@@ -1,7 +1,9 @@
+import argparse
 import cmath
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import scipy.linalg
 
 from cmvlab import coefficients as C
 from cmvlab import transfer as T
-from cmvlab.cli import main
+from cmvlab.cli import _build_parser, main
 
 
 def write_config(tmp_path, name, payload):
@@ -137,17 +139,16 @@ def test_lyapunov_rejects_small_n(tmp_path, capsys):
     assert "n_steps" in capsys.readouterr().err
 
 
-def test_lyapunov_determinism_and_threads(tmp_path):
+def test_lyapunov_determinism(tmp_path):
     cfg = write_config(tmp_path, "l.json", {
         "sequence": {"kind": "periodic_table",
                      "values": [[0.3, 0.1], [0.0, -0.2]]},
         "grid_size": 32, "n_steps": 2000, "epsilon_L": 0.01,
     })
     outs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "2")):
+    for name in ("a", "b", "c"):
         out = tmp_path / name
-        assert main(["lyapunov", "--config", cfg, "--out", str(out),
-                     "--threads", threads]) == 0
+        assert main(["lyapunov", "--config", cfg, "--out", str(out)]) == 0
         outs.append(out)
     for fname in ("lyapunov.csv", "lyapunov.json", "zero_set.json",
                   "zero_set.csv", "manifest.json"):
@@ -289,18 +290,6 @@ def test_weyl_defect_instability_exit_code(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
-def test_threads_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("CMVLAB_THREADS", "2")
-    cfg = write_config(tmp_path, "l.json", {
-        "sequence": {"kind": "constant", "value": [0.0, 0.0]},
-        "grid_size": 8, "n_steps": 1000,
-    })
-    out = tmp_path / "out"
-    assert main(["lyapunov", "--config", cfg, "--out", str(out)]) == 0
-    monkeypatch.setenv("CMVLAB_THREADS", "0")
-    assert main(["lyapunov", "--config", cfg, "--out", str(out)]) == 2
-
-
 def test_random_periodic_sequence_uses_seed(tmp_path):
     cfg = write_config(tmp_path, "s.json", {
         "sequence": {"kind": "random_periodic", "q": 4, "radius": 0.5},
@@ -433,6 +422,34 @@ def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
     assert (out / "survival.csv").read_text() == "\n".join(surv) + "\n"
 
 
+def test_walk_rejects_negative_survival_j_before_any_evolution(tmp_path, capsys,
+                                                               monkeypatch):
+    from cmvlab import qwalk
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("survival_J must be checked before any evolution")
+
+    monkeypatch.setattr(qwalk, "evolve", no_compute)
+    cfg = write_config(tmp_path, "w.json", {
+        "coins": {"kind": "hadamard"}, "steps": 4000, "survival_J": -1,
+    })
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "'survival_J'" in capsys.readouterr().err
+
+
+def test_readme_common_flags_match_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    para = readme[readme.index("Common flags:"):]
+    para = para[:para.index("\n\n")]
+    documented = {m.split()[0] for m in re.findall(r"`(--[^`]*)`", para)}
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        flags = {opt for a in parser._actions for opt in a.option_strings
+                 if opt.startswith("--") and opt != "--help"}
+        assert flags == documented, name
+
+
 @pytest.mark.parametrize("command, config, field", [
     ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "q0": [2]}}, "q0"),
     ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "levels": [3]}},
@@ -475,21 +492,12 @@ def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
     ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
                      "samples": 16, "dim": 64, "r_values": [0.9],
                      "arc_set": [[0.0, [1.0]]]}, "arc_set"),
+    ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                     "samples": 16, "dim": 64, "r_values": [0.9, -0.5]}, "r_values"),
+    ("sieve-check", {"sequence": {"kind": "random_periodic", "q": -2}, "dim": 16},
+     "sequence.q"),
 ])
 def test_malformed_config_fields_exit_2(tmp_path, capsys, command, config, field):
     cfg = write_config(tmp_path, "c.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"'{field}'" in capsys.readouterr().err
-
-
-def test_threads_env_not_an_integer_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CMVLAB_THREADS", "abc")
-    cfg = write_config(tmp_path, "l.json", {
-        "sequence": {"kind": "constant", "value": [0.0, 0.0]},
-        "grid_size": 8, "n_steps": 1000,
-    })
-    assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "CMVLAB_THREADS" in capsys.readouterr().err
-    # an explicit --threads does not read the variable
-    assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--threads", "2"]) == 0

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvlab import coefficients as C
+from cmvlab import floquet as F
 from cmvlab import operator as O
 
 
@@ -360,6 +362,55 @@ def test_banded_periodic_wrap_matches_dense(seq, offset, dim):
     if offset % 2 == 0:
         dense = O.assemble_cmv(seq, offset, dim, "periodic_wrap").entries
         assert np.max(np.abs(got - dense)) <= 1e-15
+
+
+def scalar_theta(a):
+    """The block [[conj(a), rho], [rho, -a]] with Python's scalar rho."""
+    a = complex(a)
+    rho = math.sqrt(1.0 - abs(a) ** 2)
+    return np.array([[a.conjugate(), rho], [rho, -a]])
+
+
+def place_blocks(blocks):
+    """Dense L and M with blocks[j] on the sites (j, j + 1 mod n), even j in L."""
+    n = len(blocks)
+    lm = np.zeros((2, n, n), dtype=complex)
+    for j, b in enumerate(blocks):
+        sites = (j, (j + 1) % n)
+        for r in range(2):
+            for c in range(2):
+                lm[j % 2, sites[r], sites[c]] = b[r, c]
+    return lm[0], lm[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seq=disk_tables, data=st.data())
+def test_lm_and_floquet_blocks_are_scalar_theta_bitwise(seq, data):
+    q = data.draw(st.sampled_from([q for q in range(2, 17, 2) if q % seq.period == 0]))
+    k = data.draw(st.floats(0.0, 1.0)) * math.pi / q
+    offset = 2 * data.draw(st.integers(-5, 5))
+
+    wrap = [scalar_theta(a) for a in seq.window(offset, offset + q)]
+    for a, block in zip(seq.window(offset, offset + q), wrap):
+        assert np.array_equal(O.theta(a), block)
+    L, M = O.assemble_lm(seq, offset, q, "periodic_wrap")
+    want_L, want_M = place_blocks(wrap)
+    assert np.array_equal(L.entries, want_L) and np.array_equal(M.entries, want_M)
+
+    # half-line: the last block is Theta(-1) = diag(-1, 1)
+    blocks = [scalar_theta(a) for a in seq.window(0, q)]
+    L, M = O.assemble_lm(seq, 0, q, "half_line_left")
+    want_L, want_M = place_blocks(blocks[:-1] + [np.diag([-1.0, 1.0])])
+    assert np.array_equal(L.entries, want_L) and np.array_equal(M.entries, want_M)
+
+    # Floquet: the corner block carries e^{ikq} at (q-1, 0), e^{-ikq} at (0, q-1)
+    corner = blocks[-1].copy()
+    rho = corner[0, 1].real
+    corner[0, 1] = rho * cmath.exp(1j * k * q)
+    corner[1, 0] = rho * cmath.exp(-1j * k * q)
+    L, M = F.floquet_blocks(seq, q, k)
+    want_L, want_M = place_blocks(blocks[:-1] + [corner])
+    assert np.array_equal(L, want_L) and np.array_equal(M, want_M)
 
 
 def test_cmv_banded_validations():
