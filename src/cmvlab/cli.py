@@ -318,8 +318,8 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     if not isinstance(record, list):
         raise ValueError(f"config field 'record_times' must be a list, got {record!r}")
     record = [_as_int("record_times", t) for t in record]
-    if any(t < 0 for t in record):
-        raise ValueError("record_times must be nonnegative")
+    if any(not 0 <= t <= steps for t in record):
+        raise ValueError(f"config field 'record_times' must lie in 0..{steps}, got {record}")
 
     # one pass: each record time continues from the previous checkpoint
     state = qwalk.WalkState.delta(site, spin)
@@ -360,6 +360,8 @@ def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     if not isinstance(r_values, list):
         raise ValueError(f"config field 'r_values' must be a list, got {r_values!r}")
     r_values = [_as_float("r_values", r) for r in r_values]
+    if not r_values:
+        raise ValueError("config field 'r_values' must be a nonempty list")
     if any(r < 0 for r in r_values):
         raise ValueError(f"config field 'r_values' must be >= 0, got {r_values}")
     arcs_cfg = cfg.get("arc_set", "full")

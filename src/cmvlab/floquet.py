@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .coefficients import CoefficientSequence
 from .errors import DegenerateBandError, NumericalInstabilityError
@@ -37,13 +36,12 @@ __all__ = [
     "band_eigens",
     "band_derivative",
     "periodic_spectrum",
-    "band_arcs_from_kgrid",
     "monodromy_bound_check",
     "discriminant",
 ]
 
 _GAP_TOL = 1e-8
-_EDGE_TOL = 1e-8  # |discriminant(edge) - level| certificate
+_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,6 +85,19 @@ def floquet_operator(seq: CoefficientSequence, q: int, k: float) -> np.ndarray:
     return L @ M
 
 
+def _eigenpairs(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and unit eigenvectors of the unitary E, every residual
+    ||E u - z u|| checked against 1e-10 (for normal E it bounds the distance
+    from z to the spectrum)."""
+    w, vecs = np.linalg.eig(E)
+    resid = np.linalg.norm(E @ vecs - vecs * w, axis=0)
+    if resid.max() > _RESIDUAL_TOL:
+        raise NumericalInstabilityError(
+            f"eigenpair residual {resid.max():.2e} exceeds {_RESIDUAL_TOL:.0e}"
+        )
+    return w, vecs
+
+
 def band_eigens(
     seq: CoefficientSequence, q: int, k: float
 ) -> list[FloquetEigenpair]:
@@ -101,31 +112,20 @@ def band_eigens(
         raise ValueError(f"k must lie strictly inside (0, pi/q), got {k}")
     L, M = floquet_blocks(seq, q, k)
     E = L @ M
-    # Schur of a normal matrix: diagonal T, orthonormal eigenvectors.
-    T, Zs = scipy.linalg.schur(E, output="complex")
-    w = np.diag(T)
+    w, vecs = _eigenpairs(E)
     order = np.argsort(np.angle(w) % TWO_PI)
     w = w[order]
-    vecs = Zs[:, order]
+    vecs = vecs[:, order]
 
     gaps = np.abs(w - np.roll(w, -1))
     if w.size > 1 and gaps.min() < _GAP_TOL:
         i = int(np.argmin(gaps))
         raise DegenerateBandError(k, float(gaps[i]))
 
-    pairs = []
-    Linv = L.conj().T
-    for i in range(q):
-        u = vecs[:, i]
-        resid = np.linalg.norm(E @ u - w[i] * u)
-        if resid > 1e-10:
-            raise NumericalInstabilityError(
-                f"eigenpair residual {resid:.2e} exceeds 1e-10"
-            )
-        v = Linv @ u
-        v = v / np.linalg.norm(v)
-        pairs.append(FloquetEigenpair(k=k, z=complex(w[i]), u=u.copy(), v=v))
-    return pairs
+    duals = L.conj().T @ vecs
+    duals /= np.linalg.norm(duals, axis=0)
+    return [FloquetEigenpair(k=k, z=complex(w[i]), u=vecs[:, i].copy(), v=duals[:, i])
+            for i in range(q)]
 
 
 def band_derivative(
@@ -169,66 +169,20 @@ def periodic_spectrum(seq: CoefficientSequence, q: int) -> CircleArcSet:
     is +2, and of E_q(pi/q), where it is -2.  Sorted by angle, a cell between
     edges of different levels is a band and a cell between edges of the same
     level is a gap; a closed gap has two equal edges and its neighbouring
-    arcs fuse.  Every edge is certified by one batched discriminant call:
-    NumericalInstabilityError if any edge misses its level by more than 1e-8.
+    arcs fuse.  Every edge is certified by its eigenpair residual, which
+    bounds its distance from the spectrum of the unitary E_q(k):
+    NumericalInstabilityError if any residual exceeds 1e-10.
     """
     _check_q(seq, q)
-    z = np.concatenate([np.linalg.eigvals(floquet_operator(seq, q, k))
+    z = np.concatenate([_eigenpairs(floquet_operator(seq, q, k))[0]
                         for k in (0.0, math.pi / q)])
     edges = np.angle(z) % TWO_PI
     level = np.repeat([2.0, -2.0], q)
-    miss = np.abs(discriminant(seq, q, edges) - level)
-    if miss.max() > _EDGE_TOL:
-        raise NumericalInstabilityError(
-            f"band edge misses its discriminant level by {miss.max():.2e} "
-            f"(tolerance {_EDGE_TOL:.0e})"
-        )
     order = np.argsort(edges, kind="stable")
     edges, level = edges[order], level[order]
     band = level != np.roll(level, -1)
     hi = np.append(edges[1:], edges[0] + TWO_PI)
     return CircleArcSet.from_arcs(np.column_stack([edges, hi])[band])
-
-
-def band_arcs_from_kgrid(
-    seq: CoefficientSequence, q: int, k_points: int = 129
-) -> CircleArcSet:
-    """Band arcs swept by the eigenvalues of E_q(k) over [0, pi/q].
-
-    Branches are threaded across the k-grid by nearest-eigenvalue assignment;
-    each branch moves monotonically in angle inside a band, so its swept arc
-    runs between its unwrapped extremes.
-    """
-    _check_q(seq, q)
-    if k_points < 2:
-        raise ValueError(f"k_points must be at least 2, got {k_points}")
-    import scipy.optimize  # test oracle only: keep it off the CLI start-up
-
-    ks = np.linspace(0.0, math.pi / q, k_points)
-    prev = None
-    tracks = None
-    for k in ks:
-        w = np.linalg.eigvals(floquet_operator(seq, q, k))
-        if prev is None:
-            order = np.argsort(np.angle(w) % TWO_PI)
-            w = w[order]
-            tracks = [[float(np.angle(z) % TWO_PI)] for z in w]
-        else:
-            cost = np.abs(prev[:, None] - w[None, :])
-            rows, cols = scipy.optimize.linear_sum_assignment(cost)
-            w = w[cols[np.argsort(rows)]]
-            for i, z in enumerate(w):
-                last = tracks[i][-1]
-                ang = float(np.angle(z))
-                # unwrap to the closest representative of the new angle
-                ang += TWO_PI * round((last - ang) / TWO_PI)
-                tracks[i].append(ang)
-        prev = w
-    arcs = []
-    for tr in tracks:
-        lo, hi = min(tr), max(tr)
-        arcs.append((lo, hi))
-    return CircleArcSet.from_arcs(arcs)
 
 
 def monodromy_bound_check(

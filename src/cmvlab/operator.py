@@ -41,7 +41,6 @@ __all__ = [
     "verify_sieve_square",
     "norm_diff",
     "cmv_banded",
-    "banded_matvec",
 ]
 
 BOUNDARIES = ("periodic_wrap", "half_line_left", "raw_cut")
@@ -204,8 +203,8 @@ def verify_sieve_square(seq: CoefficientSequence, dim: int) -> dict:
     """
     if dim % 4 != 0 or dim <= 0:
         raise ValueError(f"dim must be a positive multiple of 4, got {dim}")
-    hat = cmv_banded(sieve(seq).window(0, dim), 0, "periodic_wrap")
-    ref = cmv_banded(shift_seq(seq, 1).window(0, dim // 2), 0, "periodic_wrap")
+    hat = cmv_banded(sieve(seq).window(0, dim), 0)
+    ref = cmv_banded(shift_seq(seq, 1).window(0, dim // 2), 0)
     return _square_residuals(hat, ref)
 
 
@@ -315,39 +314,23 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
 
 
-def cmv_banded(alpha: np.ndarray, lo: int, boundary: str = "raw_cut") -> np.ndarray:
-    """Banded (ab-form) CMV window on the global sites [lo, hi].
+def cmv_banded(alpha: np.ndarray, lo: int) -> np.ndarray:
+    """Banded (ab-form) periodic-wrap CMV window on the global sites [lo, hi].
 
-    ``raw_cut``: ``alpha`` holds alpha_m for m in [lo - 1, hi], and the
-    window is the plain restriction.  No coefficient further outside reaches
-    an entry inside it; setting alpha_{lo-1} = alpha_hi = -1 decouples both
-    cuts, which is how the unitary half-line truncations are produced.
-
-    ``periodic_wrap``: ``alpha`` holds alpha_m for m in [lo, hi] (an even
-    number of sites) and site indices are taken mod n; this is the window
-    ``assemble_cmv`` builds with the same boundary.
+    ``alpha`` holds alpha_m for m in [lo, hi] (an even number of sites) and
+    site indices are taken mod n; this is the window ``assemble_cmv`` builds
+    with the ``periodic_wrap`` boundary.
 
     Entries come from the row formulas of the pentadiagonal matrix and are
-    returned in the (5, n) diagonal-ordered form: row 2 + i - j holds entry
-    (i, j), with i taken mod n for ``periodic_wrap``.  For ``raw_cut`` this
-    is the form scipy.linalg.solve_banded takes with (l, u) = (2, 2).
+    returned in the cyclic (5, n) diagonal-ordered form: row 2 + i - j holds
+    entry (i mod n, j).
     """
     a = np.asarray(alpha, dtype=complex)
-    if boundary == "periodic_wrap":
-        n = a.size
-        if n < 2 or n % 2:
-            raise ValueError(f"periodic_wrap needs a positive even window, got {n} sites")
-        ext = np.concatenate([a[-2:], a, a[:1]])
-    elif boundary == "raw_cut":
-        n = a.size - 1
-        if n < 1:
-            raise ValueError("window must contain at least one site")
-        # alpha_{lo-2} and alpha_{hi+1} only reach entries outside the window
-        ext = np.concatenate([[0j], a, [0j]])
-    else:
-        raise ValueError("cmv_banded needs a periodic_wrap or raw_cut boundary")
-
-    # ext holds alpha over [lo - 2, hi + 1]
+    n = a.size
+    if n < 2 or n % 2:
+        raise ValueError(f"periodic_wrap needs a positive even window, got {n} sites")
+    # ext holds alpha over [lo - 2, hi + 1], wrapped
+    ext = np.concatenate([a[-2:], a, a[:1]])
     r = _rho(ext)
     prev2, prev, cur, nxt = ext[:n], ext[1:n + 1], ext[2:n + 2], ext[3:]
     r_prev2, r_prev, r_cur, r_nxt = r[:n], r[1:n + 1], r[2:n + 2], r[3:]
@@ -365,22 +348,4 @@ def cmv_banded(alpha: np.ndarray, lo: int, boundary: str = "raw_cut") -> np.ndar
     ab = np.empty((5, n), dtype=complex)
     for d in range(-2, 3):
         ab[2 - d] = np.roll(by_row[2 + d], d)
-    if boundary == "raw_cut":
-        for d in (1, 2):
-            ab[2 - d, :d] = 0.0
-            ab[2 + d, n - d:] = 0.0
     return ab
-
-
-def banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y = A x for a (5, n) diagonal-ordered pentadiagonal matrix."""
-    n = ab.shape[1]
-    y = np.zeros(n, dtype=complex)
-    for d in range(-2, 3):
-        # ab[2 + d, j] holds entry (j + d, j)
-        row = ab[2 + d]
-        if d >= 0:
-            y[d:] += row[: n - d] * x[: n - d]
-        else:
-            y[: n + d] += row[-d:] * x[-d:]
-    return y

@@ -13,8 +13,12 @@ flip) on the open disk.  M_plus and M_minus are algebraic combinations of
 these, and the reflectionless identity M_plus = -conj(M_minus) on the
 spectrum is probed at finite radius r instead of through radial limits.
 
-Every value is certified by recomputing on a doubled window; results that
-move more than 1e-8 raise TruncationInstabilityError.
+No window is assembled: by Geronimus' theorem the Schur parameters of the
+half-line spectral measure at site k are the window's own coefficients read
+away from the cut, so each value is one backward Schur recursion over them,
+batched over all points.  Every value is certified by recomputing on a
+doubled window; results that move more than 1e-8 raise
+TruncationInstabilityError.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .coefficients import CoefficientSequence
 from .errors import (
@@ -31,7 +34,6 @@ from .errors import (
     TruncationInstabilityError,
     WeylDenominatorError,
 )
-from .operator import banded_matvec, cmv_banded
 from .spectral_sets import CircleArcSet
 
 __all__ = [
@@ -76,24 +78,22 @@ def _halfline_values(
 ) -> np.ndarray:
     """<delta_k, (E + z)(E - z)^{-1} delta_k> on one half-line window.
 
-    The window is built once; each point of the 1-d array z costs one
-    banded solve.
+    By Geronimus' theorem the window's Schur parameters at the base site are
+    its coefficients read away from the cut: alpha_k, alpha_{k+1}, ... on the
+    right and conj(alpha_{k-1}), conj(alpha_{k-2}), ... on the left.  The far
+    cut -1 starts the backward Schur recursion at f = -1, run over the whole
+    1-d array z, and the value is F = (1 + z f) / (1 - z f).
     """
     if side == "plus":
-        lo, loc = k, 0
+        a = seq.window(k, k + dim - 1)[::-1]
     else:
-        lo, loc = k - dim + 1, dim - 1
-    # alpha over [lo - 1, lo + dim - 1], the two cut sites set to -1
-    ab = cmv_banded(np.concatenate([[-1.0], seq.window(lo, lo + dim - 1), [-1.0]]), lo)
-    rhs = np.zeros(dim, dtype=complex)
-    rhs[loc] = 1.0
-    shifted = ab.copy()
-    out = np.empty(z.shape, dtype=complex)
-    for i, zi in enumerate(z):
-        shifted[2] = ab[2] - zi  # main diagonal of E - z
-        x = scipy.linalg.solve_banded((2, 2), shifted, rhs)
-        out[i] = (banded_matvec(ab, x) + zi * x)[loc]  # (E + z) x
-    return out
+        a = seq.window(k - dim + 1, k).conj()
+    f = np.full(z.shape, -1.0 + 0j)
+    for aj, aj_bar in zip(a.tolist(), a.conj().tolist()):
+        zf = z * f
+        f = (aj + zf) / (1.0 + aj_bar * zf)
+    zf = z * f
+    return (1.0 + zf) / (1.0 - zf)
 
 
 def _weyl_values(seq, k, z, dim, side) -> np.ndarray:

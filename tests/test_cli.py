@@ -206,19 +206,6 @@ def test_walk_coin_given_as_object_is_malformed(tmp_path, capsys):
     assert "coin at site 0 is malformed" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves only the k-grid test oracle; importing it costs
-    # every CLI start about 0.2 s
-    import cmvlab
-
-    src = str(Path(cmvlab.__file__).resolve().parents[1])
-    code = "import sys, cmvlab.cli; print('scipy.optimize' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
 def test_sieve_check(tmp_path):
     cfg = write_config(tmp_path, "s.json", {
         "sequence": {"kind": "constant", "value": [0.5, 0.0]}, "dim": 16,
@@ -310,6 +297,41 @@ APPROX_SMALL = {
                "decay": {"form": "geometric", "base": 4.0}},
     "grid_size": 64, "n_steps": 1000, "epsilon_L": 0.01,
 }
+
+
+NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import cmvlab.cli
+print(json.dumps([cmvlab.cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    import cmvlab
+    from cmvlab.cli import _COMMANDS
+
+    periodic = {"kind": "periodic_table", "values": [[0.3, 0.1], [-0.2, 0.4]]}
+    configs = {
+        "bands": {"sequence": periodic, "q": 4, "k_points": 4},
+        "lyapunov": {"sequence": {"kind": "quasiperiodic", "amplitude": 0.5,
+                                  "frequency": 0.3, "phase": 0.0},
+                     "grid_size": 8, "n_steps": 1000},
+        "approx": {**APPROX_SMALL, "k": 0},
+        "walk": {"coins": {"kind": "hadamard"}, "steps": 8},
+        "sieve-check": {"sequence": periodic, "dim": 8},
+        "weyl-defect": {"sequence": periodic, "samples": 16, "dim": 64,
+                        "r_values": [0.5]},
+    }
+    assert configs.keys() == _COMMANDS.keys()
+    runs = [[cmd, "--config", write_config(tmp_path, f"{cmd}.json", cfg),
+             "--out", str(tmp_path / cmd)] for cmd, cfg in configs.items()]
+    src = str(Path(cmvlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, json.dumps(runs)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [0] * len(runs), out.stderr
 
 
 @pytest.mark.parametrize("k", [3, 10, -1])
@@ -437,6 +459,22 @@ def test_walk_rejects_negative_survival_j_before_any_evolution(tmp_path, capsys,
     assert "'survival_J'" in capsys.readouterr().err
 
 
+def test_walk_rejects_record_times_past_steps_before_any_evolution(tmp_path, capsys,
+                                                                  monkeypatch):
+    from cmvlab import qwalk
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("record_times must be checked before any evolution")
+
+    monkeypatch.setattr(qwalk, "evolve", no_compute)
+    cfg = write_config(tmp_path, "w.json", {
+        "coins": {"kind": "hadamard"}, "steps": 4, "record_times": [2, 8],
+    })
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'record_times'" in err and "0..4" in err
+
+
 def test_readme_common_flags_match_the_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     para = readme[readme.index("Common flags:"):]
@@ -496,6 +534,8 @@ def test_readme_common_flags_match_the_parser():
                      "samples": 16, "dim": 64, "r_values": [0.9, -0.5]}, "r_values"),
     ("sieve-check", {"sequence": {"kind": "random_periodic", "q": -2}, "dim": 16},
      "sequence.q"),
+    ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                     "samples": 16, "dim": 64, "r_values": []}, "r_values"),
 ])
 def test_malformed_config_fields_exit_2(tmp_path, capsys, command, config, field):
     cfg = write_config(tmp_path, "c.json", config)

@@ -248,37 +248,6 @@ def test_norm_diff_window_validation():
     assert O.norm_diff(raw, s, 8, require_exact=False) >= 0.0
 
 
-def test_banded_matches_halfline(make_periodic):
-    s = make_periodic(4, radius=0.6)
-    alpha = s.window(-1, 16)  # sites -1..15
-    alpha[0] = alpha[-1] = -1.0  # the cut sites -1 and 15
-
-    ab = O.cmv_banded(alpha, 0)
-    dense = np.zeros((16, 16), dtype=complex)
-    for d in range(-2, 3):
-        for j in range(16):
-            i = j + d
-            if 0 <= i < 16:
-                dense[i, j] = ab[2 + d, j]
-    ref = O.assemble_cmv(s, 0, 16, "half_line_left")
-    assert np.max(np.abs(dense - ref.entries)) == 0.0
-
-
-def test_banded_matvec_matches_dense(make_periodic, rng):
-    s = make_periodic(3, radius=0.5)
-    alpha = s.window(-1, 12)
-    alpha[0] = alpha[-1] = -1.0
-
-    ab = O.cmv_banded(alpha, 0)
-    dense = np.zeros((12, 12), dtype=complex)
-    for d in range(-2, 3):
-        for j in range(12):
-            if 0 <= j + d < 12:
-                dense[j + d, j] = ab[2 + d, j]
-    x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    np.testing.assert_allclose(O.banded_matvec(ab, x), dense @ x, atol=1e-14)
-
-
 def test_banded_unitary_rejects_off_band():
     bad = np.zeros((8, 8), dtype=complex)
     bad[0, 4] = 1.0
@@ -296,16 +265,13 @@ disk_tables = st.lists(
 ).map(C.periodic_table_seq)
 
 
-def banded_to_dense(ab, wrap):
+def banded_to_dense(ab):
     """Entry (i, j) from ab[2 + i - j, j]; wrapped entries add up mod n."""
     n = ab.shape[1]
     dense = np.zeros((n, n), dtype=complex)
     for s in range(-2, 3):
         for j in range(n):
-            if wrap:
-                dense[(j + s) % n, j] += ab[2 + s, j]
-            elif 0 <= j + s < n:
-                dense[j + s, j] = ab[2 + s, j]
+            dense[(j + s) % n, j] += ab[2 + s, j]
     return dense
 
 
@@ -333,24 +299,10 @@ def dense_sieve_residuals(seq, dim):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seq=disk_tables, lo=st.integers(-9, 9), n=st.integers(1, 20))
-def test_banded_raw_cut_matches_row_formulas_bitwise(seq, lo, n):
-    hi = lo + n - 1
-    ab = O.cmv_banded(seq.window(lo - 1, hi + 1), lo)
-    oracle = np.zeros((n, n), dtype=complex)
-    for g in range(lo, hi + 1):
-        cols, vals = expected_interior_row(seq, g)
-        for c, v in zip(cols, vals):
-            if lo <= c <= hi:
-                oracle[g - lo, c - lo] = v
-    assert np.array_equal(banded_to_dense(ab, wrap=False), oracle)
-
-
-@settings(max_examples=60, deadline=None)
 @given(seq=disk_tables, offset=st.integers(-9, 9), dim=st.sampled_from([2, 4, 6, 8, 12]))
 def test_banded_periodic_wrap_matches_dense(seq, offset, dim):
     window = seq.window(offset, offset + dim)
-    got = banded_to_dense(O.cmv_banded(window, offset, "periodic_wrap"), wrap=True)
+    got = banded_to_dense(O.cmv_banded(window, offset))
     # the row formulas of the window's periodic extension, indices mod dim
     cyclic = C.periodic_table_seq(np.roll(window, offset))
     oracle = np.zeros((dim, dim), dtype=complex)
@@ -415,11 +367,7 @@ def test_lm_and_floquet_blocks_are_scalar_theta_bitwise(seq, data):
 
 def test_cmv_banded_validations():
     with pytest.raises(ValueError):
-        O.cmv_banded(np.zeros(3), 0, "periodic_wrap")  # odd window
-    with pytest.raises(ValueError):
-        O.cmv_banded(np.zeros(1), 0)  # raw_cut needs alpha_{lo-1} plus a site
-    with pytest.raises(ValueError):
-        O.cmv_banded(np.zeros(4), 0, "half_line_left")
+        O.cmv_banded(np.zeros(3), 0)  # odd window
 
 
 @settings(max_examples=40, deadline=None)
@@ -447,8 +395,8 @@ def test_square_residuals_of_unsieved_operator_match_dense(seq, dim):
     # are O(1) and a value pinned to 0 would fail
     shifted = O.shift_seq(seq, 1)
     got = O._square_residuals(
-        O.cmv_banded(seq.window(0, dim), 0, "periodic_wrap"),
-        O.cmv_banded(shifted.window(0, dim // 2), 0, "periodic_wrap"),
+        O.cmv_banded(seq.window(0, dim), 0),
+        O.cmv_banded(shifted.window(0, dim // 2), 0),
     )
     want = dense_square_residuals(
         O.assemble_cmv(seq, 0, dim, "periodic_wrap").entries,
@@ -461,8 +409,8 @@ def test_square_residuals_of_unsieved_operator_match_dense(seq, dim):
 def test_unsieved_leakage_is_nonzero():
     s = C.periodic_table_seq([0.5, 0.3j, -0.2, 0.4 + 0.1j])
     got = O._square_residuals(
-        O.cmv_banded(s.window(0, 16), 0, "periodic_wrap"),
-        O.cmv_banded(O.shift_seq(s, 1).window(0, 8), 0, "periodic_wrap"),
+        O.cmv_banded(s.window(0, 16), 0),
+        O.cmv_banded(O.shift_seq(s, 1).window(0, 8), 0),
     )
     assert min(got.values()) > 1e-2
 
