@@ -1,6 +1,7 @@
 """Batch front-end: every pipeline as a subcommand with reproducible outputs.
 
-Each run reads one JSON config (flags override config fields), writes numeric
+Each run reads one JSON config (flags override config fields; a top-level
+field the subcommand does not read is refused before any work), writes numeric
 CSVs at full 17-significant-digit precision plus JSON reports into the output
 directory, and stamps a manifest.json recording the command, parameters,
 seed, tool version, and output list.  Identical manifests reproduce
@@ -90,12 +91,15 @@ def _load_config(path: str) -> dict:
         raise ValueError("--config PATH is required")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON ({path}, line {exc.lineno}): "
                          f"{exc.msg}")
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be a JSON object ({path})")
+    return cfg
 
 
 def _sequence_from_config(cfg: dict, seed: int) -> coeffs.CoefficientSequence:
@@ -323,11 +327,11 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
 
     # one pass: each record time continues from the previous checkpoint
     state = qwalk.WalkState.delta(site, spin)
+    walk = qwalk.build_walk(coins, (state.n_lo, state.n_hi))
     t_done = 0
     dist_rows = []
     surv_rows = []
     for t in sorted(set(record + [steps])):
-        walk = qwalk.build_walk(coins, (state.n_lo, state.n_hi), policy="absorb")
         state = qwalk.evolve(state, walk, t - t_done)
         t_done = t
         for j in range(state.n_lo, state.n_hi + 1):
@@ -385,13 +389,15 @@ def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
                ["theta", "r", "defect"], rows)
 
 
+# each subcommand and the top-level config fields it reads
 _COMMANDS = {
-    "bands": _cmd_bands,
-    "lyapunov": _cmd_lyapunov,
-    "approx": _cmd_approx,
-    "walk": _cmd_walk,
-    "sieve-check": _cmd_sieve_check,
-    "weyl-defect": _cmd_weyl_defect,
+    "bands": (_cmd_bands, ("sequence", "q", "k_points")),
+    "lyapunov": (_cmd_lyapunov, ("sequence", "grid_size", "n_steps", "epsilon_L")),
+    "approx": (_cmd_approx, ("family", "k", "grid_size", "n_steps", "epsilon_L")),
+    "walk": (_cmd_walk, ("coins", "steps", "initial", "survival_J", "record_times")),
+    "sieve-check": (_cmd_sieve_check, ("sequence", "dim")),
+    "weyl-defect": (_cmd_weyl_defect,
+                    ("sequence", "k", "samples", "dim", "r_values", "arc_set")),
 }
 
 
@@ -425,13 +431,18 @@ def main(argv=None) -> int:
                 cfg[key] = json.loads(raw)
             except json.JSONDecodeError:
                 cfg[key] = raw
+        run, known = _COMMANDS[args.command]
+        unknown = sorted(set(cfg) - set(known))
+        if unknown:
+            raise ValueError(f"unknown config field(s) {', '.join(map(repr, unknown))} "
+                             f"for {args.command}; known fields: {', '.join(known)}")
         os.makedirs(args.out, exist_ok=True)
         manifest = RunManifest(
             command=args.command,
             parameters=cfg,
             seed=args.seed,
         )
-        _COMMANDS[args.command](cfg, manifest, args.out)
+        run(cfg, manifest, args.out)
         manifest.write(args.out)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -234,14 +234,13 @@ def lp_sum_criterion(
     family: LimitPeriodicFamily,
     k: int,
     sigma_k_measure: float,
-    window_factor: int = 4,
 ) -> dict:
     """Check sum_{n>k} q_n * ||E_n - E_{n-1}|| < measure(Sigma_k) / 2.
 
-    The sum is evaluated exactly on periodic-wrap windows of one full common
-    period (scaled by ``window_factor``).  The tail beyond the last stage is
-    zero for exact-limit families; otherwise it must be certified from the
-    family's rate function, and the call refuses without one.
+    The sum is evaluated exactly on periodic-wrap windows of four times the
+    last stage's period.  The tail beyond the last stage is zero for
+    exact-limit families; otherwise it must be certified from the family's
+    rate function, and the call refuses without one.
     """
     from . import operator as _operator
 
@@ -252,13 +251,10 @@ def lp_sum_criterion(
 
     # one window size for every term: a multiple of the largest period is a
     # multiple of each stage pair's common period, so each term stays exact
-    dim = window_factor * periods[-1]
-    if dim % 2:
-        dim *= 2
+    dim = 4 * periods[-1]
     lhs = 0.0
     for n in range(k + 1, len(stages)):
-        lhs += periods[n] * _operator.norm_diff(stages[n], stages[n - 1], dim,
-                                                boundary="periodic_wrap")
+        lhs += periods[n] * _operator.norm_diff(stages[n], stages[n - 1], dim)
 
     if not family.exact_limit:
         if family.rate is None:
@@ -310,9 +306,12 @@ def _as_int(name: str, value) -> int:
 
 
 def _as_float(name: str, value) -> float:
-    """A config number; lists, dicts, strings and bools are refused."""
+    """A finite config number; lists, dicts, strings, bools, NaN and the
+    infinities are refused."""
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        return float(value)
+        if math.isfinite(value):
+            return float(value)
+        raise ValueError(f"config field '{name}' must be finite, got {value!r}")
     raise ValueError(f"config field '{name}' must be a number, got {value!r}")
 
 

@@ -6,17 +6,9 @@ of 2x2 unitary blocks
     Theta(alpha) = [[conj(alpha), rho], [rho, -alpha]],   rho = sqrt(1-|alpha|^2),
 
 with the block for alpha_n acting on coordinates (n, n+1): even n in L, odd n
-in M.  Finite windows use one of three boundary conventions:
-
-* ``periodic_wrap``   - the block at the last odd index wraps around; the
-                        window is unitary and equals the twisted restriction
-                        at Floquet phase k = 0.
-* ``half_line_left``  - the wrap window at offset 0 with alpha_{dim-1} = -1:
-                        Theta(-1) = diag(-1, 1) decouples both cuts, which
-                        is alpha_{-1} = -1 on the left, and the window
-                        stays unitary.
-* ``raw_cut``         - plain entrywise restriction, generally not unitary;
-                        used for resolvent experiments only.
+in M.  Finite windows wrap periodically: the block at the last odd index
+couples the last site back to the first, so the window is unitary and equals
+the twisted restriction at Floquet phase k = 0.
 
 All window objects are immutable after construction.
 """
@@ -32,7 +24,6 @@ from .coefficients import CoefficientSequence, periodic_table_seq
 
 __all__ = [
     "BandedUnitary",
-    "BOUNDARIES",
     "theta",
     "assemble_lm",
     "assemble_cmv",
@@ -43,28 +34,23 @@ __all__ = [
     "cmv_banded",
 ]
 
-BOUNDARIES = ("periodic_wrap", "half_line_left", "raw_cut")
-
 
 @dataclass(frozen=True)
 class BandedUnitary:
-    """A dense window of a pentadiagonal unitary with an index offset."""
+    """A dense periodic-wrap window of a pentadiagonal unitary with an index
+    offset; the band is cyclic, so the corner entries lie inside it."""
 
     offset: int
     entries: np.ndarray
-    boundary: str
 
     def __post_init__(self):
         ent = np.asarray(self.entries, dtype=complex)
         if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
             raise ValueError(f"entries must be square, got shape {ent.shape}")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}")
         n = ent.shape[0]
         i, j = np.indices((n, n))
         dist = np.abs(i - j)
-        if self.boundary == "periodic_wrap":
-            dist = np.minimum(dist, n - dist)
+        dist = np.minimum(dist, n - dist)
         off_band = np.abs(ent[dist > 2])
         if off_band.size and off_band.max() > 1e-14:
             raise ValueError(
@@ -120,47 +106,26 @@ def _lm_entries(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lm[0], lm[1]
 
 
-def _check_window(offset: int, dim: int, boundary: str) -> None:
-    if boundary not in ("periodic_wrap", "half_line_left"):
-        raise ValueError(
-            "L/M assembly needs a blockwise boundary: periodic_wrap or half_line_left"
-        )
+def assemble_lm(
+    seq: CoefficientSequence, offset: int, dim: int
+) -> tuple[BandedUnitary, BandedUnitary]:
+    """The factors L (blocks at even sites) and M (blocks at odd sites) of
+    the window over [offset, offset + dim); the block for the last odd site
+    wraps its corner entries around."""
     if offset % 2 != 0:
         raise ValueError(f"offset must be even, got {offset}")
     if dim < 2 or dim % 2 != 0:
         raise ValueError(f"dim must be a positive even integer, got {dim}")
-    if boundary == "half_line_left" and offset != 0:
-        raise ValueError("half_line_left requires offset 0")
-
-
-def assemble_lm(
-    seq: CoefficientSequence, offset: int, dim: int, boundary: str = "periodic_wrap"
-) -> tuple[BandedUnitary, BandedUnitary]:
-    """The factors L (blocks at even sites) and M (blocks at odd sites).
-
-    With ``periodic_wrap`` the block for the last odd site wraps its corner
-    entries around; ``half_line_left`` is the same window with that site's
-    coefficient set to -1, which turns the straddling block into the
-    diagonal unimodular entries M[0, 0] = 1 and M[-1, -1] = -1.
-    """
-    _check_window(offset, dim, boundary)
     a = seq.window(offset, offset + dim)
     _check_disk(a)
-    if boundary == "half_line_left":
-        a = np.append(a[:-1], -1.0)
     L, M = _lm_entries(a)
-    return (
-        BandedUnitary(offset, L, boundary),
-        BandedUnitary(offset, M, boundary),
-    )
+    return BandedUnitary(offset, L), BandedUnitary(offset, M)
 
 
-def assemble_cmv(
-    seq: CoefficientSequence, offset: int, dim: int, boundary: str = "periodic_wrap"
-) -> BandedUnitary:
+def assemble_cmv(seq: CoefficientSequence, offset: int, dim: int) -> BandedUnitary:
     """The windowed CMV operator L @ M."""
-    L, M = assemble_lm(seq, offset, dim, boundary)
-    return BandedUnitary(offset, L.entries @ M.entries, boundary)
+    L, M = assemble_lm(seq, offset, dim)
+    return BandedUnitary(offset, L.entries @ M.entries)
 
 
 def sieve(seq: CoefficientSequence) -> CoefficientSequence:
@@ -265,34 +230,23 @@ def _coalesce(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     return keys // n, keys % n, out
 
 
-def norm_diff(
-    seq1: CoefficientSequence,
-    seq2: CoefficientSequence,
-    dim: int,
-    boundary: str = "periodic_wrap",
-    require_exact: bool = True,
-) -> float:
+def norm_diff(seq1: CoefficientSequence, seq2: CoefficientSequence, dim: int) -> float:
     """Operator norm of the windowed difference of two CMV operators.
 
-    For two periodic sequences on a periodic-wrap window spanning a whole
-    common period the value is the exact k = 0 Floquet norm of the
-    difference; ``require_exact`` enforces that the window is such a
-    multiple.
+    Both sequences must be periodic and the window a multiple of their common
+    period, so the value is the exact k = 0 Floquet norm of the difference.
     """
-    if require_exact:
-        if boundary != "periodic_wrap":
-            raise ValueError("exact evaluation needs a periodic_wrap window")
-        if seq1.period is None or seq2.period is None:
-            raise ValueError("exact evaluation needs two periodic sequences")
-        common = math.lcm(seq1.period, seq2.period)
-        if common % 2:
-            common *= 2
-        if dim < common or dim % common != 0:
-            raise ValueError(
-                f"window dim {dim} must be a multiple of the common period {common}"
-            )
-    e1 = assemble_cmv(seq1, 0, dim, boundary)
-    e2 = assemble_cmv(seq2, 0, dim, boundary)
+    if seq1.period is None or seq2.period is None:
+        raise ValueError("exact evaluation needs two periodic sequences")
+    common = math.lcm(seq1.period, seq2.period)
+    if common % 2:
+        common *= 2
+    if dim < common or dim % common != 0:
+        raise ValueError(
+            f"window dim {dim} must be a multiple of the common period {common}"
+        )
+    e1 = assemble_cmv(seq1, 0, dim)
+    e2 = assemble_cmv(seq2, 0, dim)
     return float(np.linalg.norm(e1.entries - e2.entries, 2))
 
 
@@ -318,8 +272,7 @@ def cmv_banded(alpha: np.ndarray, lo: int) -> np.ndarray:
     """Banded (ab-form) periodic-wrap CMV window on the global sites [lo, hi].
 
     ``alpha`` holds alpha_m for m in [lo, hi] (an even number of sites) and
-    site indices are taken mod n; this is the window ``assemble_cmv`` builds
-    with the ``periodic_wrap`` boundary.
+    site indices are taken mod n; this is the window ``assemble_cmv`` builds.
 
     Entries come from the row formulas of the pentadiagonal matrix and are
     returned in the cyclic (5, n) diagonal-ordered form: row 2 + i - j holds

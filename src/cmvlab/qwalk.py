@@ -13,9 +13,11 @@ rho = sqrt(1 - |g|^2); the extracted Verblunsky coefficients then sit at odd
 flat indices (even ones vanish).  Coins outside this gauge are reported with
 the offending site instead of being silently renormalized.
 
-Dynamics use a window that is pre-grown by the number of steps, so the
-absorbing boundary never loses amplitude; the wrap policy keeps the window
-fixed and cyclic for spectral checks.  States are immutable values.
+A walk operator on a finite window of sites has two views: its matrix is the
+cyclic window (the shift wraps around), which ``to_cmv`` compares with a
+periodic-wrap CMV window, and its step absorbs what the shift moves past
+either edge.  ``evolve`` grows the window by the number of steps first, so the
+absorbing edges never lose amplitude.  States are immutable values.
 """
 
 from __future__ import annotations
@@ -146,30 +148,23 @@ class WalkState:
             total += abs(self.amplitude(j, "-")) ** 2
         return total
 
-    def padded(self, extra: int) -> "WalkState":
-        W = self.amplitudes.shape[0]
-        amp = np.zeros((W + 2 * extra, 2), dtype=complex)
-        amp[extra : extra + W] = self.amplitudes
-        return WalkState(n_lo=self.n_lo - extra, amplitudes=amp)
-
 
 @dataclass(frozen=True)
 class WalkOperator:
-    """U = S Q on a windowed space with a declared boundary policy.
+    """U = S Q on the sites [n_lo, n_hi].
 
     ``table`` holds the (W, 2, 2) coins of the window, read and checked for
-    unitarity once at construction.
+    unitarity once at construction.  ``matrix`` is the cyclic window;
+    ``step`` absorbs what the shift moves past either edge and refuses to
+    lose more than 1e-18 of probability that way.
     """
 
     coins: CoinSequence
     n_lo: int
     n_hi: int
-    policy: str  # "wrap" | "absorb"
     table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.policy not in ("wrap", "absorb"):
-            raise ValueError("policy must be 'wrap' or 'absorb'")
         if self.n_hi < self.n_lo:
             raise ValueError("window must be nonempty")
         # a periodic sequence is read over one period from n_lo and tiled
@@ -192,82 +187,66 @@ class WalkOperator:
         return self.n_hi - self.n_lo + 1
 
     def matrix(self) -> np.ndarray:
-        """Dense 2W x 2W matrix, site-major ordering (n,+), (n,-)."""
+        """Dense cyclic 2W x 2W matrix, site-major ordering (n,+), (n,-)."""
         W = self.width
         U = np.zeros((2 * W, 2 * W), dtype=complex)
         for j, q in enumerate(self.table):
             for spin_in in (0, 1):
                 col = 2 * j + spin_in
-                up, down = q[0, spin_in], q[1, spin_in]
-                jp, jm = j + 1, j - 1
-                if self.policy == "wrap":
-                    jp %= W
-                    jm %= W
-                if 0 <= jp < W:
-                    U[2 * jp + 0, col] += up
-                if 0 <= jm < W:
-                    U[2 * jm + 1, col] += down
+                U[2 * ((j + 1) % W) + 0, col] += q[0, spin_in]
+                U[2 * ((j - 1) % W) + 1, col] += q[1, spin_in]
         return U
 
     def step(self, state: WalkState) -> WalkState:
         if state.n_lo != self.n_lo or state.n_hi != self.n_hi:
             raise ValueError("state window must match the operator window")
-        mixed = np.einsum("jab,jb->ja", self.table, state.amplitudes)
-        out = np.empty_like(mixed)
-        if self.policy == "wrap":
-            out[:, 0] = np.roll(mixed[:, 0], 1)
-            out[:, 1] = np.roll(mixed[:, 1], -1)
-        else:
-            out[:, 0] = 0
-            out[:, 1] = 0
-            out[1:, 0] = mixed[:-1, 0]
-            out[:-1, 1] = mixed[1:, 1]
-            lost = abs(mixed[-1, 0]) ** 2 + abs(mixed[0, 1]) ** 2
-            if lost > 1e-18:
-                raise NumericalInstabilityError(
-                    f"amplitude {lost:.2e} hit the absorbing boundary; "
-                    "enlarge the window"
-                )
-        return WalkState(n_lo=state.n_lo, amplitudes=out)
+        return WalkState(n_lo=state.n_lo,
+                         amplitudes=_absorbing_step(self.table, state.amplitudes))
 
 
-def build_walk(
-    coins: CoinSequence,
-    window: tuple[int, int],
-    policy: str = "wrap",
-) -> WalkOperator:
-    """Walk operator on the window with the given boundary policy."""
+def _absorbing_step(table: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """One step of U = S Q on raw (W, 2) amplitudes with absorbing edges."""
+    mixed = np.einsum("jab,jb->ja", table, amp)
+    out = np.zeros_like(mixed)
+    out[1:, 0] = mixed[:-1, 0]
+    out[:-1, 1] = mixed[1:, 1]
+    lost = abs(mixed[-1, 0]) ** 2 + abs(mixed[0, 1]) ** 2
+    if lost > 1e-18:
+        raise NumericalInstabilityError(
+            f"amplitude {lost:.2e} hit the absorbing boundary; enlarge the window"
+        )
+    return out
+
+
+def build_walk(coins: CoinSequence, window: tuple[int, int]) -> WalkOperator:
+    """Walk operator on the sites window[0]..window[1]."""
     n_lo, n_hi = window
-    return WalkOperator(coins=coins, n_lo=int(n_lo), n_hi=int(n_hi), policy=policy)
+    return WalkOperator(coins=coins, n_lo=int(n_lo), n_hi=int(n_hi))
 
 
 def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
-    """State after t applications of the walk.
+    """State after t steps of U = S Q with the walk's coins.
 
-    With the absorbing policy the window is pre-grown by t sites on both
-    sides (support speed is one site per step), so no amplitude is ever
-    absorbed and the norm is conserved to rounding.
+    The state is padded by t + 1 sites on both sides (support speed is one
+    site per step), so the absorbing edges never take amplitude and the norm
+    is conserved to rounding; the result lives on the padded window.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0:
         return state
-    if walk.policy == "absorb":
-        grown = state.padded(t + 1)
-        op = WalkOperator(
-            coins=walk.coins, n_lo=grown.n_lo, n_hi=grown.n_hi, policy="absorb"
-        )
-    else:
-        grown = state
-        op = walk
+    pad = t + 1
+    op = build_walk(walk.coins, (state.n_lo - pad, state.n_hi + pad))
+    amp = np.zeros((op.width, 2), dtype=complex)
+    amp[pad:-pad] = state.amplitudes
     for _ in range(t):
-        grown = op.step(grown)
-    drift = abs(grown.norm2() - 1.0)
-    if drift > 1e-9 * max(t, 1):
+        amp = _absorbing_step(op.table, amp)
+    drift = abs(float(np.sum(np.abs(amp) ** 2)) - 1.0)
+    if drift > 1e-9 * t:
         raise NumericalInstabilityError(
             f"norm drifted by {drift:.2e} after {t} steps"
         )
-    return grown
+    return WalkState(n_lo=op.n_lo, amplitudes=amp)
 
 
 def survival_probability(
@@ -343,7 +322,7 @@ def to_cmv(
         spec=None,
     )
 
-    walk = build_walk(coins, (n_lo, n_hi), policy="wrap")
+    walk = build_walk(coins, (n_lo, n_hi))
     U = walk.matrix()
     shift = 2 * n_lo + 1
     local = CoefficientSequence(
@@ -352,7 +331,7 @@ def to_cmv(
         period=None,
         spec=None,
     )
-    ref = assemble_cmv(local, 0, 2 * walk.width, "periodic_wrap").entries
+    ref = assemble_cmv(local, 0, 2 * walk.width).entries
     residual = float(np.max(np.abs(U.T - ref)))
     return CMVRepresentation(
         seq=seq, matrix=U, window=(n_lo, n_hi), residual=residual

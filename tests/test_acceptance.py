@@ -293,8 +293,7 @@ def test_11_weyl_free_oracle():
 
 def test_12_quantum_walk_scattering():
     state = Q.WalkState.delta(0, "+")
-    walk = Q.build_walk(Q.hadamard_coins(), (state.n_lo, state.n_hi),
-                        policy="absorb")
+    walk = Q.build_walk(Q.hadamard_coins(), (state.n_lo, state.n_hi))
     surv = {t: Q.survival_probability(state, walk, 5, t) for t in (32, 128, 512)}
     final = Q.evolve(state, walk, 512)
     norm_drift = abs(final.norm2() - 1.0)

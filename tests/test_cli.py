@@ -363,10 +363,10 @@ def test_approx_checks_sweep_fields_like_lyapunov(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(transfer, "lyapunov", no_compute)
     monkeypatch.setattr(floquet, "periodic_spectrum", no_compute)
-    bad = {**APPROX_SMALL, "k": 0, field: value}
-    for command in ("approx", "lyapunov"):
-        cfg = write_config(tmp_path, "a.json", {
-            **bad, "sequence": {"kind": "constant", "value": [0.0, 0.0]}})
+    lyap = {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+            "grid_size": 64, "n_steps": 1000, "epsilon_L": 0.01}
+    for command, config in (("approx", {**APPROX_SMALL, "k": 0}), ("lyapunov", lyap)):
+        cfg = write_config(tmp_path, "a.json", {**config, field: value})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"'{field}'" in err and reason in err
@@ -428,7 +428,7 @@ def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
     vals = [complex(re, im) for re, im in gammas]
     coins = qwalk.cgmv_coins(lambda n: vals[n % 4], period=4)
     state0 = qwalk.WalkState.delta(2, "-")
-    walk = qwalk.build_walk(coins, (state0.n_lo, state0.n_hi), policy="absorb")
+    walk = qwalk.build_walk(coins, (state0.n_lo, state0.n_hi))
     dist = ["# manifest: manifest.json", "t,n,p_plus,p_minus"]
     surv = ["# manifest: manifest.json", "t,survival"]
     for t in (0, 1, 13, 40, 41, 97):
@@ -488,6 +488,50 @@ def test_readme_common_flags_match_the_parser():
         assert flags == documented, name
 
 
+def test_readme_example_configs_fit_one_subcommand():
+    from cmvlab.cli import _COMMANDS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Command line"):]
+    section = section[:section.index("\n## ")]
+    examples = re.findall(r"```json\n(.*?)```", section, re.S)
+    assert examples
+    for text in examples:
+        keys = set(json.loads(text))
+        fits = [name for name, (_, fields) in _COMMANDS.items() if keys <= set(fields)]
+        assert len(fits) == 1, (sorted(keys), fits)
+
+
+@pytest.mark.parametrize("command, config, override, unknown", [
+    ("bands", {"sequence": {"kind": "random_periodic", "q": 4}, "q": 4, "kpoints": 4},
+     None, "kpoints"),
+    ("bands", {"sequence": {"kind": "random_periodic", "q": 4}, "q": 4},
+     "sequence.q=8", "sequence.q"),
+    ("walk", {"coins": {"kind": "hadamard"}, "steps": 4, "survivalJ": 1}, None,
+     "survivalJ"),
+])
+def test_unknown_config_fields_exit_2_before_any_compute(tmp_path, capsys, monkeypatch,
+                                                         command, config, override,
+                                                         unknown):
+    from cmvlab import floquet, qwalk
+    from cmvlab.cli import _COMMANDS
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("unknown fields must be refused before any compute")
+
+    monkeypatch.setattr(floquet, "band_eigens", no_compute)
+    monkeypatch.setattr(floquet, "periodic_spectrum", no_compute)
+    monkeypatch.setattr(qwalk, "evolve", no_compute)
+    out = tmp_path / "o"
+    argv = [command, "--config", write_config(tmp_path, "c.json", config), "--out", str(out)]
+    if override:
+        argv += ["--set", override]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert repr(unknown) in err and ", ".join(_COMMANDS[command][1]) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, config, field", [
     ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "q0": [2]}}, "q0"),
     ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "levels": [3]}},
@@ -536,6 +580,13 @@ def test_readme_common_flags_match_the_parser():
      "sequence.q"),
     ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
                      "samples": 16, "dim": 64, "r_values": []}, "r_values"),
+    ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                     "samples": 16, "dim": 64, "r_values": [math.nan]}, "r_values"),
+    ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                     "samples": 16, "dim": 64, "r_values": [0.9],
+                     "arc_set": [[0.0, math.nan]]}, "arc_set"),
+    ("lyapunov", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                  "grid_size": 8, "n_steps": 1000, "epsilon_L": math.nan}, "epsilon_L"),
 ])
 def test_malformed_config_fields_exit_2(tmp_path, capsys, command, config, field):
     cfg = write_config(tmp_path, "c.json", config)

@@ -307,7 +307,7 @@ def test_wrap_window_eigenvalues_lie_in_the_bands(values):
     seq = C.periodic_table_seq(values)
     q = 2 * seq.period
     arcs = F.periodic_spectrum(seq, q)
-    e = O.assemble_cmv(seq, 0, 4 * q, "periodic_wrap")
+    e = O.assemble_cmv(seq, 0, 4 * q)
     for z in np.linalg.eigvals(e.entries):
         assert arcs.contains(np.angle(z), tol=1e-10)
 

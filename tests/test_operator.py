@@ -55,7 +55,7 @@ def test_theta_rejects(bad):
 
 
 def test_assemble_lm_free_dim4():
-    L, M = O.assemble_lm(C.constant_seq(0.0), 0, 4, "periodic_wrap")
+    L, M = O.assemble_lm(C.constant_seq(0.0), 0, 4)
     np.testing.assert_allclose(
         L.entries,
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -70,7 +70,7 @@ def test_assemble_lm_free_dim4():
 
 
 def test_assemble_lm_constant_dim2():
-    L, _ = O.assemble_lm(C.constant_seq(0.6), 0, 2, "periodic_wrap")
+    L, _ = O.assemble_lm(C.constant_seq(0.6), 0, 2)
     np.testing.assert_allclose(L.entries, O.theta(0.6), atol=1e-15)
 
 
@@ -80,10 +80,6 @@ def test_assemble_lm_validations():
         O.assemble_lm(s, 1, 4)
     with pytest.raises(ValueError):
         O.assemble_lm(s, 0, 5)
-    with pytest.raises(ValueError):
-        O.assemble_lm(s, 0, 4, "raw_cut")
-    with pytest.raises(ValueError):
-        O.assemble_lm(s, 2, 4, "half_line_left")
 
 
 def test_assemble_cmv_free_unitary():
@@ -116,26 +112,16 @@ def test_interior_rows_match_formula_oracle(make_periodic):
             assert np.max(np.abs(e.entries[g] - row)) < 1e-14
 
 
-def test_halfline_boundary_entries(make_periodic):
-    s = make_periodic(3, radius=0.5)
-    e = O.assemble_cmv(s, 0, 8, "half_line_left")
-    # alpha_{-1} = -1 turns the first column entries into conj(a0) and rho0
-    assert e.entries[0, 0] == pytest.approx(complex(s(0)).conjugate(), abs=1e-15)
-    assert e.entries[1, 0] == pytest.approx(s.rho(0), abs=1e-15)
-    assert e.unitarity_residual() < 1e-13
-
-
-@pytest.mark.parametrize("dim", [4, 16, 64, 256])
-@pytest.mark.parametrize("boundary", ["periodic_wrap", "half_line_left"])
-def test_unitarity_windows(make_periodic, dim, boundary):
+@pytest.mark.parametrize("dim", [4, 16, 64, 256], ids=lambda d: f"periodic_wrap-{d}")
+def test_unitarity_windows(make_periodic, dim):
     s = make_periodic(4, radius=0.8)
-    e = O.assemble_cmv(s, 0, dim, boundary)
+    e = O.assemble_cmv(s, 0, dim)
     assert e.unitarity_residual() < 1e-12
 
 
 def test_unitarity_large_window(make_periodic):
     s = make_periodic(8, radius=0.8)
-    e = O.assemble_cmv(s, 0, 2048, "periodic_wrap")
+    e = O.assemble_cmv(s, 0, 2048)
     assert e.unitarity_residual() < 1e-12
 
 
@@ -244,15 +230,17 @@ def test_norm_diff_window_validation():
     raw = C.CoefficientSequence(fn=lambda n: 0.0j, sup_norm_bound=0.0)
     with pytest.raises(ValueError):
         O.norm_diff(raw, s, 8)
-    # non-exact mode accepts any even window
-    assert O.norm_diff(raw, s, 8, require_exact=False) >= 0.0
 
 
 def test_banded_unitary_rejects_off_band():
     bad = np.zeros((8, 8), dtype=complex)
     bad[0, 4] = 1.0
     with pytest.raises(ValueError):
-        O.BandedUnitary(0, bad, "raw_cut")
+        O.BandedUnitary(0, bad)
+    # the band is cyclic: the corner entry (0, n - 1) lies inside it
+    corner = np.zeros((8, 8), dtype=complex)
+    corner[0, 7] = 1.0
+    assert O.BandedUnitary(0, corner).entries[0, 7] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +281,8 @@ def dense_square_residuals(E, ref):
 
 def dense_sieve_residuals(seq, dim):
     return dense_square_residuals(
-        O.assemble_cmv(O.sieve(seq), 0, dim, "periodic_wrap").entries,
-        O.assemble_cmv(O.shift_seq(seq, 1), 0, dim // 2, "periodic_wrap").entries,
+        O.assemble_cmv(O.sieve(seq), 0, dim).entries,
+        O.assemble_cmv(O.shift_seq(seq, 1), 0, dim // 2).entries,
     )
 
 
@@ -312,7 +300,7 @@ def test_banded_periodic_wrap_matches_dense(seq, offset, dim):
             oracle[g - offset, (c - offset) % dim] += v
     assert np.max(np.abs(got - oracle)) <= 1e-15
     if offset % 2 == 0:
-        dense = O.assemble_cmv(seq, offset, dim, "periodic_wrap").entries
+        dense = O.assemble_cmv(seq, offset, dim).entries
         assert np.max(np.abs(got - dense)) <= 1e-15
 
 
@@ -345,17 +333,12 @@ def test_lm_and_floquet_blocks_are_scalar_theta_bitwise(seq, data):
     wrap = [scalar_theta(a) for a in seq.window(offset, offset + q)]
     for a, block in zip(seq.window(offset, offset + q), wrap):
         assert np.array_equal(O.theta(a), block)
-    L, M = O.assemble_lm(seq, offset, q, "periodic_wrap")
+    L, M = O.assemble_lm(seq, offset, q)
     want_L, want_M = place_blocks(wrap)
     assert np.array_equal(L.entries, want_L) and np.array_equal(M.entries, want_M)
 
-    # half-line: the last block is Theta(-1) = diag(-1, 1)
-    blocks = [scalar_theta(a) for a in seq.window(0, q)]
-    L, M = O.assemble_lm(seq, 0, q, "half_line_left")
-    want_L, want_M = place_blocks(blocks[:-1] + [np.diag([-1.0, 1.0])])
-    assert np.array_equal(L.entries, want_L) and np.array_equal(M.entries, want_M)
-
     # Floquet: the corner block carries e^{ikq} at (q-1, 0), e^{-ikq} at (0, q-1)
+    blocks = [scalar_theta(a) for a in seq.window(0, q)]
     corner = blocks[-1].copy()
     rho = corner[0, 1].real
     corner[0, 1] = rho * cmath.exp(1j * k * q)
@@ -399,8 +382,8 @@ def test_square_residuals_of_unsieved_operator_match_dense(seq, dim):
         O.cmv_banded(shifted.window(0, dim // 2), 0),
     )
     want = dense_square_residuals(
-        O.assemble_cmv(seq, 0, dim, "periodic_wrap").entries,
-        O.assemble_cmv(shifted, 0, dim // 2, "periodic_wrap").entries,
+        O.assemble_cmv(seq, 0, dim).entries,
+        O.assemble_cmv(shifted, 0, dim // 2).entries,
     )
     for key in want:
         assert abs(got[key] - want[key]) <= 1e-14, key

@@ -10,7 +10,7 @@ from cmvlab.errors import CoinGaugeError
 
 def test_pure_shift_single_and_many_steps():
     st = Q.WalkState.delta(0, "+")
-    walk = Q.build_walk(Q.identity_coins(), (st.n_lo, st.n_hi), policy="absorb")
+    walk = Q.build_walk(Q.identity_coins(), (st.n_lo, st.n_hi))
     out = Q.evolve(st, walk, 5)
     assert out.amplitude(5, "+") == pytest.approx(1.0)
     assert out.norm2() == pytest.approx(1.0, abs=1e-12)
@@ -19,24 +19,23 @@ def test_pure_shift_single_and_many_steps():
 def test_spin_swap_coin_single_step():
     swap = Q.constant_coins(np.array([[0, 1], [1, 0]]))
     st = Q.WalkState.delta(0, "+")
-    walk = Q.build_walk(swap, (st.n_lo, st.n_hi), policy="absorb")
+    walk = Q.build_walk(swap, (st.n_lo, st.n_hi))
     out = Q.evolve(st, walk, 1)
     assert out.amplitude(-1, "-") == pytest.approx(1.0)
 
 
 def test_evolve_t0_identity():
     st = Q.WalkState.delta(2, "-")
-    walk = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi), policy="absorb")
+    walk = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi))
     assert Q.evolve(st, walk, 0) is st
 
 
 def test_hadamard_unitarity_and_norm():
     st = Q.WalkState.delta(0, "+")
-    walk = Q.build_walk(Q.hadamard_coins(), (-8, 7), policy="wrap")
+    walk = Q.build_walk(Q.hadamard_coins(), (-8, 7))
     U = walk.matrix()
     assert np.max(np.abs(U @ U.conj().T - np.eye(32))) < 1e-13
-    out = Q.evolve(st, Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi),
-                                    policy="absorb"), 100)
+    out = Q.evolve(st, Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi)), 100)
     assert abs(out.norm2() - 1.0) < 1e-7
 
 
@@ -57,10 +56,10 @@ def test_walk_names_the_first_non_unitary_interior_coin(bad_site, residual):
 
     coins = Q.CoinSequence(fn=fn)
     with pytest.raises(ValueError, match=f"coin at site {bad_site} is not unitary"):
-        Q.build_walk(coins, (-5, 8), policy="absorb")
+        Q.build_walk(coins, (-5, 8))
     # a residual of 1e-14 passes, and the stored table is the coins read once
     ok = Q.CoinSequence(fn=lambda n: h * (1.0 + 5e-15) if n == bad_site else h)
-    walk = Q.build_walk(ok, (-5, 8), policy="wrap")
+    walk = Q.build_walk(ok, (-5, 8))
     assert walk.table.shape == (14, 2, 2)
     assert np.array_equal(walk.table[bad_site + 5], ok(bad_site))
 
@@ -103,13 +102,32 @@ def test_periodic_coins_name_the_first_bad_site_in_the_window(n_lo):
         Q.build_walk(coins, (n_lo, n_lo + 10))
 
 
+@pytest.mark.parametrize("t", [1, 2, 17])
+@pytest.mark.parametrize("period", [1, 2, 3, 4, 5])
+def test_evolve_is_t_public_steps_on_the_padded_state(rng, period, t):
+    _, coins = _cgmv_period(period)
+    amp = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    st = Q.WalkState(n_lo=-3, amplitudes=amp / np.sqrt(np.sum(np.abs(amp) ** 2)))
+    got = Q.evolve(st, Q.build_walk(coins, (st.n_lo, st.n_hi)), t)
+
+    pad = t + 1
+    padded = np.zeros((5 + 2 * pad, 2), dtype=complex)
+    padded[pad:-pad] = st.amplitudes
+    ref = Q.WalkState(n_lo=st.n_lo - pad, amplitudes=padded)
+    walk = Q.build_walk(coins, (ref.n_lo, ref.n_hi))
+    for _ in range(t):
+        ref = walk.step(ref)
+    assert (got.n_lo, got.n_hi) == (ref.n_lo, ref.n_hi)
+    assert np.array_equal(got.amplitudes, ref.amplitudes)
+
+
 def test_survival_examples():
     st = Q.WalkState.delta(0, "+")
-    shift = Q.build_walk(Q.identity_coins(), (st.n_lo, st.n_hi), policy="absorb")
+    shift = Q.build_walk(Q.identity_coins(), (st.n_lo, st.n_hi))
     assert Q.survival_probability(st, shift, 0, 0) == pytest.approx(1.0)
     assert Q.survival_probability(st, shift, 3, 10) == pytest.approx(0.0, abs=1e-15)
 
-    had = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi), policy="absorb")
+    had = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi))
     s20 = Q.survival_probability(st, had, 5, 20)
     s200 = Q.survival_probability(st, had, 5, 200)
     assert s200 < s20
@@ -117,7 +135,7 @@ def test_survival_examples():
 
 def test_wrap_requires_matching_window():
     st = Q.WalkState.delta(0, "+")
-    walk = Q.build_walk(Q.hadamard_coins(), (-10, 10), policy="wrap")
+    walk = Q.build_walk(Q.hadamard_coins(), (-10, 10))
     with pytest.raises(ValueError):
         walk.step(st)
 
@@ -176,7 +194,7 @@ def test_to_cmv_reports_offending_site():
 
 def test_scattering_surrogate_decreasing():
     st = Q.WalkState.delta(0, "+")
-    walk = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi), policy="absorb")
+    walk = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi))
     surv = [Q.survival_probability(st, walk, 5, t) for t in (128, 256, 512)]
     assert surv[0] > surv[1] > surv[2]
     assert surv[2] < 0.2
@@ -186,7 +204,7 @@ def test_absorbing_step_guards_edge_amplitude():
     from cmvlab.errors import NumericalInstabilityError
 
     st = Q.WalkState.delta(0, "+", pad=1)
-    walk = Q.build_walk(Q.identity_coins(), (st.n_lo, st.n_hi), policy="absorb")
+    walk = Q.build_walk(Q.identity_coins(), (st.n_lo, st.n_hi))
     mid = walk.step(st)  # walker now at the right edge
     with pytest.raises(NumericalInstabilityError, match="enlarge"):
         walk.step(mid)

@@ -176,7 +176,7 @@ def test_spectral_variation_identity(make_periodic):
 def test_spectral_variation_phase_rotation(make_periodic):
     u = O.assemble_cmv(make_periodic(3, radius=0.5), 0, 12)
     phi = 0.2
-    v = O.BandedUnitary(0, np.exp(1j * phi) * u.entries, "periodic_wrap")
+    v = O.BandedUnitary(0, np.exp(1j * phi) * u.entries)
     out = spectral_variation_check(u, v)
     assert out["holds"]
     assert out["norm"] == pytest.approx(abs(np.exp(1j * phi) - 1.0), abs=1e-12)
@@ -195,9 +195,9 @@ def test_spectral_variation_validations(make_periodic):
     v = O.assemble_cmv(make_periodic(2), 0, 12)
     with pytest.raises(ValueError):
         spectral_variation_check(u, v)
-    raw = O.BandedUnitary(0, np.eye(8) * 0.5, "raw_cut")
+    half = O.BandedUnitary(0, np.eye(8) * 0.5)
     with pytest.raises(ValueError):
-        spectral_variation_check(u, raw)
+        spectral_variation_check(u, half)
 
 
 def test_point_distance_and_contains():
