@@ -22,7 +22,6 @@ from .operator import BandedUnitary, assemble_cmv, assemble_lm, sieve, theta  # 
 from .spectral_sets import CircleArcSet, limsup_surrogate, spectral_variation_check  # noqa: F401
 from .transfer import estimate_Z, gz_step, lyapunov, monodromy, szego  # noqa: F401
 from .floquet import (  # noqa: F401
-    FloquetEigenpair,
     band_derivative,
     band_eigens,
     floquet_blocks,

@@ -18,13 +18,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from . import coefficients as coeffs
-from .coefficients import _as_complex, _as_float, _as_int
+from .coefficients import _as_complex, _as_float, _as_int, _check_keys
 from . import floquet, operator, qwalk, transfer, weyl
 from .errors import NumericalInstabilityError
 from .spectral_sets import CircleArcSet, TWO_PI
@@ -41,20 +41,8 @@ class RunManifest:
     outputs: list = field(default_factory=list)
 
     def write(self, out_dir: str) -> None:
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "command": self.command,
-                    "parameters": self.parameters,
-                    "seed": self.seed,
-                    "tool_version": self.tool_version,
-                    "outputs": self.outputs,
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
+        with open(_out_file(out_dir, "manifest.json"), "w") as fh:
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -64,10 +52,16 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _out_file(out_dir: str, name: str) -> str:
+    """The path of an output file.  The directory is made at the first write,
+    so a run refused during validation leaves none behind."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
 def _write_csv(manifest: RunManifest, out_dir: str, name: str,
                header: list[str], rows) -> None:
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
+    with open(_out_file(out_dir, name), "w") as fh:
         fh.write("# manifest: manifest.json\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -77,10 +71,9 @@ def _write_csv(manifest: RunManifest, out_dir: str, name: str,
 
 def _write_json(manifest: RunManifest, out_dir: str, name: str, payload: dict
                 ) -> None:
-    path = os.path.join(out_dir, name)
     payload = dict(payload)
     payload["manifest"] = "manifest.json"
-    with open(path, "w") as fh:
+    with open(_out_file(out_dir, name), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     manifest.outputs.append(name)
@@ -94,6 +87,8 @@ def _load_config(path: str) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON ({path}, line {exc.lineno}): "
                          f"{exc.msg}")
@@ -107,6 +102,7 @@ def _sequence_from_config(cfg: dict, seed: int) -> coeffs.CoefficientSequence:
     if not isinstance(d, dict):
         raise ValueError("config field 'sequence' must be an object")
     if d.get("kind") == "random_periodic":
+        _check_keys("'random_periodic' spec", d, ("kind", "q", "radius"))
         q = _as_int("sequence.q", d.get("q", 4))
         if q < 1:
             raise ValueError(f"config field 'sequence.q' must be >= 1, got {q}")
@@ -150,13 +146,12 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
         raise ValueError(f"config field 'k_points' must be >= 2, got {k_points}")
 
     # strictly interior k grid (band eigenvalues may degenerate at 0 and pi/q)
-    ks = [(j + 0.5) * (math.pi / q) / k_points for j in range(k_points)]
-    rows = []
-    for k in ks:
-        pairs = floquet.band_eigens(seq, q, k)
-        for n, pair in enumerate(pairs):
-            dz = floquet.band_derivative(pair, seq, q)
-            rows.append((q, n, k, pair.z.real, pair.z.imag, dz.real, dz.imag))
+    ks = (np.arange(k_points) + 0.5) * (math.pi / q) / k_points
+    z, u, v = floquet.band_eigens(seq, q, ks)
+    dz = floquet.band_derivative(seq, q, ks, u, v)
+    n = np.tile(np.arange(q), k_points)
+    rows = zip(np.full(n.size, q), n, np.repeat(ks, q), z.real.ravel(), z.imag.ravel(),
+               dz.real.ravel(), dz.imag.ravel())
     _write_csv(manifest, out_dir, "bands.csv",
                ["q", "n", "k", "re_z", "im_z", "re_dzdk", "im_dzdk"], rows)
 
@@ -258,15 +253,16 @@ def _coins_from_config(cfg: dict) -> qwalk.CoinSequence:
     if not isinstance(d, dict):
         raise ValueError("config field 'coins' must be an object")
     kind = d.get("kind")
-    if kind == "identity":
-        return qwalk.identity_coins()
-    if kind == "hadamard":
-        return qwalk.hadamard_coins()
+    if kind in ("identity", "hadamard"):
+        _check_keys(f"{kind!r} coins", d, ("kind",))
+        return qwalk.identity_coins() if kind == "identity" else qwalk.hadamard_coins()
     if kind == "constant":
+        _check_keys("'constant' coins", d, ("kind", "matrix"))
         m = d.get("matrix")
         q = _coin_matrix(m, site=0)
         return qwalk.constant_coins(q)
     if kind == "table":
+        _check_keys("'table' coins", d, ("kind", "matrices"))
         mats = d.get("matrices")
         if not isinstance(mats, list) or not mats:
             raise ValueError("coins.matrices must be a nonempty list")
@@ -274,6 +270,7 @@ def _coins_from_config(cfg: dict) -> qwalk.CoinSequence:
         p = len(table)
         return qwalk.CoinSequence(fn=lambda n: table[n % p], period=p)
     if kind == "cgmv_table":
+        _check_keys("'cgmv_table' coins", d, ("kind", "gammas"))
         gs = d.get("gammas")
         if not isinstance(gs, list) or not gs:
             raise ValueError("coins.gammas must be a nonempty list")
@@ -309,6 +306,7 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     init = cfg.get("initial", {"site": 0, "spin": "+"})
     if not isinstance(init, dict):
         raise ValueError(f"config field 'initial' must be an object, got {init!r}")
+    _check_keys("'initial'", init, ("site", "spin"))
     site = _as_int("initial.site", init.get("site", 0))
     spin = init.get("spin", "+")
     if spin not in ("+", "-"):
@@ -432,11 +430,12 @@ def main(argv=None) -> int:
             except json.JSONDecodeError:
                 cfg[key] = raw
         run, known = _COMMANDS[args.command]
-        unknown = sorted(set(cfg) - set(known))
-        if unknown:
-            raise ValueError(f"unknown config field(s) {', '.join(map(repr, unknown))} "
-                             f"for {args.command}; known fields: {', '.join(known)}")
-        os.makedirs(args.out, exist_ok=True)
+        _check_keys(f"the {args.command} config", cfg, known)
+        probe = os.path.abspath(args.out)  # refuse an --out that cannot be a directory
+        while not os.path.exists(probe):
+            probe = os.path.dirname(probe)
+        if not os.path.isdir(probe):
+            raise ValueError(f"--out {args.out!r} cannot be a directory: {probe!r} is a file")
         manifest = RunManifest(
             command=args.command,
             parameters=cfg,
@@ -444,7 +443,7 @@ def main(argv=None) -> int:
         )
         run(cfg, manifest, args.out)
         manifest.write(args.out)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalInstabilityError as exc:

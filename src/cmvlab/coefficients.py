@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -306,10 +307,10 @@ def _as_int(name: str, value) -> int:
 
 
 def _as_float(name: str, value) -> float:
-    """A finite config number; lists, dicts, strings, bools, NaN and the
-    infinities are refused."""
+    """A finite config number; lists, dicts, strings, bools, NaN, the
+    infinities and integers beyond the float range are refused."""
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        if math.isfinite(value):
+        if abs(value) <= sys.float_info.max:  # refuses NaN, the infinities and huge ints
             return float(value)
         raise ValueError(f"config field '{name}' must be finite, got {value!r}")
     raise ValueError(f"config field '{name}' must be a number, got {value!r}")
@@ -320,6 +321,14 @@ def _as_complex(name: str, pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"config field '{name}' must be an [re, im] pair, got {pair!r}")
     return complex(_as_float(name, pair[0]), _as_float(name, pair[1]))
+
+
+def _check_keys(label: str, d: dict, known: tuple) -> None:
+    """Refuse any key of the spec object ``d`` outside ``known``."""
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(f"unknown field(s) {', '.join(map(repr, unknown))} in {label}; "
+                         f"known fields: {', '.join(known)}")
 
 
 def _field(d: dict, name: str):
@@ -335,6 +344,7 @@ def _field(d: dict, name: str):
 def family_from_spec(d: dict) -> LimitPeriodicFamily:
     if d.get("kind") != "pt_family":
         raise ValueError(f"expected kind 'pt_family', got {d.get('kind')!r}")
+    _check_keys("'pt_family' spec", d, ("kind", "base_amp", "q0", "levels", "decay"))
     base_amp = _as_float("base_amp", _field(d, "base_amp"))
     q0 = _as_int("q0", d.get("q0", 2))
     levels = _as_int("levels", d.get("levels", 3))
@@ -342,8 +352,10 @@ def family_from_spec(d: dict) -> LimitPeriodicFamily:
     if dspec is not None and not isinstance(dspec, dict):
         raise ValueError(f"config field 'decay' must be an object, got {dspec!r}")
     if dspec is None or dspec.get("form") == "gaussian":
+        _check_keys("'gaussian' decay", dspec or {}, ("form",))
         decay = None
     elif dspec.get("form") == "geometric":
+        _check_keys("'geometric' decay", dspec, ("form", "base"))
         base = _as_float("decay.base", dspec.get("base", 4.0))
         if base <= 1.0:
             raise ValueError(f"geometric decay base must exceed 1, got {base}")
@@ -356,11 +368,14 @@ def family_from_spec(d: dict) -> LimitPeriodicFamily:
 def sequence_from_spec(d: dict) -> CoefficientSequence:
     kind = d.get("kind")
     if kind == "constant":
+        _check_keys("'constant' spec", d, ("kind", "value"))
         return constant_seq(_as_complex("value", _field(d, "value")))
     if kind == "quasiperiodic":
+        _check_keys("'quasiperiodic' spec", d, ("kind", "amplitude", "frequency", "phase"))
         return quasiperiodic_seq(_field(d, "amplitude"), _field(d, "frequency"),
                                  _field(d, "phase"))
     if kind == "periodic_table":
+        _check_keys("'periodic_table' spec", d, ("kind", "values"))
         values = _field(d, "values")
         if not isinstance(values, list):
             raise ValueError(f"config field 'values' must be a list, got {values!r}")

@@ -17,22 +17,18 @@ E_q(k) are exactly the roots of trace = 2 cos(qk).
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import CoefficientSequence
 from .errors import DegenerateBandError, NumericalInstabilityError
-from .operator import _check_disk, _lm_entries
+from .operator import _check_disk, _lm_entries, _mul
 from .spectral_sets import CircleArcSet, TWO_PI
 from .transfer import monodromy
 
 __all__ = [
-    "FloquetEigenpair",
     "floquet_blocks",
-    "floquet_operator",
     "band_eigens",
     "band_derivative",
     "periodic_spectrum",
@@ -42,16 +38,6 @@ __all__ = [
 
 _GAP_TOL = 1e-8
 _RESIDUAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FloquetEigenpair:
-    """Eigenpair of the twisted restriction: E_q(k) u = z u, v = L_q^{-1} u."""
-
-    k: float
-    z: complex
-    u: np.ndarray
-    v: np.ndarray
 
 
 def _check_q(seq: CoefficientSequence, q: int) -> None:
@@ -66,81 +52,81 @@ def _check_q(seq: CoefficientSequence, q: int) -> None:
 
 
 def floquet_blocks(
-    seq: CoefficientSequence, q: int, k: float
+    seq: CoefficientSequence, q: int, k
 ) -> tuple[np.ndarray, np.ndarray]:
     """The q x q factors L_q and M_q(k): the wrap window over one period
-    with the Floquet phases e^{-+ikq} in M's corners."""
+    with the Floquet phases e^{-+ikq} in M's corners.  For an array of k,
+    M has shape k.shape + (q, q)."""
     _check_q(seq, q)
-    k = float(k)
+    k = np.asarray(k, dtype=float)
     a = seq.window(0, q)
     _check_disk(a)
     L, M = _lm_entries(a)
-    M[0, q - 1] *= cmath.exp(-1j * k * q)
-    M[q - 1, 0] *= cmath.exp(1j * k * q)
+    M = np.broadcast_to(M, k.shape + (q, q)).copy()
+    M[..., 0, q - 1] *= np.exp(-1j * k * q)
+    M[..., q - 1, 0] *= np.exp(1j * k * q)
     return L, M
 
 
-def floquet_operator(seq: CoefficientSequence, q: int, k: float) -> np.ndarray:
-    L, M = floquet_blocks(seq, q, k)
-    return L @ M
-
-
 def _eigenpairs(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit eigenvectors of the unitary E, every residual
-    ||E u - z u|| checked against 1e-10 (for normal E it bounds the distance
-    from z to the spectrum)."""
+    """Eigenvalues and unit eigenvectors of a stack of unitaries E, every
+    residual ||E u - z u|| checked against 1e-10 (for normal E it bounds the
+    distance from z to the spectrum)."""
     w, vecs = np.linalg.eig(E)
-    resid = np.linalg.norm(E @ vecs - vecs * w, axis=0)
-    if resid.max() > _RESIDUAL_TOL:
+    resid = E @ vecs
+    resid -= vecs * w[..., None, :]
+    worst = np.linalg.norm(resid, axis=-2).max(initial=0.0)
+    if worst > _RESIDUAL_TOL:
         raise NumericalInstabilityError(
-            f"eigenpair residual {resid.max():.2e} exceeds {_RESIDUAL_TOL:.0e}"
+            f"eigenpair residual {worst:.2e} exceeds {_RESIDUAL_TOL:.0e}"
         )
     return w, vecs
 
 
 def band_eigens(
-    seq: CoefficientSequence, q: int, k: float
-) -> list[FloquetEigenpair]:
-    """All q eigenpairs at strictly interior k, sorted by eigenvalue angle.
+    seq: CoefficientSequence, q: int, k
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All q eigenpairs of E_q(k), one stacked eigenproblem over the K
+    strictly interior k of a scalar or a 1-d array: z (K, q) sorted by angle
+    along each row, and unit u, v = L_q^* u (K, q, q) with pair n in column n.
 
     Interior k keeps the eigenvalues simple; pairs closer than 1e-8 are
     reported through DegenerateBandError instead of being returned silently.
     """
-    _check_q(seq, q)
-    k = float(k)
-    if not 0.0 < k < math.pi / q:
-        raise ValueError(f"k must lie strictly inside (0, pi/q), got {k}")
+    k = np.asarray(k, dtype=float).reshape(-1)
     L, M = floquet_blocks(seq, q, k)
-    E = L @ M
-    w, vecs = _eigenpairs(E)
-    order = np.argsort(np.angle(w) % TWO_PI)
-    w = w[order]
-    vecs = vecs[:, order]
+    outside = ~((0.0 < k) & (k < math.pi / q))
+    if outside.any():
+        raise ValueError(f"k must lie strictly inside (0, pi/q), got {k[outside][0]}")
+    M = L @ M  # E_q(k), rebound so the blocks are freed
+    z, u = _eigenpairs(M)
+    order = np.argsort(np.angle(z) % TWO_PI, axis=-1)
+    z = np.take_along_axis(z, order, axis=-1)
+    u = np.take_along_axis(u, order[:, None, :], axis=-1)
 
-    gaps = np.abs(w - np.roll(w, -1))
-    if w.size > 1 and gaps.min() < _GAP_TOL:
-        i = int(np.argmin(gaps))
-        raise DegenerateBandError(k, float(gaps[i]))
+    gaps = np.abs(z - np.roll(z, -1, axis=-1)).min(axis=-1)
+    bad = np.flatnonzero(gaps < _GAP_TOL)
+    if bad.size:
+        raise DegenerateBandError(float(k[bad[0]]), float(gaps[bad[0]]))
 
-    duals = L.conj().T @ vecs
-    duals /= np.linalg.norm(duals, axis=0)
-    return [FloquetEigenpair(k=k, z=complex(w[i]), u=vecs[:, i].copy(), v=duals[:, i])
-            for i in range(q)]
+    v = L.conj().T @ u
+    v /= np.linalg.norm(v, axis=-2, keepdims=True)
+    return z, u, v
 
 
 def band_derivative(
-    pair: FloquetEigenpair, seq: CoefficientSequence, q: int
-) -> complex:
-    """Analytic band velocity dz/dk at the eigenpair's (k, z)."""
+    seq: CoefficientSequence, q: int, k, u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """Analytic band velocities dz/dk (K, q) of ``band_eigens``' pairs u, v
+    at its K values of k, rounded like the scalar formula (``_mul``)."""
     _check_q(seq, q)
     a = complex(seq(q - 1))
     rho = math.sqrt(1.0 - abs(a) ** 2)
-    phase = cmath.exp(-1j * pair.k * q)
-    u_m1 = phase * pair.u[q - 1]
-    v_m1 = phase * pair.v[q - 1]
-    return 1j * q * rho * (
-        v_m1.conjugate() * pair.u[0] - pair.v[0].conjugate() * u_m1
-    )
+    phase = np.exp(-1j * np.asarray(k, dtype=float).reshape(-1, 1) * q)
+    u_m1 = _mul(phase, u[..., q - 1, :])
+    v_m1 = _mul(phase, v[..., q - 1, :])
+    return _mul(1j * q * rho,
+                _mul(v_m1.conj(), u[..., 0, :]) - _mul(v[..., 0, :].conj(), u_m1))
 
 
 def discriminant(seq: CoefficientSequence, q: int, theta) -> float | np.ndarray:
@@ -173,10 +159,8 @@ def periodic_spectrum(seq: CoefficientSequence, q: int) -> CircleArcSet:
     bounds its distance from the spectrum of the unitary E_q(k):
     NumericalInstabilityError if any residual exceeds 1e-10.
     """
-    _check_q(seq, q)
-    z = np.concatenate([_eigenpairs(floquet_operator(seq, q, k))[0]
-                        for k in (0.0, math.pi / q)])
-    edges = np.angle(z) % TWO_PI
+    L, M = floquet_blocks(seq, q, [0.0, math.pi / q])
+    edges = np.angle(_eigenpairs(L @ M)[0].ravel()) % TWO_PI
     level = np.repeat([2.0, -2.0], q)
     order = np.argsort(edges, kind="stable")
     edges, level = edges[order], level[order]
@@ -206,14 +190,15 @@ def monodromy_bound_check(
             f"z is at or beyond a band edge (trace {tr.real:.6f} outside (-2, 2))"
         )
     k = math.acos(tr.real / 2.0) / q
-    pairs = band_eigens(seq, q, k)
-    best = min(pairs, key=lambda p: abs(p.z - z))
-    if abs(best.z - z) > 1e-6:
+    zk, u, v = band_eigens(seq, q, k)
+    dist = np.abs(zk[0] - z)
+    n = int(np.argmin(dist))
+    if dist[n] > 1e-6:
         raise NumericalInstabilityError(
             f"no twisted-restriction eigenvalue matches z (nearest at "
-            f"distance {abs(best.z - z):.2e})"
+            f"distance {dist[n]:.2e})"
         )
-    dz = band_derivative(best, seq, q)
+    dz = band_derivative(seq, q, k, u, v)[0, n]
     lhs = float(np.linalg.norm(phi, 2))
     rhs = 4.0 * q / abs(dz)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-8), "k": k}

@@ -232,10 +232,11 @@ class CircleArcSet:
         for lo, hi in self.arcs:
             best = max(best, other._point_ang_distance(lo))
             best = max(best, other._point_ang_distance(hi % TWO_PI))
-        # deepest points of self inside the gaps of other
+        # deepest points of self inside the gaps of other; strict containment,
+        # since a gap narrower than the merge tolerance is still a gap
         for glo, ghi in other.complement().arcs:
             mid = 0.5 * (glo + ghi)
-            if self.contains(mid):
+            if self.contains(mid, tol=0.0):
                 best = max(best, other._point_ang_distance(mid))
         return best
 

@@ -116,19 +116,18 @@ def test_03_band_derivative_formula():
             for j in range(16):
                 k = (j + 0.5) * (math.pi / q) / 16
                 try:
-                    pairs = F.band_eigens(s, q, k)
-                    plus = [p.z for p in F.band_eigens(s, q, k + h)]
-                    minus = [p.z for p in F.band_eigens(s, q, k - h)]
+                    z, u, v = F.band_eigens(s, q, [k - h, k, k + h])
                 except DegenerateBandError:
                     skipped += 1
                     continue
-                for p in pairs:
-                    zp = min(plus, key=lambda w: abs(w - p.z))
-                    zm = min(minus, key=lambda w: abs(w - p.z))
+                minus, plus = z[0], z[2]
+                dzs = F.band_derivative(s, q, k, u[1:2], v[1:2])[0]
+                for w, dz in zip(z[1], dzs):
+                    zp = plus[np.argmin(np.abs(plus - w))]
+                    zm = minus[np.argmin(np.abs(minus - w))]
                     fd = (zp - zm) / (2 * h)
                     if abs(fd) < 1e-8:
                         continue
-                    dz = F.band_derivative(p, s, q)
                     worst = max(worst, abs(dz - fd) / abs(fd))
                     evaluated += 1
     ok = worst < 1e-5 and evaluated > 200

@@ -170,8 +170,8 @@ def test_band_edges_are_floquet_eigenvalues(values, half):
     if arcs.is_full() or arcs.is_empty():
         return
     # Delta = +-2 exactly at the eigenvalues of E_q(0) and E_q(pi/q)
-    eig = np.concatenate([np.linalg.eigvals(F.floquet_operator(seq, q, k))
-                          for k in (0.0, math.pi / q)])
+    L, M = F.floquet_blocks(seq, q, [0.0, math.pi / q])
+    eig = np.linalg.eigvals(L @ M).ravel()
     for edge in arcs.arcs.ravel():
         assert np.min(np.abs(eig - cmath.exp(1j * edge))) < 1e-7
         assert abs(abs(F.discriminant(seq, q, edge)) - 2.0) < 1e-6

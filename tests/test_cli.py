@@ -264,6 +264,30 @@ def test_missing_config(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    rc = main(["bands", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error: cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["a_file", "a_file/x"])
+def test_out_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch, out):
+    from cmvlab import floquet
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a bad --out must be refused before any compute")
+
+    monkeypatch.setattr(floquet, "band_eigens", no_compute)
+    (tmp_path / "a_file").write_text("")
+    cfg = write_config(tmp_path, "b.json", {
+        "sequence": {"kind": "constant", "value": [0.3, 0.0]}, "q": 2, "k_points": 4,
+    })
+    rc = main(["bands", "--config", cfg, "--out", str(tmp_path / out)])
+    assert rc == 2
+    assert "is a file" in capsys.readouterr().err
+    assert (tmp_path / "a_file").read_text() == ""
+
+
 def test_weyl_defect_instability_exit_code(tmp_path, capsys):
     # |z| = 0.99 cannot be certified on a 64-site window over the free
     # operator's full-circle spectrum
@@ -509,11 +533,26 @@ def test_readme_example_configs_fit_one_subcommand():
      "sequence.q=8", "sequence.q"),
     ("walk", {"coins": {"kind": "hadamard"}, "steps": 4, "survivalJ": 1}, None,
      "survivalJ"),
+    # nested spec objects
+    ("walk", {"coins": {"kind": "hadamard"}, "steps": 4, "initial": {"spn": "-"}}, None,
+     "spn"),
+    ("bands", {"sequence": {"kind": "constant", "value": [0.1, 0.0], "vlaue": 1}, "q": 2},
+     None, "vlaue"),
+    ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"],
+                                           "decay": {"form": "geometric", "bsae": 9}}},
+     None, "bsae"),
+    ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "level": 3}},
+     None, "level"),
+    ("walk", {"coins": {"kind": "hadamard", "matrix": 3}, "steps": 4}, None, "matrix"),
+    ("sieve-check", {"sequence": {"kind": "random_periodic", "q": 4, "seed": 3}, "dim": 16},
+     None, "seed"),
+    ("bands", {"sequence": {"kind": "periodic_table", "values": [[0.1, 0.0]], "q": 2},
+               "q": 2}, None, "q"),
 ])
 def test_unknown_config_fields_exit_2_before_any_compute(tmp_path, capsys, monkeypatch,
                                                          command, config, override,
                                                          unknown):
-    from cmvlab import floquet, qwalk
+    from cmvlab import floquet, operator, qwalk
     from cmvlab.cli import _COMMANDS
 
     def no_compute(*args, **kwargs):
@@ -522,14 +561,29 @@ def test_unknown_config_fields_exit_2_before_any_compute(tmp_path, capsys, monke
     monkeypatch.setattr(floquet, "band_eigens", no_compute)
     monkeypatch.setattr(floquet, "periodic_spectrum", no_compute)
     monkeypatch.setattr(qwalk, "evolve", no_compute)
+    monkeypatch.setattr(T, "lyapunov", no_compute)
+    monkeypatch.setattr(operator, "verify_sieve_square", no_compute)
     out = tmp_path / "o"
     argv = [command, "--config", write_config(tmp_path, "c.json", config), "--out", str(out)]
     if override:
         argv += ["--set", override]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert repr(unknown) in err and ", ".join(_COMMANDS[command][1]) in err
+    known = NESTED_KNOWN.get(unknown, _COMMANDS[command][1])
+    assert repr(unknown) in err and f"known fields: {', '.join(known)}" in err
     assert not out.exists()
+
+
+# the fields each nested unknown key above sits next to
+NESTED_KNOWN = {
+    "spn": ("site", "spin"),
+    "vlaue": ("kind", "value"),
+    "bsae": ("form", "base"),
+    "level": ("kind", "base_amp", "q0", "levels", "decay"),
+    "matrix": ("kind",),
+    "seed": ("kind", "q", "radius"),
+    "q": ("kind", "values"),
+}
 
 
 @pytest.mark.parametrize("command, config, field", [
@@ -587,6 +641,11 @@ def test_unknown_config_fields_exit_2_before_any_compute(tmp_path, capsys, monke
                      "arc_set": [[0.0, math.nan]]}, "arc_set"),
     ("lyapunov", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
                   "grid_size": 8, "n_steps": 1000, "epsilon_L": math.nan}, "epsilon_L"),
+    # an integer literal beyond the float range
+    ("lyapunov", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                  "grid_size": 8, "n_steps": 1000, "epsilon_L": 10 ** 400}, "epsilon_L"),
+    ("walk", {"coins": {"kind": "cgmv_table", "gammas": [[0.1, -10 ** 400]]}, "steps": 4},
+     "coins.gammas"),
 ])
 def test_malformed_config_fields_exit_2(tmp_path, capsys, command, config, field):
     cfg = write_config(tmp_path, "c.json", config)

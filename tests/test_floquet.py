@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmvlab import coefficients as C
@@ -20,15 +20,15 @@ def unit(theta):
 
 
 def matched_fd(seq, q, k, h=1e-5):
-    """Central finite differences with nearest-eigenvalue branch matching."""
-    pairs = F.band_eigens(seq, q, k)
-    plus = [p.z for p in F.band_eigens(seq, q, k + h)]
-    minus = [p.z for p in F.band_eigens(seq, q, k - h)]
+    """Analytic velocities at k next to central finite differences with
+    nearest-eigenvalue branch matching."""
+    z, u, v = F.band_eigens(seq, q, [k - h, k, k + h])
+    dz = F.band_derivative(seq, q, k, u[1:2], v[1:2])[0]
+    zm, zp = z[0], z[2]
     out = []
-    for p in pairs:
-        zp = min(plus, key=lambda w: abs(w - p.z))
-        zm = min(minus, key=lambda w: abs(w - p.z))
-        out.append((p, (zp - zm) / (2 * h)))
+    for w, d in zip(z[1], dz):
+        fd = (zp[np.argmin(np.abs(zp - w))] - zm[np.argmin(np.abs(zm - w))]) / (2 * h)
+        out.append((d, fd))
     return out
 
 
@@ -73,8 +73,8 @@ def test_dual_operator_identity(make_periodic):
 def test_free_q2_eigens_on_circle():
     s = C.constant_seq(0.0)
     k = math.pi / 8
-    pairs = F.band_eigens(s, 2, k)
-    got = sorted(np.angle([p.z for p in pairs]) % TWO_PI)
+    z, _, _ = F.band_eigens(s, 2, k)
+    got = sorted(np.angle(z[0]) % TWO_PI)
     expected = sorted([(2 * k) % TWO_PI, (-2 * k) % TWO_PI])
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -83,17 +83,18 @@ def test_band_eigens_contracts(make_periodic):
     for q in (2, 4, 8):
         s = make_periodic(q, radius=0.5)
         k = 0.7 * math.pi / q / 2
-        pairs = F.band_eigens(s, q, k)
-        assert len(pairs) == q
+        z, u, v = F.band_eigens(s, q, k)
+        assert z.shape == (1, q) and u.shape == v.shape == (1, q, q)
         L, M = F.floquet_blocks(s, q, k)
         E, dual = L @ M, M @ L
-        for p in pairs:
-            assert abs(np.linalg.norm(p.u) - 1) < 1e-12
-            assert abs(np.linalg.norm(p.v) - 1) < 1e-12
-            assert np.linalg.norm(E @ p.u - p.z * p.u) < 1e-10
-            assert np.linalg.norm(dual @ p.v - p.z * p.v) < 1e-10
-            assert np.linalg.norm(p.v - L.conj().T @ p.u) < 1e-10
-            assert abs(abs(p.z) - 1) < 1e-12
+        for n in range(q):
+            zn, un, vn = z[0, n], u[0, :, n], v[0, :, n]
+            assert abs(np.linalg.norm(un) - 1) < 1e-12
+            assert abs(np.linalg.norm(vn) - 1) < 1e-12
+            assert np.linalg.norm(E @ un - zn * un) < 1e-10
+            assert np.linalg.norm(dual @ vn - zn * vn) < 1e-10
+            assert np.linalg.norm(vn - L.conj().T @ un) < 1e-10
+            assert abs(abs(zn) - 1) < 1e-12
 
 
 def test_band_eigens_rejects_endpoint_k():
@@ -102,34 +103,54 @@ def test_band_eigens_rejects_endpoint_k():
         F.band_eigens(s, 2, 0.0)
     with pytest.raises(ValueError):
         F.band_eigens(s, 2, math.pi / 2)
+    # one bad k in an array is enough
+    with pytest.raises(ValueError, match="got 0.0"):
+        F.band_eigens(s, 2, [0.1, 0.0, 0.2])
+
+
+def test_band_eigens_checks_the_residual_of_every_k_and_pair(monkeypatch):
+    # one eigenvalue of one k moved by 1e-6 refuses the whole stack
+    s = C.periodize(C.constant_seq(0.5), 4)
+    ks = (np.arange(5) + 0.5) * (math.pi / 4) / 5
+    exact = np.linalg.eig
+    F.band_eigens(s, 4, ks)
+
+    def shifted(E):
+        w, vecs = exact(E)
+        w[3, 2] += 1e-6
+        return w, vecs
+
+    monkeypatch.setattr(np.linalg, "eig", shifted)
+    with pytest.raises(NumericalInstabilityError, match="1.00e-06"):
+        F.band_eigens(s, 4, ks)
 
 
 def test_band_eigens_degenerate_error():
     # folding the constant sequence to period 4 makes bands touch near pi/4
     s = C.periodize(C.constant_seq(0.5), 4)
-    with pytest.raises(DegenerateBandError):
-        F.band_eigens(s, 4, math.pi / 4 - 1e-10)
+    with pytest.raises(DegenerateBandError) as err:
+        F.band_eigens(s, 4, [0.1, math.pi / 4 - 1e-10, 0.2])
+    assert err.value.k == math.pi / 4 - 1e-10 and err.value.gap < 1e-8
 
 
 def test_band_derivative_free_q2():
     s = C.constant_seq(0.0)
-    for p in F.band_eigens(s, 2, 0.37):
-        dz = F.band_derivative(p, s, 2)
+    _, u, v = F.band_eigens(s, 2, 0.37)
+    for dz in F.band_derivative(s, 2, 0.37, u, v)[0]:
         assert abs(dz) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_band_derivative_fd_example():
     s = C.constant_seq(0.5)
-    for p, fd in matched_fd(s, 2, 0.4):
-        dz = F.band_derivative(p, s, 2)
+    for dz, fd in matched_fd(s, 2, 0.4):
         assert abs(dz - fd) < 1e-6
 
 
 def test_band_derivative_tangency(make_periodic):
     s = make_periodic(4, radius=0.5)
-    for p in F.band_eigens(s, 4, 0.11):
-        dz = F.band_derivative(p, s, 4)
-        assert abs((p.z.conjugate() * dz).real) < 1e-8
+    z, u, v = F.band_eigens(s, 4, 0.11)
+    for zn, dz in zip(z[0], F.band_derivative(s, 4, 0.11, u, v)[0]):
+        assert abs((zn.conjugate() * dz).real) < 1e-8
 
 
 def test_band_derivative_fd_sweep(make_periodic):
@@ -138,12 +159,52 @@ def test_band_derivative_fd_sweep(make_periodic):
         for j in range(4):
             k = (j + 0.5) * (math.pi / q) / 4
             try:
-                for p, fd in matched_fd(s, q, k):
-                    dz = F.band_derivative(p, s, q)
+                for dz, fd in matched_fd(s, q, k):
                     if abs(fd) > 1e-8:
                         assert abs(dz - fd) / abs(fd) < 1e-5
             except DegenerateBandError:
                 continue
+
+
+def scalar_velocity(q, rho, k, u, v):
+    """dz/dk = i q rho_{q-1} [conj(v(-1)) u(0) - conj(v(0)) u(-1)] for one
+    pair, in Python complex arithmetic."""
+    phase = cmath.exp(-1j * k * q)
+    u_m1 = phase * complex(u[q - 1])
+    v_m1 = phase * complex(v[q - 1])
+    return 1j * q * rho * (v_m1.conjugate() * complex(u[0])
+                           - complex(v[0]).conjugate() * u_m1)
+
+
+def bits(x):
+    """Bit patterns of a complex array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("q", [2, 8, 32])
+def test_stacked_band_path_equals_per_k_reference_bitwise(make_periodic, q):
+    # the byte-identical bands.csv promise: one stacked eigenproblem gives
+    # each k the eigenpairs of its own eig call, and the array velocities
+    # round like the scalar formula
+    s = make_periodic(q, radius=0.5)
+    rho = math.sqrt(1.0 - abs(s(q - 1)) ** 2)
+    for K in (1, 5, 64):
+        ks = (np.arange(K) + 0.5) * (math.pi / q) / K
+        z, u, v = F.band_eigens(s, q, ks)
+        dz = F.band_derivative(s, q, ks, u, v)
+        assert z.shape == dz.shape == (K, q) and u.shape == v.shape == (K, q, q)
+        L, M = F.floquet_blocks(s, q, ks)
+        for i, k in enumerate(ks.tolist()):
+            w, vecs = np.linalg.eig(L @ M[i])
+            order = np.argsort(np.angle(w) % TWO_PI)
+            w, vecs = w[order], vecs[:, order]
+            duals = L.conj().T @ vecs
+            duals /= np.linalg.norm(duals, axis=0)
+            assert np.array_equal(bits(z[i]), bits(w))
+            assert np.array_equal(bits(u[i]), bits(vecs))
+            assert np.array_equal(bits(v[i]), bits(duals))
+            want = [scalar_velocity(q, rho, k, vecs[:, n], duals[:, n]) for n in range(q)]
+            assert np.array_equal(bits(dz[i]), bits(np.array(want)))
 
 
 def test_periodic_spectrum_free_full():
@@ -294,6 +355,7 @@ disk95 = st.builds(
 
 @settings(max_examples=40, deadline=None)
 @given(values=st.lists(disk95, min_size=1, max_size=8))
+@example(values=[0j, 1e-12 + 0j])
 def test_doubled_period_closes_its_new_gaps(values):
     # sigma(E_2q) = sigma(E_q): every gap the doubling adds is closed
     seq = C.periodic_table_seq(values)
@@ -380,8 +442,8 @@ def mp_band_edges(seq, q, starts, levels, dps=30, iters=2):
 def assert_edges_match_30_digits(seq, q):
     arcs = F.periodic_spectrum(seq, q)
     assert arcs.arcs.shape == (q, 2)
-    starts = np.concatenate([np.linalg.eigvals(F.floquet_operator(seq, q, k))
-                             for k in (0.0, math.pi / q)])
+    L, M = F.floquet_blocks(seq, q, [0.0, math.pi / q])
+    starts = np.linalg.eigvals(L @ M).ravel()
     want = mp_band_edges(seq, q, np.angle(starts) % TWO_PI, np.repeat([2.0, -2.0], q))
     got = arcs.arcs.ravel() % TWO_PI
     dist = np.abs((got[:, None] - want[None, :] + math.pi) % TWO_PI - math.pi)

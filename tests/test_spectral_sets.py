@@ -72,6 +72,14 @@ def test_hausdorff_identity_and_empty(rng):
     assert math.isinf(CircleArcSet.empty().hausdorff(s))
 
 
+def test_hausdorff_to_itself_is_zero_across_a_narrow_gap():
+    # the midpoint of a gap narrower than twice the merge tolerance is not
+    # covered by the set itself
+    s = CircleArcSet.from_arcs([(1.0, 2.0), (2.0 + 1.5e-12, 3.0)])
+    assert s.arcs.shape == (2, 2)
+    assert s.hausdorff(s) == 0.0
+
+
 def test_hausdorff_rotation_example():
     s = CircleArcSet.from_arcs([(0.0, math.pi / 2)])
     t = CircleArcSet.from_arcs([(0.1, math.pi / 2 + 0.1)])
