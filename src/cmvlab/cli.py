@@ -1,7 +1,7 @@
 """Batch front-end: every pipeline as a subcommand with reproducible outputs.
 
-Each run reads one JSON config (flags override config fields; a top-level
-field the subcommand does not read is refused before any work), writes numeric
+Each run reads one JSON config (flags override config fields), checks every
+field against the subcommand's field table before any work, writes numeric
 CSVs at full 17-significant-digit precision plus JSON reports into the output
 directory, and stamps a manifest.json recording the command, parameters,
 seed, tool version, and output list.  Identical manifests reproduce
@@ -24,7 +24,10 @@ import numpy as np
 
 from . import __version__
 from . import coefficients as coeffs
-from .coefficients import _as_complex, _as_float, _as_int, _check_keys
+from .coefficients import (
+    _EVEN, _FAMILY, _IN_DISK, _REQUIRED, _SEQUENCE_KINDS, _UNIT, _as_complex, _as_float,
+    _as_int, _as_pair, _at_least, _list, _nested, _read_fields,
+)
 from . import floquet, operator, qwalk, transfer, weyl
 from .errors import NumericalInstabilityError
 from .spectral_sets import CircleArcSet, TWO_PI
@@ -80,8 +83,6 @@ def _write_json(manifest: RunManifest, out_dir: str, name: str, payload: dict
 
 
 def _load_config(path: str) -> dict:
-    if path is None:
-        raise ValueError("--config PATH is required")
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -97,53 +98,51 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _sequence_from_config(cfg: dict, seed: int) -> coeffs.CoefficientSequence:
-    d = cfg.get("sequence")
-    if not isinstance(d, dict):
-        raise ValueError("config field 'sequence' must be an object")
-    if d.get("kind") == "random_periodic":
-        _check_keys("'random_periodic' spec", d, ("kind", "q", "radius"))
-        q = _as_int("sequence.q", d.get("q", 4))
-        if q < 1:
-            raise ValueError(f"config field 'sequence.q' must be >= 1, got {q}")
-        radius = _as_float("sequence.radius", d.get("radius", 0.5))
-        if not 0.0 <= radius < 1.0:
-            raise ValueError(f"sequence.radius must lie in [0, 1), got {radius}")
-        rng = np.random.default_rng(seed)
-        vals = radius * rng.random(q) * np.exp(2j * math.pi * rng.random(q))
-        return coeffs.periodic_table_seq(vals)
-    return coeffs.sequence_from_spec(d)
+def _coin_table(name: str, mats) -> np.ndarray:
+    """A nonempty list of 2x2 unitary coins of [re, im] pairs, as a (P, 2, 2) array."""
+    if not isinstance(mats, list) or not mats:
+        raise ValueError(f"config field '{name}' must be a nonempty list, got {mats!r}")
+    table = np.empty((len(mats), 2, 2), dtype=complex)
+    for site, m in enumerate(mats):
+        if not (isinstance(m, list) and len(m) == 2
+                and all(isinstance(row, list) and len(row) == 2 for row in m)):
+            raise ValueError(f"config field '{name}': coin at site {site} is malformed: "
+                             "expected a 2x2 table of [re, im] pairs")
+        table[site] = [[_as_complex(name, x) for x in row] for row in m]
+        res = np.max(np.abs(table[site] @ table[site].conj().T - np.eye(2)))
+        if not res <= qwalk._UNITARY_TOL:
+            raise ValueError(f"config field '{name}': coin at site {site} is not unitary "
+                             f"(residual {res:.2e})")
+    return table
 
 
-def _require_even(name: str, value) -> int:
-    value = _as_int(name, value)
-    if value < 2 or value % 2 != 0:
-        raise ValueError(f"config field '{name}' must be a positive even integer "
-                         f"(got {value})")
-    return value
+def _sequence(v: dict, seed: int) -> coeffs.CoefficientSequence:
+    """The sequence of validated ``sequence`` values, random tables drawn from ``seed``."""
+    if v["kind"] != "random_periodic":
+        return coeffs._sequence(v)
+    rng = np.random.default_rng(seed)
+    vals = v["radius"] * rng.random(v["q"]) * np.exp(2j * math.pi * rng.random(v["q"]))
+    return coeffs.periodic_table_seq(vals)
 
 
-def _lyapunov_fields(cfg: dict) -> tuple[int, float]:
-    """Birkhoff length and zero-set threshold of a Lyapunov sweep."""
-    n_steps = _as_int("n_steps", cfg.get("n_steps", 100_000))
-    if n_steps < 1_000:
-        raise ValueError(f"config field 'n_steps' must be >= 1000, got {n_steps}")
-    eps_L = _as_float("epsilon_L", cfg.get("epsilon_L", 1e-2))
-    if eps_L <= 0:
-        raise ValueError(f"config field 'epsilon_L' must be positive, got {eps_L}")
-    return n_steps, eps_L
+def _walk_coins(v: dict) -> qwalk.CoinSequence:
+    """The coins of validated ``coins`` values; a constant coin is a table of one."""
+    if v["kind"] == "cgmv_table":
+        gammas = v["gammas"]
+        return qwalk.cgmv_coins(lambda n: gammas[n % len(gammas)], period=len(gammas))
+    table = v.get("matrix", v.get("matrices"))
+    if table is None:
+        return qwalk.identity_coins() if v["kind"] == "identity" else qwalk.hadamard_coins()
+    return qwalk.CoinSequence(fn=lambda n: table[n % len(table)], period=len(table))
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads the validated values of its field table
 # ---------------------------------------------------------------------------
 
 def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
-    seq = _sequence_from_config(cfg, manifest.seed)
-    q = _require_even("q", cfg.get("q", 2))
-    k_points = _as_int("k_points", cfg.get("k_points", 64))
-    if k_points < 2:
-        raise ValueError(f"config field 'k_points' must be >= 2, got {k_points}")
+    seq = _sequence(cfg["sequence"], manifest.seed)
+    q, k_points = cfg["q"], cfg["k_points"]
 
     # strictly interior k grid (band eigenvalues may degenerate at 0 and pi/q)
     ks = (np.arange(k_points) + 0.5) * (math.pi / q) / k_points
@@ -163,11 +162,8 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
 
 
 def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
-    seq = _sequence_from_config(cfg, manifest.seed)
-    grid_size = _as_int("grid_size", cfg.get("grid_size", 512))
-    if grid_size < 8:
-        raise ValueError(f"config field 'grid_size' must be >= 8, got {grid_size}")
-    n_steps, eps_L = _lyapunov_fields(cfg)
+    seq = _sequence(cfg["sequence"], manifest.seed)
+    grid_size, n_steps, eps_L = cfg["grid_size"], cfg["n_steps"], cfg["epsilon_L"]
 
     thetas = np.arange(grid_size) * (TWO_PI / grid_size)
     with transfer.half_orbit_estimates() as half:
@@ -200,26 +196,18 @@ def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
 
 
 def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
-    fam_spec = cfg.get("family")
-    if not isinstance(fam_spec, dict):
-        raise ValueError("config field 'family' must be an object")
-    family = coeffs.family_from_spec(fam_spec)
-    k_index = _as_int("k", cfg.get("k", 0))
-    if not 0 <= k_index < len(family.stages):
-        raise ValueError(f"config field 'k' must lie in 0..{len(family.stages) - 1}, "
-                         f"got {k_index}")
-    grid_size = _as_int("grid_size", cfg.get("grid_size", 4096))
-    if grid_size < 8:
-        raise ValueError(f"config field 'grid_size' must be >= 8, got {grid_size}")
-    n_steps, eps_L = _lyapunov_fields(cfg)
+    k_index, last = cfg["k"], cfg["family"]["levels"]  # stages 0..levels
+    if not 0 <= k_index <= last:
+        raise ValueError(f"config field 'k' must lie in 0..{last}, got {k_index}")
+    family = coeffs._family(cfg["family"])
+    grid_size, n_steps, eps_L = cfg["grid_size"], cfg["n_steps"], cfg["epsilon_L"]
 
     thetas = np.arange(grid_size) * (TWO_PI / grid_size)
     vals = transfer.lyapunov(family.limit, np.exp(1j * thetas), n_steps)
     z_est = transfer.arcs_from_grid(thetas, vals, eps_L)
 
     periods = family.periods()
-    levels = []
-    stage_arcs = []
+    levels, stage_arcs = [], []
     for qn, stage in zip(periods, family.stages):
         arcs_n = floquet.periodic_spectrum(stage, qn)
         stage_arcs.append(arcs_n)
@@ -248,87 +236,19 @@ def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     })
 
 
-def _coins_from_config(cfg: dict) -> qwalk.CoinSequence:
-    d = cfg.get("coins")
-    if not isinstance(d, dict):
-        raise ValueError("config field 'coins' must be an object")
-    kind = d.get("kind")
-    if kind in ("identity", "hadamard"):
-        _check_keys(f"{kind!r} coins", d, ("kind",))
-        return qwalk.identity_coins() if kind == "identity" else qwalk.hadamard_coins()
-    if kind == "constant":
-        _check_keys("'constant' coins", d, ("kind", "matrix"))
-        m = d.get("matrix")
-        q = _coin_matrix(m, site=0)
-        return qwalk.constant_coins(q)
-    if kind == "table":
-        _check_keys("'table' coins", d, ("kind", "matrices"))
-        mats = d.get("matrices")
-        if not isinstance(mats, list) or not mats:
-            raise ValueError("coins.matrices must be a nonempty list")
-        table = [_coin_matrix(m, site=i) for i, m in enumerate(mats)]
-        p = len(table)
-        return qwalk.CoinSequence(fn=lambda n: table[n % p], period=p)
-    if kind == "cgmv_table":
-        _check_keys("'cgmv_table' coins", d, ("kind", "gammas"))
-        gs = d.get("gammas")
-        if not isinstance(gs, list) or not gs:
-            raise ValueError("coins.gammas must be a nonempty list")
-        vals = [_as_complex("coins.gammas", g) for g in gs]
-        p = len(vals)
-        return qwalk.cgmv_coins(lambda n: vals[n % p], period=p)
-    raise ValueError(f"unknown coins kind {kind!r}")
-
-
-def _coin_matrix(m, site: int) -> np.ndarray:
-    try:
-        q = np.array(
-            [[complex(*m[0][0]), complex(*m[0][1])],
-             [complex(*m[1][0]), complex(*m[1][1])]],
-            dtype=complex,
-        )
-    except (TypeError, IndexError, KeyError, ValueError):
-        raise ValueError(
-            f"coin at site {site} is malformed: expected a 2x2 table of "
-            "[re, im] pairs"
-        )
-    res = np.max(np.abs(q @ q.conj().T - np.eye(2)))
-    if res > 1e-12:
-        raise ValueError(f"coin at site {site} is not unitary (residual {res:.2e})")
-    return q
-
-
 def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
-    coins = _coins_from_config(cfg)
-    steps = _as_int("steps", cfg.get("steps", 100))
-    if steps < 0:
-        raise ValueError(f"config field 'steps' must be >= 0, got {steps}")
-    init = cfg.get("initial", {"site": 0, "spin": "+"})
-    if not isinstance(init, dict):
-        raise ValueError(f"config field 'initial' must be an object, got {init!r}")
-    _check_keys("'initial'", init, ("site", "spin"))
-    site = _as_int("initial.site", init.get("site", 0))
-    spin = init.get("spin", "+")
-    if spin not in ("+", "-"):
-        raise ValueError(f"initial.spin must be '+' or '-', got {spin!r}")
-    J = _as_int("survival_J", cfg.get("survival_J", 5))
-    if J < 0:
-        raise ValueError(f"config field 'survival_J' must be >= 0, got {J}")
-    record = cfg.get("record_times")
+    coins = _walk_coins(cfg["coins"])
+    steps, J, record = cfg["steps"], cfg["survival_J"], cfg["record_times"]
     if record is None:
         record = sorted({steps // 4, steps // 2, steps}) if steps else [0]
-    if not isinstance(record, list):
-        raise ValueError(f"config field 'record_times' must be a list, got {record!r}")
-    record = [_as_int("record_times", t) for t in record]
     if any(not 0 <= t <= steps for t in record):
         raise ValueError(f"config field 'record_times' must lie in 0..{steps}, got {record}")
 
     # one pass: each record time continues from the previous checkpoint
-    state = qwalk.WalkState.delta(site, spin)
+    state = qwalk.WalkState.delta(cfg["initial"]["site"], cfg["initial"]["spin"])
     walk = qwalk.build_walk(coins, (state.n_lo, state.n_hi))
     t_done = 0
-    dist_rows = []
-    surv_rows = []
+    dist_rows, surv_rows = [], []
     for t in sorted(set(record + [steps])):
         state = qwalk.evolve(state, walk, t - t_done)
         t_done = t
@@ -344,58 +264,83 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
 
 
 def _cmd_sieve_check(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
-    seq = _sequence_from_config(cfg, manifest.seed)
-    dim = _as_int("dim", cfg.get("dim", 16))
-    if dim % 4 != 0 or dim <= 0:
-        raise ValueError(f"config field 'dim' must be a positive multiple of 4, "
-                         f"got {dim}")
-    res = operator.verify_sieve_square(seq, dim)
-    _write_json(manifest, out_dir, "sieve_check.json", {**res, "dim": dim})
+    seq = _sequence(cfg["sequence"], manifest.seed)
+    res = operator.verify_sieve_square(seq, cfg["dim"])
+    _write_json(manifest, out_dir, "sieve_check.json", {**res, "dim": cfg["dim"]})
 
 
 def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
-    seq = _sequence_from_config(cfg, manifest.seed)
-    k = _as_int("k", cfg.get("k", 0))
-    samples = _as_int("samples", cfg.get("samples", 32))
-    dim = _as_int("dim", cfg.get("dim", 512))
-    r_values = cfg.get("r_values", [0.9, 0.99])
-    if not isinstance(r_values, list):
-        raise ValueError(f"config field 'r_values' must be a list, got {r_values!r}")
-    r_values = [_as_float("r_values", r) for r in r_values]
-    if not r_values:
-        raise ValueError("config field 'r_values' must be a nonempty list")
-    if any(r < 0 for r in r_values):
-        raise ValueError(f"config field 'r_values' must be >= 0, got {r_values}")
-    arcs_cfg = cfg.get("arc_set", "full")
-    if arcs_cfg == "full":
-        S = CircleArcSet.full_circle()
-    elif isinstance(arcs_cfg, list) and all(
-            isinstance(a, list) and len(a) == 2 for a in arcs_cfg):
-        S = CircleArcSet.from_arcs([(_as_float("arc_set", lo), _as_float("arc_set", hi))
-                                    for lo, hi in arcs_cfg])
-    else:
-        raise ValueError("config field 'arc_set' must be \"full\" or a list of "
-                         f"[lo, hi] pairs, got {arcs_cfg!r}")
+    seq = _sequence(cfg["sequence"], manifest.seed)
+    arcs = cfg["arc_set"]
+    S = CircleArcSet.full_circle() if arcs == "full" else CircleArcSet.from_arcs(arcs)
 
-    angles = S.sample(samples)
-    points = [(th, r) for r in r_values for th in angles]
+    angles = S.sample(cfg["samples"])
+    points = [(th, r) for r in cfg["r_values"] for th in angles]
     z = np.array([r * cmath.exp(1j * th) for th, r in points])
-    mp, mm = weyl.M_coefficients(seq, k, z, dim)
+    mp, mm = weyl.M_coefficients(seq, cfg["k"], z, cfg["dim"])
     defect = np.abs(mp + mm.conj())
     rows = [(th, r, d) for (th, r), d in zip(points, defect)]
-    _write_csv(manifest, out_dir, "weyl_defect.csv",
-               ["theta", "r", "defect"], rows)
+    _write_csv(manifest, out_dir, "weyl_defect.csv", ["theta", "r", "defect"], rows)
 
 
-# each subcommand and the top-level config fields it reads
+_RANDOM_PERIODIC = {"q": (_as_int, 4, *_at_least(1)), "radius": (_as_float, 0.5, *_UNIT)}
+_SEQUENCE = (_nested({**_SEQUENCE_KINDS, "random_periodic": _RANDOM_PERIODIC}, "kind"), _REQUIRED)
+
+_SWEEP = {
+    "n_steps": (_as_int, 100_000, *_at_least(1000)),
+    "epsilon_L": (_as_float, 1e-2, lambda e: e > 0, "positive"),
+}
+
+# each subcommand and the field table of its config (see coefficients._read_fields)
 _COMMANDS = {
-    "bands": (_cmd_bands, ("sequence", "q", "k_points")),
-    "lyapunov": (_cmd_lyapunov, ("sequence", "grid_size", "n_steps", "epsilon_L")),
-    "approx": (_cmd_approx, ("family", "k", "grid_size", "n_steps", "epsilon_L")),
-    "walk": (_cmd_walk, ("coins", "steps", "initial", "survival_J", "record_times")),
-    "sieve-check": (_cmd_sieve_check, ("sequence", "dim")),
-    "weyl-defect": (_cmd_weyl_defect,
-                    ("sequence", "k", "samples", "dim", "r_values", "arc_set")),
+    "bands": (_cmd_bands, {
+        "sequence": _SEQUENCE,
+        "q": (_as_int, 2, *_EVEN),
+        "k_points": (_as_int, 64, *_at_least(2)),
+    }),
+    "lyapunov": (_cmd_lyapunov, {
+        "sequence": _SEQUENCE,
+        "grid_size": (_as_int, 512, *_at_least(8)),
+        **_SWEEP,
+    }),
+    "approx": (_cmd_approx, {
+        "family": (_nested(_FAMILY, "kind"), _REQUIRED),
+        "k": (_as_int, 0),  # a stage index, 0..family.levels
+        "grid_size": (_as_int, 4096, *_at_least(8)),
+        **_SWEEP,
+    }),
+    "walk": (_cmd_walk, {
+        "coins": (_nested({
+            "identity": {},
+            "hadamard": {},
+            "constant": {"matrix": (lambda name, m: _coin_table(name, [m]), _REQUIRED)},
+            "table": {"matrices": (_coin_table, _REQUIRED)},
+            "cgmv_table": {"gammas": (_list(_as_complex), _REQUIRED, *_IN_DISK)},
+        }, "kind"), _REQUIRED),
+        "steps": (_as_int, 100, *_at_least(0)),
+        "initial": (_nested({
+            "site": (_as_int, 0),
+            "spin": (lambda name, s: s, "+", lambda s: s in ("+", "-"), "'+' or '-'"),
+        }), {"site": 0, "spin": "+"}),
+        "survival_J": (_as_int, 5, *_at_least(0)),
+        "record_times": (_list(_as_int), None),  # default and range depend on steps
+    }),
+    "sieve-check": (_cmd_sieve_check, {
+        "sequence": _SEQUENCE,
+        "dim": (_as_int, 16, lambda n: n > 0 and n % 4 == 0, "a positive multiple of 4"),
+    }),
+    "weyl-defect": (_cmd_weyl_defect, {
+        "sequence": _SEQUENCE,
+        "k": (_as_int, 0),
+        "samples": (_as_int, 32, *_at_least(1)),
+        "dim": (_as_int, 512, *_at_least(4)),
+        "r_values": (_list(_as_float), [0.9, 0.99],
+                           lambda rs: rs and all(0.0 <= r < 1.0 - 1e-6 for r in rs),
+                           "a nonempty list of radii in [0, 1 - 1e-6)"),
+        "arc_set": (lambda name, v: v if v == "full" else _list(_as_pair)(name, v), "full",
+                    lambda s: s == "full" or (s and all(lo <= hi for lo, hi in s)),
+                    "\"full\" or a nonempty list of arcs [lo, hi] with lo <= hi"),
+    }),
 }
 
 
@@ -429,19 +374,15 @@ def main(argv=None) -> int:
                 cfg[key] = json.loads(raw)
             except json.JSONDecodeError:
                 cfg[key] = raw
-        run, known = _COMMANDS[args.command]
-        _check_keys(f"the {args.command} config", cfg, known)
+        run, table = _COMMANDS[args.command]
+        values = _read_fields(f"the {args.command} config", "", cfg, table)
         probe = os.path.abspath(args.out)  # refuse an --out that cannot be a directory
         while not os.path.exists(probe):
             probe = os.path.dirname(probe)
         if not os.path.isdir(probe):
             raise ValueError(f"--out {args.out!r} cannot be a directory: {probe!r} is a file")
-        manifest = RunManifest(
-            command=args.command,
-            parameters=cfg,
-            seed=args.seed,
-        )
-        run(cfg, manifest, args.out)
+        manifest = RunManifest(command=args.command, parameters=cfg, seed=args.seed)
+        run(values, manifest, args.out)
         manifest.write(args.out)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

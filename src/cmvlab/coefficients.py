@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -92,11 +93,9 @@ def constant_seq(a: complex) -> CoefficientSequence:
 
 def quasiperiodic_seq(lam: float, beta: float, theta: float) -> CoefficientSequence:
     """alpha_n = lam * exp(2*pi*i*(n*beta + theta)); no period metadata."""
-    lam = _as_float("amplitude", lam)
+    lam, b, t = float(lam), float(beta), float(theta)
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"amplitude must lie in [0, 1), got {lam}")
-
-    b, t = _as_float("frequency", beta), _as_float("phase", theta)
 
     def fn(n: int) -> complex:
         return lam * cmath.exp(2j * math.pi * (n * b + t))
@@ -316,70 +315,125 @@ def _as_float(name: str, value) -> float:
     raise ValueError(f"config field '{name}' must be a number, got {value!r}")
 
 
-def _as_complex(name: str, pair) -> complex:
-    """A config [re, im] pair of numbers."""
+def _as_pair(name: str, pair) -> tuple[float, float]:
+    """A config pair of numbers, such as [re, im] or [lo, hi]."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"config field '{name}' must be an [re, im] pair, got {pair!r}")
-    return complex(_as_float(name, pair[0]), _as_float(name, pair[1]))
+        raise ValueError(f"config field '{name}' must be a pair of numbers, got {pair!r}")
+    return _as_float(name, pair[0]), _as_float(name, pair[1])
 
 
-def _check_keys(label: str, d: dict, known: tuple) -> None:
-    """Refuse any key of the spec object ``d`` outside ``known``."""
-    unknown = sorted(set(d) - set(known))
+def _as_complex(name: str, pair) -> complex:
+    return complex(*_as_pair(name, pair))
+
+
+_REQUIRED = object()  # the default of a field that must be given
+
+
+def _read_fields(label: str, path: str, d, table: dict, tag: Optional[str] = None) -> dict:
+    """The values of the config object ``d`` at the dotted ``path`` as a plain
+    dict.  ``table`` maps each field name to (parser, default) or (parser,
+    default, range predicate, the phrase completing "must be ..."); a parser
+    takes the field's dotted name and its JSON value.  With a ``tag``,
+    ``table`` maps each value of ``d[tag]`` to the field table of that kind.
+
+    Unknown keys are refused, listing the known ones in table order; an absent
+    or null field takes its default; messages name fields by dotted path.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"config field '{path}' must be an object, got {d!r}")
+    prefix, out = f"{path}." if path else "", {}
+    if tag is not None:
+        kind = out[tag] = d.get(tag)
+        if not isinstance(kind, str) or kind not in table:
+            raise ValueError(f"config field '{prefix}{tag}' must be one of "
+                             f"{', '.join(table)}, got {kind!r}")
+        label, table = f"{label} ({tag} {kind!r})", table[kind]
+    unknown = sorted(set(d) - {*out, *table})
     if unknown:
         raise ValueError(f"unknown field(s) {', '.join(map(repr, unknown))} in {label}; "
-                         f"known fields: {', '.join(known)}")
+                         f"known fields: {', '.join([*out, *table])}")
+    for key, (parse, default, *check) in table.items():
+        name, value = prefix + key, d.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise ValueError(f"{label} is missing the field '{name}'")
+            value = default
+        else:
+            value = parse(name, value)
+            if check and not check[0](value):
+                raise ValueError(f"config field '{name}' must be {check[1]}, "
+                                 f"got {reprlib.repr(value)}")
+        out[key] = value
+    return out
 
 
-def _field(d: dict, name: str):
-    """d[name], or a ValueError naming the missing field and the spec kind."""
-    try:
-        return d[name]
-    except KeyError:
-        raise ValueError(
-            f"{d.get('kind')!r} spec is missing the field {name!r}"
-        ) from None
+def _nested(table: dict, tag: Optional[str] = None) -> Callable:
+    """The parser of a config object read by ``_read_fields``."""
+    return lambda name, d: _read_fields(f"'{name}'", name, d, table, tag)
+
+
+def _list(parse: Callable) -> Callable:
+    """The parser of a JSON list whose entries ``parse`` reads."""
+    def read(name: str, value) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"config field '{name}' must be a list, got {value!r}")
+        return [parse(name, v) for v in value]
+    return read
+
+
+def _at_least(m: int) -> tuple[Callable, str]:
+    return (lambda n: n >= m), f">= {m}"
+
+
+# range predicates with their phrases
+_UNIT = (lambda x: 0.0 <= x < 1.0), "in [0, 1)"
+_EVEN = (lambda n: n >= 2 and n % 2 == 0), "a positive even integer"
+_IN_DISK = (lambda v: bool(v) and max(map(abs, v)) < 1.0), "a nonempty list inside the unit disk"
+
+_DECAY_FORMS = {"gaussian": {}, "geometric": {"base": (_as_float, 4.0, lambda b: b > 1.0, "> 1")}}
+
+_FAMILY = {"pt_family": {
+    "base_amp": (_as_float, _REQUIRED, *_UNIT),
+    "q0": (_as_int, 2, *_EVEN),
+    "levels": (_as_int, 3, *_at_least(0)),
+    "decay": (_nested(_DECAY_FORMS, "form"), {"form": "gaussian"}),
+}}
+
+_SEQUENCE_KINDS = {
+    "constant": {"value": (_as_complex, _REQUIRED, lambda a: abs(a) < 1.0, "inside the unit disk")},
+    "quasiperiodic": {
+        "amplitude": (_as_float, _REQUIRED, *_UNIT),
+        "frequency": (_as_float, _REQUIRED),
+        "phase": (_as_float, _REQUIRED),
+    },
+    "periodic_table": {"values": (_list(_as_complex), _REQUIRED, *_IN_DISK)},
+    **_FAMILY,
+}
 
 
 def family_from_spec(d: dict) -> LimitPeriodicFamily:
-    if d.get("kind") != "pt_family":
-        raise ValueError(f"expected kind 'pt_family', got {d.get('kind')!r}")
-    _check_keys("'pt_family' spec", d, ("kind", "base_amp", "q0", "levels", "decay"))
-    base_amp = _as_float("base_amp", _field(d, "base_amp"))
-    q0 = _as_int("q0", d.get("q0", 2))
-    levels = _as_int("levels", d.get("levels", 3))
-    dspec = d.get("decay")
-    if dspec is not None and not isinstance(dspec, dict):
-        raise ValueError(f"config field 'decay' must be an object, got {dspec!r}")
-    if dspec is None or dspec.get("form") == "gaussian":
-        _check_keys("'gaussian' decay", dspec or {}, ("form",))
-        decay = None
-    elif dspec.get("form") == "geometric":
-        _check_keys("'geometric' decay", dspec, ("form", "base"))
-        base = _as_float("decay.base", dspec.get("base", 4.0))
-        if base <= 1.0:
-            raise ValueError(f"geometric decay base must exceed 1, got {base}")
-        decay = lambda n: base_amp * base ** (-(q0 * 2 ** (n + 1)))  # noqa: E731
-    else:
-        raise ValueError(f"unknown decay form {dspec.get('form')!r}")
-    return pastur_tkachenko_family(base_amp, decay=decay, q0=q0, levels=levels)
+    return _family(_read_fields("the spec", "", d, _FAMILY, "kind"))
 
 
 def sequence_from_spec(d: dict) -> CoefficientSequence:
-    kind = d.get("kind")
-    if kind == "constant":
-        _check_keys("'constant' spec", d, ("kind", "value"))
-        return constant_seq(_as_complex("value", _field(d, "value")))
-    if kind == "quasiperiodic":
-        _check_keys("'quasiperiodic' spec", d, ("kind", "amplitude", "frequency", "phase"))
-        return quasiperiodic_seq(_field(d, "amplitude"), _field(d, "frequency"),
-                                 _field(d, "phase"))
-    if kind == "periodic_table":
-        _check_keys("'periodic_table' spec", d, ("kind", "values"))
-        values = _field(d, "values")
-        if not isinstance(values, list):
-            raise ValueError(f"config field 'values' must be a list, got {values!r}")
-        return periodic_table_seq([_as_complex("values", v) for v in values])
-    if kind == "pt_family":
-        return family_from_spec(d).limit
-    raise ValueError(f"unknown sequence kind {kind!r}")
+    return _sequence(_read_fields("the spec", "", d, _SEQUENCE_KINDS, "kind"))
+
+
+def _family(v: dict) -> LimitPeriodicFamily:
+    """The family of validated ``pt_family`` values."""
+    base_amp, q0, decay = v["base_amp"], v["q0"], None
+    if v["decay"]["form"] == "geometric":
+        base = v["decay"]["base"]
+        decay = lambda n: base_amp * base ** (-(q0 * 2 ** (n + 1)))  # noqa: E731
+    return pastur_tkachenko_family(base_amp, decay=decay, q0=q0, levels=v["levels"])
+
+
+def _sequence(v: dict) -> CoefficientSequence:
+    """The sequence of validated ``_SEQUENCE_KINDS`` values."""
+    if v["kind"] == "constant":
+        return constant_seq(v["value"])
+    if v["kind"] == "quasiperiodic":
+        return quasiperiodic_seq(v["amplitude"], v["frequency"], v["phase"])
+    if v["kind"] == "periodic_table":
+        return periodic_table_seq(v["values"])
+    return _family(v).limit

@@ -38,6 +38,7 @@ __all__ = [
 
 _GAP_TOL = 1e-8
 _RESIDUAL_TOL = 1e-10
+_K_BLOCK = 8  # k per stacked eigenproblem: band_eigens' temporaries stay O(q^2)
 
 
 def _check_q(seq: CoefficientSequence, q: int) -> None:
@@ -86,31 +87,34 @@ def _eigenpairs(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def band_eigens(
     seq: CoefficientSequence, q: int, k
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All q eigenpairs of E_q(k), one stacked eigenproblem over the K
-    strictly interior k of a scalar or a 1-d array: z (K, q) sorted by angle
-    along each row, and unit u, v = L_q^* u (K, q, q) with pair n in column n.
+    """All q eigenpairs of E_q(k), stacked eigenproblems over the K strictly
+    interior k of a scalar or a 1-d array: z (K, q) sorted by angle along each
+    row, and unit u, v = L_q^* u (K, q, q) with pair n in column n.
 
     Interior k keeps the eigenvalues simple; pairs closer than 1e-8 are
     reported through DegenerateBandError instead of being returned silently.
     """
+    _check_q(seq, q)
     k = np.asarray(k, dtype=float).reshape(-1)
-    L, M = floquet_blocks(seq, q, k)
     outside = ~((0.0 < k) & (k < math.pi / q))
     if outside.any():
         raise ValueError(f"k must lie strictly inside (0, pi/q), got {k[outside][0]}")
-    M = L @ M  # E_q(k), rebound so the blocks are freed
-    z, u = _eigenpairs(M)
-    order = np.argsort(np.angle(z) % TWO_PI, axis=-1)
-    z = np.take_along_axis(z, order, axis=-1)
-    u = np.take_along_axis(u, order[:, None, :], axis=-1)
+    z = np.empty((k.size, q), dtype=complex)
+    u, v = np.empty((k.size, q, q), dtype=complex), np.empty((k.size, q, q), dtype=complex)
+    for b in range(0, k.size, _K_BLOCK):
+        blk = slice(b, b + _K_BLOCK)
+        L, M = floquet_blocks(seq, q, k[blk])
+        w, vecs = _eigenpairs(L @ M)
+        order = np.argsort(np.angle(w) % TWO_PI, axis=-1)
+        z[blk] = np.take_along_axis(w, order, axis=-1)
+        u[blk] = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+        v[blk] = L.conj().T @ u[blk]
+        v[blk] /= np.linalg.norm(v[blk], axis=-2, keepdims=True)
 
     gaps = np.abs(z - np.roll(z, -1, axis=-1)).min(axis=-1)
     bad = np.flatnonzero(gaps < _GAP_TOL)
     if bad.size:
         raise DegenerateBandError(float(k[bad[0]]), float(gaps[bad[0]]))
-
-    v = L.conj().T @ u
-    v /= np.linalg.norm(v, axis=-2, keepdims=True)
     return z, u, v
 
 

@@ -66,7 +66,7 @@ class CoinSequence:
     def check_unitary(self, n: int) -> np.ndarray:
         q = self(n)
         res = np.max(np.abs(q @ q.conj().T - np.eye(2)))
-        if res > _UNITARY_TOL:
+        if not res <= _UNITARY_TOL:
             raise ValueError(f"coin at site {n} is not unitary (residual {res:.2e})")
         return q
 
@@ -111,7 +111,7 @@ class WalkState:
         if amp.ndim != 2 or amp.shape[1] != 2 or amp.shape[0] < 1:
             raise ValueError(f"amplitudes must have shape (W, 2), got {amp.shape}")
         nrm = float(np.sum(np.abs(amp) ** 2))
-        if abs(nrm - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"state norm^2 must be 1 to 1e-10, got {nrm}")
         amp = amp.copy()
         amp.flags.writeable = False
@@ -173,7 +173,7 @@ class WalkOperator:
         one = np.stack([self.coins(n) for n in range(self.n_lo, self.n_lo + min(p, W))])
         res = np.max(np.abs(one @ one.conj().swapaxes(1, 2) - np.eye(2)),
                      axis=(1, 2))
-        bad = np.flatnonzero(res > _UNITARY_TOL)
+        bad = np.flatnonzero(~(res <= _UNITARY_TOL))  # NaN fails
         if bad.size:
             j = int(bad[0])
             raise ValueError(f"coin at site {self.n_lo + j} is not unitary "
@@ -211,7 +211,7 @@ def _absorbing_step(table: np.ndarray, amp: np.ndarray) -> np.ndarray:
     out[1:, 0] = mixed[:-1, 0]
     out[:-1, 1] = mixed[1:, 1]
     lost = abs(mixed[-1, 0]) ** 2 + abs(mixed[0, 1]) ** 2
-    if lost > 1e-18:
+    if not lost <= 1e-18:
         raise NumericalInstabilityError(
             f"amplitude {lost:.2e} hit the absorbing boundary; enlarge the window"
         )
@@ -242,7 +242,7 @@ def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
     for _ in range(t):
         amp = _absorbing_step(op.table, amp)
     drift = abs(float(np.sum(np.abs(amp) ** 2)) - 1.0)
-    if drift > 1e-9 * t:
+    if not drift <= 1e-9 * t:
         raise NumericalInstabilityError(
             f"norm drifted by {drift:.2e} after {t} steps"
         )

@@ -433,7 +433,7 @@ def test_spec_missing_field_is_named(tmp_path, capsys):
     })
     assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "quasiperiodic" in err and "'phase'" in err
+    assert "quasiperiodic" in err and "'sequence.phase'" in err
 
 
 def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
@@ -512,6 +512,31 @@ def test_readme_common_flags_match_the_parser():
         assert flags == documented, name
 
 
+def test_readme_field_lists_match_the_tables():
+    from cmvlab.cli import _COMMANDS
+    from cmvlab.coefficients import _REQUIRED
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name, (_, table) in _COMMANDS.items():
+        block = readme[readme.index(f"`{name}` reads these fields"):]
+        block = block[block.index("\n* "):]
+        block = block[:block.index("\n\n", 1)]
+        documented = {}
+        for bullet in re.split(r"\n(?=\* )", block.strip()):
+            m = re.match(r"\* `(\w+)` \((?:required|default `([^`]*)`)", bullet)
+            assert m, (name, bullet)
+            documented[m[1]] = (m[2], " ".join(bullet.split()))
+        assert list(documented) == list(table), name
+        for field, (_, default, *check) in table.items():
+            text, bullet = documented[field]
+            if default is _REQUIRED:
+                assert text is None, (name, field)
+            else:
+                assert text is not None and json.loads(text) == default, (name, field)
+            if check:  # the bound, in the words of the error message
+                assert check[1] in bullet, (name, field, check[1])
+
+
 def test_readme_example_configs_fit_one_subcommand():
     from cmvlab.cli import _COMMANDS
 
@@ -587,22 +612,28 @@ NESTED_KNOWN = {
 
 
 @pytest.mark.parametrize("command, config, field", [
-    ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "q0": [2]}}, "q0"),
-    ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "levels": [3]}},
-     "levels"),
-    ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "base_amp": "0.1"}},
-     "base_amp"),
-    ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"],
-                                           "decay": {"form": "geometric", "base": [4]}}},
-     "decay.base"),
-    ("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "decay": 4}},
-     "decay"),
-    ("lyapunov", {"sequence": {"kind": "quasiperiodic", "amplitude": 0.5,
-                               "frequency": [0.3], "phase": 0.0},
-                  "grid_size": 8, "n_steps": 1000}, "frequency"),
-    ("lyapunov", {"sequence": {"kind": "quasiperiodic", "amplitude": {"a": 1},
-                               "frequency": 0.3, "phase": 0.0},
-                  "grid_size": 8, "n_steps": 1000}, "amplitude"),
+    # explicit ids: these cases are named by the config and the bare field name
+    pytest.param("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "q0": [2]}},
+                 "family.q0", id="approx-config0-q0"),
+    pytest.param("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"],
+                                                       "levels": [3]}},
+                 "family.levels", id="approx-config1-levels"),
+    pytest.param("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"],
+                                                       "base_amp": "0.1"}},
+                 "family.base_amp", id="approx-config2-base_amp"),
+    pytest.param("approx", {**APPROX_SMALL, "family": {
+        **APPROX_SMALL["family"], "decay": {"form": "geometric", "base": [4]}}},
+                 "family.decay.base", id="approx-config3-decay.base"),
+    pytest.param("approx", {**APPROX_SMALL, "family": {**APPROX_SMALL["family"], "decay": 4}},
+                 "family.decay", id="approx-config4-decay"),
+    pytest.param("lyapunov", {"sequence": {"kind": "quasiperiodic", "amplitude": 0.5,
+                                           "frequency": [0.3], "phase": 0.0},
+                              "grid_size": 8, "n_steps": 1000},
+                 "sequence.frequency", id="lyapunov-config5-frequency"),
+    pytest.param("lyapunov", {"sequence": {"kind": "quasiperiodic", "amplitude": {"a": 1},
+                                           "frequency": 0.3, "phase": 0.0},
+                              "grid_size": 8, "n_steps": 1000},
+                 "sequence.amplitude", id="lyapunov-config6-amplitude"),
     ("lyapunov", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
                   "grid_size": 8, "n_steps": 1000, "epsilon_L": [0.01]}, "epsilon_L"),
     ("sieve-check", {"sequence": {"kind": "random_periodic", "q": 4, "radius": [0.5]},
@@ -611,12 +642,15 @@ NESTED_KNOWN = {
                      "samples": 16, "dim": 64, "r_values": [[0.9]]}, "r_values"),
     ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
                      "samples": 16, "dim": 64, "r_values": 0.9}, "r_values"),
-    ("sieve-check", {"sequence": {"kind": "constant", "value": ["a", 0]}, "dim": 8},
-     "value"),
-    ("sieve-check", {"sequence": {"kind": "periodic_table", "values": [[0.1, [0]]]},
-                     "dim": 8}, "values"),
-    ("sieve-check", {"sequence": {"kind": "periodic_table", "values": 0.3}, "dim": 8},
-     "values"),
+    pytest.param("sieve-check", {"sequence": {"kind": "constant", "value": ["a", 0]},
+                                 "dim": 8},
+                 "sequence.value", id="sieve-check-config11-value"),
+    pytest.param("sieve-check", {"sequence": {"kind": "periodic_table",
+                                              "values": [[0.1, [0]]]}, "dim": 8},
+                 "sequence.values", id="sieve-check-config12-values"),
+    pytest.param("sieve-check", {"sequence": {"kind": "periodic_table", "values": 0.3},
+                                 "dim": 8},
+                 "sequence.values", id="sieve-check-config13-values"),
     ("walk", {"coins": {"kind": "cgmv_table", "gammas": [["x", 0]]}, "steps": 4},
      "coins.gammas"),
     ("walk", {"coins": {"kind": "hadamard"}, "steps": 4, "initial": [0]}, "initial"),
@@ -646,6 +680,28 @@ NESTED_KNOWN = {
                   "grid_size": 8, "n_steps": 1000, "epsilon_L": 10 ** 400}, "epsilon_L"),
     ("walk", {"coins": {"kind": "cgmv_table", "gammas": [[0.1, -10 ** 400]]}, "steps": 4},
      "coins.gammas"),
+    # weyl-defect bounds, checked before the window solver sees them
+    ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                     "samples": -3, "dim": 64, "r_values": [0.9]}, "samples"),
+    ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                     "samples": 16, "dim": 2, "r_values": [0.9]}, "dim"),
+    ("weyl-defect", {"sequence": {"kind": "constant", "value": [0.0, 0.0]},
+                     "samples": 16, "dim": 64, "r_values": [1.0]}, "r_values"),
+    # coin entries: non-finite numbers, strings, booleans and one-element pairs
+    ("walk", {"coins": {"kind": "constant", "matrix": [[[math.nan, 0], [0, 0]],
+                                                       [[0, 0], [1, 0]]]}, "steps": 4},
+     "coins.matrix"),
+    ("walk", {"coins": {"kind": "table", "matrices": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                                      [[[math.inf, 0], [0, 0]],
+                                                       [[0, 0], [1, 0]]]]}, "steps": 4},
+     "coins.matrices"),
+    ("walk", {"coins": {"kind": "constant", "matrix": [[["1"], [0, 0]], [[0, 0], ["1"]]]},
+              "steps": 4}, "coins.matrix"),
+    ("walk", {"coins": {"kind": "constant", "matrix": [[[True, False], [0, 0]],
+                                                       [[0, 0], [True, False]]]},
+              "steps": 4}, "coins.matrix"),
+    ("walk", {"coins": {"kind": "table", "matrices": [[[[1], [0, 0]], [[0, 0], [1]]]]},
+              "steps": 4}, "coins.matrices"),
 ])
 def test_malformed_config_fields_exit_2(tmp_path, capsys, command, config, field):
     cfg = write_config(tmp_path, "c.json", config)

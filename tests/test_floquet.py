@@ -207,6 +207,24 @@ def test_stacked_band_path_equals_per_k_reference_bitwise(make_periodic, q):
             assert np.array_equal(bits(dz[i]), bits(np.array(want)))
 
 
+def test_band_eigens_temporaries_do_not_grow_with_k(make_periodic):
+    # q = 128, K = 64: u and v are 16.8 MB each, and the temporaries of the
+    # eigenproblems stay below one such array (one stack over all k holds two)
+    import tracemalloc
+
+    q, K = 128, 64
+    s = make_periodic(q, radius=0.5)
+    ks = (np.arange(K) + 0.5) * (math.pi / q) / K
+    F.band_eigens(s, q, ks[:1])  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        z, u, v = F.band_eigens(s, q, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - (z.nbytes + u.nbytes + v.nbytes) <= u.nbytes
+
+
 def test_periodic_spectrum_free_full():
     out = F.periodic_spectrum(C.constant_seq(0.0), 2)
     assert out.is_full()

@@ -208,3 +208,24 @@ def test_absorbing_step_guards_edge_amplitude():
     mid = walk.step(st)  # walker now at the right edge
     with pytest.raises(NumericalInstabilityError, match="enlarge"):
         walk.step(mid)
+
+
+def test_certificates_refuse_nan(monkeypatch):
+    # NaN compares false with every tolerance, so each certificate must
+    # refuse a value that is not <= its bound rather than accept one > it
+    from cmvlab.errors import NumericalInstabilityError
+
+    with pytest.raises(ValueError, match="not unitary"):
+        Q.build_walk(Q.constant_coins(np.array([[math.nan, 0], [0, 1]])), (0, 4))
+
+    table = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2))
+    amp = np.zeros((5, 2), dtype=complex)
+    amp[-1, 0] = math.nan  # moves past the right edge
+    with pytest.raises(NumericalInstabilityError, match="absorbing boundary"):
+        Q._absorbing_step(table, amp)
+
+    st = Q.WalkState.delta(0, "+")
+    walk = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi))
+    monkeypatch.setattr(Q, "_absorbing_step", lambda table, amp: np.full_like(amp, math.nan))
+    with pytest.raises(NumericalInstabilityError, match="drifted"):
+        Q.evolve(st, walk, 3)
