@@ -146,8 +146,14 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
 
     # strictly interior k grid (band eigenvalues may degenerate at 0 and pi/q)
     ks = (np.arange(k_points) + 0.5) * (math.pi / q) / k_points
-    z, u, v = floquet.band_eigens(seq, q, ks)
-    dz = floquet.band_derivative(seq, q, ks, u, v)
+    # one block of k at a time: the eigenvectors are dropped once the
+    # velocities are read, so memory stays O(q^2) whatever k_points is
+    z = np.empty((k_points, q), dtype=complex)
+    dz = np.empty((k_points, q), dtype=complex)
+    for b in range(0, k_points, floquet._K_BLOCK):
+        blk = ks[b:b + floquet._K_BLOCK]
+        z[b:b + blk.size], u, v = floquet.band_eigens(seq, q, blk)
+        dz[b:b + blk.size] = floquet.band_derivative(seq, q, blk, u, v)
     n = np.tile(np.arange(q), k_points)
     rows = zip(np.full(n.size, q), n, np.repeat(ks, q), z.real.ravel(), z.imag.ravel(),
                dz.real.ravel(), dz.imag.ravel())
@@ -252,11 +258,13 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     for t in sorted(set(record + [steps])):
         state = qwalk.evolve(state, walk, t - t_done)
         t_done = t
-        for j in range(state.n_lo, state.n_hi + 1):
-            p_plus = abs(state.amplitude(j, "+")) ** 2
-            p_minus = abs(state.amplitude(j, "-")) ** 2
+        amp = state.amplitudes
+        # python's complex abs: numpy's may differ in the last ulp
+        for i in np.flatnonzero(np.any(amp != 0, axis=1)):
+            p_plus = abs(complex(amp[i, 0])) ** 2
+            p_minus = abs(complex(amp[i, 1])) ** 2
             if p_plus > 0 or p_minus > 0:
-                dist_rows.append((t, j, p_plus, p_minus))
+                dist_rows.append((t, state.n_lo + int(i), p_plus, p_minus))
         surv_rows.append((t, state.survival(J)))
     _write_csv(manifest, out_dir, "distribution.csv",
                ["t", "n", "p_plus", "p_minus"], dist_rows)
@@ -277,6 +285,14 @@ def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     angles = S.sample(cfg["samples"])
     points = [(th, r) for r in cfg["r_values"] for th in angles]
     z = np.array([r * cmath.exp(1j * th) for th, r in points])
+    # r e^{i theta} may round |z| up past r; where that reaches the solver's
+    # bound (r itself lies below it), step the point back to modulus <= r
+    near = np.abs(z) >= 1.0 - weyl._EDGE_MARGIN
+    rs = np.array([r for _, r in points])
+    while np.any(near):
+        z.real[near] = np.nextafter(z.real[near], 0.0)
+        z.imag[near] = np.nextafter(z.imag[near], 0.0)
+        near &= np.abs(z) > rs
     mp, mm = weyl.M_coefficients(seq, cfg["k"], z, cfg["dim"])
     defect = np.abs(mp + mm.conj())
     rows = [(th, r, d) for (th, r), d in zip(points, defect)]

@@ -16,8 +16,24 @@ the offending site instead of being silently renormalized.
 A walk operator on a finite window of sites has two views: its matrix is the
 cyclic window (the shift wraps around), which ``to_cmv`` compares with a
 periodic-wrap CMV window, and its step absorbs what the shift moves past
-either edge.  ``evolve`` grows the window by the number of steps first, so the
-absorbing edges never lose amplitude.  States are immutable values.
+either edge.  A step is one elementwise 2x2 update of the two spin arrays,
+
+    up' = q00 up + q01 dn,   dn' = q10 up + q11 dn,   then shift,
+
+with the coin entries read as rows of the operator's coin table.
+
+``evolve`` runs t steps on the state's window padded by t + 1 sites, the most
+the walker can travel.  After s steps the support lies in the light cone
+[n_lo - s, n_hi + s], so step s + 1 updates that cone plus one guard site on
+each side and leaves the rest of the padded window zero.  The certificates:
+
+* once per operator: every coin of the table is unitary to 1e-13;
+* every step: no more than 1e-18 of probability crosses the updated range's
+  edges, i.e. the guard sites were empty and the cone holds;
+* once per ``evolve`` call (each checkpoint of ``cmvlab walk``): the norm has
+  drifted by at most 1e-9 per step.
+
+States are immutable values.
 """
 
 from __future__ import annotations
@@ -200,21 +216,36 @@ class WalkOperator:
     def step(self, state: WalkState) -> WalkState:
         if state.n_lo != self.n_lo or state.n_hi != self.n_hi:
             raise ValueError("state window must match the operator window")
-        return WalkState(n_lo=state.n_lo,
-                         amplitudes=_absorbing_step(self.table, state.amplitudes))
+        psi = _absorbing_step(_coin_columns(self.table), state.amplitudes.T)
+        return WalkState(n_lo=state.n_lo, amplitudes=psi.T)
 
 
-def _absorbing_step(table: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """One step of U = S Q on raw (W, 2) amplitudes with absorbing edges."""
-    mixed = np.einsum("jab,jb->ja", table, amp)
-    out = np.zeros_like(mixed)
-    out[1:, 0] = mixed[:-1, 0]
-    out[:-1, 1] = mixed[1:, 1]
-    lost = abs(mixed[-1, 0]) ** 2 + abs(mixed[0, 1]) ** 2
+def _coin_columns(table: np.ndarray) -> np.ndarray:
+    """The (W, 2, 2) coins of a window as (2, 2, W): q[a, b] holds entry
+    [a, b] of every coin."""
+    return np.ascontiguousarray(table.transpose(1, 2, 0))
+
+
+def _absorbing_step(q: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """One step of U = S Q on W sites with absorbing edges.
+
+    ``psi`` (2, W) holds the spin-up and spin-down amplitudes, ``q`` the
+    coins of the same sites (``_coin_columns``).  The coin acts elementwise,
+    up' = q00 up + q01 dn and dn' = q10 up + q11 dn; then up' moves one site
+    right and dn' one site left.  What would leave the W sites is refused
+    beyond 1e-18 of probability.
+    """
+    mixed = q[:, 0] * psi[0]
+    mixed += q[:, 1] * psi[1]
+    lost = abs(mixed[0, -1]) ** 2 + abs(mixed[1, 0]) ** 2
     if not lost <= 1e-18:
         raise NumericalInstabilityError(
             f"amplitude {lost:.2e} hit the absorbing boundary; enlarge the window"
         )
+    out = np.empty_like(mixed)
+    out[0, 0] = out[1, -1] = 0.0
+    out[0, 1:] = mixed[0, :-1]
+    out[1, :-1] = mixed[1, 1:]
     return out
 
 
@@ -227,9 +258,14 @@ def build_walk(coins: CoinSequence, window: tuple[int, int]) -> WalkOperator:
 def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
     """State after t steps of U = S Q with the walk's coins.
 
-    The state is padded by t + 1 sites on both sides (support speed is one
-    site per step), so the absorbing edges never take amplitude and the norm
-    is conserved to rounding; the result lives on the padded window.
+    The result lives on the state's window padded by t + 1 sites on both
+    sides, equal entry for entry to t ``WalkOperator.step`` calls there.  The
+    walker moves at most one site per step, so after s steps the support
+    lies in the light cone [n_lo - s, n_hi + s]; step s + 1 updates only
+    that cone plus one guard site on each side, and the sites beyond stay
+    zero.  Every step's edge check (beyond 1e-18 of probability) certifies
+    that the guard sites were empty; the norm drift, at most 1e-9 * t, is
+    checked once on the result.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -237,10 +273,13 @@ def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
         return state
     pad = t + 1
     op = build_walk(walk.coins, (state.n_lo - pad, state.n_hi + pad))
-    amp = np.zeros((op.width, 2), dtype=complex)
-    amp[pad:-pad] = state.amplitudes
-    for _ in range(t):
-        amp = _absorbing_step(op.table, amp)
+    q = _coin_columns(op.table)
+    psi = np.zeros((2, op.width), dtype=complex)
+    psi[:, pad:-pad] = state.amplitudes.T
+    for s in range(t):
+        cone = slice(pad - s - 1, op.width - pad + s + 1)
+        psi[:, cone] = _absorbing_step(q[..., cone], psi[:, cone])
+    amp = psi.T
     drift = abs(float(np.sum(np.abs(amp) ** 2)) - 1.0)
     if not drift <= 1e-9 * t:
         raise NumericalInstabilityError(

@@ -11,7 +11,9 @@ Two one-step 2x2 cocycles over a coefficient sequence:
 The Lyapunov exponent is the per-step exponential growth rate of the Szego
 products.  For sequences with period metadata it short-circuits to the exact
 formula log(spectral radius of the monodromy) / period; otherwise a rescaled
-Birkhoff product along the orbit is used.
+Birkhoff product along the orbit is used.  A monodromy whose entries pass
+about 1e154 (e^{qL} over a long period) is formed again rescaled, and an
+exponent that is still not finite raises NumericalInstabilityError.
 
 Every product (Birkhoff sums, monodromies, discriminant scans) runs through
 one kernel that advances the unrolled 2x2 products of a whole 1-d array of
@@ -34,6 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSequence
+from .errors import NumericalInstabilityError
 from .spectral_sets import CircleArcSet, TWO_PI
 
 __all__ = [
@@ -289,9 +292,13 @@ def lyapunov(
     """Per-step growth rate of the Szego cocycle at |z| = 1.
 
     Periodic sequences use the exact monodromy formula (n_steps is then
-    irrelevant); otherwise the Birkhoff product over n_steps sites is formed
-    with periodic rescaling by the max-abs entry to avoid overflow.  A scalar
-    z gives a float, a 1-d array of points an array of rates.
+    irrelevant); a point where the unscaled monodromy overflows takes the
+    spectral radius of the monodromy rescaled at every step, plus the log
+    of the scale divided out.  Otherwise the Birkhoff product over n_steps
+    sites is formed with periodic rescaling by the max-abs entry to avoid
+    overflow.  A scalar z gives a float, a 1-d array of points an array of
+    rates; a rate that is not finite (NaN included) raises
+    NumericalInstabilityError.
     """
     zs = _as_points(z)
     dev = np.abs(np.abs(zs) - 1.0)
@@ -299,8 +306,14 @@ def lyapunov(
         raise ValueError(f"|z| must be 1, got {abs(zs[np.argmax(dev)])}")
     if seq.period is not None:
         q = seq.period * (2 if seq.period % 2 else 1)
-        rad = _spectral_radius_2x2(monodromy(seq, q, zs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rad = _spectral_radius_2x2(monodromy(seq, q, zs))
         vals = np.log(np.maximum(rad, 1.0)) / q
+        over = ~np.isfinite(vals)
+        if np.any(over):  # entries past ~1e154: redo those points rescaled
+            prod = _product(seq, zs[over], q, gz=True, scale_every=1)
+            rad = _spectral_radius_2x2(prod.m)
+            vals[over] = np.maximum(np.log(rad) + prod.log_scale, 0.0) / q
     else:
         if n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
@@ -312,6 +325,11 @@ def lyapunov(
         if records is not None and prod.n_half > 0:
             half = _growth(prod.m_half, prod.log_half, prod.n_half)
             records.append((prod.n_half, float(half[0]) if np.ndim(z) == 0 else half))
+    bad = np.flatnonzero(~np.isfinite(vals))  # NaN is not finite
+    if bad.size:
+        raise NumericalInstabilityError(
+            f"Lyapunov exponent {vals[bad[0]]} at z = {complex(zs[bad[0]]):.17g}"
+        )
     return float(vals[0]) if np.ndim(z) == 0 else vals
 
 

@@ -118,6 +118,41 @@ def test_birkhoff_lyapunov_matches_mpmath():
             assert abs(val - float(want)) < 1e-12
 
 
+def test_periodic_lyapunov_past_monodromy_overflow_matches_mpmath():
+    # q = 2048 sites at radius 0.9: the monodromy's entries grow like e^{qL}
+    # past the float range, and its squares past it long before
+    rng = np.random.default_rng(1)
+    q = 2048
+    seq = C.periodic_table_seq(0.9 * rng.random(q) * np.exp(TWO_PI * 1j * rng.random(q)))
+    thetas = np.array([0.3, 2.5, 5.1])
+    got = T.lyapunov(seq, np.exp(1j * thetas))
+    with mpmath.workdps(50):
+        for th, val in zip(thetas, got):
+            z = mpmath.expj(th)
+            m = mpmath.eye(2)
+            for n in range(q):
+                a = mpmath.mpc(seq(n))
+                if n % 2 == 0:
+                    y = mpmath.matrix([[-a, 1], [1, -mpmath.conj(a)]])
+                else:
+                    y = mpmath.matrix([[-mpmath.conj(a), z], [1 / z, -a]])
+                m = y / mpmath.sqrt(1 - abs(a) ** 2) * m
+            half_tr = (m[0, 0] + m[1, 1]) / 2
+            disc = mpmath.sqrt(half_tr ** 2 - mpmath.det(m))
+            rad = max(abs(half_tr + disc), abs(half_tr - disc))
+            want = float(mpmath.log(rad) / q)
+            assert want > 0.1
+            assert abs(val - want) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_lyapunov_exponents_raise(monkeypatch, bad):
+    seq = C.periodic_table_seq([0.3, 0.5j])
+    monkeypatch.setattr(T, "_spectral_radius_2x2", lambda m: np.full(m.shape[:-2], bad))
+    with pytest.raises(NumericalInstabilityError, match="Lyapunov exponent"):
+        T.lyapunov(seq, np.exp(1j * np.array([0.1, 0.2])))
+
+
 def test_scalar_points_give_floats_and_scalar_shapes(make_periodic):
     qp = C.quasiperiodic_seq(0.5, 0.3819660112501051, 0.1)
     s = make_periodic(4)

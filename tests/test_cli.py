@@ -54,6 +54,45 @@ def test_bands_run(tmp_path, capsys):
     assert arcs["manifest"] == "manifest.json"
 
 
+def _bands_peak(tmp_path, q, k_points):
+    """Traced peak allocation of one bands run, above what was held before it."""
+    import tracemalloc
+
+    cfg = write_config(tmp_path, f"b{k_points}.json", {
+        "sequence": {"kind": "random_periodic", "q": q, "radius": 0.5},
+        "q": q, "k_points": k_points,
+    })
+    out = tmp_path / f"out{k_points}"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["bands", "--config", cfg, "--out", str(out), "--seed", "2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
+def test_bands_memory_does_not_grow_with_k_points_times_q_squared(tmp_path):
+    from cmvlab import cli, floquet
+
+    q = 64
+    small, _ = _bands_peak(tmp_path, q, 16)
+    large, out = _bands_peak(tmp_path, q, 128)
+    # the eigenvectors u and v of all k would add 2 * 112 * q^2 * 16 B = 14.7 MB
+    assert large - small < 2e6
+
+    # the blocks give the bytes of one stacked solve over every k
+    ks = (np.arange(128) + 0.5) * (math.pi / q) / 128
+    seq = cli._sequence({"kind": "random_periodic", "q": q, "radius": 0.5}, 2)
+    z, u, v = floquet.band_eigens(seq, q, ks)
+    dz = floquet.band_derivative(seq, q, ks, u, v)
+    rows = [",".join(cli._fmt(x) for x in (q, n, k, w.real, w.imag, d.real, d.imag))
+            for k, zk, dk in zip(ks, z, dz) for n, (w, d) in enumerate(zip(zk, dk))]
+    want = ["# manifest: manifest.json", "q,n,k,re_z,im_z,re_dzdk,im_dzdk", *rows]
+    assert (out / "bands.csv").read_text() == "\n".join(want) + "\n"
+
+
 def test_bands_rejects_odd_q(tmp_path, capsys):
     cfg = write_config(tmp_path, "bands.json", {
         "sequence": {"kind": "constant", "value": [0.5, 0.0]}, "q": 3,
@@ -128,6 +167,22 @@ def test_lyapunov_of_a_periodic_sequence_has_no_diagnostics(tmp_path):
     out = tmp_path / "out"
     assert main(["lyapunov", "--config", cfg, "--out", str(out)]) == 0
     assert "diagnostics" not in json.loads((out / "lyapunov.json").read_text())
+
+
+def test_lyapunov_of_a_long_periodic_table_is_finite_or_exits_3(tmp_path, monkeypatch):
+    # the unscaled monodromy of this table overflows at every grid point
+    cfg = write_config(tmp_path, "lyap.json", {
+        "sequence": {"kind": "random_periodic", "q": 2048, "radius": 0.9},
+        "grid_size": 64, "n_steps": 1000,
+    })
+    out = tmp_path / "out"
+    assert main(["lyapunov", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+    L = [float(row[1]) for row in read_csv(out / "lyapunov.csv")[1]]
+    assert len(L) == 64 and all(0.1 < v < 1.0 for v in L)
+
+    monkeypatch.setattr(T, "_spectral_radius_2x2", lambda m: np.full(m.shape[:-2], np.nan))
+    assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "nan"),
+                 "--seed", "1"]) == 3
 
 
 def test_lyapunov_rejects_small_n(tmp_path, capsys):
@@ -230,6 +285,33 @@ def test_weyl_defect(tmp_path):
     assert header == ["theta", "r", "defect"]
     assert len(rows) == 16
     assert max(float(r[2]) for r in rows) < 1e-9
+
+
+def test_weyl_defect_takes_the_largest_radius_below_the_bound(tmp_path, monkeypatch):
+    # r e^{i theta} rounds |z| one ulp above r at some of these angles, which
+    # for this r is past the solver's bound 1 - 1e-6
+    from cmvlab import weyl
+
+    r = math.nextafter(1.0 - 1e-6, 0.0)
+    cfg = write_config(tmp_path, "w.json", {
+        "sequence": {"kind": "constant", "value": [0.9, 0.0]},
+        "samples": 64, "dim": 512, "r_values": [r], "arc_set": [[-1.0, 1.0]],
+    })
+    seen = []
+    solve = weyl.M_coefficients
+
+    def spy(seq, k, z, dim):
+        seen.append(z.copy())
+        return solve(seq, k, z, dim)
+
+    monkeypatch.setattr(weyl, "M_coefficients", spy)
+    out = tmp_path / "out"
+    assert main(["weyl-defect", "--config", cfg, "--out", str(out)]) == 0
+    z = seen[0]
+    assert np.all(np.abs(z) <= r)
+    thetas = [float(row[0]) for row in read_csv(out / "weyl_defect.csv")[1]]
+    assert np.max(np.abs(z - r * np.exp(1j * np.array(thetas)))) < 1e-15
+    assert all(float(row[1]) == r for row in read_csv(out / "weyl_defect.csv")[1])
 
 
 def test_weyl_defect_on_listed_arcs(tmp_path):

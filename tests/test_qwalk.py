@@ -121,6 +121,78 @@ def test_evolve_is_t_public_steps_on_the_padded_state(rng, period, t):
     assert np.array_equal(got.amplitudes, ref.amplitudes)
 
 
+def _einsum_step(table, amp):
+    """The reference step: U = S Q on (W, 2) amplitudes as one einsum over the
+    (W, 2, 2) coin table, absorbing edges refused beyond 1e-18."""
+    from cmvlab.errors import NumericalInstabilityError
+
+    mixed = np.einsum("jab,jb->ja", table, amp)
+    out = np.zeros_like(mixed)
+    out[1:, 0] = mixed[:-1, 0]
+    out[:-1, 1] = mixed[1:, 1]
+    lost = abs(mixed[-1, 0]) ** 2 + abs(mixed[0, 1]) ** 2
+    if not lost <= 1e-18:
+        raise NumericalInstabilityError(f"amplitude {lost:.2e} hit the absorbing boundary")
+    return out
+
+
+def _einsum_evolve(state, coins, t):
+    """t reference steps of every site of the state's window padded by t + 1."""
+    pad = t + 1
+    walk = Q.build_walk(coins, (state.n_lo - pad, state.n_hi + pad))
+    amp = np.zeros((walk.width, 2), dtype=complex)
+    amp[pad:-pad] = state.amplitudes
+    for _ in range(t):
+        amp = _einsum_step(walk.table, amp)
+    return walk.n_lo, amp
+
+
+@pytest.mark.parametrize("initial", ["random", "delta"])
+@pytest.mark.parametrize("period", [1, 2, 3, 4, 5])
+def test_evolve_matches_the_einsum_reference(rng, period, initial):
+    _, coins = _cgmv_period(period)
+    if initial == "delta":
+        st = Q.WalkState.delta(3, "-")
+    else:
+        amp = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
+        st = Q.WalkState(n_lo=-4, amplitudes=amp / np.sqrt(np.sum(np.abs(amp) ** 2)))
+    walk = Q.build_walk(coins, (st.n_lo, st.n_hi))
+    for t in (1, 2, 31, 128, 512):
+        got = Q.evolve(st, walk, t)
+        n_lo, ref = _einsum_evolve(st, coins, t)
+        assert got.n_lo == n_lo and got.amplitudes.shape == ref.shape
+        assert np.max(np.abs(got.amplitudes - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("edge", ["right", "left"])
+def test_guard_sites_refuse_mass_outside_the_cone(monkeypatch, edge):
+    # mass planted on a guard site, just outside the light cone, must be
+    # refused by the step's edge check rather than carried along
+    from cmvlab.errors import NumericalInstabilityError
+
+    _, coins = _cgmv_period(3)
+    st = Q.WalkState.delta(0, "+")
+    walk = Q.build_walk(coins, (st.n_lo, st.n_hi))
+    step = Q._absorbing_step
+    calls = []
+
+    def planted(q, psi):
+        calls.append(psi.shape[1])
+        if len(calls) == 4:
+            psi = psi.copy()
+            if edge == "right":
+                psi[0, -1] = 1e-6
+            else:
+                psi[1, 0] = 1e-6
+        return step(q, psi)
+
+    monkeypatch.setattr(Q, "_absorbing_step", planted)
+    with pytest.raises(NumericalInstabilityError, match="absorbing boundary"):
+        Q.evolve(st, walk, 10)
+    # steps 1..4 updated the cone plus a guard site on each side
+    assert calls == [st.amplitudes.shape[0] + 2 * s for s in (1, 2, 3, 4)]
+
+
 def test_survival_examples():
     st = Q.WalkState.delta(0, "+")
     shift = Q.build_walk(Q.identity_coins(), (st.n_lo, st.n_hi))
@@ -222,10 +294,10 @@ def test_certificates_refuse_nan(monkeypatch):
     amp = np.zeros((5, 2), dtype=complex)
     amp[-1, 0] = math.nan  # moves past the right edge
     with pytest.raises(NumericalInstabilityError, match="absorbing boundary"):
-        Q._absorbing_step(table, amp)
+        Q._absorbing_step(Q._coin_columns(table), amp.T)
 
     st = Q.WalkState.delta(0, "+")
     walk = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi))
-    monkeypatch.setattr(Q, "_absorbing_step", lambda table, amp: np.full_like(amp, math.nan))
+    monkeypatch.setattr(Q, "_absorbing_step", lambda q, psi: np.full_like(psi, math.nan))
     with pytest.raises(NumericalInstabilityError, match="drifted"):
         Q.evolve(st, walk, 3)
