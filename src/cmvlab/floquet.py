@@ -143,7 +143,7 @@ def discriminant(seq: CoefficientSequence, q: int, theta) -> float | np.ndarray:
     m = monodromy(seq, q, np.exp(1j * np.asarray(theta, dtype=float)))
     tr = m[..., 0, 0] + m[..., 1, 1]
     size = np.maximum(np.abs(tr.real), np.abs(m).max(axis=(-2, -1)))
-    bad = np.abs(tr.imag) > 1e-10 * np.maximum(1.0, size)
+    bad = ~(np.abs(tr.imag) <= 1e-10 * np.maximum(1.0, size))  # NaN fails
     if np.any(bad):
         worst = tr.imag[bad][np.argmax(np.abs(tr.imag[bad]))]
         raise NumericalInstabilityError(

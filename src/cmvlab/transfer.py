@@ -9,20 +9,36 @@ Two one-step 2x2 cocycles over a coefficient sequence:
   and determinant +1.
 
 The Lyapunov exponent is the per-step exponential growth rate of the Szego
-products.  For sequences with period metadata it short-circuits to the exact
-formula log(spectral radius of the monodromy) / period; otherwise a rescaled
-Birkhoff product along the orbit is used.  A monodromy whose entries pass
-about 1e154 (e^{qL} over a long period) is formed again rescaled, and an
-exponent that is still not finite raises NumericalInstabilityError.
+products on the unit circle; ``lyapunov`` projects z onto it.  For sequences
+with period metadata it is exactly log(spectral radius of the monodromy) /
+period; otherwise a rescaled Birkhoff product along the orbit is used.  A
+monodromy or an exponent that is not finite raises NumericalInstabilityError.
 
 Every product (Birkhoff sums, monodromies, discriminant scans) runs through
-one kernel that advances the unrolled 2x2 products of a whole 1-d array of
-spectral points z at once, step by step, reading alpha in fixed-size blocks.
+one kernel that advances the products of a whole 1-d array of spectral points
+z at once, reading alpha in fixed-size blocks.  Its state is the pair of rows
+(u, w) of the product's columns, and a step at site n is one elementwise
+update, the Szego step times rho_n:
+
+    u <- z u,   then   (u, w) <- (u - conj(alpha_n) w, w - alpha_n u).
+
+The factors 1/rho_n are not multiplied in: -1/2 sum log1p(-|alpha_n|^2) over
+each block of sites goes into the product's log scale, as does the largest
+entry divided out every few steps.
+
+* On |z| = 1 the Szego step is z^{1/2} times an SU(1,1) matrix
+  [[A, B], [conj B, conj A]], so the first column (u, w) of a product of m
+  steps fixes the whole product: its second column is z^m (conj w, conj u)
+  and its norm is |u| + |w|.  Birkhoff products carry the first column only.
+* A GZ step is the update without u <- z u, with alpha_n at even n and
+  conj(alpha_n) at odd n, followed by a swap of u and w; at odd n it is
+  conjugated by diag(1, z) as well.  GZ products carry both columns.
+
 Each numpy call of a step costs microseconds whatever its size, so a Birkhoff
 product over a narrow grid is cut into P consecutive orbit lanes that advance
-together, one batched matmul per step for all P segments at every point; the
-lanes are then joined in site order by P - 1 products.  The first half of the
-lanes gives the estimate at a shorter orbit for free (``half_orbit_estimates``).
+together, one update per step for all P segments at every point; the lanes
+are then joined in site order by P - 1 products.  The first half of the lanes
+gives the estimate at a shorter orbit for free (``half_orbit_estimates``).
 """
 
 from __future__ import annotations
@@ -30,8 +46,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-import warnings
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,16 +60,14 @@ __all__ = [
     "monodromy",
     "lyapunov",
     "half_orbit_estimates",
-    "estimate_Z",
     "arcs_from_grid",
 ]
 
 _UNIT_TOL = 1e-9
+_SCALE_EVERY = 16  # steps between rescalings: GZ products, and lyapunov's default
 _BLOCK = 1024  # steps per window call of the product kernel
 _BLOCK_SITES = 32 * _BLOCK  # at most this many sites per call when lanes share it
-# points per kernel pass: wider passes hand each 2x2 matmul to multithreaded
-# BLAS, whose thread hand-off costs far more than the work it splits
-_POINTS = 2048
+_POINTS = 2048  # points per kernel pass
 
 
 def _require_disk(alpha: complex) -> complex:
@@ -101,174 +114,183 @@ def _as_points(z) -> np.ndarray:
     return zs.reshape(-1)
 
 
-def _step_factors(seq: CoefficientSequence, sites: np.ndarray, gz: bool) -> np.ndarray:
-    """The z-free factors C_n of the steps at an integer array of sites.
+def _passes(zs: np.ndarray):
+    """The grid cut into kernel passes of at most _POINTS points."""
+    return (zs[i:i + _POINTS] for i in range(0, max(zs.size, 1), _POINTS))
 
-    Shape sites.shape + (2, 2).
-    Szego:  S(n, z) = C_n diag(z, 1),  C_n = (1/rho) [[1, -conj(a)], [-a, 1]].
-    GZ:     Y(n, z) = C_n for even n,  C_n = (1/rho) [[-a, 1], [1, -conj(a)]];
-            Y(n, z) = diag(1, 1/z) C_n diag(1, z) for odd n,
-                      C_n = (1/rho) [[-conj(a), 1], [1, -a]].
+
+def _lane_count(g: int, n_steps: int, scale_every: int) -> int:
+    """Birkhoff orbit lanes that fill a narrow pass: _POINTS // g, each >= 4 rescalings long.
+
+    Grids that fill half a pass or more take one lane: two lanes of a
+    half-full pass save next to nothing.  GZ monodromies always run one lane.
     """
-    al = seq.window(sites)
-    mod = np.abs(al)
-    if not np.all(mod < 1.0):
-        raise ValueError(f"|alpha| must be < 1, got {np.nanmax(mod)}")
-    r = 1.0 / np.sqrt(1.0 - (al.real * al.real + al.imag * al.imag))
-    c = np.empty(sites.shape + (2, 2), dtype=complex)
-    if gz:
-        even = sites % 2 == 0
-        c[..., 0, 0] = -np.where(even, al, al.conj()) * r
-        c[..., 1, 1] = -np.where(even, al.conj(), al) * r
-        c[..., 0, 1] = c[..., 1, 0] = r
-    else:
-        c[..., 0, 0] = c[..., 1, 1] = r
-        c[..., 0, 1] = -al.conj() * r
-        c[..., 1, 0] = -al * r
-    return c
-
-
-class _Products(NamedTuple):
-    """Rescaled products at every point, and the same after the first n_half steps."""
-
-    m: np.ndarray          # (g, 2, 2)
-    log_scale: np.ndarray  # (g,) log of the factors divided out of m
-    n_half: int
-    m_half: np.ndarray
-    log_half: np.ndarray
-
-
-def _lane_count(g: int, n_steps: int, gz: bool, scale_every: int) -> int:
-    """Orbit lanes that fill a narrow pass: _POINTS // g, each >= 4 rescalings long.
-
-    GZ monodromies, unscaled products and grids that fill half a pass or
-    more take one lane: two lanes of a half-full pass save next to nothing.
-    """
-    if gz or not scale_every or 2 * g >= _POINTS:
+    if 2 * g >= _POINTS:
         return 1
     return max(1, min(_POINTS // max(g, 1), n_steps // (4 * scale_every)))
 
 
-def _advance(seq, zz, starts, length, gz, scale_every, snap=0):
+def _advance(seq, zs, starts, length, gz, scale_every, snap=0):
     """Lockstep products of ``length`` steps from each site of ``starts``.
 
     Lane p multiplies the steps at sites starts[p] ... starts[p] + length - 1;
-    GZ products run one lane.  The state x has shape (P, 2, 2g): x[p, r, :g]
-    and x[p, r, g:] are row r of lane p's product in column 0 and column 1 at
-    the g points of zz = [zs, zs].  After every ``scale_every``-th step
-    (0: never) each (lane, point) product is divided by its largest entry
-    unless that entry is 0.  Returns x and the (P, g) log scales, then copies
-    of both after the first ``snap`` steps.
+    GZ products run one lane.  The state x has shape (2, P, W): x[0, p] and
+    x[1, p] are the rows u and w of lane p's product, in its first column at
+    the g points of zs (Szego, W = g) or in both columns (GZ, W = 2g, column 1
+    in x[:, :, g:]).  The factors 1/rho and, after every ``scale_every``-th
+    step, each (lane, point) product's largest entry (unless 0) are left out
+    of x and their logs added to the (P, g) log scales.  Returns x and the
+    log scales, then copies of both after the first ``snap`` steps.
     """
-    lanes, g = starts.size, zz.size // 2
-    x = np.zeros((lanes, 2, 2 * g), dtype=complex)
-    x[:, 0, :g] = x[:, 1, g:] = 1.0
+    lanes, g, cols = starts.size, zs.size, 2 if gz else 1
+    x = np.zeros((2, lanes, cols * g), dtype=complex)
+    x[0, :, :g] = x[1, :, g:] = 1.0  # the identity, or its first column
     y = np.empty_like(x)
+    if gz:  # an odd GZ step diag(1, 1/z) C diag(1, z) scales the swapped rows by z, 1/z
+        t = np.empty_like(x)
+        z_odd = np.tile(np.stack([zs, 1.0 / zs])[:, None], 2)
     log_scale = np.zeros((lanes, g))
-    x_snap, log_snap = x.copy(), log_scale.copy()
-    # one window call per block: a (block, P, 2, 2) factor array of <= 2 MB
+    x_snap = log_snap = None
+    # one window call per block: a (block, 2, P) coefficient array of <= 1 MB
     block = max(1, min(_BLOCK, _BLOCK_SITES // lanes))
-    first = int(starts[0])
     for lo in range(0, length, block):
         hi = min(lo + block, length)
         sites = np.arange(lo, hi)[:, None] + starts
-        for j, c in zip(range(lo, hi), _step_factors(seq, sites, gz)):
-            odd = (first + j) % 2
-            if not gz:
-                x[:, 0] *= zz
-            elif odd:
-                x[:, 1] *= zz
-            np.matmul(c, x, out=y)
-            x, y = y, x
-            if gz and odd:
-                x[:, 1] /= zz
-            if scale_every and (j + 1) % scale_every == 0:
-                s = np.abs(x).reshape(lanes, 4, g).max(axis=1)
+        al = seq.window(sites)
+        mod = np.abs(al)
+        if not np.all(mod < 1.0):
+            raise ValueError(f"|alpha| must be < 1, got {np.nanmax(mod)}")
+        log_rho = -0.5 * np.log1p(-(al.real * al.real + al.imag * al.imag))
+        if gz:  # Szego form with alpha_n (even n) or conj(alpha_n) (odd n), rows swapped
+            al = np.where(sites % 2 == 0, al, al.conj())
+            coef = -np.stack([al, al.conj()], axis=1)[..., None]
+        else:
+            coef = -np.stack([al.conj(), al], axis=1)[..., None]
+        for j, c in zip(range(lo, hi), coef):
+            if not gz:  # (u, w) <- (z u - conj(a) w, w - a z u)
+                x[0] *= zs
+                np.multiply(c, x[::-1], out=y)
+                x += y
+            elif j % 2 == 0:  # (u, w) <- (w - a u, u - conj(a) w); the lane starts at site 0
+                np.multiply(c, x, out=y)
+                y += x[::-1]
+                x, y = y, x
+            else:  # (u, w) <- (z w - a u, u / z - conj(a) w)
+                np.multiply(z_odd, x[::-1], out=y)
+                np.multiply(c, x, out=t)
+                y += t
+                x, y = y, x
+            if (j + 1) % scale_every == 0:
+                xs = x.reshape(2, lanes, cols, g)
+                s = np.abs(xs).max(axis=(0, 2))
                 s = np.where(s > 0, s, 1.0)
-                x /= np.concatenate([s, s], axis=1)[:, None]
+                xs /= s[:, None]
                 log_scale += np.log(s)
             if j + 1 == snap:
-                x_snap, log_snap = x.copy(), log_scale.copy()
+                x_snap = x.copy()
+                log_snap = log_scale + log_rho[:j + 1 - lo].sum(axis=0)[:, None]
+        log_scale += log_rho.sum(axis=0)[:, None]
     return x, log_scale, x_snap, log_snap
 
 
-def _matrices(x: np.ndarray) -> np.ndarray:
-    """(P, 2, 2g) lane states as (P, g, 2, 2) matrices."""
-    lanes, _, two_g = x.shape
-    return x.reshape(lanes, 2, 2, two_g // 2).transpose(0, 3, 1, 2)
+def _growth(col: np.ndarray, log_scale: np.ndarray, n: int) -> np.ndarray:
+    # a Szego product with first column (u, w) has singular values |u| +- |w|
+    return (log_scale + np.log(np.abs(col[0]) + np.abs(col[1]))) / n
 
 
-def _join(later, log_later, acc, log_acc):
-    """later @ acc divided by its largest entry per point, and the summed log scales."""
-    m = later @ acc
-    s = np.abs(m).reshape(-1, 4).max(axis=1)
+def _join(later, log_later, z_m, acc, log_acc):
+    """First column of later @ acc divided by its largest entry, and the summed log scales.
+
+    ``later`` is the first column (u, w) of a Szego product of m steps, whose
+    second column is z^m (conj w, conj u); z_m holds z^m.
+    """
+    u, w = later
+    t = z_m * acc[1]
+    col = np.stack([u * acc[0] + w.conj() * t, w * acc[0] + u.conj() * t])
+    s = np.abs(col).max(axis=0)
     s = np.where(s > 0, s, 1.0)
-    return m / s[:, None, None], log_later + log_acc + np.log(s)
+    return col / s, log_later + log_acc + np.log(s)
 
 
-def _pass(seq, zs, n_steps, gz, scale_every, lanes) -> _Products:
-    """One kernel pass over at most _POINTS points, split into ``lanes`` orbit lanes.
+def _pass(seq, zs, n_steps, scale_every, lanes):
+    """Birkhoff rates of one pass over at most _POINTS points, split into ``lanes`` orbit lanes.
 
     Lane p multiplies the sites [p L, (p + 1) L), L = n_steps // lanes; the
     lanes are joined in site order by lanes - 1 products, and the leftover
     steps [lanes L, n_steps) follow as one more segment.  The half-orbit
     product is the join of the first lanes // 2 lanes, or, for one lane, a
-    snapshot after n_steps // 2 steps.
+    snapshot after n_steps // 2 steps.  Returns the rates, n_half and the
+    half-orbit rates (None if n_half is 0).
     """
-    zz = np.concatenate([zs, zs])
     if lanes == 1:
-        half = n_steps // 2
+        n_half = n_steps // 2
         x, log_scale, x_half, log_half = _advance(
-            seq, zz, np.zeros(1, dtype=int), n_steps, gz, scale_every, half)
-        return _Products(_matrices(x)[0], log_scale[0], half,
-                         _matrices(x_half)[0], log_half[0])
-    length = n_steps // lanes
-    x, log_scale, _, _ = _advance(seq, zz, np.arange(lanes) * length, length,
-                                  gz, scale_every)
-    m = _matrices(x)
-    acc, log_acc = m[0], log_scale[0]
-    for p in range(1, lanes):
-        if p == lanes // 2:
-            half = acc, log_acc
-        acc, log_acc = _join(m[p], log_scale[p], acc, log_acc)
-    if lanes * length < n_steps:
-        x, log_scale, _, _ = _advance(seq, zz, np.array([lanes * length]),
-                                      n_steps - lanes * length, gz, scale_every)
-        acc, log_acc = _join(_matrices(x)[0], log_scale[0], acc, log_acc)
-    return _Products(acc, log_acc, lanes // 2 * length, *half)
+            seq, zs, np.zeros(1, dtype=int), n_steps, False, scale_every, n_half)
+        col, log_col = x[:, 0], log_scale[0]
+        half = (x_half[:, 0], log_half[0]) if n_half else None
+    else:
+        length = n_steps // lanes
+        n_half = lanes // 2 * length
+        x, log_scale, _, _ = _advance(seq, zs, np.arange(lanes) * length, length,
+                                      False, scale_every)
+        z_m = zs ** length
+        acc, log_acc = x[:, 0], log_scale[0]
+        for p in range(1, lanes):
+            if p == lanes // 2:
+                half = acc, log_acc
+            acc, log_acc = _join(x[:, p], log_scale[p], z_m, acc, log_acc)
+        if lanes * length < n_steps:
+            rest = n_steps - lanes * length
+            x, log_scale, _, _ = _advance(seq, zs, np.array([lanes * length]), rest,
+                                          False, scale_every)
+            acc, log_acc = _join(x[:, 0], log_scale[0], zs ** rest, acc, log_acc)
+        col, log_col = acc, log_acc
+    return (_growth(col, log_col, n_steps), n_half,
+            None if half is None else _growth(*half, n_half))
 
 
-def _product(
-    seq: CoefficientSequence,
-    zs: np.ndarray,
-    n_steps: int,
-    gz: bool = False,
-    scale_every: int = 0,
-) -> _Products:
-    """Ordered product of the first n_steps Szego (or GZ) steps at every z.
+def _birkhoff(seq, zs, n_steps, scale_every):
+    """Birkhoff rates over n_steps sites at every z, n_half and the half-orbit rates.
 
-    Grids are cut into passes of at most _POINTS points; a pass narrower
-    than half of that multiplies P = _lane_count(...) orbit segments at once.
     Memory is O(_POINTS + block): alpha is read one block of sites at a time.
     """
-    lanes = _lane_count(zs.size, n_steps, gz, scale_every)
-    parts = [_pass(seq, zs[i:i + _POINTS], n_steps, gz, scale_every, lanes)
-             for i in range(0, max(zs.size, 1), _POINTS)]
-    if len(parts) == 1:
-        return parts[0]
-    m, log_scale, n_half, m_half, log_half = zip(*parts)
-    return _Products(np.concatenate(m), np.concatenate(log_scale), n_half[0],
-                     np.concatenate(m_half), np.concatenate(log_half))
+    lanes = _lane_count(zs.size, n_steps, scale_every)
+    rates, n_half, half = zip(*(_pass(seq, part, n_steps, scale_every, lanes)
+                                for part in _passes(zs)))
+    return (np.concatenate(rates), n_half[0],
+            None if half[0] is None else np.concatenate(half))
+
+
+def _monodromies(seq, zs, q):
+    """Monodromies at every z divided by e^{log_scale}: (g, 2, 2) and the (g,) log scales."""
+    parts = []
+    for part in _passes(zs):
+        x, log_scale, _, _ = _advance(seq, part, np.zeros(1, dtype=int), q, True,
+                                      _SCALE_EVERY)
+        parts.append((x[:, 0].reshape(2, 2, part.size).transpose(2, 0, 1), log_scale[0]))
+    m, log_scale = zip(*parts)
+    return np.concatenate(m), np.concatenate(log_scale)
 
 
 def monodromy(seq: CoefficientSequence, q: int, z) -> np.ndarray:
-    """Ordered product Y(q-1, z) ... Y(0, z) for even q; shape z.shape + (2, 2)."""
+    """Ordered product Y(q-1, z) ... Y(0, z) for even q; shape z.shape + (2, 2).
+
+    A product with an entry that is not finite (past the float range)
+    raises NumericalInstabilityError.
+    """
     if q < 2 or q % 2 != 0:
         raise ValueError(f"q must be a positive even integer, got {q}")
     zs = _as_points(z)
-    if np.any(zs == 0):
-        raise ValueError("z must be nonzero")
-    m = _product(seq, zs, q, gz=True).m
+    if not np.all(np.isfinite(zs) & (zs != 0)):
+        raise ValueError("z must be finite and nonzero")
+    m, log_scale = _monodromies(seq, zs, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = m * np.exp(log_scale)[:, None, None]
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
+    if bad.size:
+        raise NumericalInstabilityError(
+            f"monodromy entry not finite at z = {complex(zs[bad[0]]):.17g}"
+        )
     return m[0] if np.ndim(z) == 0 else m
 
 
@@ -287,54 +309,46 @@ def lyapunov(
     seq: CoefficientSequence,
     z,
     n_steps: int = 100_000,
-    scale_every: int = 16,
+    scale_every: int = _SCALE_EVERY,
 ) -> float | np.ndarray:
     """Per-step growth rate of the Szego cocycle at |z| = 1.
 
-    Periodic sequences use the exact monodromy formula (n_steps is then
-    irrelevant); a point where the unscaled monodromy overflows takes the
-    spectral radius of the monodromy rescaled at every step, plus the log
-    of the scale divided out.  Otherwise the Birkhoff product over n_steps
-    sites is formed with periodic rescaling by the max-abs entry to avoid
-    overflow.  A scalar z gives a float, a 1-d array of points an array of
-    rates; a rate that is not finite (NaN included) raises
-    NumericalInstabilityError.
+    Points within 1e-9 of the unit circle are projected onto it; any other
+    point, NaN included, raises ValueError.  Periodic sequences use the exact
+    monodromy formula (n_steps and scale_every are then irrelevant): the log
+    of the spectral radius of the rescaled monodromy plus its log scale, over
+    the period.
+    Otherwise the Birkhoff product of the first n_steps Szego steps is formed,
+    as its first column only (the second column follows from it on the
+    circle), divided by its largest entry every scale_every steps and with
+    the factors 1/rho summed into the log scale.  A scalar z gives a float, a
+    1-d array of points an array of rates; a rate that is not finite (NaN
+    included) raises NumericalInstabilityError.
     """
     zs = _as_points(z)
     dev = np.abs(np.abs(zs) - 1.0)
-    if np.any(dev > _UNIT_TOL):
+    if np.any(~(dev <= _UNIT_TOL)):
         raise ValueError(f"|z| must be 1, got {abs(zs[np.argmax(dev)])}")
+    zs = zs / np.abs(zs)
     if seq.period is not None:
         q = seq.period * (2 if seq.period % 2 else 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rad = _spectral_radius_2x2(monodromy(seq, q, zs))
-        vals = np.log(np.maximum(rad, 1.0)) / q
-        over = ~np.isfinite(vals)
-        if np.any(over):  # entries past ~1e154: redo those points rescaled
-            prod = _product(seq, zs[over], q, gz=True, scale_every=1)
-            rad = _spectral_radius_2x2(prod.m)
-            vals[over] = np.maximum(np.log(rad) + prod.log_scale, 0.0) / q
+        m, log_scale = _monodromies(seq, zs, q)
+        vals = np.maximum(np.log(_spectral_radius_2x2(m)) + log_scale, 0.0) / q
     else:
         if n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
         if scale_every < 1:
             raise ValueError(f"scale_every must be >= 1, got {scale_every}")
-        prod = _product(seq, zs, n_steps, scale_every=scale_every)
-        vals = _growth(prod.m, prod.log_scale, n_steps)
+        vals, n_half, half = _birkhoff(seq, zs, n_steps, scale_every)
         records = _HALF_ORBIT.get()
-        if records is not None and prod.n_half > 0:
-            half = _growth(prod.m_half, prod.log_half, prod.n_half)
-            records.append((prod.n_half, float(half[0]) if np.ndim(z) == 0 else half))
+        if records is not None and n_half > 0:
+            records.append((n_half, float(half[0]) if np.ndim(z) == 0 else half))
     bad = np.flatnonzero(~np.isfinite(vals))  # NaN is not finite
     if bad.size:
         raise NumericalInstabilityError(
             f"Lyapunov exponent {vals[bad[0]]} at z = {complex(zs[bad[0]]):.17g}"
         )
     return float(vals[0]) if np.ndim(z) == 0 else vals
-
-
-def _growth(m: np.ndarray, log_scale: np.ndarray, n: int) -> np.ndarray:
-    return (log_scale + np.log(np.linalg.norm(m, 2, axis=(1, 2)))) / n
 
 
 _HALF_ORBIT: contextvars.ContextVar = contextvars.ContextVar("half_orbit", default=None)
@@ -393,32 +407,3 @@ def arcs_from_grid(
         out.append((lo, hi))
     return CircleArcSet.from_arcs(out)
 
-
-def estimate_Z(
-    seq: CoefficientSequence,
-    grid: Sequence[complex],
-    n_steps: int = 100_000,
-    eps_L: float = 1e-2,
-) -> CircleArcSet:
-    """Estimate the vanishing set of the Lyapunov exponent on a grid.
-
-    The grid must be sorted by angle; arcs span maximal cyclic runs of grid
-    points whose Lyapunov estimate falls below eps_L.  Estimates more negative
-    than -eps_L / 10 trigger a warning (n_steps too small).
-    """
-    if eps_L <= 0:
-        raise ValueError(f"eps_L must be positive, got {eps_L}")
-    zs = np.asarray(grid, dtype=complex)
-    if zs.ndim != 1 or zs.size < 1:
-        raise ValueError("grid must be a nonempty 1-d array of unit-modulus points")
-    angles = np.angle(zs) % TWO_PI
-    if np.any(np.diff(angles) < 0):
-        raise ValueError("grid must be sorted by angle")
-    vals = lyapunov(seq, zs, n_steps)
-    if np.any(vals < -eps_L / 10.0):
-        warnings.warn(
-            "Lyapunov estimates below -eps_L/10; increase n_steps",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return arcs_from_grid(angles, vals, eps_L)

@@ -145,6 +145,56 @@ def test_periodic_lyapunov_past_monodromy_overflow_matches_mpmath():
             assert abs(val - want) < 1e-12
 
 
+def _radius_09_table(q):
+    rng = np.random.default_rng(1)
+    return C.periodic_table_seq(0.9 * rng.random(q) * np.exp(TWO_PI * 1j * rng.random(q)))
+
+
+def test_long_monodromy_traces_match_mpmath():
+    # entries near 1e176: the rescaled product times its scale, to 1e-12 relative
+    q = 2048
+    seq = _radius_09_table(q)
+    thetas = np.array([0.3, 2.5, 5.1])
+    got = F.discriminant(seq, q, thetas)
+    with mpmath.workdps(50):
+        for th, val in zip(thetas, got):
+            z = mpmath.expj(th)
+            m = mpmath.eye(2)
+            for n in range(q):
+                a = mpmath.mpc(seq(n))
+                if n % 2 == 0:
+                    y = mpmath.matrix([[-a, 1], [1, -mpmath.conj(a)]])
+                else:
+                    y = mpmath.matrix([[-mpmath.conj(a), z], [1 / z, -a]])
+                m = y / mpmath.sqrt(1 - abs(a) ** 2) * m
+            want = float(mpmath.re(m[0, 0] + m[1, 1]))
+            assert abs(want) > 1e150
+            assert abs(val - want) < 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.5])
+def test_monodromies_past_the_float_range_raise(theta):
+    seq = _radius_09_table(4096)
+    with pytest.raises(NumericalInstabilityError, match="not finite"):
+        T.monodromy(seq, 4096, cmath.exp(1j * theta))
+    with pytest.raises(NumericalInstabilityError):
+        F.discriminant(seq, 4096, theta)
+    with pytest.raises(NumericalInstabilityError):
+        F.discriminant(seq, 4096, np.array([0.1, theta]))
+
+
+def test_nan_points_are_refused_before_any_product():
+    z = np.array([1.0 + 0j, complex(math.nan, 0.0)])
+    qp = C.quasiperiodic_seq(0.5, 0.3819660112501051, 0.25)
+    for seq in (qp, C.periodic_table_seq([0.3, 0.5j])):
+        with pytest.raises(ValueError, match=r"\|z\|"):
+            T.lyapunov(seq, z, n_steps=100)
+    with pytest.raises(ValueError, match="finite"):
+        T.monodromy(C.constant_seq(0.2), 2, z)
+    with pytest.raises(ValueError, match="finite"):
+        T.monodromy(C.constant_seq(0.2), 2, complex(math.inf, 0.0))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_lyapunov_exponents_raise(monkeypatch, bad):
     seq = C.periodic_table_seq([0.3, 0.5j])
@@ -162,6 +212,9 @@ def test_scalar_points_give_floats_and_scalar_shapes(make_periodic):
         assert type(scalar) is float
         assert scalar == pytest.approx(T.lyapunov(seq, zs, n_steps=2000)[1], abs=1e-14)
     assert T.monodromy(s, 4, zs[0]).shape == (2, 2)
+    assert T.monodromy(s, 4, zs[:0]).shape == (0, 2, 2)
+    for seq in (qp, s):
+        assert T.lyapunov(seq, zs[:0], n_steps=2000).shape == (0,)
     d = F.discriminant(s, 4, 0.3)
     assert type(d) is float
     assert d == pytest.approx(F.discriminant(s, 4, np.array([0.3, 2.5]))[0], abs=1e-14)
@@ -262,37 +315,32 @@ def test_grids_wider_than_one_kernel_pass(make_periodic):
 # ---------------------------------------------------------------------------
 
 def one_lane_reference(seq, zs, n, scale_every=SCALE_EVERY):
-    """Birkhoff estimates from one sequential product per pass of T._POINTS points.
+    """Birkhoff estimates from one sequential column product per pass of T._POINTS points.
 
     The steps, the rescaling and the reduction are those of a single orbit
-    lane: the factor of site j multiplies a (2, 2g) state after its first row
-    is scaled by z, and every scale_every-th step divides each point's
-    product by its largest entry.
+    lane: at site j the first column (u, w) of the product at every point
+    becomes (z u - conj(a) w, w - a z u), every scale_every-th step divides
+    it by its larger entry, and the logs of 1/rho are summed once per block
+    of T._BLOCK sites.  The product's norm is |u| + |w|.
     """
+    zs = zs / np.abs(zs)
     out = []
     for i in range(0, zs.size, T._POINTS):
         part = zs[i:i + T._POINTS]
-        g = part.size
-        zz = np.concatenate([part, part])
-        x = np.zeros((2, 2 * g), dtype=complex)
-        x[0, :g] = x[1, g:] = 1.0
-        y = np.empty_like(x)
-        log_scale = np.zeros(g)
+        u, w = np.ones(part.size, dtype=complex), np.zeros(part.size, dtype=complex)
+        log_scale = np.zeros(part.size)
         for lo in range(0, n, T._BLOCK):
             al = seq.window(lo, min(lo + T._BLOCK, n))
-            r = 1.0 / np.sqrt(1.0 - (al.real * al.real + al.imag * al.imag))
-            for j, (a, rj) in enumerate(zip(al, r), start=lo):
-                c = np.array([[rj, -a.conjugate() * rj], [-a * rj, rj]])
-                x[0] *= zz
-                np.matmul(c, x, out=y)
-                x, y = y, x
+            for j, a in enumerate(al, start=lo):
+                u *= part  # in place as in the kernel: a one-point u * z may round otherwise
+                u, w = u + -a.conjugate() * w, w + -a * u
                 if (j + 1) % scale_every == 0:
-                    s = np.abs(x).reshape(4, g).max(axis=0)
+                    s = np.maximum(np.abs(u), np.abs(w))
                     s = np.where(s > 0, s, 1.0)
-                    x /= np.concatenate([s, s])
+                    u, w = u / s, w / s
                     log_scale += np.log(s)
-        m = x.reshape(2, 2, g).transpose(2, 0, 1)
-        out.append((log_scale + np.log(np.linalg.norm(m, 2, axis=(1, 2)))) / n)
+            log_scale += (-0.5 * np.log1p(-(al.real * al.real + al.imag * al.imag))).sum()
+        out.append((log_scale + np.log(np.abs(u) + np.abs(w))) / n)
     return np.concatenate(out)
 
 
@@ -311,6 +359,94 @@ lane_grids = st.sampled_from([1, 63, 64, 65, 2047, 2048, 2049])
 lane_steps = st.integers(1, 3 * T._BLOCK).filter(lambda n: n % T._BLOCK and n % SCALE_EVERY)
 
 
+def matmul_reference(seq, zs, n, scale_every=SCALE_EVERY):
+    """Birkhoff rates, n_half and the half-orbit rates from two-column matmul steps.
+
+    Each lane carries both columns of its product, and a step at site j
+    scales row 0 by z, then multiplies every lane by its factor
+    (1/rho) [[1, -conj(a)], [-a, 1]] in one batched matmul.  Grid passes,
+    lanes, joins and the half-orbit rule follow T._POINTS and T._lane_count.
+    """
+    lanes = T._lane_count(zs.size, n, scale_every)
+
+    def advance(part, starts, length, snap=0):
+        """(P, g, 2, 2) lane products and (P, g) log scales, at the end and after snap steps."""
+        g = part.size
+        al = seq.window(np.arange(length)[:, None] + starts)
+        r = 1.0 / np.sqrt(1.0 - np.abs(al) ** 2)
+        c = np.empty(al.shape + (2, 2), dtype=complex)
+        c[..., 0, 0] = c[..., 1, 1] = r
+        c[..., 0, 1] = -al.conj() * r
+        c[..., 1, 0] = -al * r
+        zz = np.concatenate([part, part])
+        x = np.zeros((starts.size, 2, 2 * g), dtype=complex)
+        x[:, 0, :g] = x[:, 1, g:] = 1.0
+        log_scale = np.zeros((starts.size, g))
+        snapped = None
+        for j in range(length):
+            x[:, 0] *= zz
+            x = c[j] @ x
+            if (j + 1) % scale_every == 0:
+                s = np.abs(x).reshape(-1, 4, g).max(axis=1)
+                x = x / np.concatenate([s, s], axis=1)[:, None]
+                log_scale = log_scale + np.log(s)
+            if j + 1 == snap:
+                snapped = x.reshape(-1, 2, 2, g).transpose(0, 3, 1, 2), log_scale
+        return (x.reshape(-1, 2, 2, g).transpose(0, 3, 1, 2), log_scale), snapped
+
+    def join(later, acc):
+        m = later[0] @ acc[0]
+        s = np.abs(m).reshape(-1, 4).max(axis=1)
+        return m / s[:, None, None], later[1] + acc[1] + np.log(s)
+
+    def rate(prod, steps):
+        return (prod[1] + np.log(np.linalg.norm(prod[0], 2, axis=(1, 2)))) / steps
+
+    rates, halves = [], []
+    for i in range(0, zs.size, T._POINTS):
+        part = zs[i:i + T._POINTS]
+        if lanes == 1:
+            n_half = n // 2
+            (m, log), snapped = advance(part, np.zeros(1, dtype=int), n, n_half)
+            full = m[0], log[0]
+            half = snapped and (snapped[0][0], snapped[1][0])
+        else:
+            length = n // lanes
+            n_half = lanes // 2 * length
+            (m, log), _ = advance(part, np.arange(lanes) * length, length)
+            full = m[0], log[0]
+            for p in range(1, lanes):
+                if p == lanes // 2:
+                    half = full
+                full = join((m[p], log[p]), full)
+            if lanes * length < n:
+                (m, log), _ = advance(part, np.array([lanes * length]), n - lanes * length)
+                full = join((m[0], log[0]), full)
+        rates.append(rate(full, n))
+        halves.append(rate(half, n_half) if n_half else None)
+    return np.concatenate(rates), n_half, np.concatenate(halves) if n_half else None
+
+
+@settings(max_examples=15, deadline=None)
+@given(seq=quasiperiodic, g=st.sampled_from([1, 63, 64, 2049]), n=lane_steps,
+       shift=st.floats(0.0, 1.0))
+@example(seq=C.quasiperiodic_seq(0.7, 0.3, 0.9), g=1, n=4 * SCALE_EVERY - 3, shift=0.2)
+@example(seq=C.quasiperiodic_seq(0.5, 0.61, 0.4), g=1, n=2 * T._BLOCK + 21, shift=0.7)
+@example(seq=C.quasiperiodic_seq(0.6, 0.13, 0.0), g=64, n=3 * T._BLOCK - 1, shift=0.0)
+@example(seq=C.quasiperiodic_seq(0.9, 0.38, 0.5), g=2049, n=T._BLOCK + 37, shift=0.5)
+def test_column_kernel_matches_the_matmul_reference(seq, g, n, shift):
+    zs = np.exp(1j * TWO_PI * (np.arange(g) + shift) / g)
+    with T.half_orbit_estimates() as half:
+        got = T.lyapunov(seq, zs, n_steps=n, scale_every=SCALE_EVERY)
+    want, n_half, want_half = matmul_reference(seq, zs, n)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    if n_half:
+        assert half[0][0] == n_half
+        np.testing.assert_allclose(half[0][1], want_half, rtol=0, atol=1e-12)
+    else:
+        assert half == []
+
+
 @settings(max_examples=20, deadline=None)
 @given(seq=quasiperiodic, g=lane_grids, n=lane_steps, shift=st.floats(0.0, 1.0),
        data=st.data())
@@ -321,7 +457,7 @@ lane_steps = st.integers(1, 3 * T._BLOCK).filter(lambda n: n % T._BLOCK and n % 
 @example(seq=C.quasiperiodic_seq(0.6, 0.13, 0.0), g=1, n=3 * T._BLOCK - 1, shift=0.0,
          data=None)
 def test_lanes_match_per_point_and_mpmath_products(seq, g, n, shift, data):
-    lanes = T._lane_count(g, n, False, SCALE_EVERY)
+    lanes = T._lane_count(g, n, SCALE_EVERY)
     assume(lanes == 1 or n % lanes)
     zs = np.exp(1j * TWO_PI * (np.arange(g) + shift) / g)
     got = T.lyapunov(seq, zs, n_steps=n, scale_every=SCALE_EVERY)
@@ -332,13 +468,12 @@ def test_lanes_match_per_point_and_mpmath_products(seq, g, n, shift, data):
 
 
 def test_lane_count_fills_narrow_passes_only():
-    assert T._lane_count(64, 20_000, False, 16) == T._POINTS // 64
-    assert T._lane_count(1, 20_000, False, 16) == 20_000 // 64
-    assert T._lane_count(1, 4 * 16 - 1, False, 16) == 1
-    assert T._lane_count(T._POINTS // 2 - 1, 20_000, False, 16) == 2
+    assert T._lane_count(64, 20_000, 16) == T._POINTS // 64
+    assert T._lane_count(1, 20_000, 16) == 20_000 // 64
+    assert T._lane_count(1, 4 * 16 - 1, 16) == 1
+    assert T._lane_count(T._POINTS // 2 - 1, 20_000, 16) == 2
     for g in (T._POINTS // 2, T._POINTS, 3 * T._POINTS):
-        assert T._lane_count(g, 20_000, False, 16) == 1
-    assert T._lane_count(1, 20_000, True, 0) == 1
+        assert T._lane_count(g, 20_000, 16) == 1
 
 
 @pytest.mark.parametrize("g, n", [(T._POINTS // 2, 2 * T._BLOCK + 37),
@@ -367,7 +502,7 @@ def test_half_orbit_estimates_are_the_shorter_products(g, n):
         full = T.lyapunov(seq, zs, n_steps=n)
     assert len(half) == 1
     n_half, vals = half[0]
-    lanes = T._lane_count(g, n, False, SCALE_EVERY)
+    lanes = T._lane_count(g, n, SCALE_EVERY)
     assert n_half == (n // 2 if lanes == 1 else lanes // 2 * (n // lanes))
     np.testing.assert_allclose(vals, T.lyapunov(seq, zs, n_steps=n_half), rtol=0, atol=1e-12)
     np.testing.assert_allclose(full, T.lyapunov(seq, zs, n_steps=n), rtol=0, atol=0)

@@ -168,9 +168,13 @@ def test_lyapunov_sieving_birkhoff_invariant():
         assert abs(a - 0.5 * b) < 2e-3
 
 
+def zero_set(seq, n, n_steps, eps_L=1e-2):
+    angles = np.arange(n) * TWO_PI / n
+    return T.arcs_from_grid(angles, T.lyapunov(seq, np.exp(1j * angles), n_steps), eps_L)
+
+
 def test_estimate_z_free_full_circle():
-    grid = np.exp(1j * np.arange(64) * TWO_PI / 64)
-    out = T.estimate_Z(C.constant_seq(0.0), grid, 1000, 1e-2)
+    out = zero_set(C.constant_seq(0.0), 64, 1000)
     assert out.is_full()
     assert out.measure() == pytest.approx(TWO_PI)
 
@@ -180,8 +184,7 @@ def test_estimate_z_constant_half_matches_bands():
 
     s = C.constant_seq(0.5)
     n = 512
-    grid = np.exp(1j * np.arange(n) * TWO_PI / n)
-    z_est = T.estimate_Z(s, grid, 100_000, 1e-2)
+    z_est = zero_set(s, n, 100_000)
     bands = floquet.periodic_spectrum(s, 2)
     cell = TWO_PI / n
     assert z_est.hausdorff(bands) < cell
@@ -192,28 +195,9 @@ def test_estimate_z_sieved_preimage():
 
     s = C.constant_seq(0.5)
     n = 512
-    grid = np.exp(1j * np.arange(n) * TWO_PI / n)
-    z_hat = T.estimate_Z(O.sieve(s), grid, 100_000, 1e-2)
+    z_hat = zero_set(O.sieve(s), n, 100_000)
     pre = floquet.periodic_spectrum(s, 2).preimage_double()
     assert z_hat.hausdorff(pre) < TWO_PI / n
-
-
-def test_estimate_z_warns_on_negative(monkeypatch):
-    monkeypatch.setattr(T, "lyapunov",
-                        lambda seq, z, n_steps=0: np.full(np.shape(z), -1.0))
-    grid = np.exp(1j * np.arange(16) * TWO_PI / 16)
-    with pytest.warns(RuntimeWarning, match="n_steps"):
-        T.estimate_Z(C.constant_seq(0.0), grid, 1000, 1e-2)
-
-
-def test_estimate_z_validations():
-    s = C.constant_seq(0.0)
-    with pytest.raises(ValueError):
-        T.estimate_Z(s, np.array([]), 1000, 1e-2)
-    with pytest.raises(ValueError):
-        T.estimate_Z(s, np.exp(1j * np.array([1.0, 0.5])), 1000, 1e-2)
-    with pytest.raises(ValueError):
-        T.estimate_Z(s, np.exp(1j * np.array([0.5, 1.0])), 1000, -1.0)
 
 
 def test_arcs_from_grid_wrapping_run():
