@@ -19,7 +19,7 @@ from .coefficients import (  # noqa: F401
     quasiperiodic_seq,
 )
 from .operator import BandedUnitary, assemble_cmv, assemble_lm, sieve, theta  # noqa: F401
-from .spectral_sets import CircleArcSet, limsup_surrogate, spectral_variation_check  # noqa: F401
+from .spectral_sets import CircleArcSet, spectral_variation_check  # noqa: F401
 from .transfer import gz_step, lyapunov, monodromy, szego  # noqa: F401
 from .floquet import (  # noqa: F401
     band_derivative,

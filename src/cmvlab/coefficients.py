@@ -26,9 +26,6 @@ __all__ = [
     "periodize",
     "pastur_tkachenko_family",
     "lp_sum_criterion",
-    "sequence_from_spec",
-    "sequence_to_spec",
-    "family_from_spec",
 ]
 
 
@@ -38,7 +35,6 @@ class CoefficientSequence:
 
     ``sup_norm_bound`` certifies sup_n |alpha_n| <= sup_norm_bound < 1.
     ``period``, when set, promises fn(n + period) == fn(n) exactly.
-    ``spec`` optionally carries a JSON-serializable construction record.
     ``fn_array``, when set, is fn vectorised over an integer array of sites;
     ``window`` uses it, and falls back to one fn call per site without it.
     """
@@ -46,7 +42,6 @@ class CoefficientSequence:
     fn: Callable[[int], complex]
     sup_norm_bound: float
     period: Optional[int] = None
-    spec: Optional[dict] = None
     fn_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -86,7 +81,6 @@ def constant_seq(a: complex) -> CoefficientSequence:
         fn=lambda n: a,
         sup_norm_bound=abs(a),
         period=1,
-        spec={"kind": "constant", "value": [a.real, a.imag]},
         fn_array=lambda n: np.full(n.shape, a),
     )
 
@@ -107,8 +101,6 @@ def quasiperiodic_seq(lam: float, beta: float, theta: float) -> CoefficientSeque
         fn=fn,
         sup_norm_bound=lam,
         period=None,
-        spec={"kind": "quasiperiodic", "amplitude": lam, "frequency": beta,
-              "phase": theta},
         fn_array=fn_array,
     )
 
@@ -128,8 +120,6 @@ def periodic_table_seq(values: Sequence[complex]) -> CoefficientSequence:
         fn=lambda n: complex(table[n % q]),
         sup_norm_bound=bound,
         period=q,
-        spec={"kind": "periodic_table",
-              "values": [[v.real, v.imag] for v in vals]},
         fn_array=lambda n: table[n % q],
     )
 
@@ -147,17 +137,13 @@ def periodize(seq: CoefficientSequence, q: int) -> CoefficientSequence:
 
 @dataclass(frozen=True)
 class LimitPeriodicFamily:
-    """A chain of periodic sequences converging to a limit.
+    """A finite chain of periodic sequences whose limit is its last stage.
 
-    stages[n] has period q_n with q_n | q_{n+1}.  ``exact_limit`` marks
-    families whose limit coincides with the final stage, so the tail of any
-    stage-difference series vanishes identically.
+    stages[n] has period q_n with q_n | q_{n+1}.  The limit is stages[-1], so
+    the tail of every stage-difference series past the last stage is zero.
     """
 
     stages: tuple[CoefficientSequence, ...]
-    limit: CoefficientSequence
-    rate: Optional[Callable[[float], float]] = None
-    exact_limit: bool = False
 
     def __post_init__(self):
         if len(self.stages) == 0:
@@ -175,6 +161,10 @@ class LimitPeriodicFamily:
             ps.append(s.period)
         return tuple(ps)
 
+    @property
+    def limit(self) -> CoefficientSequence:
+        return self.stages[-1]
+
 
 def pastur_tkachenko_family(
     base_amp: float,
@@ -187,8 +177,8 @@ def pastur_tkachenko_family(
     Stage 0 is the constant sequence ``base_amp``; stage n+1 adds the
     increment decay(n) * cos(2*pi*j / q_{n+1}).  The default decay,
     base_amp * exp(-q_{n+1}^2), shrinks faster than every exponential in the
-    period, so the finite family converges at a super-exponential rate; the
-    returned limit is the final stage and the tail beyond it is exactly zero.
+    period.  The family's limit is its last stage, so the tail beyond it is
+    zero.
     """
     base_amp = float(base_amp)
     if not 0.0 <= base_amp < 1.0:
@@ -222,12 +212,7 @@ def pastur_tkachenko_family(
             vals.append(v)
         stages.append(periodic_table_seq(vals))
 
-    return LimitPeriodicFamily(
-        stages=tuple(stages),
-        limit=stages[-1],
-        rate=None,
-        exact_limit=True,
-    )
+    return LimitPeriodicFamily(stages=tuple(stages))
 
 
 def lp_sum_criterion(
@@ -238,9 +223,8 @@ def lp_sum_criterion(
     """Check sum_{n>k} q_n * ||E_n - E_{n-1}|| < measure(Sigma_k) / 2.
 
     The sum is evaluated exactly on periodic-wrap windows of four times the
-    last stage's period.  The tail beyond the last stage is zero for
-    exact-limit families; otherwise it must be certified from the family's
-    rate function, and the call refuses without one.
+    last stage's period.  The family's limit is its last stage, so the sum
+    has no tail.
     """
     from . import operator as _operator
 
@@ -256,45 +240,13 @@ def lp_sum_criterion(
     for n in range(k + 1, len(stages)):
         lhs += periods[n] * _operator.norm_diff(stages[n], stages[n - 1], dim)
 
-    if not family.exact_limit:
-        if family.rate is None:
-            raise ValueError(
-                "cannot certify the tail of the stage-difference sum: family has "
-                "no rate function and its limit is not marked exact"
-            )
-        lhs += _certified_tail(family.rate, periods[-1])
-
     rhs = 0.5 * float(sigma_k_measure)
     return {"holds": lhs < rhs, "lhs": lhs, "rhs": rhs}
-
-
-def _certified_tail(rate: Callable[[float], float], q_last: int,
-                    max_terms: int = 200) -> float:
-    # Periods at least double past the last stage, and
-    # ||E_n - E_{n-1}|| <= rate(q_{n-1}) + rate(q_n).
-    total = 0.0
-    prev_term = math.inf
-    for j in range(1, max_terms + 1):
-        qn = q_last * 2 ** j
-        term = qn * (rate(qn // 2) + rate(qn))
-        if not term < prev_term:
-            raise ValueError("rate function decays too slowly to certify the tail")
-        total += term
-        if term < 1e-18:
-            return total
-        prev_term = term
-    raise ValueError("tail bound did not converge within the term budget")
 
 
 # ---------------------------------------------------------------------------
 # JSON specs
 # ---------------------------------------------------------------------------
-
-def sequence_to_spec(seq: CoefficientSequence) -> dict:
-    if seq.spec is None:
-        raise ValueError("sequence carries no serializable construction record")
-    return dict(seq.spec)
-
 
 def _as_int(name: str, value) -> int:
     """A config integer; lists, dicts, bools and non-integral floats are refused."""
@@ -409,14 +361,6 @@ _SEQUENCE_KINDS = {
     "periodic_table": {"values": (_list(_as_complex), _REQUIRED, *_IN_DISK)},
     **_FAMILY,
 }
-
-
-def family_from_spec(d: dict) -> LimitPeriodicFamily:
-    return _family(_read_fields("the spec", "", d, _FAMILY, "kind"))
-
-
-def sequence_from_spec(d: dict) -> CoefficientSequence:
-    return _sequence(_read_fields("the spec", "", d, _SEQUENCE_KINDS, "kind"))
 
 
 def _family(v: dict) -> LimitPeriodicFamily:

@@ -138,7 +138,6 @@ def sieve(seq: CoefficientSequence) -> CoefficientSequence:
         fn=lambda m: 0j if m % 2 == 0 else seq((m + 1) // 2),
         sup_norm_bound=seq.sup_norm_bound,
         period=None,
-        spec=None,
         fn_array=lambda m: np.where(m % 2 == 0, 0j, seq.window((m + 1) // 2)),
     )
 
@@ -151,7 +150,6 @@ def shift_seq(seq: CoefficientSequence, by: int) -> CoefficientSequence:
         fn=lambda n: seq(n + by),
         sup_norm_bound=seq.sup_norm_bound,
         period=None,
-        spec=None,
         fn_array=lambda n: seq.window(n + by),
     )
 

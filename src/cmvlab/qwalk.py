@@ -358,7 +358,6 @@ def to_cmv(
         fn=alpha_hat,
         sup_norm_bound=min(bound, 1.0 - 1e-15),
         period=period,
-        spec=None,
     )
 
     walk = build_walk(coins, (n_lo, n_hi))
@@ -368,7 +367,6 @@ def to_cmv(
         fn=lambda m: alpha_hat(m + shift),
         sup_norm_bound=seq.sup_norm_bound,
         period=None,
-        spec=None,
     )
     ref = assemble_cmv(local, 0, 2 * walk.width).entries
     residual = float(np.max(np.abs(U.T - ref)))

@@ -1,10 +1,10 @@
 """Finite unions of closed arcs on the unit circle.
 
 Arc sets are the common currency for every computed spectrum and vanishing
-set: measures, Hausdorff distances in the chordal metric |z - w|,
-eps-neighborhoods, set differences, the preimage under the double cover
-z -> z^2, and a finite limsup surrogate.  Degenerate (width zero) arcs are
-allowed so that finite eigenvalue clouds can be compared with band sets.
+set: measures, Hausdorff distances in the chordal metric |z - w|, set
+differences and the preimage under the double cover z -> z^2.  Degenerate
+(width zero) arcs are allowed so that finite eigenvalue clouds can be compared
+with band sets.
 
 All values are immutable; operations return new sets.
 """
@@ -21,7 +21,6 @@ from .operator import BandedUnitary
 
 __all__ = [
     "CircleArcSet",
-    "limsup_surrogate",
     "spectral_variation_check",
     "TWO_PI",
 ]
@@ -201,10 +200,6 @@ class CircleArcSet:
 
     # -- metric operations -----------------------------------------------------
 
-    def point_distance(self, angle: float) -> float:
-        """Chordal distance from exp(i*angle) to the set."""
-        return _chord(self._point_ang_distance(angle))
-
     def _point_ang_distance(self, angle: float) -> float:
         if self.is_empty():
             return math.pi
@@ -239,19 +234,6 @@ class CircleArcSet:
             if self.contains(mid, tol=0.0):
                 best = max(best, other._point_ang_distance(mid))
         return best
-
-    def eps_neighborhood(self, eps: float) -> "CircleArcSet":
-        """Chordal eps-neighborhood, dilating each arc by 2*arcsin(eps/2)."""
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        if eps >= 2.0:
-            return CircleArcSet.full_circle()
-        if self.is_empty():
-            return CircleArcSet.empty()
-        delta = 2.0 * math.asin(eps / 2.0)
-        return CircleArcSet.from_arcs(
-            [(lo - delta, hi + delta) for lo, hi in self.arcs]
-        )
 
     def preimage_double(self) -> "CircleArcSet":
         """Preimage under z -> z^2: two half-scale copies, measure preserved."""
@@ -292,33 +274,6 @@ class CircleArcSet:
 
     def to_json(self) -> dict:
         return {"arcs": [[float(lo), float(hi)] for lo, hi in self.arcs]}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "CircleArcSet":
-        return cls.from_arcs([(lo, hi) for lo, hi in d["arcs"]])
-
-
-def limsup_surrogate(sets: Sequence[CircleArcSet], tail_start: int) -> CircleArcSet:
-    """Finite surrogate for limsup: intersect the suffix unions from tail_start on.
-
-    Over a finite list the deepest suffix union is the final set, which
-    therefore dominates the intersection; the surrogate is informative
-    exactly when the tail of the list has stabilized (the convergent regime
-    it is used in).
-    """
-    if len(sets) < tail_start + 1:
-        raise ValueError(
-            f"need at least tail_start + 1 = {tail_start + 1} sets, got {len(sets)}"
-        )
-    suffix = CircleArcSet.empty()
-    unions = [None] * len(sets)
-    for i in range(len(sets) - 1, -1, -1):
-        suffix = suffix.union(sets[i])
-        unions[i] = suffix
-    out = unions[tail_start]
-    for i in range(tail_start + 1, len(sets)):
-        out = out.intersection(unions[i])
-    return out
 
 
 def spectral_variation_check(U: BandedUnitary, V: BandedUnitary) -> dict:

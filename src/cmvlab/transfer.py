@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-9
-_SCALE_EVERY = 16  # steps between rescalings: GZ products, and lyapunov's default
+_SCALE_EVERY = 16  # steps between rescalings of every product
 _BLOCK = 1024  # steps per window call of the product kernel
 _BLOCK_SITES = 32 * _BLOCK  # at most this many sites per call when lanes share it
 _POINTS = 2048  # points per kernel pass
@@ -119,7 +119,7 @@ def _passes(zs: np.ndarray):
     return (zs[i:i + _POINTS] for i in range(0, max(zs.size, 1), _POINTS))
 
 
-def _lane_count(g: int, n_steps: int, scale_every: int) -> int:
+def _lane_count(g: int, n_steps: int, steps_per_rescale: int) -> int:
     """Birkhoff orbit lanes that fill a narrow pass: _POINTS // g, each >= 4 rescalings long.
 
     Grids that fill half a pass or more take one lane: two lanes of a
@@ -127,17 +127,17 @@ def _lane_count(g: int, n_steps: int, scale_every: int) -> int:
     """
     if 2 * g >= _POINTS:
         return 1
-    return max(1, min(_POINTS // max(g, 1), n_steps // (4 * scale_every)))
+    return max(1, min(_POINTS // max(g, 1), n_steps // (4 * steps_per_rescale)))
 
 
-def _advance(seq, zs, starts, length, gz, scale_every, snap=0):
+def _advance(seq, zs, starts, length, gz, snap=0):
     """Lockstep products of ``length`` steps from each site of ``starts``.
 
     Lane p multiplies the steps at sites starts[p] ... starts[p] + length - 1;
     GZ products run one lane.  The state x has shape (2, P, W): x[0, p] and
     x[1, p] are the rows u and w of lane p's product, in its first column at
     the g points of zs (Szego, W = g) or in both columns (GZ, W = 2g, column 1
-    in x[:, :, g:]).  The factors 1/rho and, after every ``scale_every``-th
+    in x[:, :, g:]).  The factors 1/rho and, after every _SCALE_EVERY-th
     step, each (lane, point) product's largest entry (unless 0) are left out
     of x and their logs added to the (P, g) log scales.  Returns x and the
     log scales, then copies of both after the first ``snap`` steps.
@@ -180,7 +180,7 @@ def _advance(seq, zs, starts, length, gz, scale_every, snap=0):
                 np.multiply(c, x, out=t)
                 y += t
                 x, y = y, x
-            if (j + 1) % scale_every == 0:
+            if (j + 1) % _SCALE_EVERY == 0:
                 xs = x.reshape(2, lanes, cols, g)
                 s = np.abs(xs).max(axis=(0, 2))
                 s = np.where(s > 0, s, 1.0)
@@ -212,7 +212,7 @@ def _join(later, log_later, z_m, acc, log_acc):
     return col / s, log_later + log_acc + np.log(s)
 
 
-def _pass(seq, zs, n_steps, scale_every, lanes):
+def _pass(seq, zs, n_steps, lanes):
     """Birkhoff rates of one pass over at most _POINTS points, split into ``lanes`` orbit lanes.
 
     Lane p multiplies the sites [p L, (p + 1) L), L = n_steps // lanes; the
@@ -225,14 +225,13 @@ def _pass(seq, zs, n_steps, scale_every, lanes):
     if lanes == 1:
         n_half = n_steps // 2
         x, log_scale, x_half, log_half = _advance(
-            seq, zs, np.zeros(1, dtype=int), n_steps, False, scale_every, n_half)
+            seq, zs, np.zeros(1, dtype=int), n_steps, False, n_half)
         col, log_col = x[:, 0], log_scale[0]
         half = (x_half[:, 0], log_half[0]) if n_half else None
     else:
         length = n_steps // lanes
         n_half = lanes // 2 * length
-        x, log_scale, _, _ = _advance(seq, zs, np.arange(lanes) * length, length,
-                                      False, scale_every)
+        x, log_scale, _, _ = _advance(seq, zs, np.arange(lanes) * length, length, False)
         z_m = zs ** length
         acc, log_acc = x[:, 0], log_scale[0]
         for p in range(1, lanes):
@@ -241,22 +240,20 @@ def _pass(seq, zs, n_steps, scale_every, lanes):
             acc, log_acc = _join(x[:, p], log_scale[p], z_m, acc, log_acc)
         if lanes * length < n_steps:
             rest = n_steps - lanes * length
-            x, log_scale, _, _ = _advance(seq, zs, np.array([lanes * length]), rest,
-                                          False, scale_every)
+            x, log_scale, _, _ = _advance(seq, zs, np.array([lanes * length]), rest, False)
             acc, log_acc = _join(x[:, 0], log_scale[0], zs ** rest, acc, log_acc)
         col, log_col = acc, log_acc
     return (_growth(col, log_col, n_steps), n_half,
             None if half is None else _growth(*half, n_half))
 
 
-def _birkhoff(seq, zs, n_steps, scale_every):
+def _birkhoff(seq, zs, n_steps):
     """Birkhoff rates over n_steps sites at every z, n_half and the half-orbit rates.
 
     Memory is O(_POINTS + block): alpha is read one block of sites at a time.
     """
-    lanes = _lane_count(zs.size, n_steps, scale_every)
-    rates, n_half, half = zip(*(_pass(seq, part, n_steps, scale_every, lanes)
-                                for part in _passes(zs)))
+    lanes = _lane_count(zs.size, n_steps, _SCALE_EVERY)
+    rates, n_half, half = zip(*(_pass(seq, part, n_steps, lanes) for part in _passes(zs)))
     return (np.concatenate(rates), n_half[0],
             None if half[0] is None else np.concatenate(half))
 
@@ -265,8 +262,7 @@ def _monodromies(seq, zs, q):
     """Monodromies at every z divided by e^{log_scale}: (g, 2, 2) and the (g,) log scales."""
     parts = []
     for part in _passes(zs):
-        x, log_scale, _, _ = _advance(seq, part, np.zeros(1, dtype=int), q, True,
-                                      _SCALE_EVERY)
+        x, log_scale, _, _ = _advance(seq, part, np.zeros(1, dtype=int), q, True)
         parts.append((x[:, 0].reshape(2, 2, part.size).transpose(2, 0, 1), log_scale[0]))
     m, log_scale = zip(*parts)
     return np.concatenate(m), np.concatenate(log_scale)
@@ -305,23 +301,17 @@ def _spectral_radius_2x2(m: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(mean + disc), np.abs(mean - disc))
 
 
-def lyapunov(
-    seq: CoefficientSequence,
-    z,
-    n_steps: int = 100_000,
-    scale_every: int = _SCALE_EVERY,
-) -> float | np.ndarray:
+def lyapunov(seq: CoefficientSequence, z, n_steps: int = 100_000) -> float | np.ndarray:
     """Per-step growth rate of the Szego cocycle at |z| = 1.
 
     Points within 1e-9 of the unit circle are projected onto it; any other
     point, NaN included, raises ValueError.  Periodic sequences use the exact
-    monodromy formula (n_steps and scale_every are then irrelevant): the log
-    of the spectral radius of the rescaled monodromy plus its log scale, over
-    the period.
+    monodromy formula (n_steps is then irrelevant): the log of the spectral
+    radius of the rescaled monodromy plus its log scale, over the period.
     Otherwise the Birkhoff product of the first n_steps Szego steps is formed,
     as its first column only (the second column follows from it on the
-    circle), divided by its largest entry every scale_every steps and with
-    the factors 1/rho summed into the log scale.  A scalar z gives a float, a
+    circle), divided by its largest entry every 16 steps and with the factors
+    1/rho summed into the log scale.  A scalar z gives a float, a
     1-d array of points an array of rates; a rate that is not finite (NaN
     included) raises NumericalInstabilityError.
     """
@@ -337,9 +327,7 @@ def lyapunov(
     else:
         if n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-        if scale_every < 1:
-            raise ValueError(f"scale_every must be >= 1, got {scale_every}")
-        vals, n_half, half = _birkhoff(seq, zs, n_steps, scale_every)
+        vals, n_half, half = _birkhoff(seq, zs, n_steps)
         records = _HALF_ORBIT.get()
         if records is not None and n_half > 0:
             records.append((n_half, float(half[0]) if np.ndim(z) == 0 else half))

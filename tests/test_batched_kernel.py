@@ -66,7 +66,7 @@ def monodromy_oracle(seq, q, z):
 @example(seq=C.quasiperiodic_seq(0.3, 0.6, 0.2), zs=np.array([-1.0 + 0j]),
          n=2 * T._BLOCK + 5)
 def test_birkhoff_lyapunov_matches_per_point_products(seq, zs, n):
-    got = T.lyapunov(seq, zs, n_steps=n, scale_every=SCALE_EVERY)
+    got = T.lyapunov(seq, zs, n_steps=n)
     assert isinstance(got, np.ndarray) and got.shape == zs.shape
     want = [birkhoff_oracle(seq, z, n) for z in zs]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -235,8 +235,6 @@ def test_batched_checks_reject_any_bad_point():
         T.lyapunov(outside, good, n_steps=100)
     with pytest.raises(ValueError):
         T.lyapunov(raw, good, n_steps=0)
-    with pytest.raises(ValueError):
-        T.lyapunov(raw, good, scale_every=0)
 
 
 def test_batched_discriminant_flags_complex_trace(monkeypatch):
@@ -437,7 +435,7 @@ def matmul_reference(seq, zs, n, scale_every=SCALE_EVERY):
 def test_column_kernel_matches_the_matmul_reference(seq, g, n, shift):
     zs = np.exp(1j * TWO_PI * (np.arange(g) + shift) / g)
     with T.half_orbit_estimates() as half:
-        got = T.lyapunov(seq, zs, n_steps=n, scale_every=SCALE_EVERY)
+        got = T.lyapunov(seq, zs, n_steps=n)
     want, n_half, want_half = matmul_reference(seq, zs, n)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     if n_half:
@@ -460,7 +458,7 @@ def test_lanes_match_per_point_and_mpmath_products(seq, g, n, shift, data):
     lanes = T._lane_count(g, n, SCALE_EVERY)
     assume(lanes == 1 or n % lanes)
     zs = np.exp(1j * TWO_PI * (np.arange(g) + shift) / g)
-    got = T.lyapunov(seq, zs, n_steps=n, scale_every=SCALE_EVERY)
+    got = T.lyapunov(seq, zs, n_steps=n)
     idx = sorted({0, g - 1, g // 2} | ({data.draw(st.integers(0, g - 1))} if data else set()))
     for i in idx:
         assert abs(got[i] - birkhoff_oracle(seq, zs[i], n)) < 1e-12

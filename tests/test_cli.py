@@ -508,14 +508,17 @@ def test_integral_float_fields_are_accepted(tmp_path):
     assert len(rows) == 8 and {r[2] for r in rows} == {"1000"}
 
 
-def test_spec_missing_field_is_named(tmp_path, capsys):
-    cfg = write_config(tmp_path, "l.json", {
-        "sequence": {"kind": "quasiperiodic", "amplitude": 0.5, "frequency": 0.3},
-        "grid_size": 8, "n_steps": 1000,
-    })
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "quasiperiodic", "amplitude": 0.5, "frequency": 0.3}, "phase"),
+    ({"kind": "constant"}, "value"),
+    ({"kind": "periodic_table"}, "values"),
+    ({"kind": "pt_family", "q0": 2}, "base_amp"),
+])
+def test_spec_missing_field_is_named(tmp_path, capsys, spec, field):
+    cfg = write_config(tmp_path, "l.json", {"sequence": spec, "grid_size": 8, "n_steps": 1000})
     assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "quasiperiodic" in err and "'sequence.phase'" in err
+    assert spec["kind"] in err and f"'sequence.{field}'" in err
 
 
 def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
@@ -631,6 +634,12 @@ def test_readme_example_configs_fit_one_subcommand():
         keys = set(json.loads(text))
         fits = [name for name, (_, fields) in _COMMANDS.items() if keys <= set(fields)]
         assert len(fits) == 1, (sorted(keys), fits)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library example"):]
+    exec(re.search(r"```python\n(.*?)```", section, re.S)[1], {})
 
 
 @pytest.mark.parametrize("command, config, override, unknown", [
@@ -784,6 +793,9 @@ NESTED_KNOWN = {
               "steps": 4}, "coins.matrix"),
     ("walk", {"coins": {"kind": "table", "matrices": [[[[1], [0, 0]], [[0, 0], [1]]]]},
               "steps": 4}, "coins.matrices"),
+    # a sequence kind that does not exist
+    ("lyapunov", {"sequence": {"kind": "mystery"}, "grid_size": 8, "n_steps": 1000},
+     "sequence.kind"),
 ])
 def test_malformed_config_fields_exit_2(tmp_path, capsys, command, config, field):
     cfg = write_config(tmp_path, "c.json", config)

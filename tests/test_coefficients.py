@@ -87,7 +87,6 @@ def test_pt_levels_zero_single_stage():
     fam = C.pastur_tkachenko_family(0.2, levels=0)
     assert len(fam.stages) == 1
     assert fam.limit is fam.stages[0]
-    assert fam.exact_limit
 
 
 def test_pt_zero_base_amp_stages_equal():
@@ -135,7 +134,7 @@ def test_family_requires_dividing_periods():
     s2 = C.periodize(C.constant_seq(0.1), 2)
     s3 = C.periodize(C.constant_seq(0.1), 3)
     with pytest.raises(ValueError):
-        C.LimitPeriodicFamily(stages=(s2, s3), limit=s3)
+        C.LimitPeriodicFamily(stages=(s2, s3))
 
 
 def test_lp_sum_empty_and_single_stage():
@@ -160,67 +159,3 @@ def test_lp_sum_lhs_nonincreasing_in_k():
     fam = C.pastur_tkachenko_family(0.1, decay=geo_decay(0.1, 2), q0=2, levels=3)
     lhs = [C.lp_sum_criterion(fam, k, 1.0)["lhs"] for k in range(len(fam.stages))]
     assert all(a >= b for a, b in zip(lhs, lhs[1:]))
-
-
-def test_lp_sum_refuses_without_tail_certificate():
-    fam = C.pastur_tkachenko_family(0.1, levels=2)
-    bare = C.LimitPeriodicFamily(stages=fam.stages, limit=fam.limit,
-                                 rate=None, exact_limit=False)
-    with pytest.raises(ValueError, match="tail"):
-        C.lp_sum_criterion(bare, 0, 1.0)
-
-
-def test_lp_sum_certifies_tail_from_rate():
-    fam = C.pastur_tkachenko_family(0.1, levels=2)
-    rated = C.LimitPeriodicFamily(stages=fam.stages, limit=fam.limit,
-                                  rate=lambda x: math.exp(-x), exact_limit=False)
-    out = C.lp_sum_criterion(rated, 0, 6.0)
-    exact = C.lp_sum_criterion(fam, 0, 6.0)
-    assert out["lhs"] >= exact["lhs"]
-    assert out["holds"]
-
-
-def test_lp_sum_refuses_slow_rate():
-    fam = C.pastur_tkachenko_family(0.1, levels=1)
-    rated = C.LimitPeriodicFamily(stages=fam.stages, limit=fam.limit,
-                                  rate=lambda x: 1.0 / x, exact_limit=False)
-    with pytest.raises(ValueError):
-        C.lp_sum_criterion(rated, 0, 1.0)
-
-
-def test_sequence_spec_round_trip():
-    seqs = [
-        C.constant_seq(0.3 - 0.2j),
-        C.quasiperiodic_seq(0.4, GOLDEN, 0.7),
-        C.periodize(C.quasiperiodic_seq(0.5, GOLDEN, 0.0), 4),
-    ]
-    for s in seqs:
-        back = C.sequence_from_spec(C.sequence_to_spec(s))
-        for n in range(-6, 7):
-            assert back(n) == pytest.approx(s(n), abs=1e-15)
-
-
-def test_family_spec_round_trip():
-    d = {"kind": "pt_family", "base_amp": 0.1, "q0": 2, "levels": 2,
-         "decay": {"form": "geometric", "base": 4.0}}
-    fam = C.family_from_spec(d)
-    assert fam.periods() == (2, 4, 8)
-    limit = C.sequence_from_spec(d)
-    for n in range(-4, 5):
-        assert limit(n) == pytest.approx(fam.limit(n), abs=1e-15)
-
-
-def test_sequence_from_spec_rejects_unknown():
-    with pytest.raises(ValueError):
-        C.sequence_from_spec({"kind": "mystery"})
-
-
-@pytest.mark.parametrize("spec, field", [
-    ({"kind": "quasiperiodic", "amplitude": 0.5, "frequency": 0.3}, "phase"),
-    ({"kind": "constant"}, "value"),
-    ({"kind": "periodic_table"}, "values"),
-    ({"kind": "pt_family", "q0": 2}, "base_amp"),
-])
-def test_sequence_from_spec_names_missing_field(spec, field):
-    with pytest.raises(ValueError, match=f"{spec['kind']}.*'{field}'"):
-        C.sequence_from_spec(spec)

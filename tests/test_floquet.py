@@ -349,7 +349,7 @@ def mp_gaps(seq, q, dps=30):
 
 
 def test_readme_family_gaps_match_30_digit_edges():
-    fam = C.family_from_spec(README_PT)
+    fam = C._family(README_PT)
     measures = []
     narrowest = math.inf
     for s, q in zip(fam.stages, fam.periods()):

@@ -5,12 +5,7 @@ import pytest
 
 from cmvlab import coefficients as C
 from cmvlab import operator as O
-from cmvlab.spectral_sets import (
-    TWO_PI,
-    CircleArcSet,
-    limsup_surrogate,
-    spectral_variation_check,
-)
+from cmvlab.spectral_sets import TWO_PI, CircleArcSet, spectral_variation_check
 
 
 def random_arcset(rng, max_arcs=4):
@@ -99,19 +94,6 @@ def test_hausdorff_triangle_inequality(rng):
         assert ac <= ab + bc + 1e-12
 
 
-def test_eps_neighborhood_formula():
-    eps = 0.3
-    delta = 2.0 * math.asin(eps / 2.0)
-    pt = CircleArcSet.from_points([1.0])
-    nb = pt.eps_neighborhood(eps)
-    assert nb.measure() == pytest.approx(2.0 * delta, abs=1e-12)
-
-    assert CircleArcSet.from_points([0.0]).eps_neighborhood(2.5).is_full()
-    assert CircleArcSet.full_circle().eps_neighborhood(0.1).is_full()
-    with pytest.raises(ValueError):
-        pt.eps_neighborhood(0.0)
-
-
 def test_diff_measure_examples():
     s = CircleArcSet.from_arcs([(0.2, 1.7)])
     assert s.diff_measure(s) == 0.0
@@ -125,7 +107,7 @@ def test_diff_measure_neighborhood_bound(rng):
         t = random_arcset(rng)
         eps = 0.05 + 0.3 * rng.random()
         delta = 2.0 * math.asin(eps / 2.0)
-        grown = t.eps_neighborhood(eps)
+        grown = CircleArcSet.from_arcs([(lo - delta, hi + delta) for lo, hi in t.arcs])
         bound = 2.0 * len(t.arcs) * delta
         assert grown.diff_measure(t) <= bound + 1e-10
 
@@ -149,30 +131,6 @@ def test_preimage_double_preserves_measure(rng):
     for _ in range(50):
         s = random_arcset(rng)
         assert abs(s.preimage_double().measure() - s.measure()) < 1e-12
-
-
-def test_limsup_surrogate_examples():
-    a = CircleArcSet.from_arcs([(0.0, 1.0)])
-    b = CircleArcSet.from_arcs([(2.0, 3.0)])
-
-    const = limsup_surrogate([a, a, a], 0)
-    assert const.hausdorff(a) == 0.0
-
-    # over a finite list the deepest suffix union dominates the intersection,
-    # so a non-stabilized tail collapses to it
-    alt = limsup_surrogate([a, b, a, b], 0)
-    assert alt.hausdorff(b) == 0.0
-
-    nested = [
-        CircleArcSet.from_arcs([(0.0, 2.0)]),
-        CircleArcSet.from_arcs([(0.0, 1.0)]),
-        CircleArcSet.from_arcs([(0.0, 0.5)]),
-    ]
-    out = limsup_surrogate(nested, 0)
-    assert out.measure() == pytest.approx(0.5)
-
-    with pytest.raises(ValueError):
-        limsup_surrogate([a], 1)
 
 
 def test_spectral_variation_identity(make_periodic):
@@ -212,13 +170,11 @@ def test_point_distance_and_contains():
     s = CircleArcSet.from_arcs([(1.0, 2.0)])
     assert s.contains(1.5)
     assert not s.contains(0.0)
-    assert s.point_distance(1.5) == 0.0
-    assert s.point_distance(0.5) == pytest.approx(2.0 * math.sin(0.25), abs=1e-12)
 
 
 def test_json_round_trip(rng):
     s = random_arcset(rng)
-    back = CircleArcSet.from_json(s.to_json())
+    back = CircleArcSet.from_arcs(s.to_json()["arcs"])
     np.testing.assert_allclose(back.arcs, s.arcs, atol=0)
 
 

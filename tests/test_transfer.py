@@ -137,8 +137,6 @@ def test_lyapunov_validations():
         T.lyapunov(raw, 0.5)
     with pytest.raises(ValueError):
         T.lyapunov(raw, 1.0, n_steps=0)
-    with pytest.raises(ValueError):
-        T.lyapunov(raw, 1.0, scale_every=0)
 
 
 def test_lyapunov_nonnegative_birkhoff():
