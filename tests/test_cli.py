@@ -508,13 +508,23 @@ def test_integral_float_fields_are_accepted(tmp_path):
     assert len(rows) == 8 and {r[2] for r in rows} == {"1000"}
 
 
+def test_spec_missing_field_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, "l.json", {
+        "sequence": {"kind": "quasiperiodic", "amplitude": 0.5, "frequency": 0.3},
+        "grid_size": 8, "n_steps": 1000,
+    })
+    assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "quasiperiodic" in err and "'sequence.phase'" in err
+
+
 @pytest.mark.parametrize("spec, field", [
     ({"kind": "quasiperiodic", "amplitude": 0.5, "frequency": 0.3}, "phase"),
     ({"kind": "constant"}, "value"),
     ({"kind": "periodic_table"}, "values"),
     ({"kind": "pt_family", "q0": 2}, "base_amp"),
 ])
-def test_spec_missing_field_is_named(tmp_path, capsys, spec, field):
+def test_sequence_kind_missing_field_is_named(tmp_path, capsys, spec, field):
     cfg = write_config(tmp_path, "l.json", {"sequence": spec, "grid_size": 8, "n_steps": 1000})
     assert main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
