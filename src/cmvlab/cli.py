@@ -49,12 +49,6 @@ class RunManifest:
             fh.write("\n")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def _out_file(out_dir: str, name: str) -> str:
     """The path of an output file.  The directory is made at the first write,
     so a run refused during validation leaves none behind."""
@@ -62,13 +56,15 @@ def _out_file(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _write_csv(manifest: RunManifest, out_dir: str, name: str,
-               header: list[str], rows) -> None:
+def _write_csv(manifest: RunManifest, out_dir: str, name: str, columns: dict) -> None:
+    """A CSV of named columns: an integer column prints as %d, any other at
+    17 significant digits (%.17g), so every double reads back exactly."""
+    cols = [np.asarray(c) for c in columns.values()]
+    line = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\n"
     with open(_out_file(out_dir, name), "w") as fh:
         fh.write("# manifest: manifest.json\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(line % row for row in zip(*(c.tolist() for c in cols)))
     manifest.outputs.append(name)
 
 
@@ -150,21 +146,21 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     # velocities are read, so memory stays O(q^2) whatever k_points is
     z = np.empty((k_points, q), dtype=complex)
     dz = np.empty((k_points, q), dtype=complex)
-    for b in range(0, k_points, floquet._K_BLOCK):
-        blk = ks[b:b + floquet._K_BLOCK]
-        z[b:b + blk.size], u, v = floquet.band_eigens(seq, q, blk)
-        dz[b:b + blk.size] = floquet.band_derivative(seq, q, blk, u, v)
-    n = np.tile(np.arange(q), k_points)
-    rows = zip(np.full(n.size, q), n, np.repeat(ks, q), z.real.ravel(), z.imag.ravel(),
-               dz.real.ravel(), dz.imag.ravel())
-    _write_csv(manifest, out_dir, "bands.csv",
-               ["q", "n", "k", "re_z", "im_z", "re_dzdk", "im_dzdk"], rows)
-
-    arcs = floquet.periodic_spectrum(seq, q)
+    with floquet.certificates() as worst:
+        for b in range(0, k_points, floquet._K_BLOCK):
+            blk = ks[b:b + floquet._K_BLOCK]
+            z[b:b + blk.size], u, v = floquet.band_eigens(seq, q, blk)
+            dz[b:b + blk.size] = floquet.band_derivative(seq, q, blk, u, v)
+        n = np.tile(np.arange(q), k_points)
+        _write_csv(manifest, out_dir, "bands.csv", {
+            "q": np.full(n.size, q), "n": n, "k": np.repeat(ks, q),
+            "re_z": z.real.ravel(), "im_z": z.imag.ravel(),
+            "re_dzdk": dz.real.ravel(), "im_dzdk": dz.imag.ravel(),
+        })
+        arcs = floquet.periodic_spectrum(seq, q)
     _write_json(manifest, out_dir, "band_arcs.json",
-                {**arcs.to_json(), "measure": arcs.measure(), "q": q})
-    _write_csv(manifest, out_dir, "band_arcs.csv", ["lo", "hi"],
-               [tuple(a) for a in arcs.arcs])
+                {**arcs.to_json(), "measure": arcs.measure(), "q": q, "diagnostics": worst})
+    _write_csv(manifest, out_dir, "band_arcs.csv", {"lo": arcs.arcs[:, 0], "hi": arcs.arcs[:, 1]})
 
 
 def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
@@ -174,9 +170,10 @@ def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     thetas = np.arange(grid_size) * (TWO_PI / grid_size)
     with transfer.half_orbit_estimates() as half:
         vals = transfer.lyapunov(seq, np.exp(1j * thetas), n_steps)
-    _write_csv(manifest, out_dir, "lyapunov.csv",
-               ["theta", "L", "N", "epsilon"],
-               [(t, v, n_steps, eps_L) for t, v in zip(thetas, vals)])
+    _write_csv(manifest, out_dir, "lyapunov.csv", {
+        "theta": thetas, "L": vals,
+        "N": np.full(grid_size, n_steps), "epsilon": np.full(grid_size, eps_L),
+    })
     report = {
         "theta": [float(t) for t in thetas],
         "L": [float(v) for v in vals],
@@ -197,8 +194,8 @@ def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     _write_json(manifest, out_dir, "zero_set.json",
                 {**z_arcs.to_json(), "measure": z_arcs.measure(),
                  "N": n_steps, "epsilon_L": eps_L})
-    _write_csv(manifest, out_dir, "zero_set.csv", ["lo", "hi"],
-               [tuple(a) for a in z_arcs.arcs])
+    _write_csv(manifest, out_dir, "zero_set.csv",
+               {"lo": z_arcs.arcs[:, 0], "hi": z_arcs.arcs[:, 1]})
 
 
 def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
@@ -254,7 +251,8 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     state = qwalk.WalkState.delta(cfg["initial"]["site"], cfg["initial"]["spin"])
     walk = qwalk.build_walk(coins, (state.n_lo, state.n_hi))
     t_done = 0
-    dist_rows, surv_rows = [], []
+    dist = {"t": [], "n": [], "p_plus": [], "p_minus": []}
+    surv = {"t": [], "survival": []}
     for t in sorted(set(record + [steps])):
         state = qwalk.evolve(state, walk, t - t_done)
         t_done = t
@@ -264,11 +262,12 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
             p_plus = abs(complex(amp[i, 0])) ** 2
             p_minus = abs(complex(amp[i, 1])) ** 2
             if p_plus > 0 or p_minus > 0:
-                dist_rows.append((t, state.n_lo + int(i), p_plus, p_minus))
-        surv_rows.append((t, state.survival(J)))
-    _write_csv(manifest, out_dir, "distribution.csv",
-               ["t", "n", "p_plus", "p_minus"], dist_rows)
-    _write_csv(manifest, out_dir, "survival.csv", ["t", "survival"], surv_rows)
+                for col, x in zip(dist.values(), (t, state.n_lo + int(i), p_plus, p_minus)):
+                    col.append(x)
+        surv["t"].append(t)
+        surv["survival"].append(state.survival(J))
+    _write_csv(manifest, out_dir, "distribution.csv", dist)
+    _write_csv(manifest, out_dir, "survival.csv", surv)
 
 
 def _cmd_sieve_check(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
@@ -295,8 +294,8 @@ def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
         near &= np.abs(z) > rs
     mp, mm = weyl.M_coefficients(seq, cfg["k"], z, cfg["dim"])
     defect = np.abs(mp + mm.conj())
-    rows = [(th, r, d) for (th, r), d in zip(points, defect)]
-    _write_csv(manifest, out_dir, "weyl_defect.csv", ["theta", "r", "defect"], rows)
+    _write_csv(manifest, out_dir, "weyl_defect.csv",
+               {"theta": [th for th, _ in points], "r": rs, "defect": defect})
 
 
 _RANDOM_PERIODIC = {"q": (_as_int, 4, *_at_least(1)), "radius": (_as_float, 0.5, *_UNIT)}

@@ -10,6 +10,16 @@ velocity has the closed form
     dz/dk = i q rho_{q-1} [conj(v(-1)) u(0) - conj(v(0)) u(-1)],
 
 with v = L_q^{-1} u and the Floquet extension u(-1) = e^{-ikq} u(q-1).
+
+The pairs (z_n(k), u_n) come from a Hermitian problem: for a pole p on the
+circle outside the spectrum, the Cayley transform i (pI - E)^{-1} (pI + E)
+of the unitary E = E_q(k) is Hermitian with E's eigenvectors and eigenvalue
+-cot(beta/2) for each z = p e^{i beta}, and z is read back as u* E u.  The
+pole is chosen from k alone (the widest eigenvalue gap at the centre of one
+of eight intervals of (0, pi/q)), and the residual ||E u - z u||, which for
+a normal E bounds the distance from z to the spectrum, certifies each pair
+whatever the pole.  Band edges come from the general eigensolver.
+
 Bands are alternatively characterized by the discriminant: z belongs to the
 spectrum iff the (real) monodromy trace lies in [-2, 2], and eigenvalues of
 E_q(k) are exactly the roots of trace = 2 cos(qk).
@@ -17,6 +27,8 @@ E_q(k) are exactly the roots of trace = 2 cos(qk).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 
 import numpy as np
@@ -34,11 +46,13 @@ __all__ = [
     "periodic_spectrum",
     "monodromy_bound_check",
     "discriminant",
+    "certificates",
 ]
 
 _GAP_TOL = 1e-8
 _RESIDUAL_TOL = 1e-10
 _K_BLOCK = 8  # k per stacked eigenproblem: band_eigens' temporaries stay O(q^2)
+_POLE_INTERVALS = 8  # intervals of (0, pi/q) that each share one Cayley pole
 
 
 def _check_q(seq: CoefficientSequence, q: int) -> None:
@@ -69,27 +83,121 @@ def floquet_blocks(
     return L, M
 
 
-def _eigenpairs(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit eigenvectors of a stack of unitaries E, every
-    residual ||E u - z u|| checked against 1e-10 (for normal E it bounds the
-    distance from z to the spectrum)."""
-    w, vecs = np.linalg.eig(E)
-    resid = E @ vecs
-    resid -= vecs * w[..., None, :]
-    worst = np.linalg.norm(resid, axis=-2).max(initial=0.0)
-    if worst > _RESIDUAL_TOL:
+def _check_residuals(resid: np.ndarray) -> None:
+    """Refuse eigenpair residuals ||E u - z u|| above 1e-10 (NaN too): for a
+    normal E each one bounds the distance from z to the spectrum."""
+    worst = resid.max(initial=0.0)
+    if not worst <= _RESIDUAL_TOL:
         raise NumericalInstabilityError(
             f"eigenpair residual {worst:.2e} exceeds {_RESIDUAL_TOL:.0e}"
         )
-    return w, vecs
+
+
+_CERTIFICATES: contextvars.ContextVar = contextvars.ContextVar("certificates", default=None)
+
+
+@contextlib.contextmanager
+def certificates():
+    """Collect the worst certificates of the ``band_eigens`` and
+    ``periodic_spectrum`` calls in the block.
+
+    Yields a dict that receives, for each certificate checked, its worst
+    value over the calls with its tolerance and where it occurs:
+    ``max_band_residual`` (an eigenpair residual of ``band_eigens``, at k and
+    pair n), ``min_band_gap`` (the distance from z_n(k) to z_{n+1}(k), at k
+    and n) and ``max_edge_residual`` (the eigenpair residual of a band edge,
+    at k = 0 or pi/q and the edge angle theta).
+    """
+    worst: dict = {}
+    token = _CERTIFICATES.set(worst)
+    try:
+        yield worst
+    finally:
+        _CERTIFICATES.reset(token)
+
+
+def _note(name: str, values: np.ndarray, tol: float, where, smallest: bool = False
+          ) -> None:
+    """Keep the worst of ``values`` (the largest, or the smallest) under
+    ``name`` in the collecting ``certificates`` dict, with its tolerance and
+    ``where(*index)``, if it is worse than the value kept there."""
+    worst = _CERTIFICATES.get()
+    if worst is None or values.size == 0:
+        return
+    i = np.unravel_index(np.argmin(values) if smallest else np.argmax(values), values.shape)
+    value = float(values[i])
+    kept = worst.get(name)
+    if kept is None or (value < kept["value"] if smallest else value > kept["value"]):
+        worst[name] = {"value": value, "tol": tol, **where(*i)}
+
+
+def _poles(seq: CoefficientSequence, q: int, k: np.ndarray) -> np.ndarray:
+    """The Cayley pole of each k, chosen from k alone: (0, pi/q) is cut into
+    _POLE_INTERVALS equal intervals, and the pole of an interval is the
+    midpoint of the widest gap between the eigenvalues of E_q at its centre.
+    That gap spans at least 2 pi / q, and across the interval every
+    eigenvalue moves by at most ||E_q(k) - E_q(k')|| (Bhatia-Davis); a pole
+    that the spectrum reaches all the same shows in the residuals."""
+    width = math.pi / q / _POLE_INTERVALS
+    interval = np.minimum(k // width, _POLE_INTERVALS - 1)
+    poles = np.empty(k.size, dtype=complex)
+    for j in np.unique(interval):
+        L, M = floquet_blocks(seq, q, (j + 0.5) * width)
+        t = np.sort(np.angle(np.linalg.eigvals(L @ M)) % TWO_PI)
+        gaps = np.diff(t, append=t[0] + TWO_PI)
+        g = np.argmax(gaps)
+        poles[interval == j] = np.exp(1j * (t[g] + 0.5 * gaps[g]))
+    return poles
+
+
+def _cayley_eigenpairs(E: np.ndarray, p: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of a stack of unitaries E by one Hermitian ``eigh``, sorted
+    by angle, with each residual ||E u - z u||: z (B, q), unit u (B, q, q)
+    with pair n in column n, and the residuals (B, q).
+
+    H = i (pI - E)^{-1} (pI + E) has E's eigenvectors and the eigenvalues
+    -cot(beta/2), beta the angle of z from the pole p of each matrix, which
+    is one to one on the circle without p; ``eigh`` gets H + H*, Hermitian to
+    the last bit.  z is the Rayleigh quotient u* E u.  A pole near the
+    spectrum costs accuracy, ~ eps / dist(p, sigma(E)), which the residual
+    shows; LinAlgError (an exactly singular pI - E) is reported as
+    NumericalInstabilityError.
+    """
+    rows = np.arange(E.shape[-1])
+    A = -E  # pI - E, then the scratch buffer of the symmetrization and of E u
+    A[:, rows, rows] += p[:, None]
+    H = E * 1j  # i (pI + E), then H, then the scratch buffer of u* (E u)
+    H[:, rows, rows] += 1j * p[:, None]
+    try:
+        H = np.linalg.solve(A, H)
+        H += np.conjugate(H.swapaxes(-1, -2), out=A)
+        _, u = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalInstabilityError(f"Cayley transform failed: {exc}") from None
+    Eu = np.matmul(E, u, out=A)
+    z = np.multiply(np.conjugate(u, out=H), Eu, out=H).sum(axis=-2)
+    Eu -= np.multiply(u, z[:, None, :], out=H)
+    resid = np.linalg.norm(Eu, axis=-2)
+    order = np.argsort(np.angle(z) % TWO_PI, axis=-1)
+    return (np.take_along_axis(z, order, axis=-1),
+            np.take_along_axis(u, order[:, None, :], axis=-1),
+            np.take_along_axis(resid, order, axis=-1))
 
 
 def band_eigens(
     seq: CoefficientSequence, q: int, k
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All q eigenpairs of E_q(k), stacked eigenproblems over the K strictly
-    interior k of a scalar or a 1-d array: z (K, q) sorted by angle along each
-    row, and unit u, v = L_q^* u (K, q, q) with pair n in column n.
+    """All q eigenpairs of E_q(k) over the K strictly interior k of a scalar or
+    a 1-d array: z (K, q) sorted by angle along each row, and unit u,
+    v = L_q^* u (K, q, q) with pair n in column n.
+
+    The pairs come from the Hermitian Cayley transform of E_q(k) about a pole
+    chosen from k alone (``_poles``), so each k gets the same bits however
+    the k are batched.  Every residual ||E u - z u|| is checked against
+    1e-10: for the normal E it bounds the distance from z to the spectrum,
+    whatever the pole did, so a pole too near the spectrum is refused with
+    NumericalInstabilityError rather than returning wrong pairs.
 
     Interior k keeps the eigenvalues simple; pairs closer than 1e-8 are
     reported through DegenerateBandError instead of being returned silently.
@@ -101,20 +209,28 @@ def band_eigens(
         raise ValueError(f"k must lie strictly inside (0, pi/q), got {k[outside][0]}")
     z = np.empty((k.size, q), dtype=complex)
     u, v = np.empty((k.size, q, q), dtype=complex), np.empty((k.size, q, q), dtype=complex)
+    resid = np.empty((k.size, q))
+    poles = _poles(seq, q, k)
     for b in range(0, k.size, _K_BLOCK):
         blk = slice(b, b + _K_BLOCK)
         L, M = floquet_blocks(seq, q, k[blk])
-        w, vecs = _eigenpairs(L @ M)
-        order = np.argsort(np.angle(w) % TWO_PI, axis=-1)
-        z[blk] = np.take_along_axis(w, order, axis=-1)
-        u[blk] = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+        # E_q(k) in M's buffer; the pairs go straight into the output rows
+        z[blk], u[blk], resid[blk] = _cayley_eigenpairs(np.matmul(L, M, out=M), poles[blk])
         v[blk] = L.conj().T @ u[blk]
         v[blk] /= np.linalg.norm(v[blk], axis=-2, keepdims=True)
+    _check_residuals(resid)
 
-    gaps = np.abs(z - np.roll(z, -1, axis=-1)).min(axis=-1)
+    def at(i, n):
+        return {"k": float(k[i]), "n": int(n)}
+
+    _note("max_band_residual", resid, _RESIDUAL_TOL, at)
+
+    dist = np.abs(z - np.roll(z, -1, axis=-1))  # pair n to pair n + 1 (mod q)
+    gaps = dist.min(axis=-1)
     bad = np.flatnonzero(gaps < _GAP_TOL)
     if bad.size:
         raise DegenerateBandError(float(k[bad[0]]), float(gaps[bad[0]]))
+    _note("min_band_gap", dist, _GAP_TOL, at, smallest=True)
     return z, u, v
 
 
@@ -163,8 +279,18 @@ def periodic_spectrum(seq: CoefficientSequence, q: int) -> CircleArcSet:
     bounds its distance from the spectrum of the unitary E_q(k):
     NumericalInstabilityError if any residual exceeds 1e-10.
     """
-    L, M = floquet_blocks(seq, q, [0.0, math.pi / q])
-    edges = np.angle(_eigenpairs(L @ M)[0].ravel()) % TWO_PI
+    ks = (0.0, math.pi / q)
+    L, M = floquet_blocks(seq, q, ks)
+    E = L @ M
+    w, vecs = np.linalg.eig(E)
+    resid = E @ vecs
+    resid -= vecs * w[..., None, :]
+    resid = np.linalg.norm(resid, axis=-2)
+    _check_residuals(resid)
+    edges = np.angle(w) % TWO_PI
+    _note("max_edge_residual", resid, _RESIDUAL_TOL,
+          lambda i, n: {"k": ks[i], "theta": float(edges[i, n])})
+    edges = edges.ravel()
     level = np.repeat([2.0, -2.0], q)
     order = np.argsort(edges, kind="stable")
     edges, level = edges[order], level[order]

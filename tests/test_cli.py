@@ -23,6 +23,14 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def fmt(x) -> str:
+    """The reference formatting of one CSV cell: integers as they are, any
+    other number at 17 significant digits."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
 def read_csv(path):
     rows = []
     with open(path) as fh:
@@ -87,10 +95,98 @@ def test_bands_memory_does_not_grow_with_k_points_times_q_squared(tmp_path):
     seq = cli._sequence({"kind": "random_periodic", "q": q, "radius": 0.5}, 2)
     z, u, v = floquet.band_eigens(seq, q, ks)
     dz = floquet.band_derivative(seq, q, ks, u, v)
-    rows = [",".join(cli._fmt(x) for x in (q, n, k, w.real, w.imag, d.real, d.imag))
+    rows = [",".join(fmt(x) for x in (q, n, k, w.real, w.imag, d.real, d.imag))
             for k, zk, dk in zip(ks, z, dz) for n, (w, d) in enumerate(zip(zk, dk))]
     want = ["# manifest: manifest.json", "q,n,k,re_z,im_z,re_dzdk,im_dzdk", *rows]
     assert (out / "bands.csv").read_text() == "\n".join(want) + "\n"
+
+
+def test_csv_columns_format_like_the_reference(tmp_path):
+    from cmvlab import cli
+
+    tiny = np.nextafter(0.0, 1.0)
+    floats = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, 1e-310, 0.1, 1 / 3,
+              -2.5, 1e16, 1e17, 1.2345678901234567e300, math.inf, -math.inf, math.nan]
+    ints = [0, -1, 7, 2 ** 53 + 1, -(2 ** 62), 123456789012345678, 42, 3, 5, 6, 8, 9, 10,
+            11, 12]
+    columns = {"i": np.array(ints), "x": np.array(floats), "y": floats[::-1],
+               "j": list(ints)}
+    manifest = cli.RunManifest(command="test", parameters={}, seed=0)
+    cli._write_csv(manifest, str(tmp_path), "t.csv", columns)
+    want = ["# manifest: manifest.json", "i,x,y,j"]
+    want += [",".join(fmt(v) for v in row) for row in zip(*columns.values())]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+    assert manifest.outputs == ["t.csv"]
+
+
+def _bands_config(tmp_path, q, k_points):
+    rng = np.random.default_rng(q)
+    vals = 0.5 * rng.random(q) * np.exp(2j * math.pi * rng.random(q))
+    return write_config(tmp_path, "bands.json", {
+        "sequence": {"kind": "periodic_table", "values": [[v.real, v.imag] for v in vals]},
+        "q": q, "k_points": k_points,
+    }), C.periodic_table_seq(vals)
+
+
+def test_bands_diagnostics_match_eig(tmp_path):
+    from cmvlab import floquet
+
+    q, K = 8, 16
+    cfg, seq = _bands_config(tmp_path, q, K)
+    out = tmp_path / "out"
+    assert main(["bands", "--config", cfg, "--out", str(out)]) == 0
+    diag = json.loads((out / "band_arcs.json").read_text())["diagnostics"]
+    assert set(diag) == {"max_band_residual", "min_band_gap", "max_edge_residual"}
+    _, rows = read_csv(out / "bands.csv")
+    ks = np.array([float(r[2]) for r in rows[::q]])
+    z = np.array([complex(float(r[3]), float(r[4])) for r in rows]).reshape(K, q)
+    L, M = floquet.floquet_blocks(seq, q, ks)
+
+    # gaps between neighbouring eigenvalues of np.linalg.eig, sorted by angle
+    w = np.linalg.eigvals(L @ M)
+    w = np.take_along_axis(w, np.argsort(np.angle(w) % (2 * math.pi), axis=1), axis=1)
+    gaps = np.abs(w - np.roll(w, -1, axis=1))
+    gap = diag["min_band_gap"]
+    i = int(np.flatnonzero(ks == gap["k"])[0])
+    assert gap["tol"] == 1e-8
+    assert gap["value"] == pytest.approx(gaps.min(), abs=1e-12)
+    assert gaps[i, gap["n"]] == pytest.approx(gaps.min(), abs=1e-12)
+
+    # every eigenpair residual ||E u - z u||, z as written, u of band_eigens;
+    # by Bauer-Fike each z then lies that close to an eigenvalue of eig
+    _, u, _ = floquet.band_eigens(seq, q, ks)
+    resid = np.array([[np.linalg.norm(L @ M[i] @ u[i, :, n] - z[i, n] * u[i, :, n])
+                       for n in range(q)] for i in range(K)])
+    res = diag["max_band_residual"]
+    i = int(np.flatnonzero(ks == res["k"])[0])
+    assert res["tol"] == 1e-10
+    assert res["value"] == pytest.approx(resid.max(), abs=1e-15)
+    assert resid[i, res["n"]] == pytest.approx(resid.max(), abs=1e-15)
+    assert np.abs(z - w).max() <= 64 * q * np.finfo(float).eps
+
+    # the band edges: eigenpairs of eig at k = 0 and pi/q
+    E = floquet.floquet_blocks(seq, q, [0.0, math.pi / q])
+    E = E[0] @ E[1]
+    we, V = np.linalg.eig(E)
+    edge_resid = np.linalg.norm(E @ V - V * we[:, None, :], axis=1)
+    i, n = np.unravel_index(np.argmax(edge_resid), edge_resid.shape)
+    assert diag["max_edge_residual"] == {
+        "value": float(edge_resid[i, n]), "tol": 1e-10, "k": [0.0, math.pi / q][i],
+        "theta": float(np.angle(we[i, n]) % (2 * math.pi))}
+
+
+def test_bands_exits_3_when_the_pole_sits_on_the_spectrum(tmp_path, capsys, monkeypatch):
+    from cmvlab import floquet
+
+    def on_spectrum(seq, q, k):
+        L, M = floquet.floquet_blocks(seq, q, k)
+        return np.linalg.eigvals(L @ M)[:, 0]
+
+    cfg, _ = _bands_config(tmp_path, 8, 16)
+    assert main(["bands", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(floquet, "_poles", on_spectrum)
+    assert main(["bands", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "eigenpair residual" in capsys.readouterr().err
 
 
 def test_bands_rejects_odd_q(tmp_path, capsys):
@@ -556,8 +652,8 @@ def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
             pp = abs(st.amplitude(j, "+")) ** 2
             pm = abs(st.amplitude(j, "-")) ** 2
             if pp > 0 or pm > 0:
-                dist.append(",".join(cli._fmt(v) for v in (t, j, pp, pm)))
-        surv.append(",".join(cli._fmt(v) for v in
+                dist.append(",".join(fmt(v) for v in (t, j, pp, pm)))
+        surv.append(",".join(fmt(v) for v in
                              (t, qwalk.survival_probability(state0, walk, 4, t))))
     assert (out / "distribution.csv").read_text() == "\n".join(dist) + "\n"
     assert (out / "survival.csv").read_text() == "\n".join(surv) + "\n"

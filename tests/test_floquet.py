@@ -109,20 +109,42 @@ def test_band_eigens_rejects_endpoint_k():
 
 
 def test_band_eigens_checks_the_residual_of_every_k_and_pair(monkeypatch):
-    # one eigenvalue of one k moved by 1e-6 refuses the whole stack
+    # one eigenvector of one k tilted towards its neighbour leaves a residual
+    # of 1e-6 and refuses the whole stack
     s = C.periodize(C.constant_seq(0.5), 4)
     ks = (np.arange(5) + 0.5) * (math.pi / 4) / 5
-    exact = np.linalg.eig
+    exact = np.linalg.eigh
     F.band_eigens(s, 4, ks)
 
-    def shifted(E):
-        w, vecs = exact(E)
-        w[3, 2] += 1e-6
-        return w, vecs
+    def tilted(H):
+        lam, vecs = exact(H)
+        # the symmetrized transform has eigenvalues -2 cot(beta/2), beta the
+        # angle of z from the pole: u_2 + d u_3 has residual d |z_3 - z_2|
+        beta = 2 * np.arctan2(1.0, -lam[3] / 2)
+        d = 1e-6 / abs(np.exp(1j * beta[3]) - np.exp(1j * beta[2]))
+        vecs[3, :, 2] += d * vecs[3, :, 3]
+        return lam, vecs
 
-    monkeypatch.setattr(np.linalg, "eig", shifted)
+    monkeypatch.setattr(np.linalg, "eigh", tilted)
     with pytest.raises(NumericalInstabilityError, match="1.00e-06"):
         F.band_eigens(s, 4, ks)
+
+
+def _pole_on_the_spectrum(seq, q, k):
+    L, M = F.floquet_blocks(seq, q, k)
+    return np.linalg.eigvals(L @ M)[:, 0]
+
+
+@pytest.mark.parametrize("q, radius", [(2, 0.0), (8, 0.5)])
+def test_band_eigens_refuses_a_pole_on_the_spectrum(monkeypatch, make_periodic, q, radius):
+    # free q = 2: E is diagonal and pI - E exactly singular; q = 8: the
+    # transform loses every digit and the residuals show it
+    s = make_periodic(q, radius=radius)
+    ks = (np.arange(5) + 0.5) * (math.pi / q) / 5
+    F.band_eigens(s, q, ks)
+    monkeypatch.setattr(F, "_poles", _pole_on_the_spectrum)
+    with pytest.raises(NumericalInstabilityError):
+        F.band_eigens(s, q, ks)
 
 
 def test_band_eigens_degenerate_error():
@@ -182,10 +204,10 @@ def bits(x):
 
 
 @pytest.mark.parametrize("q", [2, 8, 32])
-def test_stacked_band_path_equals_per_k_reference_bitwise(make_periodic, q):
-    # the byte-identical bands.csv promise: one stacked eigenproblem gives
-    # each k the eigenpairs of its own eig call, and the array velocities
-    # round like the scalar formula
+def test_band_eigens_is_bitwise_independent_of_the_k_batch(make_periodic, q):
+    # the byte-identical bands.csv promise: the pole of each k depends on k
+    # alone, so a stack gives each k the bits of its own call, and the array
+    # velocities round like the scalar formula
     s = make_periodic(q, radius=0.5)
     rho = math.sqrt(1.0 - abs(s(q - 1)) ** 2)
     for K in (1, 5, 64):
@@ -193,18 +215,51 @@ def test_stacked_band_path_equals_per_k_reference_bitwise(make_periodic, q):
         z, u, v = F.band_eigens(s, q, ks)
         dz = F.band_derivative(s, q, ks, u, v)
         assert z.shape == dz.shape == (K, q) and u.shape == v.shape == (K, q, q)
-        L, M = F.floquet_blocks(s, q, ks)
         for i, k in enumerate(ks.tolist()):
-            w, vecs = np.linalg.eig(L @ M[i])
-            order = np.argsort(np.angle(w) % TWO_PI)
-            w, vecs = w[order], vecs[:, order]
-            duals = L.conj().T @ vecs
-            duals /= np.linalg.norm(duals, axis=0)
-            assert np.array_equal(bits(z[i]), bits(w))
-            assert np.array_equal(bits(u[i]), bits(vecs))
-            assert np.array_equal(bits(v[i]), bits(duals))
-            want = [scalar_velocity(q, rho, k, vecs[:, n], duals[:, n]) for n in range(q)]
+            zi, ui, vi = F.band_eigens(s, q, k)
+            assert np.array_equal(bits(z[i]), bits(zi[0]))
+            assert np.array_equal(bits(u[i]), bits(ui[0]))
+            assert np.array_equal(bits(v[i]), bits(vi[0]))
+            want = [scalar_velocity(q, rho, k, ui[0, :, n], vi[0, :, n]) for n in range(q)]
             assert np.array_equal(bits(dz[i]), bits(np.array(want)))
+
+
+@st.composite
+def band_problems(draw):
+    """A random table whose period divides an even q <= 64, and K random
+    interior k (inside (0.01, 0.99) pi/q, away from the closed gaps that a
+    period below q leaves at the ends)."""
+    q = 2 * draw(st.integers(1, 32))
+    period = draw(st.sampled_from([d for d in range(1, q + 1) if q % d == 0]))
+    values = draw(st.lists(disk95, min_size=period, max_size=period))
+    K = draw(st.sampled_from([1, 2, 3, 7, 64]))
+    ks = draw(st.lists(st.floats(0.01, 0.99), min_size=K, max_size=K))
+    return C.periodic_table_seq(values), q, np.array(ks) * (math.pi / q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=band_problems())
+def test_band_eigens_match_eig_and_first_order_velocities(problem):
+    # oracles: np.linalg.eig's eigenvalues, and dz/dk = u* (dE/dk) u for its
+    # unit eigenvectors, within the bound of the benchmark's band oracle
+    seq, q, ks = problem
+    z, u, v = F.band_eigens(seq, q, ks)
+    dz = F.band_derivative(seq, q, ks, u, v)
+    L, M = F.floquet_blocks(seq, q, ks)
+    dM = np.zeros_like(M)
+    dM[:, 0, q - 1] = -1j * q * M[:, 0, q - 1]
+    dM[:, q - 1, 0] = 1j * q * M[:, q - 1, 0]
+    eps = np.finfo(float).eps
+    for i in range(ks.size):
+        w, V = np.linalg.eig(L @ M[i])
+        V /= np.linalg.norm(V, axis=0)
+        match = np.argmin(np.abs(z[i][:, None] - w[None, :]), axis=1)
+        assert np.array_equal(np.sort(match), np.arange(q))
+        assert np.abs(z[i] - w[match]).max() <= 1e-12
+        first_order = np.einsum("in,ij,jn->n", V.conj(), L @ dM[i], V)[match]
+        sep = np.abs(w[:, None] - w[None, :]) + 4.0 * np.eye(q)
+        tol = 4.0 * 64 * q * eps * q * (1.0 + 2.0 / sep.min(axis=1)[match])
+        assert np.all(np.abs(dz[i] - first_order) <= tol)
 
 
 def test_band_eigens_temporaries_do_not_grow_with_k(make_periodic):
