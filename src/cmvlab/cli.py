@@ -146,10 +146,11 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     # velocities are read, so memory stays O(q^2) whatever k_points is
     z = np.empty((k_points, q), dtype=complex)
     dz = np.empty((k_points, q), dtype=complex)
+    poles = floquet._poles(seq, q, ks)  # one eigvals per pole interval, not per block
     with floquet.certificates() as worst:
         for b in range(0, k_points, floquet._K_BLOCK):
             blk = ks[b:b + floquet._K_BLOCK]
-            z[b:b + blk.size], u, v = floquet.band_eigens(seq, q, blk)
+            z[b:b + blk.size], u, v = floquet.band_eigens(seq, q, blk, poles[b:b + blk.size])
             dz[b:b + blk.size] = floquet.band_derivative(seq, q, blk, u, v)
         n = np.tile(np.arange(q), k_points)
         _write_csv(manifest, out_dir, "bands.csv", {
@@ -253,21 +254,31 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     t_done = 0
     dist = {"t": [], "n": [], "p_plus": [], "p_minus": []}
     surv = {"t": [], "survival": []}
+    drifts = []
     for t in sorted(set(record + [steps])):
         state = qwalk.evolve(state, walk, t - t_done)
+        # the drift evolve certified against 1e-9 per step of this call
+        drifts.append({"t": t, "value": abs(state.norm2() - 1.0), "tol": 1e-9 * (t - t_done)})
         t_done = t
         amp = state.amplitudes
+        nz = np.flatnonzero(np.any(amp != 0, axis=1))
         # python's complex abs: numpy's may differ in the last ulp
-        for i in np.flatnonzero(np.any(amp != 0, axis=1)):
-            p_plus = abs(complex(amp[i, 0])) ** 2
-            p_minus = abs(complex(amp[i, 1])) ** 2
-            if p_plus > 0 or p_minus > 0:
-                for col, x in zip(dist.values(), (t, state.n_lo + int(i), p_plus, p_minus)):
-                    col.append(x)
+        rows = [(state.n_lo + i, abs(up) ** 2, abs(dn) ** 2)
+                for i, (up, dn) in zip(nz.tolist(), amp[nz].tolist())]
+        rows = [r for r in rows if r[1] > 0 or r[2] > 0]
+        dist["t"] += [t] * len(rows)
+        for col, vals in zip(("n", "p_plus", "p_minus"), zip(*rows)):
+            dist[col] += vals
         surv["t"].append(t)
         surv["survival"].append(state.survival(J))
     _write_csv(manifest, out_dir, "distribution.csv", dist)
     _write_csv(manifest, out_dir, "survival.csv", surv)
+    ratios = [(d["value"] / d["tol"], d["t"]) for d in drifts if d["tol"] > 0]
+    worst = max(ratios, default=None)
+    _write_json(manifest, out_dir, "walk_report.json", {"diagnostics": {
+        "norm_drift": drifts,
+        "max_norm_drift_ratio": None if worst is None else {"value": worst[0], "t": worst[1]},
+    }})
 
 
 def _cmd_sieve_check(cfg: dict, manifest: RunManifest, out_dir: str) -> None:

@@ -186,7 +186,7 @@ def _cayley_eigenpairs(E: np.ndarray, p: np.ndarray
 
 
 def band_eigens(
-    seq: CoefficientSequence, q: int, k
+    seq: CoefficientSequence, q: int, k, poles=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All q eigenpairs of E_q(k) over the K strictly interior k of a scalar or
     a 1-d array: z (K, q) sorted by angle along each row, and unit u,
@@ -194,10 +194,12 @@ def band_eigens(
 
     The pairs come from the Hermitian Cayley transform of E_q(k) about a pole
     chosen from k alone (``_poles``), so each k gets the same bits however
-    the k are batched.  Every residual ||E u - z u|| is checked against
-    1e-10: for the normal E it bounds the distance from z to the spectrum,
-    whatever the pole did, so a pole too near the spectrum is refused with
-    NumericalInstabilityError rather than returning wrong pairs.
+    the k are batched; a caller that cuts one k grid into several calls
+    passes ``poles``, the grid's ``_poles`` at these k, so that each pole
+    interval's eigenproblem is solved once.  Every residual ||E u - z u|| is
+    checked against 1e-10: for the normal E it bounds the distance from z to
+    the spectrum, whatever the pole did, so a pole too near the spectrum is
+    refused with NumericalInstabilityError rather than returning wrong pairs.
 
     Interior k keeps the eigenvalues simple; pairs closer than 1e-8 are
     reported through DegenerateBandError instead of being returned silently.
@@ -210,7 +212,8 @@ def band_eigens(
     z = np.empty((k.size, q), dtype=complex)
     u, v = np.empty((k.size, q, q), dtype=complex), np.empty((k.size, q, q), dtype=complex)
     resid = np.empty((k.size, q))
-    poles = _poles(seq, q, k)
+    if poles is None:
+        poles = _poles(seq, q, k)
     for b in range(0, k.size, _K_BLOCK):
         blk = slice(b, b + _K_BLOCK)
         L, M = floquet_blocks(seq, q, k[blk])

@@ -22,14 +22,19 @@ either edge.  A step is one elementwise 2x2 update of the two spin arrays,
 
 with the coin entries read as rows of the operator's coin table.
 
-``evolve`` runs t steps on the state's window padded by t + 1 sites, the most
-the walker can travel.  After s steps the support lies in the light cone
-[n_lo - s, n_hi + s], so step s + 1 updates that cone plus one guard site on
-each side and leaves the rest of the padded window zero.  The certificates:
+``evolve`` returns the state on its window padded by t + 1 sites, the most
+the walker can travel.  The shift moves every amplitude by exactly one site,
+so the two parity chains, the sites at even and at odd offsets from the
+state's n_lo, never mix.  After s steps chain c covers the sites
+n_lo + c - s + 2m, m = 0 .. m0 + s - 1: its whole light cone.  In that moving
+frame spin-up moves from m to m + 1 and spin-down stays at m, so each chain
+steps in place on two arrays with no shift copy, and a chain that starts at
+zero is not stepped at all.  The certificates:
 
 * once per operator: every coin of the table is unitary to 1e-13;
-* every step: no more than 1e-18 of probability crosses the updated range's
-  edges, i.e. the guard sites were empty and the cone holds;
+* every ``WalkOperator.step``: no more than 1e-18 of probability crosses
+  the window's absorbing edges (``evolve`` meets no edge: each chain's
+  arrays hold every site it can reach);
 * once per ``evolve`` call (each checkpoint of ``cmvlab walk``): the norm has
   drifted by at most 1e-9 per step.
 
@@ -259,13 +264,18 @@ def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
     """State after t steps of U = S Q with the walk's coins.
 
     The result lives on the state's window padded by t + 1 sites on both
-    sides, equal entry for entry to t ``WalkOperator.step`` calls there.  The
-    walker moves at most one site per step, so after s steps the support
-    lies in the light cone [n_lo - s, n_hi + s]; step s + 1 updates only
-    that cone plus one guard site on each side, and the sites beyond stay
-    zero.  Every step's edge check (beyond 1e-18 of probability) certifies
-    that the guard sites were empty; the norm drift, at most 1e-9 * t, is
-    checked once on the result.
+    sides, equal entry for entry to t ``WalkOperator.step`` calls there.
+    Chain c = 0, 1 holds the state's sites n_lo + c, n_lo + c + 2, ...; after
+    s steps they sit at padded index pad + c - s + 2m, m = 0 .. m0 + s - 1,
+    which covers every site the chain's amplitudes can reach.  So nothing is
+    truncated and no step needs an edge check; ``WalkOperator.step`` keeps
+    its check because a fixed window does absorb.  Spin-up moves from m to
+    m + 1 and spin-down stays at m: ``up`` is stored at offset t - s and
+    ``dn`` at m, and each step updates both in place, with the coin as the
+    first operand of every product as in ``_absorbing_step``, so each
+    amplitude has the bits of the full-window step.  A chain that starts
+    exactly zero stays zero and is skipped.  The norm drift, at most
+    1e-9 * t, is checked once on the result (NaN fails).
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -274,12 +284,29 @@ def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
     pad = t + 1
     op = build_walk(walk.coins, (state.n_lo - pad, state.n_hi + pad))
     q = _coin_columns(op.table)
-    psi = np.zeros((2, op.width), dtype=complex)
-    psi[:, pad:-pad] = state.amplitudes.T
-    for s in range(t):
-        cone = slice(pad - s - 1, op.width - pad + s + 1)
-        psi[:, cone] = _absorbing_step(q[..., cone], psi[:, cone])
-    amp = psi.T
+    amp = np.zeros((op.width, 2), dtype=complex)
+    for c in (0, 1):
+        chain = state.amplitudes[c::2]
+        if not chain.any():
+            continue  # an empty chain stays exactly zero
+        m0 = chain.shape[0]
+        # up at chain site m after s steps is up[t - s + m], dn is dn[m]
+        up, dn = np.zeros((2, m0 + t), dtype=complex)
+        up[t:], dn[:m0] = chain.T
+        scratch = np.empty((2, m0 + t), dtype=complex)
+        for s in range(t):
+            L = m0 + s
+            i = pad + c - s  # padded index of chain site 0
+            q00, q01, q10, q11 = q[..., i:i + 2 * L:2].reshape(4, L)
+            U, D = up[t - s:t - s + L], dn[:L]
+            tmp, prod = scratch[:, :L]
+            np.multiply(q10, U, out=tmp)
+            np.multiply(q00, U, out=U)
+            U += np.multiply(q01, D, out=prod)
+            np.multiply(q11, D, out=D)
+            D += tmp
+        amp[1 + c:1 + c + 2 * (m0 + t):2] = np.stack([up, dn], axis=1)
+    # the same sum in the same order as the result's norm2()
     drift = abs(float(np.sum(np.abs(amp) ** 2)) - 1.0)
     if not drift <= 1e-9 * t:
         raise NumericalInstabilityError(

@@ -189,6 +189,20 @@ def test_bands_exits_3_when_the_pole_sits_on_the_spectrum(tmp_path, capsys, monk
     assert "eigenpair residual" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k_points", [64, 100])
+def test_bands_solves_one_pole_eigenproblem_per_interval(tmp_path, monkeypatch, k_points):
+    # 8 pole intervals need 8 eigvals calls, however the k blocks of 8 fall
+    # across them (100 k made 19 when each block chose its own poles)
+    from cmvlab import floquet
+
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    cfg, _ = _bands_config(tmp_path, 32, k_points)
+    assert main(["bands", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == [(32, 32)] * floquet._POLE_INTERVALS
+
+
 def test_bands_rejects_odd_q(tmp_path, capsys):
     cfg = write_config(tmp_path, "bands.json", {
         "sequence": {"kind": "constant", "value": [0.5, 0.0]}, "q": 3,
@@ -657,6 +671,53 @@ def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
                              (t, qwalk.survival_probability(state0, walk, 4, t))))
     assert (out / "distribution.csv").read_text() == "\n".join(dist) + "\n"
     assert (out / "survival.csv").read_text() == "\n".join(surv) + "\n"
+
+
+def _walk_config(tmp_path):
+    return write_config(tmp_path, "w.json", {
+        "coins": {"kind": "cgmv_table",
+                  "gammas": [[0.3, 0.4], [-0.5, 0.1], [0.0, 0.7], [0.6, -0.6]]},
+        "steps": 300, "survival_J": 4, "record_times": [0, 100, 120, 300],
+    })
+
+
+def test_walk_report_diagnostics_match_the_distribution(tmp_path, monkeypatch):
+    # coins grown by 1e-13 plant a norm drift of about 2e-13 per step, far
+    # above rounding and far below the 1e-9 per step tolerance
+    from cmvlab import qwalk
+
+    columns = qwalk._coin_columns
+    monkeypatch.setattr(qwalk, "_coin_columns", lambda table: columns(table) * (1 + 1e-13))
+    out = tmp_path / "out"
+    assert main(["walk", "--config", _walk_config(tmp_path), "--out", str(out)]) == 0
+    assert "walk_report.json" in json.loads((out / "manifest.json").read_text())["outputs"]
+    diag = json.loads((out / "walk_report.json").read_text())["diagnostics"]
+
+    _, rows = read_csv(out / "distribution.csv")
+    drift = {t: abs(math.fsum(float(r[2]) + float(r[3]) for r in rows if int(r[0]) == t) - 1)
+             for t in (0, 100, 120, 300)}
+    assert [d["t"] for d in diag["norm_drift"]] == [0, 100, 120, 300]
+    # each checkpoint's evolve call is held to 1e-9 per step it made
+    assert [d["tol"] for d in diag["norm_drift"]] == [1e-9 * n for n in (0, 100, 20, 180)]
+    for d in diag["norm_drift"]:
+        # the written p sum within rounding of up to 601 terms to evolve's
+        assert d["value"] == pytest.approx(drift[d["t"]], abs=1e-13)
+    assert drift[300] > 5e-11
+    ratio = {t: drift[t] / d["tol"] for t, d in zip(drift, diag["norm_drift"]) if t}
+    worst = max(ratio, key=ratio.get)
+    assert diag["max_norm_drift_ratio"]["t"] == worst
+    assert diag["max_norm_drift_ratio"]["value"] == pytest.approx(ratio[worst], rel=1e-2)
+
+
+def test_walk_planted_drift_exits_3(tmp_path, capsys, monkeypatch):
+    from cmvlab import qwalk
+
+    columns = qwalk._coin_columns
+    monkeypatch.setattr(qwalk, "_coin_columns", lambda table: columns(table) * (1 + 1e-6))
+    out = tmp_path / "out"
+    assert main(["walk", "--config", _walk_config(tmp_path), "--out", str(out)]) == 3
+    assert "norm drifted" in capsys.readouterr().err
+    assert not (out / "walk_report.json").exists()
 
 
 def test_walk_rejects_negative_survival_j_before_any_evolution(tmp_path, capsys,
