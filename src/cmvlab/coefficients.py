@@ -2,13 +2,13 @@
 
 Constructors for the concrete families used throughout the toolkit: constants,
 quasiperiodic phases, periodizations, and limit-periodic families built from
-super-exponentially small periodic increments.  Sequences are immutable values
-and safe to share across threads.
+super-exponentially small periodic increments.  Each sequence is one map over
+integer arrays of sites, read through ``window``.  Sequences are immutable
+values and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import reprlib
 import sys
@@ -31,18 +31,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientSequence:
-    """A map n -> alpha_n into the open unit disk.
+    """A map n -> alpha_n into the open unit disk, read over arrays of sites.
 
+    ``fn`` takes an integer array of sites and returns alpha at each site,
+    with the array's shape; ``window`` is the one way to read it.
     ``sup_norm_bound`` certifies sup_n |alpha_n| <= sup_norm_bound < 1.
-    ``period``, when set, promises fn(n + period) == fn(n) exactly.
-    ``fn_array``, when set, is fn vectorised over an integer array of sites;
-    ``window`` uses it, and falls back to one fn call per site without it.
+    ``period``, when set, promises alpha_{n + period} == alpha_n exactly.
     """
 
-    fn: Callable[[int], complex]
+    fn: Callable[[np.ndarray], np.ndarray]
     sup_norm_bound: float
     period: Optional[int] = None
-    fn_array: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not 0.0 <= self.sup_norm_bound < 1.0:
@@ -53,7 +52,8 @@ class CoefficientSequence:
             raise ValueError(f"period must be a positive integer, got {self.period}")
 
     def __call__(self, n: int) -> complex:
-        return complex(self.fn(n))
+        """alpha_n, a one-site window."""
+        return complex(self.window(n))
 
     def rho(self, n: int) -> float:
         """sqrt(1 - |alpha_n|^2), derived on demand."""
@@ -66,10 +66,7 @@ class CoefficientSequence:
         The result has the shape of the sites read.
         """
         sites = np.arange(lo, hi) if hi is not None else np.asarray(lo)
-        if self.fn_array is not None:
-            return np.asarray(self.fn_array(sites), dtype=complex)
-        vals = [self.fn(n) for n in sites.ravel().tolist()]
-        return np.array(vals, dtype=complex).reshape(sites.shape)
+        return np.asarray(self.fn(sites), dtype=complex)
 
 
 def constant_seq(a: complex) -> CoefficientSequence:
@@ -77,12 +74,7 @@ def constant_seq(a: complex) -> CoefficientSequence:
     a = complex(a)
     if abs(a) >= 1.0:
         raise ValueError(f"|a| must be < 1, got |a| = {abs(a)}")
-    return CoefficientSequence(
-        fn=lambda n: a,
-        sup_norm_bound=abs(a),
-        period=1,
-        fn_array=lambda n: np.full(n.shape, a),
-    )
+    return CoefficientSequence(fn=lambda n: np.full(n.shape, a), sup_norm_bound=abs(a), period=1)
 
 
 def quasiperiodic_seq(lam: float, beta: float, theta: float) -> CoefficientSequence:
@@ -90,19 +82,8 @@ def quasiperiodic_seq(lam: float, beta: float, theta: float) -> CoefficientSeque
     lam, b, t = float(lam), float(beta), float(theta)
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"amplitude must lie in [0, 1), got {lam}")
-
-    def fn(n: int) -> complex:
-        return lam * cmath.exp(2j * math.pi * (n * b + t))
-
-    def fn_array(n: np.ndarray) -> np.ndarray:
-        return lam * np.exp(2j * np.pi * (n * b + t))
-
-    return CoefficientSequence(
-        fn=fn,
-        sup_norm_bound=lam,
-        period=None,
-        fn_array=fn_array,
-    )
+    return CoefficientSequence(fn=lambda n: lam * np.exp(2j * np.pi * (n * b + t)),
+                               sup_norm_bound=lam)
 
 
 def periodic_table_seq(values: Sequence[complex]) -> CoefficientSequence:
@@ -116,19 +97,14 @@ def periodic_table_seq(values: Sequence[complex]) -> CoefficientSequence:
     q = len(vals)
     table = vals.copy()
     table.flags.writeable = False
-    return CoefficientSequence(
-        fn=lambda n: complex(table[n % q]),
-        sup_norm_bound=bound,
-        period=q,
-        fn_array=lambda n: table[n % q],
-    )
+    return CoefficientSequence(fn=lambda n: table[n % q], sup_norm_bound=bound, period=q)
 
 
 def periodize(seq: CoefficientSequence, q: int) -> CoefficientSequence:
     """Repeat seq's values on [0, q) over all of Z; result has period q."""
     if q < 1:
         raise ValueError(f"q must be a positive integer, got {q}")
-    return periodic_table_seq([seq(j) for j in range(q)])
+    return periodic_table_seq(seq.window(0, q))
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +177,12 @@ def pastur_tkachenko_family(
             f"base_amp plus increment amplitudes must stay below 1, got {total}"
         )
 
+    # each site's sum runs over m in order, as one scalar sum would
     stages = []
-    for n in range(levels + 1):
-        qn = periods[n]
-        vals = []
-        for j in range(qn):
-            v = base_amp
-            for m in range(n):
-                v += amps[m] * math.cos(2.0 * math.pi * j / periods[m + 1])
-            vals.append(v)
+    for n, qn in enumerate(periods):
+        j, vals = np.arange(qn), np.full(qn, base_amp)
+        for m in range(n):
+            vals += amps[m] * np.cos(2.0 * np.pi * j / periods[m + 1])
         stages.append(periodic_table_seq(vals))
 
     return LimitPeriodicFamily(stages=tuple(stages))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSequence, periodic_table_seq
+from .coefficients import CoefficientSequence
 
 __all__ = [
     "BandedUnitary",
@@ -129,29 +129,19 @@ def assemble_cmv(seq: CoefficientSequence, offset: int, dim: int) -> BandedUnita
 
 
 def sieve(seq: CoefficientSequence) -> CoefficientSequence:
-    """Interleave zeros: result(2j) = 0 and result(2j-1) = seq(j)."""
-    if seq.period is not None:
-        p = seq.period
-        vals = [0j if m % 2 == 0 else seq((m + 1) // 2) for m in range(2 * p)]
-        return periodic_table_seq(vals)
+    """Interleave zeros: result(2j) = 0 and result(2j-1) = seq(j); a period
+    p becomes 2p."""
     return CoefficientSequence(
-        fn=lambda m: 0j if m % 2 == 0 else seq((m + 1) // 2),
+        fn=lambda m: np.where(m % 2 == 0, 0j, seq.window((m + 1) // 2)),
         sup_norm_bound=seq.sup_norm_bound,
-        period=None,
-        fn_array=lambda m: np.where(m % 2 == 0, 0j, seq.window((m + 1) // 2)),
+        period=None if seq.period is None else 2 * seq.period,
     )
 
 
 def shift_seq(seq: CoefficientSequence, by: int) -> CoefficientSequence:
-    """The translated sequence n -> seq(n + by)."""
-    if seq.period is not None:
-        return periodic_table_seq([seq(j + by) for j in range(seq.period)])
-    return CoefficientSequence(
-        fn=lambda n: seq(n + by),
-        sup_norm_bound=seq.sup_norm_bound,
-        period=None,
-        fn_array=lambda n: seq.window(n + by),
-    )
+    """The translated sequence n -> seq(n + by), of the same period."""
+    return CoefficientSequence(fn=lambda n: seq.window(n + by),
+                               sup_norm_bound=seq.sup_norm_bound, period=seq.period)
 
 
 def verify_sieve_square(seq: CoefficientSequence, dim: int) -> dict:

@@ -13,10 +13,16 @@ rho = sqrt(1 - |g|^2); the extracted Verblunsky coefficients then sit at odd
 flat indices (even ones vanish).  Coins outside this gauge are reported with
 the offending site instead of being silently renormalized.
 
-A walk operator on a finite window of sites has two views: its matrix is the
-cyclic window (the shift wraps around), which ``to_cmv`` compares with a
-periodic-wrap CMV window, and its step absorbs what the shift moves past
-either edge.  A step is one elementwise 2x2 update of the two spin arrays,
+A coin sequence is an array map from integer sites to their 2x2 coins: a
+periodic (P, 2, 2) table (``table_coins``; identity, Hadamard and constant
+coins are tables of one), or the gauge-form coins of a coefficient sequence
+gamma (``cgmv_coins``).  A walk operator reads the coins of its window in
+one call, and those of one period when the coins are periodic.
+
+A walk operator on a finite window of sites has two views: its cyclic window
+(the shift wraps around), which ``to_cmv`` compares in banded form with a
+periodic-wrap CMV window, and its step, which absorbs what the shift moves
+past either edge.  A step is one elementwise 2x2 update of the two spin arrays,
 
     up' = q00 up + q01 dn,   dn' = q10 up + q11 dn,   then shift,
 
@@ -35,8 +41,10 @@ zero is not stepped at all.  The certificates:
 * every ``WalkOperator.step``: no more than 1e-18 of probability crosses
   the window's absorbing edges (``evolve`` meets no edge: each chain's
   arrays hold every site it can reach);
-* once per ``evolve`` call (each checkpoint of ``cmvlab walk``): the norm has
-  drifted by at most 1e-9 per step.
+* once per ``evolve`` call (each checkpoint of ``cmvlab walk``): the norm
+  squared lies within 1e-10 of 1, the bound every ``WalkState`` meets, so a
+  larger drift is a numerical failure (``NumericalInstabilityError``), not
+  an invalid state.
 
 States are immutable values.
 """
@@ -51,7 +59,7 @@ import numpy as np
 
 from .coefficients import CoefficientSequence
 from .errors import CoinGaugeError, NumericalInstabilityError
-from .operator import assemble_cmv
+from .operator import _rho, cmv_banded, shift_seq, sieve
 
 __all__ = [
     "CoinSequence",
@@ -65,36 +73,40 @@ __all__ = [
     "constant_coins",
     "identity_coins",
     "hadamard_coins",
+    "table_coins",
     "cgmv_coins",
 ]
 
 _UNITARY_TOL = 1e-13
+_NORM_TOL = 1e-10  # |norm^2 - 1| of every state, checked after every evolve
 
 
 @dataclass(frozen=True)
 class CoinSequence:
-    """A map n -> 2x2 unitary coin; period metadata optional."""
+    """A map from integer sites to 2x2 coins, read over arrays of sites.
 
-    fn: Callable[[int], np.ndarray]
+    ``fn`` takes an integer array of sites and returns their coins with
+    shape sites.shape + (2, 2).  ``period``, when set, promises that the
+    coins repeat with it.
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
     period: Optional[int] = None
 
-    def __call__(self, n: int) -> np.ndarray:
-        q = np.asarray(self.fn(n), dtype=complex)
-        if q.shape != (2, 2):
-            raise ValueError(f"coin at site {n} must be 2x2, got {q.shape}")
-        return q
+    def __call__(self, n) -> np.ndarray:
+        """The coins at the integer site, or integer array of sites, n."""
+        return np.asarray(self.fn(np.asarray(n)), dtype=complex)
 
-    def check_unitary(self, n: int) -> np.ndarray:
-        q = self(n)
-        res = np.max(np.abs(q @ q.conj().T - np.eye(2)))
-        if not res <= _UNITARY_TOL:
-            raise ValueError(f"coin at site {n} is not unitary (residual {res:.2e})")
-        return q
+
+def table_coins(table) -> CoinSequence:
+    """Coins of period P from a (P, 2, 2) table: site n takes table[n mod P]."""
+    t = np.array(table, dtype=complex)
+    t.flags.writeable = False
+    return CoinSequence(fn=lambda n: t[n % len(t)], period=len(t))
 
 
 def constant_coins(q: np.ndarray) -> CoinSequence:
-    q = np.asarray(q, dtype=complex)
-    return CoinSequence(fn=lambda n: q, period=1)
+    return table_coins([q])
 
 
 def identity_coins() -> CoinSequence:
@@ -106,18 +118,16 @@ def hadamard_coins() -> CoinSequence:
     return constant_coins(h)
 
 
-def cgmv_coins(gamma: Callable[[int], complex],
-               period: Optional[int] = None) -> CoinSequence:
-    """Coins [[rho, -g], [conj(g), rho]] from a disk-valued map n -> g_n."""
+def cgmv_coins(gamma: CoefficientSequence) -> CoinSequence:
+    """Coins [[rho, -g], [conj(g), rho]] of the gauge parameters g_n =
+    gamma(n), rho = sqrt(1 - |g|^2); they carry gamma's period."""
 
-    def fn(n: int) -> np.ndarray:
-        g = complex(gamma(n))
-        if abs(g) >= 1.0:
-            raise ValueError(f"|gamma({n})| must be < 1, got {abs(g)}")
-        rho = math.sqrt(1.0 - abs(g) ** 2)
-        return np.array([[rho, -g], [g.conjugate(), rho]], dtype=complex)
+    def fn(n: np.ndarray) -> np.ndarray:
+        g = gamma.window(n)
+        r = _rho(g)
+        return np.stack([r, -g, g.conj(), r], axis=-1).reshape(g.shape + (2, 2))
 
-    return CoinSequence(fn=fn, period=period)
+    return CoinSequence(fn=fn, period=gamma.period)
 
 
 @dataclass(frozen=True)
@@ -132,8 +142,8 @@ class WalkState:
         if amp.ndim != 2 or amp.shape[1] != 2 or amp.shape[0] < 1:
             raise ValueError(f"amplitudes must have shape (W, 2), got {amp.shape}")
         nrm = float(np.sum(np.abs(amp) ** 2))
-        if not abs(nrm - 1.0) <= 1e-10:
-            raise ValueError(f"state norm^2 must be 1 to 1e-10, got {nrm}")
+        if not abs(nrm - 1.0) <= _NORM_TOL:
+            raise ValueError(f"state norm^2 must be 1 to {_NORM_TOL:g}, got {nrm}")
         amp = amp.copy()
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
@@ -188,10 +198,10 @@ class WalkOperator:
     def __post_init__(self):
         if self.n_hi < self.n_lo:
             raise ValueError("window must be nonempty")
-        # a periodic sequence is read over one period from n_lo and tiled
+        # one read: over one period from n_lo, tiled, for periodic coins
         W = self.n_hi - self.n_lo + 1
-        p = self.coins.period or W
-        one = np.stack([self.coins(n) for n in range(self.n_lo, self.n_lo + min(p, W))])
+        p = min(self.coins.period or W, W)
+        one = self.coins(np.arange(self.n_lo, self.n_lo + p))
         res = np.max(np.abs(one @ one.conj().swapaxes(1, 2) - np.eye(2)),
                      axis=(1, 2))
         bad = np.flatnonzero(~(res <= _UNITARY_TOL))  # NaN fails
@@ -274,8 +284,9 @@ def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
     ``dn`` at m, and each step updates both in place, with the coin as the
     first operand of every product as in ``_absorbing_step``, so each
     amplitude has the bits of the full-window step.  A chain that starts
-    exactly zero stays zero and is skipped.  The norm drift, at most
-    1e-9 * t, is checked once on the result (NaN fails).
+    exactly zero stays zero and is skipped.  The result's norm squared must
+    lie within 1e-10 of 1, the bound of every ``WalkState``; it is checked
+    once (NaN fails) and a larger drift raises NumericalInstabilityError.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -308,9 +319,9 @@ def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
         amp[1 + c:1 + c + 2 * (m0 + t):2] = np.stack([up, dn], axis=1)
     # the same sum in the same order as the result's norm2()
     drift = abs(float(np.sum(np.abs(amp) ** 2)) - 1.0)
-    if not drift <= 1e-9 * t:
+    if not drift <= _NORM_TOL:
         raise NumericalInstabilityError(
-            f"norm drifted by {drift:.2e} after {t} steps"
+            f"norm drifted by {drift:.2e} after {t} steps (bound {_NORM_TOL:g})"
         )
     return WalkState(n_lo=op.n_lo, amplitudes=amp)
 
@@ -333,8 +344,9 @@ class CMVRepresentation:
     """The walk operator rewritten as a CMV matrix.
 
     ``seq`` is the extracted coefficient sequence in global flat indexing;
-    ``matrix`` is U on the window in the CMV basis order; ``residual`` is the
-    entrywise deviation from the CMV window assembled out of ``seq``.
+    ``matrix`` is the transpose of U on the window, in the CMV basis order
+    and the cyclic (5, 2W) banded form of ``cmv_banded``; ``residual`` is
+    its entrywise deviation from the CMV window assembled out of ``seq``.
     """
 
     seq: CoefficientSequence
@@ -343,15 +355,39 @@ class CMVRepresentation:
     residual: float
 
 
-def _gauge_gamma(q: np.ndarray, site: int, tol: float = 1e-12) -> complex:
-    a, b, c, d = q[0, 0], q[0, 1], q[1, 0], q[1, 1]
-    if abs(a.imag) > tol or a.real <= 0:
-        raise CoinGaugeError(site, "upper-left entry must be real and positive")
-    if abs(a - d) > tol:
-        raise CoinGaugeError(site, "diagonal entries must coincide")
-    if abs(b + c.conjugate()) > tol:
-        raise CoinGaugeError(site, "off-diagonal entries must satisfy b = -conj(c)")
-    return c.conjugate()
+_GAUGE_RULES = ("upper-left entry must be real and positive",
+                "diagonal entries must coincide",
+                "off-diagonal entries must satisfy b = -conj(c)")
+
+
+def _gauge_gammas(q: np.ndarray, sites: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """The gauge parameters conj(q[1, 0]) of the coins q (..., 2, 2) at
+    ``sites``, every coin checked for the form [[rho, -g], [conj(g), rho]];
+    CoinGaugeError names the first site that fails and its first rule."""
+    a, b, c, d = q[..., 0, 0], q[..., 0, 1], q[..., 1, 0], q[..., 1, 1]
+    bad = np.stack([(np.abs(a.imag) > tol) | (a.real <= 0),
+                    np.abs(a - d) > tol,
+                    np.abs(b + c.conj()) > tol]).reshape(3, -1)
+    hit = np.flatnonzero(bad.any(axis=0))
+    if hit.size:
+        j = hit[0]
+        raise CoinGaugeError(int(np.ravel(sites)[j]), _GAUGE_RULES[int(np.argmax(bad[:, j]))])
+    return c.conj()
+
+
+def _banded_transpose(table: np.ndarray) -> np.ndarray:
+    """U^T of the cyclic walk window over a (W, 2, 2) coin table, in the
+    banded form of ``cmv_banded``: row 2 + d holds entry (j + d mod 2W, j).
+
+    U moves coin k's first row to site k + 1 (flat column 2k + 2 of U^T) and
+    its second row to site k - 1 (flat column 2k - 1), so even columns hold
+    the previous coin's first row at d = -2, -1 and odd columns the next
+    coin's second row at d = 1, 2.
+    """
+    ab = np.zeros((5, 2 * len(table)), dtype=complex)
+    ab[0:2, 0::2] = np.roll(table[:, 0], 1, axis=0).T
+    ab[3:5, 1::2] = np.roll(table[:, 1], -1, axis=0).T
+    return ab
 
 
 def to_cmv(
@@ -359,44 +395,23 @@ def to_cmv(
 ) -> CMVRepresentation:
     """Extract the CMV coefficients of a gauge-conforming coin sequence.
 
-    Verifies the correspondence on the window: the walk matrix in the CMV
-    basis order must match, entry by entry, the wrapped CMV window built from
-    the extracted coefficients.
+    The coefficients are alpha_hat = shift_seq(sieve(gamma), -2), that is
+    alpha_hat_{2n+1} = gamma_n and alpha_hat_{2n} = 0, where gamma_n =
+    conj(Q_n[1, 0]) is read from the coins and checked for the gauge form
+    at every site read.  The correspondence is verified on the window in
+    O(W): the walk's cyclic window, transposed and in banded form, must
+    match entry by entry the periodic-wrap CMV window of alpha_hat.
     """
     n_lo, n_hi = int(window[0]), int(window[1])
     if n_hi <= n_lo:
         raise ValueError("window must contain at least two sites")
-    gammas = {}
-    for n in range(n_lo, n_hi + 1):
-        q = coins.check_unitary(n)
-        gammas[n] = _gauge_gamma(q, n)
-
-    def alpha_hat(m: int) -> complex:
-        if m % 2 == 0:
-            return 0j
-        site = (m - 1) // 2
-        if site in gammas:
-            return gammas[site]
-        return _gauge_gamma(coins.check_unitary(site), site)
-
-    bound = max(abs(g) for g in gammas.values()) if gammas else 0.0
-    period = 2 * coins.period if coins.period is not None else None
-    seq = CoefficientSequence(
-        fn=alpha_hat,
-        sup_norm_bound=min(bound, 1.0 - 1e-15),
-        period=period,
-    )
-
     walk = build_walk(coins, (n_lo, n_hi))
-    U = walk.matrix()
-    shift = 2 * n_lo + 1
-    local = CoefficientSequence(
-        fn=lambda m: alpha_hat(m + shift),
-        sup_norm_bound=seq.sup_norm_bound,
-        period=None,
-    )
-    ref = assemble_cmv(local, 0, 2 * walk.width).entries
-    residual = float(np.max(np.abs(U.T - ref)))
-    return CMVRepresentation(
-        seq=seq, matrix=U, window=(n_lo, n_hi), residual=residual
-    )
+    bound = float(np.max(np.abs(_gauge_gammas(walk.table, np.arange(n_lo, n_hi + 1)))))
+    gamma = CoefficientSequence(fn=lambda n: _gauge_gammas(coins(n), n),
+                                sup_norm_bound=min(bound, 1.0 - 1e-15), period=coins.period)
+    seq = shift_seq(sieve(gamma), -2)
+    lo = 2 * n_lo + 1  # the flat index of (n_lo, +)
+    ref = cmv_banded(seq.window(lo, lo + 2 * walk.width), 0)
+    ut = _banded_transpose(walk.table)
+    return CMVRepresentation(seq=seq, matrix=ut, window=(n_lo, n_hi),
+                             residual=float(np.max(np.abs(ut - ref))))

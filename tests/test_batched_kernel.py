@@ -221,7 +221,7 @@ def test_scalar_points_give_floats_and_scalar_shapes(make_periodic):
 
 
 def test_batched_checks_reject_any_bad_point():
-    raw = C.CoefficientSequence(fn=lambda n: 0.2 + 0j, sup_norm_bound=0.2)
+    raw = C.CoefficientSequence(fn=lambda n: np.full(n.shape, 0.2 + 0j), sup_norm_bound=0.2)
     good = np.exp(1j * np.array([0.1, 0.2, 0.3]))
     with pytest.raises(ValueError, match=r"\|z\|"):
         T.lyapunov(raw, np.append(good, 0.5))
@@ -229,7 +229,7 @@ def test_batched_checks_reject_any_bad_point():
         T.monodromy(C.constant_seq(0.2), 2, np.append(good, 0.0))
     with pytest.raises(ValueError, match="1-d"):
         T.lyapunov(raw, good.reshape(3, 1))
-    outside = C.CoefficientSequence(fn=lambda n: 1.5 if n == 7 else 0.0,
+    outside = C.CoefficientSequence(fn=lambda n: np.where(n == 7, 1.5, 0.0),
                                     sup_norm_bound=0.5)
     with pytest.raises(ValueError, match=r"\|alpha\|"):
         T.lyapunov(outside, good, n_steps=100)
@@ -263,25 +263,54 @@ def test_band_edges_are_floquet_eigenvalues(values, half):
         assert abs(abs(F.discriminant(seq, q, edge)) - 2.0) < 1e-6
 
 
-def _scalar_only(n):
-    return 0.3 * cmath.exp(0.7j * n * n)
+def _raw_map(n):
+    return 0.3 * np.exp(0.7j * n * n)
+
+
+def _qp(lam, beta, theta):
+    return lambda n: lam * cmath.exp(2j * math.pi * (n * beta + theta))
+
+
+def _sieved(f):
+    return lambda m: 0j if m % 2 == 0 else f((m + 1) // 2)
+
+
+def _pt_stage(base_amp, amps, periods):
+    """Stage len(amps) of a Pastur-Tkachenko family, summed site by site."""
+    def f(n):
+        j, v = n % periods[len(amps)], base_amp
+        for m, amp in enumerate(amps):
+            v += amp * math.cos(2.0 * math.pi * j / periods[m + 1])
+        return v
+    return f
 
 
 _PT = C.pastur_tkachenko_family(0.2, lambda n: 0.05 / (n + 1), 2, 2)
+_TABLE = [0.1, 0.2j, -0.3, 0.4 + 0.1j, 0.0]
+# each sequence with an independent per-site formula of its values
 SEQUENCES = {
-    "constant": C.constant_seq(0.4 - 0.2j),
-    "quasiperiodic": C.quasiperiodic_seq(0.5, 0.3819660112501051, 0.25),
-    "periodic_table": C.periodic_table_seq([0.1, 0.2j, -0.3, 0.4 + 0.1j, 0.0]),
-    "periodize": C.periodize(C.quasiperiodic_seq(0.6, 0.1, 0.0), 6),
-    "pt_stage_1": _PT.stages[1],
-    "pt_stage_2": _PT.stages[2],
-    "sieve_periodic": O.sieve(C.periodic_table_seq([0.3, -0.2j])),
-    "sieve_quasiperiodic": O.sieve(C.quasiperiodic_seq(0.4, 0.2, 0.1)),
-    "shift_quasiperiodic": O.shift_seq(C.quasiperiodic_seq(0.4, 0.2, 0.1), -7),
-    "raw_fn": C.CoefficientSequence(fn=_scalar_only, sup_norm_bound=0.3),
-    "sieve_raw_fn": O.sieve(C.CoefficientSequence(fn=_scalar_only, sup_norm_bound=0.3)),
-    "shift_sieve_raw_fn": O.shift_seq(
-        O.sieve(C.CoefficientSequence(fn=_scalar_only, sup_norm_bound=0.3)), 3),
+    "constant": (C.constant_seq(0.4 - 0.2j), lambda n: 0.4 - 0.2j),
+    "quasiperiodic": (C.quasiperiodic_seq(0.5, 0.3819660112501051, 0.25),
+                      _qp(0.5, 0.3819660112501051, 0.25)),
+    "periodic_table": (C.periodic_table_seq(_TABLE), lambda n: _TABLE[n % 5]),
+    "periodize": (C.periodize(C.quasiperiodic_seq(0.6, 0.1, 0.0), 6),
+                  lambda n: _qp(0.6, 0.1, 0.0)(n % 6)),
+    "pt_stage_1": (_PT.stages[1], _pt_stage(0.2, [0.05], [2, 4, 8])),
+    "pt_stage_2": (_PT.stages[2], _pt_stage(0.2, [0.05, 0.025], [2, 4, 8])),
+    "sieve_periodic": (O.sieve(C.periodic_table_seq([0.3, -0.2j])),
+                       _sieved(lambda n: [0.3, -0.2j][n % 2])),
+    "sieve_quasiperiodic": (O.sieve(C.quasiperiodic_seq(0.4, 0.2, 0.1)),
+                            _sieved(_qp(0.4, 0.2, 0.1))),
+    "shift_quasiperiodic": (O.shift_seq(C.quasiperiodic_seq(0.4, 0.2, 0.1), -7),
+                            lambda n: _qp(0.4, 0.2, 0.1)(n - 7)),
+    # a map handed straight to CoefficientSequence, with no constructor
+    "raw_fn": (C.CoefficientSequence(fn=_raw_map, sup_norm_bound=0.3),
+               lambda n: 0.3 * cmath.exp(0.7j * n * n)),
+    "sieve_raw_fn": (O.sieve(C.CoefficientSequence(fn=_raw_map, sup_norm_bound=0.3)),
+                     _sieved(lambda n: 0.3 * cmath.exp(0.7j * n * n))),
+    "shift_sieve_raw_fn": (
+        O.shift_seq(O.sieve(C.CoefficientSequence(fn=_raw_map, sup_norm_bound=0.3)), 3),
+        lambda n: _sieved(lambda k: 0.3 * cmath.exp(0.7j * k * k))(n + 3)),
 }
 
 
@@ -289,12 +318,12 @@ SEQUENCES = {
 @settings(max_examples=25, deadline=None)
 @given(lo=st.integers(-3000, 3000), length=st.integers(0, 300))
 def test_window_equals_pointwise_values(name, lo, length):
-    seq = SEQUENCES[name]
-    # every constructor but a raw scalar fn reads its window in one array call
-    assert (seq.fn_array is None) == (name == "raw_fn")
+    seq, formula = SEQUENCES[name]
     got = seq.window(lo, lo + length)
     assert got.dtype == complex and got.shape == (length,)
-    np.testing.assert_array_equal(got, [seq(n) for n in range(lo, lo + length)])
+    np.testing.assert_array_equal(got, [formula(n) for n in range(lo, lo + length)])
+    if length:  # a one-site read is the window of that site
+        assert seq(lo) == got[0] and type(seq(lo)) is complex
 
 
 def test_grids_wider_than_one_kernel_pass(make_periodic):
@@ -517,11 +546,11 @@ def test_lane_blocks_read_alpha_once_per_block():
     calls = []
     qp = C.quasiperiodic_seq(0.5, 0.3819660112501051, 0.25)
 
-    def fn_array(n):
+    def fn(n):
         calls.append(n.shape)
-        return qp.fn_array(n)
+        return qp.fn(n)
 
-    seq = C.CoefficientSequence(fn=qp.fn, sup_norm_bound=0.5, fn_array=fn_array)
+    seq = C.CoefficientSequence(fn=fn, sup_norm_bound=0.5)
     n = 3 * 20_000 + 7
     T.lyapunov(seq, np.exp(1j * np.arange(64) * TWO_PI / 64), n_steps=n)
     lanes = T._POINTS // 64
@@ -535,9 +564,9 @@ def test_lane_blocks_read_alpha_once_per_block():
 
 @pytest.mark.parametrize("name", sorted(SEQUENCES))
 def test_window_reads_an_array_of_sites(name):
-    seq = SEQUENCES[name]
+    seq, formula = SEQUENCES[name]
     sites = np.array([[-7, 0, 3], [12, -7, 1001]])
     got = seq.window(sites)
     assert got.dtype == complex and got.shape == sites.shape
-    np.testing.assert_array_equal(got, [[seq(int(n)) for n in row] for row in sites])
+    np.testing.assert_array_equal(got, [[formula(int(n)) for n in row] for row in sites])
     assert seq.window(np.arange(5, 5)).shape == (0,)

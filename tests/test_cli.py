@@ -642,7 +642,7 @@ def test_sequence_kind_missing_field_is_named(tmp_path, capsys, spec, field):
 
 
 def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
-    from cmvlab import cli, qwalk
+    from cmvlab import coefficients, qwalk
 
     gammas = [[0.3, 0.4], [-0.5, 0.1], [0.0, 0.7], [0.6, -0.6]]
     cfg = write_config(tmp_path, "w.json", {
@@ -655,7 +655,7 @@ def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
 
     # the reference evolves every record time from t = 0 on its own
     vals = [complex(re, im) for re, im in gammas]
-    coins = qwalk.cgmv_coins(lambda n: vals[n % 4], period=4)
+    coins = qwalk.cgmv_coins(coefficients.periodic_table_seq(vals))
     state0 = qwalk.WalkState.delta(2, "-")
     walk = qwalk.build_walk(coins, (state0.n_lo, state0.n_hi))
     dist = ["# manifest: manifest.json", "t,n,p_plus,p_minus"]
@@ -683,7 +683,7 @@ def _walk_config(tmp_path):
 
 def test_walk_report_diagnostics_match_the_distribution(tmp_path, monkeypatch):
     # coins grown by 1e-13 plant a norm drift of about 2e-13 per step, far
-    # above rounding and far below the 1e-9 per step tolerance
+    # above rounding and, after 300 steps, below the 1e-10 bound
     from cmvlab import qwalk
 
     columns = qwalk._coin_columns
@@ -697,8 +697,8 @@ def test_walk_report_diagnostics_match_the_distribution(tmp_path, monkeypatch):
     drift = {t: abs(math.fsum(float(r[2]) + float(r[3]) for r in rows if int(r[0]) == t) - 1)
              for t in (0, 100, 120, 300)}
     assert [d["t"] for d in diag["norm_drift"]] == [0, 100, 120, 300]
-    # each checkpoint's evolve call is held to 1e-9 per step it made
-    assert [d["tol"] for d in diag["norm_drift"]] == [1e-9 * n for n in (0, 100, 20, 180)]
+    # every state, each checkpoint's included, is held to 1e-10 from 1
+    assert [d["tol"] for d in diag["norm_drift"]] == [1e-10] * 4
     for d in diag["norm_drift"]:
         # the written p sum within rounding of up to 601 terms to evolve's
         assert d["value"] == pytest.approx(drift[d["t"]], abs=1e-13)
@@ -707,6 +707,20 @@ def test_walk_report_diagnostics_match_the_distribution(tmp_path, monkeypatch):
     worst = max(ratio, key=ratio.get)
     assert diag["max_norm_drift_ratio"]["t"] == worst
     assert diag["max_norm_drift_ratio"]["value"] == pytest.approx(ratio[worst], rel=1e-2)
+
+
+def test_walk_drift_past_the_state_bound_exits_3(tmp_path, capsys, monkeypatch):
+    # coins grown by 1e-12 drift norm^2 by about 6e-10 in 300 Hadamard steps:
+    # past the 1e-10 that every state must meet, within 1e-9 per step
+    from cmvlab import qwalk
+
+    columns = qwalk._coin_columns
+    monkeypatch.setattr(qwalk, "_coin_columns", lambda table: columns(table) * (1 + 1e-12))
+    cfg = write_config(tmp_path, "w.json", {"coins": {"kind": "hadamard"}, "steps": 300})
+    out = tmp_path / "out"
+    assert main(["walk", "--config", cfg, "--out", str(out)]) == 3
+    assert "norm drifted" in capsys.readouterr().err
+    assert not (out / "walk_report.json").exists()
 
 
 def test_walk_planted_drift_exits_3(tmp_path, capsys, monkeypatch):

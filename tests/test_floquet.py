@@ -54,7 +54,7 @@ def test_blocks_validations():
     s3 = C.periodize(s, 3)
     with pytest.raises(ValueError):
         F.floquet_blocks(s3, 4, 0.0)
-    raw = C.CoefficientSequence(fn=lambda n: 0j, sup_norm_bound=0.0)
+    raw = C.CoefficientSequence(fn=lambda n: np.zeros(n.shape, complex), sup_norm_bound=0.0)
     with pytest.raises(ValueError):
         F.floquet_blocks(raw, 2, 0.0)
 

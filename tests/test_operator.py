@@ -227,7 +227,7 @@ def test_norm_diff_window_validation():
     s = C.periodize(C.constant_seq(0.2), 4)
     with pytest.raises(ValueError):
         O.norm_diff(s, s, 6)  # not a multiple of the common period
-    raw = C.CoefficientSequence(fn=lambda n: 0.0j, sup_norm_bound=0.0)
+    raw = C.CoefficientSequence(fn=lambda n: np.zeros(n.shape, complex), sup_norm_bound=0.0)
     with pytest.raises(ValueError):
         O.norm_diff(raw, s, 8)
 

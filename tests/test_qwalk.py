@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cmvlab import coefficients as C
+from cmvlab import operator as O
 from cmvlab import qwalk as Q
 from cmvlab.errors import CoinGaugeError
 
@@ -54,13 +56,14 @@ def test_walk_names_the_first_non_unitary_interior_coin(bad_site, residual):
     h = Q.hadamard_coins()(0)
 
     def fn(n):
-        return h * (1.0 + residual) if n in (bad_site, 6) else h
+        return np.where(np.isin(n, (bad_site, 6))[..., None, None], h * (1.0 + residual), h)
 
     coins = Q.CoinSequence(fn=fn)
     with pytest.raises(ValueError, match=f"coin at site {bad_site} is not unitary"):
         Q.build_walk(coins, (-5, 8))
     # a residual of 1e-14 passes, and the stored table is the coins read once
-    ok = Q.CoinSequence(fn=lambda n: h * (1.0 + 5e-15) if n == bad_site else h)
+    ok = Q.CoinSequence(fn=lambda n: np.where((n == bad_site)[..., None, None],
+                                              h * (1.0 + 5e-15), h))
     walk = Q.build_walk(ok, (-5, 8))
     assert walk.table.shape == (14, 2, 2)
     assert np.array_equal(walk.table[bad_site + 5], ok(bad_site))
@@ -69,7 +72,7 @@ def test_walk_names_the_first_non_unitary_interior_coin(bad_site, residual):
 def _cgmv_period(p):
     gammas = [0.7 * cmath.exp(2j * math.pi * (0.37 * k + 0.1)) * (k + 1) / (p + 1)
               for k in range(p)]
-    return gammas, Q.cgmv_coins(lambda n: gammas[n % p], period=p)
+    return gammas, Q.cgmv_coins(C.periodic_table_seq(gammas))
 
 
 @pytest.mark.parametrize("window", [(-7, 9), (-11, 3), (-3, -2), (4, 4), (-2, 0)])
@@ -80,25 +83,50 @@ def test_coin_table_tiles_one_period(window, period):
     reads = []
 
     def fn(n):
-        reads.append(n)
+        reads.append(n.tolist())
         return coins(n)
 
     n_lo, n_hi = window
     per_site = np.stack([coins(n) for n in range(n_lo, n_hi + 1)])
     walk = Q.build_walk(Q.CoinSequence(fn=fn, period=period), window)
     np.testing.assert_array_equal(walk.table, per_site)
-    assert reads == list(range(n_lo, n_lo + min(period, n_hi - n_lo + 1)))
-    # without period metadata every site is read
+    # one read of one period
+    assert reads == [list(range(n_lo, n_lo + min(period, n_hi - n_lo + 1)))]
+    # without period metadata every site is read, in the same one call
     reads.clear()
     walk = Q.build_walk(Q.CoinSequence(fn=fn), window)
     np.testing.assert_array_equal(walk.table, per_site)
-    assert reads == list(range(n_lo, n_hi + 1))
+    assert reads == [list(range(n_lo, n_hi + 1))]
+
+
+def _cgmv_formula(g):
+    """The coin [[rho, -g], [conj(g), rho]] of one gauge parameter, by math."""
+    rho = math.sqrt(1.0 - abs(g) ** 2)
+    return np.array([[rho, -g], [g.conjugate(), rho]], dtype=complex)
+
+
+def test_quasiperiodic_coins_are_read_in_one_window_call():
+    qp, calls = C.quasiperiodic_seq(0.6, 0.6180339887498949, 0.1), []
+
+    def fn(n):
+        calls.append(n.shape)
+        return qp.fn(n)
+
+    # the 131 075 sites of a walk of t = 65 536 steps from a delta start
+    gamma = C.CoefficientSequence(fn=fn, sup_norm_bound=0.6)
+    walk = Q.build_walk(Q.cgmv_coins(gamma), (-65537, 65537))
+    assert calls == [(131_075,)]
+    assert walk.table.shape == (131_075, 2, 2)
+    sites = np.random.default_rng(5).integers(-65537, 65538, size=200)
+    per_site = [_cgmv_formula(0.6 * cmath.exp(2j * math.pi * (n * 0.6180339887498949 + 0.1)))
+                for n in sites.tolist()]
+    np.testing.assert_array_equal(walk.table[sites + 65537], per_site)
 
 
 @pytest.mark.parametrize("n_lo", [-9, -4, 0, 2])
 def test_periodic_coins_name_the_first_bad_site_in_the_window(n_lo):
     h = Q.hadamard_coins()(0)
-    coins = Q.CoinSequence(fn=lambda n: h * 1.5 if n % 4 == 1 else h, period=4)
+    coins = Q.table_coins([h, h * 1.5, h, h])
     first = next(n for n in range(n_lo, n_lo + 4) if n % 4 == 1)
     with pytest.raises(ValueError, match=f"coin at site {first} is not unitary"):
         Q.build_walk(coins, (n_lo, n_lo + 10))
@@ -108,6 +136,24 @@ def test_periodic_coins_name_the_first_bad_site_in_the_window(n_lo):
 @pytest.mark.parametrize("period", [1, 2, 3, 4, 5])
 def test_evolve_is_t_public_steps_on_the_padded_state(rng, period, t):
     _, coins = _cgmv_period(period)
+    amp = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    st = Q.WalkState(n_lo=-3, amplitudes=amp / np.sqrt(np.sum(np.abs(amp) ** 2)))
+    got = Q.evolve(st, Q.build_walk(coins, (st.n_lo, st.n_hi)), t)
+
+    pad = t + 1
+    padded = np.zeros((5 + 2 * pad, 2), dtype=complex)
+    padded[pad:-pad] = st.amplitudes
+    ref = Q.WalkState(n_lo=st.n_lo - pad, amplitudes=padded)
+    walk = Q.build_walk(coins, (ref.n_lo, ref.n_hi))
+    for _ in range(t):
+        ref = walk.step(ref)
+    assert (got.n_lo, got.n_hi) == (ref.n_lo, ref.n_hi)
+    assert np.array_equal(got.amplitudes, ref.amplitudes)
+
+
+@pytest.mark.parametrize("t", [1, 2, 17, 64])
+def test_evolve_with_quasiperiodic_coins_is_t_public_steps(rng, t):
+    coins = Q.cgmv_coins(C.quasiperiodic_seq(0.8, 0.6180339887498949, 0.3))
     amp = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
     st = Q.WalkState(n_lo=-3, amplitudes=amp / np.sqrt(np.sum(np.abs(amp) ** 2)))
     got = Q.evolve(st, Q.build_walk(coins, (st.n_lo, st.n_hi)), t)
@@ -137,7 +183,7 @@ def _chain_state(seed, width, n_lo, empty):
 def _random_coins(seed, period):
     g = np.random.default_rng(seed + 1)
     gammas = 0.9 * np.sqrt(g.random(period)) * np.exp(2j * math.pi * g.random(period))
-    return Q.cgmv_coins(lambda n: gammas[n % period], period=period)
+    return Q.cgmv_coins(C.periodic_table_seq(gammas))
 
 
 _CHAIN_STATES = dict(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 8),
@@ -275,19 +321,32 @@ def test_to_cmv_identity_coins_is_free():
     assert all(rep.seq(m) == 0 for m in range(-8, 9))
 
 
+def _dense(ab):
+    """The n x n matrix of a cyclic (5, n) banded form: row 2 + d holds (j + d mod n, j)."""
+    n = ab.shape[1]
+    out = np.zeros((n, n), dtype=complex)
+    for d in range(-2, 3):
+        np.add.at(out, ((np.arange(n) + d) % n, np.arange(n)), ab[2 + d])
+    return out
+
+
 def test_to_cmv_bandwidth():
     rep = Q.to_cmv(Q.identity_coins(), window=(-4, 3))
-    n = rep.matrix.shape[0]
+    U = Q.build_walk(Q.identity_coins(), (-4, 3)).matrix()
+    n = U.shape[0]
     i, j = np.indices((n, n))
     dist = np.minimum(np.abs(i - j), n - np.abs(i - j))
-    assert np.max(np.abs(rep.matrix[dist > 2])) == 0.0
+    assert np.max(np.abs(U[dist > 2])) == 0.0
+    # the banded form holds the whole transposed walk window
+    assert rep.matrix.shape == (5, n)
+    np.testing.assert_array_equal(_dense(rep.matrix), U.T)
 
 
 def test_to_cmv_round_trip_random(rng):
     for _ in range(50):
         p = int(rng.integers(1, 5))
         gs = 0.7 * rng.random(p) * np.exp(2j * math.pi * rng.random(p))
-        coins = Q.cgmv_coins(lambda n, gs=gs, p=p: gs[n % p], period=p)
+        coins = Q.cgmv_coins(C.periodic_table_seq(gs))
         rep = Q.to_cmv(coins, window=(-4, 5))
         assert rep.residual < 1e-12
         assert rep.seq.period == 2 * p
@@ -298,19 +357,62 @@ def test_to_cmv_round_trip_random(rng):
 
 def test_to_cmv_any_window_parity(rng):
     gs = 0.6 * rng.random(3) * np.exp(2j * math.pi * rng.random(3))
-    coins = Q.cgmv_coins(lambda n: gs[n % 3], period=3)
+    coins = Q.cgmv_coins(C.periodic_table_seq(gs))
     for win in [(-7, 4), (0, 2), (-3, -1), (5, 20)]:
         assert Q.to_cmv(coins, window=win).residual < 1e-13
 
 
+_TO_CMV_WINDOWS = [(-7, 4), (0, 2), (-3, -1), (5, 20), (-6, -5), (1, 2), (-9, 0)]
+
+
+def _dense_residual(coins, window, seq):
+    """The dense oracle: the cyclic walk matrix, transposed, against the CMV
+    window that assemble_cmv builds from seq shifted to the window's first
+    flat index 2 n_lo + 1."""
+    walk = Q.build_walk(coins, window)
+    ref = O.assemble_cmv(O.shift_seq(seq, 2 * window[0] + 1), 0, 2 * walk.width).entries
+    return float(np.max(np.abs(walk.matrix().T - ref)))
+
+
+@pytest.mark.parametrize("kind", ["period_3", "quasiperiodic"])
+@pytest.mark.parametrize("window", _TO_CMV_WINDOWS)
+def test_to_cmv_banded_check_agrees_with_the_dense_oracle(rng, kind, window):
+    # odd and even n_lo and widths, negative n_lo, two-site windows
+    if kind == "period_3":
+        gamma = C.periodic_table_seq(0.6 * rng.random(3) * np.exp(2j * math.pi * rng.random(3)))
+    else:
+        gamma = C.quasiperiodic_seq(0.7, 0.6180339887498949, 0.2)
+    coins = Q.cgmv_coins(gamma)
+    rep = Q.to_cmv(coins, window=window)
+    np.testing.assert_array_equal(_dense(rep.matrix), Q.build_walk(coins, window).matrix().T)
+    dense = _dense_residual(coins, window, rep.seq)
+    assert dense < 1e-13
+    assert abs(rep.residual - dense) <= 1e-15
+
+
+def test_to_cmv_on_quasiperiodic_gamma():
+    g = C.quasiperiodic_seq(0.7, 0.6180339887498949, 0.2)
+    coins = Q.cgmv_coins(g)
+    rep = Q.to_cmv(coins, window=(-40, 87))
+    assert rep.residual <= 1e-13
+    assert rep.residual == _dense_residual(coins, (-40, 87), rep.seq)
+    assert rep.seq.period is None
+    # alpha_hat_{2n+1} = gamma_n and alpha_hat_{2n} = 0, by the explicit index rule
+    m = np.arange(-301, 300)
+    want = [0j if k % 2 == 0
+            else 0.7 * cmath.exp(2j * math.pi * ((k - 1) // 2 * 0.6180339887498949 + 0.2))
+            for k in m.tolist()]
+    np.testing.assert_array_equal(rep.seq.window(m), want)
+    # a wide window costs O(W)
+    assert Q.to_cmv(coins, window=(-2048, 2047)).residual <= 1e-13
+
+
 def test_to_cmv_reports_offending_site():
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-
-    def fn(n):
-        return h if n == 3 else np.eye(2)
+    table = [h if n == 3 else np.eye(2) for n in range(8)]
 
     with pytest.raises(CoinGaugeError) as err:
-        Q.to_cmv(Q.CoinSequence(fn=fn), window=(0, 7))
+        Q.to_cmv(Q.table_coins(table), window=(0, 7))
     assert err.value.site == 3
 
 

@@ -124,7 +124,7 @@ def test_lyapunov_constant_band_small():
 
 def test_lyapunov_birkhoff_matches_exact():
     exact_seq = C.constant_seq(0.5)
-    raw = C.CoefficientSequence(fn=lambda n: 0.5 + 0j, sup_norm_bound=0.5)
+    raw = C.CoefficientSequence(fn=lambda n: np.full(n.shape, 0.5 + 0j), sup_norm_bound=0.5)
     for th in (0.1, 2.0):
         ex = T.lyapunov(exact_seq, unit(th))
         bk = T.lyapunov(raw, unit(th), n_steps=100_000)
@@ -132,7 +132,7 @@ def test_lyapunov_birkhoff_matches_exact():
 
 
 def test_lyapunov_validations():
-    raw = C.CoefficientSequence(fn=lambda n: 0j, sup_norm_bound=0.0)
+    raw = C.CoefficientSequence(fn=lambda n: np.zeros(n.shape, complex), sup_norm_bound=0.0)
     with pytest.raises(ValueError):
         T.lyapunov(raw, 0.5)
     with pytest.raises(ValueError):
