@@ -34,7 +34,8 @@ class CoefficientSequence:
     """A map n -> alpha_n into the open unit disk, read over arrays of sites.
 
     ``fn`` takes an integer array of sites and returns alpha at each site,
-    with the array's shape; ``window`` is the one way to read it.
+    with the array's shape; ``window`` is the one way to read it and refuses
+    any other shape.
     ``sup_norm_bound`` certifies sup_n |alpha_n| <= sup_norm_bound < 1.
     ``period``, when set, promises alpha_{n + period} == alpha_n exactly.
     """
@@ -66,7 +67,10 @@ class CoefficientSequence:
         The result has the shape of the sites read.
         """
         sites = np.arange(lo, hi) if hi is not None else np.asarray(lo)
-        return np.asarray(self.fn(sites), dtype=complex)
+        out = np.asarray(self.fn(sites), dtype=complex)
+        if out.shape != sites.shape:
+            raise ValueError(f"sequence map must return shape {sites.shape}, got {out.shape}")
+        return out
 
 
 def constant_seq(a: complex) -> CoefficientSequence:

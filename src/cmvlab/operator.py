@@ -131,11 +131,13 @@ def assemble_cmv(seq: CoefficientSequence, offset: int, dim: int) -> BandedUnita
 def sieve(seq: CoefficientSequence) -> CoefficientSequence:
     """Interleave zeros: result(2j) = 0 and result(2j-1) = seq(j); a period
     p becomes 2p."""
-    return CoefficientSequence(
-        fn=lambda m: np.where(m % 2 == 0, 0j, seq.window((m + 1) // 2)),
-        sup_norm_bound=seq.sup_norm_bound,
-        period=None if seq.period is None else 2 * seq.period,
-    )
+    def fn(m: np.ndarray) -> np.ndarray:
+        out, odd = np.zeros(m.shape, dtype=complex), m % 2 != 0
+        out[odd] = seq.window((m[odd] + 1) // 2)  # seq is read at odd sites only
+        return out
+
+    period = None if seq.period is None else 2 * seq.period
+    return CoefficientSequence(fn=fn, sup_norm_bound=seq.sup_norm_bound, period=period)
 
 
 def shift_seq(seq: CoefficientSequence, by: int) -> CoefficientSequence:

@@ -86,8 +86,8 @@ class CoinSequence:
     """A map from integer sites to 2x2 coins, read over arrays of sites.
 
     ``fn`` takes an integer array of sites and returns their coins with
-    shape sites.shape + (2, 2).  ``period``, when set, promises that the
-    coins repeat with it.
+    shape sites.shape + (2, 2); a call refuses any other shape.
+    ``period``, when set, promises that the coins repeat with it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -95,7 +95,23 @@ class CoinSequence:
 
     def __call__(self, n) -> np.ndarray:
         """The coins at the integer site, or integer array of sites, n."""
-        return np.asarray(self.fn(np.asarray(n)), dtype=complex)
+        n = np.asarray(n)
+        q = np.asarray(self.fn(n), dtype=complex)
+        if q.shape != n.shape + (2, 2):
+            raise ValueError(f"coin map must return shape {n.shape + (2, 2)}, got {q.shape}")
+        return q
+
+
+def _unitary(q: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """The coins q (..., 2, 2) at ``sites``, each checked unitary to 1e-13
+    (NaN fails); ValueError names the first site that is not."""
+    res = np.ravel(np.max(np.abs(q @ q.conj().swapaxes(-1, -2) - np.eye(2)), axis=(-2, -1)))
+    bad = np.flatnonzero(~(res <= _UNITARY_TOL))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"coin at site {int(np.ravel(sites)[j])} is not unitary "
+                         f"(residual {res[j]:.2e})")
+    return q
 
 
 def table_coins(table) -> CoinSequence:
@@ -201,14 +217,8 @@ class WalkOperator:
         # one read: over one period from n_lo, tiled, for periodic coins
         W = self.n_hi - self.n_lo + 1
         p = min(self.coins.period or W, W)
-        one = self.coins(np.arange(self.n_lo, self.n_lo + p))
-        res = np.max(np.abs(one @ one.conj().swapaxes(1, 2) - np.eye(2)),
-                     axis=(1, 2))
-        bad = np.flatnonzero(~(res <= _UNITARY_TOL))  # NaN fails
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(f"coin at site {self.n_lo + j} is not unitary "
-                             f"(residual {res[j]:.2e})")
+        sites = np.arange(self.n_lo, self.n_lo + p)
+        one = _unitary(self.coins(sites), sites)
         table = one[np.arange(W) % p]
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
@@ -397,17 +407,18 @@ def to_cmv(
 
     The coefficients are alpha_hat = shift_seq(sieve(gamma), -2), that is
     alpha_hat_{2n+1} = gamma_n and alpha_hat_{2n} = 0, where gamma_n =
-    conj(Q_n[1, 0]) is read from the coins and checked for the gauge form
-    at every site read.  The correspondence is verified on the window in
-    O(W): the walk's cyclic window, transposed and in banded form, must
-    match entry by entry the periodic-wrap CMV window of alpha_hat.
+    conj(Q_n[1, 0]) is read from the coins, each checked for unitarity and
+    the gauge form at every site read.  The correspondence is verified on
+    the window in O(W): the walk's cyclic window, transposed and in banded
+    form, must match entry by entry the periodic-wrap CMV window of
+    alpha_hat.
     """
     n_lo, n_hi = int(window[0]), int(window[1])
     if n_hi <= n_lo:
         raise ValueError("window must contain at least two sites")
     walk = build_walk(coins, (n_lo, n_hi))
     bound = float(np.max(np.abs(_gauge_gammas(walk.table, np.arange(n_lo, n_hi + 1)))))
-    gamma = CoefficientSequence(fn=lambda n: _gauge_gammas(coins(n), n),
+    gamma = CoefficientSequence(fn=lambda n: _gauge_gammas(_unitary(coins(n), n), n),
                                 sup_norm_bound=min(bound, 1.0 - 1e-15), period=coins.period)
     seq = shift_seq(sieve(gamma), -2)
     lo = 2 * n_lo + 1  # the flat index of (n_lo, +)

@@ -121,6 +121,29 @@ def test_pt_eta_criterion_default_family():
         assert vals[-1] < 1e-6
 
 
+def test_pt_long_period_stages_equal_the_scalar_sum_bit_for_bit():
+    # periods 49 152 .. 196 608, past 2^15; base 0 so each cos bit shows
+    amps, q0 = [0.3, 0.15], 3 * 2 ** 14
+    fam = C.pastur_tkachenko_family(0.0, decay=lambda n: amps[n], q0=q0, levels=2)
+    periods = fam.periods()
+    for n, stage in enumerate(fam.stages):
+        vals = []
+        for j in range(periods[n]):
+            v = 0.0
+            for m in range(n):
+                v += amps[m] * math.cos(2.0 * math.pi * j / periods[m + 1])
+            vals.append(v)
+        got = stage.window(0, periods[n])
+        assert np.array_equal(got.real.view(np.int64), np.array(vals).view(np.int64))
+        assert not got.imag.any()
+
+
+def test_sequence_map_of_the_wrong_shape_is_refused():
+    seq = C.CoefficientSequence(fn=lambda n: 0.2 + 0j, sup_norm_bound=0.2)
+    with pytest.raises(ValueError, match=r"sequence map must return shape \(5,\), got \(\)"):
+        seq.window(0, 5)
+
+
 def test_pt_rejects_bad_parameters():
     with pytest.raises(ValueError):
         C.pastur_tkachenko_family(0.1, q0=3)

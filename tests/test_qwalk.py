@@ -416,6 +416,24 @@ def test_to_cmv_reports_offending_site():
     assert err.value.site == 3
 
 
+def test_to_cmv_refuses_a_non_unitary_coin_read_outside_the_window():
+    # site 3 has the gauge form with rho^2 + |g|^2 = 0.5: only the window
+    # (sites 0, 1) is checked at construction, every later read is checked too
+    table = [np.eye(2), np.eye(2), np.eye(2), [[0.5, -0.5], [0.5, 0.5]]]
+    rep = Q.to_cmv(Q.table_coins(table), window=(0, 1))
+    assert rep.seq(5) == 0
+    with pytest.raises(ValueError, match="coin at site 3 is not unitary"):
+        rep.seq(7)  # alpha_hat_{2n+1} = gamma_n at n = 3
+    with pytest.raises(ValueError, match="coin at site -1 is not unitary"):
+        rep.seq.window(-4, 4)
+
+
+def test_coin_map_of_the_wrong_shape_is_refused():
+    coins = Q.CoinSequence(fn=lambda n: np.eye(2))
+    with pytest.raises(ValueError, match=r"coin map must return shape \(3, 2, 2\)"):
+        coins(np.arange(3))
+
+
 def test_scattering_surrogate_decreasing():
     st = Q.WalkState.delta(0, "+")
     walk = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi))

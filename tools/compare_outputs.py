@@ -1,11 +1,11 @@
 """Compare the CLI outputs of two cmvlab source trees on the same configs.
 
-    python tools/compare_outputs.py OLD_TREE NEW_TREE [--seeds 3 11] [--work DIR]
+    python tools/compare_outputs.py OLD_TREE NEW_TREE [--work DIR]
 
 Each tree is a checkout holding ``src/cmvlab`` (for example the parent commit,
 exported with ``git archive`` into a scratch directory, and this one).  The
 jobs are every ``perfbench.workloads.make_jobs`` job of every workload at each
-seed, plus the example configs of README.md.  Each tree runs all of them
+of ``SEEDS``, plus the example configs of README.md.  Each tree runs all of them
 through ``cmvlab.cli.main`` in one fresh interpreter; then, per job, the exit
 codes are compared and, per output file, the script prints "identical" or the
 largest numeric difference.  Numbers are compared where the two files agree
@@ -28,6 +28,8 @@ sys.path.insert(0, ROOT)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from perfbench.workloads import WORKLOADS, make_jobs  # noqa: E402
+
+SEEDS = (3, 11)
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN|-?inf|nan")
 
@@ -59,9 +61,9 @@ def readme_configs() -> list[tuple[str, str, dict]]:
     return out
 
 
-def all_jobs(seeds: list[int]) -> list[tuple[str, str, dict]]:
+def all_jobs() -> list[tuple[str, str, dict]]:
     jobs = [(f"{w}-s{seed}-{job.name}", job.command, job.config)
-            for seed in seeds for w in WORKLOADS for job in make_jobs(w, seed)]
+            for seed in SEEDS for w in WORKLOADS for job in make_jobs(w, seed)]
     return jobs + readme_configs()
 
 
@@ -95,13 +97,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_tree")
     parser.add_argument("new_tree")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[3, 11])
     parser.add_argument("--work", help="directory for configs and outputs (default: a new temp dir)")
     args = parser.parse_args(argv)
     work = args.work or tempfile.mkdtemp(prefix="compare_outputs_")
     os.makedirs(os.path.join(work, "configs"), exist_ok=True)
 
-    jobs = all_jobs(args.seeds)
+    jobs = all_jobs()
     for name, _, cfg in jobs:
         with open(os.path.join(work, "configs", f"{name}.json"), "w") as fh:
             json.dump(cfg, fh, indent=1, sort_keys=True)
