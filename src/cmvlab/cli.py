@@ -145,7 +145,7 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     # velocities are read, so memory stays O(q^2) whatever k_points is
     z = np.empty((k_points, q), dtype=complex)
     dz = np.empty((k_points, q), dtype=complex)
-    poles = floquet._poles(seq, q, ks)  # one eigvals per pole interval, not per block
+    poles = floquet._poles(seq, q, ks)  # once per run, not once per block
     with floquet.certificates() as worst:
         for b in range(0, k_points, floquet._K_BLOCK):
             blk = ks[b:b + floquet._K_BLOCK]

@@ -15,10 +15,14 @@ The pairs (z_n(k), u_n) come from a Hermitian problem: for a pole p on the
 circle outside the spectrum, the Cayley transform i (pI - E)^{-1} (pI + E)
 of the unitary E = E_q(k) is Hermitian with E's eigenvectors and eigenvalue
 -cot(beta/2) for each z = p e^{i beta}, and z is read back as u* E u.  The
-pole is chosen from k alone (the widest eigenvalue gap at the centre of one
-of eight intervals of (0, pi/q)), and the residual ||E u - z u||, which for
-a normal E bounds the distance from z to the spectrum, certifies each pair
-whatever the pole.  Band edges come from the general eigensolver.
+pole is chosen from k alone: at the centre of each of eight intervals of
+(0, pi/q), the eigenvalues of the Hermitian part (E + E*)/2 are the cosines
+of E's eigenangles, one stacked ``eigvalsh`` for all intervals, and the pole
+exp(i arccos c), c the midpoint of the widest gap of [-1, cosines, 1], lies
+at least 1/(q + 1) in angle from every eigenvalue.  The residual
+||E u - z u||, which for a normal E bounds the distance from z to the
+spectrum, certifies each pair whatever the pole.  Band edges come from the
+general eigensolver.
 
 Bands are alternatively characterized by the discriminant: z belongs to the
 spectrum iff the (real) monodromy trace lies in [-2, 2], and eigenvalues of
@@ -133,21 +137,29 @@ def _note(name: str, values: np.ndarray, tol: float, where, smallest: bool = Fal
 
 def _poles(seq: CoefficientSequence, q: int, k: np.ndarray) -> np.ndarray:
     """The Cayley pole of each k, chosen from k alone: (0, pi/q) is cut into
-    _POLE_INTERVALS equal intervals, and the pole of an interval is the
-    midpoint of the widest gap between the eigenvalues of E_q at its centre.
-    That gap spans at least 2 pi / q, and across the interval every
-    eigenvalue moves by at most ||E_q(k) - E_q(k')|| (Bhatia-Davis); a pole
-    that the spectrum reaches all the same shows in the residuals."""
+    _POLE_INTERVALS equal intervals, and the pole of an interval comes from
+    the cosines cos(theta) of the eigenvalues of E_q at its centre, the
+    eigenvalues of the Hermitian part (E + E*)/2 of the unitary E, all
+    intervals in one stacked ``eigvalsh``.  With c the midpoint of the widest
+    gap of [-1, cosines, 1], at least 2/(q + 1) wide, the pole is
+    exp(i arccos c); cos is 1-Lipschitz, so the pole lies at least 1/(q + 1)
+    in angle from every eigenvalue and its conjugate.  Across the interval
+    every eigenvalue moves by at most ||E_q(k) - E_q(k')|| (Bhatia-Davis); a
+    pole that the spectrum reaches all the same shows in the residuals."""
     width = math.pi / q / _POLE_INTERVALS
-    interval = np.minimum(k // width, _POLE_INTERVALS - 1)
-    poles = np.empty(k.size, dtype=complex)
-    for j in np.unique(interval):
-        L, M = floquet_blocks(seq, q, (j + 0.5) * width)
-        t = np.sort(np.angle(np.linalg.eigvals(L @ M)) % TWO_PI)
-        gaps = np.diff(t, append=t[0] + TWO_PI)
-        g = np.argmax(gaps)
-        poles[interval == j] = np.exp(1j * (t[g] + 0.5 * gaps[g]))
-    return poles
+    interval = np.minimum(k // width, _POLE_INTERVALS - 1).astype(np.intp)
+    touched = np.flatnonzero(np.bincount(interval, minlength=_POLE_INTERVALS))
+    L, M = floquet_blocks(seq, q, (touched + 0.5) * width)
+    E = np.matmul(L, M, out=M)
+    E += np.conjugate(E.swapaxes(-1, -2))  # E + E*, Hermitian to the last bit
+    c = np.clip(0.5 * np.linalg.eigvalsh(E), -1.0, 1.0)  # ascending
+    ends = np.ones((touched.size, 1))
+    t = np.concatenate([-ends, c, ends], axis=-1)
+    g = np.argmax(np.diff(t, axis=-1), axis=-1)
+    rows = np.arange(touched.size)
+    poles = np.empty(_POLE_INTERVALS, dtype=complex)
+    poles[touched] = np.exp(1j * np.arccos(0.5 * (t[rows, g] + t[rows, g + 1])))
+    return poles[interval]
 
 
 def _cayley_eigenpairs(E: np.ndarray, p: np.ndarray
@@ -193,8 +205,9 @@ def band_eigens(
     v = L_q^* u (K, q, q) with pair n in column n.
 
     The pairs come from the Hermitian Cayley transform of E_q(k) about a pole
-    chosen from k alone (``_poles``), so each k gets the same bits however
-    the k are batched; a caller that cuts one k grid into several calls
+    chosen from k alone (``_poles``: at least 1/(q + 1) in angle from the
+    spectrum at the centre of its k interval), so each k gets the same bits
+    however the k are batched; a caller that cuts one k grid into several calls
     passes ``poles``, the grid's ``_poles`` at these k, so that each pole
     interval's eigenproblem is solved once.  Every residual ||E u - z u|| is
     checked against 1e-10: for the normal E it bounds the distance from z to

@@ -373,25 +373,12 @@ def arcs_from_grid(
     if not np.any(below):
         return CircleArcSet.empty()
     n = angles.size
-    # cyclic runs of marked points
-    arcs = []
-    start = None
-    first_run_wraps = below[0] and below[-1]
-    for i in range(n):
-        if below[i] and start is None:
-            start = i
-        if start is not None and (i == n - 1 or not below[i + 1]):
-            if below[i]:
-                arcs.append((start, i))
-                start = None
-    if first_run_wraps and len(arcs) >= 2:
-        s_last, e_last = arcs.pop()
-        s_first, e_first = arcs.pop(0)
-        arcs.append((s_last, e_first + n))
-    out = []
-    for s, e in arcs:
-        lo = angles[s % n]
-        hi = angles[e % n] + (TWO_PI if e >= n else 0.0)
-        out.append((lo, hi))
-    return CircleArcSet.from_arcs(out)
+    # runs [start, end] of marked points, from the edges of the padded mask
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], below, [False]])))
+    start, end = edges[0::2], edges[1::2] - 1
+    if below[0] and below[-1]:  # the last run wraps into the first
+        start = np.append(start[1:-1], start[-1])
+        end = np.append(end[1:-1], end[0] + n)
+    hi = angles[end % n] + np.where(end >= n, TWO_PI, 0.0)
+    return CircleArcSet.from_arcs(np.column_stack([angles[start], hi]))
 

@@ -73,48 +73,62 @@ class CaratheodoryValue:
         _check_sign(np.asarray(self.value.real), self.side)
 
 
-def _halfline_values(
-    seq: CoefficientSequence, k: int, z: np.ndarray, dim: int, side: str
-) -> np.ndarray:
-    """<delta_k, (E + z)(E - z)^{-1} delta_k> on one half-line window.
+def _schur(a: np.ndarray, z: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The backward Schur recursion f <- (a_j + z f) / (1 + conj(a_j) z f) of
+    R rows at once: row r runs over the parameters a[r] (R, n) in order, from
+    its start f[r] (R, P), at the points z (P,)."""
+    for aj, aj_bar in zip(a.T[:, :, None], a.conj().T[:, :, None]):
+        zf = z * f
+        f = (aj + zf) / (1.0 + aj_bar * zf)
+    return f
+
+
+def _halfline_values(seq: CoefficientSequence, bases, z: np.ndarray, dim: int) -> np.ndarray:
+    """<delta_k, (E + z)(E - z)^{-1} delta_k> on the half-line windows of dim
+    and 2 dim sites at each (k, side) of ``bases``: rows 2 s and 2 s + 1 of
+    the result (2 S, P) for base s, over the 1-d array z.
 
     By Geronimus' theorem the window's Schur parameters at the base site are
     its coefficients read away from the cut: alpha_k, alpha_{k+1}, ... on the
     right and conj(alpha_{k-1}), conj(alpha_{k-2}), ... on the left.  The far
-    cut -1 starts the backward Schur recursion at f = -1, run over the whole
-    1-d array z, and the value is F = (1 + z f) / (1 - z f).
+    cut -1 starts the backward Schur recursion at f = -1, and the value is
+    F = (1 + z f) / (1 - z f).  The two windows share the dim - 1 parameters
+    nearest the base: the dim that only the long window reads run first, one
+    row per base, and then the shared ones run on two rows per base, started
+    from -1 and from that far result.
     """
-    if side == "plus":
-        a = seq.window(k, k + dim - 1)[::-1]
-    else:
-        a = seq.window(k - dim + 1, k).conj()
-    f = np.full(z.shape, -1.0 + 0j)
-    for aj, aj_bar in zip(a.tolist(), a.conj().tolist()):
-        zf = z * f
-        f = (aj + zf) / (1.0 + aj_bar * zf)
+    a = np.stack([seq.window(k, k + 2 * dim - 1)[::-1] if side == "plus"
+                  else seq.window(k - 2 * dim + 1, k).conj() for k, side in bases])
+    cut = np.full((len(bases), z.size), -1.0 + 0j)
+    far = _schur(a[:, :dim], z, cut)
+    start = np.stack([cut, far], axis=1).reshape(-1, z.size)  # per base: -1, then far
+    f = _schur(np.repeat(a[:, dim:], 2, axis=0), z, start)
     zf = z * f
     return (1.0 + zf) / (1.0 - zf)
 
 
-def _weyl_values(seq, k, z, dim, side) -> np.ndarray:
-    """Certified m_plus or (sign-flipped) m_minus values at a 1-d array z."""
+def _weyl_values(seq, bases, z, dim) -> list[np.ndarray]:
+    """Certified m_plus or (sign-flipped) m_minus values at a 1-d array z, one
+    array for each (k, side) of ``bases``, checked in their order."""
     if np.any(np.abs(z) >= 1.0 - _EDGE_MARGIN):
         raise ValueError(f"|z| must be below 1 - 1e-6, got {np.abs(z).max()}")
     if dim < 4:
         raise ValueError(f"dim must be at least 4, got {dim}")
-    v1 = _halfline_values(seq, k, z, dim, side)
-    v2 = _halfline_values(seq, k, z, 2 * dim, side)
-    moved = np.abs(v1 - v2)
-    unstable = moved >= _STABILITY_TOL
-    if np.any(unstable):
-        raise TruncationInstabilityError(
-            f"half-line value moved {moved[unstable].max():.2e} when doubling the "
-            f"window (dim {dim} -> {2 * dim}); move z away from the circle "
-            "or enlarge dim"
-        )
-    val = -v1 if side == "minus" else v1
-    _check_sign(val.real, side)
-    return val
+    v = _halfline_values(seq, bases, z, dim)
+    out = []
+    for (_, side), v1, v2 in zip(bases, v[0::2], v[1::2]):
+        moved = np.abs(v1 - v2)
+        unstable = moved >= _STABILITY_TOL
+        if np.any(unstable):
+            raise TruncationInstabilityError(
+                f"half-line value moved {moved[unstable].max():.2e} when doubling the "
+                f"window (dim {dim} -> {2 * dim}); move z away from the circle "
+                "or enlarge dim"
+            )
+        val = -v1 if side == "minus" else v1
+        _check_sign(val.real, side)
+        out.append(val)
+    return out
 
 
 def m_plus(
@@ -122,7 +136,7 @@ def m_plus(
 ) -> CaratheodoryValue:
     """Weyl coefficient of the right half-line based at site k."""
     z = complex(z)
-    val = _weyl_values(seq, k, np.array([z]), dim, "plus")[0]
+    val = _weyl_values(seq, [(k, "plus")], np.array([z]), dim)[0][0]
     return CaratheodoryValue(z=z, value=complex(val), side="plus", base_site=k,
                              truncation_dim=dim)
 
@@ -132,7 +146,7 @@ def m_minus(
 ) -> CaratheodoryValue:
     """Weyl coefficient of the left half-line based at site k (sign-flipped)."""
     z = complex(z)
-    val = _weyl_values(seq, k, np.array([z]), dim, "minus")[0]
+    val = _weyl_values(seq, [(k, "minus")], np.array([z]), dim)[0][0]
     return CaratheodoryValue(z=z, value=complex(val), side="minus", base_site=k,
                              truncation_dim=dim)
 
@@ -155,14 +169,15 @@ def M_coefficients(seq: CoefficientSequence, k: int, z, dim: int = 512):
     """The pair (M_plus, M_minus) at (z, k).
 
     z is a scalar (complex pair out) or a 1-d array (two arrays out); the
-    four half-line windows are built once for all points.
+    four half-line windows (each side at dim and 2 dim sites) are one stacked
+    Schur recursion over all points.
     """
     zs = np.asarray(z, dtype=complex)
     if zs.ndim > 1:
         raise ValueError(f"z must be a scalar or a 1-d array, got shape {zs.shape}")
     pts = zs.reshape(-1)
-    mp = _weyl_values(seq, k - 1, pts, dim, "plus")
-    mm = _m_minus_to_M(complex(seq(k)), _weyl_values(seq, k - 2, pts, dim, "minus"))
+    mp, m2 = _weyl_values(seq, [(k - 1, "plus"), (k - 2, "minus")], pts, dim)
+    mm = _m_minus_to_M(complex(seq(k)), m2)
     if zs.ndim == 0:
         return complex(mp[0]), complex(mm[0])
     return mp, mm

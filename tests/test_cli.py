@@ -191,16 +191,26 @@ def test_bands_exits_3_when_the_pole_sits_on_the_spectrum(tmp_path, capsys, monk
 
 @pytest.mark.parametrize("k_points", [64, 100])
 def test_bands_solves_one_pole_eigenproblem_per_interval(tmp_path, monkeypatch, k_points):
-    # 8 pole intervals need 8 eigvals calls, however the k blocks of 8 fall
-    # across them (100 k made 19 when each block chose its own poles)
+    # the 8 pole intervals share one stacked Hermitian eigvalsh, however the
+    # k blocks of 8 fall across them, and no general eigensolver picks a pole
+    # (100 k made 19 eigvals calls when each block chose its own poles)
     from cmvlab import floquet
 
-    calls = []
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    calls = {"eigvals": [], "eigvalsh": []}
+
+    def spy(name):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            calls[name].append(a.shape)
+            return solver(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    spy("eigvals")
+    spy("eigvalsh")
     cfg, _ = _bands_config(tmp_path, 32, k_points)
     assert main(["bands", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert calls == [(32, 32)] * floquet._POLE_INTERVALS
+    assert calls == {"eigvals": [], "eigvalsh": [(floquet._POLE_INTERVALS, 32, 32)]}
 
 
 def test_bands_rejects_odd_q(tmp_path, capsys):
@@ -522,8 +532,17 @@ import cmvlab.cli
 print(json.dumps([cmvlab.cli.main(argv) for argv in json.loads(sys.argv[1])]))
 """
 
+NUMPY_MA_RUN = """
+import json, sys
+import cmvlab.cli
+codes = [cmvlab.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
 
-def test_cli_runs_without_scipy(tmp_path):
+
+def run_every_command_fresh(tmp_path, script):
+    """Run each subcommand once on a tiny config in one fresh interpreter
+    that executes ``script``; returns the last line it prints, parsed."""
     import cmvlab
     from cmvlab.cli import _COMMANDS
 
@@ -544,10 +563,21 @@ def test_cli_runs_without_scipy(tmp_path):
              "--out", str(tmp_path / cmd)] for cmd, cfg in configs.items()]
     src = str(Path(cmvlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, json.dumps(runs)],
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout.splitlines()[-1]) == [0] * len(runs), out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    assert run_every_command_fresh(tmp_path, NO_SCIPY_RUN) == [0] * 6
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma costs ~15 ms of import; np.unique without return_* flags
+    # pulls it in through np.ma.is_masked
+    assert run_every_command_fresh(tmp_path, NUMPY_MA_RUN) == {
+        "codes": [0] * 6, "numpy.ma": False}
 
 
 @pytest.mark.parametrize("k", [3, 10, -1])

@@ -553,3 +553,33 @@ def test_strong_long_tables_are_accepted(seed):
     # refused by a discriminant certificate of the edges (imaginary traces
     # 2.5e-8 and 1.5e-5), although every eigenpair residual is ~1e-14
     assert_edges_match_30_digits(_random_table(seed, 64, 0.95), 64)
+
+
+@st.composite
+def pole_problems(draw):
+    """A random table whose period divides an even q <= 64, and up to 16
+    random k inside (0, pi/q)."""
+    q = 2 * draw(st.integers(1, 32))
+    period = draw(st.sampled_from([d for d in range(1, q + 1) if q % d == 0]))
+    values = draw(st.lists(disk95, min_size=period, max_size=period))
+    ks = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       min_size=1, max_size=16))
+    return C.periodic_table_seq(values), q, np.array(ks) * (math.pi / q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=pole_problems())
+def test_each_pole_keeps_its_margin_from_the_spectrum_at_its_interval_centre(problem):
+    # the widest of the q + 1 gaps of [-1, cosines, 1] is at least 2/(q + 1)
+    # wide and cos is 1-Lipschitz, so the pole sits at least 1/(q + 1) in
+    # angle from every eigenvalue of E_q at the centre, and from its conjugate
+    seq, q, ks = problem
+    poles = F._poles(seq, q, ks)
+    width = math.pi / q / F._POLE_INTERVALS
+    centres = (np.minimum(ks // width, F._POLE_INTERVALS - 1) + 0.5) * width
+    L, M = F.floquet_blocks(seq, q, centres)
+    w = np.linalg.eigvals(L @ M)
+    w = np.concatenate([w, w.conj()], axis=-1)
+    assert np.all(np.abs(np.abs(poles) - 1.0) <= 1e-15)
+    margin = np.abs(np.angle(w * poles[:, None].conj()))
+    assert margin.min() >= 1.0 / (q + 1) - 1e-12

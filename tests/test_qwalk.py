@@ -428,6 +428,28 @@ def test_to_cmv_refuses_a_non_unitary_coin_read_outside_the_window():
         rep.seq.window(-4, 4)
 
 
+def test_to_cmv_bound_of_periodic_coins_covers_one_full_period():
+    # the window (sites 0, 1) misses gamma_2 = 0.95; one period reads it
+    rep = Q.to_cmv(Q.cgmv_coins(C.periodic_table_seq([0.1, 0.2, 0.95])), window=(0, 1))
+    assert rep.seq.sup_norm_bound == 0.95
+    assert np.max(np.abs(rep.seq.window(-12, 12))) == 0.95
+
+
+def test_to_cmv_refuses_a_gamma_read_above_its_bound():
+    # without a period the bound is the window's (0.1), and gamma_5 = 0.9
+    # lies beyond it: alpha_hat_11 = gamma_5 is refused, not returned
+    gamma = C.CoefficientSequence(fn=lambda n: np.where(n >= 5, 0.9, 0.1) + 0j,
+                                  sup_norm_bound=0.9)
+    rep = Q.to_cmv(Q.cgmv_coins(gamma), window=(0, 3))
+    assert rep.seq.sup_norm_bound == 0.1
+    assert np.max(np.abs(rep.seq.window(-20, 10))) == 0.1
+    with pytest.raises(ValueError,
+                       match="gamma at site 5 has modulus 0.9 above the certified bound 0.1"):
+        rep.seq.window(0, 12)
+    with pytest.raises(ValueError, match="gamma at site 5"):
+        rep.seq(11)
+
+
 def test_coin_map_of_the_wrong_shape_is_refused():
     coins = Q.CoinSequence(fn=lambda n: np.eye(2))
     with pytest.raises(ValueError, match=r"coin map must return shape \(3, 2, 2\)"):

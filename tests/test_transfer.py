@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmvlab import coefficients as C
 from cmvlab import operator as O
 from cmvlab import transfer as T
-from cmvlab.spectral_sets import TWO_PI
+from cmvlab.spectral_sets import TWO_PI, CircleArcSet
 
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -215,6 +217,75 @@ def test_arcs_from_grid_isolated_point():
     arcs = T.arcs_from_grid(angles, values, 0.5)
     assert arcs.measure() == 0.0
     assert arcs.contains(angles[3])
+
+
+def arcs_from_grid_loop(angles, values, eps_L):
+    """The per-point loop that ``arcs_from_grid`` replaced, kept as its
+    reference: cyclic runs of marked points, the last joined to the first
+    when both ends of the grid are marked."""
+    angles = np.asarray(angles, dtype=float)
+    below = np.asarray(values, dtype=float) < eps_L
+    if np.all(below):
+        return CircleArcSet.full_circle()
+    if not np.any(below):
+        return CircleArcSet.empty()
+    n = angles.size
+    arcs = []
+    start = None
+    first_run_wraps = below[0] and below[-1]
+    for i in range(n):
+        if below[i] and start is None:
+            start = i
+        if start is not None and (i == n - 1 or not below[i + 1]):
+            if below[i]:
+                arcs.append((start, i))
+                start = None
+    if first_run_wraps and len(arcs) >= 2:
+        s_last, e_last = arcs.pop()
+        s_first, e_first = arcs.pop(0)
+        arcs.append((s_last, e_first + n))
+    out = []
+    for s, e in arcs:
+        lo = angles[s % n]
+        hi = angles[e % n] + (TWO_PI if e >= n else 0.0)
+        out.append((lo, hi))
+    return CircleArcSet.from_arcs(out)
+
+
+@st.composite
+def grid_masks(draw):
+    """A sorted grid of angles in [0, 2 pi) and a mask of its points: random,
+    all or none marked, single points, alternating, or runs that wrap."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "all", "none", "single", "alternating", "wrap"]))
+    if kind == "random":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    elif kind == "single":
+        mask = np.zeros(n, dtype=bool)
+        mask[draw(st.integers(0, n - 1))] = True
+    elif kind == "alternating":
+        mask = np.arange(n) % 2 == draw(st.integers(0, 1))
+    elif kind == "wrap":
+        head, tail = draw(st.integers(1, n)), draw(st.integers(1, n))
+        mask = (np.arange(n) < head) | (np.arange(n) >= n - tail)
+        mask[draw(st.integers(0, n - 1))] = False
+    else:
+        mask = np.full(n, kind == "all")
+    jitter = draw(st.floats(0.0, 0.9))
+    angles = (np.arange(n) + jitter) * (TWO_PI / n)
+    return angles, np.where(mask, 0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=grid_masks())
+@example(grid=(np.arange(8) * TWO_PI / 8, np.array([0.0, 0, 1, 1, 1, 1, 1, 0])))
+@example(grid=(np.arange(5) * TWO_PI / 5, np.array([0.0, 1, 0, 1, 0])))
+def test_arcs_from_grid_equals_the_loop_bit_for_bit(grid):
+    angles, values = grid
+    got = T.arcs_from_grid(angles, values, 0.5).arcs
+    want = arcs_from_grid_loop(angles, values, 0.5).arcs
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_step_determinants(make_periodic, rng):

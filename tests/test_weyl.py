@@ -204,10 +204,59 @@ disk_tables = st.lists(
 def test_schur_recursion_matches_banded_solve(side, parity, seq, half_k, r, turns):
     k = 2 * half_k + parity
     z = r * np.exp(2j * math.pi * np.array(turns))
-    got = W._halfline_values(seq, k, z, 128, side)
+    got = W._halfline_values(seq, [(k, side)], z, 128)[0]
     want = np.array([_halfline_oracle(seq, k, zi, 128, side) for zi in z])
     # the resolvent at distance 1 - r from the spectrum amplifies rounding
     assert np.max(np.abs(got - want)) <= 128 * np.finfo(float).eps * r * (1 + r) / (1 - r) ** 2
+
+
+def _halfline_loop(seq, k, z, dim, side):
+    """The per-window backward Schur recursion that the stacked one replaced,
+    kept as its oracle: one window of dim sites, started from the cut -1."""
+    if side == "plus":
+        a = seq.window(k, k + dim - 1)[::-1]
+    else:
+        a = seq.window(k - dim + 1, k).conj()
+    f = np.full(z.shape, -1.0 + 0j)
+    for aj, aj_bar in zip(a.tolist(), a.conj().tolist()):
+        zf = z * f
+        f = (aj + zf) / (1.0 + aj_bar * zf)
+    zf = z * f
+    return (1.0 + zf) / (1.0 - zf)
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+sequences = st.one_of(
+    disk_tables,
+    st.builds(C.quasiperiodic_seq, st.floats(0.0, 0.95), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seq=sequences, k=st.integers(-5, 5), dim=st.sampled_from([4, 5, 64, 512]),
+       r=st.floats(0.0, 0.9), turns=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_stacked_schur_recursion_equals_the_per_window_one_bit_for_bit(seq, k, dim, r, turns):
+    z = r * np.exp(2j * math.pi * np.array(turns))
+    bases = [(k - 1, "plus"), (k - 2, "minus"), (k, "minus"), (k + 3, "plus")]
+    got = W._halfline_values(seq, bases, z, dim)
+    for s, (base, side) in enumerate(bases):
+        assert np.array_equal(bits(got[2 * s]), bits(_halfline_loop(seq, base, z, dim, side)))
+        assert np.array_equal(bits(got[2 * s + 1]),
+                              bits(_halfline_loop(seq, base, z, 2 * dim, side)))
+    try:
+        mp, mm = W.M_coefficients(seq, k, z, dim)
+    except (TruncationInstabilityError, WeylDenominatorError):
+        return
+    assert np.array_equal(bits(mp), bits(_halfline_loop(seq, k - 1, z, dim, "plus")))
+    m2 = -_halfline_loop(seq, k - 2, z, dim, "minus")
+    assert np.array_equal(bits(mm), bits(W._m_minus_to_M(complex(seq(k)), m2)))
+    # m_plus and m_minus take the same path with one row and one point
+    one = [(W.m_plus(seq, k - 1, zi, dim).value, W.m_minus(seq, k - 2, zi, dim).value)
+           for zi in z.tolist()]
+    assert np.array_equal(bits(np.array(one)), bits(np.column_stack([mp, m2])))
 
 
 def test_batched_M_coefficients_scalar_in_scalar_out(make_periodic):
