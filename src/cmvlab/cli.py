@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical-stability error.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -291,20 +290,10 @@ def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     S = CircleArcSet.full_circle() if arcs == "full" else CircleArcSet.from_arcs(arcs)
 
     angles = S.sample(cfg["samples"])
-    points = [(th, r) for r in cfg["r_values"] for th in angles]
-    z = np.array([r * cmath.exp(1j * th) for th, r in points])
-    # r e^{i theta} may round |z| up past r; where that reaches the solver's
-    # bound (r itself lies below it), step the point back to modulus <= r
-    near = np.abs(z) >= 1.0 - weyl._EDGE_MARGIN
-    rs = np.array([r for _, r in points])
-    while np.any(near):
-        z.real[near] = np.nextafter(z.real[near], 0.0)
-        z.imag[near] = np.nextafter(z.imag[near], 0.0)
-        near &= np.abs(z) > rs
-    mp, mm = weyl.M_coefficients(seq, cfg["k"], z, cfg["dim"])
-    defect = np.abs(mp + mm.conj())
-    _write_csv(manifest, out_dir, "weyl_defect.csv",
-               {"theta": [th for th, _ in points], "r": rs, "defect": defect})
+    thetas = [th for _ in cfg["r_values"] for th in angles]
+    rs = [r for r in cfg["r_values"] for _ in angles]
+    defect = weyl._defects(seq, cfg["k"], thetas, rs, cfg["dim"])
+    _write_csv(manifest, out_dir, "weyl_defect.csv", {"theta": thetas, "r": rs, "defect": defect})
 
 
 _RANDOM_PERIODIC = {"q": (_as_int, 4, *_at_least(1)), "radius": (_as_float, 0.5, *_UNIT)}

@@ -6,6 +6,10 @@ differences and the preimage under the double cover z -> z^2.  Degenerate
 (width zero) arcs are allowed so that finite eigenvalue clouds can be compared
 with band sets.
 
+A set is one sorted (n, 2) array of arcs; every operation is a sort or an
+``np.searchsorted`` pass over it, O((n + m) log(n + m)) for sets of n and m
+arcs.  Gaps narrower than ``_MERGE_TOL`` are fused.
+
 All values are immutable; operations return new sets.
 """
 
@@ -19,62 +23,69 @@ import numpy as np
 
 from .operator import BandedUnitary
 
-__all__ = [
-    "CircleArcSet",
-    "spectral_variation_check",
-    "TWO_PI",
-]
+__all__ = ["CircleArcSet", "spectral_variation_check", "TWO_PI"]
 
 TWO_PI = 2.0 * math.pi
 _MERGE_TOL = 1e-12  # endpoint tolerance below which arcs fuse
 
 
-def _canonical(raw: Iterable[tuple[float, float]]) -> np.ndarray:
-    segs = []
-    for lo, hi in raw:
-        lo = float(lo)
-        hi = float(hi)
-        if hi < lo:
-            raise ValueError(f"arc endpoints out of order: [{lo}, {hi}]")
-        width = hi - lo
-        if width >= TWO_PI - _MERGE_TOL:
-            return np.array([[0.0, TWO_PI]])
-        lo = lo % TWO_PI
-        hi = lo + width
-        if hi > TWO_PI:
-            segs.append([lo, TWO_PI])
-            segs.append([0.0, hi - TWO_PI])
-        else:
-            segs.append([lo, hi])
-    if not segs:
+def _canonical(arcs: np.ndarray) -> np.ndarray:
+    """Sorted, merged arcs of the (n, 2) array ``arcs``; see CircleArcSet."""
+    lo, hi = arcs.T
+    width = hi - lo
+    # the first arc, in input order, that is reversed or as wide as the circle
+    # decides between the refusal and the full circle
+    stop = np.flatnonzero((hi < lo) | (width >= TWO_PI - _MERGE_TOL))
+    if stop.size:
+        i = stop[0]
+        if hi[i] < lo[i]:
+            raise ValueError(f"arc endpoints out of order: [{float(lo[i])}, {float(hi[i])}]")
+        return np.array([[0.0, TWO_PI]])
+    lo = lo % TWO_PI
+    hi = lo + width
+    wrap = hi > TWO_PI  # split past 2*pi: [lo, 2*pi] and [0, hi - 2*pi]
+    lo = np.concatenate([lo, np.zeros(np.count_nonzero(wrap))])
+    hi = np.concatenate([np.minimum(hi, TWO_PI), hi[wrap] - TWO_PI])
+    if lo.size == 0:
         return np.zeros((0, 2))
-    segs.sort()
-    merged = [segs[0][:]]
-    for lo, hi in segs[1:]:
-        if lo <= merged[-1][1] + _MERGE_TOL:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    # a group starts at an arc beginning past the reach of every earlier arc
+    reach = np.maximum.accumulate(hi)
+    start = np.flatnonzero(lo > np.append(-np.inf, reach[:-1] + _MERGE_TOL))
+    lo, hi = lo[start], reach[np.append(start[1:], lo.size) - 1]
     # rejoin across the 0 / 2*pi cut
-    if len(merged) >= 2 and merged[-1][1] >= TWO_PI - _MERGE_TOL \
-            and merged[0][0] <= _MERGE_TOL:
-        first = merged.pop(0)
-        merged[-1][1] = TWO_PI + first[1]
-    total = sum(h - l for l, h in merged)
+    if lo.size >= 2 and hi[-1] >= TWO_PI - _MERGE_TOL and lo[0] <= _MERGE_TOL:
+        hi[-1] = TWO_PI + hi[0]
+        lo, hi = lo[1:], hi[1:]
+    total = sum((hi - lo).tolist())  # left to right, as the arcs are read
     if total >= TWO_PI - _MERGE_TOL:
         return np.array([[0.0, TWO_PI]])
-    return np.array(merged)
+    return np.column_stack([lo, hi])
 
 
-def _ang_gap(a: float, b: float) -> float:
-    """Angular distance between two angles, in [0, pi]."""
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+def _covers(arcs: np.ndarray, angles, tol: float) -> np.ndarray:
+    """Whether each angle lies within tol of the canonical ``arcs``: lo and hi
+    both ascend, so the one candidate arc for x is the last with lo - tol <= x,
+    at x = angle mod 2*pi and one turn further (the wrap arc)."""
+    t = np.mod(angles, TWO_PI)
+    lo = arcs[:, 0] - tol
+    hi = np.append(arcs[:, 1] + tol, -np.inf)  # index -1: no candidate arc
+    return np.any([x <= hi[np.searchsorted(lo, x, side="right") - 1]
+                   for x in (t, t + TWO_PI)], axis=0)
 
 
-def _chord(ang: float) -> float:
-    """Chordal distance corresponding to an angular separation."""
-    return 2.0 * math.sin(min(ang, math.pi) / 2.0)
+def _ang_distance(arcs: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Angular distance, in [0, pi], from each angle t to the nonempty canonical
+    ``arcs``: 0 inside an arc, else to the nearest endpoint e.  On each side of
+    t, d = |t - e| is monotone in e even after rounding, and min(d, 2*pi - d) is
+    least at the least or the greatest d: at a neighbour of t or an extreme e."""
+    t = np.mod(angles, TWO_PI)
+    ends = np.sort(np.concatenate([arcs[:, 0], arcs[:, 1] % TWO_PI]))
+    j = np.searchsorted(ends, t, side="right")
+    near = np.clip([j - 1, j, 0 * j, 0 * j + ends.size], 0, ends.size - 1)
+    d = np.abs(t - ends[near]) % TWO_PI
+    return np.where(_covers(arcs, t, 0.0), 0.0, np.minimum(d, TWO_PI - d).min(axis=0))
 
 
 @dataclass(frozen=True)
@@ -88,8 +99,7 @@ class CircleArcSet:
     arcs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.arcs, dtype=float).reshape(-1, 2)
-        arr = _canonical(arr)
+        arr = _canonical(np.asarray(self.arcs, dtype=float).reshape(-1, 2))
         arr.flags.writeable = False
         object.__setattr__(self, "arcs", arr)
 
@@ -97,11 +107,11 @@ class CircleArcSet:
 
     @classmethod
     def from_arcs(cls, arcs: Iterable[tuple[float, float]]) -> "CircleArcSet":
-        return cls(np.asarray(list(arcs), dtype=float).reshape(-1, 2))
+        return cls(arcs)
 
     @classmethod
     def from_points(cls, angles: Sequence[float]) -> "CircleArcSet":
-        return cls.from_arcs([(float(a), float(a)) for a in angles])
+        return cls(np.stack([angles, angles], axis=-1))
 
     @classmethod
     def full_circle(cls) -> "CircleArcSet":
@@ -120,55 +130,36 @@ class CircleArcSet:
         return self.arcs.shape[0] == 1 and self.arcs[0, 1] - self.arcs[0, 0] >= TWO_PI - _MERGE_TOL
 
     def contains(self, angle: float, tol: float = _MERGE_TOL) -> bool:
-        t = float(angle) % TWO_PI
-        for lo, hi in self.arcs:
-            if lo - tol <= t <= hi + tol or lo - tol <= t + TWO_PI <= hi + tol:
-                return True
-        return False
+        return bool(_covers(self.arcs, float(angle), tol))
 
     # -- measure and set algebra ---------------------------------------------
 
     def measure(self) -> float:
         """Total arc length (Lebesgue measure on the circle)."""
-        if self.is_empty():
-            return 0.0
         return float(np.sum(self.arcs[:, 1] - self.arcs[:, 0]))
 
-    def _linear(self) -> list[tuple[float, float]]:
-        """Segments on [0, 2*pi], the wrap arc split in two."""
-        out = []
-        for lo, hi in self.arcs:
-            if hi > TWO_PI:
-                out.append((lo, TWO_PI))
-                out.append((0.0, hi - TWO_PI))
-            else:
-                out.append((lo, hi))
-        out.sort()
-        return out
+    def _linear(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted disjoint segments (lo, hi) on [0, 2*pi], the wrap arc split."""
+        lo, hi = self.arcs.T
+        if hi.size and hi[-1] > TWO_PI:
+            return np.append(0.0, lo), np.concatenate([[hi[-1] - TWO_PI], hi[:-1], [TWO_PI]])
+        return lo, hi
 
     def complement(self) -> "CircleArcSet":
         if self.is_empty():
             return CircleArcSet.full_circle()
         if self.is_full():
             return CircleArcSet.empty()
-        gaps = []
-        prev = 0.0
-        for lo, hi in self._linear():
-            if lo > prev:
-                gaps.append((prev, lo))
-            prev = max(prev, hi)
-        if prev < TWO_PI:
-            gaps.append((prev, TWO_PI))
-        return CircleArcSet.from_arcs(gaps)
+        lo, hi = self._linear()
+        gaps = np.column_stack([np.append(0.0, hi), np.append(lo, TWO_PI)])
+        return CircleArcSet(gaps[gaps[:, 0] < gaps[:, 1]])
 
     def union(self, other: "CircleArcSet") -> "CircleArcSet":
         if self.is_empty():
             return other
         if other.is_empty():
             return self
-        return CircleArcSet.from_arcs(
-            [tuple(a) for a in self.arcs] + [tuple(a) for a in other.arcs]
-        )
+        return CircleArcSet(np.concatenate([self.arcs, other.arcs]))
 
     def intersection(self, other: "CircleArcSet") -> "CircleArcSet":
         if self.is_empty() or other.is_empty():
@@ -177,19 +168,16 @@ class CircleArcSet:
             return other
         if other.is_full():
             return self
-        a = self._linear()
-        b = other._linear()
-        out = []
-        for lo1, hi1 in a:
-            for lo2, hi2 in b:
-                lo = max(lo1, lo2)
-                hi = min(hi1, hi2)
-                # slivers below the endpoint tolerance are roundoff artifacts
-                if hi - lo > _MERGE_TOL:
-                    out.append((lo, hi))
-        if not out:
-            return CircleArcSet.empty()
-        return CircleArcSet.from_arcs(out)
+        (alo, ahi), (blo, bhi) = self._linear(), other._linear()
+        # segment i meets only other's segments first[i], ..., first[i] + count[i] - 1:
+        # those that end after it starts and start before it ends
+        first = np.searchsorted(bhi, alo, side="right")
+        count = np.maximum(np.searchsorted(blo, ahi, side="left") - first, 0)
+        ia = np.repeat(np.arange(alo.size), count)
+        ib = first[ia] + np.arange(ia.size) - np.repeat(np.cumsum(count) - count, count)
+        seg = np.column_stack([np.maximum(alo[ia], blo[ib]), np.minimum(ahi[ia], bhi[ib])])
+        # slivers below the endpoint tolerance are roundoff artifacts
+        return CircleArcSet(seg[seg[:, 1] - seg[:, 0] > _MERGE_TOL])
 
     def difference(self, other: "CircleArcSet") -> "CircleArcSet":
         return self.intersection(other.complement())
@@ -200,50 +188,28 @@ class CircleArcSet:
 
     # -- metric operations -----------------------------------------------------
 
-    def _point_ang_distance(self, angle: float) -> float:
-        if self.is_empty():
-            return math.pi
-        t = float(angle) % TWO_PI
-        best = math.pi
-        for lo, hi in self.arcs:
-            for tt in (t, t + TWO_PI):
-                if lo <= tt <= hi:
-                    return 0.0
-            best = min(best, _ang_gap(t, lo), _ang_gap(t, hi % TWO_PI))
-        return best
-
     def hausdorff(self, other: "CircleArcSet") -> float:
         """Hausdorff distance in the chordal metric; inf if either set is empty."""
         if self.is_empty() or other.is_empty():
             return math.inf
         d = max(self._directed_ang(other), other._directed_ang(self))
-        return _chord(d)
+        return 2.0 * math.sin(d / 2.0)
 
     def _directed_ang(self, other: "CircleArcSet") -> float:
         """sup over points of self of the angular distance to other."""
         if other.is_full():
             return 0.0
-        best = 0.0
-        for lo, hi in self.arcs:
-            best = max(best, other._point_ang_distance(lo))
-            best = max(best, other._point_ang_distance(hi % TWO_PI))
         # deepest points of self inside the gaps of other; strict containment,
         # since a gap narrower than the merge tolerance is still a gap
-        for glo, ghi in other.complement().arcs:
-            mid = 0.5 * (glo + ghi)
-            if self.contains(mid, tol=0.0):
-                best = max(best, other._point_ang_distance(mid))
-        return best
+        mids = other.complement().arcs.mean(axis=1)
+        mids = mids[_covers(self.arcs, mids, 0.0)]
+        pts = np.concatenate([self.arcs[:, 0], self.arcs[:, 1] % TWO_PI, mids])
+        return float(_ang_distance(other.arcs, pts).max(initial=0.0))
 
     def preimage_double(self) -> "CircleArcSet":
         """Preimage under z -> z^2: two half-scale copies, measure preserved."""
-        if self.is_empty():
-            return CircleArcSet.empty()
-        out = []
-        for lo, hi in self.arcs:
-            out.append((lo / 2.0, hi / 2.0))
-            out.append((lo / 2.0 + math.pi, hi / 2.0 + math.pi))
-        return CircleArcSet.from_arcs(out)
+        half = self.arcs / 2.0
+        return CircleArcSet(np.concatenate([half, half + math.pi]))
 
     def sample(self, n: int) -> list[float]:
         """n angles spread over the arcs proportionally to arc length."""
@@ -251,29 +217,23 @@ class CircleArcSet:
             raise ValueError(f"n must be positive, got {n}")
         if self.is_empty():
             raise ValueError("cannot sample an empty set")
+        lo, hi = self.arcs.T
         total = self.measure()
         if total == 0.0:  # pure point set: cycle through the points
-            pts = [float(lo) for lo, _ in self.arcs]
-            return [pts[i % len(pts)] for i in range(n)]
-        targets = [(i + 0.5) / n * total for i in range(n)]
-        out = []
-        acc = 0.0
-        ti = 0
-        for lo, hi in self.arcs:
-            width = hi - lo
-            while ti < n and targets[ti] <= acc + width:
-                out.append(float(lo + (targets[ti] - acc)))
-                ti += 1
-            acc += width
-        while ti < n:  # guard against roundoff at the last endpoint
-            out.append(float(self.arcs[-1][1]))
-            ti += 1
-        return out
+            return lo[np.arange(n) % lo.size].tolist()
+        targets = (np.arange(n) + 0.5) / n * total
+        reach = np.cumsum(hi - lo)
+        acc = np.append(0.0, reach[:-1])
+        k = np.searchsorted(reach, targets)  # first arc reaching each target
+        kk = np.minimum(k, lo.size - 1)
+        out = lo[kk] + (targets - acc[kk])
+        out[k == lo.size] = hi[-1]  # roundoff can leave targets past the end
+        return out.tolist()
 
     # -- export -------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"arcs": [[float(lo), float(hi)] for lo, hi in self.arcs]}
+        return {"arcs": self.arcs.tolist()}
 
 
 def spectral_variation_check(U: BandedUnitary, V: BandedUnitary) -> dict:

@@ -202,6 +202,23 @@ def reflectionless_defect(
         raise ValueError(f"samples must be at least 16, got {samples}")
     if S.is_empty():
         raise ValueError("sample set is empty")
-    z = np.array([r * cmath.exp(1j * th) for th in S.sample(samples)])
+    angles = S.sample(samples)
+    return float(np.max(_defects(seq, k, angles, [r] * len(angles), dim)))
+
+
+def _defects(seq: CoefficientSequence, k: int, angles, radii, dim: int) -> np.ndarray:
+    """|M_plus + conj(M_minus)| at each point r e^{i theta} of the paired
+    ``angles`` and ``radii``.
+
+    r e^{i theta} may round |z| up past r; where that reaches the solver's
+    bound (r itself lies below it), the point steps back to modulus <= r.
+    """
+    z = np.array([r * cmath.exp(1j * th) for th, r in zip(angles, radii)])
+    rs = np.asarray(radii, dtype=float)
+    near = np.abs(z) >= 1.0 - _EDGE_MARGIN
+    while np.any(near):
+        z.real[near] = np.nextafter(z.real[near], 0.0)
+        z.imag[near] = np.nextafter(z.imag[near], 0.0)
+        near &= np.abs(z) > rs
     mp, mm = M_coefficients(seq, k, z, dim)
-    return float(np.max(np.abs(mp + mm.conj())))
+    return np.abs(mp + mm.conj())

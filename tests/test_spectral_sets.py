@@ -1,9 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from spectral_sets_reference import CircleArcSet as RefSet
 
 from cmvlab import coefficients as C
+from cmvlab import floquet as F
 from cmvlab import operator as O
 from cmvlab.spectral_sets import TWO_PI, CircleArcSet, spectral_variation_check
 
@@ -222,3 +227,131 @@ def test_sample_spreads_proportionally():
     assert all(s.contains(a, tol=1e-12) for a in angles)
     with pytest.raises(ValueError):
         CircleArcSet.empty().sample(4)
+
+
+# -- bitwise oracle: the per-arc loop implementation kept in tests/ ----------
+
+TOL_GAPS = (0.0, 5e-13, 1e-12, 1.5e-12, 3e-12)  # around the 1e-12 merge tolerance
+ANGLES = st.floats(-2 * TWO_PI, 3 * TWO_PI, allow_nan=False)  # unnormalised
+WIDTHS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, TWO_PI + 1.0),
+    st.floats(-2e-12, 2e-12).map(lambda d: TWO_PI + d),  # near-full
+)
+TINY = st.one_of(st.sampled_from(TOL_GAPS), st.sampled_from(TOL_GAPS).map(lambda g: -g))
+
+
+@st.composite
+def raw_arcs(draw):
+    """Arc lists as callers pass them: empty, full or near-full, point clouds,
+    wrap and degenerate arcs, chains with gaps at the merge tolerance, arcs
+    that meet at the 0 / 2*pi cut, and now and then one arc out of order."""
+    kind = draw(st.sampled_from(["empty", "arcs", "points", "chain", "cut", "near_full"]))
+    if kind == "empty":
+        return []
+    if kind == "points":
+        return [(a, a) for a in draw(st.lists(ANGLES, min_size=1, max_size=12))]
+    if kind == "arcs":
+        arcs = [(lo, lo + w) for lo, w in draw(st.lists(st.tuples(ANGLES, WIDTHS),
+                                                         min_size=1, max_size=8))]
+    elif kind == "chain":
+        x = draw(st.one_of(ANGLES, TINY, TINY.map(lambda g: TWO_PI - g)))
+        arcs = []
+        for w, g in draw(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+                                            st.one_of(st.sampled_from(TOL_GAPS),
+                                                      st.floats(0.0, 1.0))),
+                                  min_size=1, max_size=12)):
+            arcs.append((x, x + w))
+            x = x + w + g
+    elif kind == "cut":  # arcs ending just below 2*pi and starting just above 0
+        w1, w2 = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))
+        g1, g2 = draw(TINY), draw(TINY)
+        turn = TWO_PI * draw(st.integers(-1, 1))
+        arcs = [(turn + TWO_PI - w1 - g1, turn + TWO_PI - g1), (turn + g2, turn + g2 + w2)]
+        arcs += draw(st.lists(st.tuples(ANGLES, st.floats(0.0, 1.0)).map(
+            lambda p: (p[0], p[0] + p[1])), max_size=3))
+    else:  # near_full: the circle less gaps around the merge tolerance
+        lo = draw(ANGLES)
+        cuts = sorted(draw(st.lists(st.floats(0.0, TWO_PI), min_size=1, max_size=4)))
+        edges = [lo] + [lo + c for c in cuts] + [lo + TWO_PI]
+        arcs = [(a + abs(draw(TINY)), b) for a, b in zip(edges, edges[1:])]
+    if draw(st.integers(0, 9)) == 0:  # one reversed arc: refused, or shadowed by a full one
+        i = draw(st.integers(0, len(arcs) - 1))
+        arcs[i] = (arcs[i][1] + 0.5, arcs[i][0])
+    return arcs
+
+
+def bits(x) -> tuple:
+    a = np.asarray(x, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def build(cls, raw):
+    try:
+        return cls.from_arcs(raw), None
+    except ValueError as err:
+        return None, str(err)
+
+
+def assert_same_set(new, ref):
+    assert bits(new.arcs) == bits(ref.arcs)
+
+
+def assert_same_operations(new, ref, new_t, ref_t, queries):
+    """Every set operation of (new, new_t) equals the reference's bit for bit."""
+    assert_same_set(new, ref)
+    assert bits(new.measure()) == bits(ref.measure())
+    assert bits(new.hausdorff(new_t)) == bits(ref.hausdorff(ref_t))
+    assert bits(new.diff_measure(new_t)) == bits(ref.diff_measure(ref_t))
+    for op in ("union", "intersection", "difference"):
+        assert_same_set(getattr(new, op)(new_t), getattr(ref, op)(ref_t))
+    assert_same_set(new.complement(), ref.complement())
+    assert_same_set(new.preimage_double(), ref.preimage_double())
+    assert json.dumps(new.to_json()) == json.dumps(ref.to_json())
+    for n in (1, 7, 64):
+        if ref.is_empty():
+            with pytest.raises(ValueError, match="empty"):
+                new.sample(n)
+        else:
+            assert bits(new.sample(n)) == bits(ref.sample(n))
+    for th in queries:
+        for tol in (0.0, 1e-12):
+            assert new.contains(th, tol) == ref.contains(th, tol)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_s=raw_arcs(), raw_t=raw_arcs(), extra=st.lists(ANGLES, max_size=6))
+@example(raw_s=[(1.0, 2.0), (2.0 + 1.5e-12, 3.0)], raw_t=[(0.0, 1.0), (5.5, TWO_PI)], extra=[])
+@example(raw_s=[(-1e-20, -1e-20), (0.5, 0.5)], raw_t=[(2.0, 1.0)], extra=[-1e-20])
+def test_every_operation_equals_the_loop_reference_bit_for_bit(raw_s, raw_t, extra):
+    new, err = build(CircleArcSet, raw_s)
+    ref, ref_err = build(RefSet, raw_s)
+    assert err == ref_err
+    new_t, err_t = build(CircleArcSet, raw_t)
+    ref_t, ref_err_t = build(RefSet, raw_t)
+    assert err_t == ref_err_t
+    if err is not None or err_t is not None:
+        return
+    # endpoints and their neighbours one ulp and one tolerance away
+    ends = np.concatenate([new.arcs.ravel(), new_t.arcs.ravel(), extra])
+    queries = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                              ends - 1e-12, ends + 1e-12])
+    assert_same_operations(new, ref, new_t, ref_t, queries)
+    assert_same_operations(new_t, ref_t, new, ref, [])
+
+
+def test_many_arc_spectra_equal_the_loop_reference_bit_for_bit():
+    rng = np.random.default_rng(128)
+    table = 0.5 * rng.random(256) * np.exp(2j * math.pi * rng.random(256))
+    seq = C.periodic_table_seq(table)
+    s128 = F.periodic_spectrum(C.periodize(seq, 128), 128)
+    s256 = F.periodic_spectrum(seq, 256)
+    assert len(s128.arcs) > 100 and len(s256.arcs) > 200
+    ref128, ref256 = RefSet(s128.arcs), RefSet(s256.arcs)
+    assert_same_set(s128, ref128)
+    assert_same_set(s256, ref256)
+    for a, b, ra, rb in ((s128, s256, ref128, ref256), (s256, s128, ref256, ref128)):
+        assert bits(a.hausdorff(b)) == bits(ra.hausdorff(rb))
+        assert bits(a.diff_measure(b)) == bits(ra.diff_measure(rb))
+        assert_same_set(a.intersection(b), ra.intersection(rb))

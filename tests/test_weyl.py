@@ -114,6 +114,23 @@ def test_reflectionless_defect_validations():
         W.reflectionless_defect(FREE, 0, CircleArcSet.empty(), 0.95)
 
 
+def test_reflectionless_defect_at_a_radius_just_below_the_edge_margin():
+    # r passes the r < 1 check and lies below the solver's bound 1 - 1e-6, but
+    # r e^{i theta} rounds |z| up to that bound at some angles
+    r = float(np.nextafter(1.0 - 1e-6, 0.0))
+    s = C.constant_seq(0.3)
+    # on the spectrum a 64-site window is too short this close to the
+    # circle: the doubling check refuses, not the |z| check
+    with pytest.raises(TruncationInstabilityError):
+        W.reflectionless_defect(s, 0, CircleArcSet.full_circle(), r, samples=64, dim=64)
+    # in the gap around z = 1 every point resolves
+    gap = CircleArcSet.from_arcs([(-0.3, 0.3)])
+    d = W.reflectionless_defect(s, 0, gap, r, samples=64, dim=64)
+    z = np.array([(r - 1e-12) * cmath.exp(1j * th) for th in gap.sample(64)])
+    mp, mm = W.M_coefficients(s, 0, z, dim=64)
+    assert d == pytest.approx(np.abs(mp + mm.conj()).max(), rel=1e-6)
+
+
 def test_caratheodory_value_validation():
     from cmvlab.errors import NumericalInstabilityError
 
