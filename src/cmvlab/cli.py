@@ -259,16 +259,16 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
         drifts.append({"t": t, "value": abs(state.norm2() - 1.0), "tol": qwalk._NORM_TOL})
         t_done = t
         amp = state.amplitudes
-        nz = np.flatnonzero(np.any(amp != 0, axis=1))
-        # python's complex abs: numpy's may differ in the last ulp
-        rows = [(state.n_lo + i, abs(up) ** 2, abs(dn) ** 2)
-                for i, (up, dn) in zip(nz.tolist(), amp[nz].tolist())]
-        rows = [r for r in rows if r[1] > 0 or r[2] > 0]
-        dist["t"] += [t] * len(rows)
-        for col, vals in zip(("n", "p_plus", "p_minus"), zip(*rows)):
-            dist[col] += vals
+        # |c|^2 rounded like python's abs(c) ** 2: hypot and pow, as in operator._rho
+        p = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
+        rows = np.flatnonzero(np.any(p > 0, axis=1))
+        dist["t"].append(np.full(rows.size, t))
+        dist["n"].append(state.n_lo + rows)
+        dist["p_plus"].append(p[rows, 0])
+        dist["p_minus"].append(p[rows, 1])
         surv["t"].append(t)
         surv["survival"].append(state.survival(J))
+    dist = {col: np.concatenate(parts) for col, parts in dist.items()}
     _write_csv(manifest, out_dir, "distribution.csv", dist)
     _write_csv(manifest, out_dir, "survival.csv", surv)
     worst = max((d["value"] / d["tol"], d["t"]) for d in drifts)
@@ -363,14 +363,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="CMV operator toolkit: bands, Lyapunov sweeps, "
                     "limit-periodic reports, quantum walks",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--set", action="append", default=[], metavar="KEY=JSON",
-                       help="override a config field, e.g. --set q=4")
+    parser.add_argument("command", choices=_COMMANDS, help="the pipeline to run")
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=JSON",
+                        help="override a config field, e.g. --set q=4")
     return parser
 
 

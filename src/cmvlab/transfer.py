@@ -39,6 +39,16 @@ product over a narrow grid is cut into P consecutive orbit lanes that advance
 together, one update per step for all P segments at every point; the lanes
 are then joined in site order by P - 1 products.  The first half of the lanes
 gives the estimate at a shorter orbit for free (``half_orbit_estimates``).
+
+A step's calls read every row operand forward and whole: z is tiled once per
+pass to the (P, g) shape of a row, an odd GZ step multiplies by (1, 2g) rows
+[z, z] and [1/z, 1/z], and each row is updated from the other by name, never
+through a reversed view, which would take numpy off its contiguous loops.
+Steps run in chunks that end at the next rescaling, at the snapshot or at
+the end of the block, so those tests run once per chunk, not once per step;
+a GZ chunk takes its even and odd steps in pairs.  Every element sees the
+same operations in the same order as in a step-at-a-time loop, so the
+products keep their bits.
 """
 
 from __future__ import annotations
@@ -134,24 +144,28 @@ def _advance(seq, zs, starts, length, gz, snap=0):
     """Lockstep products of ``length`` steps from each site of ``starts``.
 
     Lane p multiplies the steps at sites starts[p] ... starts[p] + length - 1;
-    GZ products run one lane.  The state x has shape (2, P, W): x[0, p] and
-    x[1, p] are the rows u and w of lane p's product, in its first column at
-    the g points of zs (Szego, W = g) or in both columns (GZ, W = 2g, column 1
-    in x[:, :, g:]).  The factors 1/rho and, after every _SCALE_EVERY-th
-    step, each (lane, point) product's largest entry (unless 0) are left out
-    of x and their logs added to the (P, g) log scales.  Returns x and the
-    log scales, then copies of both after the first ``snap`` steps.
+    GZ products run one lane from site 0, over an even number of steps.  The
+    state x has shape (2, P, W): x[0, p] and x[1, p] are the rows u and w of
+    lane p's product, in its first column at the g points of zs (Szego, W = g)
+    or in both columns (GZ, W = 2g, column 1 in x[:, :, g:]).  The factors
+    1/rho and, after every _SCALE_EVERY-th step, each (lane, point) product's
+    largest entry (unless 0) are left out of x and their logs added to the
+    (P, g) log scales.  Returns x and the log scales, then copies of both
+    after the first ``snap`` steps.
     """
     lanes, g, cols = starts.size, zs.size, 2 if gz else 1
     x = np.zeros((2, lanes, cols * g), dtype=complex)
     x[0, :, :g] = x[1, :, g:] = 1.0  # the identity, or its first column
     y = np.empty_like(x)
+    (x0, x1), (y0, y1) = x, y  # the rows u and w, as views
     if gz:  # an odd GZ step diag(1, 1/z) C diag(1, z) scales the swapped rows by z, 1/z
         t = np.empty_like(x)
-        z_odd = np.tile(np.stack([zs, 1.0 / zs])[:, None], 2)
+        z_row, z_inv_row = np.tile(zs, (1, 2)), np.tile(1.0 / zs, (1, 2))
+    else:
+        z_lanes = np.tile(zs, (lanes, 1))
     log_scale = np.zeros((lanes, g))
     x_snap = log_snap = None
-    # one window call per block: a (block, 2, P) coefficient array of <= 1 MB
+    # one window call per block: (block, P) coefficients of <= 1 MB
     block = max(1, min(_BLOCK, _BLOCK_SITES // lanes))
     for lo in range(0, length, block):
         hi = min(lo + block, length)
@@ -164,31 +178,39 @@ def _advance(seq, zs, starts, length, gz, snap=0):
         if gz:  # Szego form with alpha_n (even n) or conj(alpha_n) (odd n), rows swapped
             al = np.where(sites % 2 == 0, al, al.conj())
             coef = -np.stack([al, al.conj()], axis=1)[..., None]
-        else:
-            coef = -np.stack([al.conj(), al], axis=1)[..., None]
-        for j, c in zip(range(lo, hi), coef):
-            if not gz:  # (u, w) <- (z u - conj(a) w, w - a z u)
-                x[0] *= zs
-                np.multiply(c, x[::-1], out=y)
-                x += y
-            elif j % 2 == 0:  # (u, w) <- (w - a u, u - conj(a) w); the lane starts at site 0
-                np.multiply(c, x, out=y)
-                y += x[::-1]
-                x, y = y, x
-            else:  # (u, w) <- (z w - a u, u / z - conj(a) w)
-                np.multiply(z_odd, x[::-1], out=y)
-                np.multiply(c, x, out=t)
-                y += t
-                x, y = y, x
-            if (j + 1) % _SCALE_EVERY == 0:
+        else:  # the (P, 1) coefficients of u and w at each step
+            c_u, c_w = -al.conj()[..., None], -al[..., None]
+        # chunks of steps that end at the next rescale, the snapshot or the block end
+        j = lo
+        while j < hi:
+            end = min(hi, (j // _SCALE_EVERY + 1) * _SCALE_EVERY, snap if snap > j else hi)
+            if gz:  # chunks start at even steps and are of even length
+                for c_even, c_odd in zip(coef[j - lo:end - lo:2], coef[j - lo + 1:end - lo:2]):
+                    # (u, w) <- (w - a u, u - conj(a) w), into y
+                    np.multiply(c_even, x, out=y)
+                    y0 += x1
+                    y1 += x0
+                    # (u, w) <- (z w - a u, u / z - conj(a) w), back into x
+                    np.multiply(z_row, y1, out=x0)
+                    np.multiply(z_inv_row, y0, out=x1)
+                    np.multiply(c_odd, y, out=t)
+                    x += t
+            else:  # (u, w) <- (z u - conj(a) w, w - a z u)
+                for cu, cw in zip(c_u[j - lo:end - lo], c_w[j - lo:end - lo]):
+                    x0 *= z_lanes
+                    np.multiply(cu, x1, out=y0)
+                    np.multiply(cw, x0, out=y1)
+                    x += y
+            if end % _SCALE_EVERY == 0:
                 xs = x.reshape(2, lanes, cols, g)
                 s = np.abs(xs).max(axis=(0, 2))
                 s = np.where(s > 0, s, 1.0)
                 xs /= s[:, None]
                 log_scale += np.log(s)
-            if j + 1 == snap:
+            if end == snap:
                 x_snap = x.copy()
-                log_snap = log_scale + log_rho[:j + 1 - lo].sum(axis=0)[:, None]
+                log_snap = log_scale + log_rho[:end - lo].sum(axis=0)[:, None]
+            j = end
         log_scale += log_rho.sum(axis=0)[:, None]
     return x, log_scale, x_snap, log_snap
 

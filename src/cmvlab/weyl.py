@@ -196,8 +196,8 @@ def reflectionless_defect(
     A finite-radius surrogate for the reflectionless boundary identity;
     smaller is closer to reflectionless on S.
     """
-    if not 0.9 <= r < 1.0:
-        raise ValueError(f"r must lie in [0.9, 1), got {r}")
+    if not 0.9 <= r < 1.0 - _EDGE_MARGIN:
+        raise ValueError(f"r must lie in [0.9, 1 - 1e-6), got {r}")
     if samples < 16:
         raise ValueError(f"samples must be at least 16, got {samples}")
     if S.is_empty():

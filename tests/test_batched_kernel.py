@@ -454,6 +454,103 @@ def matmul_reference(seq, zs, n, scale_every=SCALE_EVERY):
     return np.concatenate(rates), n_half, np.concatenate(halves) if n_half else None
 
 
+def advance_reference(seq, zs, starts, length, gz, snap=0):
+    """T._advance as it was before its chunked loop: one step at a time over reversed rows.
+
+    Each step multiplies the (2, P, 1) coefficients, broadcast over the
+    points, with the reversed rows x[::-1]; the rescale and snapshot tests
+    run after every step.  Its arithmetic is the kernel's, element for
+    element, so both must give the same bits.
+    """
+    lanes, g, cols = starts.size, zs.size, 2 if gz else 1
+    x = np.zeros((2, lanes, cols * g), dtype=complex)
+    x[0, :, :g] = x[1, :, g:] = 1.0  # the identity, or its first column
+    y = np.empty_like(x)
+    if gz:  # an odd GZ step diag(1, 1/z) C diag(1, z) scales the swapped rows by z, 1/z
+        t = np.empty_like(x)
+        z_odd = np.tile(np.stack([zs, 1.0 / zs])[:, None], 2)
+    log_scale = np.zeros((lanes, g))
+    x_snap = log_snap = None
+    # one window call per block: a (block, 2, P) coefficient array of <= 1 MB
+    block = max(1, min(T._BLOCK, T._BLOCK_SITES // lanes))
+    for lo in range(0, length, block):
+        hi = min(lo + block, length)
+        sites = np.arange(lo, hi)[:, None] + starts
+        al = seq.window(sites)
+        mod = np.abs(al)
+        if not np.all(mod < 1.0):
+            raise ValueError(f"|alpha| must be < 1, got {np.nanmax(mod)}")
+        log_rho = -0.5 * np.log1p(-(al.real * al.real + al.imag * al.imag))
+        if gz:  # Szego form with alpha_n (even n) or conj(alpha_n) (odd n), rows swapped
+            al = np.where(sites % 2 == 0, al, al.conj())
+            coef = -np.stack([al, al.conj()], axis=1)[..., None]
+        else:
+            coef = -np.stack([al.conj(), al], axis=1)[..., None]
+        for j, c in zip(range(lo, hi), coef):
+            if not gz:  # (u, w) <- (z u - conj(a) w, w - a z u)
+                x[0] *= zs
+                np.multiply(c, x[::-1], out=y)
+                x += y
+            elif j % 2 == 0:  # (u, w) <- (w - a u, u - conj(a) w); the lane starts at site 0
+                np.multiply(c, x, out=y)
+                y += x[::-1]
+                x, y = y, x
+            else:  # (u, w) <- (z w - a u, u / z - conj(a) w)
+                np.multiply(z_odd, x[::-1], out=y)
+                np.multiply(c, x, out=t)
+                y += t
+                x, y = y, x
+            if (j + 1) % SCALE_EVERY == 0:
+                xs = x.reshape(2, lanes, cols, g)
+                s = np.abs(xs).max(axis=(0, 2))
+                s = np.where(s > 0, s, 1.0)
+                xs /= s[:, None]
+                log_scale += np.log(s)
+            if j + 1 == snap:
+                x_snap = x.copy()
+                log_snap = log_scale + log_rho[:j + 1 - lo].sum(axis=0)[:, None]
+        log_scale += log_rho.sum(axis=0)[:, None]
+    return x, log_scale, x_snap, log_snap
+
+
+def assert_same_bits(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# one lane over two blocks and a leftover; 32 lanes (lyapunov at 64 points);
+# 312 lanes, whose blocks of 105 steps end between rescalings
+@pytest.mark.parametrize("g, lanes, length", [
+    (1, 1, 2 * T._BLOCK + 37), (63, 1, 2 * T._BLOCK + 37), (T._POINTS, 1, T._BLOCK + 5),
+    (64, 32, 633), (1, 312, 333),
+])
+def test_birkhoff_kernel_equals_the_stepwise_reference_bitwise(g, lanes, length):
+    assert length % SCALE_EVERY and length % T._BLOCK
+    seq = C.quasiperiodic_seq(0.9, 0.3819660112501051, 0.2)
+    zs = np.exp(1j * TWO_PI * (np.arange(g) + 0.3) / g)
+    starts = np.arange(lanes) * length
+    for snap in (0, length // 2 + 1, length):  # the middle one falls inside a chunk
+        got = T._advance(seq, zs, starts, length, False, snap)
+        want = advance_reference(seq, zs, starts, length, False, snap)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("q", [2, 16, 34, 256])
+@pytest.mark.parametrize("g", [1, 63, 2049])
+def test_monodromy_equals_the_stepwise_reference_bitwise(monkeypatch, q, g):
+    seq = _radius_09_table(q)
+    rng = np.random.default_rng(q + g)  # points on and off the circle
+    zs = np.exp(1j * TWO_PI * rng.random(g)) * np.where(rng.random(g) < 0.5, 1.0,
+                                                        0.5 + rng.random(g))
+    got = T.monodromy(seq, q, zs)
+    monkeypatch.setattr(T, "_advance", advance_reference)
+    assert_same_bits(got, T.monodromy(seq, q, zs))
+
+
 @settings(max_examples=15, deadline=None)
 @given(seq=quasiperiodic, g=st.sampled_from([1, 63, 64, 2049]), n=lane_steps,
        shift=st.floats(0.0, 1.0))

@@ -1,4 +1,3 @@
-import argparse
 import cmath
 import json
 import math
@@ -703,6 +702,43 @@ def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
     assert (out / "survival.csv").read_text() == "\n".join(surv) + "\n"
 
 
+def test_walk_probabilities_round_like_python_abs_squared():
+    # |c|^2 as hypot then pow, like python's abs(c) ** 2, over the float range;
+    # np.abs(c) ** 2 and np.square round otherwise in the last bit
+    rng = np.random.default_rng(7)
+    size = 200_000
+    c = (rng.standard_normal(size) * 10.0 ** rng.uniform(-150, 150, size)
+         + 1j * rng.standard_normal(size) * 10.0 ** rng.uniform(-150, 150, size))
+    want = np.array([abs(v) ** 2 for v in c.tolist()])
+    assert np.float_power(np.hypot(c.real, c.imag), 2.0).tobytes() == want.tobytes()
+
+
+def test_walk_distribution_equals_per_amplitude_python_squares(tmp_path):
+    from cmvlab import coefficients, qwalk
+
+    rng = np.random.default_rng(5)
+    gammas = 0.8 * np.sqrt(rng.random(4)) * np.exp(2j * math.pi * rng.random(4))
+    record = [256, 512, 1024, 2048]
+    cfg = write_config(tmp_path, "w.json", {
+        "coins": {"kind": "cgmv_table", "gammas": [[g.real, g.imag] for g in gammas]},
+        "steps": 2048, "survival_J": 5, "record_times": record,
+    })
+    out = tmp_path / "out"
+    assert main(["walk", "--config", cfg, "--out", str(out)]) == 0
+
+    coins = qwalk.cgmv_coins(coefficients.periodic_table_seq(gammas))
+    state = qwalk.WalkState.delta(0, "+")
+    walk = qwalk.build_walk(coins, (state.n_lo, state.n_hi))
+    dist, t_done = ["# manifest: manifest.json", "t,n,p_plus,p_minus"], 0
+    for t in record:
+        state, t_done = qwalk.evolve(state, walk, t - t_done), t
+        for i, (up, dn) in enumerate(state.amplitudes.tolist()):
+            pp, pm = abs(up) ** 2, abs(dn) ** 2
+            if pp > 0 or pm > 0:
+                dist.append(",".join(fmt(v) for v in (t, state.n_lo + i, pp, pm)))
+    assert (out / "distribution.csv").read_text() == "\n".join(dist) + "\n"
+
+
 def _walk_config(tmp_path):
     return write_config(tmp_path, "w.json", {
         "coins": {"kind": "cgmv_table",
@@ -800,12 +836,27 @@ def test_readme_common_flags_match_the_parser():
     para = readme[readme.index("Common flags:"):]
     para = para[:para.index("\n\n")]
     documented = {m.split()[0] for m in re.findall(r"`(--[^`]*)`", para)}
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    for name, parser in sub.choices.items():
-        flags = {opt for a in parser._actions for opt in a.option_strings
-                 if opt.startswith("--") and opt != "--help"}
-        assert flags == documented, name
+    flags = {opt for a in _build_parser()._actions for opt in a.option_strings
+             if opt.startswith("--") and opt != "--help"}
+    assert flags == documented
+
+
+def test_options_may_precede_the_command(tmp_path):
+    cfg = write_config(tmp_path, "w.json", {"coins": {"kind": "hadamard"}, "steps": 4})
+    first, last = tmp_path / "first", tmp_path / "last"
+    assert main(["--config", cfg, "--out", str(first), "--seed", "2", "walk"]) == 0
+    assert main(["walk", "--config", cfg, "--out", str(last), "--seed", "2"]) == 0
+    for name in ("distribution.csv", "survival.csv", "manifest.json"):
+        assert (first / name).read_bytes() == (last / name).read_bytes()
+
+
+def test_unknown_command_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "w.json", {"coins": {"kind": "hadamard"}})
+    with pytest.raises(SystemExit) as exc:
+        main(["wander", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'wander'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_readme_field_lists_match_the_tables():

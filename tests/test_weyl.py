@@ -131,6 +131,14 @@ def test_reflectionless_defect_at_a_radius_just_below_the_edge_margin():
     assert d == pytest.approx(np.abs(mp + mm.conj()).max(), rel=1e-6)
 
 
+@pytest.mark.parametrize("r", [0.9999995, 1.0 - 1e-6])
+def test_reflectionless_defect_refuses_radii_the_solver_refuses(r):
+    # the solver refuses |z| >= 1 - 1e-6, so the r check names those radii itself
+    with pytest.raises(ValueError, match=r"r must lie in \[0\.9, 1 - 1e-6\)"):
+        W.reflectionless_defect(C.constant_seq(0.0), 0, CircleArcSet.full_circle(), r,
+                                samples=16, dim=64)
+
+
 def test_caratheodory_value_validation():
     from cmvlab.errors import NumericalInstabilityError
 
