@@ -7,6 +7,9 @@ directory, and stamps a manifest.json recording the command, parameters,
 seed, tool version, and output list.  Identical manifests reproduce
 byte-identical numeric outputs.
 
+This module owns the config format: the field parsers and tables, and the
+builders of sequences and families from checked values.
+
 Exit codes: 0 success, 2 validation error, 3 numerical-stability error.
 """
 
@@ -16,17 +19,15 @@ import argparse
 import json
 import math
 import os
+import reprlib
 import sys
 from dataclasses import asdict, dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__
 from . import coefficients as coeffs
-from .coefficients import (
-    _EVEN, _FAMILY, _IN_DISK, _REQUIRED, _SEQUENCE_KINDS, _UNIT, _as_complex, _as_float,
-    _as_int, _as_pair, _at_least, _list, _nested, _read_fields,
-)
 from . import floquet, operator, qwalk, transfer, weyl
 from .errors import NumericalInstabilityError
 from .spectral_sets import CircleArcSet, TWO_PI
@@ -93,31 +94,168 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+# ---------------------------------------------------------------------------
+# the config format: field parsers and field tables
+# ---------------------------------------------------------------------------
+
+def _as_int(name: str, value) -> int:
+    """A config integer of magnitude at most 2**62, so sites computed from it
+    stay inside int64; lists, dicts, bools and non-integral floats are refused."""
+    n = int(value) if isinstance(value, float) and value.is_integer() else value
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"config field '{name}' must be an integer, got {value!r}")
+    if abs(n) > 2 ** 62:
+        raise ValueError(f"config field '{name}' must have magnitude at most 2**62, "
+                         f"got {value!r}")
+    return n
+
+
+def _as_float(name: str, value) -> float:
+    """A finite config number; lists, dicts, strings, bools, NaN, the
+    infinities and integers beyond the float range are refused."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # refuses NaN, the infinities and huge ints
+            return float(value)
+        raise ValueError(f"config field '{name}' must be finite, got {value!r}")
+    raise ValueError(f"config field '{name}' must be a number, got {value!r}")
+
+
+def _as_pair(name: str, pair) -> tuple[float, float]:
+    """A config pair of numbers, such as [re, im] or [lo, hi]."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"config field '{name}' must be a pair of numbers, got {pair!r}")
+    return _as_float(name, pair[0]), _as_float(name, pair[1])
+
+
+def _as_complex(name: str, pair) -> complex:
+    return complex(*_as_pair(name, pair))
+
+
+_REQUIRED = object()  # the default of a field that must be given
+
+
+def _read_fields(label: str, path: str, d, table: dict, tag: Optional[str] = None) -> dict:
+    """The values of the config object ``d`` at the dotted ``path`` as a plain
+    dict.  ``table`` maps each field name to (parser, default) or (parser,
+    default, range predicate, the phrase completing "must be ..."); a parser
+    takes the field's dotted name and its JSON value.  With a ``tag``,
+    ``table`` maps each value of ``d[tag]`` to the field table of that kind.
+
+    Unknown keys are refused, listing the known ones in table order; an absent
+    or null field takes its default; messages name fields by dotted path.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"config field '{path}' must be an object, got {d!r}")
+    prefix, out = f"{path}." if path else "", {}
+    if tag is not None:
+        kind = out[tag] = d.get(tag)
+        if not isinstance(kind, str) or kind not in table:
+            raise ValueError(f"config field '{prefix}{tag}' must be one of "
+                             f"{', '.join(table)}, got {kind!r}")
+        label, table = f"{label} ({tag} {kind!r})", table[kind]
+    unknown = sorted(set(d) - {*out, *table})
+    if unknown:
+        raise ValueError(f"unknown field(s) {', '.join(map(repr, unknown))} in {label}; "
+                         f"known fields: {', '.join([*out, *table])}")
+    for key, (parse, default, *check) in table.items():
+        name, value = prefix + key, d.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise ValueError(f"{label} is missing the field '{name}'")
+            value = default
+        else:
+            value = parse(name, value)
+            if check and not check[0](value):
+                raise ValueError(f"config field '{name}' must be {check[1]}, "
+                                 f"got {reprlib.repr(value)}")
+        out[key] = value
+    return out
+
+
+def _nested(table: dict, tag: Optional[str] = None) -> Callable:
+    """The parser of a config object read by ``_read_fields``."""
+    return lambda name, d: _read_fields(f"'{name}'", name, d, table, tag)
+
+
+def _list(parse: Callable) -> Callable:
+    """The parser of a JSON list whose entries ``parse`` reads."""
+    def read(name: str, value) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"config field '{name}' must be a list, got {value!r}")
+        return [parse(name, v) for v in value]
+    return read
+
+
+def _at_least(m: int) -> tuple[Callable, str]:
+    return (lambda n: n >= m), f">= {m}"
+
+
+# range predicates with their phrases
+_UNIT = (lambda x: 0.0 <= x < 1.0), "in [0, 1)"
+_EVEN = (lambda n: n >= 2 and n % 2 == 0), "a positive even integer"
+_IN_DISK = (lambda v: bool(v) and max(map(abs, v)) < 1.0), "a nonempty list inside the unit disk"
+
+_DECAY_FORMS = {"gaussian": {}, "geometric": {"base": (_as_float, 4.0, lambda b: b > 1.0, "> 1")}}
+
+_FAMILY = {"pt_family": {
+    "base_amp": (_as_float, _REQUIRED, *_UNIT),
+    "q0": (_as_int, 2, *_EVEN),
+    "levels": (_as_int, 3, *_at_least(0)),
+    "decay": (_nested(_DECAY_FORMS, "form"), {"form": "gaussian"}),
+}}
+
+_SEQUENCE_KINDS = {
+    "constant": {"value": (_as_complex, _REQUIRED, lambda a: abs(a) < 1.0, "inside the unit disk")},
+    "quasiperiodic": {
+        "amplitude": (_as_float, _REQUIRED, *_UNIT),
+        "frequency": (_as_float, _REQUIRED),
+        "phase": (_as_float, _REQUIRED),
+    },
+    "periodic_table": {"values": (_list(_as_complex), _REQUIRED, *_IN_DISK)},
+    **_FAMILY,
+    "random_periodic": {"q": (_as_int, 4, *_at_least(1)), "radius": (_as_float, 0.5, *_UNIT)},
+}
+
+
+def _family(v: dict) -> coeffs.LimitPeriodicFamily:
+    """The family of validated ``pt_family`` values."""
+    base_amp, q0, decay = v["base_amp"], v["q0"], None
+    if v["decay"]["form"] == "geometric":
+        base = v["decay"]["base"]
+        decay = lambda n: base_amp * base ** (-(q0 * 2 ** (n + 1)))  # noqa: E731
+    return coeffs.pastur_tkachenko_family(base_amp, decay=decay, q0=q0, levels=v["levels"])
+
+
+def _sequence(v: dict, seed: int) -> coeffs.CoefficientSequence:
+    """The sequence of validated ``_SEQUENCE_KINDS`` values, random tables
+    drawn from ``seed``."""
+    if v["kind"] == "constant":
+        return coeffs.constant_seq(v["value"])
+    if v["kind"] == "quasiperiodic":
+        return coeffs.quasiperiodic_seq(v["amplitude"], v["frequency"], v["phase"])
+    if v["kind"] == "periodic_table":
+        return coeffs.periodic_table_seq(v["values"])
+    if v["kind"] == "random_periodic":
+        rng = np.random.default_rng(seed)
+        vals = v["radius"] * rng.random(v["q"]) * np.exp(2j * math.pi * rng.random(v["q"]))
+        return coeffs.periodic_table_seq(vals)
+    return _family(v).limit
+
+
 def _coin_table(name: str, mats) -> np.ndarray:
     """A nonempty list of 2x2 unitary coins of [re, im] pairs, as a (P, 2, 2) array."""
     if not isinstance(mats, list) or not mats:
         raise ValueError(f"config field '{name}' must be a nonempty list, got {mats!r}")
-    table = np.empty((len(mats), 2, 2), dtype=complex)
     for site, m in enumerate(mats):
         if not (isinstance(m, list) and len(m) == 2
                 and all(isinstance(row, list) and len(row) == 2 for row in m)):
             raise ValueError(f"config field '{name}': coin at site {site} is malformed: "
                              "expected a 2x2 table of [re, im] pairs")
-        table[site] = [[_as_complex(name, x) for x in row] for row in m]
-        res = np.max(np.abs(table[site] @ table[site].conj().T - np.eye(2)))
-        if not res <= qwalk._UNITARY_TOL:
-            raise ValueError(f"config field '{name}': coin at site {site} is not unitary "
-                             f"(residual {res:.2e})")
-    return table
-
-
-def _sequence(v: dict, seed: int) -> coeffs.CoefficientSequence:
-    """The sequence of validated ``sequence`` values, random tables drawn from ``seed``."""
-    if v["kind"] != "random_periodic":
-        return coeffs._sequence(v)
-    rng = np.random.default_rng(seed)
-    vals = v["radius"] * rng.random(v["q"]) * np.exp(2j * math.pi * rng.random(v["q"]))
-    return coeffs.periodic_table_seq(vals)
+    table = np.array([[[_as_complex(name, x) for x in row] for row in m] for m in mats])
+    try:
+        return qwalk._unitary(table, np.arange(len(table)))
+    except ValueError as exc:
+        raise ValueError(f"config field '{name}': {exc}") from None
 
 
 def _walk_coins(v: dict) -> qwalk.CoinSequence:
@@ -162,13 +300,20 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     _write_csv(manifest, out_dir, "band_arcs.csv", {"lo": arcs.arcs[:, 0], "hi": arcs.arcs[:, 1]})
 
 
+def _zero_set_sweep(seq: coeffs.CoefficientSequence, cfg: dict):
+    """The ``grid_size`` angles, the exponent at each from ``n_steps`` sites,
+    and the grid arcs where it is below ``epsilon_L``."""
+    thetas = np.arange(cfg["grid_size"]) * (TWO_PI / cfg["grid_size"])
+    vals = transfer.lyapunov(seq, np.exp(1j * thetas), cfg["n_steps"])
+    return thetas, vals, transfer.arcs_from_grid(thetas, vals, cfg["epsilon_L"])
+
+
 def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     seq = _sequence(cfg["sequence"], manifest.seed)
     grid_size, n_steps, eps_L = cfg["grid_size"], cfg["n_steps"], cfg["epsilon_L"]
 
-    thetas = np.arange(grid_size) * (TWO_PI / grid_size)
     with transfer.half_orbit_estimates() as half:
-        vals = transfer.lyapunov(seq, np.exp(1j * thetas), n_steps)
+        thetas, vals, z_arcs = _zero_set_sweep(seq, cfg)
     _write_csv(manifest, out_dir, "lyapunov.csv", {
         "theta": thetas, "L": vals,
         "N": np.full(grid_size, n_steps), "epsilon": np.full(grid_size, eps_L),
@@ -189,7 +334,6 @@ def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
             "zero_set_flips": int(np.sum((vals < eps_L) != (half_vals < eps_L))),
         }
     _write_json(manifest, out_dir, "lyapunov.json", report)
-    z_arcs = transfer.arcs_from_grid(thetas, vals, eps_L)
     _write_json(manifest, out_dir, "zero_set.json",
                 {**z_arcs.to_json(), "measure": z_arcs.measure(),
                  "N": n_steps, "epsilon_L": eps_L})
@@ -201,12 +345,8 @@ def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     k_index, last = cfg["k"], cfg["family"]["levels"]  # stages 0..levels
     if not 0 <= k_index <= last:
         raise ValueError(f"config field 'k' must lie in 0..{last}, got {k_index}")
-    family = coeffs._family(cfg["family"])
-    grid_size, n_steps, eps_L = cfg["grid_size"], cfg["n_steps"], cfg["epsilon_L"]
-
-    thetas = np.arange(grid_size) * (TWO_PI / grid_size)
-    vals = transfer.lyapunov(family.limit, np.exp(1j * thetas), n_steps)
-    z_est = transfer.arcs_from_grid(thetas, vals, eps_L)
+    family = _family(cfg["family"])
+    _, _, z_est = _zero_set_sweep(family.limit, cfg)
 
     periods = family.periods()
     levels, stage_arcs = [], []
@@ -232,8 +372,8 @@ def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
         "lp_sum_criterion": verdict,
         "hausdorff_consecutive": hausdorff_seq,
         "zero_set_measure": z_est.measure(),
-        "N": n_steps,
-        "epsilon_L": eps_L,
+        "N": cfg["n_steps"],
+        "epsilon_L": cfg["epsilon_L"],
         "k": k_index,
     })
 
@@ -296,15 +436,14 @@ def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     _write_csv(manifest, out_dir, "weyl_defect.csv", {"theta": thetas, "r": rs, "defect": defect})
 
 
-_RANDOM_PERIODIC = {"q": (_as_int, 4, *_at_least(1)), "radius": (_as_float, 0.5, *_UNIT)}
-_SEQUENCE = (_nested({**_SEQUENCE_KINDS, "random_periodic": _RANDOM_PERIODIC}, "kind"), _REQUIRED)
+_SEQUENCE = (_nested(_SEQUENCE_KINDS, "kind"), _REQUIRED)
 
 _SWEEP = {
     "n_steps": (_as_int, 100_000, *_at_least(1000)),
     "epsilon_L": (_as_float, 1e-2, lambda e: e > 0, "positive"),
 }
 
-# each subcommand and the field table of its config (see coefficients._read_fields)
+# each subcommand and the field table of its config (see _read_fields)
 _COMMANDS = {
     "bands": (_cmd_bands, {
         "sequence": _SEQUENCE,
@@ -348,7 +487,7 @@ _COMMANDS = {
         "samples": (_as_int, 32, *_at_least(1)),
         "dim": (_as_int, 512, *_at_least(4)),
         "r_values": (_list(_as_float), [0.9, 0.99],
-                           lambda rs: rs and all(0.0 <= r < 1.0 - 1e-6 for r in rs),
+                           lambda rs: rs and all(0.0 <= r < 1.0 - weyl._EDGE_MARGIN for r in rs),
                            "a nonempty list of radii in [0, 1 - 1e-6)"),
         "arc_set": (lambda name, v: v if v == "full" else _list(_as_pair)(name, v), "full",
                     lambda s: s == "full" or (s and all(lo <= hi for lo, hi in s)),

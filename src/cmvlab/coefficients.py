@@ -4,14 +4,12 @@ Constructors for the concrete families used throughout the toolkit: constants,
 quasiperiodic phases, periodizations, and limit-periodic families built from
 super-exponentially small periodic increments.  Each sequence is one map over
 integer arrays of sites, read through ``window``.  Sequences are immutable
-values and safe to share across threads.
+values and safe to share across threads; ``cli`` reads their config specs.
 """
 
 from __future__ import annotations
 
 import math
-import reprlib
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -219,142 +217,3 @@ def lp_sum_criterion(
 
     rhs = 0.5 * float(sigma_k_measure)
     return {"holds": lhs < rhs, "lhs": lhs, "rhs": rhs}
-
-
-# ---------------------------------------------------------------------------
-# JSON specs
-# ---------------------------------------------------------------------------
-
-def _as_int(name: str, value) -> int:
-    """A config integer; lists, dicts, bools and non-integral floats are refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"config field '{name}' must be an integer, got {value!r}")
-
-
-def _as_float(name: str, value) -> float:
-    """A finite config number; lists, dicts, strings, bools, NaN, the
-    infinities and integers beyond the float range are refused."""
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        if abs(value) <= sys.float_info.max:  # refuses NaN, the infinities and huge ints
-            return float(value)
-        raise ValueError(f"config field '{name}' must be finite, got {value!r}")
-    raise ValueError(f"config field '{name}' must be a number, got {value!r}")
-
-
-def _as_pair(name: str, pair) -> tuple[float, float]:
-    """A config pair of numbers, such as [re, im] or [lo, hi]."""
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"config field '{name}' must be a pair of numbers, got {pair!r}")
-    return _as_float(name, pair[0]), _as_float(name, pair[1])
-
-
-def _as_complex(name: str, pair) -> complex:
-    return complex(*_as_pair(name, pair))
-
-
-_REQUIRED = object()  # the default of a field that must be given
-
-
-def _read_fields(label: str, path: str, d, table: dict, tag: Optional[str] = None) -> dict:
-    """The values of the config object ``d`` at the dotted ``path`` as a plain
-    dict.  ``table`` maps each field name to (parser, default) or (parser,
-    default, range predicate, the phrase completing "must be ..."); a parser
-    takes the field's dotted name and its JSON value.  With a ``tag``,
-    ``table`` maps each value of ``d[tag]`` to the field table of that kind.
-
-    Unknown keys are refused, listing the known ones in table order; an absent
-    or null field takes its default; messages name fields by dotted path.
-    """
-    if not isinstance(d, dict):
-        raise ValueError(f"config field '{path}' must be an object, got {d!r}")
-    prefix, out = f"{path}." if path else "", {}
-    if tag is not None:
-        kind = out[tag] = d.get(tag)
-        if not isinstance(kind, str) or kind not in table:
-            raise ValueError(f"config field '{prefix}{tag}' must be one of "
-                             f"{', '.join(table)}, got {kind!r}")
-        label, table = f"{label} ({tag} {kind!r})", table[kind]
-    unknown = sorted(set(d) - {*out, *table})
-    if unknown:
-        raise ValueError(f"unknown field(s) {', '.join(map(repr, unknown))} in {label}; "
-                         f"known fields: {', '.join([*out, *table])}")
-    for key, (parse, default, *check) in table.items():
-        name, value = prefix + key, d.get(key)
-        if value is None:
-            if default is _REQUIRED:
-                raise ValueError(f"{label} is missing the field '{name}'")
-            value = default
-        else:
-            value = parse(name, value)
-            if check and not check[0](value):
-                raise ValueError(f"config field '{name}' must be {check[1]}, "
-                                 f"got {reprlib.repr(value)}")
-        out[key] = value
-    return out
-
-
-def _nested(table: dict, tag: Optional[str] = None) -> Callable:
-    """The parser of a config object read by ``_read_fields``."""
-    return lambda name, d: _read_fields(f"'{name}'", name, d, table, tag)
-
-
-def _list(parse: Callable) -> Callable:
-    """The parser of a JSON list whose entries ``parse`` reads."""
-    def read(name: str, value) -> list:
-        if not isinstance(value, list):
-            raise ValueError(f"config field '{name}' must be a list, got {value!r}")
-        return [parse(name, v) for v in value]
-    return read
-
-
-def _at_least(m: int) -> tuple[Callable, str]:
-    return (lambda n: n >= m), f">= {m}"
-
-
-# range predicates with their phrases
-_UNIT = (lambda x: 0.0 <= x < 1.0), "in [0, 1)"
-_EVEN = (lambda n: n >= 2 and n % 2 == 0), "a positive even integer"
-_IN_DISK = (lambda v: bool(v) and max(map(abs, v)) < 1.0), "a nonempty list inside the unit disk"
-
-_DECAY_FORMS = {"gaussian": {}, "geometric": {"base": (_as_float, 4.0, lambda b: b > 1.0, "> 1")}}
-
-_FAMILY = {"pt_family": {
-    "base_amp": (_as_float, _REQUIRED, *_UNIT),
-    "q0": (_as_int, 2, *_EVEN),
-    "levels": (_as_int, 3, *_at_least(0)),
-    "decay": (_nested(_DECAY_FORMS, "form"), {"form": "gaussian"}),
-}}
-
-_SEQUENCE_KINDS = {
-    "constant": {"value": (_as_complex, _REQUIRED, lambda a: abs(a) < 1.0, "inside the unit disk")},
-    "quasiperiodic": {
-        "amplitude": (_as_float, _REQUIRED, *_UNIT),
-        "frequency": (_as_float, _REQUIRED),
-        "phase": (_as_float, _REQUIRED),
-    },
-    "periodic_table": {"values": (_list(_as_complex), _REQUIRED, *_IN_DISK)},
-    **_FAMILY,
-}
-
-
-def _family(v: dict) -> LimitPeriodicFamily:
-    """The family of validated ``pt_family`` values."""
-    base_amp, q0, decay = v["base_amp"], v["q0"], None
-    if v["decay"]["form"] == "geometric":
-        base = v["decay"]["base"]
-        decay = lambda n: base_amp * base ** (-(q0 * 2 ** (n + 1)))  # noqa: E731
-    return pastur_tkachenko_family(base_amp, decay=decay, q0=q0, levels=v["levels"])
-
-
-def _sequence(v: dict) -> CoefficientSequence:
-    """The sequence of validated ``_SEQUENCE_KINDS`` values."""
-    if v["kind"] == "constant":
-        return constant_seq(v["value"])
-    if v["kind"] == "quasiperiodic":
-        return quasiperiodic_seq(v["amplitude"], v["frequency"], v["phase"])
-    if v["kind"] == "periodic_table":
-        return periodic_table_seq(v["values"])
-    return _family(v).limit

@@ -39,7 +39,7 @@ import numpy as np
 
 from .coefficients import CoefficientSequence
 from .errors import DegenerateBandError, NumericalInstabilityError
-from .operator import _check_disk, _lm_entries, _mul
+from .operator import _dense, _factors, _mul
 from .spectral_sets import CircleArcSet, TWO_PI
 from .transfer import monodromy
 
@@ -78,9 +78,7 @@ def floquet_blocks(
     M has shape k.shape + (q, q)."""
     _check_q(seq, q)
     k = np.asarray(k, dtype=float)
-    a = seq.window(0, q)
-    _check_disk(a)
-    L, M = _lm_entries(a)
+    L, M = _dense(_factors(seq.window(0, q)))
     M = np.broadcast_to(M, k.shape + (q, q)).copy()
     M[..., 0, q - 1] *= np.exp(-1j * k * q)
     M[..., q - 1, 0] *= np.exp(1j * k * q)

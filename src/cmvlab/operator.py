@@ -10,6 +10,10 @@ in M.  Finite windows wrap periodically: the block at the last odd index
 couples the last site back to the first, so the window is unitary and equals
 the twisted restriction at Floquet phase k = 0.
 
+The blocks are placed once, by ``_factors``, into banded L and M.  Dense
+windows scatter these factors (``_dense``); banded windows multiply them
+(``_banded_product``, which also squares the sieved window).
+
 All window objects are immutable after construction.
 """
 
@@ -92,20 +96,6 @@ def _theta_blocks(alpha: np.ndarray) -> np.ndarray:
     return np.stack([a.conj(), r, r, -a], axis=-1).reshape(a.shape + (2, 2))
 
 
-def _lm_entries(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense L and M of the wrap window over alpha (an even number of sites).
-
-    Block j sits on coordinates (j, j + 1 mod n): even j in L, odd j in M,
-    so the wrap corner is the block of the last odd site.
-    """
-    n = len(alpha)
-    j = np.arange(n)
-    site = np.stack([j, (j + 1) % n], axis=-1)
-    lm = np.zeros((2, n, n), dtype=complex)
-    lm[(j % 2)[:, None, None], site[:, :, None], site[:, None, :]] = _theta_blocks(alpha)
-    return lm[0], lm[1]
-
-
 def assemble_lm(
     seq: CoefficientSequence, offset: int, dim: int
 ) -> tuple[BandedUnitary, BandedUnitary]:
@@ -116,9 +106,7 @@ def assemble_lm(
         raise ValueError(f"offset must be even, got {offset}")
     if dim < 2 or dim % 2 != 0:
         raise ValueError(f"dim must be a positive even integer, got {dim}")
-    a = seq.window(offset, offset + dim)
-    _check_disk(a)
-    L, M = _lm_entries(a)
+    L, M = _dense(_factors(seq.window(offset, offset + dim)))
     return BandedUnitary(offset, L), BandedUnitary(offset, M)
 
 
@@ -158,8 +146,8 @@ def verify_sieve_square(seq: CoefficientSequence, dim: int) -> dict:
     """
     if dim % 4 != 0 or dim <= 0:
         raise ValueError(f"dim must be a positive multiple of 4, got {dim}")
-    hat = cmv_banded(sieve(seq).window(0, dim), 0)
-    ref = cmv_banded(shift_seq(seq, 1).window(0, dim // 2), 0)
+    hat = cmv_banded(sieve(seq).window(0, dim))
+    ref = cmv_banded(shift_seq(seq, 1).window(0, dim // 2))
     return _square_residuals(hat, ref)
 
 
@@ -167,16 +155,10 @@ def _square_residuals(hat: np.ndarray, ref: np.ndarray) -> dict:
     """Leakage and similarity residuals of W = hat @ hat against ref.
 
     ``hat`` (dim sites) and ``ref`` (dim / 2 sites) are periodic-wrap
-    windows in the cyclic banded form of ``cmv_banded``.  W is formed as the
-    25 products of hat's diagonals, giving its 9 diagonals.
+    windows in the cyclic banded form of ``cmv_banded``.
     """
     n = hat.shape[1]
-    w = np.zeros((9, n), dtype=complex)
-    for s1 in range(-2, 3):
-        for s2 in range(-2, 3):
-            # W[j + s1 + s2, j] gains hat[j + s1 + s2, j + s2] * hat[j + s2, j]
-            w[4 + s1 + s2] += _mul(np.roll(hat[2 + s1], -s2), hat[2 + s2])
-    rows, cols, vals = _banded_entries(w)
+    rows, cols, vals = _banded_entries(_banded_product(hat, hat))
     in_x = np.isin(np.arange(n) % 4, (0, 3))
     x_row, x_col = in_x[rows], in_x[cols]
     absv = np.abs(vals)
@@ -220,6 +202,21 @@ def _coalesce(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
     return keys // n, keys % n, out
 
 
+def _dense(ab: np.ndarray) -> np.ndarray:
+    """The n x n matrices of cyclic banded ones (..., 2h + 1, n): row h + s
+    holds the entries (j + s mod n, j), summed where diagonals meet."""
+    w, n = ab.shape[-2:]
+    j = np.arange(n)
+    at = (..., (j + np.arange(-(w // 2), w // 2 + 1)[:, None]) % n, j)
+    out = np.zeros(ab.shape[:-2] + (n, n), dtype=complex)
+    if n >= w:  # each entry held once
+        out[at] = ab
+    else:  # -0.0 + x is x, so an entry held once still keeps its bits
+        out[at] = complex(-0.0, -0.0)
+        np.add.at(out, at, ab)
+    return out
+
+
 def norm_diff(seq1: CoefficientSequence, seq2: CoefficientSequence, dim: int) -> float:
     """Operator norm of the windowed difference of two CMV operators.
 
@@ -241,7 +238,7 @@ def norm_diff(seq1: CoefficientSequence, seq2: CoefficientSequence, dim: int) ->
 
 
 # ---------------------------------------------------------------------------
-# direct pentadiagonal construction (banded storage)
+# the factors and their products in cyclic banded storage
 # ---------------------------------------------------------------------------
 
 def _rho(a: np.ndarray) -> np.ndarray:
@@ -258,37 +255,41 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.real * y.real - x.imag * y.imag) + 1j * (x.real * y.imag + x.imag * y.real)
 
 
-def cmv_banded(alpha: np.ndarray, lo: int) -> np.ndarray:
-    """Banded (ab-form) periodic-wrap CMV window on the global sites [lo, hi].
-
-    ``alpha`` holds alpha_m for m in [lo, hi] (an even number of sites) and
-    site indices are taken mod n; this is the window ``assemble_cmv`` builds.
-
-    Entries come from the row formulas of the pentadiagonal matrix and are
-    returned in the cyclic (5, n) diagonal-ordered form: row 2 + i - j holds
-    entry (i mod n, j).
-    """
+def _factors(alpha: np.ndarray) -> np.ndarray:
+    """The factors L and M of the wrap window over alpha in cyclic banded
+    storage, stacked (2, 3, n): row 1 + s holds the entries (j + s mod n, j).
+    Block j sits on the sites (j, j + 1 mod n): even j in L, odd j in M, so
+    the wrap corner is the block of the last odd site."""
     a = np.asarray(alpha, dtype=complex)
     n = a.size
     if n < 2 or n % 2:
         raise ValueError(f"periodic_wrap needs a positive even window, got {n} sites")
-    # ext holds alpha over [lo - 2, hi + 1], wrapped
-    ext = np.concatenate([a[-2:], a, a[:1]])
-    r = _rho(ext)
-    prev2, prev, cur, nxt = ext[:n], ext[1:n + 1], ext[2:n + 2], ext[3:]
-    r_prev2, r_prev, r_cur, r_nxt = r[:n], r[1:n + 1], r[2:n + 2], r[3:]
-    even = (lo + np.arange(n)) % 2 == 0
+    _check_disk(a)
+    j = np.arange(n)[:, None]
+    lm = np.zeros((2, 3, n), dtype=complex)
+    # block j's entries (0, 0), (0, 1), (1, 0), (1, 1) lie on the diagonals
+    # 0, -1, +1, 0 of the columns j, j + 1, j, j + 1
+    lm[j % 2, [1, 0, 2, 1], (j + [0, 1, 0, 1]) % n] = _theta_blocks(a).reshape(n, 4)
+    return lm
 
-    # by_row[2 + d, i] holds entry (i, i + d)
-    by_row = np.array([
-        np.where(even, 0.0, r_prev * r_prev2),
-        np.where(even, cur.conj() * r_prev, -r_prev * prev2),
-        _mul(-cur.conj(), prev),
-        np.where(even, nxt.conj() * r_cur, -r_cur * prev),
-        np.where(even, r_nxt * r_cur, 0.0),
-    ])
 
-    ab = np.empty((5, n), dtype=complex)
-    for d in range(-2, 3):
-        ab[2 - d] = np.roll(by_row[2 + d], d)
-    return ab
+def _banded_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product a @ b of two cyclic banded matrices of any half-widths
+    ha and hb, in the same storage with half-width ha + hb.
+
+    Entry (j + s1 + s2, j) gains a[j + s1 + s2, j + s2] * b[j + s2, j] for
+    each pair of diagonals, each product rounded like Python's (``_mul``).
+    """
+    ha, hb = a.shape[0] // 2, b.shape[0] // 2
+    out = np.zeros((2 * (ha + hb) + 1, a.shape[1]), dtype=complex)
+    for s1 in range(-ha, ha + 1):
+        for s2 in range(-hb, hb + 1):
+            out[ha + hb + s1 + s2] += _mul(np.roll(a[ha + s1], -s2), b[hb + s2])
+    return out
+
+
+def cmv_banded(alpha: np.ndarray) -> np.ndarray:
+    """The periodic-wrap CMV window L @ M over alpha (an even number of
+    sites, site indices mod n), the window ``assemble_cmv`` builds, in the
+    cyclic (5, n) banded form: row 2 + i - j holds entry (i mod n, j)."""
+    return _banded_product(*_factors(alpha))

@@ -438,7 +438,7 @@ def to_cmv(
     gamma = CoefficientSequence(fn=fn, sup_norm_bound=bound, period=coins.period)
     seq = shift_seq(sieve(gamma), -2)
     lo = 2 * n_lo + 1  # the flat index of (n_lo, +)
-    ref = cmv_banded(seq.window(lo, lo + 2 * walk.width), 0)
+    ref = cmv_banded(seq.window(lo, lo + 2 * walk.width))
     ut = _banded_transpose(walk.table)
     return CMVRepresentation(seq=seq, matrix=ut, window=(n_lo, n_hi),
                              residual=float(np.max(np.abs(ut - ref))))

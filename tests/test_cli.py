@@ -636,6 +636,42 @@ def test_non_integer_fields_exit_2(tmp_path, capsys, command, config, override, 
     assert f"'{field}'" in err and "integer" in err
 
 
+WEYL_TABLE = {"kind": "periodic_table", "values": [[0.3, 0.1], [-0.2, 0.4]]}
+
+
+@pytest.mark.parametrize("command, config, field", [
+    ("walk", {"coins": {"kind": "hadamard"}, "steps": 4,
+              "initial": {"site": 10 ** 19, "spin": "+"}}, "initial.site"),
+    ("weyl-defect", {"sequence": WEYL_TABLE, "k": 10 ** 19, "samples": 4, "dim": 8}, "k"),
+    ("weyl-defect", {"sequence": WEYL_TABLE, "k": -10 ** 19, "samples": 4, "dim": 8}, "k"),
+])
+def test_integers_beyond_int64_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      command, config, field):
+    from cmvlab import qwalk, weyl
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("integer fields must be checked before any work")
+
+    monkeypatch.setattr(qwalk, "build_walk", no_compute)
+    monkeypatch.setattr(weyl, "_defects", no_compute)
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and "2**62" in err
+    assert not out.exists()
+
+
+def test_integer_fields_take_magnitudes_up_to_2_62():
+    from cmvlab.cli import _as_int
+
+    assert _as_int("k", 2 ** 62) == 2 ** 62 and _as_int("k", -2 ** 62) == -2 ** 62
+    assert _as_int("k", float(2 ** 62)) == 2 ** 62
+    for big in (2 ** 62 + 1, -2 ** 62 - 1, 2.0 ** 63):
+        with pytest.raises(ValueError, match=r"'k' must have magnitude at most 2\*\*62"):
+            _as_int("k", big)
+
+
 def test_integral_float_fields_are_accepted(tmp_path):
     cfg = write_config(tmp_path, "l.json", {
         "sequence": {"kind": "constant", "value": [0.0, 0.0]},
@@ -860,8 +896,7 @@ def test_unknown_command_exits_2(tmp_path, capsys):
 
 
 def test_readme_field_lists_match_the_tables():
-    from cmvlab.cli import _COMMANDS
-    from cmvlab.coefficients import _REQUIRED
+    from cmvlab.cli import _COMMANDS, _REQUIRED
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for name, (_, table) in _COMMANDS.items():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cmvlab import cli
 from cmvlab import coefficients as C
 from cmvlab import floquet as F
 from cmvlab import operator as O
@@ -404,7 +405,7 @@ def mp_gaps(seq, q, dps=30):
 
 
 def test_readme_family_gaps_match_30_digit_edges():
-    fam = C._family(README_PT)
+    fam = cli._family(README_PT)
     measures = []
     narrowest = math.inf
     for s, q in zip(fam.stages, fam.periods()):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmvlab import coefficients as C
 from cmvlab import floquet as F
@@ -254,13 +255,27 @@ disk_tables = st.lists(
 
 
 def banded_to_dense(ab):
-    """Entry (i, j) from ab[2 + i - j, j]; wrapped entries add up mod n."""
-    n = ab.shape[1]
+    """Entry (i, j) from ab[h + i - j, j], h the half-width; wrapped entries
+    add up mod n."""
+    h, n = ab.shape[0] // 2, ab.shape[1]
     dense = np.zeros((n, n), dtype=complex)
-    for s in range(-2, 3):
+    for s in range(-h, h + 1):
         for j in range(n):
-            dense[(j + s) % n, j] += ab[2 + s, j]
+            dense[(j + s) % n, j] += ab[h + s, j]
     return dense
+
+
+@settings(max_examples=80, deadline=None)
+@given(ha=st.integers(0, 4), hb=st.integers(0, 4), n=st.integers(1, 24), data=st.data())
+def test_banded_product_matches_the_dense_product(ha, hb, n, data):
+    # n below 2 (ha + hb) + 1 wraps several diagonals onto one entry
+    entries = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    a = data.draw(arrays(complex, (2 * ha + 1, n), elements=entries))
+    b = data.draw(arrays(complex, (2 * hb + 1, n), elements=entries))
+    got = O._banded_product(a, b)
+    assert got.shape == (2 * (ha + hb) + 1, n)
+    want = banded_to_dense(a) @ banded_to_dense(b)
+    assert np.max(np.abs(banded_to_dense(got) - want)) <= 1e-13
 
 
 def dense_square_residuals(E, ref):
@@ -287,10 +302,11 @@ def dense_sieve_residuals(seq, dim):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seq=disk_tables, offset=st.integers(-9, 9), dim=st.sampled_from([2, 4, 6, 8, 12]))
-def test_banded_periodic_wrap_matches_dense(seq, offset, dim):
+@given(seq=disk_tables, half=st.integers(-4, 4), dim=st.sampled_from([2, 4, 6, 8, 12]))
+def test_banded_periodic_wrap_matches_dense(seq, half, dim):
+    offset = 2 * half  # a window's first site is even
     window = seq.window(offset, offset + dim)
-    got = banded_to_dense(O.cmv_banded(window, offset))
+    got = banded_to_dense(O.cmv_banded(window))
     # the row formulas of the window's periodic extension, indices mod dim
     cyclic = C.periodic_table_seq(np.roll(window, offset))
     oracle = np.zeros((dim, dim), dtype=complex)
@@ -299,9 +315,8 @@ def test_banded_periodic_wrap_matches_dense(seq, offset, dim):
         for c, v in zip(cols, vals):
             oracle[g - offset, (c - offset) % dim] += v
     assert np.max(np.abs(got - oracle)) <= 1e-15
-    if offset % 2 == 0:
-        dense = O.assemble_cmv(seq, offset, dim).entries
-        assert np.max(np.abs(got - dense)) <= 1e-15
+    dense = O.assemble_cmv(seq, offset, dim).entries
+    assert np.max(np.abs(got - dense)) <= 1e-15
 
 
 def scalar_theta(a):
@@ -336,6 +351,10 @@ def test_lm_and_floquet_blocks_are_scalar_theta_bitwise(seq, data):
     L, M = O.assemble_lm(seq, offset, q)
     want_L, want_M = place_blocks(wrap)
     assert np.array_equal(L.entries, want_L) and np.array_equal(M.entries, want_M)
+    # every window is read from the one placement: its dense scatter keeps
+    # every bit, the sign of each zero included
+    dense = O._dense(O._factors(seq.window(offset, offset + q)))
+    assert [d.tobytes() for d in dense] == [want_L.tobytes(), want_M.tobytes()]
 
     # Floquet: the corner block carries e^{ikq} at (q-1, 0), e^{-ikq} at (0, q-1)
     blocks = [scalar_theta(a) for a in seq.window(0, q)]
@@ -350,7 +369,7 @@ def test_lm_and_floquet_blocks_are_scalar_theta_bitwise(seq, data):
 
 def test_cmv_banded_validations():
     with pytest.raises(ValueError):
-        O.cmv_banded(np.zeros(3), 0)  # odd window
+        O.cmv_banded(np.zeros(3))  # odd window
 
 
 @settings(max_examples=40, deadline=None)
@@ -378,8 +397,8 @@ def test_square_residuals_of_unsieved_operator_match_dense(seq, dim):
     # are O(1) and a value pinned to 0 would fail
     shifted = O.shift_seq(seq, 1)
     got = O._square_residuals(
-        O.cmv_banded(seq.window(0, dim), 0),
-        O.cmv_banded(shifted.window(0, dim // 2), 0),
+        O.cmv_banded(seq.window(0, dim)),
+        O.cmv_banded(shifted.window(0, dim // 2)),
     )
     want = dense_square_residuals(
         O.assemble_cmv(seq, 0, dim).entries,
@@ -392,8 +411,8 @@ def test_square_residuals_of_unsieved_operator_match_dense(seq, dim):
 def test_unsieved_leakage_is_nonzero():
     s = C.periodic_table_seq([0.5, 0.3j, -0.2, 0.4 + 0.1j])
     got = O._square_residuals(
-        O.cmv_banded(s.window(0, 16), 0),
-        O.cmv_banded(O.shift_seq(s, 1).window(0, 8), 0),
+        O.cmv_banded(s.window(0, 16)),
+        O.cmv_banded(O.shift_seq(s, 1).window(0, 8)),
     )
     assert min(got.values()) > 1e-2
 
