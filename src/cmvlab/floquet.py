@@ -15,14 +15,14 @@ The pairs (z_n(k), u_n) come from a Hermitian problem: for a pole p on the
 circle outside the spectrum, the Cayley transform i (pI - E)^{-1} (pI + E)
 of the unitary E = E_q(k) is Hermitian with E's eigenvectors and eigenvalue
 -cot(beta/2) for each z = p e^{i beta}, and z is read back as u* E u.  The
-pole is chosen from k alone: at the centre of each of eight intervals of
-(0, pi/q), the eigenvalues of the Hermitian part (E + E*)/2 are the cosines
-of E's eigenangles, one stacked ``eigvalsh`` for all intervals, and the pole
-exp(i arccos c), c the midpoint of the widest gap of [-1, cosines, 1], lies
-at least 1/(q + 1) in angle from every eigenvalue.  The residual
-||E u - z u||, which for a normal E bounds the distance from z to the
-spectrum, certifies each pair whatever the pole.  Band edges come from the
-general eigensolver.
+eigenvalues of the Hermitian part (E + E*)/2 are the cosines of E's
+eigenangles, and the pole exp(i arccos c), c the midpoint of the widest gap
+of [-1, cosines, 1], lies at least 1/(q + 1) in angle from every eigenvalue.
+Band pairs take that pole at the centre of each of eight intervals of
+(0, pi/q), one stacked ``eigvalsh`` for all intervals; band edges take it
+at k = 0 and pi/q themselves.  The residual ||E u - z u||, which for a
+normal E bounds the distance from z to the spectrum, certifies each pair
+whatever the pole.
 
 Bands are alternatively characterized by the discriminant: z belongs to the
 spectrum iff the (real) monodromy trace lies in [-2, 2], and eigenvalues of
@@ -85,16 +85,6 @@ def floquet_blocks(
     return L, M
 
 
-def _check_residuals(resid: np.ndarray) -> None:
-    """Refuse eigenpair residuals ||E u - z u|| above 1e-10 (NaN too): for a
-    normal E each one bounds the distance from z to the spectrum."""
-    worst = resid.max(initial=0.0)
-    if not worst <= _RESIDUAL_TOL:
-        raise NumericalInstabilityError(
-            f"eigenpair residual {worst:.2e} exceeds {_RESIDUAL_TOL:.0e}"
-        )
-
-
 _CERTIFICATES: contextvars.ContextVar = contextvars.ContextVar("certificates", default=None)
 
 
@@ -133,30 +123,45 @@ def _note(name: str, values: np.ndarray, tol: float, where, smallest: bool = Fal
         worst[name] = {"value": value, "tol": tol, **where(*i)}
 
 
+def _check_residuals(name: str, resid: np.ndarray, where) -> None:
+    """Refuse eigenpair residuals ||E u - z u|| above 1e-10 (NaN too), each a
+    bound on the distance from z to the spectrum of the normal E; ``_note``
+    the worst."""
+    worst = resid.max(initial=0.0)
+    if not worst <= _RESIDUAL_TOL:
+        raise NumericalInstabilityError(
+            f"eigenpair residual {worst:.2e} exceeds {_RESIDUAL_TOL:.0e}"
+        )
+    _note(name, resid, _RESIDUAL_TOL, where)
+
+
+def _widest_gap_poles(E: np.ndarray) -> np.ndarray:
+    """A Cayley pole for each unitary of a stack E (B, q, q), overwritten: the
+    Hermitian parts (E + E*)/2, one stacked ``eigvalsh``, give the cosines of
+    E's eigenangles.  With c the midpoint of the widest gap of [-1, cosines,
+    1], at least 2/(q + 1) wide, the pole exp(i arccos c) lies at least
+    1/(q + 1) in angle from every eigenvalue and its conjugate (cos is
+    1-Lipschitz)."""
+    E += np.conjugate(E.swapaxes(-1, -2))  # E + E*, Hermitian to the last bit
+    c = np.clip(0.5 * np.linalg.eigvalsh(E), -1.0, 1.0)  # ascending
+    t = np.pad(c, ((0, 0), (1, 1)), constant_values=(-1.0, 1.0))
+    g = np.argmax(np.diff(t, axis=-1), axis=-1)
+    rows = np.arange(len(t))
+    return np.exp(1j * np.arccos(0.5 * (t[rows, g] + t[rows, g + 1])))
+
+
 def _poles(seq: CoefficientSequence, q: int, k: np.ndarray) -> np.ndarray:
     """The Cayley pole of each k, chosen from k alone: (0, pi/q) is cut into
-    _POLE_INTERVALS equal intervals, and the pole of an interval comes from
-    the cosines cos(theta) of the eigenvalues of E_q at its centre, the
-    eigenvalues of the Hermitian part (E + E*)/2 of the unitary E, all
-    intervals in one stacked ``eigvalsh``.  With c the midpoint of the widest
-    gap of [-1, cosines, 1], at least 2/(q + 1) wide, the pole is
-    exp(i arccos c); cos is 1-Lipschitz, so the pole lies at least 1/(q + 1)
-    in angle from every eigenvalue and its conjugate.  Across the interval
+    _POLE_INTERVALS equal intervals, and an interval's pole is the
+    ``_widest_gap_poles`` pole of E_q at its centre.  Across the interval
     every eigenvalue moves by at most ||E_q(k) - E_q(k')|| (Bhatia-Davis); a
     pole that the spectrum reaches all the same shows in the residuals."""
     width = math.pi / q / _POLE_INTERVALS
     interval = np.minimum(k // width, _POLE_INTERVALS - 1).astype(np.intp)
     touched = np.flatnonzero(np.bincount(interval, minlength=_POLE_INTERVALS))
     L, M = floquet_blocks(seq, q, (touched + 0.5) * width)
-    E = np.matmul(L, M, out=M)
-    E += np.conjugate(E.swapaxes(-1, -2))  # E + E*, Hermitian to the last bit
-    c = np.clip(0.5 * np.linalg.eigvalsh(E), -1.0, 1.0)  # ascending
-    ends = np.ones((touched.size, 1))
-    t = np.concatenate([-ends, c, ends], axis=-1)
-    g = np.argmax(np.diff(t, axis=-1), axis=-1)
-    rows = np.arange(touched.size)
     poles = np.empty(_POLE_INTERVALS, dtype=complex)
-    poles[touched] = np.exp(1j * np.arccos(0.5 * (t[rows, g] + t[rows, g + 1])))
+    poles[touched] = _widest_gap_poles(np.matmul(L, M, out=M))
     return poles[interval]
 
 
@@ -232,12 +237,11 @@ def band_eigens(
         z[blk], u[blk], resid[blk] = _cayley_eigenpairs(np.matmul(L, M, out=M), poles[blk])
         v[blk] = L.conj().T @ u[blk]
         v[blk] /= np.linalg.norm(v[blk], axis=-2, keepdims=True)
-    _check_residuals(resid)
 
     def at(i, n):
         return {"k": float(k[i]), "n": int(n)}
 
-    _note("max_band_residual", resid, _RESIDUAL_TOL, at)
+    _check_residuals("max_band_residual", resid, at)
 
     dist = np.abs(z - np.roll(z, -1, axis=-1))  # pair n to pair n + 1 (mod q)
     gaps = dist.min(axis=-1)
@@ -286,24 +290,20 @@ def periodic_spectrum(seq: CoefficientSequence, q: int) -> CircleArcSet:
     """Band arcs {z on the circle : trace of the monodromy in [-2, 2]}.
 
     The 2q band edges are the eigenvalues of E_q(0), where the discriminant
-    is +2, and of E_q(pi/q), where it is -2.  Sorted by angle, a cell between
-    edges of different levels is a band and a cell between edges of the same
-    level is a gap; a closed gap has two equal edges and its neighbouring
-    arcs fuse.  Every edge is certified by its eigenpair residual, which
-    bounds its distance from the spectrum of the unitary E_q(k):
-    NumericalInstabilityError if any residual exceeds 1e-10.
+    is +2, and of E_q(pi/q), where it is -2, each from the Cayley transform
+    about its own ``_widest_gap_poles`` pole.  Sorted by angle, a cell
+    between edges of different levels is a band and a cell between edges of
+    the same level is a gap; a closed gap has two equal edges and its
+    neighbouring arcs fuse.  Every edge is certified by its eigenpair
+    residual, which bounds its distance from the spectrum of the unitary
+    E_q(k): NumericalInstabilityError if any residual exceeds 1e-10.
     """
     ks = (0.0, math.pi / q)
-    L, M = floquet_blocks(seq, q, ks)
-    E = L @ M
-    w, vecs = np.linalg.eig(E)
-    resid = E @ vecs
-    resid -= vecs * w[..., None, :]
-    resid = np.linalg.norm(resid, axis=-2)
-    _check_residuals(resid)
-    edges = np.angle(w) % TWO_PI
-    _note("max_edge_residual", resid, _RESIDUAL_TOL,
-          lambda i, n: {"k": ks[i], "theta": float(edges[i, n])})
+    E = np.matmul(*floquet_blocks(seq, q, ks))
+    z, _, resid = _cayley_eigenpairs(E, _widest_gap_poles(E.copy()))
+    edges = np.angle(z) % TWO_PI
+    _check_residuals("max_edge_residual", resid,
+                     lambda i, n: {"k": ks[i], "theta": float(edges[i, n])})
     edges = edges.ravel()
     level = np.repeat([2.0, -2.0], q)
     order = np.argsort(edges, kind="stable")

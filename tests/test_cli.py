@@ -127,13 +127,22 @@ def _bands_config(tmp_path, q, k_points):
     }), C.periodic_table_seq(vals)
 
 
-def test_bands_diagnostics_match_eig(tmp_path):
+def test_bands_diagnostics_match_eig(tmp_path, monkeypatch):
     from cmvlab import floquet
 
     q, K = 8, 16
     cfg, seq = _bands_config(tmp_path, q, K)
     out = tmp_path / "out"
+    cayley, pairs = floquet._cayley_eigenpairs, []
+
+    def kept(E, p):
+        z, u, resid = cayley(E, p)
+        pairs.append((z, u))
+        return z, u, resid
+
+    monkeypatch.setattr(floquet, "_cayley_eigenpairs", kept)
     assert main(["bands", "--config", cfg, "--out", str(out)]) == 0
+    ze, ue = pairs[-1]  # the edge pairs, at k = 0 and pi/q
     diag = json.loads((out / "band_arcs.json").read_text())["diagnostics"]
     assert set(diag) == {"max_band_residual", "min_band_gap", "max_edge_residual"}
     _, rows = read_csv(out / "bands.csv")
@@ -163,15 +172,25 @@ def test_bands_diagnostics_match_eig(tmp_path):
     assert resid[i, res["n"]] == pytest.approx(resid.max(), abs=1e-15)
     assert np.abs(z - w).max() <= 64 * q * np.finfo(float).eps
 
-    # the band edges: eigenpairs of eig at k = 0 and pi/q
-    E = floquet.floquet_blocks(seq, q, [0.0, math.pi / q])
+    # the band edges: every residual of the run's edge pairs at k = 0 and
+    # pi/q, recomputed one pair at a time, and every edge and arc end within
+    # 64 q eps of an eigenvalue of eig
+    ends = [0.0, math.pi / q]
+    E = floquet.floquet_blocks(seq, q, ends)
     E = E[0] @ E[1]
-    we, V = np.linalg.eig(E)
-    edge_resid = np.linalg.norm(E @ V - V * we[:, None, :], axis=1)
-    i, n = np.unravel_index(np.argmax(edge_resid), edge_resid.shape)
-    assert diag["max_edge_residual"] == {
-        "value": float(edge_resid[i, n]), "tol": 1e-10, "k": [0.0, math.pi / q][i],
-        "theta": float(np.angle(we[i, n]) % (2 * math.pi))}
+    edge_resid = np.array([[np.linalg.norm(E[i] @ ue[i, :, n] - ze[i, n] * ue[i, :, n])
+                            for n in range(q)] for i in range(2)])
+    edge = diag["max_edge_residual"]
+    i = ends.index(edge["k"])
+    n = int(np.flatnonzero(np.angle(ze[i]) % (2 * math.pi) == edge["theta"])[0])
+    assert edge["tol"] == 1e-10
+    assert edge["value"] == pytest.approx(edge_resid.max(), abs=1e-15)
+    assert edge_resid[i, n] == pytest.approx(edge_resid.max(), abs=1e-15)
+    we = np.linalg.eigvals(E)
+    assert np.abs(ze[:, :, None] - we[:, None, :]).min(axis=-1).max() <= 64 * q * np.finfo(float).eps
+    _, arcs = read_csv(out / "band_arcs.csv")
+    arc_ends = np.exp(1j * np.array(arcs, dtype=float)).ravel()
+    assert np.abs(arc_ends[:, None] - we.ravel()).min(axis=-1).max() <= 64 * q * np.finfo(float).eps
 
 
 def test_bands_exits_3_when_the_pole_sits_on_the_spectrum(tmp_path, capsys, monkeypatch):
@@ -191,11 +210,12 @@ def test_bands_exits_3_when_the_pole_sits_on_the_spectrum(tmp_path, capsys, monk
 @pytest.mark.parametrize("k_points", [64, 100])
 def test_bands_solves_one_pole_eigenproblem_per_interval(tmp_path, monkeypatch, k_points):
     # the 8 pole intervals share one stacked Hermitian eigvalsh, however the
-    # k blocks of 8 fall across them, and no general eigensolver picks a pole
-    # (100 k made 19 eigvals calls when each block chose its own poles)
+    # k blocks of 8 fall across them, the two band edge matrices share one
+    # more, and no general eigensolver runs (100 k made 19 eigvals calls when
+    # each block chose its own poles)
     from cmvlab import floquet
 
-    calls = {"eigvals": [], "eigvalsh": []}
+    calls = {"eig": [], "eigvals": [], "eigvalsh": []}
 
     def spy(name):
         solver = getattr(np.linalg, name)
@@ -205,11 +225,12 @@ def test_bands_solves_one_pole_eigenproblem_per_interval(tmp_path, monkeypatch, 
             return solver(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
 
-    spy("eigvals")
-    spy("eigvalsh")
+    for name in calls:
+        spy(name)
     cfg, _ = _bands_config(tmp_path, 32, k_points)
     assert main(["bands", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert calls == {"eigvals": [], "eigvalsh": [(floquet._POLE_INTERVALS, 32, 32)]}
+    assert calls == {"eig": [], "eigvals": [],
+                     "eigvalsh": [(floquet._POLE_INTERVALS, 32, 32), (2, 32, 32)]}
 
 
 def test_bands_rejects_odd_q(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -430,6 +431,7 @@ disk95 = st.builds(
 @settings(max_examples=40, deadline=None)
 @given(values=st.lists(disk95, min_size=1, max_size=8))
 @example(values=[0j, 1e-12 + 0j])
+@example(values=[0j, 1e-12 - 2.4492935982947066e-28j])
 def test_doubled_period_closes_its_new_gaps(values):
     # sigma(E_2q) = sigma(E_q): every gap the doubling adds is closed
     seq = C.periodic_table_seq(values)
@@ -449,16 +451,22 @@ def test_wrap_window_eigenvalues_lie_in_the_bands(values):
 
 
 def test_periodic_spectrum_certifies_every_edge(monkeypatch):
-    # an eigenvalue moved by 1e-6 leaves a residual of 1e-6 on its unit vector
+    # one eigenvector of E_4(0) tilted towards another pair leaves a residual
+    # of 1e-6 and refuses the edges
     s = C.periodize(C.constant_seq(0.5), 4)
-    exact = np.linalg.eig
+    exact = np.linalg.eigh
     F.periodic_spectrum(s, 4)
 
-    def shifted(E):
-        w, vecs = exact(E)
-        return w + 1e-6, vecs
+    def tilted(H):
+        lam, vecs = exact(H)
+        # the symmetrized transform has eigenvalues -2 cot(beta/2), beta the
+        # angle of z from the pole: u_0 + d u_m has residual d |z_m - z_0|
+        z = np.exp(2j * np.arctan2(1.0, -lam[0] / 2))
+        m = np.argmax(np.abs(z - z[0]))
+        vecs[0, :, 0] += 1e-6 / abs(z[m] - z[0]) * vecs[0, :, m]
+        return lam, vecs
 
-    monkeypatch.setattr(np.linalg, "eig", shifted)
+    monkeypatch.setattr(np.linalg, "eigh", tilted)
     with pytest.raises(NumericalInstabilityError, match="1.00e-06"):
         F.periodic_spectrum(s, 4)
 
@@ -573,12 +581,15 @@ def pole_problems(draw):
 def test_each_pole_keeps_its_margin_from_the_spectrum_at_its_interval_centre(problem):
     # the widest of the q + 1 gaps of [-1, cosines, 1] is at least 2/(q + 1)
     # wide and cos is 1-Lipschitz, so the pole sits at least 1/(q + 1) in
-    # angle from every eigenvalue of E_q at the centre, and from its conjugate
+    # angle from every eigenvalue of E_q at the centre, and from its conjugate;
+    # the band edges of periodic_spectrum take their poles at k = 0 and pi/q
     seq, q, ks = problem
-    poles = F._poles(seq, q, ks)
+    with mock.patch.object(F, "_cayley_eigenpairs", wraps=F._cayley_eigenpairs) as solve:
+        F.periodic_spectrum(seq, q)
+    poles = np.concatenate([F._poles(seq, q, ks), solve.call_args.args[1]])
     width = math.pi / q / F._POLE_INTERVALS
     centres = (np.minimum(ks // width, F._POLE_INTERVALS - 1) + 0.5) * width
-    L, M = F.floquet_blocks(seq, q, centres)
+    L, M = F.floquet_blocks(seq, q, np.append(centres, [0.0, math.pi / q]))
     w = np.linalg.eigvals(L @ M)
     w = np.concatenate([w, w.conj()], axis=-1)
     assert np.all(np.abs(np.abs(poles) - 1.0) <= 1e-15)

@@ -8,8 +8,9 @@ jobs are every ``perfbench.workloads.make_jobs`` job of every workload at each
 of ``SEEDS``, plus the example configs of README.md.  Each tree runs all of them
 through ``cmvlab.cli.main`` in one fresh interpreter; then, per job, the exit
 codes are compared and, per output file, the script prints "identical" or the
-largest numeric difference.  Numbers are compared where the two files agree
-in every character outside their numbers; other files print "text differs".
+largest numeric difference, for a JSON file with the key path where it occurs.
+Numbers are compared where the two files agree in every character outside
+their numbers; other files print "text differs".
 The exit status is 0 when every exit code matches and every file is identical.
 """
 
@@ -88,9 +89,27 @@ def compare_file(old: str, new: str) -> str:
         return "identical"
     if _NUMBER.split(a) != _NUMBER.split(b):
         return "text differs"
+    if old.endswith(".json"):
+        moves = [(abs(x - y), path) for (path, x), (_, y) in zip(_leaves(json.loads(a)),
+                                                               _leaves(json.loads(b)))
+                 if repr(x) != repr(y) and isinstance(x, (int, float))]
+        if moves:
+            return "max numeric difference {:.3g} at {}".format(*max(moves))
     diffs = [abs(float(x) - float(y)) for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b))
              if x != y]
     return f"max numeric difference {max(diffs):.3g}"
+
+
+def _leaves(x, path: str = ""):
+    """(key path, value) of every leaf of a parsed JSON document, in order."""
+    if isinstance(x, dict):
+        for key, v in x.items():
+            yield from _leaves(v, f"{path}.{key}" if path else key)
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, x
 
 
 def main(argv=None) -> int:
