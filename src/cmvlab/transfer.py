@@ -8,10 +8,17 @@ Two one-step 2x2 cocycles over a coefficient sequence:
   product over one (even) period is the monodromy matrix with real trace
   and determinant +1.
 
+Both are one cocycle: for even q the monodromy is a fixed conjugate of
+the Szego product T_q(z) = S(alpha_{q-1}, z) ... S(alpha_0, z),
+
+    Y(q-1, z) ... Y(0, z) = z^{-q/2} D(z)^{-1} T_q(z) D(z),   D(z) = diag(1, z),
+
+so the product kernel forms Szego products only.
+
 The Lyapunov exponent is the per-step exponential growth rate of the Szego
 products on the unit circle; ``lyapunov`` projects z onto it.  For sequences
-with period metadata it is exactly log(spectral radius of the monodromy) /
-period; otherwise a rescaled Birkhoff product along the orbit is used.  A
+with period metadata it is exactly log(spectral radius of T_q) / q;
+otherwise a rescaled Birkhoff product along the orbit is used.  A
 monodromy or an exponent that is not finite raises NumericalInstabilityError.
 
 Every product (Birkhoff sums, monodromies, discriminant scans) runs through
@@ -24,15 +31,11 @@ update, the Szego step times rho_n:
 
 The factors 1/rho_n are not multiplied in: -1/2 sum log1p(-|alpha_n|^2) over
 each block of sites goes into the product's log scale, as does the largest
-entry divided out every few steps.
-
-* On |z| = 1 the Szego step is z^{1/2} times an SU(1,1) matrix
-  [[A, B], [conj B, conj A]], so the first column (u, w) of a product of m
-  steps fixes the whole product: its second column is z^m (conj w, conj u)
-  and its norm is |u| + |w|.  Birkhoff products carry the first column only.
-* A GZ step is the update without u <- z u, with alpha_n at even n and
-  conj(alpha_n) at odd n, followed by a swap of u and w; at odd n it is
-  conjugated by diag(1, z) as well.  GZ products carry both columns.
+entry divided out every few steps.  On |z| = 1 the Szego step is z^{1/2}
+times an SU(1,1) matrix [[A, B], [conj B, conj A]], so the first column
+(u, w) of a product of m steps fixes the whole product: its second column is
+z^m (conj w, conj u) and its norm is |u| + |w|.  Birkhoff products carry the
+first column only; monodromies carry both.
 
 Each numpy call of a step costs microseconds whatever its size, so a Birkhoff
 product over a narrow grid is cut into P consecutive orbit lanes that advance
@@ -41,14 +44,12 @@ are then joined in site order by P - 1 products.  The first half of the lanes
 gives the estimate at a shorter orbit for free (``half_orbit_estimates``).
 
 A step's calls read every row operand forward and whole: z is tiled once per
-pass to the (P, g) shape of a row, an odd GZ step multiplies by (1, 2g) rows
-[z, z] and [1/z, 1/z], and each row is updated from the other by name, never
-through a reversed view, which would take numpy off its contiguous loops.
-Steps run in chunks that end at the next rescaling, at the snapshot or at
-the end of the block, so those tests run once per chunk, not once per step;
-a GZ chunk takes its even and odd steps in pairs.  Every element sees the
-same operations in the same order as in a step-at-a-time loop, so the
-products keep their bits.
+pass to the (P, cols * g) shape of a row, and each row is updated from the
+other by name, never through a reversed view, which would take numpy off its
+contiguous loops.  Steps run in chunks that end at the next rescaling, at the
+snapshot or at the end of the block, so those tests run once per chunk, not
+once per step.  Every element sees the same operations in the same order as
+in a step-at-a-time loop, so the products keep their bits.
 """
 
 from __future__ import annotations
@@ -129,78 +130,58 @@ def _passes(zs: np.ndarray):
     return (zs[i:i + _POINTS] for i in range(0, max(zs.size, 1), _POINTS))
 
 
-def _lane_count(g: int, n_steps: int, steps_per_rescale: int) -> int:
+def _lane_count(g: int, n_steps: int) -> int:
     """Birkhoff orbit lanes that fill a narrow pass: _POINTS // g, each >= 4 rescalings long.
 
     Grids that fill half a pass or more take one lane: two lanes of a
-    half-full pass save next to nothing.  GZ monodromies always run one lane.
+    half-full pass save next to nothing.  Monodromies always run one lane.
     """
     if 2 * g >= _POINTS:
         return 1
-    return max(1, min(_POINTS // max(g, 1), n_steps // (4 * steps_per_rescale)))
+    return max(1, min(_POINTS // max(g, 1), n_steps // (4 * _SCALE_EVERY)))
 
 
-def _advance(seq, zs, starts, length, gz, snap=0):
-    """Lockstep products of ``length`` steps from each site of ``starts``.
+def _advance(seq, zs, starts, length, cols, snap=0):
+    """Lockstep Szego products of ``length`` steps from each site of ``starts``.
 
-    Lane p multiplies the steps at sites starts[p] ... starts[p] + length - 1;
-    GZ products run one lane from site 0, over an even number of steps.  The
-    state x has shape (2, P, W): x[0, p] and x[1, p] are the rows u and w of
-    lane p's product, in its first column at the g points of zs (Szego, W = g)
-    or in both columns (GZ, W = 2g, column 1 in x[:, :, g:]).  The factors
+    Lane p multiplies the steps at sites starts[p] ... starts[p] + length - 1.
+    The state x has shape (2, P, cols * g): x[0, p] and x[1, p] are the rows
+    u and w of lane p's product at the g points of zs, in its first column
+    (cols = 1) or in both (cols = 2, column 1 in x[:, :, g:]).  The factors
     1/rho and, after every _SCALE_EVERY-th step, each (lane, point) product's
     largest entry (unless 0) are left out of x and their logs added to the
     (P, g) log scales.  Returns x and the log scales, then copies of both
     after the first ``snap`` steps.
     """
-    lanes, g, cols = starts.size, zs.size, 2 if gz else 1
+    lanes, g = starts.size, zs.size
     x = np.zeros((2, lanes, cols * g), dtype=complex)
     x[0, :, :g] = x[1, :, g:] = 1.0  # the identity, or its first column
     y = np.empty_like(x)
     (x0, x1), (y0, y1) = x, y  # the rows u and w, as views
-    if gz:  # an odd GZ step diag(1, 1/z) C diag(1, z) scales the swapped rows by z, 1/z
-        t = np.empty_like(x)
-        z_row, z_inv_row = np.tile(zs, (1, 2)), np.tile(1.0 / zs, (1, 2))
-    else:
-        z_lanes = np.tile(zs, (lanes, 1))
+    z_lanes = np.tile(zs, (lanes, cols))
     log_scale = np.zeros((lanes, g))
     x_snap = log_snap = None
     # one window call per block: (block, P) coefficients of <= 1 MB
     block = max(1, min(_BLOCK, _BLOCK_SITES // lanes))
     for lo in range(0, length, block):
         hi = min(lo + block, length)
-        sites = np.arange(lo, hi)[:, None] + starts
-        al = seq.window(sites)
+        al = seq.window(np.arange(lo, hi)[:, None] + starts)
         mod = np.abs(al)
         if not np.all(mod < 1.0):
             raise ValueError(f"|alpha| must be < 1, got {np.nanmax(mod)}")
         log_rho = -0.5 * np.log1p(-(al.real * al.real + al.imag * al.imag))
-        if gz:  # Szego form with alpha_n (even n) or conj(alpha_n) (odd n), rows swapped
-            al = np.where(sites % 2 == 0, al, al.conj())
-            coef = -np.stack([al, al.conj()], axis=1)[..., None]
-        else:  # the (P, 1) coefficients of u and w at each step
-            c_u, c_w = -al.conj()[..., None], -al[..., None]
+        # the (P, 1) coefficients of u and w at each step
+        c_u, c_w = -al.conj()[..., None], -al[..., None]
         # chunks of steps that end at the next rescale, the snapshot or the block end
         j = lo
         while j < hi:
             end = min(hi, (j // _SCALE_EVERY + 1) * _SCALE_EVERY, snap if snap > j else hi)
-            if gz:  # chunks start at even steps and are of even length
-                for c_even, c_odd in zip(coef[j - lo:end - lo:2], coef[j - lo + 1:end - lo:2]):
-                    # (u, w) <- (w - a u, u - conj(a) w), into y
-                    np.multiply(c_even, x, out=y)
-                    y0 += x1
-                    y1 += x0
-                    # (u, w) <- (z w - a u, u / z - conj(a) w), back into x
-                    np.multiply(z_row, y1, out=x0)
-                    np.multiply(z_inv_row, y0, out=x1)
-                    np.multiply(c_odd, y, out=t)
-                    x += t
-            else:  # (u, w) <- (z u - conj(a) w, w - a z u)
-                for cu, cw in zip(c_u[j - lo:end - lo], c_w[j - lo:end - lo]):
-                    x0 *= z_lanes
-                    np.multiply(cu, x1, out=y0)
-                    np.multiply(cw, x0, out=y1)
-                    x += y
+            # (u, w) <- (z u - conj(a) w, w - a z u)
+            for cu, cw in zip(c_u[j - lo:end - lo], c_w[j - lo:end - lo]):
+                x0 *= z_lanes
+                np.multiply(cu, x1, out=y0)
+                np.multiply(cw, x0, out=y1)
+                x += y
             if end % _SCALE_EVERY == 0:
                 xs = x.reshape(2, lanes, cols, g)
                 s = np.abs(xs).max(axis=(0, 2))
@@ -247,13 +228,13 @@ def _pass(seq, zs, n_steps, lanes):
     if lanes == 1:
         n_half = n_steps // 2
         x, log_scale, x_half, log_half = _advance(
-            seq, zs, np.zeros(1, dtype=int), n_steps, False, n_half)
+            seq, zs, np.zeros(1, dtype=int), n_steps, 1, n_half)
         col, log_col = x[:, 0], log_scale[0]
         half = (x_half[:, 0], log_half[0]) if n_half else None
     else:
         length = n_steps // lanes
         n_half = lanes // 2 * length
-        x, log_scale, _, _ = _advance(seq, zs, np.arange(lanes) * length, length, False)
+        x, log_scale, _, _ = _advance(seq, zs, np.arange(lanes) * length, length, 1)
         z_m = zs ** length
         acc, log_acc = x[:, 0], log_scale[0]
         for p in range(1, lanes):
@@ -262,7 +243,7 @@ def _pass(seq, zs, n_steps, lanes):
             acc, log_acc = _join(x[:, p], log_scale[p], z_m, acc, log_acc)
         if lanes * length < n_steps:
             rest = n_steps - lanes * length
-            x, log_scale, _, _ = _advance(seq, zs, np.array([lanes * length]), rest, False)
+            x, log_scale, _, _ = _advance(seq, zs, np.array([lanes * length]), rest, 1)
             acc, log_acc = _join(x[:, 0], log_scale[0], zs ** rest, acc, log_acc)
         col, log_col = acc, log_acc
     return (_growth(col, log_col, n_steps), n_half,
@@ -274,17 +255,17 @@ def _birkhoff(seq, zs, n_steps):
 
     Memory is O(_POINTS + block): alpha is read one block of sites at a time.
     """
-    lanes = _lane_count(zs.size, n_steps, _SCALE_EVERY)
+    lanes = _lane_count(zs.size, n_steps)
     rates, n_half, half = zip(*(_pass(seq, part, n_steps, lanes) for part in _passes(zs)))
     return (np.concatenate(rates), n_half[0],
             None if half[0] is None else np.concatenate(half))
 
 
 def _monodromies(seq, zs, q):
-    """Monodromies at every z divided by e^{log_scale}: (g, 2, 2) and the (g,) log scales."""
+    """Szego products T_q at every z divided by e^{log_scale}: (g, 2, 2) and the (g,) log scales."""
     parts = []
     for part in _passes(zs):
-        x, log_scale, _, _ = _advance(seq, part, np.zeros(1, dtype=int), q, True)
+        x, log_scale, _, _ = _advance(seq, part, np.zeros(1, dtype=int), q, 2)
         parts.append((x[:, 0].reshape(2, 2, part.size).transpose(2, 0, 1), log_scale[0]))
     m, log_scale = zip(*parts)
     return np.concatenate(m), np.concatenate(log_scale)
@@ -293,8 +274,13 @@ def _monodromies(seq, zs, q):
 def monodromy(seq: CoefficientSequence, q: int, z) -> np.ndarray:
     """Ordered product Y(q-1, z) ... Y(0, z) for even q; shape z.shape + (2, 2).
 
-    A product with an entry that is not finite (past the float range)
-    raises NumericalInstabilityError.
+    Formed as z^{-q/2} D^{-1} T_q D, D = diag(1, z), from the Szego product
+    T_q: the modulus |z|^{-q/2} goes into T_q's log scale before it is
+    multiplied in, the unit phase (z/|z|)^{-q/2} after.  A product with an
+    entry that is not finite raises NumericalInstabilityError.  The scale
+    is one factor for all four entries, and the conjugation can shrink the
+    largest by |z| or 1/|z|, so off the circle the error can come up to a
+    factor max(|z|, 1/|z|) before the product leaves the float range.
     """
     if q < 2 or q % 2 != 0:
         raise ValueError(f"q must be a positive even integer, got {q}")
@@ -302,8 +288,12 @@ def monodromy(seq: CoefficientSequence, q: int, z) -> np.ndarray:
     if not np.all(np.isfinite(zs) & (zs != 0)):
         raise ValueError("z must be finite and nonzero")
     m, log_scale = _monodromies(seq, zs, q)
+    m[:, 0, 1] *= zs
+    m[:, 1, 0] /= zs
+    r = np.abs(zs)
+    log_scale -= q // 2 * np.log(r)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = m * np.exp(log_scale)[:, None, None]
+        m *= (np.exp(log_scale) * (zs / r) ** -(q // 2))[:, None, None]
     bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
     if bad.size:
         raise NumericalInstabilityError(
@@ -328,14 +318,16 @@ def lyapunov(seq: CoefficientSequence, z, n_steps: int = 100_000) -> float | np.
 
     Points within 1e-9 of the unit circle are projected onto it; any other
     point, NaN included, raises ValueError.  Periodic sequences use the exact
-    monodromy formula (n_steps is then irrelevant): the log of the spectral
-    radius of the rescaled monodromy plus its log scale, over the period.
-    Otherwise the Birkhoff product of the first n_steps Szego steps is formed,
-    as its first column only (the second column follows from it on the
-    circle), divided by its largest entry every 16 steps and with the factors
-    1/rho summed into the log scale.  A scalar z gives a float, a
-    1-d array of points an array of rates; a rate that is not finite (NaN
-    included) raises NumericalInstabilityError.
+    formula (n_steps is then irrelevant): the log of the spectral radius of
+    the rescaled Szego product T_q plus its log scale, over q, the period
+    (doubled if odd).  On the circle the monodromy, a conjugate of T_q times
+    the unit z^{-q/2}, has the same spectral radius.  Otherwise the Birkhoff
+    product of the first n_steps Szego steps is formed, as its first column
+    only (the second column follows from it on the circle), divided by its
+    largest entry every 16 steps and with the factors 1/rho summed into the
+    log scale.  A scalar z gives a float, a 1-d array of points an array of
+    rates; a rate that is not finite (NaN included) raises
+    NumericalInstabilityError.
     """
     zs = _as_points(z)
     dev = np.abs(np.abs(zs) - 1.0)

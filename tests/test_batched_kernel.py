@@ -87,8 +87,8 @@ def test_periodic_lyapunov_matches_monodromy_eigenvalues(seq, zs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seq=tables, zs=grids, half=st.integers(1, 4))
-def test_monodromy_and_discriminant_match_per_point_products(seq, zs, half):
+@given(seq=tables, zs=grids, half=st.integers(1, 4), data=st.data())
+def test_monodromy_and_discriminant_match_per_point_products(seq, zs, half, data):
     q = 2 * half * seq.period
     got = T.monodromy(seq, q, zs)
     assert got.shape == zs.shape + (2, 2)
@@ -98,6 +98,12 @@ def test_monodromy_and_discriminant_match_per_point_products(seq, zs, half):
     disc = F.discriminant(seq, q, np.angle(zs))
     np.testing.assert_allclose(disc, np.trace(want, axis1=1, axis2=2).real,
                                rtol=0, atol=1e-12 * scale)
+    # off the circle |z|^{-q/2} goes into the log scale; each point to its own largest entry
+    radii = data.draw(st.lists(st.floats(0.5, 1.5), min_size=zs.size, max_size=zs.size))
+    off = zs * np.array(radii)
+    want = np.array([monodromy_oracle(seq, q, z) for z in off])
+    err = np.abs(T.monodromy(seq, q, off) - want).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want).max(axis=(1, 2))))
 
 
 def test_birkhoff_lyapunov_matches_mpmath():
@@ -170,6 +176,28 @@ def test_long_monodromy_traces_match_mpmath():
             want = float(mpmath.re(m[0, 0] + m[1, 1]))
             assert abs(want) > 1e150
             assert abs(val - want) < 1e-12 * abs(want)
+
+
+def test_monodromies_off_the_circle_match_mpmath():
+    # |z|^{-q/2} reaches 2^256 at |z| = 0.5: the modulus goes into the log scale
+    rng = np.random.default_rng(5)
+    q = 512
+    seq = C.periodic_table_seq(0.5 * rng.random(q) * np.exp(TWO_PI * 1j * rng.random(q)))
+    zs = np.array([0.5, 0.9, 1.1]) * np.exp(1j * np.array([0.3, 2.5, 5.1]))
+    got = T.monodromy(seq, q, zs)
+    with mpmath.workdps(50):
+        for z0, val in zip(zs, got):
+            z = mpmath.mpc(z0)
+            m = mpmath.eye(2)
+            for n in range(q):
+                a = mpmath.mpc(seq(n))
+                if n % 2 == 0:
+                    y = mpmath.matrix([[-a, 1], [1, -mpmath.conj(a)]])
+                else:
+                    y = mpmath.matrix([[-mpmath.conj(a), z], [1 / z, -a]])
+                m = y / mpmath.sqrt(1 - abs(a) ** 2) * m
+            want = np.array(m.tolist(), dtype=complex)
+            assert np.max(np.abs(val - want)) < 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("theta", [0.3, 2.5])
@@ -394,7 +422,7 @@ def matmul_reference(seq, zs, n, scale_every=SCALE_EVERY):
     (1/rho) [[1, -conj(a)], [-a, 1]] in one batched matmul.  Grid passes,
     lanes, joins and the half-orbit rule follow T._POINTS and T._lane_count.
     """
-    lanes = T._lane_count(zs.size, n, scale_every)
+    lanes = T._lane_count(zs.size, n)
 
     def advance(part, starts, length, snap=0):
         """(P, g, 2, 2) lane products and (P, g) log scales, at the end and after snap steps."""
@@ -454,7 +482,7 @@ def matmul_reference(seq, zs, n, scale_every=SCALE_EVERY):
     return np.concatenate(rates), n_half, np.concatenate(halves) if n_half else None
 
 
-def advance_reference(seq, zs, starts, length, gz, snap=0):
+def advance_reference(seq, zs, starts, length, cols, snap=0):
     """T._advance as it was before its chunked loop: one step at a time over reversed rows.
 
     Each step multiplies the (2, P, 1) coefficients, broadcast over the
@@ -462,44 +490,28 @@ def advance_reference(seq, zs, starts, length, gz, snap=0):
     run after every step.  Its arithmetic is the kernel's, element for
     element, so both must give the same bits.
     """
-    lanes, g, cols = starts.size, zs.size, 2 if gz else 1
+    lanes, g = starts.size, zs.size
     x = np.zeros((2, lanes, cols * g), dtype=complex)
     x[0, :, :g] = x[1, :, g:] = 1.0  # the identity, or its first column
     y = np.empty_like(x)
-    if gz:  # an odd GZ step diag(1, 1/z) C diag(1, z) scales the swapped rows by z, 1/z
-        t = np.empty_like(x)
-        z_odd = np.tile(np.stack([zs, 1.0 / zs])[:, None], 2)
+    z_row = np.tile(zs, cols)
     log_scale = np.zeros((lanes, g))
     x_snap = log_snap = None
     # one window call per block: a (block, 2, P) coefficient array of <= 1 MB
     block = max(1, min(T._BLOCK, T._BLOCK_SITES // lanes))
     for lo in range(0, length, block):
         hi = min(lo + block, length)
-        sites = np.arange(lo, hi)[:, None] + starts
-        al = seq.window(sites)
+        al = seq.window(np.arange(lo, hi)[:, None] + starts)
         mod = np.abs(al)
         if not np.all(mod < 1.0):
             raise ValueError(f"|alpha| must be < 1, got {np.nanmax(mod)}")
         log_rho = -0.5 * np.log1p(-(al.real * al.real + al.imag * al.imag))
-        if gz:  # Szego form with alpha_n (even n) or conj(alpha_n) (odd n), rows swapped
-            al = np.where(sites % 2 == 0, al, al.conj())
-            coef = -np.stack([al, al.conj()], axis=1)[..., None]
-        else:
-            coef = -np.stack([al.conj(), al], axis=1)[..., None]
+        coef = -np.stack([al.conj(), al], axis=1)[..., None]
         for j, c in zip(range(lo, hi), coef):
-            if not gz:  # (u, w) <- (z u - conj(a) w, w - a z u)
-                x[0] *= zs
-                np.multiply(c, x[::-1], out=y)
-                x += y
-            elif j % 2 == 0:  # (u, w) <- (w - a u, u - conj(a) w); the lane starts at site 0
-                np.multiply(c, x, out=y)
-                y += x[::-1]
-                x, y = y, x
-            else:  # (u, w) <- (z w - a u, u / z - conj(a) w)
-                np.multiply(z_odd, x[::-1], out=y)
-                np.multiply(c, x, out=t)
-                y += t
-                x, y = y, x
+            # (u, w) <- (z u - conj(a) w, w - a z u)
+            x[0] *= z_row
+            np.multiply(c, x[::-1], out=y)
+            x += y
             if (j + 1) % SCALE_EVERY == 0:
                 xs = x.reshape(2, lanes, cols, g)
                 s = np.abs(xs).max(axis=(0, 2))
@@ -533,8 +545,8 @@ def test_birkhoff_kernel_equals_the_stepwise_reference_bitwise(g, lanes, length)
     zs = np.exp(1j * TWO_PI * (np.arange(g) + 0.3) / g)
     starts = np.arange(lanes) * length
     for snap in (0, length // 2 + 1, length):  # the middle one falls inside a chunk
-        got = T._advance(seq, zs, starts, length, False, snap)
-        want = advance_reference(seq, zs, starts, length, False, snap)
+        got = T._advance(seq, zs, starts, length, 1, snap)
+        want = advance_reference(seq, zs, starts, length, 1, snap)
         for a, b in zip(got, want):
             assert_same_bits(a, b)
 
@@ -547,6 +559,10 @@ def test_monodromy_equals_the_stepwise_reference_bitwise(monkeypatch, q, g):
     zs = np.exp(1j * TWO_PI * rng.random(g)) * np.where(rng.random(g) < 0.5, 1.0,
                                                         0.5 + rng.random(g))
     got = T.monodromy(seq, q, zs)
+    # per point: the numpy oracle's own rounding reaches 7.7e-12 |Phi(z)| at q = 256
+    want = np.array([monodromy_oracle(seq, q, z) for z in zs])
+    err = np.abs(got - want).max(axis=(1, 2))
+    assert np.all(err <= 1e-10 * np.maximum(1.0, np.abs(want).max(axis=(1, 2))))
     monkeypatch.setattr(T, "_advance", advance_reference)
     assert_same_bits(got, T.monodromy(seq, q, zs))
 
@@ -581,7 +597,7 @@ def test_column_kernel_matches_the_matmul_reference(seq, g, n, shift):
 @example(seq=C.quasiperiodic_seq(0.6, 0.13, 0.0), g=1, n=3 * T._BLOCK - 1, shift=0.0,
          data=None)
 def test_lanes_match_per_point_and_mpmath_products(seq, g, n, shift, data):
-    lanes = T._lane_count(g, n, SCALE_EVERY)
+    lanes = T._lane_count(g, n)
     assume(lanes == 1 or n % lanes)
     zs = np.exp(1j * TWO_PI * (np.arange(g) + shift) / g)
     got = T.lyapunov(seq, zs, n_steps=n)
@@ -592,12 +608,12 @@ def test_lanes_match_per_point_and_mpmath_products(seq, g, n, shift, data):
 
 
 def test_lane_count_fills_narrow_passes_only():
-    assert T._lane_count(64, 20_000, 16) == T._POINTS // 64
-    assert T._lane_count(1, 20_000, 16) == 20_000 // 64
-    assert T._lane_count(1, 4 * 16 - 1, 16) == 1
-    assert T._lane_count(T._POINTS // 2 - 1, 20_000, 16) == 2
+    assert T._lane_count(64, 20_000) == T._POINTS // 64
+    assert T._lane_count(1, 20_000) == 20_000 // 64
+    assert T._lane_count(1, 4 * 16 - 1) == 1
+    assert T._lane_count(T._POINTS // 2 - 1, 20_000) == 2
     for g in (T._POINTS // 2, T._POINTS, 3 * T._POINTS):
-        assert T._lane_count(g, 20_000, 16) == 1
+        assert T._lane_count(g, 20_000) == 1
 
 
 @pytest.mark.parametrize("g, n", [(T._POINTS // 2, 2 * T._BLOCK + 37),
@@ -626,7 +642,7 @@ def test_half_orbit_estimates_are_the_shorter_products(g, n):
         full = T.lyapunov(seq, zs, n_steps=n)
     assert len(half) == 1
     n_half, vals = half[0]
-    lanes = T._lane_count(g, n, SCALE_EVERY)
+    lanes = T._lane_count(g, n)
     assert n_half == (n // 2 if lanes == 1 else lanes // 2 * (n // lanes))
     np.testing.assert_allclose(vals, T.lyapunov(seq, zs, n_steps=n_half), rtol=0, atol=1e-12)
     np.testing.assert_allclose(full, T.lyapunov(seq, zs, n_steps=n), rtol=0, atol=0)
