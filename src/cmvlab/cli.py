@@ -278,14 +278,16 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
 
     # strictly interior k grid (band eigenvalues may degenerate at 0 and pi/q)
     ks = (np.arange(k_points) + 0.5) * (math.pi / q) / k_points
-    # one block of k at a time: the eigenvectors are dropped once the
-    # velocities are read, so memory stays O(q^2) whatever k_points is
+    # one block of k at a time (``floquet._k_block``): the eigenvectors are
+    # dropped once the velocities are read, so memory stays within the
+    # block's entry budget whatever k_points is
     z = np.empty((k_points, q), dtype=complex)
     dz = np.empty((k_points, q), dtype=complex)
     poles = floquet._poles(seq, q, ks)  # once per run, not once per block
+    step = floquet._k_block(q)
     with floquet.certificates() as worst:
-        for b in range(0, k_points, floquet._K_BLOCK):
-            blk = ks[b:b + floquet._K_BLOCK]
+        for b in range(0, k_points, step):
+            blk = ks[b:b + step]
             z[b:b + blk.size], u, v = floquet.band_eigens(seq, q, blk, poles[b:b + blk.size])
             dz[b:b + blk.size] = floquet.band_derivative(seq, q, blk, u, v)
         n = np.tile(np.arange(q), k_points)
@@ -351,14 +353,15 @@ def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     periods = family.periods()
     levels, stage_arcs = [], []
     for qn, stage in zip(periods, family.stages):
-        arcs_n = floquet.periodic_spectrum(stage, qn)
+        with floquet.certificates() as worst:
+            arcs_n = floquet.periodic_spectrum(stage, qn)
+            sigma_2q = floquet.periodic_spectrum(coeffs.periodize(family.limit, 2 * qn), 2 * qn)
         stage_arcs.append(arcs_n)
-        per2q = coeffs.periodize(family.limit, 2 * qn)
-        sigma_2q = floquet.periodic_spectrum(per2q, 2 * qn)
         levels.append({
             "q": qn,
             "sigma_measure": arcs_n.measure(),
             "sigma2q_minus_Z": sigma_2q.diff_measure(z_est),
+            "diagnostics": worst,
         })
     hausdorff_seq = [
         stage_arcs[i].hausdorff(stage_arcs[i + 1])

@@ -197,11 +197,12 @@ def lp_sum_criterion(
 ) -> dict:
     """Check sum_{n>k} q_n * ||E_n - E_{n-1}|| < measure(Sigma_k) / 2.
 
-    The sum is evaluated exactly on periodic-wrap windows of four times the
-    last stage's period.  The family's limit is its last stage, so the sum
-    has no tail.
+    Each norm is ``floquet.norm_diff`` on a window of four times the last
+    stage's period: the largest difference of the two stages' Floquet blocks
+    over that window's phases.  The family's limit is its last stage, so the
+    sum has no tail.
     """
-    from . import operator as _operator
+    from . import floquet as _floquet
 
     stages = family.stages
     if not 0 <= k < len(stages):
@@ -213,7 +214,7 @@ def lp_sum_criterion(
     dim = 4 * periods[-1]
     lhs = 0.0
     for n in range(k + 1, len(stages)):
-        lhs += periods[n] * _operator.norm_diff(stages[n], stages[n - 1], dim)
+        lhs += periods[n] * _floquet.norm_diff(stages[n], stages[n - 1], dim)
 
     rhs = 0.5 * float(sigma_k_measure)
     return {"holds": lhs < rhs, "lhs": lhs, "rhs": rhs}

@@ -24,6 +24,10 @@ at k = 0 and pi/q themselves.  The residual ||E u - z u||, which for a
 normal E bounds the distance from z to the spectrum, certifies each pair
 whatever the pole.
 
+A window of dim sites of a Q-periodic sequence is unitarily the direct sum
+of E_Q(k) over the dim / Q phases k = 2 pi j / dim, so ``norm_diff``
+compares two periodic sequences block by block.
+
 Bands are alternatively characterized by the discriminant: z belongs to the
 spectrum iff the (real) monodromy trace lies in [-2, 2], and eigenvalues of
 E_q(k) are exactly the roots of trace = 2 cos(qk).
@@ -51,12 +55,20 @@ __all__ = [
     "monodromy_bound_check",
     "discriminant",
     "certificates",
+    "norm_diff",
 ]
 
 _GAP_TOL = 1e-8
 _RESIDUAL_TOL = 1e-10
-_K_BLOCK = 8  # k per stacked eigenproblem: band_eigens' temporaries stay O(q^2)
+_K_ENTRIES = 8 * 64 * 64  # matrix entries per stacked eigenproblem, 8 k at q = 64
 _POLE_INTERVALS = 8  # intervals of (0, pi/q) that each share one Cayley pole
+
+
+def _k_block(q: int) -> int:
+    """k per stacked eigenproblem: a stack of q x q matrices holds at most
+    _K_ENTRIES entries (one matrix when q^2 exceeds it), so the temporaries
+    of ``band_eigens`` do not grow with the number of k."""
+    return max(1, _K_ENTRIES // (q * q))
 
 
 def _check_q(seq: CoefficientSequence, q: int) -> None:
@@ -83,6 +95,33 @@ def floquet_blocks(
     M[..., 0, q - 1] *= np.exp(-1j * k * q)
     M[..., q - 1, 0] *= np.exp(1j * k * q)
     return L, M
+
+
+def norm_diff(seq1: CoefficientSequence, seq2: CoefficientSequence, dim: int) -> float:
+    """Operator norm of the difference of the dim-site periodic-wrap CMV
+    windows of two periodic sequences.
+
+    dim must be a multiple of the common period Q (the lcm of the periods,
+    doubled if odd).  The window of a Q-periodic sequence is unitarily the
+    direct sum of E_Q(k_j) over the dim / Q Floquet phases k_j = 2 pi j / dim,
+    one Fourier transform for both sequences, so the norm is the largest
+    ||E_Q(k_j) - E'_Q(k_j)|| over j: one stacked singular-value solve of
+    dim / Q matrices of size Q x Q.
+    """
+    if seq1.period is None or seq2.period is None:
+        raise ValueError("exact evaluation needs two periodic sequences")
+    common = math.lcm(seq1.period, seq2.period)
+    if common % 2:
+        common *= 2
+    if dim < common or dim % common != 0:
+        raise ValueError(
+            f"window dim {dim} must be a multiple of the common period {common}"
+        )
+    k = np.arange(dim // common) * (TWO_PI / dim)
+    L1, M1 = floquet_blocks(seq1, common, k)
+    L2, M2 = floquet_blocks(seq2, common, k)
+    diff = np.matmul(L1, M1, out=M1) - np.matmul(L2, M2, out=M2)
+    return float(np.linalg.svd(diff, compute_uv=False)[:, 0].max())
 
 
 _CERTIFICATES: contextvars.ContextVar = contextvars.ContextVar("certificates", default=None)
@@ -216,6 +255,8 @@ def band_eigens(
     checked against 1e-10: for the normal E it bounds the distance from z to
     the spectrum, whatever the pole did, so a pole too near the spectrum is
     refused with NumericalInstabilityError rather than returning wrong pairs.
+    The k are solved in stacks of ``_k_block(q)``, so the temporaries do not
+    grow with K.
 
     Interior k keeps the eigenvalues simple; pairs closer than 1e-8 are
     reported through DegenerateBandError instead of being returned silently.
@@ -230,8 +271,9 @@ def band_eigens(
     resid = np.empty((k.size, q))
     if poles is None:
         poles = _poles(seq, q, k)
-    for b in range(0, k.size, _K_BLOCK):
-        blk = slice(b, b + _K_BLOCK)
+    step = _k_block(q)
+    for b in range(0, k.size, step):
+        blk = slice(b, b + step)
         L, M = floquet_blocks(seq, q, k[blk])
         # E_q(k) in M's buffer; the pairs go straight into the output rows
         z[blk], u[blk], resid[blk] = _cayley_eigenpairs(np.matmul(L, M, out=M), poles[blk])

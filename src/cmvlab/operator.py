@@ -19,7 +19,6 @@ All window objects are immutable after construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "sieve",
     "shift_seq",
     "verify_sieve_square",
-    "norm_diff",
     "cmv_banded",
 ]
 
@@ -215,26 +213,6 @@ def _dense(ab: np.ndarray) -> np.ndarray:
         out[at] = complex(-0.0, -0.0)
         np.add.at(out, at, ab)
     return out
-
-
-def norm_diff(seq1: CoefficientSequence, seq2: CoefficientSequence, dim: int) -> float:
-    """Operator norm of the windowed difference of two CMV operators.
-
-    Both sequences must be periodic and the window a multiple of their common
-    period, so the value is the exact k = 0 Floquet norm of the difference.
-    """
-    if seq1.period is None or seq2.period is None:
-        raise ValueError("exact evaluation needs two periodic sequences")
-    common = math.lcm(seq1.period, seq2.period)
-    if common % 2:
-        common *= 2
-    if dim < common or dim % common != 0:
-        raise ValueError(
-            f"window dim {dim} must be a multiple of the common period {common}"
-        )
-    e1 = assemble_cmv(seq1, 0, dim)
-    e2 = assemble_cmv(seq2, 0, dim)
-    return float(np.linalg.norm(e1.entries - e2.entries, 2))
 
 
 # ---------------------------------------------------------------------------

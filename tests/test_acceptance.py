@@ -265,7 +265,7 @@ def test_10_positive_measure_surrogate():
     telescoped = measures[0]
     details = [f"lp_sum lhs {verdict['lhs']:.3e} < rhs {verdict['rhs']:.3f}"]
     for n in range(1, len(periods)):
-        delta = O.norm_diff(fam.stages[n], fam.stages[n - 1], 4 * periods[n])
+        delta = F.norm_diff(fam.stages[n], fam.stages[n - 1], 4 * periods[n])
         telescoped -= 2 * periods[n] * 2.0 * math.asin(min(delta, 2.0) / 2.0)
         if not (telescoped > 0 and measures[n] >= telescoped - 1e-6):
             ok = False

@@ -210,9 +210,9 @@ def test_bands_exits_3_when_the_pole_sits_on_the_spectrum(tmp_path, capsys, monk
 @pytest.mark.parametrize("k_points", [64, 100])
 def test_bands_solves_one_pole_eigenproblem_per_interval(tmp_path, monkeypatch, k_points):
     # the 8 pole intervals share one stacked Hermitian eigvalsh, however the
-    # k blocks of 8 fall across them, the two band edge matrices share one
-    # more, and no general eigensolver runs (100 k made 19 eigvals calls when
-    # each block chose its own poles)
+    # k blocks (``floquet._k_block``) fall across them, the two band edge
+    # matrices share one more, and no general eigensolver runs (100 k made
+    # 19 eigvals calls when each block chose its own poles)
     from cmvlab import floquet
 
     calls = {"eig": [], "eigvals": [], "eigvalsh": []}
@@ -231,6 +231,27 @@ def test_bands_solves_one_pole_eigenproblem_per_interval(tmp_path, monkeypatch, 
     assert main(["bands", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert calls == {"eig": [], "eigvals": [],
                      "eigvalsh": [(floquet._POLE_INTERVALS, 32, 32), (2, 32, 32)]}
+
+
+@pytest.mark.parametrize("q, want", [
+    (8, [(64, 8, 8)]),
+    (32, [(32, 32, 32)] * 2),
+    (64, [(8, 64, 64)] * 8),
+])
+def test_bands_sizes_its_k_blocks_by_entries(tmp_path, monkeypatch, q, want):
+    # a stack holds at most 8 * 64 * 64 entries: the 64 k take one Hermitian
+    # eigh at q = 8, two at q = 32 and eight at q = 64; the band edges at
+    # k = 0 and pi/q take one more
+    shapes, eigh = [], np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    cfg, _ = _bands_config(tmp_path, q, 64)
+    assert main(["bands", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert shapes == want + [(2, q, q)]
 
 
 def test_bands_rejects_odd_q(tmp_path, capsys):
@@ -366,6 +387,65 @@ def test_approx_report(tmp_path):
     assert len(diffs) == 3
     assert all(b <= a + 1e-9 for a, b in zip(diffs, diffs[1:]))
     assert len(rep["hausdorff_consecutive"]) == 2
+
+
+def test_approx_diagnostics_match_the_edge_residuals(tmp_path, monkeypatch):
+    from cmvlab import cli, floquet
+
+    cfg = write_config(tmp_path, "a.json", {**APPROX_SMALL, "k": 0})
+    cayley, pairs = floquet._cayley_eigenpairs, []
+
+    def kept(E, p):
+        z, u, resid = cayley(E, p)
+        pairs.append((z, u))
+        return z, u, resid
+
+    monkeypatch.setattr(floquet, "_cayley_eigenpairs", kept)
+    out = tmp_path / "out"
+    assert main(["approx", "--config", cfg, "--out", str(out)]) == 0
+    levels = json.loads((out / "approx_report.json").read_text())["levels"]
+    family = cli._family(APPROX_SMALL["family"])
+    assert len(pairs) == 2 * len(levels)  # the edges of each stage and of its 2q periodization
+
+    for n, (level, stage) in enumerate(zip(levels, family.stages)):
+        q = level["q"]
+        # every edge residual of the level's two runs, recomputed one pair at
+        # a time from the sequences: (value, k, theta)
+        resid = []
+        for (seq, p), (z, u) in zip([(stage, q), (C.periodize(family.limit, 2 * q), 2 * q)],
+                                    pairs[2 * n:2 * n + 2]):
+            ends = [0.0, math.pi / p]
+            L, M = floquet.floquet_blocks(seq, p, ends)
+            E = L @ M
+            resid += [(np.linalg.norm(E[i] @ u[i, :, m] - z[i, m] * u[i, :, m]), ends[i],
+                       float(np.angle(z[i, m]) % (2 * math.pi)))
+                      for i in range(2) for m in range(p)]
+        worst = max(r for r, _, _ in resid)
+        diag = level["diagnostics"]
+        assert set(diag) == {"max_edge_residual"}
+        edge = diag["max_edge_residual"]
+        assert set(edge) == {"value", "tol", "k", "theta"}
+        assert edge["tol"] == 1e-10
+        assert edge["value"] == pytest.approx(worst, abs=1e-15)
+        at = [r for r, k, theta in resid if (k, theta) == (edge["k"], edge["theta"])]
+        assert at and max(at) == pytest.approx(worst, abs=1e-15)
+
+
+def test_approx_exits_3_on_an_edge_residual_above_its_tolerance(tmp_path, capsys,
+                                                               monkeypatch):
+    from cmvlab import floquet
+
+    cfg = write_config(tmp_path, "a.json", {**APPROX_SMALL, "k": 0})
+    cayley = floquet._cayley_eigenpairs
+
+    def patched(E, p):
+        z, u, resid = cayley(E, p)
+        resid[-1, -1] = 2e-10
+        return z, u, resid
+
+    monkeypatch.setattr(floquet, "_cayley_eigenpairs", patched)
+    assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "eigenpair residual 2.00e-10" in capsys.readouterr().err
 
 
 def test_walk_run_and_malformed_coin(tmp_path, capsys):

@@ -1,0 +1,47 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "compare_outputs", Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_outputs)
+
+
+def verdict(tmp_path, old, new, name="report.json"):
+    paths = []
+    for label, content in (("old", old), ("new", new)):
+        (tmp_path / label).mkdir(exist_ok=True)
+        path = tmp_path / label / name
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        paths.append(str(path))
+    return compare_outputs.compare_file(*paths)
+
+
+def test_json_key_changes_are_named_next_to_the_largest_move(tmp_path):
+    old = {"levels": [{"q": 2, "sigma_measure": 1.5}, {"q": 4, "sigma_measure": 1.25}],
+           "lp_sum_criterion": {"holds": True, "lhs": 0.125}, "gone": [1, 2], "k": 0}
+    new = {"levels": [{"q": 2, "sigma_measure": 1.5, "diagnostics": {"value": 1e-16}},
+                      {"q": 4, "sigma_measure": 1.25 + 2 ** -50}],
+           "lp_sum_criterion": {"holds": False, "lhs": 0.125 + 2 ** -40}, "k": 0}
+    lines = verdict(tmp_path, old, new).split("\n")
+    assert lines[0] == f"max numeric difference {2 ** -40:.3g} at lp_sum_criterion.lhs"
+    assert [line.strip() for line in lines[1:]] == [
+        "+ levels[0].diagnostics", "~ lp_sum_criterion.holds", "- gone"]
+
+
+@pytest.mark.parametrize("old, new, want", [
+    ({"a": [1, 2]}, {"a": [1, 2, 3]}, ["keys or values differ", "+ a[2]"]),
+    ({"a": 1, "b": 2}, {"b": 2, "a": 1}, ["text differs"]),
+    ({"a": 1.0}, {"a": 1.0}, ["identical"]),
+])
+def test_json_verdicts_without_a_numeric_move(tmp_path, old, new, want):
+    assert [line.strip() for line in verdict(tmp_path, old, new).split("\n")] == want
+
+
+def test_other_files_compare_their_numbers(tmp_path):
+    assert verdict(tmp_path, "x,y\n1.5,2\n", "x,y\n1.5,2.25\n", "t.csv") == \
+        "max numeric difference 0.25"
+    assert verdict(tmp_path, "x,y\n1.5,2\n", "x,z\n1.5,2\n", "t.csv") == "text differs"

@@ -450,6 +450,53 @@ def test_wrap_window_eigenvalues_lie_in_the_bands(values):
         assert arcs.contains(np.angle(z), tol=1e-10)
 
 
+def dense_norm_diff(s1, s2, dim):
+    """The dense formula: the 2-norm of the difference of the two dim-site
+    periodic-wrap windows."""
+    return float(np.linalg.norm(O.assemble_cmv(s1, 0, dim).entries
+                                - O.assemble_cmv(s2, 0, dim).entries, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(v1=st.lists(disk95, min_size=1, max_size=8),
+       v2=st.lists(disk95, min_size=1, max_size=8), m=st.integers(1, 4))
+@example(v1=[0.5j], v2=[0.3, -0.2, 0.1j], m=2)  # common period 3, doubled to 6
+@example(v1=[0.9 + 0j], v2=[0.2 + 0j], m=1)  # common period 1, one block of 2
+def test_norm_diff_is_the_dense_window_norm(v1, v2, m):
+    s1, s2 = C.periodic_table_seq(v1), C.periodic_table_seq(v2)
+    common = math.lcm(len(v1), len(v2))
+    dim = m * (2 * common if common % 2 else common)
+    assert F.norm_diff(s1, s2, dim) == pytest.approx(dense_norm_diff(s1, s2, dim), abs=1e-14)
+
+
+def test_norm_diff_takes_one_small_svd_per_stage_pair(monkeypatch):
+    # the README family at dim 64: the stage pairs (4, 2), (8, 4) and (16, 8)
+    # split the window into 16, 8 and 4 Floquet blocks, and no dim x dim
+    # matrix is formed
+    family = cli._family({"kind": "pt_family", "base_amp": 0.1, "q0": 2, "levels": 3,
+                          "decay": {"form": "geometric", "base": 4.0}})
+    svd, dense = np.linalg.svd, F._dense
+    shapes, built = [], []
+
+    def spy_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def spy_dense(ab):
+        built.append(ab.shape[-1])
+        return dense(ab)
+
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    monkeypatch.setattr(F, "_dense", spy_dense)
+    verdict = C.lp_sum_criterion(family, 0, 1.0)
+    assert shapes == [(16, 4, 4), (8, 8, 8), (4, 16, 16)]
+    assert max(built) == 16
+    periods, dim = family.periods(), 64
+    want = sum(periods[n] * dense_norm_diff(family.stages[n], family.stages[n - 1], dim)
+               for n in range(1, 4))
+    assert verdict["lhs"] == pytest.approx(want, abs=1e-15)
+
+
 def test_periodic_spectrum_certifies_every_edge(monkeypatch):
     # one eigenvector of E_4(0) tilted towards another pair leaves a residual
     # of 1e-6 and refuses the edges

@@ -182,7 +182,7 @@ def test_sieve_square_row_formula(make_periodic):
 
 def test_norm_diff_identical_is_zero(make_periodic):
     s = make_periodic(2)
-    assert O.norm_diff(s, s, 8) == 0.0
+    assert F.norm_diff(s, s, 8) == 0.0
 
 
 def test_norm_diff_sieved_lower_bound(rng):
@@ -192,13 +192,13 @@ def test_norm_diff_sieved_lower_bound(rng):
         v2 = 0.85 * rng.random(q) * np.exp(2j * math.pi * rng.random(q))
         s1, s2 = C.periodic_table_seq(v1), C.periodic_table_seq(v2)
         dim = 4 * math.lcm(2 * q, 2)
-        nd = O.norm_diff(O.sieve(s1), O.sieve(s2), dim)
+        nd = F.norm_diff(O.sieve(s1), O.sieve(s2), dim)
         sup = max(abs(s1(j) - s2(j)) for j in range(q))
         assert nd >= sup - 1e-12
 
 
 def test_norm_diff_constant_example():
-    nd = O.norm_diff(C.constant_seq(0.5), C.constant_seq(0.6), 16)
+    nd = F.norm_diff(C.constant_seq(0.5), C.constant_seq(0.6), 16)
     assert 0.1 <= nd <= 0.8
     # dual route: largest eigenvalue of D^H D
     e1 = O.assemble_cmv(C.constant_seq(0.5), 0, 16)
@@ -219,7 +219,7 @@ def test_norm_diff_ratio_bounded(rng):
         sup = max(abs(s1(j) - s2(j)) for j in range(q))
         if sup < 1e-9:
             continue
-        nd = O.norm_diff(s1, s2, 4 * math.lcm(q, 2))
+        nd = F.norm_diff(s1, s2, 4 * math.lcm(q, 2))
         worst = max(worst, nd / sup)
     assert worst <= 8.0
 
@@ -227,10 +227,10 @@ def test_norm_diff_ratio_bounded(rng):
 def test_norm_diff_window_validation():
     s = C.periodize(C.constant_seq(0.2), 4)
     with pytest.raises(ValueError):
-        O.norm_diff(s, s, 6)  # not a multiple of the common period
+        F.norm_diff(s, s, 6)  # not a multiple of the common period
     raw = C.CoefficientSequence(fn=lambda n: np.zeros(n.shape, complex), sup_norm_bound=0.0)
     with pytest.raises(ValueError):
-        O.norm_diff(raw, s, 8)
+        F.norm_diff(raw, s, 8)
 
 
 def test_banded_unitary_rejects_off_band():

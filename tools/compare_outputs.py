@@ -8,9 +8,11 @@ jobs are every ``perfbench.workloads.make_jobs`` job of every workload at each
 of ``SEEDS``, plus the example configs of README.md.  Each tree runs all of them
 through ``cmvlab.cli.main`` in one fresh interpreter; then, per job, the exit
 codes are compared and, per output file, the script prints "identical" or the
-largest numeric difference, for a JSON file with the key path where it occurs.
-Numbers are compared where the two files agree in every character outside
-their numbers; other files print "text differs".
+largest numeric difference.  A JSON file is compared key by key: the largest
+difference of a shared number with its key path, then each key path added
+(``+ levels[0].diagnostics``), removed (``-``) or changed in a value that is
+not a number (``~``).  Other files have their numbers compared where they
+agree in every character outside them, and otherwise print "text differs".
 The exit status is 0 when every exit code matches and every file is identical.
 """
 
@@ -87,29 +89,62 @@ def compare_file(old: str, new: str) -> str:
         a, b = fa.read(), fb.read()
     if a == b:
         return "identical"
+    if old.endswith(".json"):
+        return _compare_json(json.loads(a), json.loads(b))
     if _NUMBER.split(a) != _NUMBER.split(b):
         return "text differs"
-    if old.endswith(".json"):
-        moves = [(abs(x - y), path) for (path, x), (_, y) in zip(_leaves(json.loads(a)),
-                                                               _leaves(json.loads(b)))
-                 if repr(x) != repr(y) and isinstance(x, (int, float))]
-        if moves:
-            return "max numeric difference {:.3g} at {}".format(*max(moves))
     diffs = [abs(float(x) - float(y)) for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b))
              if x != y]
     return f"max numeric difference {max(diffs):.3g}"
 
 
-def _leaves(x, path: str = ""):
-    """(key path, value) of every leaf of a parsed JSON document, in order."""
-    if isinstance(x, dict):
-        for key, v in x.items():
-            yield from _leaves(v, f"{path}.{key}" if path else key)
-    elif isinstance(x, list):
-        for i, v in enumerate(x):
-            yield from _leaves(v, f"{path}[{i}]")
+def _compare_json(a, b) -> str:
+    """The verdict on two parsed JSON documents whose text differs: the
+    largest difference of a shared number with its key path, then one line
+    per key path added (+), removed (-) or changed in a value that is not a
+    number (~)."""
+    changes = list(_json_changes(a, b))
+    moves = [(d, path) for d, path in changes if not isinstance(d, str)]
+    lines = [f"{sign} {path}" for sign, path in changes if isinstance(sign, str)]
+    if moves:
+        head = "max numeric difference {:.3g} at {}".format(*max(moves))
     else:
-        yield path, x
+        head = "keys or values differ" if lines else "text differs"
+    return "\n    ".join([head, *lines])
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _json_changes(a, b, path: str = ""):
+    """Walk two parsed JSON documents together.  Yield ("+", path) for each
+    subtree only in b, ("-", path) for each one only in a, (difference, path)
+    for each shared number that differs and ("~", path) for each other shared
+    leaf that differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in [*a, *(key for key in b if key not in a)]:
+            sub = f"{path}.{key}" if path else key
+            if key not in b:
+                yield "-", sub
+            elif key not in a:
+                yield "+", sub
+            else:
+                yield from _json_changes(a[key], b[key], sub)
+    elif isinstance(a, list) and isinstance(b, list):
+        for i in range(max(len(a), len(b))):
+            sub = f"{path}[{i}]"
+            if i >= len(b):
+                yield "-", sub
+            elif i >= len(a):
+                yield "+", sub
+            else:
+                yield from _json_changes(a[i], b[i], sub)
+    elif _is_number(a) and _is_number(b):
+        if repr(a) != repr(b):
+            yield abs(a - b), path
+    elif a != b:
+        yield "~", path
 
 
 def main(argv=None) -> int:
