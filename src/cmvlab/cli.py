@@ -10,7 +10,8 @@ byte-identical numeric outputs.
 This module owns the config format: the field parsers and tables, and the
 builders of sequences and families from checked values.
 
-Exit codes: 0 success, 2 validation error, 3 numerical-stability error.
+Exit codes: 0 success, 2 validation error (a config too large for memory
+too), 3 numerical-stability error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__
 from . import coefficients as coeffs
 from . import floquet, operator, qwalk, transfer, weyl
-from .errors import NumericalInstabilityError
+from .errors import NumericalInstabilityError, certificates
 from .spectral_sets import CircleArcSet, TWO_PI
 
 __all__ = ["main"]
@@ -285,7 +286,7 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     dz = np.empty((k_points, q), dtype=complex)
     poles = floquet._poles(seq, q, ks)  # once per run, not once per block
     step = floquet._k_block(q)
-    with floquet.certificates() as worst:
+    with certificates() as worst:
         for b in range(0, k_points, step):
             blk = ks[b:b + step]
             z[b:b + blk.size], u, v = floquet.band_eigens(seq, q, blk, poles[b:b + blk.size])
@@ -314,7 +315,7 @@ def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     seq = _sequence(cfg["sequence"], manifest.seed)
     grid_size, n_steps, eps_L = cfg["grid_size"], cfg["n_steps"], cfg["epsilon_L"]
 
-    with transfer.half_orbit_estimates() as half:
+    with certificates() as kept:
         thetas, vals, z_arcs = _zero_set_sweep(seq, cfg)
     _write_csv(manifest, out_dir, "lyapunov.csv", {
         "theta": thetas, "L": vals,
@@ -326,8 +327,8 @@ def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
         "N": n_steps,
         "epsilon_L": eps_L,
     }
-    if half:  # Birkhoff estimates: compare with the same pass at N' < N
-        n_half, half_vals = half[0]
+    if "half_orbit" in kept:  # Birkhoff estimates: compare with the same pass at N' < N
+        n_half, half_vals = kept["half_orbit"]
         delta = np.abs(vals - half_vals)
         i = int(np.argmax(delta))
         report["diagnostics"] = {
@@ -353,7 +354,7 @@ def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     periods = family.periods()
     levels, stage_arcs = [], []
     for qn, stage in zip(periods, family.stages):
-        with floquet.certificates() as worst:
+        with certificates() as worst:
             arcs_n = floquet.periodic_spectrum(stage, qn)
             sigma_2q = floquet.periodic_spectrum(coeffs.periodize(family.limit, 2 * qn), 2 * qn)
         stage_arcs.append(arcs_n)
@@ -539,6 +540,10 @@ def main(argv=None) -> int:
         manifest.write(args.out)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: the {args.command} config needs more memory than is available "
+              f"({exc or 'MemoryError'})", file=sys.stderr)
         return 2
     except NumericalInstabilityError as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)

@@ -35,14 +35,12 @@ E_q(k) are exactly the roots of trace = 2 cos(qk).
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 
 import numpy as np
 
 from .coefficients import CoefficientSequence
-from .errors import DegenerateBandError, NumericalInstabilityError
+from .errors import DegenerateBandError, NumericalInstabilityError, note
 from .operator import _dense, _factors, _mul
 from .spectral_sets import CircleArcSet, TWO_PI
 from .transfer import monodromy
@@ -54,7 +52,6 @@ __all__ = [
     "periodic_spectrum",
     "monodromy_bound_check",
     "discriminant",
-    "certificates",
     "norm_diff",
 ]
 
@@ -124,54 +121,16 @@ def norm_diff(seq1: CoefficientSequence, seq2: CoefficientSequence, dim: int) ->
     return float(np.linalg.svd(diff, compute_uv=False)[:, 0].max())
 
 
-_CERTIFICATES: contextvars.ContextVar = contextvars.ContextVar("certificates", default=None)
-
-
-@contextlib.contextmanager
-def certificates():
-    """Collect the worst certificates of the ``band_eigens`` and
-    ``periodic_spectrum`` calls in the block.
-
-    Yields a dict that receives, for each certificate checked, its worst
-    value over the calls with its tolerance and where it occurs:
-    ``max_band_residual`` (an eigenpair residual of ``band_eigens``, at k and
-    pair n), ``min_band_gap`` (the distance from z_n(k) to z_{n+1}(k), at k
-    and n) and ``max_edge_residual`` (the eigenpair residual of a band edge,
-    at k = 0 or pi/q and the edge angle theta).
-    """
-    worst: dict = {}
-    token = _CERTIFICATES.set(worst)
-    try:
-        yield worst
-    finally:
-        _CERTIFICATES.reset(token)
-
-
-def _note(name: str, values: np.ndarray, tol: float, where, smallest: bool = False
-          ) -> None:
-    """Keep the worst of ``values`` (the largest, or the smallest) under
-    ``name`` in the collecting ``certificates`` dict, with its tolerance and
-    ``where(*index)``, if it is worse than the value kept there."""
-    worst = _CERTIFICATES.get()
-    if worst is None or values.size == 0:
-        return
-    i = np.unravel_index(np.argmin(values) if smallest else np.argmax(values), values.shape)
-    value = float(values[i])
-    kept = worst.get(name)
-    if kept is None or (value < kept["value"] if smallest else value > kept["value"]):
-        worst[name] = {"value": value, "tol": tol, **where(*i)}
-
-
 def _check_residuals(name: str, resid: np.ndarray, where) -> None:
     """Refuse eigenpair residuals ||E u - z u|| above 1e-10 (NaN too), each a
-    bound on the distance from z to the spectrum of the normal E; ``_note``
+    bound on the distance from z to the spectrum of the normal E; ``note``
     the worst."""
     worst = resid.max(initial=0.0)
     if not worst <= _RESIDUAL_TOL:
         raise NumericalInstabilityError(
             f"eigenpair residual {worst:.2e} exceeds {_RESIDUAL_TOL:.0e}"
         )
-    _note(name, resid, _RESIDUAL_TOL, where)
+    note(name, resid, _RESIDUAL_TOL, where)
 
 
 def _widest_gap_poles(E: np.ndarray) -> np.ndarray:
@@ -290,7 +249,7 @@ def band_eigens(
     bad = np.flatnonzero(gaps < _GAP_TOL)
     if bad.size:
         raise DegenerateBandError(float(k[bad[0]]), float(gaps[bad[0]]))
-    _note("min_band_gap", dist, _GAP_TOL, at, smallest=True)
+    note("min_band_gap", dist, _GAP_TOL, at, smallest=True)
     return z, u, v
 
 

@@ -41,7 +41,9 @@ Each numpy call of a step costs microseconds whatever its size, so a Birkhoff
 product over a narrow grid is cut into P consecutive orbit lanes that advance
 together, one update per step for all P segments at every point; the lanes
 are then joined in site order by P - 1 products.  The first half of the lanes
-gives the estimate at a shorter orbit for free (``half_orbit_estimates``).
+(one lane: a snapshot at N // 2) gives the estimate at a shorter orbit for
+free; each Birkhoff call keeps it as ``half_orbit`` in the open
+``errors.certificates`` block.
 
 A step's calls read every row operand forward and whole: z is tiled once per
 pass to the (P, cols * g) shape of a row, and each row is updated from the
@@ -54,15 +56,13 @@ in a step-at-a-time loop, so the products keep their bits.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from typing import Sequence
 
 import numpy as np
 
 from .coefficients import CoefficientSequence
-from .errors import NumericalInstabilityError
+from .errors import NumericalInstabilityError, record
 from .spectral_sets import CircleArcSet, TWO_PI
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "gz_step",
     "monodromy",
     "lyapunov",
-    "half_orbit_estimates",
     "arcs_from_grid",
 ]
 
@@ -342,35 +341,14 @@ def lyapunov(seq: CoefficientSequence, z, n_steps: int = 100_000) -> float | np.
         if n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
         vals, n_half, half = _birkhoff(seq, zs, n_steps)
-        records = _HALF_ORBIT.get()
-        if records is not None and n_half > 0:
-            records.append((n_half, float(half[0]) if np.ndim(z) == 0 else half))
+        if n_half:
+            record("half_orbit", (n_half, float(half[0]) if np.ndim(z) == 0 else half))
     bad = np.flatnonzero(~np.isfinite(vals))  # NaN is not finite
     if bad.size:
         raise NumericalInstabilityError(
             f"Lyapunov exponent {vals[bad[0]]} at z = {complex(zs[bad[0]]):.17g}"
         )
     return float(vals[0]) if np.ndim(z) == 0 else vals
-
-
-_HALF_ORBIT: contextvars.ContextVar = contextvars.ContextVar("half_orbit", default=None)
-
-
-@contextlib.contextmanager
-def half_orbit_estimates():
-    """Collect the half-orbit estimates of the Birkhoff ``lyapunov`` calls in the block.
-
-    Yields a list that receives one (n_half, values) pair per Birkhoff call:
-    the growth rate of the product over the first n_half < n_steps sites,
-    which the same pass forms on the way (the first half of its orbit
-    lanes, or a snapshot at n_steps // 2).  Periodic sequences add nothing.
-    """
-    records: list = []
-    token = _HALF_ORBIT.set(records)
-    try:
-        yield records
-    finally:
-        _HALF_ORBIT.reset(token)
 
 
 def arcs_from_grid(

@@ -15,10 +15,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cmvlab import coefficients as C
+from cmvlab import errors as E
 from cmvlab import floquet as F
 from cmvlab import operator as O
 from cmvlab import transfer as T
-from cmvlab.errors import NumericalInstabilityError
+from cmvlab.errors import NumericalInstabilityError, certificates
 from cmvlab.spectral_sets import TWO_PI
 
 SCALE_EVERY = 16
@@ -576,15 +577,15 @@ def test_monodromy_equals_the_stepwise_reference_bitwise(monkeypatch, q, g):
 @example(seq=C.quasiperiodic_seq(0.9, 0.38, 0.5), g=2049, n=T._BLOCK + 37, shift=0.5)
 def test_column_kernel_matches_the_matmul_reference(seq, g, n, shift):
     zs = np.exp(1j * TWO_PI * (np.arange(g) + shift) / g)
-    with T.half_orbit_estimates() as half:
+    with certificates() as kept:
         got = T.lyapunov(seq, zs, n_steps=n)
     want, n_half, want_half = matmul_reference(seq, zs, n)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     if n_half:
-        assert half[0][0] == n_half
-        np.testing.assert_allclose(half[0][1], want_half, rtol=0, atol=1e-12)
+        assert kept["half_orbit"][0] == n_half
+        np.testing.assert_allclose(kept["half_orbit"][1], want_half, rtol=0, atol=1e-12)
     else:
-        assert half == []
+        assert kept == {}
 
 
 @settings(max_examples=20, deadline=None)
@@ -638,21 +639,68 @@ def test_strong_coupling_over_a_long_orbit_stays_finite():
 def test_half_orbit_estimates_are_the_shorter_products(g, n):
     seq = C.quasiperiodic_seq(0.6, 0.3819660112501051, 0.3)
     zs = np.exp(1j * TWO_PI * (np.arange(g) + 0.5) / g)
-    with T.half_orbit_estimates() as half:
+    with certificates() as kept:
         full = T.lyapunov(seq, zs, n_steps=n)
-    assert len(half) == 1
-    n_half, vals = half[0]
+    assert list(kept) == ["half_orbit"]
+    n_half, vals = kept["half_orbit"]
     lanes = T._lane_count(g, n)
     assert n_half == (n // 2 if lanes == 1 else lanes // 2 * (n // lanes))
     np.testing.assert_allclose(vals, T.lyapunov(seq, zs, n_steps=n_half), rtol=0, atol=1e-12)
     np.testing.assert_allclose(full, T.lyapunov(seq, zs, n_steps=n), rtol=0, atol=0)
     # periodic sequences use the exact formula and record nothing
-    with T.half_orbit_estimates() as half:
+    with certificates() as kept:
         T.lyapunov(C.constant_seq(0.3), zs, n_steps=n)
-    assert half == []
-    with T.half_orbit_estimates() as half:
+    assert kept == {}
+    with certificates() as kept:
         scalar = T.lyapunov(seq, complex(zs[0]), n_steps=n)
-    assert type(half[0][1]) is float and type(scalar) is float
+    assert type(kept["half_orbit"][1]) is float and type(scalar) is float
+
+
+def test_one_collector_keeps_half_orbits_and_edge_residuals(make_periodic):
+    seq = C.quasiperiodic_seq(0.6, 0.3819660112501051, 0.3)
+    per = make_periodic(4)
+    zs = np.exp(1j * TWO_PI * (np.arange(8) + 0.5) / 8)
+    with certificates() as kept:
+        rates = T.lyapunov(seq, zs, n_steps=1000)
+        with certificates() as inner:
+            scalar = T.lyapunov(seq, complex(zs[0]), n_steps=101)
+            T.lyapunov(C.constant_seq(0.3), zs, n_steps=1000)  # periodic: no record
+        F.periodic_spectrum(per, 4)  # after the inner block, into the outer dict
+    assert set(kept) == {"half_orbit", "max_edge_residual"}
+    n_half, vals = kept["half_orbit"]
+    lanes = T._lane_count(zs.size, 1000)
+    assert n_half == lanes // 2 * (1000 // lanes) and vals.shape == rates.shape
+    np.testing.assert_allclose(vals, T.lyapunov(seq, zs, n_steps=n_half), rtol=0, atol=1e-12)
+    edge = kept["max_edge_residual"]
+    assert edge["tol"] == 1e-10 and 0 <= edge["value"] <= edge["tol"]
+    # the inner block collected apart: the scalar call, as a float
+    assert list(inner) == ["half_orbit"] and inner["half_orbit"][0] == 101 // 2
+    assert type(inner["half_orbit"][1]) is float and type(scalar) is float
+    assert abs(inner["half_orbit"][1] - birkhoff_oracle(seq, zs[0], 101 // 2)) < 1e-12
+    # outside any block nothing is kept
+    before = {name: repr(value) for name, value in kept.items()}
+    T.lyapunov(seq, zs, n_steps=500)
+    F.periodic_spectrum(per, 8)
+    assert {name: repr(value) for name, value in kept.items()} == before
+    assert E._CERTIFICATES.get() is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(seq=quasiperiodic, n=st.integers(1, 200), g=st.sampled_from([1, 63, 1024, 2049]))
+@example(seq=C.quasiperiodic_seq(0.7, 0.3, 0.9), n=1, g=2049)
+@example(seq=C.quasiperiodic_seq(0.7, 0.3, 0.9), n=2, g=1)
+@example(seq=C.quasiperiodic_seq(0.5, 0.61, 0.4), n=199, g=63)
+def test_short_orbits_match_the_oracle_and_record_half_orbits(seq, n, g):
+    zs = np.exp(1j * TWO_PI * (np.arange(g) + 0.5) / g)
+    with certificates() as kept:
+        got = T.lyapunov(seq, zs, n_steps=n)
+    for i in sorted({0, g // 2, g - 1}):
+        assert abs(got[i] - birkhoff_oracle(seq, zs[i], n)) < 1e-12
+    assert ("half_orbit" in kept) == (n >= 2)
+    if n >= 2:
+        # n // 2 for one lane (wide grids, n < 128) or two; n // 3 for three (n >= 192)
+        lanes = T._lane_count(g, n)
+        assert kept["half_orbit"][0] == (n // 2 if lanes == 1 else lanes // 2 * (n // lanes))
 
 
 def test_lane_blocks_read_alpha_once_per_block():

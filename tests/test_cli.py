@@ -14,6 +14,7 @@ import scipy.linalg
 from cmvlab import coefficients as C
 from cmvlab import transfer as T
 from cmvlab.cli import _build_parser, main
+from cmvlab.errors import certificates
 
 
 def write_config(tmp_path, name, payload):
@@ -254,6 +255,36 @@ def test_bands_sizes_its_k_blocks_by_entries(tmp_path, monkeypatch, q, want):
     assert shapes == want + [(2, q, q)]
 
 
+@pytest.mark.parametrize("command, stage, config", [
+    ("bands", "floquet._poles", {
+        "sequence": {"kind": "constant", "value": [0.3, 0.0]}, "q": 4, "k_points": 4}),
+    ("approx", "floquet.periodic_spectrum", {
+        "family": {"kind": "pt_family", "base_amp": 0.1, "levels": 1},
+        "grid_size": 8, "n_steps": 1000}),
+    ("lyapunov", "transfer.lyapunov", {
+        "sequence": {"kind": "quasiperiodic", "amplitude": 0.3, "frequency": 0.3, "phase": 0.0},
+        "grid_size": 8, "n_steps": 1000}),
+])
+def test_a_config_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, command, stage,
+                                               config):
+    # the stage fails as numpy does when it cannot allocate an array, without allocating one
+    from cmvlab import cli
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,) "
+                          "and data type complex128")
+
+    module, name = stage.split(".")
+    monkeypatch.setattr(getattr(cli, module), name, no_memory)
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the {command} config needs more memory than is available")
+    assert "Unable to allocate 8.00 TiB" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_bands_rejects_odd_q(tmp_path, capsys):
     cfg = write_config(tmp_path, "bands.json", {
         "sequence": {"kind": "constant", "value": [0.5, 0.0]}, "q": 3,
@@ -285,9 +316,9 @@ def test_lyapunov_reports_the_half_orbit_delta(tmp_path):
     # form [[m1, t], [0, m2]] of the one-step matrix, r = max |m_i|.
     amp, phase, n_steps, grid = 0.5, 0.1, 4000, 64
     thetas = np.arange(grid) * (2 * math.pi / grid)
-    with T.half_orbit_estimates() as half:
+    with certificates() as kept:
         vals = T.lyapunov(C.quasiperiodic_seq(amp, 0.0, phase), np.exp(1j * thetas), n_steps)
-    half_n, half_vals = half[0]
+    half_n, half_vals = kept["half_orbit"]
     delta = np.abs(vals - half_vals)
     i = int(np.argmax(delta))
     # a threshold between the two estimates at the worst point flips it

@@ -45,3 +45,10 @@ def test_other_files_compare_their_numbers(tmp_path):
     assert verdict(tmp_path, "x,y\n1.5,2\n", "x,y\n1.5,2.25\n", "t.csv") == \
         "max numeric difference 0.25"
     assert verdict(tmp_path, "x,y\n1.5,2\n", "x,z\n1.5,2\n", "t.csv") == "text differs"
+
+
+def test_jobs_include_a_birkhoff_sweep_of_a_wide_grid():
+    wide = [(name, cfg) for name, cmd, cfg in compare_outputs.all_jobs()
+            if cmd == "lyapunov" and cfg["sequence"]["kind"] == "quasiperiodic"
+            and cfg["grid_size"] >= 2048 and cfg["n_steps"] == 20000]
+    assert [name for name, _ in wide] == ["wide-grid-lyapunov"]

@@ -5,7 +5,9 @@
 Each tree is a checkout holding ``src/cmvlab`` (for example the parent commit,
 exported with ``git archive`` into a scratch directory, and this one).  The
 jobs are every ``perfbench.workloads.make_jobs`` job of every workload at each
-of ``SEEDS``, plus the example configs of README.md.  Each tree runs all of them
+of ``SEEDS``, the example configs of README.md and ``WIDE_GRID``, a
+quasiperiodic ``lyapunov`` sweep over a grid too wide for orbit lanes, which
+no other job runs.  Each tree runs all of them
 through ``cmvlab.cli.main`` in one fresh interpreter; then, per job, the exit
 codes are compared and, per output file, the script prints "identical" or the
 largest numeric difference.  A JSON file is compared key by key: the largest
@@ -33,6 +35,13 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from perfbench.workloads import WORKLOADS, make_jobs  # noqa: E402
 
 SEEDS = (3, 11)
+
+# a Birkhoff sweep of 2048 points: one orbit lane, its half-orbit a snapshot
+WIDE_GRID = ("wide-grid-lyapunov", "lyapunov", {
+    "sequence": {"kind": "quasiperiodic", "amplitude": 0.6,
+                 "frequency": 0.3819660112501051, "phase": 0.25},
+    "grid_size": 2048, "n_steps": 20000, "epsilon_L": 0.01,
+})
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN|-?inf|nan")
 
@@ -67,7 +76,7 @@ def readme_configs() -> list[tuple[str, str, dict]]:
 def all_jobs() -> list[tuple[str, str, dict]]:
     jobs = [(f"{w}-s{seed}-{job.name}", job.command, job.config)
             for seed in SEEDS for w in WORKLOADS for job in make_jobs(w, seed)]
-    return jobs + readme_configs()
+    return jobs + readme_configs() + [WIDE_GRID]
 
 
 def run_tree(tree: str, jobs: list, work: str, label: str) -> dict:
