@@ -35,7 +35,9 @@ state's n_lo, never mix.  After s steps chain c covers the sites
 n_lo + c - s + 2m, m = 0 .. m0 + s - 1: its whole light cone.  In that moving
 frame spin-up moves from m to m + 1 and spin-down stays at m, so each chain
 steps in place on two arrays with no shift copy, and a chain that starts at
-zero is not stepped at all.  The certificates:
+zero is not stepped at all.  Its sites at step s share the parity of
+n_lo + c - s, so each step reads contiguous rows of the even-site or of the
+odd-site coins, split from the coin table once per call.  The certificates:
 
 * once per operator: every coin of the table is unitary to 1e-13;
 * every ``WalkOperator.step``: no more than 1e-18 of probability crosses
@@ -304,7 +306,9 @@ def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
         return state
     pad = t + 1
     op = build_walk(walk.coins, (state.n_lo - pad, state.n_hi + pad))
-    q = _coin_columns(op.table)
+    # rows[p] holds q00, q01, q10, q11 of the padded sites 2j + p, contiguous
+    q = _coin_columns(op.table).reshape(4, -1)
+    rows = [tuple(np.ascontiguousarray(q[:, p::2])) for p in (0, 1)]
     amp = np.zeros((op.width, 2), dtype=complex)
     for c in (0, 1):
         chain = state.amplitudes[c::2]
@@ -314,13 +318,15 @@ def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
         # up at chain site m after s steps is up[t - s + m], dn is dn[m]
         up, dn = np.zeros((2, m0 + t), dtype=complex)
         up[t:], dn[:m0] = chain.T
-        scratch = np.empty((2, m0 + t), dtype=complex)
+        tmp_buf, prod_buf = np.empty((2, m0 + t), dtype=complex)
         for s in range(t):
             L = m0 + s
-            i = pad + c - s  # padded index of chain site 0
-            q00, q01, q10, q11 = q[..., i:i + 2 * L:2].reshape(4, L)
+            i = pad + c - s  # padded index of chain site 0, of parity i & 1
+            j = i >> 1
+            r00, r01, r10, r11 = rows[i & 1]
+            q00, q01, q10, q11 = r00[j:j + L], r01[j:j + L], r10[j:j + L], r11[j:j + L]
             U, D = up[t - s:t - s + L], dn[:L]
-            tmp, prod = scratch[:, :L]
+            tmp, prod = tmp_buf[:L], prod_buf[:L]
             np.multiply(q10, U, out=tmp)
             np.multiply(q00, U, out=U)
             U += np.multiply(q01, D, out=prod)

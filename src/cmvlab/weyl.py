@@ -76,10 +76,15 @@ class CaratheodoryValue:
 def _schur(a: np.ndarray, z: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The backward Schur recursion f <- (a_j + z f) / (1 + conj(a_j) z f) of
     R rows at once: row r runs over the parameters a[r] (R, n) in order, from
-    its start f[r] (R, P), at the points z (P,)."""
+    its start f[r] (R, P), at the points z (P,); the start is not written."""
+    f = f.copy()
+    zf, den = np.empty((2,) + f.shape, dtype=f.dtype)
     for aj, aj_bar in zip(a.T[:, :, None], a.conj().T[:, :, None]):
-        zf = z * f
-        f = (aj + zf) / (1.0 + aj_bar * zf)
+        np.multiply(z, f, out=zf)
+        np.add(aj, zf, out=f)
+        np.multiply(aj_bar, zf, out=den)
+        np.add(1.0, den, out=den)
+        np.divide(f, den, out=f)
     return f
 
 

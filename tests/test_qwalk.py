@@ -224,6 +224,39 @@ def test_evolve_composes_bit_for_bit(seed, width, n_lo, empty, period, a, b):
     assert not np.any(np.delete(two.amplitudes, common, axis=0))
 
 
+def _u2_table(g, period):
+    """``period`` general U(2) coins: the Q of a QR factorisation of complex
+    normals, so that q00 != q11 and q01 != -conj(q10), unlike the gauge form."""
+    z = g.normal(size=(period, 2, 2)) + 1j * g.normal(size=(period, 2, 2))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("empty", [None, 0, 1])
+@pytest.mark.parametrize("n_lo", [-3, 2])
+@pytest.mark.parametrize("period", [1, 2, 3, 4, 5])
+def test_evolve_with_general_unitary_coins_is_t_public_steps(period, n_lo, empty):
+    g = np.random.default_rng(1000 * period + 10 * n_lo + (3 if empty is None else empty))
+    table = _u2_table(g, period)
+    assert not np.allclose(table[:, 0, 0], table[:, 1, 1])
+    coins = Q.table_coins(table)
+    amp = g.normal(size=(6, 2)) + 1j * g.normal(size=(6, 2))
+    if empty is not None:
+        amp[empty::2] = 0.0
+    state = Q.WalkState(n_lo=n_lo, amplitudes=amp / np.sqrt(np.sum(np.abs(amp) ** 2)))
+    walk = Q.build_walk(coins, (state.n_lo, state.n_hi))
+    for t in (1, 2, 3, 17, 40):
+        got = Q.evolve(state, walk, t)
+        pad = t + 1
+        padded = np.zeros((6 + 2 * pad, 2), dtype=complex)
+        padded[pad:-pad] = state.amplitudes
+        ref = Q.WalkState(n_lo=n_lo - pad, amplitudes=padded)
+        step = Q.build_walk(coins, (ref.n_lo, ref.n_hi))
+        for _ in range(t):
+            ref = step.step(ref)
+        assert (got.n_lo, got.n_hi) == (ref.n_lo, ref.n_hi)
+        assert np.array_equal(got.amplitudes, ref.amplitudes)
+
+
 def _einsum_step(table, amp):
     """The reference step: U = S Q on (W, 2) amplitudes as one einsum over the
     (W, 2, 2) coin table, absorbing edges refused beyond 1e-18."""

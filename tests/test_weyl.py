@@ -284,6 +284,24 @@ def test_stacked_schur_recursion_equals_the_per_window_one_bit_for_bit(seq, k, d
     assert np.array_equal(bits(np.array(one)), bits(np.column_stack([mp, m2])))
 
 
+def test_schur_recursion_leaves_its_start_untouched(rng):
+    # _halfline_values starts a second recursion from the array it started
+    # the first one from, so the in-place recursion must work on a copy
+    a = 0.9 * rng.random((4, 7)) * np.exp(2j * math.pi * rng.random((4, 7)))
+    z = 0.95 * np.exp(2j * math.pi * rng.random(5))
+    start = np.full((4, 5), -1.0 + 0j)
+    start[1::2] = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+    before = start.copy()
+    f = W._schur(a, z, start)
+    assert np.array_equal(bits(start), bits(before))
+    assert not np.shares_memory(f, start)
+    assert np.array_equal(bits(W._schur(a, z, start)), bits(f))
+    # a strided start, as the stacked recursion passes, is read and kept too
+    view = np.stack([start, start], axis=1).reshape(-1, 5)[::2]
+    assert np.array_equal(bits(W._schur(a, z, view)), bits(f))
+    assert np.array_equal(bits(view), bits(before))
+
+
 def test_batched_M_coefficients_scalar_in_scalar_out(make_periodic):
     s = make_periodic(3, radius=0.5)
     z = 0.4 * cmath.exp(0.3j)
