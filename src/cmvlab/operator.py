@@ -152,52 +152,51 @@ def verify_sieve_square(seq: CoefficientSequence, dim: int) -> dict:
 def _square_residuals(hat: np.ndarray, ref: np.ndarray) -> dict:
     """Leakage and similarity residuals of W = hat @ hat against ref.
 
-    ``hat`` (dim sites) and ``ref`` (dim / 2 sites) are periodic-wrap
-    windows in the cyclic banded form of ``cmv_banded``.
+    ``hat`` (dim sites, dim a multiple of 4) and ``ref`` (dim / 2 sites)
+    are periodic-wrap windows in the cyclic banded form of ``cmv_banded``.
+    Site i of an index class sits at position i // 2 within it: the class
+    {0, 3} holds the sites 2 c + c % 2 and {1, 2} the sites 2 c + 1 - c % 2.
+    Each class's entries of W fill ref's five diagonals once, so both sides
+    are read off the diagonals; windows narrower than ref's band sum the
+    diagonals that wrap onto one entry, as ``_dense`` does.
     """
     n = hat.shape[1]
-    rows, cols, vals = _banded_entries(_banded_product(hat, hat))
-    in_x = np.isin(np.arange(n) % 4, (0, 3))
-    x_row, x_col = in_x[rows], in_x[cols]
-    absv = np.abs(vals)
+    w = _banded_product(hat, hat)
+    site = np.arange(n)
+    in_x = (site % 4 == 0) | (site % 4 == 3)
+    if ref.shape[1] < ref.shape[0]:
+        W, R = _dense(w), _dense(ref)
+        ix, iy = site[in_x], site[~in_x]
+        return _residuals(W[np.ix_(iy, ix)], W[np.ix_(ix, iy)],
+                          W[np.ix_(ix, ix)] - R, W[np.ix_(iy, iy)].T - R)
+    # row half + s of w holds the entries (j + s mod n, j)
+    half = w.shape[0] // 2
+    x_row = in_x[(site + np.arange(-half, half + 1)[:, None]) % n]
+    c = np.arange(n // 2)
+    near = (c + np.arange(-2, 3)[:, None]) % (n // 2)
 
-    r_rows, r_cols, r_vals = _banded_entries(ref)
-
-    def similarity(mask: np.ndarray, transpose: bool) -> float:
-        # site i sits at position i // 2 within its index class
-        i, j = rows[mask] // 2, cols[mask] // 2
+    def on_ref_band(sites: np.ndarray, transpose: bool) -> np.ndarray:
+        # ref's band row 2 + d, column c holds (c + d, c): the class entry
+        # W(sites[c + d], sites[c]), or W(sites[c], sites[c + d]) transposed
+        i, j = sites[near], np.broadcast_to(sites, near.shape)
         if transpose:
             i, j = j, i
-        _, _, diff = _coalesce(np.concatenate([i, r_rows]), np.concatenate([j, r_cols]),
-                               np.concatenate([vals[mask], -r_vals]), ref.shape[1])
-        return float(np.max(np.abs(diff), initial=0.0))
+        return w[(i - j + half) % n, j]
+
+    return _residuals(w[~x_row & in_x], w[x_row & ~in_x],
+                      on_ref_band(2 * c + c % 2, False) - ref,
+                      on_ref_band(2 * c + 1 - c % 2, True) - ref)
+
+
+def _residuals(x_leak, y_leak, x_diff, y_diff) -> dict:
+    def top(v):
+        return float(np.max(np.abs(v), initial=0.0))
 
     return {
-        "X_invariant_residual": float(np.max(absv[~x_row & x_col], initial=0.0)),
-        "Y_invariant_residual": float(np.max(absv[x_row & ~x_col], initial=0.0)),
-        "similarity_residual": max(similarity(x_row & x_col, False),
-                                   similarity(~x_row & ~x_col, True)),
+        "X_invariant_residual": top(x_leak),
+        "Y_invariant_residual": top(y_leak),
+        "similarity_residual": max(top(x_diff), top(y_diff)),
     }
-
-
-def _banded_entries(ab: np.ndarray):
-    """Coalesced (rows, cols, values) of a cyclic banded matrix.
-
-    Row ``half + s`` of ``ab`` holds the entries (j + s mod n, j); windows
-    narrower than the band map several of them onto one entry.
-    """
-    half, n = ab.shape[0] // 2, ab.shape[1]
-    cols = np.tile(np.arange(n), ab.shape[0])
-    rows = (cols + np.repeat(np.arange(-half, half + 1), n)) % n
-    return _coalesce(rows, cols, ab.ravel(), n)
-
-
-def _coalesce(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
-    """Sum the values of duplicate (row, col) pairs of an n x n matrix."""
-    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
-    out = np.zeros(keys.size, dtype=complex)
-    np.add.at(out, inverse, vals)
-    return keys // n, keys % n, out
 
 
 def _dense(ab: np.ndarray) -> np.ndarray:

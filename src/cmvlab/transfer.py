@@ -21,9 +21,10 @@ with period metadata it is exactly log(spectral radius of T_q) / q;
 otherwise a rescaled Birkhoff product along the orbit is used.  A
 monodromy or an exponent that is not finite raises NumericalInstabilityError.
 
-Every product (Birkhoff sums, monodromies, discriminant scans) runs through
-one kernel that advances the products of a whole 1-d array of spectral points
-z at once, reading alpha in fixed-size blocks.  Its state is the pair of rows
+Every product (Birkhoff sums, monodromies, discriminant scans, and the
+Mobius maps of ``weyl``'s Schur recursions, whose lanes run inside the disk)
+runs through one kernel that advances the products of a whole 1-d array of
+spectral points z at once, reading alpha in fixed-size blocks.  Its state is the pair of rows
 (u, w) of the product's columns, and a step at site n is one elementwise
 update, the Szego step times rho_n:
 

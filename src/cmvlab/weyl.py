@@ -15,10 +15,15 @@ spectrum is probed at finite radius r instead of through radial limits.
 
 No window is assembled: by Geronimus' theorem the Schur parameters of the
 half-line spectral measure at site k are the window's own coefficients read
-away from the cut, so each value is one backward Schur recursion over them,
-batched over all points.  Every value is certified by recomputing on a
-doubled window; results that move more than 1e-8 raise
-TruncationInstabilityError.
+away from the cut, so each value is one backward Schur recursion
+f <- (a + z f) / (1 + conj(a) z f) over them, started from the far cut
+f = -1.  That step is the Mobius map of [[z, a], [conj(a) z, 1]], the Szego
+step with alpha = -conj(a) times rho, so a run of steps is one Szego
+product, and ``transfer``'s kernel forms them over all points at once.
+Every value is certified by recomputing on a doubled window; results that
+move more than 1e-8 raise TruncationInstabilityError.  After one explicit
+step from -1, each base runs two lanes of dim - 1 steps in lockstep: the far
+half of the doubled window and the near half that the short window shares.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import transfer
 from .coefficients import CoefficientSequence
 from .errors import (
     NumericalInstabilityError,
@@ -73,21 +79,6 @@ class CaratheodoryValue:
         _check_sign(np.asarray(self.value.real), self.side)
 
 
-def _schur(a: np.ndarray, z: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The backward Schur recursion f <- (a_j + z f) / (1 + conj(a_j) z f) of
-    R rows at once: row r runs over the parameters a[r] (R, n) in order, from
-    its start f[r] (R, P), at the points z (P,); the start is not written."""
-    f = f.copy()
-    zf, den = np.empty((2,) + f.shape, dtype=f.dtype)
-    for aj, aj_bar in zip(a.T[:, :, None], a.conj().T[:, :, None]):
-        np.multiply(z, f, out=zf)
-        np.add(aj, zf, out=f)
-        np.multiply(aj_bar, zf, out=den)
-        np.add(1.0, den, out=den)
-        np.divide(f, den, out=f)
-    return f
-
-
 def _halfline_values(seq: CoefficientSequence, bases, z: np.ndarray, dim: int) -> np.ndarray:
     """<delta_k, (E + z)(E - z)^{-1} delta_k> on the half-line windows of dim
     and 2 dim sites at each (k, side) of ``bases``: rows 2 s and 2 s + 1 of
@@ -97,18 +88,27 @@ def _halfline_values(seq: CoefficientSequence, bases, z: np.ndarray, dim: int) -
     its coefficients read away from the cut: alpha_k, alpha_{k+1}, ... on the
     right and conj(alpha_{k-1}), conj(alpha_{k-2}), ... on the left.  The far
     cut -1 starts the backward Schur recursion at f = -1, and the value is
-    F = (1 + z f) / (1 - z f).  The two windows share the dim - 1 parameters
-    nearest the base: the dim that only the long window reads run first, one
-    row per base, and then the shared ones run on two rows per base, started
-    from -1 and from that far result.
+    F = (1 + z f) / (1 - z f).  One step from -1 to f_1 leaves the long window's
+    2 dim - 2 remaining parameters in two halves of dim - 1, the far half
+    and the short window's own: per base, two lanes of Szego products T_far
+    and T_near, whose Mobius maps give short = T_near(-1) and
+    long = T_near(T_far(f_1)).
     """
     a = np.stack([seq.window(k, k + 2 * dim - 1)[::-1] if side == "plus"
                   else seq.window(k - 2 * dim + 1, k).conj() for k, side in bases])
-    cut = np.full((len(bases), z.size), -1.0 + 0j)
-    far = _schur(a[:, :dim], z, cut)
-    start = np.stack([cut, far], axis=1).reshape(-1, z.size)  # per base: -1, then far
-    f = _schur(np.repeat(a[:, dim:], 2, axis=0), z, start)
-    zf = z * f
+    f1 = (a[:, :1] - z) / (1.0 - a[:, :1].conj() * z)
+    # the Schur step with parameter a is the Szego step with alpha = -conj(a)
+    alpha = -a[:, 1:].conj().ravel()
+    lanes = CoefficientSequence(lambda n: alpha[n], seq.sup_norm_bound)
+    x = transfer._advance(lanes, z, np.arange(2 * len(bases)) * (dim - 1), dim - 1, 2)[0]
+
+    def mobius(half, f):
+        # f -> (T11 f + T12) / (T21 f + T22) of every base's far (0) or near (1) lane
+        (t11, t21), (t12, t22) = x[:, half::2, :z.size], x[:, half::2, z.size:]
+        return (t11 * f + t12) / (t21 * f + t22)
+
+    short, long = mobius(1, -1.0), mobius(1, mobius(0, f1))
+    zf = z * np.stack([short, long], axis=1).reshape(-1, z.size)
     return (1.0 + zf) / (1.0 - zf)
 
 

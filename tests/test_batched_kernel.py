@@ -552,6 +552,21 @@ def test_birkhoff_kernel_equals_the_stepwise_reference_bitwise(g, lanes, length)
             assert_same_bits(a, b)
 
 
+# the Weyl lanes: both columns, several lanes, points inside the disk down
+# to z = 0, lengths that end between rescalings and past a block
+@pytest.mark.parametrize("lanes, length", [(2, 37), (4, 511), (7, 2 * T._BLOCK + 5)])
+def test_two_column_lanes_off_the_circle_equal_the_stepwise_reference_bitwise(lanes, length):
+    assert length % SCALE_EVERY
+    seq = C.quasiperiodic_seq(0.9, 0.3819660112501051, 0.2)
+    radii = np.repeat([0.0, 0.5, 0.95, 1.0 - 1e-6], 3)
+    zs = radii * np.exp(1j * TWO_PI * (np.arange(radii.size) + 0.3) / radii.size)
+    starts = np.arange(lanes) * length
+    got = T._advance(seq, zs, starts, length, 2)
+    want = advance_reference(seq, zs, starts, length, 2)
+    for a, b in zip(got, want):
+        assert_same_bits(a, b)
+
+
 @pytest.mark.parametrize("q", [2, 16, 34, 256])
 @pytest.mark.parametrize("g", [1, 63, 2049])
 def test_monodromy_equals_the_stepwise_reference_bitwise(monkeypatch, q, g):

@@ -11,6 +11,8 @@ from cmvlab import coefficients as C
 from cmvlab import floquet as F
 from cmvlab import operator as O
 
+import operator_reference
+
 
 def expected_interior_row(seq, g):
     """Independent oracle: the four pentadiagonal row entries at global row g."""
@@ -406,6 +408,25 @@ def test_square_residuals_of_unsieved_operator_match_dense(seq, dim):
     )
     for key in want:
         assert abs(got[key] - want[key]) <= 1e-14, key
+
+
+@settings(max_examples=40, deadline=None)
+@given(seq=disk_tables, dim=st.sampled_from([4, 8, 12, 16, 64, 2048]),
+       kind=st.sampled_from(["sieved", "unsieved", "random"]), seed=st.integers(0, 2**32 - 1))
+def test_square_residuals_equal_the_coalescing_reference_bitwise(seq, dim, kind, seed):
+    # windows of 4 and 8 sites are narrower than the band; random bands give
+    # every entry of W a value
+    shifted = O.shift_seq(seq, 1)
+    if kind == "random":
+        rng = np.random.default_rng(seed)
+        hat, ref = (rng.normal(size=(5, m, 2)) @ [1.0, 1j] for m in (dim, dim // 2))
+    else:
+        hat = O.cmv_banded((O.sieve(seq) if kind == "sieved" else seq).window(0, dim))
+        ref = O.cmv_banded(shifted.window(0, dim // 2))
+    got, want = O._square_residuals(hat, ref), operator_reference._square_residuals(hat, ref)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes(), key
 
 
 def test_unsieved_leakage_is_nonzero():
