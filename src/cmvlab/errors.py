@@ -15,7 +15,7 @@ class NumericalInstabilityError(RuntimeError):
 
 
 class TruncationInstabilityError(NumericalInstabilityError):
-    """A half-line value changed too much when the truncation window was doubled."""
+    """The Weyl disk of a half-line value on its window is too wide to certify it."""
 
 
 class DegenerateBandError(NumericalInstabilityError):

@@ -22,7 +22,7 @@ otherwise a rescaled Birkhoff product along the orbit is used.  A
 monodromy or an exponent that is not finite raises NumericalInstabilityError.
 
 Every product (Birkhoff sums, monodromies, discriminant scans, and the
-Mobius maps of ``weyl``'s Schur recursions, whose lanes run inside the disk)
+Mobius maps of ``weyl``'s Schur recursions, one lane per window in the disk)
 runs through one kernel that advances the products of a whole 1-d array of
 spectral points z at once, reading alpha in fixed-size blocks.  Its state is the pair of rows
 (u, w) of the product's columns, and a step at site n is one elementwise
@@ -83,7 +83,7 @@ _POINTS = 2048  # points per kernel pass
 
 def _require_disk(alpha: complex) -> complex:
     alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
+    if not abs(alpha) < 1.0:  # NaN fails too
         raise ValueError(f"|alpha| must be < 1, got {abs(alpha)}")
     return alpha
 
@@ -92,7 +92,7 @@ def szego(alpha: complex, z: complex) -> np.ndarray:
     """Szego one-step matrix (1/rho) [[z, -conj(a)], [-z a, 1]]."""
     alpha = _require_disk(alpha)
     z = complex(z)
-    if z == 0:
+    if not abs(z) > 0.0:  # NaN fails too
         raise ValueError("z must be nonzero")
     rho = math.sqrt(1.0 - abs(alpha) ** 2)
     return np.array(
@@ -103,7 +103,7 @@ def szego(alpha: complex, z: complex) -> np.ndarray:
 def gz_step(seq: CoefficientSequence, n: int, z: complex) -> np.ndarray:
     """Gesztesy-Zinchenko one-step matrix Y(n, z); parity of n picks the form."""
     z = complex(z)
-    if z == 0:
+    if not abs(z) > 0.0:  # NaN fails too
         raise ValueError("z must be nonzero")
     a = _require_disk(seq(n))
     rho = math.sqrt(1.0 - abs(a) ** 2)

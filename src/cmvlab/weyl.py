@@ -18,12 +18,12 @@ half-line spectral measure at site k are the window's own coefficients read
 away from the cut, so each value is one backward Schur recursion
 f <- (a + z f) / (1 + conj(a) z f) over them, started from the far cut
 f = -1.  That step is the Mobius map of [[z, a], [conj(a) z, 1]], the Szego
-step with alpha = -conj(a) times rho, so a run of steps is one Szego
-product, and ``transfer``'s kernel forms them over all points at once.
-Every value is certified by recomputing on a doubled window; results that
-move more than 1e-8 raise TruncationInstabilityError.  After one explicit
-step from -1, each base runs two lanes of dim - 1 steps in lockstep: the far
-half of the doubled window and the near half that the short window shares.
+step with alpha = -conj(a) times rho, so each window is one lane of Szego
+products T in ``transfer``'s kernel, over all points at once.  Every
+continuation past the cut gives a value in the image of the closed disk
+under w -> F(T(w)), F(w) = (1 + z w) / (1 - z w), the Weyl disk (Simon,
+OPUC Part 1, 2005); a value whose disk is 1e-8 or more wide raises
+TruncationInstabilityError.
 """
 
 from __future__ import annotations
@@ -79,81 +79,81 @@ class CaratheodoryValue:
         _check_sign(np.asarray(self.value.real), self.side)
 
 
-def _halfline_values(seq: CoefficientSequence, bases, z: np.ndarray, dim: int) -> np.ndarray:
-    """<delta_k, (E + z)(E - z)^{-1} delta_k> on the half-line windows of dim
-    and 2 dim sites at each (k, side) of ``bases``: rows 2 s and 2 s + 1 of
-    the result (2 S, P) for base s, over the 1-d array z.
+def _halfline_values(seq: CoefficientSequence, bases, z: np.ndarray, dim: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """<delta_k, (E + z)(E - z)^{-1} delta_k> on the half-line window of dim
+    sites at each (k, side) of ``bases``, and the diameter of its Weyl disk:
+    two (S, P) arrays, row s for base s, over the 1-d array z.
 
-    By Geronimus' theorem the window's Schur parameters at the base site are
-    its coefficients read away from the cut: alpha_k, alpha_{k+1}, ... on the
-    right and conj(alpha_{k-1}), conj(alpha_{k-2}), ... on the left.  The far
-    cut -1 starts the backward Schur recursion at f = -1, and the value is
-    F = (1 + z f) / (1 - z f).  One step from -1 to f_1 leaves the long window's
-    2 dim - 2 remaining parameters in two halves of dim - 1, the far half
-    and the short window's own: per base, two lanes of Szego products T_far
-    and T_near, whose Mobius maps give short = T_near(-1) and
-    long = T_near(T_far(f_1)).
+    The window's Schur parameters are its dim - 1 coefficients read away
+    from the cut: alpha_k ... alpha_{k+dim-2} on the right, conj(alpha_{k-1})
+    ... conj(alpha_{k-dim+1}) on the left.  Their lane's product T gives the
+    value F(T(-1)), and the disk is the image of |w| <= 1 under the Mobius
+    map F o T = [[t21 + z t11, t22 + z t12], [C, D]] of determinant
+    2 z det T: 4 |z| |det T| / (|D|^2 - |C|^2) across if |D| > |C|, else inf.
+    |det T| = |z|^(dim - 1) e^(-2 log_scale), as the rescaled entries' own
+    determinant cancels to rounding.
     """
-    a = np.stack([seq.window(k, k + 2 * dim - 1)[::-1] if side == "plus"
-                  else seq.window(k - 2 * dim + 1, k).conj() for k, side in bases])
-    f1 = (a[:, :1] - z) / (1.0 - a[:, :1].conj() * z)
+    a = np.stack([seq.window(k, k + dim - 1)[::-1] if side == "plus"
+                  else seq.window(k - dim + 1, k).conj() for k, side in bases])
     # the Schur step with parameter a is the Szego step with alpha = -conj(a)
-    alpha = -a[:, 1:].conj().ravel()
+    alpha = -a.conj().ravel()
     lanes = CoefficientSequence(lambda n: alpha[n], seq.sup_norm_bound)
-    x = transfer._advance(lanes, z, np.arange(2 * len(bases)) * (dim - 1), dim - 1, 2)[0]
-
-    def mobius(half, f):
-        # f -> (T11 f + T12) / (T21 f + T22) of every base's far (0) or near (1) lane
-        (t11, t21), (t12, t22) = x[:, half::2, :z.size], x[:, half::2, z.size:]
-        return (t11 * f + t12) / (t21 * f + t22)
-
-    short, long = mobius(1, -1.0), mobius(1, mobius(0, f1))
-    zf = z * np.stack([short, long], axis=1).reshape(-1, z.size)
-    return (1.0 + zf) / (1.0 - zf)
+    x, log_scale, _, _ = transfer._advance(lanes, z, np.arange(len(bases)) * (dim - 1),
+                                           dim - 1, 2)
+    (t11, t21), (t12, t22) = x[..., :z.size], x[..., z.size:]
+    # z as a (1, P) row: numpy multiplies a (P,) array by a (1, 1) one in its
+    # scalar loop, without the fused multiply-adds of every other shape
+    zf = z[None] * ((t11 * -1.0 + t12) / (t21 * -1.0 + t22))
+    den = np.abs(t22 - z * t12) ** 2 - np.abs(t21 - z * t11) ** 2  # |D|^2 - |C|^2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = np.exp((dim - 1) * np.log(np.abs(z)) - 2.0 * log_scale)
+        diameter = np.where(den > 0, 4.0 * np.abs(z) * det / den, np.inf)
+    return (1.0 + zf) / (1.0 - zf), diameter
 
 
 def _weyl_values(seq, bases, z, dim) -> list[np.ndarray]:
     """Certified m_plus or (sign-flipped) m_minus values at a 1-d array z, one
     array for each (k, side) of ``bases``, checked in their order."""
-    if np.any(np.abs(z) >= 1.0 - _EDGE_MARGIN):
+    if np.any(~(np.abs(z) < 1.0 - _EDGE_MARGIN)):
         raise ValueError(f"|z| must be below 1 - 1e-6, got {np.abs(z).max()}")
     if dim < 4:
         raise ValueError(f"dim must be at least 4, got {dim}")
-    v = _halfline_values(seq, bases, z, dim)
+    values, diameters = _halfline_values(seq, bases, z, dim)
     out = []
-    for (_, side), v1, v2 in zip(bases, v[0::2], v[1::2]):
-        moved = np.abs(v1 - v2)
-        unstable = moved >= _STABILITY_TOL
-        if np.any(unstable):
+    for (_, side), v, diameter in zip(bases, values, diameters):
+        uncertified = ~(diameter < _STABILITY_TOL)
+        if np.any(uncertified):
             raise TruncationInstabilityError(
-                f"half-line value moved {moved[unstable].max():.2e} when doubling the "
-                f"window (dim {dim} -> {2 * dim}); move z away from the circle "
-                "or enlarge dim"
+                f"half-line value not certified on a window of dim {dim} sites: its "
+                f"Weyl disk has diameter {diameter[uncertified].max():.2e} >= 1e-8; "
+                "move z away from the circle or enlarge dim"
             )
-        val = -v1 if side == "minus" else v1
+        val = -v if side == "minus" else v
         _check_sign(val.real, side)
         out.append(val)
     return out
+
+
+def _caratheodory(seq, k, z, dim, side) -> CaratheodoryValue:
+    z = complex(z)
+    val = _weyl_values(seq, [(k, side)], np.array([z]), dim)[0][0]
+    return CaratheodoryValue(z=z, value=complex(val), side=side, base_site=k,
+                             truncation_dim=dim)
 
 
 def m_plus(
     seq: CoefficientSequence, k: int, z: complex, dim: int = 512
 ) -> CaratheodoryValue:
     """Weyl coefficient of the right half-line based at site k."""
-    z = complex(z)
-    val = _weyl_values(seq, [(k, "plus")], np.array([z]), dim)[0][0]
-    return CaratheodoryValue(z=z, value=complex(val), side="plus", base_site=k,
-                             truncation_dim=dim)
+    return _caratheodory(seq, k, z, dim, "plus")
 
 
 def m_minus(
     seq: CoefficientSequence, k: int, z: complex, dim: int = 512
 ) -> CaratheodoryValue:
     """Weyl coefficient of the left half-line based at site k (sign-flipped)."""
-    z = complex(z)
-    val = _weyl_values(seq, [(k, "minus")], np.array([z]), dim)[0][0]
-    return CaratheodoryValue(z=z, value=complex(val), side="minus", base_site=k,
-                             truncation_dim=dim)
+    return _caratheodory(seq, k, z, dim, "minus")
 
 
 def _m_minus_to_M(alpha_k: complex, m2):
@@ -174,16 +174,12 @@ def M_coefficients(seq: CoefficientSequence, k: int, z, dim: int = 512):
     """The pair (M_plus, M_minus) at (z, k).
 
     z is a scalar (complex pair out) or a 1-d array (two arrays out); the
-    four half-line windows (each side at dim and 2 dim sites) are one stacked
-    Schur recursion over all points.
+    two half-line windows are one stacked Schur recursion over all points.
     """
-    zs = np.asarray(z, dtype=complex)
-    if zs.ndim > 1:
-        raise ValueError(f"z must be a scalar or a 1-d array, got shape {zs.shape}")
-    pts = zs.reshape(-1)
-    mp, m2 = _weyl_values(seq, [(k - 1, "plus"), (k - 2, "minus")], pts, dim)
+    mp, m2 = _weyl_values(seq, [(k - 1, "plus"), (k - 2, "minus")],
+                          transfer._as_points(z), dim)
     mm = _m_minus_to_M(complex(seq(k)), m2)
-    if zs.ndim == 0:
+    if np.ndim(z) == 0:
         return complex(mp[0]), complex(mm[0])
     return mp, mm
 

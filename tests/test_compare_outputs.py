@@ -52,3 +52,12 @@ def test_jobs_include_a_birkhoff_sweep_of_a_wide_grid():
             if cmd == "lyapunov" and cfg["sequence"]["kind"] == "quasiperiodic"
             and cfg["grid_size"] >= 2048 and cfg["n_steps"] == 20000]
     assert [name for name, _ in wide] == ["wide-grid-lyapunov"]
+
+
+def test_jobs_include_a_weyl_defect_run_on_long_windows():
+    long = [(name, cfg) for name, cmd, cfg in compare_outputs.all_jobs()
+            if cmd == "weyl-defect" and cfg["dim"] >= 32768 and max(cfg["r_values"]) >= 0.999]
+    assert [name for name, _ in long] == ["long-window-weyl-defect"]
+    cfg = long[0][1]
+    assert cfg["sequence"]["kind"] == "periodic_table" and len(cfg["sequence"]["values"]) == 4
+    assert cfg["r_values"] == [0.99, 0.999] and cfg["samples"] == 64

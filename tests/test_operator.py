@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,10 +55,23 @@ def test_theta_complex_unitary():
     assert np.max(np.abs(t @ t.conj().T - np.eye(2))) < 1e-15
 
 
-@pytest.mark.parametrize("bad", [1.0, -1.0, 0.8 + 0.8j])
+@pytest.mark.parametrize("bad", [1.0, -1.0, 0.8 + 0.8j, math.nan])
 def test_theta_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\|alpha\| must be < 1"):
         O.theta(bad)
+
+
+NAN_SEQ = C.CoefficientSequence(lambda n: np.full(n.shape, complex(math.nan, 0.0)), 0.5)
+
+
+def test_cmv_banded_refuses_nan():
+    with pytest.raises(ValueError, match=r"\|alpha\| must be < 1"):
+        O.cmv_banded(np.array([math.nan, 0.1]))
+
+
+def test_verify_sieve_square_refuses_a_nan_sequence():
+    with pytest.raises(ValueError, match=r"\|alpha\| must be < 1"):
+        O.verify_sieve_square(NAN_SEQ, 8)
 
 
 def test_assemble_lm_free_dim4():
@@ -445,3 +462,37 @@ def test_verify_sieve_square_builds_no_dense_window(monkeypatch):
     monkeypatch.setattr(O, "assemble_cmv", no_dense)
     res = O.verify_sieve_square(C.quasiperiodic_seq(0.6, 0.3, 0.1), 64)
     assert max(res.values()) < 1e-14
+
+
+def _banded_bytes() -> str:
+    """cmv_banded and band_derivative on fixed inputs, as hex bytes."""
+    rng = np.random.default_rng(5)
+    alpha = 0.95 * rng.random(64) * np.exp(2j * np.pi * rng.random(64))
+    q, k = 8, np.linspace(0.05, 0.35, 7)
+    u, v = (rng.standard_normal((k.size, q, q)) + 1j * rng.standard_normal((k.size, q, q))
+            for _ in range(2))
+    dz = F.band_derivative(C.periodic_table_seq(alpha[:q]), q, k, u, v)
+    return (O.cmv_banded(alpha).tobytes() + dz.tobytes()).hex()
+
+
+def _numpy_cpu_features() -> dict:
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    return getattr(_multiarray_umath, "__cpu_features__", {})
+
+
+@pytest.mark.skipif(not _numpy_cpu_features().get("X86_V3"),
+                    reason="numpy reports no X86_V3 dispatch")
+def test_banded_products_keep_their_bits_without_simd_dispatch():
+    # numpy's complex a * b takes fused multiply-adds under X86_V3 and wider
+    # dispatch; _mul must round the same with that dispatch switched off
+    script = ("import sys; sys.path[:0] = sys.argv[1:]; "
+              "import test_operator; print(test_operator._banded_bytes())")
+    src = str(Path(O.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    out = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent), src],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == _banded_bytes()

@@ -31,6 +31,23 @@ def test_szego_rejects():
         T.szego(0.3, 0.0)
 
 
+NAN_SEQ = C.CoefficientSequence(lambda n: np.full(n.shape, complex(math.nan, 0.0)), 0.5)
+
+
+def test_szego_refuses_nan():
+    with pytest.raises(ValueError, match="z must be nonzero"):
+        T.szego(0.1, math.nan)
+    with pytest.raises(ValueError, match=r"\|alpha\| must be < 1"):
+        T.szego(math.nan, 0.5)
+
+
+def test_gz_step_refuses_nan():
+    with pytest.raises(ValueError, match="z must be nonzero"):
+        T.gz_step(C.constant_seq(0.1), 0, complex(math.nan, 0.0))
+    with pytest.raises(ValueError, match=r"\|alpha\| must be < 1"):
+        T.gz_step(NAN_SEQ, 1, 0.5)
+
+
 def test_det_identities(rng):
     s = C.periodic_table_seq(0.6 * rng.random(4) * np.exp(2j * np.pi * rng.random(4)))
     for _ in range(300):

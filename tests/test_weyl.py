@@ -4,10 +4,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmvlab import coefficients as C
+from cmvlab import transfer
 from cmvlab import weyl as W
 from cmvlab.errors import TruncationInstabilityError, WeylDenominatorError
 from cmvlab.spectral_sets import CircleArcSet
@@ -121,14 +122,23 @@ def test_reflectionless_defect_at_a_radius_just_below_the_edge_margin():
     r = float(np.nextafter(1.0 - 1e-6, 0.0))
     s = C.constant_seq(0.3)
     # on the spectrum a 64-site window is too short this close to the
-    # circle: the doubling check refuses, not the |z| check
+    # circle: the Weyl disk refuses, not the |z| check
     with pytest.raises(TruncationInstabilityError):
         W.reflectionless_defect(s, 0, CircleArcSet.full_circle(), r, samples=64, dim=64)
-    # in the gap around z = 1 every point resolves
+    # in the gap around z = 1 the 64-site values agree with 256-site ones to
+    # 3.5e-12 relative, the rounding of values near 200, but their Weyl disks
+    # are 4.1e-7 wide, so they are refused too
     gap = CircleArcSet.from_arcs([(-0.3, 0.3)])
-    d = W.reflectionless_defect(s, 0, gap, r, samples=64, dim=64)
     z = np.array([(r - 1e-12) * cmath.exp(1j * th) for th in gap.sample(64)])
-    mp, mm = W.M_coefficients(s, 0, z, dim=64)
+    bases = [(-1, "plus"), (-2, "minus")]
+    (v64, diameter), (v256, _) = (W._halfline_values(s, bases, z, n) for n in (64, 256))
+    assert np.max(np.abs(v64 - v256) / np.abs(v256)) < 1e-11
+    assert 1e-7 < diameter.max() < 1e-6
+    with pytest.raises(TruncationInstabilityError, match="diameter 4.1"):
+        W.reflectionless_defect(s, 0, gap, r, samples=64, dim=64)
+    # every point resolves on a 128-site window
+    d = W.reflectionless_defect(s, 0, gap, r, samples=64, dim=128)
+    mp, mm = W.M_coefficients(s, 0, z, dim=128)
     assert d == pytest.approx(np.abs(mp + mm.conj()).max(), rel=1e-6)
 
 
@@ -230,7 +240,7 @@ disk_tables = st.lists(
 def test_schur_recursion_matches_banded_solve(side, parity, seq, half_k, r, turns):
     k = 2 * half_k + parity
     z = r * np.exp(2j * math.pi * np.array(turns))
-    got = W._halfline_values(seq, [(k, side)], z, 128)[0]
+    got = W._halfline_values(seq, [(k, side)], z, 128)[0][0]
     want = np.array([_halfline_oracle(seq, k, zi, 128, side) for zi in z])
     # the resolvent at distance 1 - r from the spectrum amplifies rounding
     assert np.max(np.abs(got - want)) <= 128 * np.finfo(float).eps * r * (1 + r) / (1 - r) ** 2
@@ -251,20 +261,50 @@ def _halfline_loop(seq, k, z, dim, side):
     return (1.0 + zf) / (1.0 - zf)
 
 
-def _mpmath_halfline(seq, k, z, dim, side, dps=50):
-    """The same recursion in mpmath at dps digits, one point at a time."""
+def _mpmath_schur(seq, k, z, dim, side, starts, dps=50):
+    """The same recursion in mpmath at dps digits, one point at a time, from
+    each start at the far cut: per point, the list of mpmath values F."""
     a = seq.window(k, k + dim - 1)[::-1] if side == "plus" else seq.window(k - dim + 1, k).conj()
     out = []
     with mpmath.workdps(dps):
         a = [mpmath.mpc(v) for v in a.tolist()]
         for zi in z.tolist():
-            zz, f = mpmath.mpc(zi), mpmath.mpc(-1)
-            for aj in a:
+            zz, row = mpmath.mpc(zi), []
+            for start in starts:
+                f = mpmath.mpc(start)
+                for aj in a:
+                    zf = zz * f
+                    f = (aj + zf) / (1 + mpmath.conj(aj) * zf)
                 zf = zz * f
-                f = (aj + zf) / (1 + mpmath.conj(aj) * zf)
-            zf = zz * f
-            out.append(complex((1 + zf) / (1 - zf)))
+                row.append((1 + zf) / (1 - zf))
+            out.append(row)
+    return out
+
+
+def _mpmath_halfline(seq, k, z, dim, side, dps=50):
+    """The recursion from the cut -1 in mpmath, as doubles."""
+    return np.array([complex(row[0]) for row in _mpmath_schur(seq, k, z, dim, side, [-1], dps)])
+
+
+def _mpmath_disk_diameter(seq, k, z, dim, side):
+    """The diameter of the circle through the values of the starts 1, i and
+    -1, the image of the unit circle, at 50 digits."""
+    out = []
+    with mpmath.workdps(50):
+        for p1, p2, p3 in _mpmath_schur(seq, k, z, dim, side, [1, 1j, -1]):
+            twice_area = abs(mpmath.im(mpmath.conj(p2 - p1) * (p3 - p1)))
+            out.append(float(abs(p1 - p2) * abs(p2 - p3) * abs(p3 - p1) / twice_area))
     return np.array(out)
+
+
+def _a_priori_diameter(dim, r):
+    """Schwarz-Pick's bound on the Weyl disk of any window of dim sites at
+    |z| = r: the first step's image of the closed disk has hyperbolic
+    diameter 2 log((1 + r) / (1 - r)), each of the dim - 1 products with z
+    contracts it by r, and F = (1 + w) / (1 - w) stretches by at most
+    2 / (1 - r)^2 the Euclidean distances, at most half the hyperbolic ones."""
+    return math.exp((dim - 1) * math.log(r) - 2 * math.log1p(-r)
+                    + math.log(2 * math.log((1 + r) / (1 - r))))
 
 
 def _resolvent_bound(dim, r, want):
@@ -291,18 +331,17 @@ sequences = st.one_of(
 def test_stacked_halfline_values_match_the_per_window_recursion(seq, k, dim, r, turns):
     z = r * np.exp(2j * math.pi * np.array(turns))
     bases = [(k - 1, "plus"), (k - 2, "minus"), (k, "minus"), (k + 3, "plus")]
-    got = W._halfline_values(seq, bases, z, dim)
-    for s, (base, side) in enumerate(bases):
-        for row, n in ((2 * s, dim), (2 * s + 1, 2 * dim)):
-            want = _halfline_loop(seq, base, z, n, side)
-            assert np.all(np.abs(got[row] - want) <= _resolvent_bound(n, r, want))
+    got, _ = W._halfline_values(seq, bases, z, dim)
+    for row, (base, side) in zip(got, bases):
+        want = _halfline_loop(seq, base, z, dim, side)
+        assert np.all(np.abs(row - want) <= _resolvent_bound(dim, r, want))
     try:
         mp, mm = W.M_coefficients(seq, k, z, dim)
     except (TruncationInstabilityError, WeylDenominatorError):
         return
-    # M_coefficients reads the first two bases' short windows
+    # M_coefficients reads the first two bases' windows
     assert np.array_equal(bits(mp), bits(got[0]))
-    m2 = -got[2]
+    m2 = -got[1]
     assert np.array_equal(bits(mm), bits(W._m_minus_to_M(complex(seq(k)), m2)))
     # m_plus and m_minus take the same path with one row and one point
     one = [(W.m_plus(seq, k - 1, zi, dim).value, W.m_minus(seq, k - 2, zi, dim).value)
@@ -311,8 +350,8 @@ def test_stacked_halfline_values_match_the_per_window_recursion(seq, k, dim, r, 
 
 
 @pytest.mark.parametrize("seq, r", [
-    # near the circle: each base's two lanes are Szego products of 4095 steps,
-    # applied as Mobius maps only at the end
+    # near the circle: each base's lane is a Szego product of 4095 steps,
+    # applied as a Mobius map only at the end
     (C.quasiperiodic_seq(0.5, 0.3819660112501051, 0.2), 0.999),
     # far from it: the free lanes' first columns are z^4095, below the
     # smallest normal double, and every value must stay finite
@@ -323,12 +362,94 @@ def test_long_windows_match_mpmath_schur_values(seq, r):
     dim = 4096
     z = r * np.exp(2j * math.pi * np.array([0.05, 0.71]))
     bases = [(3, "plus"), (-2, "minus")]
-    got = W._halfline_values(seq, bases, z, dim)
+    got, _ = W._halfline_values(seq, bases, z, dim)
     assert np.all(np.isfinite(got))
-    for s, (base, side) in enumerate(bases):
-        for row, n in ((2 * s, dim), (2 * s + 1, 2 * dim)):
-            want = _mpmath_halfline(seq, base, z, n, side)
-            assert np.all(np.abs(got[row] - want) <= _resolvent_bound(n, r, want))
+    for row, (base, side) in zip(got, bases):
+        want = _mpmath_halfline(seq, base, z, dim, side)
+        assert np.all(np.abs(row - want) <= _resolvent_bound(dim, r, want))
+
+
+def test_halfline_values_run_one_lane_of_dim_minus_one_steps_per_window(monkeypatch):
+    calls, read = [], []
+    advance = transfer._advance
+
+    def spy(seq, zs, starts, length, cols, snap=0):
+        calls.append((starts.tolist(), length, cols))
+        return advance(seq, zs, starts, length, cols, snap)
+
+    def fn(n):
+        read.append(np.sort(n.ravel()).tolist())
+        return base_seq.window(n)
+
+    monkeypatch.setattr(transfer, "_advance", spy)
+    base_seq = C.quasiperiodic_seq(0.5, 0.3819660112501051, 0.2)
+    seq = C.CoefficientSequence(fn, base_seq.sup_norm_bound)
+    bases = [(3, "plus"), (-2, "minus"), (0, "minus"), (7, "plus")]
+    dim = 64
+    W._halfline_values(seq, bases, 0.9 * np.exp(1j * np.arange(5.0)), dim)
+    assert calls == [([0, 63, 126, 189], dim - 1, 2)]
+    # each base reads its dim - 1 sites away from the cut, and no other
+    assert read == [list(range(k, k + dim - 1)) if side == "plus"
+                    else list(range(k - dim + 1, k)) for k, side in bases]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+@pytest.mark.parametrize("r", [0.2, 0.5, 0.9, 0.99])
+def test_weyl_disk_diameter_matches_mpmath_image_circles(rng, q, r):
+    # the circle through the images of 1, i and -1 is the image of the unit
+    # circle; windows this short leave every diameter far above rounding
+    seq = C.periodic_table_seq(0.95 * rng.random(q) ** 0.5 * np.exp(2j * math.pi * rng.random(q)))
+    z = r * np.exp(2j * math.pi * rng.random(3))
+    for dim in (4, 8, 16):
+        for k, side in ((q, "plus"), (-1, "minus")):
+            _, got = W._halfline_values(seq, [(k, side)], z, dim)
+            want = _mpmath_disk_diameter(seq, k, z, dim, side)
+            assert np.all(np.abs(got[0] - want) <= 1e-12 * want)
+
+
+@example(seq=C.periodic_table_seq([0.22 - 0.51j]), k=-1, side="minus", dim=8, r=0.9,
+         turns=[0.13])
+@example(seq=C.constant_seq(0.625), k=0, side="plus", dim=64, r=0.5, turns=[0.0])
+@settings(max_examples=60, deadline=None)
+@given(seq=sequences, k=st.integers(-5, 5), side=st.sampled_from(["plus", "minus"]),
+       dim=st.sampled_from([4, 8, 16, 32, 64]), r=st.floats(0.3, 0.95),
+       turns=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_values_sixteen_times_further_out_lie_in_the_weyl_disk(seq, k, side, dim, r, turns):
+    # F_dim and F_{16 dim} both lie in the disk of every continuation past
+    # the dim-site window's cut, so they differ by at most its diameter,
+    # which Schwarz-Pick bounds a priori
+    z = r * np.exp(2j * math.pi * np.array(turns))
+    (got,), (diameter,) = W._halfline_values(seq, [(k, side)], z, dim)
+    want = _halfline_loop(seq, k, z, 16 * dim, side)
+    slack = _resolvent_bound(dim, r, want) + _resolvent_bound(16 * dim, r, want)
+    assert np.all(np.abs(got - want) <= diameter + slack)
+    assert np.all(diameter <= _a_priori_diameter(dim, r))
+
+
+@pytest.mark.parametrize("seq", [
+    FREE, C.quasiperiodic_seq(0.5, 0.3819660112501051, 0.2),
+    C.periodic_table_seq([0.9, -0.9j, 0.5 + 0.5j]),
+])
+def test_weyl_disk_diameter_stays_finite_far_from_the_circle(seq):
+    # |det T| = 0.2^4095 over the squared scale is far below the smallest
+    # double, and the rescaled entries' own determinant is rounding
+    r, dim = 0.2, 4096
+    z = r * np.exp(2j * math.pi * np.array([0.05, 0.71]))
+    _, diameter = W._halfline_values(seq, [(3, "plus"), (-2, "minus")], z, dim)
+    assert np.all(np.isfinite(diameter))
+    assert np.all(diameter <= _a_priori_diameter(dim, r))
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(0.5, math.nan)])
+def test_weyl_entry_points_refuse_nan_points(z):
+    with pytest.raises(ValueError, match="below 1"):
+        W.m_plus(FREE, 0, z, dim=64)
+    with pytest.raises(ValueError, match="below 1"):
+        W.m_minus(FREE, 0, z, dim=64)
+    with pytest.raises(ValueError, match="below 1"):
+        W.M_coefficients(FREE, 0, z, dim=64)
+    with pytest.raises(ValueError, match="below 1"):
+        W.M_coefficients(FREE, 0, np.array([0.5, z]), dim=64)
 
 
 def test_batched_M_coefficients_scalar_in_scalar_out(make_periodic):

@@ -7,7 +7,8 @@ exported with ``git archive`` into a scratch directory, and this one).  The
 jobs are every ``perfbench.workloads.make_jobs`` job of every workload at each
 of ``SEEDS``, the example configs of README.md and ``WIDE_GRID``, a
 quasiperiodic ``lyapunov`` sweep over a grid too wide for orbit lanes, which
-no other job runs.  Each tree runs all of them
+no other job runs, and ``LONG_WINDOW``, a ``weyl-defect`` run on half-line
+windows of 32 768 sites at radii 0.99 and 0.999.  Each tree runs all of them
 through ``cmvlab.cli.main`` in one fresh interpreter; then, per job, the exit
 codes are compared and, per output file, the script prints "identical" or the
 largest numeric difference.  A JSON file is compared key by key: the largest
@@ -43,6 +44,13 @@ WIDE_GRID = ("wide-grid-lyapunov", "lyapunov", {
     "grid_size": 2048, "n_steps": 20000, "epsilon_L": 0.01,
 })
 
+# the windows workload's period-4 weyl-defect table near the circle, where
+# every other job's window of 512 sites is far too short
+LONG_WINDOW = ("long-window-weyl-defect", "weyl-defect", {
+    **next(job.config for job in make_jobs("windows", SEEDS[0]) if job.command == "weyl-defect"),
+    "r_values": [0.99, 0.999], "dim": 32768, "samples": 64,
+})
+
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN|-?inf|nan")
 
 # runs a list of (name, command, config, out dir) jobs; argv: src, jobs, codes
@@ -76,7 +84,7 @@ def readme_configs() -> list[tuple[str, str, dict]]:
 def all_jobs() -> list[tuple[str, str, dict]]:
     jobs = [(f"{w}-s{seed}-{job.name}", job.command, job.config)
             for seed in SEEDS for w in WORKLOADS for job in make_jobs(w, seed)]
-    return jobs + readme_configs() + [WIDE_GRID]
+    return jobs + readme_configs() + [WIDE_GRID, LONG_WINDOW]
 
 
 def run_tree(tree: str, jobs: list, work: str, label: str) -> dict:
