@@ -403,7 +403,7 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
         drifts.append({"t": t, "value": abs(state.norm2() - 1.0), "tol": qwalk._NORM_TOL})
         t_done = t
         amp = state.amplitudes
-        # |c|^2 rounded like python's abs(c) ** 2: hypot and pow, as in operator._rho
+        # |c|^2 rounded like python's abs(c) ** 2: hypot and pow, as in coefficients._rho
         p = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
         rows = np.flatnonzero(np.any(p > 0, axis=1))
         dist["t"].append(np.full(rows.size, t))

@@ -27,26 +27,40 @@ __all__ = [
 ]
 
 
+def _check_disk(a):
+    """The alpha array or scalar ``a``, each value checked to lie in the
+    open unit disk: ValueError names the largest modulus otherwise."""
+    big = np.max(np.abs(a), initial=0.0)
+    if not big < 1.0:  # NaN fails too
+        raise ValueError(f"|alpha| must be < 1, got {big}")
+    return a
+
+
+def _rho(a):
+    """sqrt(1 - |a|^2) of an alpha array or scalar, |a|^2 rounded like
+    Python's abs(a) ** 2.
+
+    np.abs and x * x round differently from Python's abs() and x ** 2 in the
+    last bit; hypot and float_power call the same libm routines.
+    """
+    return np.sqrt(np.maximum(0.0, 1.0 - np.float_power(np.hypot(a.real, a.imag), 2.0)))
+
+
 @dataclass(frozen=True)
 class CoefficientSequence:
     """A map n -> alpha_n into the open unit disk, read over arrays of sites.
 
     ``fn`` takes an integer array of sites and returns alpha at each site,
     with the array's shape; ``window`` is the one way to read it and refuses
-    any other shape.
-    ``sup_norm_bound`` certifies sup_n |alpha_n| <= sup_norm_bound < 1.
+    any other shape.  The values must lie in the open unit disk; every
+    reader checks those it reads with ``_check_disk``.
     ``period``, when set, promises alpha_{n + period} == alpha_n exactly.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    sup_norm_bound: float
     period: Optional[int] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.sup_norm_bound < 1.0:
-            raise ValueError(
-                f"sup_norm_bound must lie in [0, 1), got {self.sup_norm_bound}"
-            )
         if self.period is not None and self.period < 1:
             raise ValueError(f"period must be a positive integer, got {self.period}")
 
@@ -56,8 +70,7 @@ class CoefficientSequence:
 
     def rho(self, n: int) -> float:
         """sqrt(1 - |alpha_n|^2), derived on demand."""
-        a = self(n)
-        return math.sqrt(max(0.0, 1.0 - (a.real * a.real + a.imag * a.imag)))
+        return float(_rho(_check_disk(self(n))))
 
     def window(self, lo, hi: Optional[int] = None) -> np.ndarray:
         """Values alpha_n for n in [lo, hi), or, without hi, at the integer array lo.
@@ -73,10 +86,8 @@ class CoefficientSequence:
 
 def constant_seq(a: complex) -> CoefficientSequence:
     """The sequence alpha_n = a for all n (period 1)."""
-    a = complex(a)
-    if abs(a) >= 1.0:
-        raise ValueError(f"|a| must be < 1, got |a| = {abs(a)}")
-    return CoefficientSequence(fn=lambda n: np.full(n.shape, a), sup_norm_bound=abs(a), period=1)
+    a = _check_disk(complex(a))
+    return CoefficientSequence(fn=lambda n: np.full(n.shape, a), period=1)
 
 
 def quasiperiodic_seq(lam: float, beta: float, theta: float) -> CoefficientSequence:
@@ -84,8 +95,7 @@ def quasiperiodic_seq(lam: float, beta: float, theta: float) -> CoefficientSeque
     lam, b, t = float(lam), float(beta), float(theta)
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"amplitude must lie in [0, 1), got {lam}")
-    return CoefficientSequence(fn=lambda n: lam * np.exp(2j * np.pi * (n * b + t)),
-                               sup_norm_bound=lam)
+    return CoefficientSequence(fn=lambda n: lam * np.exp(2j * np.pi * (n * b + t)))
 
 
 def periodic_table_seq(values: Sequence[complex]) -> CoefficientSequence:
@@ -93,13 +103,11 @@ def periodic_table_seq(values: Sequence[complex]) -> CoefficientSequence:
     vals = np.asarray(values, dtype=complex)
     if vals.ndim != 1 or len(vals) == 0:
         raise ValueError("values must be a nonempty 1-d sequence")
-    bound = float(np.max(np.abs(vals)))
-    if bound >= 1.0:
-        raise ValueError(f"all |alpha| must be < 1, table max is {bound}")
+    _check_disk(vals)
     q = len(vals)
     table = vals.copy()
     table.flags.writeable = False
-    return CoefficientSequence(fn=lambda n: table[n % q], sup_norm_bound=bound, period=q)
+    return CoefficientSequence(fn=lambda n: table[n % q], period=q)
 
 
 def periodize(seq: CoefficientSequence, q: int) -> CoefficientSequence:

@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .coefficients import CoefficientSequence
+from .coefficients import CoefficientSequence, _check_disk, _rho
 from .errors import DegenerateBandError, NumericalInstabilityError, note
 from .operator import _dense, _factors, _mul
 from .spectral_sets import CircleArcSet, TWO_PI
@@ -259,8 +259,7 @@ def band_derivative(
     """Analytic band velocities dz/dk (K, q) of ``band_eigens``' pairs u, v
     at its K values of k, rounded like the scalar formula (``_mul``)."""
     _check_q(seq, q)
-    a = complex(seq(q - 1))
-    rho = math.sqrt(1.0 - abs(a) ** 2)
+    rho = _rho(_check_disk(seq(q - 1)))
     phase = np.exp(-1j * np.asarray(k, dtype=float).reshape(-1, 1) * q)
     u_m1 = _mul(phase, u[..., q - 1, :])
     v_m1 = _mul(phase, v[..., q - 1, :])
@@ -269,13 +268,21 @@ def band_derivative(
 
 
 def discriminant(seq: CoefficientSequence, q: int, theta) -> float | np.ndarray:
-    """Real monodromy trace at z = exp(i*theta); imaginary part must vanish.
+    """Real monodromy trace at z = exp(i*theta), certified by ``_real_trace``.
 
-    The imaginary part may not exceed 1e-10 times the size of the product it
-    rounds: max(1, |tr|, max |Phi_ij|).  A scalar theta gives a float, a 1-d
-    array of angles an array.
+    A scalar theta gives a float, a 1-d array of angles an array.
     """
-    m = monodromy(seq, q, np.exp(1j * np.asarray(theta, dtype=float)))
+    tr = _real_trace(monodromy(seq, q, np.exp(1j * np.asarray(theta, dtype=float))))
+    return float(tr) if np.ndim(theta) == 0 else tr
+
+
+def _real_trace(m: np.ndarray) -> np.ndarray:
+    """The real traces of the monodromies m (..., 2, 2) on the circle.
+
+    Each imaginary part may not exceed 1e-10 times the size of the product
+    it rounds, max(1, |tr|, max |Phi_ij|): NumericalInstabilityError names
+    the largest that does (NaN fails).
+    """
     tr = m[..., 0, 0] + m[..., 1, 1]
     size = np.maximum(np.abs(tr.real), np.abs(m).max(axis=(-2, -1)))
     bad = ~(np.abs(tr.imag) <= 1e-10 * np.maximum(1.0, size))  # NaN fails
@@ -284,7 +291,7 @@ def discriminant(seq: CoefficientSequence, q: int, theta) -> float | np.ndarray:
         raise NumericalInstabilityError(
             f"monodromy trace has imaginary part {worst:.2e}"
         )
-    return float(tr.real) if np.ndim(theta) == 0 else tr.real
+    return tr.real
 
 
 def periodic_spectrum(seq: CoefficientSequence, q: int) -> CircleArcSet:
@@ -319,22 +326,19 @@ def monodromy_bound_check(
 ) -> dict:
     """Verify ||Phi_q(z)|| <= 4 q / |dz/dk| at a band-interior point.
 
-    The Bloch number is recovered from the discriminant, k = arccos(tr/2)/q,
-    and the band through z is the eigenbranch of E_q(k) closest to z.
+    The Bloch number is recovered from the trace, k = arccos(tr/2)/q, which
+    ``_real_trace`` certifies as ``discriminant`` does, and the band through
+    z is the eigenbranch of E_q(k) closest to z.
     """
     _check_q(seq, q)
     z = complex(z)
     phi = monodromy(seq, q, z)
-    tr = complex(np.trace(phi))
-    if abs(tr.imag) > 1e-8:
-        raise NumericalInstabilityError(
-            f"monodromy trace has imaginary part {tr.imag:.2e}"
-        )
-    if not -2.0 < tr.real < 2.0:
+    tr = float(_real_trace(phi))
+    if not -2.0 < tr < 2.0:
         raise ValueError(
-            f"z is at or beyond a band edge (trace {tr.real:.6f} outside (-2, 2))"
+            f"z is at or beyond a band edge (trace {tr:.6f} outside (-2, 2))"
         )
-    k = math.acos(tr.real / 2.0) / q
+    k = math.acos(tr / 2.0) / q
     zk, u, v = band_eigens(seq, q, k)
     dist = np.abs(zk[0] - z)
     n = int(np.argmin(dist))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSequence
+from .coefficients import CoefficientSequence, _check_disk, _rho
 
 __all__ = [
     "BandedUnitary",
@@ -76,15 +76,7 @@ class BandedUnitary:
 def theta(alpha: complex) -> np.ndarray:
     """The 2x2 unitary symmetric block [[conj(a), rho], [rho, -a]]; the
     scalar view of ``_theta_blocks``."""
-    a = np.array([complex(alpha)])
-    _check_disk(a)
-    return _theta_blocks(a)[0]
-
-
-def _check_disk(a: np.ndarray) -> None:
-    big = np.max(np.abs(a), initial=0.0)
-    if not big < 1.0:  # NaN fails too
-        raise ValueError(f"|alpha| must be < 1, got {big}")
+    return _theta_blocks(_check_disk(np.array([complex(alpha)])))[0]
 
 
 def _theta_blocks(alpha: np.ndarray) -> np.ndarray:
@@ -123,13 +115,12 @@ def sieve(seq: CoefficientSequence) -> CoefficientSequence:
         return out
 
     period = None if seq.period is None else 2 * seq.period
-    return CoefficientSequence(fn=fn, sup_norm_bound=seq.sup_norm_bound, period=period)
+    return CoefficientSequence(fn=fn, period=period)
 
 
 def shift_seq(seq: CoefficientSequence, by: int) -> CoefficientSequence:
     """The translated sequence n -> seq(n + by), of the same period."""
-    return CoefficientSequence(fn=lambda n: seq.window(n + by),
-                               sup_norm_bound=seq.sup_norm_bound, period=seq.period)
+    return CoefficientSequence(fn=lambda n: seq.window(n + by), period=seq.period)
 
 
 def verify_sieve_square(seq: CoefficientSequence, dim: int) -> dict:
@@ -217,15 +208,6 @@ def _dense(ab: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the factors and their products in cyclic banded storage
 # ---------------------------------------------------------------------------
-
-def _rho(a: np.ndarray) -> np.ndarray:
-    """sqrt(1 - |a|^2), rounded like the scalar ``theta``.
-
-    np.abs and x * x round differently from Python's abs() and x ** 2 in the
-    last bit; hypot and float_power call the same libm routines.
-    """
-    return np.sqrt(np.maximum(0.0, 1.0 - np.float_power(np.hypot(a.real, a.imag), 2.0)))
-
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Complex product without fused multiply-add, rounded like Python's:

@@ -59,9 +59,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefficients import CoefficientSequence
+from .coefficients import CoefficientSequence, _rho
 from .errors import CoinGaugeError, NumericalInstabilityError
-from .operator import _rho, cmv_banded, shift_seq, sieve
+from .operator import cmv_banded, shift_seq, sieve
 
 __all__ = [
     "CoinSequence",
@@ -414,34 +414,18 @@ def to_cmv(
     The coefficients are alpha_hat = shift_seq(sieve(gamma), -2), that is
     alpha_hat_{2n+1} = gamma_n and alpha_hat_{2n} = 0, where gamma_n =
     conj(Q_n[1, 0]) is read from the coins, each checked for unitarity and
-    the gauge form at every site read.  ``sup_norm_bound`` is the largest
-    |gamma_n| over the window, or over one full period from its first site
-    when the coins are periodic, and a read of any |gamma_n| above it is
-    refused with ValueError.  The correspondence is verified on
-    the window in O(W): the walk's cyclic window, transposed and in banded
-    form, must match entry by entry the periodic-wrap CMV window of
-    alpha_hat.
+    the gauge form at every site read, inside the window or past it.  The
+    correspondence is verified on the window in O(W): the walk's cyclic
+    window, transposed and in banded form, must match entry by entry the
+    periodic-wrap CMV window of alpha_hat.
     """
     n_lo, n_hi = int(window[0]), int(window[1])
     if n_hi <= n_lo:
         raise ValueError("window must contain at least two sites")
     walk = build_walk(coins, (n_lo, n_hi))
     _gauge_gammas(walk.table, np.arange(n_lo, n_hi + 1))
-    # |gamma_n| = |Q_n[1, 0]|, over one full period when the coins have one
-    span = max(walk.width, coins.period or 0)
-    table = walk.table if span == walk.width else coins(np.arange(n_lo, n_lo + span))
-    bound = min(float(np.max(np.abs(table[:, 1, 0]))), 1.0 - 1e-15)
-
-    def fn(n: np.ndarray) -> np.ndarray:
-        g = _gauge_gammas(_unitary(coins(n), n), n)
-        over = np.flatnonzero(~(np.abs(np.ravel(g)) <= bound))
-        if over.size:
-            j = over[0]
-            raise ValueError(f"gamma at site {int(np.ravel(n)[j])} has modulus "
-                             f"{float(abs(np.ravel(g)[j]))!r} above the certified bound {bound!r}")
-        return g
-
-    gamma = CoefficientSequence(fn=fn, sup_norm_bound=bound, period=coins.period)
+    gamma = CoefficientSequence(fn=lambda n: _gauge_gammas(_unitary(coins(n), n), n),
+                                period=coins.period)
     seq = shift_seq(sieve(gamma), -2)
     lo = 2 * n_lo + 1  # the flat index of (n_lo, +)
     ref = cmv_banded(seq.window(lo, lo + 2 * walk.width))

@@ -31,6 +31,9 @@ _MERGE_TOL = 1e-12  # endpoint tolerance below which arcs fuse
 
 def _canonical(arcs: np.ndarray) -> np.ndarray:
     """Sorted, merged arcs of the (n, 2) array ``arcs``; see CircleArcSet."""
+    nan = np.flatnonzero(np.isnan(arcs).any(axis=1))
+    if nan.size:
+        raise ValueError(f"arc endpoints must not be NaN, got {arcs[nan[0]].tolist()}")
     lo, hi = arcs.T
     width = hi - lo
     # the first arc, in input order, that is reversed or as wide as the circle

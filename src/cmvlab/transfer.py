@@ -57,12 +57,11 @@ in a step-at-a-time loop, so the products keep their bits.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientSequence
+from .coefficients import CoefficientSequence, _check_disk, _rho
 from .errors import NumericalInstabilityError, record
 from .spectral_sets import CircleArcSet, TWO_PI
 
@@ -81,23 +80,14 @@ _BLOCK_SITES = 32 * _BLOCK  # at most this many sites per call when lanes share 
 _POINTS = 2048  # points per kernel pass
 
 
-def _require_disk(alpha: complex) -> complex:
-    alpha = complex(alpha)
-    if not abs(alpha) < 1.0:  # NaN fails too
-        raise ValueError(f"|alpha| must be < 1, got {abs(alpha)}")
-    return alpha
-
-
 def szego(alpha: complex, z: complex) -> np.ndarray:
     """Szego one-step matrix (1/rho) [[z, -conj(a)], [-z a, 1]]."""
-    alpha = _require_disk(alpha)
-    z = complex(z)
+    alpha, z = _check_disk(complex(alpha)), complex(z)
     if not abs(z) > 0.0:  # NaN fails too
         raise ValueError("z must be nonzero")
-    rho = math.sqrt(1.0 - abs(alpha) ** 2)
     return np.array(
         [[z, -alpha.conjugate()], [-z * alpha, 1.0]], dtype=complex
-    ) / rho
+    ) / _rho(alpha)
 
 
 def gz_step(seq: CoefficientSequence, n: int, z: complex) -> np.ndarray:
@@ -105,13 +95,12 @@ def gz_step(seq: CoefficientSequence, n: int, z: complex) -> np.ndarray:
     z = complex(z)
     if not abs(z) > 0.0:  # NaN fails too
         raise ValueError("z must be nonzero")
-    a = _require_disk(seq(n))
-    rho = math.sqrt(1.0 - abs(a) ** 2)
+    a = _check_disk(seq(n))
     if n % 2 == 0:
         m = np.array([[-a, 1.0], [1.0, -a.conjugate()]], dtype=complex)
     else:
         m = np.array([[-a.conjugate(), z], [1.0 / z, -a]], dtype=complex)
-    return m / rho
+    return m / _rho(a)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +155,7 @@ def _advance(seq, zs, starts, length, cols, snap=0):
     for lo in range(0, length, block):
         hi = min(lo + block, length)
         al = seq.window(np.arange(lo, hi)[:, None] + starts)
-        mod = np.abs(al)
-        if not np.all(mod < 1.0):
-            raise ValueError(f"|alpha| must be < 1, got {np.nanmax(mod)}")
+        _check_disk(al)
         log_rho = -0.5 * np.log1p(-(al.real * al.real + al.imag * al.imag))
         # the (P, 1) coefficients of u and w at each step
         c_u, c_w = -al.conj()[..., None], -al[..., None]
@@ -360,6 +347,9 @@ def arcs_from_grid(
     values = np.asarray(values, dtype=float)
     if angles.shape != values.shape or angles.ndim != 1 or angles.size == 0:
         raise ValueError("angles and values must be matching nonempty 1-d arrays")
+    for name, v in (("angles", angles), ("values", values)):
+        if np.isnan(v).any():
+            raise ValueError(f"{name} must not be NaN, got {name}[{np.isnan(v).argmax()}]")
     below = values < eps_L
     if np.all(below):
         return CircleArcSet.full_circle()

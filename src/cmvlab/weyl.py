@@ -98,7 +98,7 @@ def _halfline_values(seq: CoefficientSequence, bases, z: np.ndarray, dim: int
                   else seq.window(k - dim + 1, k).conj() for k, side in bases])
     # the Schur step with parameter a is the Szego step with alpha = -conj(a)
     alpha = -a.conj().ravel()
-    lanes = CoefficientSequence(lambda n: alpha[n], seq.sup_norm_bound)
+    lanes = CoefficientSequence(lambda n: alpha[n])
     x, log_scale, _, _ = transfer._advance(lanes, z, np.arange(len(bases)) * (dim - 1),
                                            dim - 1, 2)
     (t11, t21), (t12, t22) = x[..., :z.size], x[..., z.size:]

@@ -250,7 +250,7 @@ def test_scalar_points_give_floats_and_scalar_shapes(make_periodic):
 
 
 def test_batched_checks_reject_any_bad_point():
-    raw = C.CoefficientSequence(fn=lambda n: np.full(n.shape, 0.2 + 0j), sup_norm_bound=0.2)
+    raw = C.CoefficientSequence(fn=lambda n: np.full(n.shape, 0.2 + 0j))
     good = np.exp(1j * np.array([0.1, 0.2, 0.3]))
     with pytest.raises(ValueError, match=r"\|z\|"):
         T.lyapunov(raw, np.append(good, 0.5))
@@ -258,8 +258,7 @@ def test_batched_checks_reject_any_bad_point():
         T.monodromy(C.constant_seq(0.2), 2, np.append(good, 0.0))
     with pytest.raises(ValueError, match="1-d"):
         T.lyapunov(raw, good.reshape(3, 1))
-    outside = C.CoefficientSequence(fn=lambda n: np.where(n == 7, 1.5, 0.0),
-                                    sup_norm_bound=0.5)
+    outside = C.CoefficientSequence(fn=lambda n: np.where(n == 7, 1.5, 0.0))
     with pytest.raises(ValueError, match=r"\|alpha\|"):
         T.lyapunov(outside, good, n_steps=100)
     with pytest.raises(ValueError):
@@ -333,12 +332,12 @@ SEQUENCES = {
     "shift_quasiperiodic": (O.shift_seq(C.quasiperiodic_seq(0.4, 0.2, 0.1), -7),
                             lambda n: _qp(0.4, 0.2, 0.1)(n - 7)),
     # a map handed straight to CoefficientSequence, with no constructor
-    "raw_fn": (C.CoefficientSequence(fn=_raw_map, sup_norm_bound=0.3),
+    "raw_fn": (C.CoefficientSequence(fn=_raw_map),
                lambda n: 0.3 * cmath.exp(0.7j * n * n)),
-    "sieve_raw_fn": (O.sieve(C.CoefficientSequence(fn=_raw_map, sup_norm_bound=0.3)),
+    "sieve_raw_fn": (O.sieve(C.CoefficientSequence(fn=_raw_map)),
                      _sieved(lambda n: 0.3 * cmath.exp(0.7j * n * n))),
     "shift_sieve_raw_fn": (
-        O.shift_seq(O.sieve(C.CoefficientSequence(fn=_raw_map, sup_norm_bound=0.3)), 3),
+        O.shift_seq(O.sieve(C.CoefficientSequence(fn=_raw_map)), 3),
         lambda n: _sieved(lambda k: 0.3 * cmath.exp(0.7j * k * k))(n + 3)),
 }
 
@@ -726,7 +725,7 @@ def test_lane_blocks_read_alpha_once_per_block():
         calls.append(n.shape)
         return qp.fn(n)
 
-    seq = C.CoefficientSequence(fn=fn, sup_norm_bound=0.5)
+    seq = C.CoefficientSequence(fn=fn)
     n = 3 * 20_000 + 7
     T.lyapunov(seq, np.exp(1j * np.arange(64) * TWO_PI / 64), n_steps=n)
     lanes = T._POINTS // 64

@@ -21,17 +21,22 @@ def test_constant_values():
 
     half = C.constant_seq(0.5)
     assert all(half(n) == 0.5 for n in (-3, 0, 9))
-    assert half.sup_norm_bound == 0.5
 
     zc = C.constant_seq(0.3 + 0.4j)
     assert zc(2) == 0.3 + 0.4j
-    assert zc.sup_norm_bound == pytest.approx(0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("bad", [1.0, -1.0, 0.8 + 0.8j, 2.0])
 def test_constant_rejects_outside_disk(bad):
     with pytest.raises(ValueError):
         C.constant_seq(bad)
+
+
+@pytest.mark.parametrize("make", [lambda: C.constant_seq(math.nan),
+                                  lambda: C.periodic_table_seq([0.1, math.nan])])
+def test_nan_coefficients_are_refused_by_the_disk_check(make):
+    with pytest.raises(ValueError, match=r"^\|alpha\| must be < 1, got nan$"):
+        make()
 
 
 def test_quasiperiodic_values():
@@ -71,7 +76,7 @@ def test_periodize_idempotent():
         assert twice(n) == once(n)
 
 
-def test_sup_norm_bound_wide_window():
+def test_wide_windows_lie_in_the_open_disk():
     seqs = [
         C.constant_seq(0.3 + 0.4j),
         C.quasiperiodic_seq(0.7, GOLDEN, 0.2),
@@ -80,7 +85,7 @@ def test_sup_norm_bound_wide_window():
     ]
     for s in seqs:
         vals = s.window(-5000, 5000)
-        assert np.max(np.abs(vals)) <= s.sup_norm_bound + 1e-15 < 1.0
+        assert np.max(np.abs(vals)) < 1.0
 
 
 def test_pt_levels_zero_single_stage():
@@ -139,7 +144,7 @@ def test_pt_long_period_stages_equal_the_scalar_sum_bit_for_bit():
 
 
 def test_sequence_map_of_the_wrong_shape_is_refused():
-    seq = C.CoefficientSequence(fn=lambda n: 0.2 + 0j, sup_norm_bound=0.2)
+    seq = C.CoefficientSequence(fn=lambda n: 0.2 + 0j)
     with pytest.raises(ValueError, match=r"sequence map must return shape \(5,\), got \(\)"):
         seq.window(0, 5)
 

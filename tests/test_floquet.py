@@ -56,7 +56,7 @@ def test_blocks_validations():
     s3 = C.periodize(s, 3)
     with pytest.raises(ValueError):
         F.floquet_blocks(s3, 4, 0.0)
-    raw = C.CoefficientSequence(fn=lambda n: np.zeros(n.shape, complex), sup_norm_bound=0.0)
+    raw = C.CoefficientSequence(fn=lambda n: np.zeros(n.shape, complex))
     with pytest.raises(ValueError):
         F.floquet_blocks(raw, 2, 0.0)
 
@@ -609,6 +609,38 @@ def test_strong_long_tables_are_accepted(seed):
     # refused by a discriminant certificate of the edges (imaginary traces
     # 2.5e-8 and 1.5e-5), although every eigenpair residual is ~1e-14
     assert_edges_match_30_digits(_random_table(seed, 64, 0.95), 64)
+
+
+def mp_monodromy_trace(seq, q, theta, dps=60):
+    """tr Phi_q(z) = z^(-q/2) tr T_q(z) at z = e^(i theta), to dps digits, from
+    the Szego steps (1/rho) [[z, -conj(a)], [-z a, 1]]."""
+    with mpmath.workdps(dps):
+        z = mpmath.expj(mpmath.mpf(float(theta)))
+        t11, t12, t21, t22 = mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1)
+        for n in range(q):
+            a = mpmath.mpc(seq(n))
+            r, za = 1 / mpmath.sqrt(1 - abs(a) ** 2), z * a
+            t11, t12, t21, t22 = (r * (z * t11 - a.conjugate() * t21),
+                                  r * (z * t12 - a.conjugate() * t22),
+                                  r * (t21 - za * t11), r * (t22 - za * t12))
+        return (t11 + t22) * z ** (-(q // 2))
+
+
+def test_bound_check_judges_the_trace_relative_to_the_product():
+    # q = 128, radius 0.9: the products reach 1e16, and an absolute 1e-8 on
+    # Im tr refused all but 1 of the 116 band midpoints
+    seq, q = _random_table(0, 128, 0.9), 128
+    accepted = 0
+    for th in F.periodic_spectrum(seq, q).arcs.mean(axis=1):
+        try:
+            out = F.monodromy_bound_check(seq, q, cmath.exp(1j * th))
+        except (NumericalInstabilityError, ValueError):
+            continue
+        tr = mp_monodromy_trace(seq, q, th)
+        assert abs(tr.imag) < 1e-40 and -2 < tr.real < 2  # inside its band
+        assert out["holds"]
+        accepted += 1
+    assert accepted >= 40
 
 
 @st.composite

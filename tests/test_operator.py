@@ -61,7 +61,7 @@ def test_theta_rejects(bad):
         O.theta(bad)
 
 
-NAN_SEQ = C.CoefficientSequence(lambda n: np.full(n.shape, complex(math.nan, 0.0)), 0.5)
+NAN_SEQ = C.CoefficientSequence(lambda n: np.full(n.shape, complex(math.nan, 0.0)))
 
 
 def test_cmv_banded_refuses_nan():
@@ -157,7 +157,7 @@ def test_sieve_values():
 
 
 def test_sieve_preserves_values_without_period():
-    raw = C.CoefficientSequence(fn=lambda n: 0.1 * (n % 3), sup_norm_bound=0.3)
+    raw = C.CoefficientSequence(fn=lambda n: 0.1 * (n % 3))
     sv = O.sieve(raw)
     assert sv.period is None
     assert sv(3) == raw(2) and sv(5) == raw(3) and sv(4) == 0
@@ -247,7 +247,7 @@ def test_norm_diff_window_validation():
     s = C.periodize(C.constant_seq(0.2), 4)
     with pytest.raises(ValueError):
         F.norm_diff(s, s, 6)  # not a multiple of the common period
-    raw = C.CoefficientSequence(fn=lambda n: np.zeros(n.shape, complex), sup_norm_bound=0.0)
+    raw = C.CoefficientSequence(fn=lambda n: np.zeros(n.shape, complex))
     with pytest.raises(ValueError):
         F.norm_diff(raw, s, 8)
 

@@ -113,7 +113,7 @@ def test_quasiperiodic_coins_are_read_in_one_window_call():
         return qp.fn(n)
 
     # the 131 075 sites of a walk of t = 65 536 steps from a delta start
-    gamma = C.CoefficientSequence(fn=fn, sup_norm_bound=0.6)
+    gamma = C.CoefficientSequence(fn=fn)
     walk = Q.build_walk(Q.cgmv_coins(gamma), (-65537, 65537))
     assert calls == [(131_075,)]
     assert walk.table.shape == (131_075, 2, 2)
@@ -461,26 +461,20 @@ def test_to_cmv_refuses_a_non_unitary_coin_read_outside_the_window():
         rep.seq.window(-4, 4)
 
 
-def test_to_cmv_bound_of_periodic_coins_covers_one_full_period():
-    # the window (sites 0, 1) misses gamma_2 = 0.95; one period reads it
+def test_to_cmv_of_periodic_coins_reads_every_period():
+    # the window (sites 0, 1) misses gamma_2 = 0.95; reads past it return it
     rep = Q.to_cmv(Q.cgmv_coins(C.periodic_table_seq([0.1, 0.2, 0.95])), window=(0, 1))
-    assert rep.seq.sup_norm_bound == 0.95
     assert np.max(np.abs(rep.seq.window(-12, 12))) == 0.95
 
 
-def test_to_cmv_refuses_a_gamma_read_above_its_bound():
-    # without a period the bound is the window's (0.1), and gamma_5 = 0.9
-    # lies beyond it: alpha_hat_11 = gamma_5 is refused, not returned
-    gamma = C.CoefficientSequence(fn=lambda n: np.where(n >= 5, 0.9, 0.1) + 0j,
-                                  sup_norm_bound=0.9)
+def test_to_cmv_reads_gamma_past_its_window():
+    # gamma_5 = 0.9 lies past the window (sites 0 .. 3), where every gamma
+    # is 0.1: alpha_hat_11 = gamma_5 is read from its coin and returned
+    gamma = C.CoefficientSequence(fn=lambda n: np.where(n >= 5, 0.9, 0.1) + 0j)
     rep = Q.to_cmv(Q.cgmv_coins(gamma), window=(0, 3))
-    assert rep.seq.sup_norm_bound == 0.1
     assert np.max(np.abs(rep.seq.window(-20, 10))) == 0.1
-    with pytest.raises(ValueError,
-                       match="gamma at site 5 has modulus 0.9 above the certified bound 0.1"):
-        rep.seq.window(0, 12)
-    with pytest.raises(ValueError, match="gamma at site 5"):
-        rep.seq(11)
+    assert rep.seq(11) == 0.9
+    np.testing.assert_array_equal(rep.seq.window(9, 13), [0.1, 0.0, 0.9, 0.0])
 
 
 def test_coin_map_of_the_wrong_shape_is_refused():

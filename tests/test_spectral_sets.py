@@ -177,6 +177,14 @@ def test_point_distance_and_contains():
     assert not s.contains(0.0)
 
 
+@pytest.mark.parametrize("make", [lambda: CircleArcSet.from_arcs([[0.5, math.nan]]),
+                                  lambda: CircleArcSet.from_arcs([[math.nan, 1.0]]),
+                                  lambda: CircleArcSet.from_points([math.nan, 1.0])])
+def test_nan_endpoints_are_refused(make):
+    with pytest.raises(ValueError, match="arc endpoints must not be NaN"):
+        make()
+
+
 def test_json_round_trip(rng):
     s = random_arcset(rng)
     back = CircleArcSet.from_arcs(s.to_json()["arcs"])

@@ -31,7 +31,7 @@ def test_szego_rejects():
         T.szego(0.3, 0.0)
 
 
-NAN_SEQ = C.CoefficientSequence(lambda n: np.full(n.shape, complex(math.nan, 0.0)), 0.5)
+NAN_SEQ = C.CoefficientSequence(lambda n: np.full(n.shape, complex(math.nan, 0.0)))
 
 
 def test_szego_refuses_nan():
@@ -143,7 +143,7 @@ def test_lyapunov_constant_band_small():
 
 def test_lyapunov_birkhoff_matches_exact():
     exact_seq = C.constant_seq(0.5)
-    raw = C.CoefficientSequence(fn=lambda n: np.full(n.shape, 0.5 + 0j), sup_norm_bound=0.5)
+    raw = C.CoefficientSequence(fn=lambda n: np.full(n.shape, 0.5 + 0j))
     for th in (0.1, 2.0):
         ex = T.lyapunov(exact_seq, unit(th))
         bk = T.lyapunov(raw, unit(th), n_steps=100_000)
@@ -151,7 +151,7 @@ def test_lyapunov_birkhoff_matches_exact():
 
 
 def test_lyapunov_validations():
-    raw = C.CoefficientSequence(fn=lambda n: np.zeros(n.shape, complex), sup_norm_bound=0.0)
+    raw = C.CoefficientSequence(fn=lambda n: np.zeros(n.shape, complex))
     with pytest.raises(ValueError):
         T.lyapunov(raw, 0.5)
     with pytest.raises(ValueError):
@@ -234,6 +234,15 @@ def test_arcs_from_grid_isolated_point():
     arcs = T.arcs_from_grid(angles, values, 0.5)
     assert arcs.measure() == 0.0
     assert arcs.contains(angles[3])
+
+
+@pytest.mark.parametrize("name, angles, values", [
+    ("values", [0.0, 1.0, 2.0], [0.0, math.nan, 1.0]),
+    ("angles", [0.0, 1.0, math.nan], [1.0, 1.0, 0.0]),
+])
+def test_arcs_from_grid_refuses_nan(name, angles, values):
+    with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+        T.arcs_from_grid(angles, values, 0.5)
 
 
 def arcs_from_grid_loop(angles, values, eps_L):

@@ -383,7 +383,7 @@ def test_halfline_values_run_one_lane_of_dim_minus_one_steps_per_window(monkeypa
 
     monkeypatch.setattr(transfer, "_advance", spy)
     base_seq = C.quasiperiodic_seq(0.5, 0.3819660112501051, 0.2)
-    seq = C.CoefficientSequence(fn, base_seq.sup_norm_bound)
+    seq = C.CoefficientSequence(fn)
     bases = [(3, "plus"), (-2, "minus"), (0, "minus"), (7, "plus")]
     dim = 64
     W._halfline_values(seq, bases, 0.9 * np.exp(1j * np.arange(5.0)), dim)

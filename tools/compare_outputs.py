@@ -35,7 +35,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from perfbench.workloads import WORKLOADS, make_jobs  # noqa: E402
 
-SEEDS = (3, 11)
+SEEDS = (3, 7, 11)
 
 # a Birkhoff sweep of 2048 points: one orbit lane, its half-orbit a snapshot
 WIDE_GRID = ("wide-grid-lyapunov", "lyapunov", {
