@@ -402,9 +402,7 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
         # the drift from t = 0 that evolve, and every state, holds to 1e-10
         drifts.append({"t": t, "value": abs(state.norm2() - 1.0), "tol": qwalk._NORM_TOL})
         t_done = t
-        amp = state.amplitudes
-        # |c|^2 rounded like python's abs(c) ** 2: hypot and pow, as in coefficients._rho
-        p = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
+        p = coeffs._abs2(state.amplitudes)
         rows = np.flatnonzero(np.any(p > 0, axis=1))
         dist["t"].append(np.full(rows.size, t))
         dist["n"].append(state.n_lo + rows)
@@ -434,8 +432,8 @@ def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     S = CircleArcSet.full_circle() if arcs == "full" else CircleArcSet.from_arcs(arcs)
 
     angles = S.sample(cfg["samples"])
-    thetas = [th for _ in cfg["r_values"] for th in angles]
-    rs = [r for r in cfg["r_values"] for _ in angles]
+    thetas = np.tile(angles, len(cfg["r_values"]))
+    rs = np.repeat(cfg["r_values"], len(angles))
     defect = weyl._defects(seq, cfg["k"], thetas, rs, cfg["dim"])
     _write_csv(manifest, out_dir, "weyl_defect.csv", {"theta": thetas, "r": rs, "defect": defect})
 

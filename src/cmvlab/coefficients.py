@@ -36,14 +36,18 @@ def _check_disk(a):
     return a
 
 
-def _rho(a):
-    """sqrt(1 - |a|^2) of an alpha array or scalar, |a|^2 rounded like
-    Python's abs(a) ** 2.
+def _abs2(x):
+    """|x|^2 of a complex array or scalar as re * re + im * im: the one
+    modulus squared of cmvlab (rho, walk probabilities and norms, Weyl
+    disks), correct to a few ulp and with no square root."""
+    return x.real * x.real + x.imag * x.imag
 
-    np.abs and x * x round differently from Python's abs() and x ** 2 in the
-    last bit; hypot and float_power call the same libm routines.
-    """
-    return np.sqrt(np.maximum(0.0, 1.0 - np.float_power(np.hypot(a.real, a.imag), 2.0)))
+
+def _rho(a):
+    """sqrt(1 - |a|^2) of an alpha array or scalar, |a|^2 from ``_abs2`` as
+    in the transfer kernel's log rho; clipped at 0, since |a|^2 of an |a|
+    just below 1 may round up to 1."""
+    return np.sqrt(np.maximum(0.0, 1.0 - _abs2(a)))
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,11 @@ def pastur_tkachenko_family(
         raise ValueError(f"q0 must be a positive even integer, got {q0}")
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
+    # refused before any amplitude: the decay forms overflow a float, and the
+    # sites of a larger period overflow int64
+    if q0 * 2 ** levels > 2 ** 62:
+        raise ValueError(f"the largest period q0 * 2**levels must be at most 2**62, "
+                         f"got q0 = {q0}, levels = {levels}")
 
     periods = [q0 * 2 ** n for n in range(levels + 1)]
     if decay is None:

@@ -192,16 +192,14 @@ def _residuals(x_leak, y_leak, x_diff, y_diff) -> dict:
 
 def _dense(ab: np.ndarray) -> np.ndarray:
     """The n x n matrices of cyclic banded ones (..., 2h + 1, n): row h + s
-    holds the entries (j + s mod n, j), summed where diagonals meet."""
+    holds the entries (j + s mod n, j), summed where diagonals meet (windows
+    of fewer than 2h + 1 sites).  One scatter adds every entry into zeros, so
+    an entry held once keeps its value; a zero may lose its sign."""
     w, n = ab.shape[-2:]
     j = np.arange(n)
     at = (..., (j + np.arange(-(w // 2), w // 2 + 1)[:, None]) % n, j)
     out = np.zeros(ab.shape[:-2] + (n, n), dtype=complex)
-    if n >= w:  # each entry held once
-        out[at] = ab
-    else:  # -0.0 + x is x, so an entry held once still keeps its bits
-        out[at] = complex(-0.0, -0.0)
-        np.add.at(out, at, ab)
+    np.add.at(out, at, ab)
     return out
 
 

@@ -48,7 +48,9 @@ odd-site coins, split from the coin table once per call.  The certificates:
   larger drift is a numerical failure (``NumericalInstabilityError``), not
   an invalid state.
 
-States are immutable values.
+Every probability is |psi|^2 of ``coefficients._abs2``: the norm squared
+is one numpy sum of it over the window, and the survival probability one
+sum over the window's rows at sites |j| <= J.  States are immutable values.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefficients import CoefficientSequence, _rho
+from .coefficients import CoefficientSequence, _abs2, _rho
 from .errors import CoinGaugeError, NumericalInstabilityError
 from .operator import cmv_banded, shift_seq, sieve
 
@@ -159,7 +161,7 @@ class WalkState:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.ndim != 2 or amp.shape[1] != 2 or amp.shape[0] < 1:
             raise ValueError(f"amplitudes must have shape (W, 2), got {amp.shape}")
-        nrm = float(np.sum(np.abs(amp) ** 2))
+        nrm = float(np.sum(_abs2(amp)))
         if not abs(nrm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state norm^2 must be 1 to {_NORM_TOL:g}, got {nrm}")
         amp = amp.copy()
@@ -185,17 +187,15 @@ class WalkState:
         return complex(self.amplitudes[site - self.n_lo, 0 if spin == "+" else 1])
 
     def norm2(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        return float(np.sum(_abs2(self.amplitudes)))
 
     def survival(self, J: int) -> float:
-        """Probability of finding the walker in sites |j| <= J."""
+        """Probability of finding the walker in sites |j| <= J: one sum over
+        the rows of the window that lie there."""
         if J < 0:
             raise ValueError(f"J must be >= 0, got {J}")
-        total = 0.0
-        for j in range(-J, J + 1):
-            total += abs(self.amplitude(j, "+")) ** 2
-            total += abs(self.amplitude(j, "-")) ** 2
-        return total
+        rows = self.amplitudes[max(-J - self.n_lo, 0):max(J + 1 - self.n_lo, 0)]
+        return float(np.sum(_abs2(rows)))
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def _absorbing_step(q: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """
     mixed = q[:, 0] * psi[0]
     mixed += q[:, 1] * psi[1]
-    lost = abs(mixed[0, -1]) ** 2 + abs(mixed[1, 0]) ** 2
+    lost = _abs2(mixed[0, -1]) + _abs2(mixed[1, 0])
     if not lost <= 1e-18:
         raise NumericalInstabilityError(
             f"amplitude {lost:.2e} hit the absorbing boundary; enlarge the window"
@@ -334,7 +334,7 @@ def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
             D += tmp
         amp[1 + c:1 + c + 2 * (m0 + t):2] = np.stack([up, dn], axis=1)
     # the same sum in the same order as the result's norm2()
-    drift = abs(float(np.sum(np.abs(amp) ** 2)) - 1.0)
+    drift = abs(float(np.sum(_abs2(amp))) - 1.0)
     if not drift <= _NORM_TOL:
         raise NumericalInstabilityError(
             f"norm drifted by {drift:.2e} after {t} steps (bound {_NORM_TOL:g})"

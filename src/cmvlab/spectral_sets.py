@@ -61,8 +61,7 @@ def _canonical(arcs: np.ndarray) -> np.ndarray:
     if lo.size >= 2 and hi[-1] >= TWO_PI - _MERGE_TOL and lo[0] <= _MERGE_TOL:
         hi[-1] = TWO_PI + hi[0]
         lo, hi = lo[1:], hi[1:]
-    total = sum((hi - lo).tolist())  # left to right, as the arcs are read
-    if total >= TWO_PI - _MERGE_TOL:
+    if np.sum(hi - lo) >= TWO_PI - _MERGE_TOL:  # the sum of measure()
         return np.array([[0.0, TWO_PI]])
     return np.column_stack([lo, hi])
 

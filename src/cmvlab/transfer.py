@@ -61,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientSequence, _check_disk, _rho
+from .coefficients import CoefficientSequence, _abs2, _check_disk, _rho
 from .errors import NumericalInstabilityError, record
 from .spectral_sets import CircleArcSet, TWO_PI
 
@@ -156,7 +156,7 @@ def _advance(seq, zs, starts, length, cols, snap=0):
         hi = min(lo + block, length)
         al = seq.window(np.arange(lo, hi)[:, None] + starts)
         _check_disk(al)
-        log_rho = -0.5 * np.log1p(-(al.real * al.real + al.imag * al.imag))
+        log_rho = -0.5 * np.log1p(-_abs2(al))
         # the (P, 1) coefficients of u and w at each step
         c_u, c_w = -al.conj()[..., None], -al[..., None]
         # chunks of steps that end at the next rescale, the snapshot or the block end

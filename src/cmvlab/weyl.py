@@ -28,13 +28,12 @@ TruncationInstabilityError.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import transfer
-from .coefficients import CoefficientSequence
+from .coefficients import CoefficientSequence, _abs2
 from .errors import (
     NumericalInstabilityError,
     TruncationInstabilityError,
@@ -104,8 +103,8 @@ def _halfline_values(seq: CoefficientSequence, bases, z: np.ndarray, dim: int
     (t11, t21), (t12, t22) = x[..., :z.size], x[..., z.size:]
     # z as a (1, P) row: numpy multiplies a (P,) array by a (1, 1) one in its
     # scalar loop, without the fused multiply-adds of every other shape
-    zf = z[None] * ((t11 * -1.0 + t12) / (t21 * -1.0 + t22))
-    den = np.abs(t22 - z * t12) ** 2 - np.abs(t21 - z * t11) ** 2  # |D|^2 - |C|^2
+    zf = z[None] * ((t12 - t11) / (t22 - t21))
+    den = _abs2(t22 - z * t12) - _abs2(t21 - z * t11)  # |D|^2 - |C|^2
     with np.errstate(divide="ignore", invalid="ignore"):
         det = np.exp((dim - 1) * np.log(np.abs(z)) - 2.0 * log_scale)
         diameter = np.where(den > 0, 4.0 * np.abs(z) * det / den, np.inf)
@@ -214,8 +213,8 @@ def _defects(seq: CoefficientSequence, k: int, angles, radii, dim: int) -> np.nd
     r e^{i theta} may round |z| up past r; where that reaches the solver's
     bound (r itself lies below it), the point steps back to modulus <= r.
     """
-    z = np.array([r * cmath.exp(1j * th) for th, r in zip(angles, radii)])
     rs = np.asarray(radii, dtype=float)
+    z = rs * np.exp(1j * np.asarray(angles, dtype=float))
     near = np.abs(z) >= 1.0 - _EDGE_MARGIN
     while np.any(near):
         z.real[near] = np.nextafter(z.real[near], 0.0)

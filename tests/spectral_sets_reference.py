@@ -1,8 +1,9 @@
 """Reference copy of the per-arc loop implementation of cmvlab.spectral_sets.
 
 The array implementation in the package must equal it bit for bit; see
-test_spectral_sets.py.  Only this docstring paragraph and the package-relative
-import differ from the loop version.
+test_spectral_sets.py.  Only this docstring paragraph, the package-relative
+import and the full-circle test of ``_canonical``, which sums the merged arcs
+with ``np.sum`` as ``measure()`` does, differ from the loop version.
 
 Finite unions of closed arcs on the unit circle.
 
@@ -66,7 +67,7 @@ def _canonical(raw: Iterable[tuple[float, float]]) -> np.ndarray:
             and merged[0][0] <= _MERGE_TOL:
         first = merged.pop(0)
         merged[-1][1] = TWO_PI + first[1]
-    total = sum(h - l for l, h in merged)
+    total = np.sum([h - l for l, h in merged])
     if total >= TWO_PI - _MERGE_TOL:
         return np.array([[0.0, TWO_PI]])
     return np.array(merged)

@@ -285,6 +285,24 @@ def test_a_config_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, co
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("approx", {"grid_size": 8, "n_steps": 1000}),
+    ("bands", {"q": 4, "k_points": 4}),
+])
+@pytest.mark.parametrize("decay", [{"form": "gaussian"}, {"form": "geometric", "base": 4.0}])
+def test_a_pt_family_too_deep_for_int64_exits_2(tmp_path, capsys, command, extra, decay):
+    # q0 * 2**levels = 2**1101: the gaussian decay overflowed a float and the
+    # geometric one an int-to-float conversion, as tracebacks
+    family = {"kind": "pt_family", "base_amp": 0.1, "levels": 1100, "decay": decay}
+    key = "family" if command == "approx" else "sequence"
+    cfg = write_config(tmp_path, "c.json", {key: family, **extra})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2**62" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bands_rejects_odd_q(tmp_path, capsys):
     cfg = write_config(tmp_path, "bands.json", {
         "sequence": {"kind": "constant", "value": [0.5, 0.0]}, "q": 3,
@@ -860,25 +878,14 @@ def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
     for t in (0, 1, 13, 40, 41, 97):
         st = qwalk.evolve(state0, walk, t)
         for j in range(st.n_lo, st.n_hi + 1):
-            pp = abs(st.amplitude(j, "+")) ** 2
-            pm = abs(st.amplitude(j, "-")) ** 2
+            pp = coefficients._abs2(st.amplitude(j, "+"))
+            pm = coefficients._abs2(st.amplitude(j, "-"))
             if pp > 0 or pm > 0:
                 dist.append(",".join(fmt(v) for v in (t, j, pp, pm)))
         surv.append(",".join(fmt(v) for v in
                              (t, qwalk.survival_probability(state0, walk, 4, t))))
     assert (out / "distribution.csv").read_text() == "\n".join(dist) + "\n"
     assert (out / "survival.csv").read_text() == "\n".join(surv) + "\n"
-
-
-def test_walk_probabilities_round_like_python_abs_squared():
-    # |c|^2 as hypot then pow, like python's abs(c) ** 2, over the float range;
-    # np.abs(c) ** 2 and np.square round otherwise in the last bit
-    rng = np.random.default_rng(7)
-    size = 200_000
-    c = (rng.standard_normal(size) * 10.0 ** rng.uniform(-150, 150, size)
-         + 1j * rng.standard_normal(size) * 10.0 ** rng.uniform(-150, 150, size))
-    want = np.array([abs(v) ** 2 for v in c.tolist()])
-    assert np.float_power(np.hypot(c.real, c.imag), 2.0).tobytes() == want.tobytes()
 
 
 def test_walk_distribution_equals_per_amplitude_python_squares(tmp_path):
@@ -901,7 +908,8 @@ def test_walk_distribution_equals_per_amplitude_python_squares(tmp_path):
     for t in record:
         state, t_done = qwalk.evolve(state, walk, t - t_done), t
         for i, (up, dn) in enumerate(state.amplitudes.tolist()):
-            pp, pm = abs(up) ** 2, abs(dn) ** 2
+            # re * re + im * im in Python floats, per amplitude
+            pp, pm = coefficients._abs2(up), coefficients._abs2(dn)
             if pp > 0 or pm > 0:
                 dist.append(",".join(fmt(v) for v in (t, state.n_lo + i, pp, pm)))
     assert (out / "distribution.csv").read_text() == "\n".join(dist) + "\n"

@@ -1,8 +1,11 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmvlab import coefficients as C
 from cmvlab import floquet
@@ -158,6 +161,24 @@ def test_pt_rejects_bad_parameters():
         C.pastur_tkachenko_family(0.9, decay=lambda n: 0.2, levels=2)
 
 
+def _no_amplitude(n):
+    raise AssertionError("no amplitude may be computed")
+
+
+@pytest.mark.parametrize("q0, levels, form", [
+    (2, 1100, "gaussian"), (2, 1100, "geometric"), (2, 1023, "geometric"),
+    (2, 62, "unread"), (4, 61, "unread"), (2, 511, "unread"),
+])
+def test_pt_refuses_a_largest_period_beyond_int64_before_any_amplitude(q0, levels, form):
+    # without the bound, the gaussian decay overflows a float from levels
+    # 511 (q0 = 2) and the geometric one from 1023, as OverflowError; the
+    # cases just past 2**62 use a decay that must not be read, since a
+    # family that reads it builds tables of up to q0 * 2**levels sites
+    decay = {"gaussian": None, "geometric": geo_decay(0.1, q0), "unread": _no_amplitude}[form]
+    with pytest.raises(ValueError, match=r"q0 \* 2\*\*levels must be at most 2\*\*62"):
+        C.pastur_tkachenko_family(0.1, decay=decay, q0=q0, levels=levels)
+
+
 def test_family_requires_dividing_periods():
     s2 = C.periodize(C.constant_seq(0.1), 2)
     s3 = C.periodize(C.constant_seq(0.1), 3)
@@ -187,3 +208,34 @@ def test_lp_sum_lhs_nonincreasing_in_k():
     fam = C.pastur_tkachenko_family(0.1, decay=geo_decay(0.1, 2), q0=2, levels=3)
     lhs = [C.lp_sum_criterion(fam, k, 1.0)["lhs"] for k in range(len(fam.stages))]
     assert all(a >= b for a, b in zip(lhs, lhs[1:]))
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=400, deadline=None)
+@given(r=st.floats(0.0, 1.0 - 1e-12), t=st.floats(0.0, 1.0))
+@example(r=1.0 - 1e-12, t=0.125)  # the largest drawn modulus
+@example(r=0.0, t=0.0)
+def test_rho_agrees_with_mpmath(r, t):
+    # an independent oracle: 1 - |a|^2 rounds to within about eps |a|^2 of
+    # its exact value, so rho's relative error grows like eps / (1 - |a|^2)
+    a = complex(r * np.exp(2j * np.pi * t))
+    with mpmath.workdps(50):
+        s = 1 - (mpmath.mpf(a.real) ** 2 + mpmath.mpf(a.imag) ** 2)
+        want = mpmath.sqrt(s)
+        for got in (C._rho(a), C._rho(np.array([a, a]))[1]):
+            assert abs(mpmath.mpf(float(got)) - want) <= 2 * EPS * want / s
+
+
+@settings(max_examples=400, deadline=None)
+@given(log_m=st.floats(-150.0, 0.0), t=st.floats(0.0, 1.0))
+@example(log_m=-150.0, t=0.25)  # the smallest amplitude, on an axis
+def test_abs2_agrees_with_mpmath(log_m, t):
+    # walk amplitudes reach 1e-150 and below: the larger of |re| and |im|
+    # keeps its square normal there, so the relative error stays a few ulp
+    c = complex(10.0 ** log_m * np.exp(2j * np.pi * t))
+    with mpmath.workdps(50):
+        want = mpmath.mpf(c.real) ** 2 + mpmath.mpf(c.imag) ** 2
+        for got in (C._abs2(c), C._abs2(np.array([c, c]))[0]):
+            assert abs(mpmath.mpf(float(got)) - want) <= 2 * EPS * want

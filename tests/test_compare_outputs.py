@@ -27,7 +27,8 @@ def test_json_key_changes_are_named_next_to_the_largest_move(tmp_path):
                       {"q": 4, "sigma_measure": 1.25 + 2 ** -50}],
            "lp_sum_criterion": {"holds": False, "lhs": 0.125 + 2 ** -40}, "k": 0}
     lines = verdict(tmp_path, old, new).split("\n")
-    assert lines[0] == f"max numeric difference {2 ** -40:.3g} at lp_sum_criterion.lhs"
+    assert lines[0] == (f"max numeric difference {2 ** -40:.3g} at lp_sum_criterion.lhs "
+                        f"(relative {2 ** -40 / (0.125 + 2 ** -40):.3g})")
     assert [line.strip() for line in lines[1:]] == [
         "+ levels[0].diagnostics", "~ lp_sum_criterion.holds", "- gone"]
 
@@ -41,9 +42,22 @@ def test_json_verdicts_without_a_numeric_move(tmp_path, old, new, want):
     assert [line.strip() for line in verdict(tmp_path, old, new).split("\n")] == want
 
 
+def test_json_relative_moves_name_their_own_path(tmp_path):
+    # a 5e-16 move of a 1e-5 probability outweighs a 1e-15 move of an angle
+    old = {"angle": 3.0, "p": 1e-5, "zero": 0.0}
+    new = {"angle": 3.0 + 1e-15, "p": 1e-5 + 5e-16, "zero": -0.0}
+    d_angle, d_p = new["angle"] - 3.0, new["p"] - 1e-5
+    assert verdict(tmp_path, old, new) == (
+        f"max numeric difference {d_angle:.3g} at angle "
+        f"(relative {d_p / new['p']:.3g} at p)")
+
+
 def test_other_files_compare_their_numbers(tmp_path):
     assert verdict(tmp_path, "x,y\n1.5,2\n", "x,y\n1.5,2.25\n", "t.csv") == \
-        "max numeric difference 0.25"
+        "max numeric difference 0.25 (relative 0.111)"
+    # the largest relative move need not be the largest absolute one
+    assert verdict(tmp_path, "p,z\n1e-05,3\n0,-0\n", "p,z\n1.00000000005e-05,3.0000001\n0,0\n",
+                   "t.csv") == "max numeric difference 1e-07 (relative 3.33e-08)"
     assert verdict(tmp_path, "x,y\n1.5,2\n", "x,z\n1.5,2\n", "t.csv") == "text differs"
 
 

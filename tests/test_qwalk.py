@@ -101,7 +101,7 @@ def test_coin_table_tiles_one_period(window, period):
 
 def _cgmv_formula(g):
     """The coin [[rho, -g], [conj(g), rho]] of one gauge parameter, by math."""
-    rho = math.sqrt(1.0 - abs(g) ** 2)
+    rho = math.sqrt(1.0 - (g.real * g.real + g.imag * g.imag))  # C._abs2's formula
     return np.array([[rho, -g], [g.conjugate(), rho]], dtype=complex)
 
 
@@ -332,6 +332,18 @@ def test_survival_examples():
     s20 = Q.survival_probability(st, had, 5, 20)
     s200 = Q.survival_probability(st, had, 5, 200)
     assert s200 < s20
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), width=st.integers(1, 12),
+       n_lo=st.integers(-15, 8), J=st.integers(0, 10))
+def test_survival_sums_the_window_rows_at_sites_within_j(seed, width, n_lo, J):
+    state = _chain_state(seed, width, n_lo, None)
+    terms = [C._abs2(state.amplitude(j, spin)) for j in range(-J, J + 1) for spin in "+-"]
+    got = state.survival(J)
+    assert abs(got - math.fsum(terms)) <= 4 * np.finfo(float).eps * max(got, 1e-300)
+    if n_lo > J or n_lo + width - 1 < -J:  # no site of the window lies within J
+        assert got == 0.0
 
 
 def test_wrap_requires_matching_window():

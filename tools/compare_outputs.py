@@ -11,8 +11,11 @@ no other job runs, and ``LONG_WINDOW``, a ``weyl-defect`` run on half-line
 windows of 32 768 sites at radii 0.99 and 0.999.  Each tree runs all of them
 through ``cmvlab.cli.main`` in one fresh interpreter; then, per job, the exit
 codes are compared and, per output file, the script prints "identical" or the
-largest numeric difference.  A JSON file is compared key by key: the largest
-difference of a shared number with its key path, then each key path added
+largest numeric difference next to the largest relative one, |x - y| /
+max(|x|, |y|), since a move of 5e-16 means more on a walk probability of 1e-5
+than on a band angle.  A JSON file is compared key by key: the largest
+difference of a shared number with its key path (and the relative one, with
+its own path where that differs), then each key path added
 (``+ levels[0].diagnostics``), removed (``-``) or changed in a value that is
 not a number (``~``).  Other files have their numbers compared where they
 agree in every character outside them, and otherwise print "text differs".
@@ -110,9 +113,17 @@ def compare_file(old: str, new: str) -> str:
         return _compare_json(json.loads(a), json.loads(b))
     if _NUMBER.split(a) != _NUMBER.split(b):
         return "text differs"
-    diffs = [abs(float(x) - float(y)) for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b))
+    moves = [_move(float(x), float(y)) for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b))
              if x != y]
-    return f"max numeric difference {max(diffs):.3g}"
+    return "max numeric difference {:.3g} (relative {:.3g})".format(
+        max(d for d, _ in moves), max(r for _, r in moves))
+
+
+def _move(x: float, y: float) -> tuple[float, float]:
+    """The absolute and the relative difference of two numbers; both are 0
+    for two spellings of one number, such as 0.0 and -0.0."""
+    d = abs(x - y)
+    return d, d / max(abs(x), abs(y)) if d else 0.0
 
 
 def _compare_json(a, b) -> str:
@@ -121,10 +132,13 @@ def _compare_json(a, b) -> str:
     per key path added (+), removed (-) or changed in a value that is not a
     number (~)."""
     changes = list(_json_changes(a, b))
-    moves = [(d, path) for d, path in changes if not isinstance(d, str)]
+    moves = [(move, path) for move, path in changes if not isinstance(move, str)]
     lines = [f"{sign} {path}" for sign, path in changes if isinstance(sign, str)]
     if moves:
-        head = "max numeric difference {:.3g} at {}".format(*max(moves))
+        (d, _), path = max(moves)
+        r, r_path = max((r, p) for (_, r), p in moves)
+        head = f"max numeric difference {d:.3g} at {path} (relative {r:.3g}"
+        head += ")" if r_path == path else f" at {r_path})"
     else:
         head = "keys or values differ" if lines else "text differs"
     return "\n    ".join([head, *lines])
@@ -138,7 +152,7 @@ def _json_changes(a, b, path: str = ""):
     """Walk two parsed JSON documents together.  Yield ("+", path) for each
     subtree only in b, ("-", path) for each one only in a, (difference, path)
     for each shared number that differs and ("~", path) for each other shared
-    leaf that differs."""
+    leaf that differs.  A difference is the pair of ``_move``."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in [*a, *(key for key in b if key not in a)]:
             sub = f"{path}.{key}" if path else key
@@ -159,7 +173,7 @@ def _json_changes(a, b, path: str = ""):
                 yield from _json_changes(a[i], b[i], sub)
     elif _is_number(a) and _is_number(b):
         if repr(a) != repr(b):
-            yield abs(a - b), path
+            yield _move(a, b), path
     elif a != b:
         yield "~", path
 
