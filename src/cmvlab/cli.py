@@ -218,8 +218,25 @@ _SEQUENCE_KINDS = {
 }
 
 
-def _family(v: dict) -> coeffs.LimitPeriodicFamily:
-    """The family of validated ``pt_family`` values."""
+def _physical_memory() -> int:
+    """Bytes of physical memory: the bound on the arrays a config may ask for."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _family(v: dict, approx: bool = False) -> coeffs.LimitPeriodicFamily:
+    """The family of validated ``pt_family`` values.
+
+    A family whose complex arrays would not fit in physical memory is refused
+    before any stage table is built: the stage tables, fewer than 2 q values
+    for the largest period q = q0 * 2**levels, and for ``approx`` the two
+    dense (2q)^2 Floquet matrices of the spectrum at 2q.
+    """
+    q, memory = v["q0"] * 2 ** v["levels"], _physical_memory()
+    need = 16 * (2 * (2 * q) ** 2 if approx else 2 * q)
+    if q <= 2 ** 62 and need > memory:  # larger q: the constructor's own refusal
+        raise ValueError(f"the pt_family with q0 = {v['q0']}, levels = {v['levels']} needs "
+                         f"{need / 2 ** 30:.3g} GiB for its largest period q0 * 2**levels "
+                         f"= {q}, more than the {memory / 2 ** 30:.3g} GiB of physical memory")
     base_amp, q0, decay = v["base_amp"], v["q0"], None
     if v["decay"]["form"] == "geometric":
         base = v["decay"]["base"]
@@ -332,6 +349,7 @@ def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
         delta = np.abs(vals - half_vals)
         i = int(np.argmax(delta))
         report["diagnostics"] = {
+            "lanes": transfer._lane_count(grid_size, n_steps),
             "half_N": n_half,
             "max_abs_delta": {"value": float(delta[i]), "theta": float(thetas[i])},
             "zero_set_flips": int(np.sum((vals < eps_L) != (half_vals < eps_L))),
@@ -348,7 +366,7 @@ def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     k_index, last = cfg["k"], cfg["family"]["levels"]  # stages 0..levels
     if not 0 <= k_index <= last:
         raise ValueError(f"config field 'k' must lie in 0..{last}, got {k_index}")
-    family = _family(cfg["family"])
+    family = _family(cfg["family"], approx=True)
     _, _, z_est = _zero_set_sweep(family.limit, cfg)
 
     periods = family.periods()

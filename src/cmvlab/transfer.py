@@ -39,12 +39,16 @@ z^m (conj w, conj u) and its norm is |u| + |w|.  Birkhoff products carry the
 first column only; monodromies carry both.
 
 Each numpy call of a step costs microseconds whatever its size, so a Birkhoff
-product over a narrow grid is cut into P consecutive orbit lanes that advance
-together, one update per step for all P segments at every point; the lanes
-are then joined in site order by P - 1 products.  The first half of the lanes
-(one lane: a snapshot at N // 2) gives the estimate at a shorter orbit for
-free; each Birkhoff call keeps it as ``half_orbit`` in the open
-``errors.certificates`` block.
+product over a narrow grid of g points (2 g < _POINTS) is cut into P
+consecutive orbit lanes that advance together, one update per step for all P
+segments at every point.  P is the largest power of two with P g <= 4 _POINTS
+and every lane at least four rescalings long.  The lanes are joined pairwise
+in log2 P levels, each node of the tree a full 2x2 product: a lane's second
+column is rebuilt once from its first, and a joined node keeps both of its
+columns, so no long product's second column is ever rebuilt.  The earlier
+node of the last level (one lane: a snapshot at N // 2) gives the estimate
+at a shorter orbit for free; each Birkhoff call keeps it as ``half_orbit`` in
+the open ``errors.certificates`` block.
 
 A step's calls read every row operand forward and whole: z is tiled once per
 pass to the (P, cols * g) shape of a row, and each row is updated from the
@@ -78,6 +82,7 @@ _SCALE_EVERY = 16  # steps between rescalings of every product
 _BLOCK = 1024  # steps per window call of the product kernel
 _BLOCK_SITES = 32 * _BLOCK  # at most this many sites per call when lanes share it
 _POINTS = 2048  # points per kernel pass
+_LANE_POINTS = 4 * _POINTS  # at most this many (lane, point) products in a narrow pass
 
 
 def szego(alpha: complex, z: complex) -> np.ndarray:
@@ -120,14 +125,16 @@ def _passes(zs: np.ndarray):
 
 
 def _lane_count(g: int, n_steps: int) -> int:
-    """Birkhoff orbit lanes that fill a narrow pass: _POINTS // g, each >= 4 rescalings long.
+    """Birkhoff orbit lanes of a narrow pass: the largest power of two at most
+    _LANE_POINTS // g with every lane >= 4 rescalings long.
 
     Grids that fill half a pass or more take one lane: two lanes of a
     half-full pass save next to nothing.  Monodromies always run one lane.
     """
     if 2 * g >= _POINTS:
         return 1
-    return max(1, min(_POINTS // max(g, 1), n_steps // (4 * _SCALE_EVERY)))
+    most = max(1, min(_LANE_POINTS // max(g, 1), n_steps // (4 * _SCALE_EVERY)))
+    return 1 << (most.bit_length() - 1)
 
 
 def _advance(seq, zs, starts, length, cols, snap=0):
@@ -188,29 +195,37 @@ def _growth(col: np.ndarray, log_scale: np.ndarray, n: int) -> np.ndarray:
     return (log_scale + np.log(np.abs(col[0]) + np.abs(col[1]))) / n
 
 
-def _join(later, log_later, z_m, acc, log_acc):
-    """First column of later @ acc divided by its largest entry, and the summed log scales.
+def _lane_columns(col, z_m):
+    """The two columns, each (2, P, g), of the Szego products of m steps whose
+    first columns are col = (u, w): on the circle the second is z^m (conj w, conj u)."""
+    second = np.conjugate(col[::-1])
+    return col, np.multiply(z_m, second, out=second)
 
-    ``later`` is the first column (u, w) of a Szego product of m steps, whose
-    second column is z^m (conj w, conj u); z_m holds z^m.
-    """
-    u, w = later
-    t = z_m * acc[1]
-    col = np.stack([u * acc[0] + w.conj() * t, w * acc[0] + u.conj() * t])
-    s = np.abs(col).max(axis=0)
+
+def _product(later, log_later, earlier, log_earlier):
+    """later @ earlier for stacks of 2x2 products, each given as its two
+    columns of rows (2, ...), divided by its largest entry: the product's
+    columns stacked (2, 2, ...) and the summed log scales."""
+    m = np.empty((2,) + later[0].shape, dtype=complex)
+    for k in (0, 1):
+        np.multiply(later[0], earlier[k][0], out=m[k])
+        m[k] += later[1] * earlier[k][1]
+    s = np.abs(m).max(axis=(0, 1))
     s = np.where(s > 0, s, 1.0)
-    return col / s, log_later + log_acc + np.log(s)
+    m *= 1.0 / s  # the bits of m / s, without numpy's complex division
+    return m, log_later + log_earlier + np.log(s)
 
 
 def _pass(seq, zs, n_steps, lanes):
     """Birkhoff rates of one pass over at most _POINTS points, split into ``lanes`` orbit lanes.
 
-    Lane p multiplies the sites [p L, (p + 1) L), L = n_steps // lanes; the
-    lanes are joined in site order by lanes - 1 products, and the leftover
-    steps [lanes L, n_steps) follow as one more segment.  The half-orbit
-    product is the join of the first lanes // 2 lanes, or, for one lane, a
-    snapshot after n_steps // 2 steps.  Returns the rates, n_half and the
-    half-orbit rates (None if n_half is 0).
+    Lane p multiplies the sites [p L, (p + 1) L), L = n_steps // lanes, and
+    ``lanes`` is 1 or a power of two.  The lanes are joined pairwise, the
+    later node times the earlier one, in log2(lanes) levels; the leftover
+    steps [lanes L, n_steps) join last as one more segment.  The half-orbit
+    product is the earlier node of the last level, the first lanes // 2
+    lanes, or, for one lane, a snapshot after n_steps // 2 steps.  Returns
+    the rates, n_half and the half-orbit rates (None if n_half is 0).
     """
     if lanes == 1:
         n_half = n_steps // 2
@@ -221,18 +236,18 @@ def _pass(seq, zs, n_steps, lanes):
     else:
         length = n_steps // lanes
         n_half = lanes // 2 * length
-        x, log_scale, _, _ = _advance(seq, zs, np.arange(lanes) * length, length, 1)
-        z_m = zs ** length
-        acc, log_acc = x[:, 0], log_scale[0]
-        for p in range(1, lanes):
-            if p == lanes // 2:
-                half = acc, log_acc
-            acc, log_acc = _join(x[:, p], log_scale[p], z_m, acc, log_acc)
+        x, log_m, _, _ = _advance(seq, zs, np.arange(lanes) * length, length, 1)
+        cols = _lane_columns(x, zs ** length)
+        while log_m.shape[0] > 1:
+            if log_m.shape[0] == 2:
+                half = cols[0][:, 0], log_m[0]
+            cols, log_m = _product([c[:, 1::2] for c in cols], log_m[1::2],
+                                   [c[:, 0::2] for c in cols], log_m[0::2])
         if lanes * length < n_steps:
             rest = n_steps - lanes * length
             x, log_scale, _, _ = _advance(seq, zs, np.array([lanes * length]), rest, 1)
-            acc, log_acc = _join(x[:, 0], log_scale[0], zs ** rest, acc, log_acc)
-        col, log_col = acc, log_acc
+            cols, log_m = _product(_lane_columns(x, zs ** rest), log_scale, cols, log_m)
+        col, log_col = cols[0][:, 0], log_m[0]
     return (_growth(col, log_col, n_steps), n_half,
             None if half is None else _growth(*half, n_half))
 

@@ -285,6 +285,52 @@ def test_a_config_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch, co
     assert not (out / "manifest.json").exists()
 
 
+def spy_on_stage_tables(monkeypatch):
+    """The lengths of the tables periodic_table_seq is asked for; each call
+    fails as an allocation would, so a run that builds one stops at once."""
+    built = []
+
+    def spy(values):
+        built.append(len(values))
+        raise MemoryError("a stage table was built")
+
+    monkeypatch.setattr(C, "periodic_table_seq", spy)
+    return built
+
+
+def test_an_approx_family_too_large_for_memory_exits_2_before_any_stage_table(
+        tmp_path, capsys, monkeypatch):
+    # levels 26: (2q)^2 Floquet entries at q = 2**27, far past any physical memory
+    built = spy_on_stage_tables(monkeypatch)
+    cfg = write_config(tmp_path, "a.json", {
+        **APPROX_SMALL, "family": {**APPROX_SMALL["family"], "levels": 26}})
+    out = tmp_path / "out"
+    assert main(["approx", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the pt_family with q0 = 2, levels = 26 needs ")
+    assert "physical memory" in err and "Traceback" not in err
+    assert built == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command, need", [
+    ("approx", 16 * 2 * (2 * 8) ** 2),  # two dense (2q)^2 Floquet matrices, q = 8
+    ("lyapunov", 16 * 2 * 8),  # the stage tables, fewer than 2q values
+])
+def test_the_pt_family_memory_bound_is_the_physical_memory(tmp_path, monkeypatch, command,
+                                                           need):
+    from cmvlab import cli
+
+    key = "family" if command == "approx" else "sequence"
+    cfg = write_config(tmp_path, "c.json", {key: APPROX_SMALL["family"], "grid_size": 64,
+                                            "n_steps": 1000})
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "fits")]) == 0
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    built = spy_on_stage_tables(monkeypatch)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "refused")]) == 2
+    assert built == []
+
+
 @pytest.mark.parametrize("command, extra", [
     ("approx", {"grid_size": 8, "n_steps": 1000}),
     ("bands", {"q": 4, "k_points": 4}),
@@ -351,7 +397,7 @@ def test_lyapunov_reports_the_half_orbit_delta(tmp_path):
     out = tmp_path / "out"
     assert main(["lyapunov", "--config", cfg, "--out", str(out)]) == 0
     diag = json.loads((out / "lyapunov.json").read_text())["diagnostics"]
-    assert diag == {"half_N": half_n,
+    assert diag == {"lanes": T._lane_count(grid, n_steps), "half_N": half_n,
                     "max_abs_delta": {"value": float(delta[i]), "theta": float(thetas[i])},
                     "zero_set_flips": flips}
     assert 0 < half_n < n_steps
@@ -367,6 +413,27 @@ def test_lyapunov_reports_the_half_orbit_delta(tmp_path):
 
     worst = max(bias(thetas[i], half_n), bias(thetas[i], n_steps))
     assert 0.0 < delta[i] <= worst + 1e-12
+
+
+@pytest.mark.parametrize("grid, n_steps", [(64, 20_000), (64, 1000), (100, 20_000),
+                                           (1023, 1000), (1024, 1000), (8, 100_000)])
+def test_lyapunov_diagnostics_give_the_lanes_behind_half_n(tmp_path, grid, n_steps):
+    # grids under 1024 points: the largest power of two P with P * grid <= 8192
+    # and P * 64 <= N, and the first P / 2 lanes of N // P sites each; one lane
+    # (P = 1) stops at N // 2
+    lanes = 1
+    while grid < 1024 and 2 * lanes * grid <= 8192 and 2 * lanes * 64 <= n_steps:
+        lanes *= 2
+    half_n = n_steps // 2 if lanes == 1 else lanes // 2 * (n_steps // lanes)
+    cfg = write_config(tmp_path, "l.json", {
+        "sequence": {"kind": "quasiperiodic", "amplitude": 0.5,
+                     "frequency": 0.3819660112501051, "phase": 0.1},
+        "grid_size": grid, "n_steps": n_steps,
+    })
+    out = tmp_path / "out"
+    assert main(["lyapunov", "--config", cfg, "--out", str(out)]) == 0
+    diag = json.loads((out / "lyapunov.json").read_text())["diagnostics"]
+    assert (diag["lanes"], diag["half_N"]) == (lanes, half_n)
 
 
 def test_lyapunov_of_a_periodic_sequence_has_no_diagnostics(tmp_path):

@@ -68,6 +68,13 @@ def test_jobs_include_a_birkhoff_sweep_of_a_wide_grid():
     assert [name for name, _ in wide] == ["wide-grid-lyapunov"]
 
 
+def test_jobs_include_a_birkhoff_sweep_of_a_short_orbit_on_a_narrow_grid():
+    short = [(name, cfg) for name, cmd, cfg in compare_outputs.all_jobs()
+             if cmd == "lyapunov" and cfg["sequence"]["kind"] == "quasiperiodic"
+             and cfg["grid_size"] == 64 and cfg["n_steps"] == 1000]
+    assert [name for name, _ in short] == ["short-orbit-lyapunov"]
+
+
 def test_jobs_include_a_weyl_defect_run_on_long_windows():
     long = [(name, cfg) for name, cmd, cfg in compare_outputs.all_jobs()
             if cmd == "weyl-defect" and cfg["dim"] >= 32768 and max(cfg["r_values"]) >= 0.999]

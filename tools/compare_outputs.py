@@ -7,7 +7,9 @@ exported with ``git archive`` into a scratch directory, and this one).  The
 jobs are every ``perfbench.workloads.make_jobs`` job of every workload at each
 of ``SEEDS``, the example configs of README.md and ``WIDE_GRID``, a
 quasiperiodic ``lyapunov`` sweep over a grid too wide for orbit lanes, which
-no other job runs, and ``LONG_WINDOW``, a ``weyl-defect`` run on half-line
+no other job runs, ``SHORT_ORBIT``, a quasiperiodic ``lyapunov`` sweep of 64
+points over 1 000 sites, whose orbit lanes are fewer than the grid alone
+allows, and ``LONG_WINDOW``, a ``weyl-defect`` run on half-line
 windows of 32 768 sites at radii 0.99 and 0.999.  Each tree runs all of them
 through ``cmvlab.cli.main`` in one fresh interpreter; then, per job, the exit
 codes are compared and, per output file, the script prints "identical" or the
@@ -45,6 +47,12 @@ WIDE_GRID = ("wide-grid-lyapunov", "lyapunov", {
     "sequence": {"kind": "quasiperiodic", "amplitude": 0.6,
                  "frequency": 0.3819660112501051, "phase": 0.25},
     "grid_size": 2048, "n_steps": 20000, "epsilon_L": 0.01,
+})
+
+# a narrow grid over a short orbit: 8 lanes of 125 sites, where 64 points
+# alone would take 128
+SHORT_ORBIT = ("short-orbit-lyapunov", "lyapunov", {
+    **WIDE_GRID[2], "grid_size": 64, "n_steps": 1000,
 })
 
 # the windows workload's period-4 weyl-defect table near the circle, where
@@ -87,7 +95,7 @@ def readme_configs() -> list[tuple[str, str, dict]]:
 def all_jobs() -> list[tuple[str, str, dict]]:
     jobs = [(f"{w}-s{seed}-{job.name}", job.command, job.config)
             for seed in SEEDS for w in WORKLOADS for job in make_jobs(w, seed)]
-    return jobs + readme_configs() + [WIDE_GRID, LONG_WINDOW]
+    return jobs + readme_configs() + [WIDE_GRID, SHORT_ORBIT, LONG_WINDOW]
 
 
 def run_tree(tree: str, jobs: list, work: str, label: str) -> dict:
