@@ -296,18 +296,14 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
 
     # strictly interior k grid (band eigenvalues may degenerate at 0 and pi/q)
     ks = (np.arange(k_points) + 0.5) * (math.pi / q) / k_points
-    # one block of k at a time (``floquet._k_block``): the eigenvectors are
+    # one stack of k at a time (``floquet.band_stacks``): the eigenvectors are
     # dropped once the velocities are read, so memory stays within the
-    # block's entry budget whatever k_points is
+    # stack's entry budget whatever k_points is
     z = np.empty((k_points, q), dtype=complex)
     dz = np.empty((k_points, q), dtype=complex)
-    poles = floquet._poles(seq, q, ks)  # once per run, not once per block
-    step = floquet._k_block(q)
     with certificates() as worst:
-        for b in range(0, k_points, step):
-            blk = ks[b:b + step]
-            z[b:b + blk.size], u, v = floquet.band_eigens(seq, q, blk, poles[b:b + blk.size])
-            dz[b:b + blk.size] = floquet.band_derivative(seq, q, blk, u, v)
+        for s, zs, u, v in floquet.band_stacks(seq, q, ks):
+            z[s], dz[s] = zs, floquet.band_derivative(seq, q, ks[s], u, v)
         n = np.tile(np.arange(q), k_points)
         _write_csv(manifest, out_dir, "bands.csv", {
             "q": np.full(n.size, q), "n": n, "k": np.repeat(ks, q),

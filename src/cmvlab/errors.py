@@ -50,7 +50,7 @@ def certificates():
 
     Yields a dict that receives, for each certificate checked, its worst
     value over the calls with its tolerance and where it occurs:
-    ``max_band_residual`` (an eigenpair residual of ``floquet.band_eigens``,
+    ``max_band_residual`` (an eigenpair residual of ``floquet.band_stacks``,
     at k and pair n), ``min_band_gap`` (the distance from z_n(k) to
     z_{n+1}(k), at k and n) and ``max_edge_residual`` (the eigenpair residual
     of a band edge of ``floquet.periodic_spectrum``, at k = 0 or pi/q and the

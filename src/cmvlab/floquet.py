@@ -41,12 +41,13 @@ import numpy as np
 
 from .coefficients import CoefficientSequence, _check_disk, _rho
 from .errors import DegenerateBandError, NumericalInstabilityError, note
-from .operator import _dense, _factors, _mul
+from .operator import _mul, assemble_lm
 from .spectral_sets import CircleArcSet, TWO_PI
 from .transfer import monodromy
 
 __all__ = [
     "floquet_blocks",
+    "band_stacks",
     "band_eigens",
     "band_derivative",
     "periodic_spectrum",
@@ -64,7 +65,7 @@ _POLE_INTERVALS = 8  # intervals of (0, pi/q) that each share one Cayley pole
 def _k_block(q: int) -> int:
     """k per stacked eigenproblem: a stack of q x q matrices holds at most
     _K_ENTRIES entries (one matrix when q^2 exceeds it), so the temporaries
-    of ``band_eigens`` do not grow with the number of k."""
+    of ``band_stacks`` do not grow with the number of k."""
     return max(1, _K_ENTRIES // (q * q))
 
 
@@ -87,7 +88,7 @@ def floquet_blocks(
     M has shape k.shape + (q, q)."""
     _check_q(seq, q)
     k = np.asarray(k, dtype=float)
-    L, M = _dense(_factors(seq.window(0, q)))
+    L, M = assemble_lm(seq, 0, q)
     M = np.broadcast_to(M, k.shape + (q, q)).copy()
     M[..., 0, q - 1] *= np.exp(-1j * k * q)
     M[..., q - 1, 0] *= np.exp(1j * k * q)
@@ -198,24 +199,22 @@ def _cayley_eigenpairs(E: np.ndarray, p: np.ndarray
             np.take_along_axis(resid, order, axis=-1))
 
 
-def band_eigens(
-    seq: CoefficientSequence, q: int, k, poles=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def band_stacks(seq: CoefficientSequence, q: int, k):
     """All q eigenpairs of E_q(k) over the K strictly interior k of a scalar or
-    a 1-d array: z (K, q) sorted by angle along each row, and unit u,
-    v = L_q^* u (K, q, q) with pair n in column n.
+    a 1-d array, one stack of ``_k_block(q)`` k at a time, so the temporaries
+    do not grow with K: an iterator of (s, z, u, v), s the slice of the k in
+    the stack, z (S, q) sorted by angle along each row, and unit u,
+    v = L_q^* u (S, q, q) with pair n in column n.
 
     The pairs come from the Hermitian Cayley transform of E_q(k) about a pole
     chosen from k alone (``_poles``: at least 1/(q + 1) in angle from the
     spectrum at the centre of its k interval), so each k gets the same bits
-    however the k are batched; a caller that cuts one k grid into several calls
-    passes ``poles``, the grid's ``_poles`` at these k, so that each pole
-    interval's eigenproblem is solved once.  Every residual ||E u - z u|| is
-    checked against 1e-10: for the normal E it bounds the distance from z to
-    the spectrum, whatever the pole did, so a pole too near the spectrum is
-    refused with NumericalInstabilityError rather than returning wrong pairs.
-    The k are solved in stacks of ``_k_block(q)``, so the temporaries do not
-    grow with K.
+    however the k are batched; the poles of all K are chosen on the call, so
+    that each pole interval's eigenproblem is solved once.  Each stack's
+    residuals ||E u - z u|| are checked against 1e-10 before it is yielded:
+    for the normal E each bounds the distance from z to the spectrum, whatever
+    the pole did, so a pole too near the spectrum is refused with
+    NumericalInstabilityError rather than returning wrong pairs.
 
     Interior k keeps the eigenvalues simple; pairs closer than 1e-8 are
     reported through DegenerateBandError instead of being returned silently.
@@ -225,22 +224,20 @@ def band_eigens(
     outside = ~((0.0 < k) & (k < math.pi / q))
     if outside.any():
         raise ValueError(f"k must lie strictly inside (0, pi/q), got {k[outside][0]}")
-    z = np.empty((k.size, q), dtype=complex)
-    u, v = np.empty((k.size, q, q), dtype=complex), np.empty((k.size, q, q), dtype=complex)
-    resid = np.empty((k.size, q))
-    if poles is None:
-        poles = _poles(seq, q, k)
-    step = _k_block(q)
-    for b in range(0, k.size, step):
-        blk = slice(b, b + step)
-        L, M = floquet_blocks(seq, q, k[blk])
-        # E_q(k) in M's buffer; the pairs go straight into the output rows
-        z[blk], u[blk], resid[blk] = _cayley_eigenpairs(np.matmul(L, M, out=M), poles[blk])
-        v[blk] = L.conj().T @ u[blk]
-        v[blk] /= np.linalg.norm(v[blk], axis=-2, keepdims=True)
+    poles, step = _poles(seq, q, k), _k_block(q)
+    return (_stack(seq, q, k, poles, slice(b, b + step)) for b in range(0, k.size, step))
+
+
+def _stack(seq: CoefficientSequence, q: int, k: np.ndarray, poles: np.ndarray, s: slice):
+    """The certified eigenpairs (s, z, u, v) of ``band_stacks`` at the k[s]."""
+    L, M = floquet_blocks(seq, q, k[s])
+    # E_q(k) in M's buffer
+    z, u, resid = _cayley_eigenpairs(np.matmul(L, M, out=M), poles[s])
+    v = L.conj().T @ u
+    v /= np.linalg.norm(v, axis=-2, keepdims=True)
 
     def at(i, n):
-        return {"k": float(k[i]), "n": int(n)}
+        return {"k": float(k[s][i]), "n": int(n)}
 
     _check_residuals("max_band_residual", resid, at)
 
@@ -248,8 +245,22 @@ def band_eigens(
     gaps = dist.min(axis=-1)
     bad = np.flatnonzero(gaps < _GAP_TOL)
     if bad.size:
-        raise DegenerateBandError(float(k[bad[0]]), float(gaps[bad[0]]))
+        raise DegenerateBandError(float(k[s][bad[0]]), float(gaps[bad[0]]))
     note("min_band_gap", dist, _GAP_TOL, at, smallest=True)
+    return s, z, u, v
+
+
+def band_eigens(
+    seq: CoefficientSequence, q: int, k
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of ``band_stacks`` over all K of k in one piece: z (K, q) and
+    u, v (K, q, q)."""
+    stacks = band_stacks(seq, q, k)  # q and k are checked before anything is allocated
+    K = np.size(k)
+    z = np.empty((K, q), dtype=complex)
+    u, v = np.empty((K, q, q), dtype=complex), np.empty((K, q, q), dtype=complex)
+    for s, zs, us, vs in stacks:
+        z[s], u[s], v[s] = zs, us, vs
     return z, u, v
 
 

@@ -14,19 +14,16 @@ The blocks are placed once, by ``_factors``, into banded L and M.  Dense
 windows scatter these factors (``_dense``); banded windows multiply them
 (``_banded_product``, which also squares the sieved window).
 
-All window objects are immutable after construction.
+Dense windows are read-only complex arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import CoefficientSequence, _check_disk, _rho
 
 __all__ = [
-    "BandedUnitary",
     "theta",
     "assemble_lm",
     "assemble_cmv",
@@ -35,42 +32,6 @@ __all__ = [
     "verify_sieve_square",
     "cmv_banded",
 ]
-
-
-@dataclass(frozen=True)
-class BandedUnitary:
-    """A dense periodic-wrap window of a pentadiagonal unitary with an index
-    offset; the band is cyclic, so the corner entries lie inside it."""
-
-    offset: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=complex)
-        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
-            raise ValueError(f"entries must be square, got shape {ent.shape}")
-        n = ent.shape[0]
-        i, j = np.indices((n, n))
-        dist = np.abs(i - j)
-        dist = np.minimum(dist, n - dist)
-        off_band = np.abs(ent[dist > 2])
-        if off_band.size and off_band.max() > 1e-14:
-            raise ValueError(
-                f"entries outside the pentadiagonal band (max {off_band.max():.2e})"
-            )
-        ent = ent.copy()
-        ent.flags.writeable = False
-        object.__setattr__(self, "entries", ent)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def unitarity_residual(self) -> float:
-        """max |U U* - I|."""
-        n = self.dim
-        g = self.entries @ self.entries.conj().T
-        return float(np.max(np.abs(g - np.eye(n))))
 
 
 def theta(alpha: complex) -> np.ndarray:
@@ -88,22 +49,25 @@ def _theta_blocks(alpha: np.ndarray) -> np.ndarray:
 
 def assemble_lm(
     seq: CoefficientSequence, offset: int, dim: int
-) -> tuple[BandedUnitary, BandedUnitary]:
-    """The factors L (blocks at even sites) and M (blocks at odd sites) of
-    the window over [offset, offset + dim); the block for the last odd site
-    wraps its corner entries around."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dim x dim factors L (blocks at even sites) and M (blocks at odd
+    sites) of the window over [offset, offset + dim), read-only; the block
+    for the last odd site wraps its corner entries around."""
     if offset % 2 != 0:
         raise ValueError(f"offset must be even, got {offset}")
     if dim < 2 or dim % 2 != 0:
         raise ValueError(f"dim must be a positive even integer, got {dim}")
     L, M = _dense(_factors(seq.window(offset, offset + dim)))
-    return BandedUnitary(offset, L), BandedUnitary(offset, M)
+    L.flags.writeable = M.flags.writeable = False
+    return L, M
 
 
-def assemble_cmv(seq: CoefficientSequence, offset: int, dim: int) -> BandedUnitary:
-    """The windowed CMV operator L @ M."""
+def assemble_cmv(seq: CoefficientSequence, offset: int, dim: int) -> np.ndarray:
+    """The windowed CMV operator L @ M, a read-only dim x dim array."""
     L, M = assemble_lm(seq, offset, dim)
-    return BandedUnitary(offset, L.entries @ M.entries)
+    E = L @ M
+    E.flags.writeable = False
+    return E
 
 
 def sieve(seq: CoefficientSequence) -> CoefficientSequence:

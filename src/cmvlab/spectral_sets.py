@@ -21,8 +21,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .operator import BandedUnitary
-
 __all__ = ["CircleArcSet", "spectral_variation_check", "TWO_PI"]
 
 TWO_PI = 2.0 * math.pi
@@ -238,15 +236,18 @@ class CircleArcSet:
         return {"arcs": self.arcs.tolist()}
 
 
-def spectral_variation_check(U: BandedUnitary, V: BandedUnitary) -> dict:
-    """Hausdorff distance of the two eigenvalue sets against ||U - V||."""
-    if U.dim != V.dim or U.offset != V.offset:
-        raise ValueError("windows must share dim and offset")
+def spectral_variation_check(U: np.ndarray, V: np.ndarray) -> dict:
+    """Hausdorff distance of the eigenvalue sets of two square windows of one
+    shape against ||U - V||; refuses a window whose unitarity residual
+    max |W W* - I| is above 1e-10 (NaN too)."""
+    U, V = np.asarray(U), np.asarray(V)
+    if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape != V.shape:
+        raise ValueError(f"windows must be square of one shape, got {U.shape} and {V.shape}")
     for W in (U, V):
-        if W.unitarity_residual() > 1e-10:
+        if not np.max(np.abs(W @ W.conj().T - np.eye(len(W)))) <= 1e-10:
             raise ValueError("input window is not numerically unitary")
-    eig_u = np.angle(np.linalg.eigvals(U.entries)) % TWO_PI
-    eig_v = np.angle(np.linalg.eigvals(V.entries)) % TWO_PI
+    eig_u = np.angle(np.linalg.eigvals(U)) % TWO_PI
+    eig_v = np.angle(np.linalg.eigvals(V)) % TWO_PI
     dh = CircleArcSet.from_points(eig_u).hausdorff(CircleArcSet.from_points(eig_v))
-    norm = float(np.linalg.norm(U.entries - V.entries, 2))
+    norm = float(np.linalg.norm(U - V, 2))
     return {"dH": dh, "norm": norm, "holds": dh <= norm * (1.0 + 1e-10)}

@@ -23,12 +23,11 @@ products T in ``transfer``'s kernel, over all points at once.  Every
 continuation past the cut gives a value in the image of the closed disk
 under w -> F(T(w)), F(w) = (1 + z w) / (1 - z w), the Weyl disk (Simon,
 OPUC Part 1, 2005); a value whose disk is 1e-8 or more wide raises
-TruncationInstabilityError.
+TruncationInstabilityError.  ``m_plus`` and ``m_minus`` return that value as
+a plain complex number once its disk and the sign of its real part pass.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .errors import (
 from .spectral_sets import CircleArcSet
 
 __all__ = [
-    "CaratheodoryValue",
     "m_plus",
     "m_minus",
     "M_coefficients",
@@ -62,20 +60,6 @@ def _check_sign(re: np.ndarray, side: str) -> None:
         raise NumericalInstabilityError(
             f"Caratheodory sign violated on side {side}: Re = {re[bad][0]:.3e}"
         )
-
-
-@dataclass(frozen=True)
-class CaratheodoryValue:
-    """One evaluated Weyl coefficient with its truncation metadata."""
-
-    z: complex
-    value: complex
-    side: str  # "plus" | "minus"
-    base_site: int
-    truncation_dim: int
-
-    def __post_init__(self):
-        _check_sign(np.asarray(self.value.real), self.side)
 
 
 def _halfline_values(seq: CoefficientSequence, bases, z: np.ndarray, dim: int
@@ -134,25 +118,14 @@ def _weyl_values(seq, bases, z, dim) -> list[np.ndarray]:
     return out
 
 
-def _caratheodory(seq, k, z, dim, side) -> CaratheodoryValue:
-    z = complex(z)
-    val = _weyl_values(seq, [(k, side)], np.array([z]), dim)[0][0]
-    return CaratheodoryValue(z=z, value=complex(val), side=side, base_site=k,
-                             truncation_dim=dim)
-
-
-def m_plus(
-    seq: CoefficientSequence, k: int, z: complex, dim: int = 512
-) -> CaratheodoryValue:
+def m_plus(seq: CoefficientSequence, k: int, z: complex, dim: int = 512) -> complex:
     """Weyl coefficient of the right half-line based at site k."""
-    return _caratheodory(seq, k, z, dim, "plus")
+    return complex(_weyl_values(seq, [(k, "plus")], np.array([complex(z)]), dim)[0][0])
 
 
-def m_minus(
-    seq: CoefficientSequence, k: int, z: complex, dim: int = 512
-) -> CaratheodoryValue:
+def m_minus(seq: CoefficientSequence, k: int, z: complex, dim: int = 512) -> complex:
     """Weyl coefficient of the left half-line based at site k (sign-flipped)."""
-    return _caratheodory(seq, k, z, dim, "minus")
+    return complex(_weyl_values(seq, [(k, "minus")], np.array([complex(z)]), dim)[0][0])
 
 
 def _m_minus_to_M(alpha_k: complex, m2):

@@ -1,9 +1,10 @@
 """Reference copy of the per-arc loop implementation of cmvlab.spectral_sets.
 
 The array implementation in the package must equal it bit for bit; see
-test_spectral_sets.py.  Only this docstring paragraph, the package-relative
-import and the full-circle test of ``_canonical``, which sums the merged arcs
-with ``np.sum`` as ``measure()`` does, differ from the loop version.
+test_spectral_sets.py.  Only this docstring paragraph and the full-circle
+test of ``_canonical``, which sums the merged arcs with ``np.sum`` as
+``measure()`` does, differ from the loop version, which also held
+``spectral_variation_check``; no test compares that one, so it is left out.
 
 Finite unions of closed arcs on the unit circle.
 
@@ -24,11 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from cmvlab.operator import BandedUnitary
-
 __all__ = [
     "CircleArcSet",
-    "spectral_variation_check",
     "TWO_PI",
 ]
 
@@ -281,17 +279,3 @@ class CircleArcSet:
 
     def to_json(self) -> dict:
         return {"arcs": [[float(lo), float(hi)] for lo, hi in self.arcs]}
-
-
-def spectral_variation_check(U: BandedUnitary, V: BandedUnitary) -> dict:
-    """Hausdorff distance of the two eigenvalue sets against ||U - V||."""
-    if U.dim != V.dim or U.offset != V.offset:
-        raise ValueError("windows must share dim and offset")
-    for W in (U, V):
-        if W.unitarity_residual() > 1e-10:
-            raise ValueError("input window is not numerically unitary")
-    eig_u = np.angle(np.linalg.eigvals(U.entries)) % TWO_PI
-    eig_v = np.angle(np.linalg.eigvals(V.entries)) % TWO_PI
-    dh = CircleArcSet.from_points(eig_u).hausdorff(CircleArcSet.from_points(eig_v))
-    norm = float(np.linalg.norm(U.entries - V.entries, 2))
-    return {"dH": dh, "norm": norm, "holds": dh <= norm * (1.0 + 1e-10)}

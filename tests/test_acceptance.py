@@ -51,7 +51,7 @@ def test_01_structural_fidelity():
         e = O.assemble_cmv(s, 0, dim)
         L, M = O.assemble_lm(s, 0, dim)
         worst_prod = max(
-            worst_prod, float(np.max(np.abs(e.entries - L.entries @ M.entries)))
+            worst_prod, float(np.max(np.abs(e - L @ M)))
         )
         a = lambda m: complex(s(m))
         r = lambda m: s.rho(m)
@@ -71,7 +71,7 @@ def test_01_structural_fidelity():
                     -a(g).conjugate() * a(g - 1),
                     -r(g) * a(g - 1),
                 ]
-            worst_row = max(worst_row, float(np.max(np.abs(e.entries[g] - row))))
+            worst_row = max(worst_row, float(np.max(np.abs(e[g] - row))))
     ok = worst_row < 1e-14 and worst_prod < 1e-14
     report(1, "structural fidelity",
            ok, f"row dev {worst_row:.2e}, |E-LM| {worst_prod:.2e}")
@@ -281,8 +281,8 @@ def test_11_weyl_free_oracle():
     for _ in range(64):
         r = 0.95 * math.sqrt(rng.random())
         z = r * unit(TWO_PI * rng.random())
-        worst = max(worst, abs(W.m_plus(free, 0, z, dim=512).value - 1.0))
-        worst = max(worst, abs(W.m_minus(free, 0, z, dim=512).value + 1.0))
+        worst = max(worst, abs(W.m_plus(free, 0, z, dim=512) - 1.0))
+        worst = max(worst, abs(W.m_minus(free, 0, z, dim=512) + 1.0))
     defect = W.reflectionless_defect(free, 0, CircleArcSet.full_circle(),
                                      0.99, samples=16, dim=2048)
     ok = worst < 1e-10 and defect < 1e-8

@@ -695,7 +695,7 @@ def test_out_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypat
     def no_compute(*args, **kwargs):
         raise AssertionError("a bad --out must be refused before any compute")
 
-    monkeypatch.setattr(floquet, "band_eigens", no_compute)
+    monkeypatch.setattr(floquet, "band_stacks", no_compute)
     (tmp_path / "a_file").write_text("")
     cfg = write_config(tmp_path, "b.json", {
         "sequence": {"kind": "constant", "value": [0.3, 0.0]}, "q": 2, "k_points": 4,
@@ -1178,7 +1178,7 @@ def test_unknown_config_fields_exit_2_before_any_compute(tmp_path, capsys, monke
     def no_compute(*args, **kwargs):
         raise AssertionError("unknown fields must be refused before any compute")
 
-    monkeypatch.setattr(floquet, "band_eigens", no_compute)
+    monkeypatch.setattr(floquet, "band_stacks", no_compute)
     monkeypatch.setattr(floquet, "periodic_spectrum", no_compute)
     monkeypatch.setattr(qwalk, "evolve", no_compute)
     monkeypatch.setattr(T, "lyapunov", no_compute)

@@ -82,3 +82,14 @@ def test_jobs_include_a_weyl_defect_run_on_long_windows():
     cfg = long[0][1]
     assert cfg["sequence"]["kind"] == "periodic_table" and len(cfg["sequence"]["values"]) == 4
     assert cfg["r_values"] == [0.99, 0.999] and cfg["samples"] == 64
+
+
+def test_jobs_include_a_bands_run_whose_stacks_end_inside_pole_intervals():
+    cut = [(name, cfg) for name, cmd, cfg in compare_outputs.all_jobs()
+           if cmd == "bands" and cfg["q"] == 32 and cfg["k_points"] == 100]
+    assert [name for name, _ in cut] == ["cut-stacks-bands"]
+    # 32 k per stack against 12.5 k per pole interval: the first stack ends
+    # inside the third interval
+    from cmvlab import floquet
+
+    assert floquet._k_block(32) % (100 / floquet._POLE_INTERVALS) != 0

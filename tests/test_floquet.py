@@ -265,6 +265,25 @@ def test_band_eigens_match_eig_and_first_order_velocities(problem):
         assert np.all(np.abs(dz[i] - first_order) <= tol)
 
 
+def test_band_stacks_choose_the_poles_once_and_check_on_the_call(make_periodic):
+    # q = 32 takes 32 k per stack: 70 k are three stacks, each of the same
+    # bits as the k solved one at a time, under the poles of one _poles call
+    q = 32
+    s = make_periodic(q, radius=0.5)
+    ks = (np.arange(70) + 0.5) * (math.pi / q) / 70
+    with mock.patch.object(F, "_poles", wraps=F._poles) as poles:
+        stacks = list(F.band_stacks(s, q, ks))
+    assert poles.call_count == 1
+    assert [ks[cut].size for cut, *_ in stacks] == [32, 32, 6]
+    cut, z, u, v = stacks[1]
+    for i in (0, 31):
+        zi, ui, vi = F.band_eigens(s, q, ks[cut][i])
+        assert np.array_equal(z[i], zi[0]) and np.array_equal(u[i], ui[0])
+        assert np.array_equal(v[i], vi[0])
+    with pytest.raises(ValueError, match="strictly inside"):
+        F.band_stacks(s, q, [0.1, 0.0])  # refused before any stack is asked for
+
+
 def test_band_eigens_temporaries_do_not_grow_with_k(make_periodic):
     # q = 128, K = 64: u and v are 16.8 MB each, and the temporaries of the
     # eigenproblems stay below one such array (one stack over all k holds two)
@@ -298,7 +317,7 @@ def test_periodic_spectrum_constant_half_closed_form():
 def test_periodic_spectrum_vs_dense_window():
     out = F.periodic_spectrum(C.constant_seq(0.5), 2)
     e = O.assemble_cmv(C.constant_seq(0.5), 0, 512)
-    angles = np.angle(np.linalg.eigvals(e.entries)) % TWO_PI
+    angles = np.angle(np.linalg.eigvals(e)) % TWO_PI
     inside = np.array([out.contains(a, tol=1e-3) for a in angles])
     assert inside.all()
     # eigenvalues cluster at band edges: both edges are approached within 1e-3
@@ -447,15 +466,15 @@ def test_wrap_window_eigenvalues_lie_in_the_bands(values):
     q = 2 * seq.period
     arcs = F.periodic_spectrum(seq, q)
     e = O.assemble_cmv(seq, 0, 4 * q)
-    for z in np.linalg.eigvals(e.entries):
+    for z in np.linalg.eigvals(e):
         assert arcs.contains(np.angle(z), tol=1e-10)
 
 
 def dense_norm_diff(s1, s2, dim):
     """The dense formula: the 2-norm of the difference of the two dim-site
     periodic-wrap windows."""
-    return float(np.linalg.norm(O.assemble_cmv(s1, 0, dim).entries
-                                - O.assemble_cmv(s2, 0, dim).entries, 2))
+    return float(np.linalg.norm(O.assemble_cmv(s1, 0, dim)
+                                - O.assemble_cmv(s2, 0, dim), 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,7 +495,7 @@ def test_norm_diff_takes_one_small_svd_per_stage_pair(monkeypatch):
     # matrix is formed
     family = cli._family({"kind": "pt_family", "base_amp": 0.1, "q0": 2, "levels": 3,
                           "decay": {"form": "geometric", "base": 4.0}})
-    svd, dense = np.linalg.svd, F._dense
+    svd, dense = np.linalg.svd, O._dense
     shapes, built = [], []
 
     def spy_svd(a, *args, **kwargs):
@@ -488,7 +507,7 @@ def test_norm_diff_takes_one_small_svd_per_stage_pair(monkeypatch):
         return dense(ab)
 
     monkeypatch.setattr(np.linalg, "svd", spy_svd)
-    monkeypatch.setattr(F, "_dense", spy_dense)
+    monkeypatch.setattr(O, "_dense", spy_dense)
     verdict = C.lp_sum_criterion(family, 0, 1.0)
     assert shapes == [(16, 4, 4), (8, 8, 8), (4, 16, 16)]
     assert max(built) == 16

@@ -18,6 +18,11 @@ from cmvlab import operator as O
 import operator_reference
 
 
+def unitarity_residual(w):
+    """max |W W* - I|."""
+    return float(np.max(np.abs(w @ w.conj().T - np.eye(len(w)))))
+
+
 def expected_interior_row(seq, g):
     """Independent oracle: the four pentadiagonal row entries at global row g."""
     a = lambda m: complex(seq(m))
@@ -77,21 +82,21 @@ def test_verify_sieve_square_refuses_a_nan_sequence():
 def test_assemble_lm_free_dim4():
     L, M = O.assemble_lm(C.constant_seq(0.0), 0, 4)
     np.testing.assert_allclose(
-        L.entries,
+        L,
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
         atol=0,
     )
     np.testing.assert_allclose(
-        M.entries,
+        M,
         [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]],
         atol=0,
     )
-    assert M.unitarity_residual() < 1e-15
+    assert unitarity_residual(M) < 1e-15
 
 
 def test_assemble_lm_constant_dim2():
     L, _ = O.assemble_lm(C.constant_seq(0.6), 0, 2)
-    np.testing.assert_allclose(L.entries, O.theta(0.6), atol=1e-15)
+    np.testing.assert_allclose(L, O.theta(0.6), atol=1e-15)
 
 
 def test_assemble_lm_validations():
@@ -104,20 +109,20 @@ def test_assemble_lm_validations():
 
 def test_assemble_cmv_free_unitary():
     e = O.assemble_cmv(C.constant_seq(0.0), 0, 8)
-    assert e.unitarity_residual() < 1e-14
+    assert unitarity_residual(e) < 1e-14
 
 
 def test_assemble_cmv_is_product(make_periodic):
     s = make_periodic(3)
     L, M = O.assemble_lm(s, 0, 12)
     e = O.assemble_cmv(s, 0, 12)
-    assert np.max(np.abs(e.entries - L.entries @ M.entries)) < 1e-15
+    assert np.max(np.abs(e - L @ M)) < 1e-15
 
 
 def test_assemble_cmv_interior_row_constant_half():
     e = O.assemble_cmv(C.constant_seq(0.5), 0, 8)
     r = 0.5 * math.sqrt(0.75)
-    np.testing.assert_allclose(e.entries[2, 1:5], [r, -0.25, r, 0.75], atol=1e-15)
+    np.testing.assert_allclose(e[2, 1:5], [r, -0.25, r, 0.75], atol=1e-15)
 
 
 def test_interior_rows_match_formula_oracle(make_periodic):
@@ -129,20 +134,20 @@ def test_interior_rows_match_formula_oracle(make_periodic):
             cols, vals = expected_interior_row(s, g)
             row = np.zeros(dim, dtype=complex)
             row[cols] = vals
-            assert np.max(np.abs(e.entries[g] - row)) < 1e-14
+            assert np.max(np.abs(e[g] - row)) < 1e-14
 
 
 @pytest.mark.parametrize("dim", [4, 16, 64, 256], ids=lambda d: f"periodic_wrap-{d}")
 def test_unitarity_windows(make_periodic, dim):
     s = make_periodic(4, radius=0.8)
     e = O.assemble_cmv(s, 0, dim)
-    assert e.unitarity_residual() < 1e-12
+    assert unitarity_residual(e) < 1e-12
 
 
 def test_unitarity_large_window(make_periodic):
     s = make_periodic(8, radius=0.8)
     e = O.assemble_cmv(s, 0, 2048)
-    assert e.unitarity_residual() < 1e-12
+    assert unitarity_residual(e) < 1e-12
 
 
 def test_sieve_values():
@@ -193,7 +198,7 @@ def test_sieve_square_row_formula(make_periodic):
     s = make_periodic(3, radius=0.6)
     dim = 24
     hat = O.assemble_cmv(O.sieve(s), 0, dim)
-    W = hat.entries @ hat.entries
+    W = hat @ hat
     for n in (1, 2):
         expected = s.rho(2 * n) * s.rho(2 * n - 1)
         assert W[4 * n - 4, 4 * n] == pytest.approx(expected, abs=1e-13)
@@ -222,7 +227,7 @@ def test_norm_diff_constant_example():
     # dual route: largest eigenvalue of D^H D
     e1 = O.assemble_cmv(C.constant_seq(0.5), 0, 16)
     e2 = O.assemble_cmv(C.constant_seq(0.6), 0, 16)
-    d = e1.entries - e2.entries
+    d = e1 - e2
     oracle = math.sqrt(np.max(np.linalg.eigvalsh(d.conj().T @ d)))
     assert nd == pytest.approx(oracle, abs=1e-12)
 
@@ -252,15 +257,13 @@ def test_norm_diff_window_validation():
         F.norm_diff(raw, s, 8)
 
 
-def test_banded_unitary_rejects_off_band():
-    bad = np.zeros((8, 8), dtype=complex)
-    bad[0, 4] = 1.0
-    with pytest.raises(ValueError):
-        O.BandedUnitary(0, bad)
-    # the band is cyclic: the corner entry (0, n - 1) lies inside it
-    corner = np.zeros((8, 8), dtype=complex)
-    corner[0, 7] = 1.0
-    assert O.BandedUnitary(0, corner).entries[0, 7] == 1.0
+def test_windows_are_read_only_arrays():
+    L, M = O.assemble_lm(C.constant_seq(0.3), 0, 8)
+    e = O.assemble_cmv(C.constant_seq(0.3), 0, 8)
+    for w in (L, M, e):
+        assert type(w) is np.ndarray and w.dtype == complex and w.shape == (8, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +318,8 @@ def dense_square_residuals(E, ref):
 
 def dense_sieve_residuals(seq, dim):
     return dense_square_residuals(
-        O.assemble_cmv(O.sieve(seq), 0, dim).entries,
-        O.assemble_cmv(O.shift_seq(seq, 1), 0, dim // 2).entries,
+        O.assemble_cmv(O.sieve(seq), 0, dim),
+        O.assemble_cmv(O.shift_seq(seq, 1), 0, dim // 2),
     )
 
 
@@ -334,7 +337,7 @@ def test_banded_periodic_wrap_matches_dense(seq, half, dim):
         for c, v in zip(cols, vals):
             oracle[g - offset, (c - offset) % dim] += v
     assert np.max(np.abs(got - oracle)) <= 1e-15
-    dense = O.assemble_cmv(seq, offset, dim).entries
+    dense = O.assemble_cmv(seq, offset, dim)
     assert np.max(np.abs(got - dense)) <= 1e-15
 
 
@@ -370,7 +373,7 @@ def test_lm_and_floquet_blocks_are_scalar_theta_bitwise(seq, data):
         assert np.array_equal(O.theta(a), block)
     L, M = O.assemble_lm(seq, offset, q)
     want_L, want_M = place_blocks(wrap)
-    assert np.array_equal(L.entries, want_L) and np.array_equal(M.entries, want_M)
+    assert np.array_equal(L, want_L) and np.array_equal(M, want_M)
     # every window is read from the one placement: its dense scatter keeps
     # the value of every entry (a zero may lose its sign)
     dense = O._dense(O._factors(seq.window(offset, offset + q)))
@@ -421,8 +424,8 @@ def test_square_residuals_of_unsieved_operator_match_dense(seq, dim):
         O.cmv_banded(shifted.window(0, dim // 2)),
     )
     want = dense_square_residuals(
-        O.assemble_cmv(seq, 0, dim).entries,
-        O.assemble_cmv(shifted, 0, dim // 2).entries,
+        O.assemble_cmv(seq, 0, dim),
+        O.assemble_cmv(shifted, 0, dim // 2),
     )
     for key in want:
         assert abs(got[key] - want[key]) <= 1e-14, key

@@ -415,7 +415,7 @@ def _dense_residual(coins, window, seq):
     window that assemble_cmv builds from seq shifted to the window's first
     flat index 2 n_lo + 1."""
     walk = Q.build_walk(coins, window)
-    ref = O.assemble_cmv(O.shift_seq(seq, 2 * window[0] + 1), 0, 2 * walk.width).entries
+    ref = O.assemble_cmv(O.shift_seq(seq, 2 * window[0] + 1), 0, 2 * walk.width)
     return float(np.max(np.abs(walk.matrix().T - ref)))
 
 

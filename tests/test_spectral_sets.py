@@ -147,7 +147,7 @@ def test_spectral_variation_identity(make_periodic):
 def test_spectral_variation_phase_rotation(make_periodic):
     u = O.assemble_cmv(make_periodic(3, radius=0.5), 0, 12)
     phi = 0.2
-    v = O.BandedUnitary(0, np.exp(1j * phi) * u.entries)
+    v = np.exp(1j * phi) * u
     out = spectral_variation_check(u, v)
     assert out["holds"]
     assert out["norm"] == pytest.approx(abs(np.exp(1j * phi) - 1.0), abs=1e-12)
@@ -166,9 +166,45 @@ def test_spectral_variation_validations(make_periodic):
     v = O.assemble_cmv(make_periodic(2), 0, 12)
     with pytest.raises(ValueError):
         spectral_variation_check(u, v)
-    half = O.BandedUnitary(0, np.eye(8) * 0.5)
+    half = np.eye(8) * 0.5
     with pytest.raises(ValueError):
         spectral_variation_check(u, half)
+
+
+@pytest.mark.parametrize("shape_or_nan", ["nan", (8, 6), (12, 12)],
+                         ids=["nan", "not-square", "other-shape"])
+def test_spectral_variation_refuses_nan_and_mismatched_windows(make_periodic, shape_or_nan):
+    # a NaN residual is not above 1e-10 and must still be refused, not left
+    # to eigvals (whose LinAlgError is a ValueError too, so match the message)
+    u = O.assemble_cmv(make_periodic(2), 0, 8)
+    if shape_or_nan == "nan":
+        v = u.copy()
+        v[3, 3] = np.nan
+        why = "not numerically unitary"
+    else:
+        v = np.eye(*shape_or_nan, dtype=complex)
+        why = "square of one shape"
+    with pytest.raises(ValueError, match=why):
+        spectral_variation_check(u, v)
+    with pytest.raises(ValueError, match=why):
+        spectral_variation_check(v, u)
+
+
+def test_spectral_sets_imports_only_the_standard_library_and_numpy():
+    import ast
+    import sys
+    from pathlib import Path
+
+    import cmvlab.spectral_sets as S
+
+    tree = ast.parse(Path(S.__file__).read_text())
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("." if node.level else node.module.split(".")[0])
+    assert roots and roots <= set(sys.stdlib_module_names) | {"numpy"}, roots
 
 
 def test_point_distance_and_contains():

@@ -116,7 +116,7 @@ def test_monodromy_band_edge_constant_half():
     tr = np.trace(T.monodromy(s, 2, -1.0 + 0j))
     assert tr.real == pytest.approx(-2.0, abs=1e-12)
     e = O.assemble_cmv(s, 0, 512)
-    eig = np.linalg.eigvals(e.entries)
+    eig = np.linalg.eigvals(e)
     assert np.min(np.abs(eig - (-1.0))) < 1e-10
 
 

@@ -19,15 +19,21 @@ FREE = C.constant_seq(0.0)
 
 def test_z_zero_exact(make_periodic):
     s = make_periodic(3, radius=0.6)
-    assert W.m_plus(s, 0, 0.0, dim=64).value == pytest.approx(1.0, abs=1e-12)
-    assert W.m_minus(s, 0, 0.0, dim=64).value == pytest.approx(-1.0, abs=1e-12)
+    assert W.m_plus(s, 0, 0.0, dim=64) == pytest.approx(1.0, abs=1e-12)
+    assert W.m_minus(s, 0, 0.0, dim=64) == pytest.approx(-1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("k", [0, 1, -3])
 def test_free_weyl_values(k):
     z = 0.3 + 0.2j
-    assert W.m_plus(FREE, k, z, dim=256).value == pytest.approx(1.0, abs=1e-10)
-    assert W.m_minus(FREE, k, z, dim=256).value == pytest.approx(-1.0, abs=1e-10)
+    assert W.m_plus(FREE, k, z, dim=256) == pytest.approx(1.0, abs=1e-10)
+    assert W.m_minus(FREE, k, z, dim=256) == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_weyl_values_are_complex_numbers(make_periodic):
+    s = make_periodic(2, radius=0.5)
+    for f in (W.m_plus, W.m_minus):
+        assert type(f(s, 0, 0.3 + 0.2j, dim=64)) is complex
 
 
 def test_caratheodory_signs(rng):
@@ -38,15 +44,15 @@ def test_caratheodory_signs(rng):
         r = 0.9 * rng.random()
         z = r * np.exp(2j * math.pi * rng.random())
         k = int(rng.integers(-4, 5))
-        assert W.m_plus(s, k, z, dim=256).value.real > -1e-8
-        assert W.m_minus(s, k, z, dim=256).value.real < 1e-8
+        assert W.m_plus(s, k, z, dim=256).real > -1e-8
+        assert W.m_minus(s, k, z, dim=256).real < 1e-8
 
 
 def test_truncation_stability(make_periodic):
     s = make_periodic(2, radius=0.5)
     z = 0.95 * cmath.exp(0.4j)
-    v1 = W.m_plus(s, 0, z, dim=512).value
-    v2 = W.m_plus(s, 0, z, dim=1024).value
+    v1 = W.m_plus(s, 0, z, dim=512)
+    v2 = W.m_plus(s, 0, z, dim=1024)
     assert abs(v1 - v2) < 1e-8
 
 
@@ -74,14 +80,14 @@ def test_M_plus_is_shifted_m_plus(make_periodic):
     s = make_periodic(3, radius=0.5)
     z = 0.4 * cmath.exp(1.2j)
     mp, _ = W.M_coefficients(s, 2, z, dim=256)
-    assert mp == pytest.approx(W.m_plus(s, 1, z, dim=256).value, abs=1e-12)
+    assert mp == pytest.approx(W.m_plus(s, 1, z, dim=256), abs=1e-12)
 
 
 def test_M_minus_real_alpha_reduction():
     s = C.constant_seq(0.3)
     z = 0.5 * cmath.exp(0.8j)
     _, mm = W.M_coefficients(s, 0, z, dim=256)
-    m2 = W.m_minus(s, -2, z, dim=256).value
+    m2 = W.m_minus(s, -2, z, dim=256)
     simplified = (1.0 - 0.3) / ((1.0 + 0.3) * m2)
     assert mm == pytest.approx(simplified, abs=1e-12)
 
@@ -148,14 +154,6 @@ def test_reflectionless_defect_refuses_radii_the_solver_refuses(r):
     with pytest.raises(ValueError, match=r"r must lie in \[0\.9, 1 - 1e-6\)"):
         W.reflectionless_defect(C.constant_seq(0.0), 0, CircleArcSet.full_circle(), r,
                                 samples=16, dim=64)
-
-
-def test_caratheodory_value_validation():
-    from cmvlab.errors import NumericalInstabilityError
-
-    with pytest.raises(NumericalInstabilityError):
-        W.CaratheodoryValue(z=0.1, value=-0.5 + 0j, side="plus",
-                            base_site=0, truncation_dim=64)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +342,7 @@ def test_stacked_halfline_values_match_the_per_window_recursion(seq, k, dim, r, 
     m2 = -got[1]
     assert np.array_equal(bits(mm), bits(W._m_minus_to_M(complex(seq(k)), m2)))
     # m_plus and m_minus take the same path with one row and one point
-    one = [(W.m_plus(seq, k - 1, zi, dim).value, W.m_minus(seq, k - 2, zi, dim).value)
+    one = [(W.m_plus(seq, k - 1, zi, dim), W.m_minus(seq, k - 2, zi, dim))
            for zi in z.tolist()]
     assert np.array_equal(bits(np.array(one)), bits(np.column_stack([mp, m2])))
 

@@ -9,8 +9,9 @@ of ``SEEDS``, the example configs of README.md and ``WIDE_GRID``, a
 quasiperiodic ``lyapunov`` sweep over a grid too wide for orbit lanes, which
 no other job runs, ``SHORT_ORBIT``, a quasiperiodic ``lyapunov`` sweep of 64
 points over 1 000 sites, whose orbit lanes are fewer than the grid alone
-allows, and ``LONG_WINDOW``, a ``weyl-defect`` run on half-line
-windows of 32 768 sites at radii 0.99 and 0.999.  Each tree runs all of them
+allows, ``LONG_WINDOW``, a ``weyl-defect`` run on half-line
+windows of 32 768 sites at radii 0.99 and 0.999, and ``CUT_STACKS``, a
+``bands`` run at q = 32 on 100 k, whose stacks of k end inside pole intervals.  Each tree runs all of them
 through ``cmvlab.cli.main`` in one fresh interpreter; then, per job, the exit
 codes are compared and, per output file, the script prints "identical" or the
 largest numeric difference next to the largest relative one, |x - y| /
@@ -62,6 +63,13 @@ LONG_WINDOW = ("long-window-weyl-defect", "weyl-defect", {
     "r_values": [0.99, 0.999], "dim": 32768, "samples": 64,
 })
 
+# the bands_lp workload's q = 32 table on 100 k: its stacks of 32 k end inside
+# pole intervals of 12.5 k, where every other job's 64 k end on their edges
+CUT_STACKS = ("cut-stacks-bands", "bands", {
+    **next(job.config for job in make_jobs("bands_lp", SEEDS[0]) if job.name == "bands-q32"),
+    "k_points": 100,
+})
+
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN|-?inf|nan")
 
 # runs a list of (name, command, config, out dir) jobs; argv: src, jobs, codes
@@ -95,7 +103,7 @@ def readme_configs() -> list[tuple[str, str, dict]]:
 def all_jobs() -> list[tuple[str, str, dict]]:
     jobs = [(f"{w}-s{seed}-{job.name}", job.command, job.config)
             for seed in SEEDS for w in WORKLOADS for job in make_jobs(w, seed)]
-    return jobs + readme_configs() + [WIDE_GRID, SHORT_ORBIT, LONG_WINDOW]
+    return jobs + readme_configs() + [WIDE_GRID, SHORT_ORBIT, LONG_WINDOW, CUT_STACKS]
 
 
 def run_tree(tree: str, jobs: list, work: str, label: str) -> dict:
