@@ -302,8 +302,8 @@ def _cmd_bands(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     z = np.empty((k_points, q), dtype=complex)
     dz = np.empty((k_points, q), dtype=complex)
     with certificates() as worst:
-        for s, zs, u, v in floquet.band_stacks(seq, q, ks):
-            z[s], dz[s] = zs, floquet.band_derivative(seq, q, ks[s], u, v)
+        for s, zs, u in floquet.band_stacks(seq, q, ks):
+            z[s], dz[s] = zs, floquet.band_derivative(seq, q, ks[s], u)
         n = np.tile(np.arange(q), k_points)
         _write_csv(manifest, out_dir, "bands.csv", {
             "q": np.full(n.size, q), "n": n, "k": np.repeat(ks, q),

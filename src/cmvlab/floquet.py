@@ -9,7 +9,8 @@ velocity has the closed form
 
     dz/dk = i q rho_{q-1} [conj(v(-1)) u(0) - conj(v(0)) u(-1)],
 
-with v = L_q^{-1} u and the Floquet extension u(-1) = e^{-ikq} u(q-1).
+with v = L_q^* u and the Floquet extensions u(-1) = e^{-ikq} u(q-1) and
+v(-1) = e^{-ikq} v(q-1); of v only these two sites are ever formed.
 
 The pairs (z_n(k), u_n) come from a Hermitian problem: for a pole p on the
 circle outside the spectrum, the Cayley transform i (pI - E)^{-1} (pI + E)
@@ -48,7 +49,6 @@ from .transfer import monodromy
 __all__ = [
     "floquet_blocks",
     "band_stacks",
-    "band_eigens",
     "band_derivative",
     "periodic_spectrum",
     "monodromy_bound_check",
@@ -202,9 +202,9 @@ def _cayley_eigenpairs(E: np.ndarray, p: np.ndarray
 def band_stacks(seq: CoefficientSequence, q: int, k):
     """All q eigenpairs of E_q(k) over the K strictly interior k of a scalar or
     a 1-d array, one stack of ``_k_block(q)`` k at a time, so the temporaries
-    do not grow with K: an iterator of (s, z, u, v), s the slice of the k in
-    the stack, z (S, q) sorted by angle along each row, and unit u,
-    v = L_q^* u (S, q, q) with pair n in column n.
+    do not grow with K: an iterator of (s, z, u), s the slice of the k in the
+    stack, z (S, q) sorted by angle along each row and unit u (S, q, q) with
+    pair n in column n.
 
     The pairs come from the Hermitian Cayley transform of E_q(k) about a pole
     chosen from k alone (``_poles``: at least 1/(q + 1) in angle from the
@@ -229,12 +229,10 @@ def band_stacks(seq: CoefficientSequence, q: int, k):
 
 
 def _stack(seq: CoefficientSequence, q: int, k: np.ndarray, poles: np.ndarray, s: slice):
-    """The certified eigenpairs (s, z, u, v) of ``band_stacks`` at the k[s]."""
+    """The certified eigenpairs (s, z, u) of ``band_stacks`` at the k[s]."""
     L, M = floquet_blocks(seq, q, k[s])
     # E_q(k) in M's buffer
     z, u, resid = _cayley_eigenpairs(np.matmul(L, M, out=M), poles[s])
-    v = L.conj().T @ u
-    v /= np.linalg.norm(v, axis=-2, keepdims=True)
 
     def at(i, n):
         return {"k": float(k[s][i]), "n": int(n)}
@@ -247,35 +245,25 @@ def _stack(seq: CoefficientSequence, q: int, k: np.ndarray, poles: np.ndarray, s
     if bad.size:
         raise DegenerateBandError(float(k[s][bad[0]]), float(gaps[bad[0]]))
     note("min_band_gap", dist, _GAP_TOL, at, smallest=True)
-    return s, z, u, v
+    return s, z, u
 
 
-def band_eigens(
-    seq: CoefficientSequence, q: int, k
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs of ``band_stacks`` over all K of k in one piece: z (K, q) and
-    u, v (K, q, q)."""
-    stacks = band_stacks(seq, q, k)  # q and k are checked before anything is allocated
-    K = np.size(k)
-    z = np.empty((K, q), dtype=complex)
-    u, v = np.empty((K, q, q), dtype=complex), np.empty((K, q, q), dtype=complex)
-    for s, zs, us, vs in stacks:
-        z[s], u[s], v[s] = zs, us, vs
-    return z, u, v
-
-
-def band_derivative(
-    seq: CoefficientSequence, q: int, k, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Analytic band velocities dz/dk (K, q) of ``band_eigens``' pairs u, v
-    at its K values of k, rounded like the scalar formula (``_mul``)."""
+def band_derivative(seq: CoefficientSequence, q: int, k, u: np.ndarray) -> np.ndarray:
+    """Analytic band velocities dz/dk (K, q) of the pairs u (K, q, q) of
+    ``band_stacks`` at its K values of k.  Of v = L_q^* u the formula reads
+    v(0) = alpha_0 u(0) + rho_0 u(1) and v(q-1) = rho_{q-2} u(q-2) -
+    conj(alpha_{q-2}) u(q-1), rows of L_q's corner blocks; each product is
+    rounded like Python's (``_mul``), so the velocities depend neither on the
+    SIMD level nor on how k is batched."""
     _check_q(seq, q)
-    rho = _rho(_check_disk(seq(q - 1)))
+    a = _check_disk(seq.window(np.array([0, q - 2, q - 1])))
+    (a0, a2, _), (r0, r2, r1) = a, _rho(a)
+    u0, u1, u2, u_last = (u[..., i, :] for i in (0, 1, q - 2, q - 1))
     phase = np.exp(-1j * np.asarray(k, dtype=float).reshape(-1, 1) * q)
-    u_m1 = _mul(phase, u[..., q - 1, :])
-    v_m1 = _mul(phase, v[..., q - 1, :])
-    return _mul(1j * q * rho,
-                _mul(v_m1.conj(), u[..., 0, :]) - _mul(v[..., 0, :].conj(), u_m1))
+    v0 = _mul(a0, u0) + _mul(r0, u1)
+    v_m1 = _mul(phase, _mul(r2, u2) - _mul(np.conj(a2), u_last))
+    u_m1 = _mul(phase, u_last)
+    return _mul(1j * q * r1, _mul(v_m1.conj(), u0) - _mul(v0.conj(), u_m1))
 
 
 def discriminant(seq: CoefficientSequence, q: int, theta) -> float | np.ndarray:
@@ -350,7 +338,7 @@ def monodromy_bound_check(
             f"z is at or beyond a band edge (trace {tr:.6f} outside (-2, 2))"
         )
     k = math.acos(tr / 2.0) / q
-    zk, u, v = band_eigens(seq, q, k)
+    _, zk, u = next(band_stacks(seq, q, k))
     dist = np.abs(zk[0] - z)
     n = int(np.argmin(dist))
     if dist[n] > 1e-6:
@@ -358,7 +346,7 @@ def monodromy_bound_check(
             f"no twisted-restriction eigenvalue matches z (nearest at "
             f"distance {dist[n]:.2e})"
         )
-    dz = band_derivative(seq, q, k, u, v)[0, n]
+    dz = band_derivative(seq, q, k, u)[0, n]
     lhs = float(np.linalg.norm(phi, 2))
     rhs = 4.0 * q / abs(dz)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-8), "k": k}

@@ -177,17 +177,25 @@ def _advance(seq, zs, starts, length, cols, snap=0):
                 np.multiply(cw, x0, out=y1)
                 x += y
             if end % _SCALE_EVERY == 0:
-                xs = x.reshape(2, lanes, cols, g)
-                s = np.abs(xs).max(axis=(0, 2))
-                s = np.where(s > 0, s, 1.0)
-                xs /= s[:, None]
-                log_scale += np.log(s)
+                log_scale += _rescale(x.reshape(2, lanes, cols, g))
             if end == snap:
                 x_snap = x.copy()
                 log_snap = log_scale + log_rho[:end - lo].sum(axis=0)[:, None]
             j = end
         log_scale += log_rho.sum(axis=0)[:, None]
     return x, log_scale, x_snap, log_snap
+
+
+def _rescale(m: np.ndarray) -> np.ndarray:
+    """Divide each product of a stack m (E, P, C, g), the entries m[:, p, :, i]
+    of product (p, i), in place by its largest |entry|, or by 1 where that is
+    not positive, and return the (P, g) logs of the divisors.  Multiplying by
+    1 / s keeps the bits of m / s: numpy's complex division by a real
+    computes exactly m * (1 / s)."""
+    s = np.abs(m).max(axis=0).max(axis=1)  # reduce the leading axis first, contiguously
+    s = np.where(s > 0, s, 1.0)
+    m *= (1.0 / s)[:, None]
+    return np.log(s)
 
 
 def _growth(col: np.ndarray, log_scale: np.ndarray, n: int) -> np.ndarray:
@@ -210,10 +218,8 @@ def _product(later, log_later, earlier, log_earlier):
     for k in (0, 1):
         np.multiply(later[0], earlier[k][0], out=m[k])
         m[k] += later[1] * earlier[k][1]
-    s = np.abs(m).max(axis=(0, 1))
-    s = np.where(s > 0, s, 1.0)
-    m *= 1.0 / s  # the bits of m / s, without numpy's complex division
-    return m, log_later + log_earlier + np.log(s)
+    # each product's four entries on the leading axis, as one column
+    return m, log_later + log_earlier + _rescale(m.reshape(4, m.shape[2], 1, m.shape[3]))
 
 
 def _pass(seq, zs, n_steps, lanes):

@@ -533,6 +533,26 @@ def assert_same_bits(got, want):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("cols, lanes, g", [(1, 1, 1), (2, 8, 63), (2, 128, 64), (1, 3, 2049)])
+def test_rescale_keeps_the_bits_of_the_complex_division(cols, lanes, g):
+    # the reference divides by s where _rescale multiplies by 1 / s: random
+    # (2, cols) products over 600 decades, in the kernel's (2, P, cols, g)
+    # layout, some with a zero column and some all zero (s read as 1)
+    rng = np.random.default_rng(cols + lanes + g)
+    shape = (2, lanes, cols, g)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m *= 10.0 ** rng.uniform(-300, 300, (lanes, 1, g))
+    m[:, :, 0][:, rng.random((lanes, g)) < 0.3] = 0.0
+    m.transpose(0, 2, 1, 3)[..., rng.random((lanes, g)) < 0.2] = 0.0
+    s = np.abs(m).max(axis=(0, 2))
+    s = np.where(s > 0, s, 1.0)
+    want = m / s[:, None]
+    got = m.copy()
+    log_s = T._rescale(got)
+    assert_same_bits(got, want)
+    assert_same_bits(log_s, np.log(s))
+
+
 # one lane over two blocks and a leftover; 32 lanes (lyapunov at 64 points);
 # 312 lanes, whose blocks of 105 steps end between rescalings
 @pytest.mark.parametrize("g, lanes, length", [

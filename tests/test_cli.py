@@ -87,16 +87,17 @@ def test_bands_memory_does_not_grow_with_k_points_times_q_squared(tmp_path):
     q = 64
     small, _ = _bands_peak(tmp_path, q, 16)
     large, out = _bands_peak(tmp_path, q, 128)
-    # the eigenvectors u and v of all k would add 2 * 112 * q^2 * 16 B = 14.7 MB
+    # the eigenvectors u of all k would add 112 * q^2 * 16 B = 7.3 MB
     assert large - small < 2e6
 
     # the blocks give the bytes of one stacked solve over every k
     ks = (np.arange(128) + 0.5) * (math.pi / q) / 128
     seq = cli._sequence({"kind": "random_periodic", "q": q, "radius": 0.5}, 2)
-    z, u, v = floquet.band_eigens(seq, q, ks)
-    dz = floquet.band_derivative(seq, q, ks, u, v)
-    rows = [",".join(fmt(x) for x in (q, n, k, w.real, w.imag, d.real, d.imag))
-            for k, zk, dk in zip(ks, z, dz) for n, (w, d) in enumerate(zip(zk, dk))]
+    rows = []
+    for cut, z, u in floquet.band_stacks(seq, q, ks):
+        dz = floquet.band_derivative(seq, q, ks[cut], u)
+        rows += [",".join(fmt(x) for x in (q, n, k, w.real, w.imag, d.real, d.imag))
+                 for k, zk, dk in zip(ks[cut], z, dz) for n, (w, d) in enumerate(zip(zk, dk))]
     want = ["# manifest: manifest.json", "q,n,k,re_z,im_z,re_dzdk,im_dzdk", *rows]
     assert (out / "bands.csv").read_text() == "\n".join(want) + "\n"
 
@@ -161,9 +162,9 @@ def test_bands_diagnostics_match_eig(tmp_path, monkeypatch):
     assert gap["value"] == pytest.approx(gaps.min(), abs=1e-12)
     assert gaps[i, gap["n"]] == pytest.approx(gaps.min(), abs=1e-12)
 
-    # every eigenpair residual ||E u - z u||, z as written, u of band_eigens;
+    # every eigenpair residual ||E u - z u||, z as written, u of band_stacks;
     # by Bauer-Fike each z then lies that close to an eigenvalue of eig
-    _, u, _ = floquet.band_eigens(seq, q, ks)
+    _, _, u = next(floquet.band_stacks(seq, q, ks))
     resid = np.array([[np.linalg.norm(L @ M[i] @ u[i, :, n] - z[i, n] * u[i, :, n])
                        for n in range(q)] for i in range(K)])
     res = diag["max_band_residual"]
@@ -503,6 +504,25 @@ def test_approx_report(tmp_path):
     assert len(diffs) == 3
     assert all(b <= a + 1e-9 for a, b in zip(diffs, diffs[1:]))
     assert len(rep["hausdorff_consecutive"]) == 2
+
+
+def test_approx_reads_no_orbit_length(tmp_path, monkeypatch):
+    # the zero-set sweep runs on the family's limit, a periodic sequence, so
+    # the exponent takes the exact formula: n_steps is only echoed as N
+    def no_birkhoff(*args):
+        raise AssertionError("approx formed a Birkhoff product")
+
+    monkeypatch.setattr(T, "_birkhoff", no_birkhoff)
+    reports = []
+    for n_steps in (1000, 100_000):
+        cfg = write_config(tmp_path, f"a{n_steps}.json",
+                           {**APPROX_SMALL, "grid_size": 512, "n_steps": n_steps, "k": 0})
+        out = tmp_path / f"out{n_steps}"
+        assert main(["approx", "--config", cfg, "--out", str(out)]) == 0
+        rep = json.loads((out / "approx_report.json").read_text())
+        assert rep.pop("N") == n_steps
+        reports.append(rep)
+    assert reports[0] == reports[1]
 
 
 def test_approx_diagnostics_match_the_edge_residuals(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -93,3 +94,21 @@ def test_jobs_include_a_bands_run_whose_stacks_end_inside_pole_intervals():
     from cmvlab import floquet
 
     assert floquet._k_block(32) % (100 / floquet._POLE_INTERVALS) != 0
+
+
+def test_jobs_include_a_bands_run_on_a_table_with_a_narrow_band(tmp_path):
+    narrow = [(name, cfg) for name, cmd, cfg in compare_outputs.all_jobs()
+              if cmd == "bands" and cfg["q"] == 64 and cfg["k_points"] == 64]
+    assert [name for name, _ in narrow] == ["narrow-bands"]
+    cfg = narrow[0][1]
+    assert cfg["sequence"]["kind"] == "periodic_table"
+    assert max(math.hypot(*v) for v in cfg["sequence"]["values"]) <= 0.9
+    # its slowest band moves at |dz/dk| = 5.2e-10
+    from cmvlab.cli import main
+
+    path = tmp_path / "bands.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["bands", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "bands.csv") as fh:
+        rows = [line.split(",") for line in fh if line[0].isdigit()]
+    assert min(math.hypot(float(r[5]), float(r[6])) for r in rows) < 1e-9

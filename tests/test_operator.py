@@ -473,9 +473,8 @@ def _banded_bytes() -> str:
     rng = np.random.default_rng(5)
     alpha = 0.95 * rng.random(64) * np.exp(2j * np.pi * rng.random(64))
     q, k = 8, np.linspace(0.05, 0.35, 7)
-    u, v = (rng.standard_normal((k.size, q, q)) + 1j * rng.standard_normal((k.size, q, q))
-            for _ in range(2))
-    dz = F.band_derivative(C.periodic_table_seq(alpha[:q]), q, k, u, v)
+    u = rng.standard_normal((k.size, q, q)) + 1j * rng.standard_normal((k.size, q, q))
+    dz = F.band_derivative(C.periodic_table_seq(alpha[:q]), q, k, u)
     return (O.cmv_banded(alpha).tobytes() + dz.tobytes()).hex()
 
 

@@ -10,8 +10,12 @@ quasiperiodic ``lyapunov`` sweep over a grid too wide for orbit lanes, which
 no other job runs, ``SHORT_ORBIT``, a quasiperiodic ``lyapunov`` sweep of 64
 points over 1 000 sites, whose orbit lanes are fewer than the grid alone
 allows, ``LONG_WINDOW``, a ``weyl-defect`` run on half-line
-windows of 32 768 sites at radii 0.99 and 0.999, and ``CUT_STACKS``, a
-``bands`` run at q = 32 on 100 k, whose stacks of k end inside pole intervals.  Each tree runs all of them
+windows of 32 768 sites at radii 0.99 and 0.999, ``CUT_STACKS``, a
+``bands`` run at q = 32 on 100 k, whose stacks of k end inside pole
+intervals, and ``NARROW_BANDS``, a ``bands`` run on 64 k of a q = 64,
+radius 0.9 table drawn from ``default_rng(64)``, whose slowest band moves at
+|dz/dk| = 5.2e-10, where a rounding move of a velocity is largest relative
+to its size.  Each tree runs all of them
 through ``cmvlab.cli.main`` in one fresh interpreter; then, per job, the exit
 codes are compared and, per output file, the script prints "identical" or the
 largest numeric difference next to the largest relative one, |x - y| /
@@ -39,7 +43,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from perfbench.workloads import WORKLOADS, make_jobs  # noqa: E402
+import numpy as np  # noqa: E402
+
+from perfbench.workloads import WORKLOADS, _table_spec, make_jobs  # noqa: E402
 
 SEEDS = (3, 7, 11)
 
@@ -68,6 +74,12 @@ LONG_WINDOW = ("long-window-weyl-defect", "weyl-defect", {
 CUT_STACKS = ("cut-stacks-bands", "bands", {
     **next(job.config for job in make_jobs("bands_lp", SEEDS[0]) if job.name == "bands-q32"),
     "k_points": 100,
+})
+
+# a q = 64, radius 0.9 table, where every other bands job's tables have
+# radius 0.5: its slowest band moves at |dz/dk| = 5.2e-10
+NARROW_BANDS = ("narrow-bands", "bands", {
+    "sequence": _table_spec(np.random.default_rng(64), 64, 0.9), "q": 64, "k_points": 64,
 })
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN|-?inf|nan")
@@ -103,7 +115,8 @@ def readme_configs() -> list[tuple[str, str, dict]]:
 def all_jobs() -> list[tuple[str, str, dict]]:
     jobs = [(f"{w}-s{seed}-{job.name}", job.command, job.config)
             for seed in SEEDS for w in WORKLOADS for job in make_jobs(w, seed)]
-    return jobs + readme_configs() + [WIDE_GRID, SHORT_ORBIT, LONG_WINDOW, CUT_STACKS]
+    extra = [WIDE_GRID, SHORT_ORBIT, LONG_WINDOW, CUT_STACKS, NARROW_BANDS]
+    return jobs + readme_configs() + extra
 
 
 def run_tree(tree: str, jobs: list, work: str, label: str) -> dict:
