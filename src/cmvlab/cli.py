@@ -366,8 +366,12 @@ def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     _, _, z_est = _zero_set_sweep(family.limit, cfg)
 
     periods = family.periods()
-    levels, stage_arcs = [], []
-    for qn, stage in zip(periods, family.stages):
+    stages, levels, stage_arcs = family.stages, [], []
+    for n, (qn, stage) in enumerate(zip(periods, stages)):
+        # unresolved where the increment rounds away: stage n's table over
+        # one period is stage n - 1's, bit for bit
+        resolved = n == 0 or (stage.window(0, qn).tobytes()
+                              != stages[n - 1].window(0, qn).tobytes())
         with certificates() as worst:
             arcs_n = floquet.periodic_spectrum(stage, qn)
             sigma_2q = floquet.periodic_spectrum(coeffs.periodize(family.limit, 2 * qn), 2 * qn)
@@ -376,6 +380,7 @@ def _cmd_approx(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
             "q": qn,
             "sigma_measure": arcs_n.measure(),
             "sigma2q_minus_Z": sigma_2q.diff_measure(z_est),
+            "increment_resolved": resolved,
             "diagnostics": worst,
         })
     hausdorff_seq = [
@@ -437,7 +442,10 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
 def _cmd_sieve_check(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     seq = _sequence(cfg["sequence"], manifest.seed)
     res = operator.verify_sieve_square(seq, cfg["dim"])
-    _write_json(manifest, out_dir, "sieve_check.json", {**res, "dim": cfg["dim"]})
+    name = max(res, key=res.get)  # the first of the largest
+    worst = {"value": res[name], "tol": operator._SIEVE_TOL, "name": name}
+    _write_json(manifest, out_dir, "sieve_check.json",
+                {**res, "dim": cfg["dim"], "diagnostics": {"max_square_residual": worst}})
 
 
 def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:

@@ -12,7 +12,8 @@ the twisted restriction at Floquet phase k = 0.
 
 The blocks are placed once, by ``_factors``, into banded L and M.  Dense
 windows scatter these factors (``_dense``); banded windows multiply them
-(``_banded_product``, which also squares the sieved window).
+(``_banded_product``, which also squares the sieved window, read at every
+dim after ``_fold`` has summed the diagonals that wrap onto one entry).
 
 Dense windows are read-only complex arrays.
 """
@@ -32,6 +33,8 @@ __all__ = [
     "verify_sieve_square",
     "cmv_banded",
 ]
+
+_SIEVE_TOL = 1e-12  # the bound a sieve-check residual is judged against
 
 
 def theta(alpha: complex) -> np.ndarray:
@@ -112,46 +115,50 @@ def _square_residuals(hat: np.ndarray, ref: np.ndarray) -> dict:
     Site i of an index class sits at position i // 2 within it: the class
     {0, 3} holds the sites 2 c + c % 2 and {1, 2} the sites 2 c + 1 - c % 2.
     Each class's entries of W fill ref's five diagonals once, so both sides
-    are read off the diagonals; windows narrower than ref's band sum the
-    diagonals that wrap onto one entry, as ``_dense`` does.
+    are read off the diagonals, after ``_fold`` has summed the diagonals of
+    a window narrower than its band that wrap onto one entry.
     """
     n = hat.shape[1]
     w = _banded_product(hat, hat)
+    half = w.shape[0] // 2
+    w, ref = _fold(w), _fold(ref)
     site = np.arange(n)
     in_x = (site % 4 == 0) | (site % 4 == 3)
-    if ref.shape[1] < ref.shape[0]:
-        W, R = _dense(w), _dense(ref)
-        ix, iy = site[in_x], site[~in_x]
-        return _residuals(W[np.ix_(iy, ix)], W[np.ix_(ix, iy)],
-                          W[np.ix_(ix, ix)] - R, W[np.ix_(iy, iy)].T - R)
-    # row half + s of w holds the entries (j + s mod n, j)
-    half = w.shape[0] // 2
-    x_row = in_x[(site + np.arange(-half, half + 1)[:, None]) % n]
+    # row r of w holds the entries (j + r - half mod n, j)
+    x_row = in_x[(site + (np.arange(w.shape[0]) - half)[:, None]) % n]
     c = np.arange(n // 2)
-    near = (c + np.arange(-2, 3)[:, None]) % (n // 2)
+    near = (c + (np.arange(ref.shape[0]) - 2)[:, None]) % (n // 2)
 
     def on_ref_band(sites: np.ndarray, transpose: bool) -> np.ndarray:
-        # ref's band row 2 + d, column c holds (c + d, c): the class entry
-        # W(sites[c + d], sites[c]), or W(sites[c], sites[c + d]) transposed
+        # ref's band row r, column c holds (c + r - 2, c): the class entry
+        # W(sites[c + r - 2], sites[c]), or W(sites[c], sites[c + r - 2]) transposed
         i, j = sites[near], np.broadcast_to(sites, near.shape)
         if transpose:
             i, j = j, i
         return w[(i - j + half) % n, j]
 
-    return _residuals(w[~x_row & in_x], w[x_row & ~in_x],
-                      on_ref_band(2 * c + c % 2, False) - ref,
-                      on_ref_band(2 * c + 1 - c % 2, True) - ref)
-
-
-def _residuals(x_leak, y_leak, x_diff, y_diff) -> dict:
     def top(v):
         return float(np.max(np.abs(v), initial=0.0))
 
     return {
-        "X_invariant_residual": top(x_leak),
-        "Y_invariant_residual": top(y_leak),
-        "similarity_residual": max(top(x_diff), top(y_diff)),
+        "X_invariant_residual": top(w[~x_row & in_x]),
+        "Y_invariant_residual": top(w[x_row & ~in_x]),
+        "similarity_residual": max(top(on_ref_band(2 * c + c % 2, False) - ref),
+                                   top(on_ref_band(2 * c + 1 - c % 2, True) - ref)),
     }
+
+
+def _fold(ab: np.ndarray) -> np.ndarray:
+    """A cyclic banded array (2h + 1, n) with row r holding the entries
+    (j + r - h mod n, j): where n < 2h + 1, its n rows r sum the rows k = r
+    mod n into zeros in row order, as ``_dense`` sums the diagonals that meet."""
+    rows, n = ab.shape
+    if n >= rows:
+        return ab
+    out = np.zeros((n, n), dtype=complex)
+    for k in range(rows):
+        out[k % n] += ab[k]
+    return out
 
 
 def _dense(ab: np.ndarray) -> np.ndarray:

@@ -204,7 +204,7 @@ def test_07_sieving_spectrum():
         worst_h = max(worst_h, hat.hausdorff(base.preimage_double()))
         res = O.verify_sieve_square(s, 8 * q)
         worst_res = max(worst_res, max(res.values()))
-    ok = worst_h < 1e-8 and worst_res < 1e-12
+    ok = worst_h < 1e-8 and worst_res < O._SIEVE_TOL
     report(7, "sieving: doubled spectrum and invariant split", ok,
            f"spectrum dev {worst_h:.2e}, square residual {worst_res:.2e}")
 

@@ -506,6 +506,24 @@ def test_approx_report(tmp_path):
     assert len(rep["hausdorff_consecutive"]) == 2
 
 
+@pytest.mark.parametrize("decay, want", [
+    ({"form": "gaussian"}, [True, True, False, False]),
+    ({"form": "geometric", "base": 4.0}, [True, True, True, True]),
+])
+def test_approx_says_which_increments_are_resolved(tmp_path, decay, want):
+    # Gaussian decay: the stage-2 and stage-3 increments (1.6e-29 and
+    # 6.6e-113) lie below ulp(0.1), so those stages repeat stage 1
+    cfg = write_config(tmp_path, "a.json", {
+        "family": {"kind": "pt_family", "base_amp": 0.1, "q0": 2, "levels": 3,
+                   "decay": decay},
+        "grid_size": 512, "n_steps": 1000, "epsilon_L": 0.01, "k": 0,
+    })
+    out = tmp_path / "out"
+    assert main(["approx", "--config", cfg, "--out", str(out)]) == 0
+    levels = json.loads((out / "approx_report.json").read_text())["levels"]
+    assert [lvl["increment_resolved"] for lvl in levels] == want
+
+
 def test_approx_reads_no_orbit_length(tmp_path, monkeypatch):
     # the zero-set sweep runs on the family's limit, a periodic sequence, so
     # the exponent takes the exact formula: n_steps is only echoed as N
@@ -627,6 +645,48 @@ def test_sieve_check(tmp_path):
     for key in ("X_invariant_residual", "Y_invariant_residual",
                 "similarity_residual"):
         assert rep[key] < 1e-12
+
+
+def test_sieve_check_diagnostics_report_a_residual_above_its_tolerance(tmp_path,
+                                                                      monkeypatch):
+    from cmvlab import operator
+
+    # on sieved input every residual is exactly 0.0, so one is patched in
+    def patched(hat, ref):
+        return {"X_invariant_residual": 0.0, "Y_invariant_residual": 2e-13,
+                "similarity_residual": 3e-12}
+
+    monkeypatch.setattr(operator, "_square_residuals", patched)
+    cfg = write_config(tmp_path, "s.json", {
+        "sequence": {"kind": "constant", "value": [0.5, 0.0]}, "dim": 8,
+    })
+    out = tmp_path / "out"
+    assert main(["sieve-check", "--config", cfg, "--out", str(out)]) == 0
+    rep = json.loads((out / "sieve_check.json").read_text())
+    assert rep["diagnostics"] == {"max_square_residual": {
+        "value": 3e-12, "tol": 1e-12, "name": "similarity_residual"}}
+
+
+def test_sieve_check_diagnostics_value_is_the_largest_residual(tmp_path, monkeypatch):
+    from cmvlab import operator
+
+    # without sieving the square leaks, so the three residuals are O(1) and
+    # apart
+    monkeypatch.setattr(operator, "sieve", lambda seq: seq)
+    cfg = write_config(tmp_path, "s.json", {
+        "sequence": {"kind": "periodic_table",
+                     "values": [[0.5, 0.0], [0.0, 0.3], [-0.2, 0.0], [0.4, 0.1]]},
+        "dim": 16,
+    })
+    out = tmp_path / "out"
+    assert main(["sieve-check", "--config", cfg, "--out", str(out)]) == 0
+    rep = json.loads((out / "sieve_check.json").read_text())
+    keys = ("X_invariant_residual", "Y_invariant_residual", "similarity_residual")
+    assert len({rep[k] for k in keys}) == 3 and min(rep[k] for k in keys) > 1e-2
+    worst = rep["diagnostics"]["max_square_residual"]
+    assert worst["value"] == max(rep[k] for k in keys)
+    assert rep[worst["name"]] == worst["value"]
+    assert worst["tol"] == 1e-12
 
 
 def test_weyl_defect(tmp_path):

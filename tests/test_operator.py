@@ -464,8 +464,12 @@ def test_verify_sieve_square_builds_no_dense_window(monkeypatch):
         raise AssertionError("verify_sieve_square must stay banded")
 
     monkeypatch.setattr(O, "assemble_cmv", no_dense)
-    res = O.verify_sieve_square(C.quasiperiodic_seq(0.6, 0.3, 0.1), 64)
-    assert max(res.values()) < 1e-14
+    monkeypatch.setattr(O, "_dense", no_dense)
+    # windows of 4 and 8 sites are narrower than the band: their wrapped
+    # diagonals are folded, not scattered into a dense window
+    for dim in (4, 8, 64):
+        res = O.verify_sieve_square(C.quasiperiodic_seq(0.6, 0.3, 0.1), dim)
+        assert max(res.values()) < 1e-14, dim
 
 
 def _banded_bytes() -> str:
