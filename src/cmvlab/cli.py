@@ -21,6 +21,7 @@ import json
 import math
 import os
 import reprlib
+import resource
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
@@ -218,6 +219,12 @@ _SEQUENCE_KINDS = {
 }
 
 
+# peak bytes per site of the largest period while a pt_family is built: the
+# stage tables, the float sums and the last table's complex copy (tracemalloc:
+# 64.1 at q0 = 6, levels = 14)
+_FAMILY_BUILD_BYTES = 64
+
+
 def _physical_memory() -> int:
     """Bytes of physical memory: the bound on the arrays a config may ask for."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -226,17 +233,21 @@ def _physical_memory() -> int:
 def _family(v: dict, approx: bool = False) -> coeffs.LimitPeriodicFamily:
     """The family of validated ``pt_family`` values.
 
-    A family whose complex arrays would not fit in physical memory is refused
-    before any stage table is built: the stage tables, fewer than 2 q values
-    for the largest period q = q0 * 2**levels, and for ``approx`` the two
-    dense (2q)^2 Floquet matrices of the spectrum at 2q.
+    A family whose arrays would not fit in physical memory, or under a
+    smaller soft address-space limit (``ulimit -v``), is refused before any
+    stage table is built: the build's peak, _FAMILY_BUILD_BYTES per site of
+    the largest period q = q0 * 2**levels, and for ``approx`` the two dense
+    (2q)^2 Floquet matrices of the spectrum at 2q, more at every q.
     """
-    q, memory = v["q0"] * 2 ** v["levels"], _physical_memory()
-    need = 16 * (2 * (2 * q) ** 2 if approx else 2 * q)
-    if q <= 2 ** 62 and need > memory:  # larger q: the constructor's own refusal
+    q, limit, what = v["q0"] * 2 ** v["levels"], _physical_memory(), "physical memory"
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY and soft < limit:
+        limit, what = soft, "the address-space limit (RLIMIT_AS)"
+    need = 16 * 2 * (2 * q) ** 2 if approx else _FAMILY_BUILD_BYTES * q
+    if q <= 2 ** 62 and need > limit:  # larger q: the constructor's own refusal
         raise ValueError(f"the pt_family with q0 = {v['q0']}, levels = {v['levels']} needs "
                          f"{need / 2 ** 30:.3g} GiB for its largest period q0 * 2**levels "
-                         f"= {q}, more than the {memory / 2 ** 30:.3g} GiB of physical memory")
+                         f"= {q}, more than the {limit / 2 ** 30:.3g} GiB of {what}")
     base_amp, q0, decay = v["base_amp"], v["q0"], None
     if v["decay"]["form"] == "geometric":
         base = v["decay"]["base"]
@@ -345,7 +356,7 @@ def _cmd_lyapunov(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
         delta = np.abs(vals - half_vals)
         i = int(np.argmax(delta))
         report["diagnostics"] = {
-            "lanes": transfer._lane_count(grid_size, n_steps),
+            "lanes": kept["lanes"],
             "half_N": n_half,
             "max_abs_delta": {"value": float(delta[i]), "theta": float(thetas[i])},
             "zero_set_flips": int(np.sum((vals < eps_L) != (half_vals < eps_L))),
@@ -411,13 +422,12 @@ def _cmd_walk(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
 
     # one pass: each record time continues from the previous checkpoint
     state = qwalk.WalkState.delta(cfg["initial"]["site"], cfg["initial"]["spin"])
-    walk = qwalk.build_walk(coins, (state.n_lo, state.n_hi))
     t_done = 0
     dist = {"t": [], "n": [], "p_plus": [], "p_minus": []}
     surv = {"t": [], "survival": []}
     drifts = []
     for t in sorted(set(record + [steps])):
-        state = qwalk.evolve(state, walk, t - t_done)
+        state = qwalk.evolve(state, coins, t - t_done)
         # the drift from t = 0 that evolve, and every state, holds to 1e-10
         drifts.append({"t": t, "value": abs(state.norm2() - 1.0), "tol": qwalk._NORM_TOL})
         t_done = t

@@ -54,10 +54,11 @@ def certificates():
     at k and pair n), ``min_band_gap`` (the distance from z_n(k) to
     z_{n+1}(k), at k and n) and ``max_edge_residual`` (the eigenpair residual
     of a band edge of ``floquet.periodic_spectrum``, at k = 0 or pi/q and the
-    edge angle theta).  The last Birkhoff ``transfer.lyapunov`` call with
-    n_steps >= 2 leaves ``half_orbit``: (n_half, the growth rates over the
-    first n_half sites), a float for a scalar z.  Outside any block nothing
-    is kept; a nested block collects apart and then restores the outer one.
+    edge angle theta).  The last Birkhoff ``transfer.lyapunov`` call leaves
+    ``lanes``, the number of orbit lanes its kernel ran, and, with n_steps
+    >= 2, ``half_orbit``: (n_half, the growth rates over the first n_half
+    sites), a float for a scalar z.  Outside any block nothing is kept; a
+    nested block collects apart and then restores the outer one.
     """
     kept: dict = {}
     token = _CERTIFICATES.set(kept)

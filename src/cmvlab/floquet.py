@@ -1,11 +1,11 @@
 """Floquet theory for periodic CMV operators.
 
-For a q-periodic sequence (q even) the twisted q x q restriction factors as
-E_q(k) = L_q M_q(k), where L_q stacks the even-index 2x2 blocks and M_q(k)
-carries the odd interior blocks plus corner entries -alpha_{q-1},
-conj(alpha_{q-1}) on the diagonal and rho_{q-1} e^{-+ i k q} in the corners.
-Its eigenvalues z_n(k) sweep out the spectral bands; the analytic band
-velocity has the closed form
+For a q-periodic sequence (q even) the twisted q x q restriction is
+E_q(k) = L_q M_q(k) (``floquet_matrices``), where L_q stacks the even-index
+2x2 blocks and M_q(k) carries the odd interior blocks plus corner entries
+-alpha_{q-1}, conj(alpha_{q-1}) on the diagonal and rho_{q-1} e^{-+ i k q}
+in the corners.  Its eigenvalues z_n(k) sweep out the spectral bands; the
+analytic band velocity has the closed form
 
     dz/dk = i q rho_{q-1} [conj(v(-1)) u(0) - conj(v(0)) u(-1)],
 
@@ -47,7 +47,7 @@ from .spectral_sets import CircleArcSet, TWO_PI
 from .transfer import monodromy
 
 __all__ = [
-    "floquet_blocks",
+    "floquet_matrices",
     "band_stacks",
     "band_derivative",
     "periodic_spectrum",
@@ -80,19 +80,17 @@ def _check_q(seq: CoefficientSequence, q: int) -> None:
         )
 
 
-def floquet_blocks(
-    seq: CoefficientSequence, q: int, k
-) -> tuple[np.ndarray, np.ndarray]:
-    """The q x q factors L_q and M_q(k): the wrap window over one period
-    with the Floquet phases e^{-+ikq} in M's corners.  For an array of k,
-    M has shape k.shape + (q, q)."""
+def floquet_matrices(seq: CoefficientSequence, q: int, k) -> np.ndarray:
+    """The q x q matrices E_q(k) = L_q M_q(k): the wrap window's factors
+    over one period, with the Floquet phases e^{-+ikq} in M's corners,
+    multiplied once.  For an array of k the result has shape k.shape + (q, q)."""
     _check_q(seq, q)
     k = np.asarray(k, dtype=float)
     L, M = assemble_lm(seq, 0, q)
     M = np.broadcast_to(M, k.shape + (q, q)).copy()
     M[..., 0, q - 1] *= np.exp(-1j * k * q)
     M[..., q - 1, 0] *= np.exp(1j * k * q)
-    return L, M
+    return np.matmul(L, M, out=M)
 
 
 def norm_diff(seq1: CoefficientSequence, seq2: CoefficientSequence, dim: int) -> float:
@@ -116,9 +114,7 @@ def norm_diff(seq1: CoefficientSequence, seq2: CoefficientSequence, dim: int) ->
             f"window dim {dim} must be a multiple of the common period {common}"
         )
     k = np.arange(dim // common) * (TWO_PI / dim)
-    L1, M1 = floquet_blocks(seq1, common, k)
-    L2, M2 = floquet_blocks(seq2, common, k)
-    diff = np.matmul(L1, M1, out=M1) - np.matmul(L2, M2, out=M2)
+    diff = floquet_matrices(seq1, common, k) - floquet_matrices(seq2, common, k)
     return float(np.linalg.svd(diff, compute_uv=False)[:, 0].max())
 
 
@@ -135,14 +131,14 @@ def _check_residuals(name: str, resid: np.ndarray, where) -> None:
 
 
 def _widest_gap_poles(E: np.ndarray) -> np.ndarray:
-    """A Cayley pole for each unitary of a stack E (B, q, q), overwritten: the
+    """A Cayley pole for each unitary of a stack E (B, q, q): the
     Hermitian parts (E + E*)/2, one stacked ``eigvalsh``, give the cosines of
     E's eigenangles.  With c the midpoint of the widest gap of [-1, cosines,
     1], at least 2/(q + 1) wide, the pole exp(i arccos c) lies at least
     1/(q + 1) in angle from every eigenvalue and its conjugate (cos is
     1-Lipschitz)."""
-    E += np.conjugate(E.swapaxes(-1, -2))  # E + E*, Hermitian to the last bit
-    c = np.clip(0.5 * np.linalg.eigvalsh(E), -1.0, 1.0)  # ascending
+    H = E + np.conjugate(E.swapaxes(-1, -2))  # E + E*, Hermitian to the last bit
+    c = np.clip(0.5 * np.linalg.eigvalsh(H), -1.0, 1.0)  # ascending
     t = np.pad(c, ((0, 0), (1, 1)), constant_values=(-1.0, 1.0))
     g = np.argmax(np.diff(t, axis=-1), axis=-1)
     rows = np.arange(len(t))
@@ -158,9 +154,8 @@ def _poles(seq: CoefficientSequence, q: int, k: np.ndarray) -> np.ndarray:
     width = math.pi / q / _POLE_INTERVALS
     interval = np.minimum(k // width, _POLE_INTERVALS - 1).astype(np.intp)
     touched = np.flatnonzero(np.bincount(interval, minlength=_POLE_INTERVALS))
-    L, M = floquet_blocks(seq, q, (touched + 0.5) * width)
     poles = np.empty(_POLE_INTERVALS, dtype=complex)
-    poles[touched] = _widest_gap_poles(np.matmul(L, M, out=M))
+    poles[touched] = _widest_gap_poles(floquet_matrices(seq, q, (touched + 0.5) * width))
     return poles[interval]
 
 
@@ -230,9 +225,7 @@ def band_stacks(seq: CoefficientSequence, q: int, k):
 
 def _stack(seq: CoefficientSequence, q: int, k: np.ndarray, poles: np.ndarray, s: slice):
     """The certified eigenpairs (s, z, u) of ``band_stacks`` at the k[s]."""
-    L, M = floquet_blocks(seq, q, k[s])
-    # E_q(k) in M's buffer
-    z, u, resid = _cayley_eigenpairs(np.matmul(L, M, out=M), poles[s])
+    z, u, resid = _cayley_eigenpairs(floquet_matrices(seq, q, k[s]), poles[s])
 
     def at(i, n):
         return {"k": float(k[s][i]), "n": int(n)}
@@ -306,8 +299,8 @@ def periodic_spectrum(seq: CoefficientSequence, q: int) -> CircleArcSet:
     E_q(k): NumericalInstabilityError if any residual exceeds 1e-10.
     """
     ks = (0.0, math.pi / q)
-    E = np.matmul(*floquet_blocks(seq, q, ks))
-    z, _, resid = _cayley_eigenpairs(E, _widest_gap_poles(E.copy()))
+    E = floquet_matrices(seq, q, ks)
+    z, _, resid = _cayley_eigenpairs(E, _widest_gap_poles(E))
     edges = np.angle(z) % TWO_PI
     _check_residuals("max_edge_residual", resid,
                      lambda i, n: {"k": ks[i], "theta": float(edges[i, n])})

@@ -28,10 +28,11 @@ past either edge.  A step is one elementwise 2x2 update of the two spin arrays,
 
 with the coin entries read as rows of the operator's coin table.
 
-``evolve`` returns the state on its window padded by t + 1 sites, the most
-the walker can travel.  The shift moves every amplitude by exactly one site,
-so the two parity chains, the sites at even and at odd offsets from the
-state's n_lo, never mix.  After s steps chain c covers the sites
+``evolve`` takes a state and the coin sequence it reads and returns the
+state on its window padded by t + 1 sites, the most the walker can travel.
+The shift moves every amplitude by exactly one site, so the two parity
+chains, the sites at even and at odd offsets from the state's n_lo, never
+mix.  After s steps chain c covers the sites
 n_lo + c - s + 2m, m = 0 .. m0 + s - 1: its whole light cone.  In that moving
 frame spin-up moves from m to m + 1 and spin-down stays at m, so each chain
 steps in place on two arrays with no shift copy, and a chain that starts at
@@ -282,8 +283,8 @@ def build_walk(coins: CoinSequence, window: tuple[int, int]) -> WalkOperator:
     return WalkOperator(coins=coins, n_lo=int(n_lo), n_hi=int(n_hi))
 
 
-def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
-    """State after t steps of U = S Q with the walk's coins.
+def evolve(state: WalkState, coins: CoinSequence, t: int) -> WalkState:
+    """State after t steps of U = S Q with the given coins.
 
     The result lives on the state's window padded by t + 1 sites on both
     sides, equal entry for entry to t ``WalkOperator.step`` calls there.
@@ -305,7 +306,7 @@ def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
     if t == 0:
         return state
     pad = t + 1
-    op = build_walk(walk.coins, (state.n_lo - pad, state.n_hi + pad))
+    op = build_walk(coins, (state.n_lo - pad, state.n_hi + pad))
     # rows[p] holds q00, q01, q10, q11 of the padded sites 2j + p, contiguous
     q = _coin_columns(op.table).reshape(4, -1)
     rows = [tuple(np.ascontiguousarray(q[:, p::2])) for p in (0, 1)]
@@ -342,13 +343,11 @@ def evolve(state: WalkState, walk: WalkOperator, t: int) -> WalkState:
     return WalkState(n_lo=op.n_lo, amplitudes=amp)
 
 
-def survival_probability(
-    state0: WalkState, walk: WalkOperator, J: int, t: int
-) -> float:
+def survival_probability(state0: WalkState, coins: CoinSequence, J: int, t: int) -> float:
     """Probability of finding the walker in sites |j| <= J at time t."""
     if J < 0:
         raise ValueError(f"J must be >= 0, got {J}")
-    return evolve(state0, walk, t).survival(J)
+    return evolve(state0, coins, t).survival(J)
 
 
 # ---------------------------------------------------------------------------

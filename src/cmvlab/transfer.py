@@ -47,8 +47,8 @@ in log2 P levels, each node of the tree a full 2x2 product: a lane's second
 column is rebuilt once from its first, and a joined node keeps both of its
 columns, so no long product's second column is ever rebuilt.  The earlier
 node of the last level (one lane: a snapshot at N // 2) gives the estimate
-at a shorter orbit for free; each Birkhoff call keeps it as ``half_orbit`` in
-the open ``errors.certificates`` block.
+at a shorter orbit for free; each Birkhoff call keeps it as ``half_orbit``,
+and P as ``lanes``, in the open ``errors.certificates`` block.
 
 A step's calls read every row operand forward and whole: z is tiled once per
 pass to the (P, cols * g) shape of a row, and each row is updated from the
@@ -259,13 +259,14 @@ def _pass(seq, zs, n_steps, lanes):
 
 
 def _birkhoff(seq, zs, n_steps):
-    """Birkhoff rates over n_steps sites at every z, n_half and the half-orbit rates.
+    """Birkhoff rates over n_steps sites at every z, the lane count, n_half
+    and the half-orbit rates.
 
     Memory is O(_POINTS + block): alpha is read one block of sites at a time.
     """
     lanes = _lane_count(zs.size, n_steps)
     rates, n_half, half = zip(*(_pass(seq, part, n_steps, lanes) for part in _passes(zs)))
-    return (np.concatenate(rates), n_half[0],
+    return (np.concatenate(rates), lanes, n_half[0],
             None if half[0] is None else np.concatenate(half))
 
 
@@ -349,7 +350,8 @@ def lyapunov(seq: CoefficientSequence, z, n_steps: int = 100_000) -> float | np.
     else:
         if n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-        vals, n_half, half = _birkhoff(seq, zs, n_steps)
+        vals, lanes, n_half, half = _birkhoff(seq, zs, n_steps)
+        record("lanes", lanes)
         if n_half:
             record("half_orbit", (n_half, float(half[0]) if np.ndim(z) == 0 else half))
     bad = np.flatnonzero(~np.isfinite(vals))  # NaN is not finite

@@ -25,10 +25,10 @@ def band_arcs_from_kgrid(seq, q: int, k_points: int = 129) -> CircleArcSet:
     if k_points < 2:
         raise ValueError(f"k_points must be at least 2, got {k_points}")
 
-    L, M = F.floquet_blocks(seq, q, np.linspace(0.0, math.pi / q, k_points))
+    E = F.floquet_matrices(seq, q, np.linspace(0.0, math.pi / q, k_points))
     prev = None
     tracks = None
-    for w in np.linalg.eigvals(L @ M):
+    for w in np.linalg.eigvals(E):
         if prev is None:
             order = np.argsort(np.angle(w) % TWO_PI)
             w = w[order]

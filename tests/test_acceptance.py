@@ -292,9 +292,9 @@ def test_11_weyl_free_oracle():
 
 def test_12_quantum_walk_scattering():
     state = Q.WalkState.delta(0, "+")
-    walk = Q.build_walk(Q.hadamard_coins(), (state.n_lo, state.n_hi))
-    surv = {t: Q.survival_probability(state, walk, 5, t) for t in (32, 128, 512)}
-    final = Q.evolve(state, walk, 512)
+    coins = Q.hadamard_coins()
+    surv = {t: Q.survival_probability(state, coins, 5, t) for t in (32, 128, 512)}
+    final = Q.evolve(state, coins, 512)
     norm_drift = abs(final.norm2() - 1.0)
     ok = (surv[32] > surv[128] > surv[512] and surv[512] < 0.2
           and norm_drift < 1e-7)

@@ -284,8 +284,7 @@ def test_band_edges_are_floquet_eigenvalues(values, half):
     if arcs.is_full() or arcs.is_empty():
         return
     # Delta = +-2 exactly at the eigenvalues of E_q(0) and E_q(pi/q)
-    L, M = F.floquet_blocks(seq, q, [0.0, math.pi / q])
-    eig = np.linalg.eigvals(L @ M).ravel()
+    eig = np.linalg.eigvals(F.floquet_matrices(seq, q, [0.0, math.pi / q])).ravel()
     for edge in arcs.arcs.ravel():
         assert np.min(np.abs(eig - cmath.exp(1j * edge))) < 1e-7
         assert abs(abs(F.discriminant(seq, q, edge)) - 2.0) < 1e-6
@@ -619,7 +618,7 @@ def test_column_kernel_matches_the_matmul_reference(seq, g, n, shift):
         assert kept["half_orbit"][0] == n_half
         np.testing.assert_allclose(kept["half_orbit"][1], want_half, rtol=0, atol=1e-12)
     else:
-        assert kept == {}
+        assert list(kept) == ["lanes"]
 
 
 @settings(max_examples=20, deadline=None)
@@ -763,9 +762,10 @@ def test_half_orbit_estimates_are_the_shorter_products(g, n):
     zs = np.exp(1j * TWO_PI * (np.arange(g) + 0.5) / g)
     with certificates() as kept:
         full = T.lyapunov(seq, zs, n_steps=n)
-    assert list(kept) == ["half_orbit"]
+    assert list(kept) == ["lanes", "half_orbit"]
     n_half, vals = kept["half_orbit"]
-    lanes = T._lane_count(g, n)
+    lanes = kept["lanes"]
+    assert lanes == T._lane_count(g, n)
     assert n_half == (n // 2 if lanes == 1 else lanes // 2 * (n // lanes))
     np.testing.assert_allclose(vals, T.lyapunov(seq, zs, n_steps=n_half), rtol=0, atol=1e-12)
     np.testing.assert_allclose(full, T.lyapunov(seq, zs, n_steps=n), rtol=0, atol=0)
@@ -788,15 +788,17 @@ def test_one_collector_keeps_half_orbits_and_edge_residuals(make_periodic):
             scalar = T.lyapunov(seq, complex(zs[0]), n_steps=101)
             T.lyapunov(C.constant_seq(0.3), zs, n_steps=1000)  # periodic: no record
         F.periodic_spectrum(per, 4)  # after the inner block, into the outer dict
-    assert set(kept) == {"half_orbit", "max_edge_residual"}
+    assert set(kept) == {"lanes", "half_orbit", "max_edge_residual"}
     n_half, vals = kept["half_orbit"]
-    lanes = T._lane_count(zs.size, 1000)
+    lanes = kept["lanes"]
+    assert lanes == T._lane_count(zs.size, 1000)
     assert n_half == lanes // 2 * (1000 // lanes) and vals.shape == rates.shape
     np.testing.assert_allclose(vals, T.lyapunov(seq, zs, n_steps=n_half), rtol=0, atol=1e-12)
     edge = kept["max_edge_residual"]
     assert edge["tol"] == 1e-10 and 0 <= edge["value"] <= edge["tol"]
     # the inner block collected apart: the scalar call, as a float
-    assert list(inner) == ["half_orbit"] and inner["half_orbit"][0] == 101 // 2
+    assert list(inner) == ["lanes", "half_orbit"] and inner["half_orbit"][0] == 101 // 2
+    assert inner["lanes"] == T._lane_count(1, 101) == 1
     assert type(inner["half_orbit"][1]) is float and type(scalar) is float
     assert abs(inner["half_orbit"][1] - birkhoff_oracle(seq, zs[0], 101 // 2)) < 1e-12
     # outside any block nothing is kept
@@ -819,9 +821,10 @@ def test_short_orbits_match_the_oracle_and_record_half_orbits(seq, n, g):
     for i in sorted({0, g // 2, g - 1}):
         assert abs(got[i] - birkhoff_oracle(seq, zs[i], n)) < 1e-12
     assert ("half_orbit" in kept) == (n >= 2)
+    lanes = kept["lanes"]
+    assert lanes == T._lane_count(g, n)
     if n >= 2:
         # n // 2 for one lane (wide grids, n < 128) and for two (n >= 128)
-        lanes = T._lane_count(g, n)
         assert kept["half_orbit"][0] == (n // 2 if lanes == 1 else lanes // 2 * (n // lanes))
 
 

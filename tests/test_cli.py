@@ -150,10 +150,10 @@ def test_bands_diagnostics_match_eig(tmp_path, monkeypatch):
     _, rows = read_csv(out / "bands.csv")
     ks = np.array([float(r[2]) for r in rows[::q]])
     z = np.array([complex(float(r[3]), float(r[4])) for r in rows]).reshape(K, q)
-    L, M = floquet.floquet_blocks(seq, q, ks)
+    Ek = floquet.floquet_matrices(seq, q, ks)
 
     # gaps between neighbouring eigenvalues of np.linalg.eig, sorted by angle
-    w = np.linalg.eigvals(L @ M)
+    w = np.linalg.eigvals(Ek)
     w = np.take_along_axis(w, np.argsort(np.angle(w) % (2 * math.pi), axis=1), axis=1)
     gaps = np.abs(w - np.roll(w, -1, axis=1))
     gap = diag["min_band_gap"]
@@ -165,7 +165,7 @@ def test_bands_diagnostics_match_eig(tmp_path, monkeypatch):
     # every eigenpair residual ||E u - z u||, z as written, u of band_stacks;
     # by Bauer-Fike each z then lies that close to an eigenvalue of eig
     _, _, u = next(floquet.band_stacks(seq, q, ks))
-    resid = np.array([[np.linalg.norm(L @ M[i] @ u[i, :, n] - z[i, n] * u[i, :, n])
+    resid = np.array([[np.linalg.norm(Ek[i] @ u[i, :, n] - z[i, n] * u[i, :, n])
                        for n in range(q)] for i in range(K)])
     res = diag["max_band_residual"]
     i = int(np.flatnonzero(ks == res["k"])[0])
@@ -178,8 +178,7 @@ def test_bands_diagnostics_match_eig(tmp_path, monkeypatch):
     # pi/q, recomputed one pair at a time, and every edge and arc end within
     # 64 q eps of an eigenvalue of eig
     ends = [0.0, math.pi / q]
-    E = floquet.floquet_blocks(seq, q, ends)
-    E = E[0] @ E[1]
+    E = floquet.floquet_matrices(seq, q, ends)
     edge_resid = np.array([[np.linalg.norm(E[i] @ ue[i, :, n] - ze[i, n] * ue[i, :, n])
                             for n in range(q)] for i in range(2)])
     edge = diag["max_edge_residual"]
@@ -199,8 +198,7 @@ def test_bands_exits_3_when_the_pole_sits_on_the_spectrum(tmp_path, capsys, monk
     from cmvlab import floquet
 
     def on_spectrum(seq, q, k):
-        L, M = floquet.floquet_blocks(seq, q, k)
-        return np.linalg.eigvals(L @ M)[:, 0]
+        return np.linalg.eigvals(floquet.floquet_matrices(seq, q, k))[:, 0]
 
     cfg, _ = _bands_config(tmp_path, 8, 16)
     assert main(["bands", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
@@ -313,10 +311,13 @@ def test_an_approx_family_too_large_for_memory_exits_2_before_any_stage_table(
     assert built == [] and not out.exists()
 
 
-@pytest.mark.parametrize("command, need", [
+PT_FAMILY_NEEDS = [
     ("approx", 16 * 2 * (2 * 8) ** 2),  # two dense (2q)^2 Floquet matrices, q = 8
-    ("lyapunov", 16 * 2 * 8),  # the stage tables, fewer than 2q values
-])
+    ("lyapunov", 64 * 8),  # the build's peak, 64 bytes per site of q
+]
+
+
+@pytest.mark.parametrize("command, need", PT_FAMILY_NEEDS)
 def test_the_pt_family_memory_bound_is_the_physical_memory(tmp_path, monkeypatch, command,
                                                            need):
     from cmvlab import cli
@@ -330,6 +331,37 @@ def test_the_pt_family_memory_bound_is_the_physical_memory(tmp_path, monkeypatch
     built = spy_on_stage_tables(monkeypatch)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "refused")]) == 2
     assert built == []
+
+
+@pytest.mark.parametrize("command, need", PT_FAMILY_NEEDS)
+def test_the_pt_family_memory_bound_is_the_address_space_limit_where_smaller(
+        tmp_path, capsys, monkeypatch, command, need):
+    # a soft ``ulimit -v`` below the family's need refuses it before any
+    # stage table is built, whatever the physical memory
+    import resource
+
+    from cmvlab import cli
+
+    key = "family" if command == "approx" else "sequence"
+    cfg = write_config(tmp_path, "c.json", {key: APPROX_SMALL["family"], "grid_size": 64,
+                                            "n_steps": 1000})
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 40)
+    getrlimit = resource.getrlimit
+
+    def soft_limit(limit):
+        return lambda which: ((limit, resource.RLIM_INFINITY) if which == resource.RLIMIT_AS
+                              else getrlimit(which))
+
+    monkeypatch.setattr(resource, "getrlimit", soft_limit(need))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "fits")]) == 0
+    monkeypatch.setattr(resource, "getrlimit", soft_limit(need - 1))
+    built = spy_on_stage_tables(monkeypatch)
+    out = tmp_path / "refused"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the pt_family with q0 = 2, levels = 2 needs ")
+    assert err.rstrip().endswith("of the address-space limit (RLIMIT_AS)")
+    assert built == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -569,8 +601,7 @@ def test_approx_diagnostics_match_the_edge_residuals(tmp_path, monkeypatch):
         for (seq, p), (z, u) in zip([(stage, q), (C.periodize(family.limit, 2 * q), 2 * q)],
                                     pairs[2 * n:2 * n + 2]):
             ends = [0.0, math.pi / p]
-            L, M = floquet.floquet_blocks(seq, p, ends)
-            E = L @ M
+            E = floquet.floquet_matrices(seq, p, ends)
             resid += [(np.linalg.norm(E[i] @ u[i, :, m] - z[i, m] * u[i, :, m]), ends[i],
                        float(np.angle(z[i, m]) % (2 * math.pi)))
                       for i in range(2) for m in range(p)]
@@ -949,7 +980,7 @@ def test_integers_beyond_int64_exit_2_before_any_work(tmp_path, capsys, monkeypa
     def no_compute(*args, **kwargs):
         raise AssertionError("integer fields must be checked before any work")
 
-    monkeypatch.setattr(qwalk, "build_walk", no_compute)
+    monkeypatch.setattr(qwalk, "evolve", no_compute)
     monkeypatch.setattr(weyl, "_defects", no_compute)
     out = tmp_path / "o"
     assert main([command, "--config", write_config(tmp_path, "c.json", config),
@@ -1019,18 +1050,17 @@ def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
     vals = [complex(re, im) for re, im in gammas]
     coins = qwalk.cgmv_coins(coefficients.periodic_table_seq(vals))
     state0 = qwalk.WalkState.delta(2, "-")
-    walk = qwalk.build_walk(coins, (state0.n_lo, state0.n_hi))
     dist = ["# manifest: manifest.json", "t,n,p_plus,p_minus"]
     surv = ["# manifest: manifest.json", "t,survival"]
     for t in (0, 1, 13, 40, 41, 97):
-        st = qwalk.evolve(state0, walk, t)
+        st = qwalk.evolve(state0, coins, t)
         for j in range(st.n_lo, st.n_hi + 1):
             pp = coefficients._abs2(st.amplitude(j, "+"))
             pm = coefficients._abs2(st.amplitude(j, "-"))
             if pp > 0 or pm > 0:
                 dist.append(",".join(fmt(v) for v in (t, j, pp, pm)))
         surv.append(",".join(fmt(v) for v in
-                             (t, qwalk.survival_probability(state0, walk, 4, t))))
+                             (t, qwalk.survival_probability(state0, coins, 4, t))))
     assert (out / "distribution.csv").read_text() == "\n".join(dist) + "\n"
     assert (out / "survival.csv").read_text() == "\n".join(surv) + "\n"
 
@@ -1050,10 +1080,9 @@ def test_walk_distribution_equals_per_amplitude_python_squares(tmp_path):
 
     coins = qwalk.cgmv_coins(coefficients.periodic_table_seq(gammas))
     state = qwalk.WalkState.delta(0, "+")
-    walk = qwalk.build_walk(coins, (state.n_lo, state.n_hi))
     dist, t_done = ["# manifest: manifest.json", "t,n,p_plus,p_minus"], 0
     for t in record:
-        state, t_done = qwalk.evolve(state, walk, t - t_done), t
+        state, t_done = qwalk.evolve(state, coins, t - t_done), t
         for i, (up, dn) in enumerate(state.amplitudes.tolist()):
             # re * re + im * im in Python floats, per amplitude
             pp, pm = coefficients._abs2(up), coefficients._abs2(dn)

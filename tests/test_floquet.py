@@ -34,39 +34,70 @@ def matched_fd(seq, q, k, h=1e-5):
     return out
 
 
+def twisted_factors(seq, q, k):
+    """assemble_lm's factors over one period, with M's corners times the
+    Floquet phases e^{-ikq} at (0, q-1) and e^{ikq} at (q-1, 0), applied by
+    hand: M has shape k.shape + (q, q)."""
+    k = np.asarray(k, dtype=float)
+    L, M = O.assemble_lm(seq, 0, q)
+    M = np.array(np.broadcast_to(M, k.shape + (q, q)))
+    M[..., 0, q - 1] *= np.exp(-1j * k * q)
+    M[..., q - 1, 0] *= np.exp(1j * k * q)
+    return L, M
+
+
 def test_blocks_free_q2_k0():
-    L, M = F.floquet_blocks(C.constant_seq(0.0), 2, 0.0)
+    L, M = O.assemble_lm(C.constant_seq(0.0), 0, 2)
     np.testing.assert_allclose(L, [[0, 1], [1, 0]], atol=0)
     np.testing.assert_allclose(M, [[0, 1], [1, 0]], atol=0)
+    np.testing.assert_allclose(F.floquet_matrices(C.constant_seq(0.0), 2, 0.0), np.eye(2),
+                               atol=0)
 
 
 def test_blocks_unitarity(make_periodic):
     for q in (2, 4, 8, 16):
         s = make_periodic(q, radius=0.7)
         for k in np.linspace(0.0, math.pi / q, 64):
-            L, M = F.floquet_blocks(s, q, k)
-            for B in (L, M, L @ M):
+            L, M = twisted_factors(s, q, k)
+            for B in (L, M, F.floquet_matrices(s, q, k)):
                 assert np.max(np.abs(B @ B.conj().T - np.eye(q))) < 1e-13
 
 
 def test_blocks_validations():
     s = C.constant_seq(0.1)
     with pytest.raises(ValueError):
-        F.floquet_blocks(s, 3, 0.0)
+        F.floquet_matrices(s, 3, 0.0)
     s3 = C.periodize(s, 3)
     with pytest.raises(ValueError):
-        F.floquet_blocks(s3, 4, 0.0)
+        F.floquet_matrices(s3, 4, 0.0)
     raw = C.CoefficientSequence(fn=lambda n: np.zeros(n.shape, complex))
     with pytest.raises(ValueError):
-        F.floquet_blocks(raw, 2, 0.0)
+        F.floquet_matrices(raw, 2, 0.0)
+
+
+@pytest.mark.parametrize("q", [2, 4, 34])
+def test_floquet_matrices_are_the_twisted_factors_multiplied_bitwise(make_periodic, q):
+    # E_q(k) = L_q M_q(k) from assemble_lm's factors with the corner phases
+    # applied by hand, at a scalar k and over an array of k; each k of a stack
+    # has the bits of its own call
+    s = make_periodic(q, radius=0.7)
+    ks = np.linspace(0.0, math.pi / q, 7)
+    E = F.floquet_matrices(s, q, ks)
+    assert E.shape == (7, q, q)
+    assert np.array_equal(bits(E), bits(np.matmul(*twisted_factors(s, q, ks))))
+    for i, k in enumerate(ks.tolist()):
+        Ek = F.floquet_matrices(s, q, k)
+        assert Ek.shape == (q, q)
+        assert np.array_equal(bits(Ek), bits(np.matmul(*twisted_factors(s, q, k))))
+        assert np.array_equal(bits(Ek), bits(E[i]))
 
 
 def test_dual_operator_identity(make_periodic):
     for q in (2, 4, 8):
         s = make_periodic(q, radius=0.6)
         k = 0.3 / q
-        L, M = F.floquet_blocks(s, q, k)
-        E = L @ M
+        L, M = twisted_factors(s, q, k)
+        E = F.floquet_matrices(s, q, k)
         dual = M @ L
         conj = L.conj().T @ E @ L
         assert np.max(np.abs(dual - conj)) < 1e-13
@@ -81,14 +112,13 @@ def test_free_q2_eigens_on_circle():
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
-def test_band_eigens_contracts(make_periodic):
+def test_band_stacks_contracts(make_periodic):
     for q in (2, 4, 8):
         s = make_periodic(q, radius=0.5)
         k = 0.7 * math.pi / q / 2
         _, z, u = next(F.band_stacks(s, q, k))
         assert z.shape == (1, q) and u.shape == (1, q, q)
-        L, M = F.floquet_blocks(s, q, k)
-        E = L @ M
+        E = F.floquet_matrices(s, q, k)
         for n in range(q):
             zn, un = z[0, n], u[0, :, n]
             assert abs(np.linalg.norm(un) - 1) < 1e-12
@@ -96,7 +126,7 @@ def test_band_eigens_contracts(make_periodic):
             assert abs(abs(zn) - 1) < 1e-12
 
 
-def test_band_eigens_rejects_endpoint_k():
+def test_band_stacks_rejects_endpoint_k():
     s = C.constant_seq(0.3)
     with pytest.raises(ValueError):
         F.band_stacks(s, 2, 0.0)
@@ -107,7 +137,7 @@ def test_band_eigens_rejects_endpoint_k():
         F.band_stacks(s, 2, [0.1, 0.0, 0.2])
 
 
-def test_band_eigens_checks_the_residual_of_every_k_and_pair(monkeypatch):
+def test_band_stacks_checks_the_residual_of_every_k_and_pair(monkeypatch):
     # one eigenvector of one k tilted towards its neighbour leaves a residual
     # of 1e-6 and refuses the whole stack
     s = C.periodize(C.constant_seq(0.5), 4)
@@ -130,12 +160,11 @@ def test_band_eigens_checks_the_residual_of_every_k_and_pair(monkeypatch):
 
 
 def _pole_on_the_spectrum(seq, q, k):
-    L, M = F.floquet_blocks(seq, q, k)
-    return np.linalg.eigvals(L @ M)[:, 0]
+    return np.linalg.eigvals(F.floquet_matrices(seq, q, k))[:, 0]
 
 
 @pytest.mark.parametrize("q, radius", [(2, 0.0), (8, 0.5)])
-def test_band_eigens_refuses_a_pole_on_the_spectrum(monkeypatch, make_periodic, q, radius):
+def test_band_stacks_refuses_a_pole_on_the_spectrum(monkeypatch, make_periodic, q, radius):
     # free q = 2: E is diagonal and pI - E exactly singular; q = 8: the
     # transform loses every digit and the residuals show it
     s = make_periodic(q, radius=radius)
@@ -146,7 +175,7 @@ def test_band_eigens_refuses_a_pole_on_the_spectrum(monkeypatch, make_periodic, 
         next(F.band_stacks(s, q, ks))
 
 
-def test_band_eigens_degenerate_error():
+def test_band_stacks_degenerate_error():
     # folding the constant sequence to period 4 makes bands touch near pi/4
     s = C.periodize(C.constant_seq(0.5), 4)
     with pytest.raises(DegenerateBandError) as err:
@@ -209,7 +238,7 @@ def bits(x):
 
 
 @pytest.mark.parametrize("q", [2, 8, 32])
-def test_band_eigens_is_bitwise_independent_of_the_k_batch(make_periodic, q):
+def test_band_stacks_is_bitwise_independent_of_the_k_batch(make_periodic, q):
     # the byte-identical bands.csv promise: the pole of each k depends on k
     # alone, so a stack gives each k the bits of its own call, and the array
     # velocities round like the scalar formula
@@ -243,19 +272,20 @@ def band_problems(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(problem=band_problems())
-def test_band_eigens_match_eig_and_first_order_velocities(problem):
+def test_band_stacks_match_eig_and_first_order_velocities(problem):
     # oracles: np.linalg.eig's eigenvalues, and dz/dk = u* (dE/dk) u for its
     # unit eigenvectors, within the bound of the benchmark's band oracle
     seq, q, ks = problem
-    L, M = F.floquet_blocks(seq, q, ks)
+    L, M = twisted_factors(seq, q, ks)
     dM = np.zeros_like(M)
     dM[:, 0, q - 1] = -1j * q * M[:, 0, q - 1]
     dM[:, q - 1, 0] = 1j * q * M[:, q - 1, 0]
+    E = F.floquet_matrices(seq, q, ks)
     eps = np.finfo(float).eps
     for cut, z, u in F.band_stacks(seq, q, ks):
         dz = F.band_derivative(seq, q, ks[cut], u)
         for i, zi, dzi in zip(range(ks.size)[cut], z, dz):
-            w, V = np.linalg.eig(L @ M[i])
+            w, V = np.linalg.eig(E[i])
             V /= np.linalg.norm(V, axis=0)
             match = np.argmin(np.abs(zi[:, None] - w[None, :]), axis=1)
             assert np.array_equal(np.sort(match), np.arange(q))
@@ -284,7 +314,7 @@ def test_band_stacks_choose_the_poles_once_and_check_on_the_call(make_periodic):
         F.band_stacks(s, q, [0.1, 0.0])  # refused before any stack is asked for
 
 
-def test_band_eigens_temporaries_do_not_grow_with_k(make_periodic):
+def test_band_stacks_temporaries_do_not_grow_with_k(make_periodic):
     # q = 128, K = 64: the eigenvectors of all k fill 16.8 MB, and the
     # temporaries of the eigenproblems stay below one more such array (one
     # stack over all k holds two)
@@ -394,7 +424,7 @@ README_PT = {"kind": "pt_family", "base_amp": 0.1, "q0": 2, "levels": 3,
 def mp_gaps(seq, q, dps=30):
     """Gaps of sigma(E_q) from dps-digit eigenvalues of E_q(0), E_q(pi/q).
 
-    The blocks repeat the formulas of ``floquet_blocks`` in mpmath; at
+    The blocks repeat the formulas of ``floquet_matrices`` in mpmath; at
     k = 0 and k = pi/q the corner phases e^{-+ikq} are exactly +1 and -1.
     Gaps narrower than 1e-12 (the arc merge tolerance) are dropped: the
     rounding of the coefficients to doubles opens some closed gaps by a few
@@ -594,8 +624,7 @@ def mp_band_edges(seq, q, starts, levels, dps=30, iters=2):
 def assert_edges_match_30_digits(seq, q):
     arcs = F.periodic_spectrum(seq, q)
     assert arcs.arcs.shape == (q, 2)
-    L, M = F.floquet_blocks(seq, q, [0.0, math.pi / q])
-    starts = np.linalg.eigvals(L @ M).ravel()
+    starts = np.linalg.eigvals(F.floquet_matrices(seq, q, [0.0, math.pi / q])).ravel()
     want = mp_band_edges(seq, q, np.angle(starts) % TWO_PI, np.repeat([2.0, -2.0], q))
     got = arcs.arcs.ravel() % TWO_PI
     dist = np.abs((got[:, None] - want[None, :] + math.pi) % TWO_PI - math.pi)
@@ -691,8 +720,7 @@ def test_each_pole_keeps_its_margin_from_the_spectrum_at_its_interval_centre(pro
     poles = np.concatenate([F._poles(seq, q, ks), solve.call_args.args[1]])
     width = math.pi / q / F._POLE_INTERVALS
     centres = (np.minimum(ks // width, F._POLE_INTERVALS - 1) + 0.5) * width
-    L, M = F.floquet_blocks(seq, q, np.append(centres, [0.0, math.pi / q]))
-    w = np.linalg.eigvals(L @ M)
+    w = np.linalg.eigvals(F.floquet_matrices(seq, q, np.append(centres, [0.0, math.pi / q])))
     w = np.concatenate([w, w.conj()], axis=-1)
     assert np.all(np.abs(np.abs(poles) - 1.0) <= 1e-15)
     margin = np.abs(np.angle(w * poles[:, None].conj()))

@@ -385,9 +385,8 @@ def test_lm_and_floquet_blocks_are_scalar_theta_bitwise(seq, data):
     rho = corner[0, 1].real
     corner[0, 1] = rho * cmath.exp(1j * k * q)
     corner[1, 0] = rho * cmath.exp(-1j * k * q)
-    L, M = F.floquet_blocks(seq, q, k)
     want_L, want_M = place_blocks(blocks[:-1] + [corner])
-    assert np.array_equal(L, want_L) and np.array_equal(M, want_M)
+    assert np.array_equal(F.floquet_matrices(seq, q, k), want_L @ want_M)
 
 
 def test_cmv_banded_validations():

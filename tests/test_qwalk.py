@@ -14,8 +14,7 @@ from cmvlab.errors import CoinGaugeError
 
 def test_pure_shift_single_and_many_steps():
     st = Q.WalkState.delta(0, "+")
-    walk = Q.build_walk(Q.identity_coins(), (st.n_lo, st.n_hi))
-    out = Q.evolve(st, walk, 5)
+    out = Q.evolve(st, Q.identity_coins(), 5)
     assert out.amplitude(5, "+") == pytest.approx(1.0)
     assert out.norm2() == pytest.approx(1.0, abs=1e-12)
 
@@ -23,15 +22,13 @@ def test_pure_shift_single_and_many_steps():
 def test_spin_swap_coin_single_step():
     swap = Q.constant_coins(np.array([[0, 1], [1, 0]]))
     st = Q.WalkState.delta(0, "+")
-    walk = Q.build_walk(swap, (st.n_lo, st.n_hi))
-    out = Q.evolve(st, walk, 1)
+    out = Q.evolve(st, swap, 1)
     assert out.amplitude(-1, "-") == pytest.approx(1.0)
 
 
 def test_evolve_t0_identity():
     st = Q.WalkState.delta(2, "-")
-    walk = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi))
-    assert Q.evolve(st, walk, 0) is st
+    assert Q.evolve(st, Q.hadamard_coins(), 0) is st
 
 
 def test_hadamard_unitarity_and_norm():
@@ -39,7 +36,7 @@ def test_hadamard_unitarity_and_norm():
     walk = Q.build_walk(Q.hadamard_coins(), (-8, 7))
     U = walk.matrix()
     assert np.max(np.abs(U @ U.conj().T - np.eye(32))) < 1e-13
-    out = Q.evolve(st, Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi)), 100)
+    out = Q.evolve(st, Q.hadamard_coins(), 100)
     assert abs(out.norm2() - 1.0) < 1e-7
 
 
@@ -138,7 +135,7 @@ def test_evolve_is_t_public_steps_on_the_padded_state(rng, period, t):
     _, coins = _cgmv_period(period)
     amp = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
     st = Q.WalkState(n_lo=-3, amplitudes=amp / np.sqrt(np.sum(np.abs(amp) ** 2)))
-    got = Q.evolve(st, Q.build_walk(coins, (st.n_lo, st.n_hi)), t)
+    got = Q.evolve(st, coins, t)
 
     pad = t + 1
     padded = np.zeros((5 + 2 * pad, 2), dtype=complex)
@@ -156,7 +153,7 @@ def test_evolve_with_quasiperiodic_coins_is_t_public_steps(rng, t):
     coins = Q.cgmv_coins(C.quasiperiodic_seq(0.8, 0.6180339887498949, 0.3))
     amp = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
     st = Q.WalkState(n_lo=-3, amplitudes=amp / np.sqrt(np.sum(np.abs(amp) ** 2)))
-    got = Q.evolve(st, Q.build_walk(coins, (st.n_lo, st.n_hi)), t)
+    got = Q.evolve(st, coins, t)
 
     pad = t + 1
     padded = np.zeros((5 + 2 * pad, 2), dtype=complex)
@@ -196,7 +193,7 @@ _CHAIN_STATES = dict(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 8),
 def test_evolve_in_the_chain_frame_is_t_public_steps(seed, width, n_lo, empty, period, t):
     state = _chain_state(seed, width, n_lo, empty)
     coins = _random_coins(seed, period)
-    got = Q.evolve(state, Q.build_walk(coins, (state.n_lo, state.n_hi)), t)
+    got = Q.evolve(state, coins, t)
 
     pad = t + 1
     padded = np.zeros((width + 2 * pad, 2), dtype=complex)
@@ -213,9 +210,9 @@ def test_evolve_in_the_chain_frame_is_t_public_steps(seed, width, n_lo, empty, p
 @given(a=st.integers(0, 20), b=st.integers(0, 20), **_CHAIN_STATES)
 def test_evolve_composes_bit_for_bit(seed, width, n_lo, empty, period, a, b):
     state = _chain_state(seed, width, n_lo, empty)
-    walk = Q.build_walk(_random_coins(seed, period), (state.n_lo, state.n_hi))
-    two = Q.evolve(Q.evolve(state, walk, a), walk, b)
-    one = Q.evolve(state, walk, a + b)
+    coins = _random_coins(seed, period)
+    two = Q.evolve(Q.evolve(state, coins, a), coins, b)
+    one = Q.evolve(state, coins, a + b)
     # the composed window is the wider one; both contain the light cone
     lo = one.n_lo - two.n_lo
     assert lo >= 0 and two.n_hi - one.n_hi == lo
@@ -243,9 +240,8 @@ def test_evolve_with_general_unitary_coins_is_t_public_steps(period, n_lo, empty
     if empty is not None:
         amp[empty::2] = 0.0
     state = Q.WalkState(n_lo=n_lo, amplitudes=amp / np.sqrt(np.sum(np.abs(amp) ** 2)))
-    walk = Q.build_walk(coins, (state.n_lo, state.n_hi))
     for t in (1, 2, 3, 17, 40):
-        got = Q.evolve(state, walk, t)
+        got = Q.evolve(state, coins, t)
         pad = t + 1
         padded = np.zeros((6 + 2 * pad, 2), dtype=complex)
         padded[pad:-pad] = state.amplitudes
@@ -292,9 +288,8 @@ def test_evolve_matches_the_einsum_reference(rng, period, initial):
     else:
         amp = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
         st = Q.WalkState(n_lo=-4, amplitudes=amp / np.sqrt(np.sum(np.abs(amp) ** 2)))
-    walk = Q.build_walk(coins, (st.n_lo, st.n_hi))
     for t in (1, 2, 31, 128, 512):
-        got = Q.evolve(st, walk, t)
+        got = Q.evolve(st, coins, t)
         n_lo, ref = _einsum_evolve(st, coins, t)
         assert got.n_lo == n_lo and got.amplitudes.shape == ref.shape
         assert np.max(np.abs(got.amplitudes - ref)) <= 1e-15
@@ -310,9 +305,8 @@ def test_evolve_is_zero_off_its_sublattice_and_outside_the_cone(rng, chain):
     amp = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
     amp[1 - chain::2] = 0.0
     st = Q.WalkState(n_lo=-4, amplitudes=amp / np.sqrt(np.sum(np.abs(amp) ** 2)))
-    walk = Q.build_walk(coins, (st.n_lo, st.n_hi))
     for t in (1, 2, 31, 128):
-        got = Q.evolve(st, walk, t)
+        got = Q.evolve(st, coins, t)
         n_lo, ref = _einsum_evolve(st, coins, t)
         sites = n_lo + np.arange(ref.shape[0])
         off = ((sites - st.n_lo - chain - t) % 2 == 1) | (sites < st.n_lo - t) \
@@ -324,11 +318,11 @@ def test_evolve_is_zero_off_its_sublattice_and_outside_the_cone(rng, chain):
 
 def test_survival_examples():
     st = Q.WalkState.delta(0, "+")
-    shift = Q.build_walk(Q.identity_coins(), (st.n_lo, st.n_hi))
+    shift = Q.identity_coins()
     assert Q.survival_probability(st, shift, 0, 0) == pytest.approx(1.0)
     assert Q.survival_probability(st, shift, 3, 10) == pytest.approx(0.0, abs=1e-15)
 
-    had = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi))
+    had = Q.hadamard_coins()
     s20 = Q.survival_probability(st, had, 5, 20)
     s200 = Q.survival_probability(st, had, 5, 200)
     assert s200 < s20
@@ -497,8 +491,7 @@ def test_coin_map_of_the_wrong_shape_is_refused():
 
 def test_scattering_surrogate_decreasing():
     st = Q.WalkState.delta(0, "+")
-    walk = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi))
-    surv = [Q.survival_probability(st, walk, 5, t) for t in (128, 256, 512)]
+    surv = [Q.survival_probability(st, Q.hadamard_coins(), 5, t) for t in (128, 256, 512)]
     assert surv[0] > surv[1] > surv[2]
     assert surv[2] < 0.2
 
@@ -530,9 +523,8 @@ def test_certificates_refuse_nan(monkeypatch):
     # a NaN coin table past build_walk's unitarity check reaches the chain
     # update, and the norm drift refuses the result
     st = Q.WalkState.delta(0, "+")
-    walk = Q.build_walk(Q.hadamard_coins(), (st.n_lo, st.n_hi))
     columns = Q._coin_columns
     monkeypatch.setattr(Q, "_coin_columns",
                         lambda table: np.full_like(columns(table), math.nan))
     with pytest.raises(NumericalInstabilityError, match="drifted"):
-        Q.evolve(st, walk, 3)
+        Q.evolve(st, Q.hadamard_coins(), 3)
