@@ -224,6 +224,11 @@ _SEQUENCE_KINDS = {
 # 64.1 at q0 = 6, levels = 14)
 _FAMILY_BUILD_BYTES = 64
 
+# peak bytes per entry of a (2q)^2 matrix while ``approx`` runs up to period
+# q: the dense spectrum at 2q and its temporaries (tracemalloc over the run at
+# q0 = 2: 182 at levels 5, 160 at levels 8; two complex matrices alone are 32)
+_APPROX_ENTRY_BYTES = 192
+
 
 def _physical_memory() -> int:
     """Bytes of physical memory: the bound on the arrays a config may ask for."""
@@ -236,14 +241,14 @@ def _family(v: dict, approx: bool = False) -> coeffs.LimitPeriodicFamily:
     A family whose arrays would not fit in physical memory, or under a
     smaller soft address-space limit (``ulimit -v``), is refused before any
     stage table is built: the build's peak, _FAMILY_BUILD_BYTES per site of
-    the largest period q = q0 * 2**levels, and for ``approx`` the two dense
-    (2q)^2 Floquet matrices of the spectrum at 2q, more at every q.
+    the largest period q = q0 * 2**levels, and for ``approx`` the peak of its
+    dense spectra, _APPROX_ENTRY_BYTES per entry of a (2q)^2 matrix.
     """
     q, limit, what = v["q0"] * 2 ** v["levels"], _physical_memory(), "physical memory"
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     if soft != resource.RLIM_INFINITY and soft < limit:
         limit, what = soft, "the address-space limit (RLIMIT_AS)"
-    need = 16 * 2 * (2 * q) ** 2 if approx else _FAMILY_BUILD_BYTES * q
+    need = _APPROX_ENTRY_BYTES * (2 * q) ** 2 if approx else _FAMILY_BUILD_BYTES * q
     if q <= 2 ** 62 and need > limit:  # larger q: the constructor's own refusal
         raise ValueError(f"the pt_family with q0 = {v['q0']}, levels = {v['levels']} needs "
                          f"{need / 2 ** 30:.3g} GiB for its largest period q0 * 2**levels "

@@ -16,38 +16,32 @@ the offending site instead of being silently renormalized.
 A coin sequence is an array map from integer sites to their 2x2 coins: a
 periodic (P, 2, 2) table (``table_coins``; identity, Hadamard and constant
 coins are tables of one), or the gauge-form coins of a coefficient sequence
-gamma (``cgmv_coins``).  A walk operator reads the coins of its window in
-one call, and those of one period when the coins are periodic.
+gamma (``cgmv_coins``).  ``evolve`` and ``to_cmv`` read the coins of their
+window of sites in one call (``_window_table``), over one period when the
+coins are periodic, and check every coin unitary to 1e-13.
 
-A walk operator on a finite window of sites has two views: its cyclic window
-(the shift wraps around), which ``to_cmv`` compares in banded form with a
-periodic-wrap CMV window, and its step, which absorbs what the shift moves
-past either edge.  A step is one elementwise 2x2 update of the two spin arrays,
+``to_cmv`` is the CGMV dictionary: it compares the walk's cyclic window (the
+shift wraps around), transposed and in banded form, with a periodic-wrap CMV
+window.  ``evolve`` takes a state and the coin sequence it reads and returns
+the state on its window padded by t + 1 sites, the most the walker can
+travel.  A step is one elementwise 2x2 update of the two spin arrays,
 
     up' = q00 up + q01 dn,   dn' = q10 up + q11 dn,   then shift,
 
-with the coin entries read as rows of the operator's coin table.
-
-``evolve`` takes a state and the coin sequence it reads and returns the
-state on its window padded by t + 1 sites, the most the walker can travel.
-The shift moves every amplitude by exactly one site, so the two parity
+and the shift moves every amplitude by exactly one site, so the two parity
 chains, the sites at even and at odd offsets from the state's n_lo, never
 mix.  After s steps chain c covers the sites
-n_lo + c - s + 2m, m = 0 .. m0 + s - 1: its whole light cone.  In that moving
-frame spin-up moves from m to m + 1 and spin-down stays at m, so each chain
-steps in place on two arrays with no shift copy, and a chain that starts at
-zero is not stepped at all.  Its sites at step s share the parity of
-n_lo + c - s, so each step reads contiguous rows of the even-site or of the
-odd-site coins, split from the coin table once per call.  The certificates:
-
-* once per operator: every coin of the table is unitary to 1e-13;
-* every ``WalkOperator.step``: no more than 1e-18 of probability crosses
-  the window's absorbing edges (``evolve`` meets no edge: each chain's
-  arrays hold every site it can reach);
-* once per ``evolve`` call (each checkpoint of ``cmvlab walk``): the norm
-  squared lies within 1e-10 of 1, the bound every ``WalkState`` meets, so a
-  larger drift is a numerical failure (``NumericalInstabilityError``), not
-  an invalid state.
+n_lo + c - s + 2m, m = 0 .. m0 + s - 1: its whole light cone, so no
+amplitude ever reaches an edge.  In that moving frame spin-up moves from m
+to m + 1 and spin-down stays at m, so each chain steps in place on two
+arrays with no shift copy, and a chain that starts at zero is not stepped at
+all.  Its sites at step s share the parity of n_lo + c - s, so each step
+reads contiguous rows of the even-site or of the odd-site coins, split from
+the coin table once per call.  Once per ``evolve`` call (each checkpoint of
+``cmvlab walk``) the norm squared must lie within 1e-10 of 1, the bound
+every ``WalkState`` meets, so a larger drift is a numerical failure
+(``NumericalInstabilityError``), not an invalid state.  The step oracle,
+a fixed window whose edges absorb, is kept in ``tests/qwalk_reference.py``.
 
 Every probability is |psi|^2 of ``coefficients._abs2``: the norm squared
 is one numpy sum of it over the window, and the survival probability one
@@ -57,7 +51,7 @@ sum over the window's rows at sites |j| <= J.  States are immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,12 +63,8 @@ from .operator import cmv_banded, shift_seq, sieve
 __all__ = [
     "CoinSequence",
     "WalkState",
-    "WalkOperator",
-    "CMVRepresentation",
-    "build_walk",
     "to_cmv",
     "evolve",
-    "survival_probability",
     "constant_coins",
     "identity_coins",
     "hadamard_coins",
@@ -174,13 +164,14 @@ class WalkState:
         return self.n_lo + self.amplitudes.shape[0] - 1
 
     @classmethod
-    def delta(cls, site: int, spin: str, pad: int = 2) -> "WalkState":
+    def delta(cls, site: int, spin: str) -> "WalkState":
+        """The walker at ``site`` with the given spin, on the five sites
+        site - 2 .. site + 2."""
         if spin not in ("+", "-"):
             raise ValueError("spin must be '+' or '-'")
-        W = 2 * pad + 1
-        amp = np.zeros((W, 2), dtype=complex)
-        amp[pad, 0 if spin == "+" else 1] = 1.0
-        return cls(n_lo=site - pad, amplitudes=amp)
+        amp = np.zeros((5, 2), dtype=complex)
+        amp[2, 0 if spin == "+" else 1] = 1.0
+        return cls(n_lo=site - 2, amplitudes=amp)
 
     def amplitude(self, site: int, spin: str) -> complex:
         if not self.n_lo <= site <= self.n_hi:
@@ -199,103 +190,29 @@ class WalkState:
         return float(np.sum(_abs2(rows)))
 
 
-@dataclass(frozen=True)
-class WalkOperator:
-    """U = S Q on the sites [n_lo, n_hi].
-
-    ``table`` holds the (W, 2, 2) coins of the window, read and checked for
-    unitarity once at construction.  ``matrix`` is the cyclic window;
-    ``step`` absorbs what the shift moves past either edge and refuses to
-    lose more than 1e-18 of probability that way.
-    """
-
-    coins: CoinSequence
-    n_lo: int
-    n_hi: int
-    table: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n_hi < self.n_lo:
-            raise ValueError("window must be nonempty")
-        # one read: over one period from n_lo, tiled, for periodic coins
-        W = self.n_hi - self.n_lo + 1
-        p = min(self.coins.period or W, W)
-        sites = np.arange(self.n_lo, self.n_lo + p)
-        one = _unitary(self.coins(sites), sites)
-        table = one[np.arange(W) % p]
-        table.flags.writeable = False
-        object.__setattr__(self, "table", table)
-
-    @property
-    def width(self) -> int:
-        return self.n_hi - self.n_lo + 1
-
-    def matrix(self) -> np.ndarray:
-        """Dense cyclic 2W x 2W matrix, site-major ordering (n,+), (n,-)."""
-        W = self.width
-        U = np.zeros((2 * W, 2 * W), dtype=complex)
-        for j, q in enumerate(self.table):
-            for spin_in in (0, 1):
-                col = 2 * j + spin_in
-                U[2 * ((j + 1) % W) + 0, col] += q[0, spin_in]
-                U[2 * ((j - 1) % W) + 1, col] += q[1, spin_in]
-        return U
-
-    def step(self, state: WalkState) -> WalkState:
-        if state.n_lo != self.n_lo or state.n_hi != self.n_hi:
-            raise ValueError("state window must match the operator window")
-        psi = _absorbing_step(_coin_columns(self.table), state.amplitudes.T)
-        return WalkState(n_lo=state.n_lo, amplitudes=psi.T)
-
-
-def _coin_columns(table: np.ndarray) -> np.ndarray:
-    """The (W, 2, 2) coins of a window as (2, 2, W): q[a, b] holds entry
-    [a, b] of every coin."""
-    return np.ascontiguousarray(table.transpose(1, 2, 0))
-
-
-def _absorbing_step(q: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """One step of U = S Q on W sites with absorbing edges.
-
-    ``psi`` (2, W) holds the spin-up and spin-down amplitudes, ``q`` the
-    coins of the same sites (``_coin_columns``).  The coin acts elementwise,
-    up' = q00 up + q01 dn and dn' = q10 up + q11 dn; then up' moves one site
-    right and dn' one site left.  What would leave the W sites is refused
-    beyond 1e-18 of probability.
-    """
-    mixed = q[:, 0] * psi[0]
-    mixed += q[:, 1] * psi[1]
-    lost = _abs2(mixed[0, -1]) + _abs2(mixed[1, 0])
-    if not lost <= 1e-18:
-        raise NumericalInstabilityError(
-            f"amplitude {lost:.2e} hit the absorbing boundary; enlarge the window"
-        )
-    out = np.empty_like(mixed)
-    out[0, 0] = out[1, -1] = 0.0
-    out[0, 1:] = mixed[0, :-1]
-    out[1, :-1] = mixed[1, 1:]
-    return out
-
-
-def build_walk(coins: CoinSequence, window: tuple[int, int]) -> WalkOperator:
-    """Walk operator on the sites window[0]..window[1]."""
-    n_lo, n_hi = window
-    return WalkOperator(coins=coins, n_lo=int(n_lo), n_hi=int(n_hi))
+def _window_table(coins: CoinSequence, n_lo: int, n_hi: int) -> np.ndarray:
+    """The (W, 2, 2) coins of the sites n_lo..n_hi, read in one call (over one
+    period from n_lo, then tiled, when the coins are periodic) and checked
+    unitary by ``_unitary``."""
+    W = n_hi - n_lo + 1
+    p = min(coins.period or W, W)
+    sites = np.arange(n_lo, n_lo + p)
+    return _unitary(coins(sites), sites)[np.arange(W) % p]
 
 
 def evolve(state: WalkState, coins: CoinSequence, t: int) -> WalkState:
     """State after t steps of U = S Q with the given coins.
 
     The result lives on the state's window padded by t + 1 sites on both
-    sides, equal entry for entry to t ``WalkOperator.step`` calls there.
-    Chain c = 0, 1 holds the state's sites n_lo + c, n_lo + c + 2, ...; after
-    s steps they sit at padded index pad + c - s + 2m, m = 0 .. m0 + s - 1,
-    which covers every site the chain's amplitudes can reach.  So nothing is
-    truncated and no step needs an edge check; ``WalkOperator.step`` keeps
-    its check because a fixed window does absorb.  Spin-up moves from m to
-    m + 1 and spin-down stays at m: ``up`` is stored at offset t - s and
-    ``dn`` at m, and each step updates both in place, with the coin as the
-    first operand of every product as in ``_absorbing_step``, so each
+    sides, equal entry for entry to t absorbing-edge steps there (the step
+    of ``tests/qwalk_reference.py``, its oracle).  Chain c = 0, 1 holds the
+    state's sites n_lo + c, n_lo + c + 2, ...; after s steps they sit at
+    padded index pad + c - s + 2m, m = 0 .. m0 + s - 1, which covers every
+    site the chain's amplitudes can reach.  So nothing is truncated and no
+    step needs an edge check.  Spin-up moves from m to m + 1 and spin-down
+    stays at m: ``up`` is stored at offset t - s and ``dn`` at m, and each
+    step updates both in place, up' = q00 up + q01 dn and dn' = q10 up +
+    q11 dn with the coin as the first operand of every product, so each
     amplitude has the bits of the full-window step.  A chain that starts
     exactly zero stays zero and is skipped.  The result's norm squared must
     lie within 1e-10 of 1, the bound of every ``WalkState``; it is checked
@@ -306,11 +223,12 @@ def evolve(state: WalkState, coins: CoinSequence, t: int) -> WalkState:
     if t == 0:
         return state
     pad = t + 1
-    op = build_walk(coins, (state.n_lo - pad, state.n_hi + pad))
+    n_lo = state.n_lo - pad
+    table = _window_table(coins, n_lo, state.n_hi + pad)
     # rows[p] holds q00, q01, q10, q11 of the padded sites 2j + p, contiguous
-    q = _coin_columns(op.table).reshape(4, -1)
+    q = table.reshape(-1, 4).T
     rows = [tuple(np.ascontiguousarray(q[:, p::2])) for p in (0, 1)]
-    amp = np.zeros((op.width, 2), dtype=complex)
+    amp = np.zeros((len(table), 2), dtype=complex)
     for c in (0, 1):
         chain = state.amplitudes[c::2]
         if not chain.any():
@@ -340,35 +258,12 @@ def evolve(state: WalkState, coins: CoinSequence, t: int) -> WalkState:
         raise NumericalInstabilityError(
             f"norm drifted by {drift:.2e} after {t} steps (bound {_NORM_TOL:g})"
         )
-    return WalkState(n_lo=op.n_lo, amplitudes=amp)
-
-
-def survival_probability(state0: WalkState, coins: CoinSequence, J: int, t: int) -> float:
-    """Probability of finding the walker in sites |j| <= J at time t."""
-    if J < 0:
-        raise ValueError(f"J must be >= 0, got {J}")
-    return evolve(state0, coins, t).survival(J)
+    return WalkState(n_lo=n_lo, amplitudes=amp)
 
 
 # ---------------------------------------------------------------------------
 # CGMV correspondence
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CMVRepresentation:
-    """The walk operator rewritten as a CMV matrix.
-
-    ``seq`` is the extracted coefficient sequence in global flat indexing;
-    ``matrix`` is the transpose of U on the window, in the CMV basis order
-    and the cyclic (5, 2W) banded form of ``cmv_banded``; ``residual`` is
-    its entrywise deviation from the CMV window assembled out of ``seq``.
-    """
-
-    seq: CoefficientSequence
-    matrix: np.ndarray
-    window: tuple[int, int]
-    residual: float
-
 
 _GAUGE_RULES = ("upper-left entry must be real and positive",
                 "diagonal entries must coincide",
@@ -405,29 +300,27 @@ def _banded_transpose(table: np.ndarray) -> np.ndarray:
     return ab
 
 
-def to_cmv(
-    coins: CoinSequence, window: tuple[int, int] = (0, 15)
-) -> CMVRepresentation:
-    """Extract the CMV coefficients of a gauge-conforming coin sequence.
+def to_cmv(coins: CoinSequence, window: tuple[int, int]) -> tuple[CoefficientSequence, float]:
+    """The CMV coefficients of a gauge-conforming coin sequence, and the
+    residual of the correspondence on the sites window[0]..window[1].
 
     The coefficients are alpha_hat = shift_seq(sieve(gamma), -2), that is
     alpha_hat_{2n+1} = gamma_n and alpha_hat_{2n} = 0, where gamma_n =
     conj(Q_n[1, 0]) is read from the coins, each checked for unitarity and
     the gauge form at every site read, inside the window or past it.  The
     correspondence is verified on the window in O(W): the walk's cyclic
-    window, transposed and in banded form, must match entry by entry the
-    periodic-wrap CMV window of alpha_hat.
+    window, transposed and in banded form, is compared entry by entry with
+    the periodic-wrap CMV window of alpha_hat, and the residual is the
+    largest deviation.
     """
     n_lo, n_hi = int(window[0]), int(window[1])
     if n_hi <= n_lo:
         raise ValueError("window must contain at least two sites")
-    walk = build_walk(coins, (n_lo, n_hi))
-    _gauge_gammas(walk.table, np.arange(n_lo, n_hi + 1))
+    table = _window_table(coins, n_lo, n_hi)
+    _gauge_gammas(table, np.arange(n_lo, n_hi + 1))
     gamma = CoefficientSequence(fn=lambda n: _gauge_gammas(_unitary(coins(n), n), n),
                                 period=coins.period)
     seq = shift_seq(sieve(gamma), -2)
     lo = 2 * n_lo + 1  # the flat index of (n_lo, +)
-    ref = cmv_banded(seq.window(lo, lo + 2 * walk.width))
-    ut = _banded_transpose(walk.table)
-    return CMVRepresentation(seq=seq, matrix=ut, window=(n_lo, n_hi),
-                             residual=float(np.max(np.abs(ut - ref))))
+    ref = cmv_banded(seq.window(lo, lo + 2 * len(table)))
+    return seq, float(np.max(np.abs(_banded_transpose(table) - ref)))

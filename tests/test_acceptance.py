@@ -293,7 +293,7 @@ def test_11_weyl_free_oracle():
 def test_12_quantum_walk_scattering():
     state = Q.WalkState.delta(0, "+")
     coins = Q.hadamard_coins()
-    surv = {t: Q.survival_probability(state, coins, 5, t) for t in (32, 128, 512)}
+    surv = {t: Q.evolve(state, coins, t).survival(5) for t in (32, 128, 512)}
     final = Q.evolve(state, coins, 512)
     norm_drift = abs(final.norm2() - 1.0)
     ok = (surv[32] > surv[128] > surv[512] and surv[512] < 0.2

@@ -312,7 +312,7 @@ def test_an_approx_family_too_large_for_memory_exits_2_before_any_stage_table(
 
 
 PT_FAMILY_NEEDS = [
-    ("approx", 16 * 2 * (2 * 8) ** 2),  # two dense (2q)^2 Floquet matrices, q = 8
+    ("approx", 192 * (2 * 8) ** 2),  # the run's peak, 192 bytes per (2q)^2 entry, q = 8
     ("lyapunov", 64 * 8),  # the build's peak, 64 bytes per site of q
 ]
 
@@ -331,6 +331,22 @@ def test_the_pt_family_memory_bound_is_the_physical_memory(tmp_path, monkeypatch
     built = spy_on_stage_tables(monkeypatch)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "refused")]) == 2
     assert built == []
+
+
+def test_the_approx_memory_bound_counts_the_measured_peak(tmp_path, capsys, monkeypatch):
+    # two dense (2q)^2 complex matrices, 32 bytes per entry, fit in memory,
+    # but the run's measured peak of up to 182 bytes per entry does not
+    from cmvlab import cli
+
+    cfg = write_config(tmp_path, "a.json", {
+        **APPROX_SMALL, "family": {**APPROX_SMALL["family"], "levels": 6}})
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 32 * (2 * 2 * 2 ** 6) ** 2)
+    built = spy_on_stage_tables(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["approx", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the pt_family with q0 = 2, levels = 6 needs ")
+    assert built == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command, need", PT_FAMILY_NEEDS)
@@ -1059,8 +1075,7 @@ def test_walk_checkpoints_match_evolution_from_zero(tmp_path):
             pm = coefficients._abs2(st.amplitude(j, "-"))
             if pp > 0 or pm > 0:
                 dist.append(",".join(fmt(v) for v in (t, j, pp, pm)))
-        surv.append(",".join(fmt(v) for v in
-                             (t, qwalk.survival_probability(state0, coins, 4, t))))
+        surv.append(",".join(fmt(v) for v in (t, st.survival(4))))
     assert (out / "distribution.csv").read_text() == "\n".join(dist) + "\n"
     assert (out / "survival.csv").read_text() == "\n".join(surv) + "\n"
 
@@ -1104,8 +1119,8 @@ def test_walk_report_diagnostics_match_the_distribution(tmp_path, monkeypatch):
     # above rounding and, after 300 steps, below the 1e-10 bound
     from cmvlab import qwalk
 
-    columns = qwalk._coin_columns
-    monkeypatch.setattr(qwalk, "_coin_columns", lambda table: columns(table) * (1 + 1e-13))
+    window_table = qwalk._window_table
+    monkeypatch.setattr(qwalk, "_window_table", lambda *a: window_table(*a) * (1 + 1e-13))
     out = tmp_path / "out"
     assert main(["walk", "--config", _walk_config(tmp_path), "--out", str(out)]) == 0
     assert "walk_report.json" in json.loads((out / "manifest.json").read_text())["outputs"]
@@ -1132,8 +1147,8 @@ def test_walk_drift_past_the_state_bound_exits_3(tmp_path, capsys, monkeypatch):
     # past the 1e-10 that every state must meet, within 1e-9 per step
     from cmvlab import qwalk
 
-    columns = qwalk._coin_columns
-    monkeypatch.setattr(qwalk, "_coin_columns", lambda table: columns(table) * (1 + 1e-12))
+    window_table = qwalk._window_table
+    monkeypatch.setattr(qwalk, "_window_table", lambda *a: window_table(*a) * (1 + 1e-12))
     cfg = write_config(tmp_path, "w.json", {"coins": {"kind": "hadamard"}, "steps": 300})
     out = tmp_path / "out"
     assert main(["walk", "--config", cfg, "--out", str(out)]) == 3
@@ -1144,8 +1159,8 @@ def test_walk_drift_past_the_state_bound_exits_3(tmp_path, capsys, monkeypatch):
 def test_walk_planted_drift_exits_3(tmp_path, capsys, monkeypatch):
     from cmvlab import qwalk
 
-    columns = qwalk._coin_columns
-    monkeypatch.setattr(qwalk, "_coin_columns", lambda table: columns(table) * (1 + 1e-6))
+    window_table = qwalk._window_table
+    monkeypatch.setattr(qwalk, "_window_table", lambda *a: window_table(*a) * (1 + 1e-6))
     out = tmp_path / "out"
     assert main(["walk", "--config", _walk_config(tmp_path), "--out", str(out)]) == 3
     assert "norm drifted" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from cmvlab import coefficients as C
 from cmvlab import operator as O
 from cmvlab import qwalk as Q
 from cmvlab.errors import CoinGaugeError
+from qwalk_reference import build_walk
 
 
 def test_pure_shift_single_and_many_steps():
@@ -33,7 +34,7 @@ def test_evolve_t0_identity():
 
 def test_hadamard_unitarity_and_norm():
     st = Q.WalkState.delta(0, "+")
-    walk = Q.build_walk(Q.hadamard_coins(), (-8, 7))
+    walk = build_walk(Q.hadamard_coins(), (-8, 7))
     U = walk.matrix()
     assert np.max(np.abs(U @ U.conj().T - np.eye(32))) < 1e-13
     out = Q.evolve(st, Q.hadamard_coins(), 100)
@@ -43,7 +44,7 @@ def test_hadamard_unitarity_and_norm():
 def test_build_walk_rejects_non_unitary():
     bad = Q.constant_coins(np.array([[1.0, 0.0], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="not unitary"):
-        Q.build_walk(bad, (0, 3))
+        Q._window_table(bad, 0, 3)
 
 
 @pytest.mark.parametrize("bad_site, residual", [(3, 1e-12), (-2, 0.5)])
@@ -57,13 +58,13 @@ def test_walk_names_the_first_non_unitary_interior_coin(bad_site, residual):
 
     coins = Q.CoinSequence(fn=fn)
     with pytest.raises(ValueError, match=f"coin at site {bad_site} is not unitary"):
-        Q.build_walk(coins, (-5, 8))
-    # a residual of 1e-14 passes, and the stored table is the coins read once
+        Q._window_table(coins, -5, 8)
+    # a residual of 1e-14 passes, and the table is the coins read once
     ok = Q.CoinSequence(fn=lambda n: np.where((n == bad_site)[..., None, None],
                                               h * (1.0 + 5e-15), h))
-    walk = Q.build_walk(ok, (-5, 8))
-    assert walk.table.shape == (14, 2, 2)
-    assert np.array_equal(walk.table[bad_site + 5], ok(bad_site))
+    table = Q._window_table(ok, -5, 8)
+    assert table.shape == (14, 2, 2)
+    assert np.array_equal(table[bad_site + 5], ok(bad_site))
 
 
 def _cgmv_period(p):
@@ -85,14 +86,14 @@ def test_coin_table_tiles_one_period(window, period):
 
     n_lo, n_hi = window
     per_site = np.stack([coins(n) for n in range(n_lo, n_hi + 1)])
-    walk = Q.build_walk(Q.CoinSequence(fn=fn, period=period), window)
-    np.testing.assert_array_equal(walk.table, per_site)
+    table = Q._window_table(Q.CoinSequence(fn=fn, period=period), n_lo, n_hi)
+    np.testing.assert_array_equal(table, per_site)
     # one read of one period
     assert reads == [list(range(n_lo, n_lo + min(period, n_hi - n_lo + 1)))]
     # without period metadata every site is read, in the same one call
     reads.clear()
-    walk = Q.build_walk(Q.CoinSequence(fn=fn), window)
-    np.testing.assert_array_equal(walk.table, per_site)
+    table = Q._window_table(Q.CoinSequence(fn=fn), n_lo, n_hi)
+    np.testing.assert_array_equal(table, per_site)
     assert reads == [list(range(n_lo, n_hi + 1))]
 
 
@@ -111,13 +112,13 @@ def test_quasiperiodic_coins_are_read_in_one_window_call():
 
     # the 131 075 sites of a walk of t = 65 536 steps from a delta start
     gamma = C.CoefficientSequence(fn=fn)
-    walk = Q.build_walk(Q.cgmv_coins(gamma), (-65537, 65537))
+    table = Q._window_table(Q.cgmv_coins(gamma), -65537, 65537)
     assert calls == [(131_075,)]
-    assert walk.table.shape == (131_075, 2, 2)
+    assert table.shape == (131_075, 2, 2)
     sites = np.random.default_rng(5).integers(-65537, 65538, size=200)
     per_site = [_cgmv_formula(0.6 * cmath.exp(2j * math.pi * (n * 0.6180339887498949 + 0.1)))
                 for n in sites.tolist()]
-    np.testing.assert_array_equal(walk.table[sites + 65537], per_site)
+    np.testing.assert_array_equal(table[sites + 65537], per_site)
 
 
 @pytest.mark.parametrize("n_lo", [-9, -4, 0, 2])
@@ -126,7 +127,7 @@ def test_periodic_coins_name_the_first_bad_site_in_the_window(n_lo):
     coins = Q.table_coins([h, h * 1.5, h, h])
     first = next(n for n in range(n_lo, n_lo + 4) if n % 4 == 1)
     with pytest.raises(ValueError, match=f"coin at site {first} is not unitary"):
-        Q.build_walk(coins, (n_lo, n_lo + 10))
+        Q._window_table(coins, n_lo, n_lo + 10)
 
 
 @pytest.mark.parametrize("t", [1, 2, 17])
@@ -141,7 +142,7 @@ def test_evolve_is_t_public_steps_on_the_padded_state(rng, period, t):
     padded = np.zeros((5 + 2 * pad, 2), dtype=complex)
     padded[pad:-pad] = st.amplitudes
     ref = Q.WalkState(n_lo=st.n_lo - pad, amplitudes=padded)
-    walk = Q.build_walk(coins, (ref.n_lo, ref.n_hi))
+    walk = build_walk(coins, (ref.n_lo, ref.n_hi))
     for _ in range(t):
         ref = walk.step(ref)
     assert (got.n_lo, got.n_hi) == (ref.n_lo, ref.n_hi)
@@ -159,7 +160,7 @@ def test_evolve_with_quasiperiodic_coins_is_t_public_steps(rng, t):
     padded = np.zeros((5 + 2 * pad, 2), dtype=complex)
     padded[pad:-pad] = st.amplitudes
     ref = Q.WalkState(n_lo=st.n_lo - pad, amplitudes=padded)
-    walk = Q.build_walk(coins, (ref.n_lo, ref.n_hi))
+    walk = build_walk(coins, (ref.n_lo, ref.n_hi))
     for _ in range(t):
         ref = walk.step(ref)
     assert (got.n_lo, got.n_hi) == (ref.n_lo, ref.n_hi)
@@ -199,7 +200,7 @@ def test_evolve_in_the_chain_frame_is_t_public_steps(seed, width, n_lo, empty, p
     padded = np.zeros((width + 2 * pad, 2), dtype=complex)
     padded[pad:-pad] = state.amplitudes
     ref = Q.WalkState(n_lo=n_lo - pad, amplitudes=padded)
-    walk = Q.build_walk(coins, (ref.n_lo, ref.n_hi))
+    walk = build_walk(coins, (ref.n_lo, ref.n_hi))
     for _ in range(t):
         ref = walk.step(ref)
     assert (got.n_lo, got.n_hi) == (ref.n_lo, ref.n_hi)
@@ -246,7 +247,7 @@ def test_evolve_with_general_unitary_coins_is_t_public_steps(period, n_lo, empty
         padded = np.zeros((6 + 2 * pad, 2), dtype=complex)
         padded[pad:-pad] = state.amplitudes
         ref = Q.WalkState(n_lo=n_lo - pad, amplitudes=padded)
-        step = Q.build_walk(coins, (ref.n_lo, ref.n_hi))
+        step = build_walk(coins, (ref.n_lo, ref.n_hi))
         for _ in range(t):
             ref = step.step(ref)
         assert (got.n_lo, got.n_hi) == (ref.n_lo, ref.n_hi)
@@ -271,12 +272,12 @@ def _einsum_step(table, amp):
 def _einsum_evolve(state, coins, t):
     """t reference steps of every site of the state's window padded by t + 1."""
     pad = t + 1
-    walk = Q.build_walk(coins, (state.n_lo - pad, state.n_hi + pad))
-    amp = np.zeros((walk.width, 2), dtype=complex)
+    table = Q._window_table(coins, state.n_lo - pad, state.n_hi + pad)
+    amp = np.zeros((len(table), 2), dtype=complex)
     amp[pad:-pad] = state.amplitudes
     for _ in range(t):
-        amp = _einsum_step(walk.table, amp)
-    return walk.n_lo, amp
+        amp = _einsum_step(table, amp)
+    return state.n_lo - pad, amp
 
 
 @pytest.mark.parametrize("initial", ["random", "delta"])
@@ -319,12 +320,12 @@ def test_evolve_is_zero_off_its_sublattice_and_outside_the_cone(rng, chain):
 def test_survival_examples():
     st = Q.WalkState.delta(0, "+")
     shift = Q.identity_coins()
-    assert Q.survival_probability(st, shift, 0, 0) == pytest.approx(1.0)
-    assert Q.survival_probability(st, shift, 3, 10) == pytest.approx(0.0, abs=1e-15)
+    assert Q.evolve(st, shift, 0).survival(0) == pytest.approx(1.0)
+    assert Q.evolve(st, shift, 10).survival(3) == pytest.approx(0.0, abs=1e-15)
 
     had = Q.hadamard_coins()
-    s20 = Q.survival_probability(st, had, 5, 20)
-    s200 = Q.survival_probability(st, had, 5, 200)
+    s20 = Q.evolve(st, had, 20).survival(5)
+    s200 = Q.evolve(st, had, 200).survival(5)
     assert s200 < s20
 
 
@@ -340,13 +341,6 @@ def test_survival_sums_the_window_rows_at_sites_within_j(seed, width, n_lo, J):
         assert got == 0.0
 
 
-def test_wrap_requires_matching_window():
-    st = Q.WalkState.delta(0, "+")
-    walk = Q.build_walk(Q.hadamard_coins(), (-10, 10))
-    with pytest.raises(ValueError):
-        walk.step(st)
-
-
 def test_walk_state_validations():
     with pytest.raises(ValueError):
         Q.WalkState(n_lo=0, amplitudes=np.ones((3, 2)))
@@ -355,9 +349,9 @@ def test_walk_state_validations():
 
 
 def test_to_cmv_identity_coins_is_free():
-    rep = Q.to_cmv(Q.identity_coins(), window=(0, 7))
-    assert rep.residual < 1e-12
-    assert all(rep.seq(m) == 0 for m in range(-8, 9))
+    seq, residual = Q.to_cmv(Q.identity_coins(), window=(0, 7))
+    assert residual < 1e-12
+    assert all(seq(m) == 0 for m in range(-8, 9))
 
 
 def _dense(ab):
@@ -370,15 +364,16 @@ def _dense(ab):
 
 
 def test_to_cmv_bandwidth():
-    rep = Q.to_cmv(Q.identity_coins(), window=(-4, 3))
-    U = Q.build_walk(Q.identity_coins(), (-4, 3)).matrix()
+    assert Q.to_cmv(Q.identity_coins(), window=(-4, 3))[1] == 0.0
+    U = build_walk(Q.identity_coins(), (-4, 3)).matrix()
     n = U.shape[0]
     i, j = np.indices((n, n))
     dist = np.minimum(np.abs(i - j), n - np.abs(i - j))
     assert np.max(np.abs(U[dist > 2])) == 0.0
-    # the banded form holds the whole transposed walk window
-    assert rep.matrix.shape == (5, n)
-    np.testing.assert_array_equal(_dense(rep.matrix), U.T)
+    # the banded form to_cmv checks holds the whole transposed walk window
+    ut = Q._banded_transpose(Q._window_table(Q.identity_coins(), -4, 3))
+    assert ut.shape == (5, n)
+    np.testing.assert_array_equal(_dense(ut), U.T)
 
 
 def test_to_cmv_round_trip_random(rng):
@@ -386,19 +381,19 @@ def test_to_cmv_round_trip_random(rng):
         p = int(rng.integers(1, 5))
         gs = 0.7 * rng.random(p) * np.exp(2j * math.pi * rng.random(p))
         coins = Q.cgmv_coins(C.periodic_table_seq(gs))
-        rep = Q.to_cmv(coins, window=(-4, 5))
-        assert rep.residual < 1e-12
-        assert rep.seq.period == 2 * p
+        seq, residual = Q.to_cmv(coins, window=(-4, 5))
+        assert residual < 1e-12
+        assert seq.period == 2 * p
         for n in range(-3, 4):
-            assert rep.seq(2 * n + 1) == pytest.approx(gs[n % p], abs=1e-14)
-            assert rep.seq(2 * n) == 0
+            assert seq(2 * n + 1) == pytest.approx(gs[n % p], abs=1e-14)
+            assert seq(2 * n) == 0
 
 
 def test_to_cmv_any_window_parity(rng):
     gs = 0.6 * rng.random(3) * np.exp(2j * math.pi * rng.random(3))
     coins = Q.cgmv_coins(C.periodic_table_seq(gs))
     for win in [(-7, 4), (0, 2), (-3, -1), (5, 20)]:
-        assert Q.to_cmv(coins, window=win).residual < 1e-13
+        assert Q.to_cmv(coins, window=win)[1] < 1e-13
 
 
 _TO_CMV_WINDOWS = [(-7, 4), (0, 2), (-3, -1), (5, 20), (-6, -5), (1, 2), (-9, 0)]
@@ -408,7 +403,7 @@ def _dense_residual(coins, window, seq):
     """The dense oracle: the cyclic walk matrix, transposed, against the CMV
     window that assemble_cmv builds from seq shifted to the window's first
     flat index 2 n_lo + 1."""
-    walk = Q.build_walk(coins, window)
+    walk = build_walk(coins, window)
     ref = O.assemble_cmv(O.shift_seq(seq, 2 * window[0] + 1), 0, 2 * walk.width)
     return float(np.max(np.abs(walk.matrix().T - ref)))
 
@@ -422,28 +417,29 @@ def test_to_cmv_banded_check_agrees_with_the_dense_oracle(rng, kind, window):
     else:
         gamma = C.quasiperiodic_seq(0.7, 0.6180339887498949, 0.2)
     coins = Q.cgmv_coins(gamma)
-    rep = Q.to_cmv(coins, window=window)
-    np.testing.assert_array_equal(_dense(rep.matrix), Q.build_walk(coins, window).matrix().T)
-    dense = _dense_residual(coins, window, rep.seq)
+    seq, residual = Q.to_cmv(coins, window=window)
+    ut = Q._banded_transpose(Q._window_table(coins, *window))
+    np.testing.assert_array_equal(_dense(ut), build_walk(coins, window).matrix().T)
+    dense = _dense_residual(coins, window, seq)
     assert dense < 1e-13
-    assert abs(rep.residual - dense) <= 1e-15
+    assert abs(residual - dense) <= 1e-15
 
 
 def test_to_cmv_on_quasiperiodic_gamma():
     g = C.quasiperiodic_seq(0.7, 0.6180339887498949, 0.2)
     coins = Q.cgmv_coins(g)
-    rep = Q.to_cmv(coins, window=(-40, 87))
-    assert rep.residual <= 1e-13
-    assert rep.residual == _dense_residual(coins, (-40, 87), rep.seq)
-    assert rep.seq.period is None
+    seq, residual = Q.to_cmv(coins, window=(-40, 87))
+    assert residual <= 1e-13
+    assert residual == _dense_residual(coins, (-40, 87), seq)
+    assert seq.period is None
     # alpha_hat_{2n+1} = gamma_n and alpha_hat_{2n} = 0, by the explicit index rule
     m = np.arange(-301, 300)
     want = [0j if k % 2 == 0
             else 0.7 * cmath.exp(2j * math.pi * ((k - 1) // 2 * 0.6180339887498949 + 0.2))
             for k in m.tolist()]
-    np.testing.assert_array_equal(rep.seq.window(m), want)
+    np.testing.assert_array_equal(seq.window(m), want)
     # a wide window costs O(W)
-    assert Q.to_cmv(coins, window=(-2048, 2047)).residual <= 1e-13
+    assert Q.to_cmv(coins, window=(-2048, 2047))[1] <= 1e-13
 
 
 def test_to_cmv_reports_offending_site():
@@ -459,28 +455,28 @@ def test_to_cmv_refuses_a_non_unitary_coin_read_outside_the_window():
     # site 3 has the gauge form with rho^2 + |g|^2 = 0.5: only the window
     # (sites 0, 1) is checked at construction, every later read is checked too
     table = [np.eye(2), np.eye(2), np.eye(2), [[0.5, -0.5], [0.5, 0.5]]]
-    rep = Q.to_cmv(Q.table_coins(table), window=(0, 1))
-    assert rep.seq(5) == 0
+    seq, _ = Q.to_cmv(Q.table_coins(table), window=(0, 1))
+    assert seq(5) == 0
     with pytest.raises(ValueError, match="coin at site 3 is not unitary"):
-        rep.seq(7)  # alpha_hat_{2n+1} = gamma_n at n = 3
+        seq(7)  # alpha_hat_{2n+1} = gamma_n at n = 3
     with pytest.raises(ValueError, match="coin at site -1 is not unitary"):
-        rep.seq.window(-4, 4)
+        seq.window(-4, 4)
 
 
 def test_to_cmv_of_periodic_coins_reads_every_period():
     # the window (sites 0, 1) misses gamma_2 = 0.95; reads past it return it
-    rep = Q.to_cmv(Q.cgmv_coins(C.periodic_table_seq([0.1, 0.2, 0.95])), window=(0, 1))
-    assert np.max(np.abs(rep.seq.window(-12, 12))) == 0.95
+    seq, _ = Q.to_cmv(Q.cgmv_coins(C.periodic_table_seq([0.1, 0.2, 0.95])), window=(0, 1))
+    assert np.max(np.abs(seq.window(-12, 12))) == 0.95
 
 
 def test_to_cmv_reads_gamma_past_its_window():
     # gamma_5 = 0.9 lies past the window (sites 0 .. 3), where every gamma
     # is 0.1: alpha_hat_11 = gamma_5 is read from its coin and returned
     gamma = C.CoefficientSequence(fn=lambda n: np.where(n >= 5, 0.9, 0.1) + 0j)
-    rep = Q.to_cmv(Q.cgmv_coins(gamma), window=(0, 3))
-    assert np.max(np.abs(rep.seq.window(-20, 10))) == 0.1
-    assert rep.seq(11) == 0.9
-    np.testing.assert_array_equal(rep.seq.window(9, 13), [0.1, 0.0, 0.9, 0.0])
+    seq, _ = Q.to_cmv(Q.cgmv_coins(gamma), window=(0, 3))
+    assert np.max(np.abs(seq.window(-20, 10))) == 0.1
+    assert seq(11) == 0.9
+    np.testing.assert_array_equal(seq.window(9, 13), [0.1, 0.0, 0.9, 0.0])
 
 
 def test_coin_map_of_the_wrong_shape_is_refused():
@@ -491,19 +487,9 @@ def test_coin_map_of_the_wrong_shape_is_refused():
 
 def test_scattering_surrogate_decreasing():
     st = Q.WalkState.delta(0, "+")
-    surv = [Q.survival_probability(st, Q.hadamard_coins(), 5, t) for t in (128, 256, 512)]
+    surv = [Q.evolve(st, Q.hadamard_coins(), t).survival(5) for t in (128, 256, 512)]
     assert surv[0] > surv[1] > surv[2]
     assert surv[2] < 0.2
-
-
-def test_absorbing_step_guards_edge_amplitude():
-    from cmvlab.errors import NumericalInstabilityError
-
-    st = Q.WalkState.delta(0, "+", pad=1)
-    walk = Q.build_walk(Q.identity_coins(), (st.n_lo, st.n_hi))
-    mid = walk.step(st)  # walker now at the right edge
-    with pytest.raises(NumericalInstabilityError, match="enlarge"):
-        walk.step(mid)
 
 
 def test_certificates_refuse_nan(monkeypatch):
@@ -512,19 +498,12 @@ def test_certificates_refuse_nan(monkeypatch):
     from cmvlab.errors import NumericalInstabilityError
 
     with pytest.raises(ValueError, match="not unitary"):
-        Q.build_walk(Q.constant_coins(np.array([[math.nan, 0], [0, 1]])), (0, 4))
+        Q._window_table(Q.constant_coins(np.array([[math.nan, 0], [0, 1]])), 0, 4)
 
-    table = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2))
-    amp = np.zeros((5, 2), dtype=complex)
-    amp[-1, 0] = math.nan  # moves past the right edge
-    with pytest.raises(NumericalInstabilityError, match="absorbing boundary"):
-        Q._absorbing_step(Q._coin_columns(table), amp.T)
-
-    # a NaN coin table past build_walk's unitarity check reaches the chain
-    # update, and the norm drift refuses the result
+    # a NaN coin table past the unitarity check reaches the chain update,
+    # and the norm drift refuses the result
     st = Q.WalkState.delta(0, "+")
-    columns = Q._coin_columns
-    monkeypatch.setattr(Q, "_coin_columns",
-                        lambda table: np.full_like(columns(table), math.nan))
+    window_table = Q._window_table
+    monkeypatch.setattr(Q, "_window_table", lambda *a: np.full_like(window_table(*a), math.nan))
     with pytest.raises(NumericalInstabilityError, match="drifted"):
         Q.evolve(st, Q.hadamard_coins(), 3)
