@@ -471,8 +471,10 @@ def _cmd_weyl_defect(cfg: dict, manifest: RunManifest, out_dir: str) -> None:
     angles = S.sample(cfg["samples"])
     thetas = np.tile(angles, len(cfg["r_values"]))
     rs = np.repeat(cfg["r_values"], len(angles))
-    defect = weyl._defects(seq, cfg["k"], thetas, rs, cfg["dim"])
+    with certificates() as worst:
+        defect = weyl._defects(seq, cfg["k"], thetas, rs, cfg["dim"])
     _write_csv(manifest, out_dir, "weyl_defect.csv", {"theta": thetas, "r": rs, "defect": defect})
+    _write_json(manifest, out_dir, "weyl_report.json", {"diagnostics": worst})
 
 
 _SEQUENCE = (_nested(_SEQUENCE_KINDS, "kind"), _REQUIRED)

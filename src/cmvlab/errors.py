@@ -52,13 +52,17 @@ def certificates():
     value over the calls with its tolerance and where it occurs:
     ``max_band_residual`` (an eigenpair residual of ``floquet.band_stacks``,
     at k and pair n), ``min_band_gap`` (the distance from z_n(k) to
-    z_{n+1}(k), at k and n) and ``max_edge_residual`` (the eigenpair residual
+    z_{n+1}(k), at k and n), ``max_edge_residual`` (the eigenpair residual
     of a band edge of ``floquet.periodic_spectrum``, at k = 0 or pi/q and the
-    edge angle theta).  The last Birkhoff ``transfer.lyapunov`` call leaves
-    ``lanes``, the number of orbit lanes its kernel ran, and, with n_steps
-    >= 2, ``half_orbit``: (n_half, the growth rates over the first n_half
-    sites), a float for a scalar z.  Outside any block nothing is kept; a
-    nested block collects apart and then restores the outer one.
+    edge angle theta), and, of ``weyl``'s half-line values, at the angle
+    theta and modulus r of the point, ``max_disk_diameter`` (the Weyl disk),
+    ``min_signed_real_part`` (the real part before m_minus's sign flip) and
+    ``min_minus_denominator`` (|den| of M_minus).  The last Birkhoff
+    ``transfer.lyapunov`` call leaves ``lanes``, the number of orbit lanes
+    its kernel ran, and, with n_steps >= 2, ``half_orbit``: (n_half, the
+    growth rates over the first n_half sites), a float for a scalar z.
+    Outside any block nothing is kept; a nested block collects apart and
+    then restores the outer one.
     """
     kept: dict = {}
     token = _CERTIFICATES.set(kept)

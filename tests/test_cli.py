@@ -790,6 +790,94 @@ def test_weyl_defect_on_listed_arcs(tmp_path):
     assert all(0.5 <= float(r[0]) <= 1.0 or 2.0 <= float(r[0]) <= 2.5 for r in rows)
 
 
+WEYL_REPORT_TABLE = [[0.3, 0.1], [-0.2, 0.4], [0.1, -0.5]]
+
+
+def _weyl_report_run(tmp_path, monkeypatch, patch=None):
+    """weyl-defect on a period-3 table at k = 1: its exit code, the points z
+    that reached ``weyl.M_coefficients``, and the output directory.
+    ``patch`` may rewrite the half-line (values, diameters) first."""
+    from cmvlab import weyl
+
+    cfg = write_config(tmp_path, "w.json", {
+        "sequence": {"kind": "periodic_table", "values": WEYL_REPORT_TABLE},
+        "k": 1, "samples": 16, "dim": 512, "r_values": [0.9, 0.95],
+    })
+    seen = []
+    solve, halfline = weyl.M_coefficients, weyl._halfline_values
+
+    def spy(seq, k, z, dim):
+        seen.append(z.copy())
+        return solve(seq, k, z, dim)
+
+    monkeypatch.setattr(weyl, "M_coefficients", spy)
+    if patch is not None:
+        monkeypatch.setattr(weyl, "_halfline_values",
+                            lambda *args: patch(*(a.copy() for a in halfline(*args))))
+    out = tmp_path / "out"
+    return main(["weyl-defect", "--config", cfg, "--out", str(out)]), seen[0], out
+
+
+def test_weyl_defect_reports_its_certificates(tmp_path, monkeypatch):
+    from cmvlab import weyl
+
+    rc, z, out = _weyl_report_run(tmp_path, monkeypatch)
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["weyl_defect.csv", "weyl_report.json"]
+    rep = json.loads((out / "weyl_report.json").read_text())["diagnostics"]
+    # recomputed from the two half-lines at k - 1 and k - 2, rows over z
+    seq = C.periodic_table_seq([complex(*v) for v in WEYL_REPORT_TABLE])
+    values, diameters = weyl._halfline_values(seq, [(0, "plus"), (-1, "minus")], z, 512)
+    a = complex(seq(1)).conjugate()
+    den = np.abs(1j * (1.0 - a).imag + (1.0 + a).real * -values[1])
+
+    def at(i, value, tol):
+        return {"value": float(value[i]), "tol": tol,
+                "theta": float(np.angle(z[i]) % (2 * math.pi)), "r": float(abs(z[i]))}
+
+    worst = np.unravel_index(np.argmax(diameters), diameters.shape)[1]
+    lowest = np.unravel_index(np.argmin(values.real), values.shape)[1]
+    assert rep == {
+        "max_disk_diameter": at(worst, diameters.max(axis=0), 1e-8),
+        "min_signed_real_part": at(lowest, values.real.min(axis=0), -1e-8),
+        "min_minus_denominator": at(int(np.argmin(den)), den, 1e-12),
+    }
+    assert 0 < rep["max_disk_diameter"]["value"] < 1e-8
+    assert rep["min_signed_real_part"]["value"] > 0
+    assert rep["min_minus_denominator"]["value"] > 1e-12
+
+
+def _past_diameter(values, diameters):
+    diameters[1, 3] = 1e-8
+    return values, diameters
+
+
+def _past_sign(values, diameters):
+    values[0, 5] = -2e-8 + 1j
+    return values, diameters
+
+
+def _past_denominator(values, diameters):
+    # m2 = -values[1] zeroes 1j (1 - conj a).imag + (1 + conj a).real m2
+    a = complex(*WEYL_REPORT_TABLE[1]).conjugate()
+    values[1, 7] = 1j * (1.0 - a).imag / (1.0 + a).real
+    return values, diameters
+
+
+@pytest.mark.parametrize("patch, message", [
+    (_past_diameter, "Weyl disk has diameter 1.00e-08"),
+    (_past_sign, "Caratheodory sign violated on side plus"),
+    (_past_denominator, "M_minus denominator is numerically zero"),
+])
+def test_weyl_defect_exits_3_on_a_certificate_past_its_tolerance(tmp_path, monkeypatch, capsys,
+                                                                   patch, message):
+    rc, _, out = _weyl_report_run(tmp_path, monkeypatch, patch)
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_set_override(tmp_path):
     cfg = write_config(tmp_path, "b.json", {
         "sequence": {"kind": "constant", "value": [0.3, 0.0]},

@@ -85,6 +85,12 @@ def test_jobs_include_a_weyl_defect_run_on_long_windows():
     assert cfg["r_values"] == [0.99, 0.999] and cfg["samples"] == 64
 
 
+def test_jobs_include_a_weyl_defect_run_on_a_sequence_without_a_period():
+    aperiodic = [name for name, cmd, cfg in compare_outputs.all_jobs()
+                 if cmd == "weyl-defect" and cfg["sequence"]["kind"] == "quasiperiodic"]
+    assert aperiodic == ["quasi-window-weyl-defect"]
+
+
 def test_jobs_include_a_bands_run_whose_stacks_end_inside_pole_intervals():
     cut = [(name, cfg) for name, cmd, cfg in compare_outputs.all_jobs()
            if cmd == "bands" and cfg["q"] == 32 and cfg["k_points"] == 100]

@@ -94,7 +94,7 @@ def test_M_minus_real_alpha_reduction():
 
 def test_M_minus_denominator_guard():
     with pytest.raises(WeylDenominatorError):
-        W._m_minus_to_M(0.0 + 0j, 1e-13 + 0j)
+        W._m_minus_to_M(0.0 + 0j, 1e-13 + 0j, 0.5)
 
 
 def test_reflectionless_defect_free():
@@ -323,8 +323,19 @@ sequences = st.one_of(
 )
 
 
+# periodic windows of n = dim - 1 steps run p = min(period, n) of them and
+# power their product: n < p, n = p, n = m p and n = m p + r
+_POWERED = C.periodic_table_seq([0.3 + 0.1j, -0.2 + 0.4j, 0.1 - 0.5j, 0.45, -0.6j])
+
+
+@example(seq=_POWERED, k=1, dim=4, r=0.9, turns=[0.1, 0.6])
+@example(seq=_POWERED, k=-3, dim=6, r=0.9, turns=[0.1, 0.6])
+@example(seq=_POWERED, k=2, dim=16, r=0.9, turns=[0.1, 0.6])
+@example(seq=_POWERED, k=0, dim=4097, r=0.9, turns=[0.1, 0.6])
+@example(seq=C.periodic_table_seq([0.5, 0.2j, -0.4, 0.1 + 0.3j]), k=5, dim=4097, r=0.9,
+         turns=[0.3, 0.8])
 @settings(max_examples=30, deadline=None)
-@given(seq=sequences, k=st.integers(-5, 5), dim=st.sampled_from([4, 5, 64, 512]),
+@given(seq=sequences, k=st.integers(-5, 5), dim=st.sampled_from([4, 5, 9, 17, 64, 512, 4097]),
        r=st.floats(0.0, 0.9), turns=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
 def test_stacked_halfline_values_match_the_per_window_recursion(seq, k, dim, r, turns):
     z = r * np.exp(2j * math.pi * np.array(turns))
@@ -340,7 +351,7 @@ def test_stacked_halfline_values_match_the_per_window_recursion(seq, k, dim, r, 
     # M_coefficients reads the first two bases' windows
     assert np.array_equal(bits(mp), bits(got[0]))
     m2 = -got[1]
-    assert np.array_equal(bits(mm), bits(W._m_minus_to_M(complex(seq(k)), m2)))
+    assert np.array_equal(bits(mm), bits(W._m_minus_to_M(complex(seq(k)), m2, z)))
     # m_plus and m_minus take the same path with one row and one point
     one = [(W.m_plus(seq, k - 1, zi, dim), W.m_minus(seq, k - 2, zi, dim))
            for zi in z.tolist()]
@@ -351,10 +362,12 @@ def test_stacked_halfline_values_match_the_per_window_recursion(seq, k, dim, r, 
     # near the circle: each base's lane is a Szego product of 4095 steps,
     # applied as a Mobius map only at the end
     (C.quasiperiodic_seq(0.5, 0.3819660112501051, 0.2), 0.999),
-    # far from it: the free lanes' first columns are z^4095, below the
-    # smallest normal double, and every value must stay finite
+    # far from it: the free lanes (period 1, powered) have first columns
+    # z^4095, below the smallest normal double, and every value must stay finite
     (FREE, 0.2),
     (C.quasiperiodic_seq(0.5, 0.3819660112501051, 0.2), 0.2),
+    # a period-4 table near the circle: each lane is 4 steps, powered
+    (C.periodic_table_seq([0.3 + 0.1j, -0.2 + 0.4j, 0.1 - 0.5j, 0.45]), 0.999),
 ])
 def test_long_windows_match_mpmath_schur_values(seq, r):
     dim = 4096
@@ -389,6 +402,73 @@ def test_halfline_values_run_one_lane_of_dim_minus_one_steps_per_window(monkeypa
     # each base reads its dim - 1 sites away from the cut, and no other
     assert read == [list(range(k, k + dim - 1)) if side == "plus"
                     else list(range(k - dim + 1, k)) for k, side in bases]
+
+
+def test_periodic_halfline_values_run_one_period_per_window_and_power_it(monkeypatch):
+    calls, read = [], []
+    advance = transfer._advance
+
+    def spy(seq, zs, starts, length, cols, snap=0):
+        calls.append((starts.tolist(), length, cols, snap))
+        return advance(seq, zs, starts, length, cols, snap)
+
+    def fn(n):
+        read.append(np.sort(n.ravel()).tolist())
+        return _POWERED.window(n)
+
+    monkeypatch.setattr(transfer, "_advance", spy)
+    q = _POWERED.period
+    seq = C.CoefficientSequence(fn, period=q)
+    bases = [(3, "plus"), (-2, "minus"), (0, "minus"), (7, "plus")]
+    z = 0.9 * np.exp(1j * np.arange(5.0))
+    dim = 64
+    got, diameter = W._halfline_values(seq, bases, z, dim)
+    # one pass of q steps, with the prefix of (dim - 1) mod q steps
+    assert calls == [([0, q, 2 * q, 3 * q], q, 2, (dim - 1) % q)]
+    # each base reads the q sites next to its far cut, and no other
+    n = dim - 1
+    assert read == [list(range(k + n - q, k + n)) if side == "plus"
+                    else list(range(k - n, k - n + q)) for k, side in bases]
+    # a window of 2**40 sites reads no more: its values lie in the 64-site
+    # window's Weyl disk, and its own disks are far below rounding
+    calls.clear()
+    read.clear()
+    far, far_diameter = W._halfline_values(seq, bases, z, 2 ** 40)
+    assert calls == [([0, q, 2 * q, 3 * q], q, 2, (2 ** 40 - 1) % q)]
+    assert all(len(sites) == q for sites in read)
+    assert np.all(np.isfinite(far)) and np.all(far_diameter < 1e-300)
+    assert np.all(np.abs(far - got) <= diameter + _resolvent_bound(dim, 0.9, far))
+
+
+@pytest.mark.parametrize("q", [1, 3, 4, 5])
+def test_long_periodic_windows_match_the_fixed_point_of_one_period(rng, q):
+    # the half-line Schur function of a period-q sequence is the attracting
+    # fixed point w* of one period's Mobius map, so m_plus = F(w*) lies in
+    # the Weyl disk of every window; w* from the quadratic formula at 40 digits
+    seq = C.periodic_table_seq(0.6 * rng.random(q) ** 0.5 * np.exp(2j * math.pi * rng.random(q)))
+    r, dim, k = 0.999, 32768, 3
+    z = r * np.exp(2j * math.pi * (np.arange(32) + 0.5) / 32)
+    got = np.array([W.m_plus(seq, k, zi, dim) for zi in z.tolist()])
+    (diameter,) = W._halfline_values(seq, [(k, "plus")], z, dim)[1]
+    want = []
+    with mpmath.workdps(40):
+        for zi in z.tolist():
+            zz = mpmath.mpc(zi)
+            m = mpmath.eye(2)
+            for a in seq.window(k, k + q).tolist():
+                m = m * mpmath.matrix([[zz, a], [mpmath.conj(a) * zz, 1]])
+            # w = (a w + b) / (c w + d): c w^2 + (d - a) w - b = 0
+            a_d, b, c = m[0, 0] - m[1, 1], m[0, 1], m[1, 0]
+            root = mpmath.sqrt(a_d ** 2 + 4 * b * c)
+            w = min([(a_d + root) / (2 * c), (a_d - root) / (2 * c)], key=abs)
+            want.append(complex((1 + zz * w) / (1 - zz * w)))
+    want = np.array(want)
+    # the powered product repeats one period's rounding, so u = z w may be
+    # off by eps / (1 - r), 1 - r being the contraction per step near the
+    # circle, and F = (1 + u) / (1 - u) moves by |1 + F|^2 / 2 times u's move
+    # (measured: at most 82 eps |1 + F|^2, 19 with one pass of dim - 1 steps)
+    rounding = np.finfo(float).eps * np.abs(1 + want) ** 2 / (1 - r)
+    assert np.all(np.abs(got - want) <= diameter + rounding)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5])
@@ -471,7 +551,7 @@ def test_batched_M_coefficients_keep_per_point_checks():
     with pytest.raises(ValueError, match="1-d"):
         W.M_coefficients(FREE, 0, good.reshape(2, 4), dim=64)
     with pytest.raises(WeylDenominatorError):
-        W._m_minus_to_M(0.0 + 0j, np.array([1.0 + 0j, 1e-13 + 0j]))
+        W._m_minus_to_M(0.0 + 0j, np.array([1.0 + 0j, 1e-13 + 0j]), np.array([0.5, 0.5j]))
 
 
 def test_batched_sign_check_names_the_side():

@@ -10,7 +10,9 @@ quasiperiodic ``lyapunov`` sweep over a grid too wide for orbit lanes, which
 no other job runs, ``SHORT_ORBIT``, a quasiperiodic ``lyapunov`` sweep of 64
 points over 1 000 sites, whose orbit lanes are fewer than the grid alone
 allows, ``LONG_WINDOW``, a ``weyl-defect`` run on half-line
-windows of 32 768 sites at radii 0.99 and 0.999, ``CUT_STACKS``, a
+windows of 32 768 sites at radii 0.99 and 0.999, ``QUASI_WINDOW``, a
+``weyl-defect`` run on a quasiperiodic sequence, whose windows have no
+period to power, ``CUT_STACKS``, a
 ``bands`` run at q = 32 on 100 k, whose stacks of k end inside pole
 intervals, and ``NARROW_BANDS``, a ``bands`` run on 64 k of a q = 64,
 radius 0.9 table drawn from ``default_rng(64)``, whose slowest band moves at
@@ -69,6 +71,12 @@ LONG_WINDOW = ("long-window-weyl-defect", "weyl-defect", {
     "r_values": [0.99, 0.999], "dim": 32768, "samples": 64,
 })
 
+# the windows workload's weyl-defect config on a sequence without a period:
+# every other weyl-defect job reads a periodic table
+QUASI_WINDOW = ("quasi-window-weyl-defect", "weyl-defect", {
+    "sequence": WIDE_GRID[2]["sequence"], "dim": 512, "samples": 64, "r_values": [0.9, 0.95],
+})
+
 # the bands_lp workload's q = 32 table on 100 k: its stacks of 32 k end inside
 # pole intervals of 12.5 k, where every other job's 64 k end on their edges
 CUT_STACKS = ("cut-stacks-bands", "bands", {
@@ -115,7 +123,7 @@ def readme_configs() -> list[tuple[str, str, dict]]:
 def all_jobs() -> list[tuple[str, str, dict]]:
     jobs = [(f"{w}-s{seed}-{job.name}", job.command, job.config)
             for seed in SEEDS for w in WORKLOADS for job in make_jobs(w, seed)]
-    extra = [WIDE_GRID, SHORT_ORBIT, LONG_WINDOW, CUT_STACKS, NARROW_BANDS]
+    extra = [WIDE_GRID, SHORT_ORBIT, LONG_WINDOW, QUASI_WINDOW, CUT_STACKS, NARROW_BANDS]
     return jobs + readme_configs() + extra
 
 
